@@ -15,10 +15,10 @@ Shape checks (paper Section 3.3):
   substantially smaller cost than gshare ("less than half the size"
   in the paper; we check a conservative 0.75 factor).
 
-Every cell routes through the batched kernels: gshare specs through
-:mod:`repro.sim.batch`, bi-mode specs through
-:mod:`repro.sim.batch_bimode` (one cross-trace batch per suite).
-``benchmarks/measure_sweep_speedup.py`` quantifies the win.
+Every cell routes through the kernel registry: the gshare and bi-mode
+families each advance in one fused pass per trace
+(:mod:`repro.sim.fused`); the ``rates`` workload of ``perfbench/``
+times that path end to end.
 """
 
 from __future__ import annotations

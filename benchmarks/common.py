@@ -20,11 +20,11 @@ Environment knobs:
   use e.g. 0.1 for a quick smoke pass of the whole harness).
 * ``REPRO_JOBS`` — worker processes for sweep-shaped benches (default
   serial; ``0``/``auto`` means one per CPU).
-* ``REPRO_FUSED`` — fused sweep dispatch (``auto``/``on``/``off``,
-  default ``auto``): evaluate each spec *family* of a grid in one pass
-  over the shared trace (:mod:`repro.sim.fused`) instead of per-cell
-  batched passes.  The figure benches inherit it through
-  ``evaluate_matrix``; rates are bit-identical either way.
+* ``REPRO_KERNEL`` — kernel engine pin (``auto``/``c``/``numpy``/
+  ``scalar``, default ``auto``) for every spec family of a grid
+  (:mod:`repro.sim.kernels`), with ``REPRO_NO_CC=1`` vetoing the
+  compiler.  The figure benches inherit it through ``evaluate_matrix``
+  and ``detailed_matrix``; results are bit-identical under every pin.
 * ``REPRO_RESUME`` — resume interrupted figure sweeps from their
   journal (default ``1``; set ``0`` to discard a stale journal and
   start the sweep from scratch).

@@ -9,10 +9,10 @@ statics) plus the fused gshare/bi-mode pair — across the CINT95 suite.
 
 Engines:
 
-* **scalar** — ``REPRO_DETAILED_KERNEL=scalar``: every cell through the
+* **scalar** — ``REPRO_KERNEL=scalar``: every cell through the
   per-branch ``simulate_detailed`` loop, the only Section-4 path the
   ported schemes had before their detailed kernels landed;
-* **registry** — ``REPRO_DETAILED_KERNEL=auto``: ``detailed_matrix``
+* **registry** — ``REPRO_KERNEL=auto``: ``detailed_matrix``
   groups the grid into per-scheme families and each family runs its
   batch attribution kernel (compiled sequential loops when a C compiler
   exists, counter-major numpy otherwise), sharing precomputed history
@@ -92,15 +92,15 @@ def measure_detailed_sweep():
     # Warm pass: one tiny registry evaluation pays the one-time C
     # driver build and imports outside the timed sweeps.
     warm = {"warm": next(iter(traces.values()))[:2_000]}
-    with _env(REPRO_DETAILED_KERNEL=None, REPRO_KERNEL=None):
+    with _env(REPRO_KERNEL=None):
         detailed_matrix([specs[0], specs[-1]], warm, jobs=1)
 
-    with _env(REPRO_DETAILED_KERNEL="scalar", REPRO_KERNEL=None):
+    with _env(REPRO_KERNEL="scalar"):
         t0 = time.perf_counter()
         scalar = detailed_matrix(specs, traces, jobs=1)
         scalar_s = time.perf_counter() - t0
 
-    with _env(REPRO_DETAILED_KERNEL=None, REPRO_KERNEL=None):
+    with _env(REPRO_KERNEL=None):
         t0 = time.perf_counter()
         registry = detailed_matrix(specs, traces, jobs=1)
         registry_s = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def measure_detailed_sweep():
         for spec in specs:
             assert oracle_supports_detailed(spec), spec
             o_preds, o_ids = oracle_detailed(spec, prefix)
-            with _env(REPRO_DETAILED_KERNEL=None, REPRO_KERNEL=None):
+            with _env(REPRO_KERNEL=None):
                 detailed = run_detailed(make_predictor(spec), prefix)
             oracle_cells += 1
             if not (
@@ -160,9 +160,9 @@ def measure_detailed_sweep():
         },
     }
     rows = [
-        [f"{PREFIX} scalar engine (REPRO_DETAILED_KERNEL=scalar)",
+        [f"{PREFIX} scalar engine (REPRO_KERNEL=scalar)",
          f"{scalar_s:.2f}", "1.00x", verdict],
-        [f"{PREFIX} detailed registry (REPRO_DETAILED_KERNEL=auto)",
+        [f"{PREFIX} detailed registry (REPRO_KERNEL=auto)",
          f"{registry_s:.2f}", f"{speedup:.2f}x", verdict],
     ]
     return rows, summary, mismatches + oracle_mismatches

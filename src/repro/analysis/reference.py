@@ -10,10 +10,10 @@ transcription of the paper's definitions per aggregate — for two jobs:
 * **differential oracle**: the equivalence tests and
   :mod:`repro.verify` assert the optimized paths reproduce these
   bit-for-bit on every golden trace;
-* **timing baseline**: ``benchmarks/measure_sweep_speedup.py`` measures
-  the detailed-kernel pipeline against ``scalar simulation + reference
-  analysis``, which is exactly what the Section-4 benches executed
-  before the batched pipeline existed.
+* **timing baseline**: ``scalar simulation + reference analysis`` is
+  exactly what the Section-4 benches executed before the batched
+  pipeline existed (the recorded comparison is
+  ``results/BENCH_detailed_kernel.json``).
 
 Nothing here is exported through the package's public analysis API;
 import it explicitly.

@@ -15,21 +15,18 @@ Figures 2–4 plot misprediction against predictor cost for three curves:
 memoizing every (spec, trace) cell through the
 :class:`~repro.sim.runner.ResultCache`.
 
-The heavy lifting is fused: the sweep planner (:mod:`repro.sim.fused`,
-``REPRO_FUSED``) groups the whole spec grid into families — every
-gshare cell of a sweep (the 1PHT points and the whole ``gshare.best``
-candidate family) is one family, every bi-mode cell another — and each
-family advances in a single pass over each trace with per-spec in-loop
-reduction.  When fused dispatch is off or unavailable the cells route
-through the per-trace batched kernels instead (:mod:`repro.sim.batch`
-one counting-sorted pass per configuration, :mod:`repro.sim.
-batch_bimode` the whole bi-mode portion of the matrix in one
-cross-trace call), and the (spec, benchmark) matrix can be split
-across worker processes with ``jobs`` / ``$REPRO_JOBS``
-(:mod:`repro.sim.parallel`).  All paths return bit-identical rates to
-the scalar reference engine (asserted by the equivalence suites and
-:mod:`repro.verify`), so cached cells mix freely with freshly computed
-ones.
+The heavy lifting is fused: the sweep planner (:mod:`repro.sim.fused`)
+groups the whole spec grid into families — every gshare cell of a sweep
+(the 1PHT points and the whole ``gshare.best`` candidate family) is one
+family, every bi-mode cell another — and each family runs through its
+kernel registry entry (:mod:`repro.sim.kernels`, ``REPRO_KERNEL``): one
+compiled pass over each trace with per-spec in-loop reduction, or,
+without a compiler, gshare's counter-major numpy lanes and bi-mode's
+scalar loop.  The (spec, benchmark) matrix can be split across worker
+processes with ``jobs`` / ``$REPRO_JOBS`` (:mod:`repro.sim.parallel`).
+All engines return bit-identical rates to the scalar reference engine
+(asserted by the equivalence suites and :mod:`repro.verify`), so cached
+cells mix freely with freshly computed ones.
 """
 
 from __future__ import annotations

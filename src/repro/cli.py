@@ -218,8 +218,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_kernels(args) -> int:
     """The kernel registry, resolved against this environment: every
-    scheme's tier, whether it has a numpy form, and the engine the
-    current ``REPRO_KERNEL`` pin actually lands on."""
+    scheme's tier, whether it has a numpy form or a fused family loop,
+    and the engine the current ``REPRO_KERNEL`` pin actually lands on."""
     from repro.sim import _cstep, kernels
 
     compiled = _cstep.available()
@@ -227,6 +227,7 @@ def _cmd_kernels(args) -> int:
     # representative specs for the cloop schemes whose numpy capability
     # depends on lane knobs (gskew: total update is feedback-free)
     probes = {
+        "bimode": ("bimode:dir=6",),
         "gskew": ("gskew:bank=6", "gskew:bank=6,update=total"),
         "trimode": ("trimode:dir=6",),
         "yags": ("yags:choice=6,cache=5",),
@@ -234,7 +235,7 @@ def _cmd_kernels(args) -> int:
     }
 
     def numpy_form(scheme: str, tier: str) -> str:
-        if tier in ("fused", "lane"):
+        if tier == "lane":
             return "yes"
         entry = kernels.PORTED[scheme]
         forms = {
@@ -263,8 +264,6 @@ def _cmd_kernels(args) -> int:
         tier = kernels.registered_detailed_tiers()[scheme]
         if tier == "scalar":  # pragma: no cover - meta-test keeps this dead
             return "scalar"
-        if tier == "fused":
-            return "fused"
         if form == "yes":
             return "c+numpy"
         if form == "no":
@@ -276,6 +275,7 @@ def _cmd_kernels(args) -> int:
             scheme,
             tier,
             numpy_form(scheme, tier),
+            "fused C loop" if kernels.PORTED[scheme].family else "per lane",
             detailed_form(scheme, numpy_form(scheme, tier)),
             picks(tier, numpy_form(scheme, tier)),
         ]
@@ -283,7 +283,14 @@ def _cmd_kernels(args) -> int:
     ]
     print(
         ascii_table(
-            ["scheme", "tier", "numpy form", "detailed", f"REPRO_KERNEL={mode} picks"],
+            [
+                "scheme",
+                "tier",
+                "numpy form",
+                "family",
+                "detailed",
+                f"REPRO_KERNEL={mode} picks",
+            ],
             rows,
             title="kernel registry",
         )

@@ -39,6 +39,12 @@ The kernel transposes each lane from time-major to counter-major:
 Results are bit-for-bit identical to the scalar step interface
 (:func:`repro.sim.engine.run_steps`); the equivalence suite asserts it
 lane by lane.
+
+Gshare is a ``lane`` entry of the kernel registry
+(:mod:`repro.sim.kernels`): under the compiled engine a whole family's
+rates come from one fused pass (:func:`gshare_family_rates`), under
+numpy from the per-lane counter-major :func:`gshare_rate`; Section-4
+attribution runs through :func:`gshare_detailed` on either engine.
 """
 
 from __future__ import annotations
@@ -58,8 +64,10 @@ from repro.traces.record import BranchTrace
 __all__ = [
     "GShareLane",
     "lane_for_spec",
+    "gshare_predictions",
+    "gshare_detailed",
+    "gshare_rate",
     "gshare_lane_predictions",
-    "gshare_lane_detailed",
     "gshare_lane_rates",
     "gshare_family_rates",
     "counter_scan",
@@ -204,7 +212,7 @@ def counter_scan(
     """Generalized counter-major scan over saturating counters.
 
     Extends the gshare run machinery in two directions needed by the
-    feedback-coupled kernels (:mod:`repro.sim.batch_bimode`): each
+    lane kernels of :mod:`repro.sim.lanes`: each
     counter starts from its *own* initial state (``init_states``, e.g. a
     live table snapshot rather than a power-on constant), and each
     access carries a delta in ``{-1, 0, +1}`` — ``0`` meaning the access
@@ -304,54 +312,21 @@ def counter_scan(
 def _lane_keys(
     lane: GShareLane,
     trace: BranchTrace,
-    histories_cache: Dict[int, np.ndarray],
+    hist_cache: Optional[Dict[int, np.ndarray]],
 ) -> np.ndarray:
-    if lane.history_bits not in histories_cache:
-        histories_cache[lane.history_bits] = global_history_stream(
+    if hist_cache is None:
+        hist_cache = {}
+    if lane.history_bits not in hist_cache:
+        hist_cache[lane.history_bits] = global_history_stream(
             trace.outcomes, lane.history_bits
         )
     keys = gshare_index_stream(
         trace.pcs,
-        histories_cache[lane.history_bits],
+        hist_cache[lane.history_bits],
         lane.index_bits,
         lane.history_bits,
     )
     return keys.astype(np.int32, copy=False)
-
-
-def gshare_lane_predictions(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> np.ndarray:
-    """Per-branch predictions of every lane over one trace.
-
-    Returns a ``(len(lanes), len(trace))`` boolean array whose row ``k``
-    is bit-for-bit what ``GSharePredictor(lanes[k].index_bits,
-    lanes[k].history_bits)`` would predict from power-on state.
-    """
-    lanes = list(lanes)
-    n = len(trace)
-    predictions = np.empty((len(lanes), n), dtype=bool)
-    if not lanes or n == 0:
-        return predictions
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    for k, lane in enumerate(lanes):
-        keys = _lane_keys(lane, trace, histories_cache)
-        order, run_first, run_len, run_out, run_s0 = _lane_runs(
-            keys, outcomes, lane.table_size, init
-        )
-        # Within a run the automaton is monotone: the j-th access of a
-        # taken run sees min(3, s0 + j), of a not-taken run max(0, s0 - j).
-        run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-        offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-        s0 = run_s0[run_id]
-        state = np.where(
-            run_out[run_id],
-            np.minimum(3, s0 + offset_in_run),
-            np.maximum(0, s0 - offset_in_run),
-        )
-        predictions[k, order] = state >= 2
-    return predictions
 
 
 def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
@@ -360,38 +335,41 @@ def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
     return mask
 
 
-def gshare_lane_detailed(
-    lane: GShareLane, trace: BranchTrace, init: int = WEAKLY_TAKEN
+def gshare_detailed(
+    lane: GShareLane,
+    trace: BranchTrace,
+    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
+    init: int = WEAKLY_TAKEN,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
 
-    The counting-sort kernel already groups accesses per counter, so the
-    attribution the detailed analysis needs is the very index stream the
-    kernel sorts by — emitting it costs one extra array view.  When the
-    compiled step driver (:mod:`repro.sim._cstep`) is available the
-    per-branch automaton runs there instead, skipping the counter-major
-    transpose entirely.  Both paths are bit-for-bit what
+    The accessed PHT slot IS the counter id, so attribution costs one
+    extra array view.  ``engine="c"`` runs the per-branch automaton in
+    the compiled step driver (:func:`repro.sim._cstep.gshare_detailed`);
+    ``"numpy"`` resolves it counter-major.  Both are bit-for-bit what
     ``GSharePredictor.simulate_detailed`` records from power-on state.
     """
     n = len(trace)
     if n == 0:
         return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    keys = _lane_keys(lane, trace, histories_cache)
+    keys = _lane_keys(lane, trace, hist_cache)
+    if engine == "c":
+        from repro.sim import _cstep
 
-    from repro.sim import _cstep
-
-    if _cstep.available():
         table = np.full(lane.table_size, init, dtype=np.int8)
         preds = _cstep.gshare_detailed(
             np.ascontiguousarray(keys), outcomes.view(np.uint8), table
         )
         return preds.view(bool), keys.astype(np.int64)
-
+    if engine != "numpy":
+        raise ValueError(f"unsupported gshare engine {engine!r}")
     order, run_first, run_len, run_out, run_s0 = _lane_runs(
         keys, outcomes, lane.table_size, init
     )
+    # Within a run the automaton is monotone: the j-th access of a
+    # taken run sees min(3, s0 + j), of a not-taken run max(0, s0 - j).
     run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
     offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
     s0 = run_s0[run_id]
@@ -405,88 +383,70 @@ def gshare_lane_detailed(
     return predictions, keys.astype(np.int64)
 
 
-def gshare_lane_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> List[float]:
-    """Misprediction rate of every lane over one trace.
+def gshare_predictions(
+    lane: GShareLane,
+    trace: BranchTrace,
+    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
+) -> np.ndarray:
+    return gshare_detailed(lane, trace, engine, hist_cache)[0]
+
+
+def gshare_rate(
+    lane: GShareLane,
+    trace: BranchTrace,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
+    init: int = WEAKLY_TAKEN,
+) -> float:
+    """Misprediction rate of one lane, counter-major, without
+    materializing per-access state: a run's mispredictions have a
+    closed form in its start state.
 
     Rates are mispredictions / branches with the same integer counts as
     :attr:`SimulationResult.misprediction_rate`, so they agree
-    byte-for-byte with the scalar engine's.  Unlike
-    :func:`gshare_lane_predictions` this never materializes per-access
-    state: a run's mispredictions have a closed form in its start state.
+    byte-for-byte with the scalar engine's.
     """
-    lanes = list(lanes)
     n = len(trace)
     if n == 0:
-        return [0.0] * len(lanes)
-    from repro import health
-
-    health.engine_used("gshare-kernel", "numpy", cells=len(lanes))
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    rates: List[float] = []
-    for lane in lanes:
-        keys = _lane_keys(lane, trace, histories_cache)
-        _, _, run_len, run_out, run_s0 = _lane_runs(
-            keys, outcomes, lane.table_size, init
-        )
-        # Taken run: accesses j with min(3, s0+j) < 2 mispredict, i.e.
-        # clip(2-s0, 0, r) of them; not-taken run: clip(s0-1, 0, r).
-        missed = np.where(
-            run_out,
-            np.clip(2 - run_s0, 0, run_len),
-            np.clip(run_s0 - 1, 0, run_len),
-        )
-        rates.append(int(missed.sum()) / n)
-    return rates
+        return 0.0
+    keys = _lane_keys(lane, trace, hist_cache)
+    _, _, run_len, run_out, run_s0 = _lane_runs(
+        keys, np.ascontiguousarray(trace.outcomes), lane.table_size, init
+    )
+    # Taken run: accesses j with min(3, s0+j) < 2 mispredict, i.e.
+    # clip(2-s0, 0, r) of them; not-taken run: clip(s0-1, 0, r).
+    missed = np.where(
+        run_out,
+        np.clip(2 - run_s0, 0, run_len),
+        np.clip(run_s0 - 1, 0, run_len),
+    )
+    return int(missed.sum()) / n
 
 
-#: Upper bound on stacked (lane, access) pairs handled per chunk by the
-#: numpy fused fallback; bounds the working set of the counting sort.
-_STACK_BUDGET = 8_000_000
+def gshare_lane_predictions(
+    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
+) -> np.ndarray:
+    """Per-branch predictions of every lane over one trace.
 
-
-def _stacked_family_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int
-) -> List[float]:
-    """Numpy fallback for the fused family pass: lanes are stacked into
-    one global counter space (each lane's PHT at its own base offset)
-    and the whole stack goes through a single counter-major run
-    decomposition; per-lane misprediction counts come back out of the
-    run reduction by binning runs on their lane's counter range.  Lane
-    chunks are sized so the stacked access stream stays bounded.
+    Returns a ``(len(lanes), len(trace))`` boolean array whose row ``k``
+    is bit-for-bit what ``GSharePredictor(lanes[k].index_bits,
+    lanes[k].history_bits)`` would predict from power-on state.
     """
-    n = len(trace)
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    histories_cache: Dict[int, np.ndarray] = {}
-    rates: List[float] = []
-    per_chunk = max(1, _STACK_BUDGET // max(n, 1))
-    for start in range(0, len(lanes), per_chunk):
-        chunk = list(lanes[start : start + per_chunk])
-        bases = np.zeros(len(chunk), dtype=np.int64)
-        parts: List[np.ndarray] = []
-        total = 0
-        for j, lane in enumerate(chunk):
-            bases[j] = total
-            parts.append(_lane_keys(lane, trace, histories_cache) + np.int32(total))
-            total += lane.table_size
-        stacked_keys = np.concatenate(parts)
-        stacked_outs = np.tile(outcomes, len(chunk))
-        order, run_first, run_len, run_out, run_s0 = _lane_runs(
-            stacked_keys, stacked_outs, total, init
-        )
-        missed = np.where(
-            run_out,
-            np.clip(2 - run_s0, 0, run_len),
-            np.clip(run_s0 - 1, 0, run_len),
-        )
-        # Lanes occupy disjoint contiguous counter ranges, so a run's
-        # counter id places it in exactly one lane.
-        run_lane = np.searchsorted(bases, stacked_keys[order[run_first]], "right") - 1
-        per_lane = np.bincount(run_lane, weights=missed, minlength=len(chunk))
-        rates.extend(int(m) / n for m in per_lane)
-    return rates
+    lanes = list(lanes)
+    predictions = np.empty((len(lanes), len(trace)), dtype=bool)
+    hist_cache: Dict[int, np.ndarray] = {}
+    for k, lane in enumerate(lanes):
+        predictions[k] = gshare_detailed(lane, trace, "numpy", hist_cache, init)[0]
+    return predictions
+
+
+def gshare_lane_rates(
+    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
+) -> List[float]:
+    """Misprediction rate of every lane over one trace (counter-major,
+    one history stream per distinct history length)."""
+    hist_cache: Dict[int, np.ndarray] = {}
+    return [gshare_rate(lane, trace, hist_cache, init) for lane in lanes]
 
 
 def gshare_family_rates(
@@ -498,43 +458,23 @@ def gshare_family_rates(
     compiled driver (:func:`repro.sim._cstep.gshare_fused`) keeps every
     lane's PHT in a shared arena and reduces to per-lane misprediction
     counts in-loop, so neither index streams nor per-access state are
-    ever materialized.  Without a compiler the family falls back to the
-    stacked counter-major numpy pass (health-reported).  Rates are
-    bit-identical to :func:`gshare_lane_rates` and the scalar engine.
+    ever materialized.  Call only when the compiled driver is available.
     """
-    lanes = list(lanes)
-    n = len(trace)
-    if not lanes:
-        return []
-    if n == 0:
-        return [0.0] * len(lanes)
-    from repro import health
     from repro.sim import _cstep
 
-    if _cstep.available():
-        health.engine_used("gshare-fused", "c", cells=len(lanes))
-        sizes = np.array([lane.table_size for lane in lanes], dtype=np.int64)
-        base = np.zeros(len(lanes), dtype=np.int64)
-        base[1:] = np.cumsum(sizes)[:-1]
-        imask = np.array([lane.table_size - 1 for lane in lanes], dtype=np.int64)
-        hmask = np.array(
-            [(1 << lane.history_bits) - 1 for lane in lanes], dtype=np.int64
-        )
-        tables = np.full(int(sizes.sum()), init, dtype=np.int8)
-        miss = _cstep.gshare_fused(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            imask,
-            hmask,
-            base,
-            tables,
-        )
-        return [int(m) / n for m in miss]
-    health.engine_used(
-        "gshare-fused",
-        "numpy",
-        expected="c",
-        cells=len(lanes),
-        reason=_cstep.unavailable_reason() or "",
+    n = len(trace)
+    sizes = np.array([lane.table_size for lane in lanes], dtype=np.int64)
+    base = np.zeros(len(lanes), dtype=np.int64)
+    base[1:] = np.cumsum(sizes)[:-1]
+    imask = np.array([lane.table_size - 1 for lane in lanes], dtype=np.int64)
+    hmask = np.array([(1 << lane.history_bits) - 1 for lane in lanes], dtype=np.int64)
+    tables = np.full(int(sizes.sum()), init, dtype=np.int8)
+    miss = _cstep.gshare_fused(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        imask,
+        hmask,
+        base,
+        tables,
     )
-    return _stacked_family_rates(lanes, trace, init)
+    return [int(m) / n for m in miss]

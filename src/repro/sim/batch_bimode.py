@@ -1,7 +1,7 @@
-"""Batched multi-lane bi-mode simulation kernel.
+"""Bi-mode lane kernels: the compiled loops behind the registry entry.
 
-Why bi-mode cannot reuse the gshare kernel
-------------------------------------------
+Why bi-mode has no counter-major form
+-------------------------------------
 The counter-major decomposition of :mod:`repro.sim.batch` relies on the
 whole per-counter access stream being known up front: gshare's index
 streams depend only on resolved outcomes.  Bi-mode breaks this with a
@@ -14,65 +14,42 @@ function of counter state and cannot be precomputed.
 What is still precomputable — the global-history stream, hence the
 within-bank direction index and the choice index of every access — is
 hoisted out, leaving a small sequential automaton (~10 integer ops per
-branch).  The kernel runs that automaton through the fastest available
-of three bit-identical execution strategies:
+branch) that runs in the compiled loops of :mod:`repro.sim._cstep`:
 
-* **compiled** — a per-pair C loop built on demand with the system
-  compiler (:mod:`repro.sim._cstep`).  One to two orders of magnitude
-  faster than Python stepping; used whenever a compiler is available.
-* **stepped** — one numpy-stepped time loop advancing *all* lanes of
-  *all* traces in the batch at once (lane-vectorized: each numpy op
-  processes one time step of every pair).  Per-step cost is nearly
-  independent of batch width, so it wins once a sweep supplies enough
-  (configuration, benchmark) pairs; sweep callers batch the whole
-  matrix into one call for exactly this reason.  A per-chunk *block
-  fast path* detects spans whose touched choice counters are saturated
-  in the direction of every access — there the bank routing is frozen,
-  the feedback disappears, and the span is replayed through the
-  counter-major machinery (:func:`repro.sim.batch.counter_scan`)
-  instead of being stepped.
-* **python** — a per-pair pure-Python micro loop over the precomputed
-  streams; the small-batch fallback when neither of the above applies.
+* :func:`bimode_family_rates` — the whole lane family in one pass over
+  the raw trace (``bimode_fused``), reducing to per-lane miss counts;
+* :func:`bimode_detailed` / :func:`bimode_predictions` — one lane's
+  per-branch predictions and counter ids (``bimode_pair``).
 
-Strategy selection is automatic; ``REPRO_BIMODE_KERNEL`` pins it to
-``c``/``numpy``/``python`` (tests use this to cover every path), and
-``REPRO_NO_CC=1`` vetoes compilation.  All strategies are asserted
-bit-for-bit identical to :class:`repro.core.bimode.BiModePredictor` by
-the equivalence suite and the differential oracle layer
+Bi-mode is a ``cloop`` entry of the kernel registry
+(:mod:`repro.sim.kernels`): without a compiler it runs the scalar
+:class:`repro.core.bimode.BiModePredictor` loop, exactly like tri-mode
+and YAGS.  Both loops are asserted bit-for-bit identical to the scalar
+predictor by the equivalence suite and the differential oracle layer
 (:mod:`repro.verify`).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
-from repro.core.history import global_history_stream
 from repro.core.indexing import gshare_index_stream, mask
 from repro.core.registry import parse_spec
 from repro.sim import _cstep
-from repro.sim.batch import counter_scan
+from repro.sim.lanes import _hist
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "BiModeLane",
     "bimode_lane_for_spec",
-    "bimode_lane_predictions",
-    "bimode_lane_detailed",
-    "bimode_lane_rates",
+    "bimode_predictions",
+    "bimode_detailed",
     "bimode_family_rates",
-    "bimode_matrix_rates",
-    "KernelStats",
-    "stats",
 ]
-
-#: Time-step chunk of the numpy-stepped loop (also the granularity of
-#: the saturated-choice block fast path).
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -144,581 +121,68 @@ def bimode_lane_for_spec(spec: str) -> Optional[BiModeLane]:
     )
 
 
-@dataclass
-class KernelStats:
-    """Cheap strategy/fast-path counters for tests and diagnostics."""
-
-    compiled_pairs: int = 0
-    python_pairs: int = 0
-    stepped_chunks: int = 0
-    fastpath_chunks: int = 0
-
-    def reset(self) -> None:
-        self.compiled_pairs = 0
-        self.python_pairs = 0
-        self.stepped_chunks = 0
-        self.fastpath_chunks = 0
-
-
-#: Module-wide counters; ``stats.reset()`` before a run to observe it.
-stats = KernelStats()
-
-
-# -- index-stream precomputation ----------------------------------------------------
-
-
-def _choice_stream(
-    lane: BiModeLane, trace: BranchTrace, histories: np.ndarray
-) -> np.ndarray:
+def _run_pair(
+    lane: BiModeLane,
+    trace: BranchTrace,
+    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]],
+    banks: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One lane through the compiled per-branch loop: ``(predictions,
+    direction_index)``; ``banks`` (uint8, optional) receives each
+    access's selected bank bit."""
+    if engine != "c":
+        raise ValueError(f"unsupported bi-mode engine {engine!r}")
+    histories = _hist(trace, lane.hist_bits, hist_cache)
+    di = gshare_index_stream(trace.pcs, histories, lane.dir_bits, lane.hist_bits)
     if lane.choice_uses_history:
         ci = gshare_index_stream(
-            trace.pcs,
-            histories,
-            lane.choice_bits,
-            min(lane.hist_bits, lane.choice_bits),
+            trace.pcs, histories, lane.choice_bits, min(lane.hist_bits, lane.choice_bits)
         )
     else:
         ci = trace.pcs & mask(lane.choice_bits)
-    return ci.astype(np.int32, copy=False)
+    preds = _cstep.bimode_pair(
+        np.ascontiguousarray(ci, dtype=np.int32),
+        np.ascontiguousarray(di, dtype=np.int32),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        np.full(lane.bank_size, WEAKLY_NOT_TAKEN, dtype=np.int8),
+        np.full(lane.bank_size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(lane.choice_size, WEAKLY_TAKEN, dtype=np.int8),
+        lane.full_update,
+        banks,
+    )
+    return preds.view(bool), di
 
 
-def _pair_streams(
+def bimode_predictions(
     lane: BiModeLane,
     trace: BranchTrace,
-    hist_cache: Optional[Dict[Tuple[int, int], np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full-trace ``(choice_idx, direction_idx, outcomes)`` streams."""
-    key = (id(trace), lane.hist_bits)
-    histories = hist_cache.get(key) if hist_cache is not None else None
-    if histories is None:
-        histories = global_history_stream(trace.outcomes, lane.hist_bits)
-        if hist_cache is not None:
-            hist_cache[key] = histories
-    di = gshare_index_stream(
-        trace.pcs, histories, lane.dir_bits, lane.hist_bits
-    ).astype(np.int32, copy=False)
-    ci = _choice_stream(lane, trace, histories)
-    o = np.ascontiguousarray(trace.outcomes, dtype=np.int8)
-    return np.ascontiguousarray(ci), np.ascontiguousarray(di), o
-
-
-# -- per-pair strategies ------------------------------------------------------------
-
-
-def _run_pair_compiled(lane: BiModeLane, trace: BranchTrace, want_ids: bool = False):
-    ci, di, o = _pair_streams(lane, trace)
-    nt = np.full(lane.bank_size, WEAKLY_NOT_TAKEN, dtype=np.int8)
-    tk = np.full(lane.bank_size, WEAKLY_TAKEN, dtype=np.int8)
-    choice = np.full(lane.choice_size, WEAKLY_TAKEN, dtype=np.int8)
-    banks = np.empty(len(o), dtype=np.uint8) if want_ids else None
-    preds = _cstep.bimode_pair(
-        ci, di, o.view(np.uint8), nt, tk, choice, lane.full_update, banks
-    )
-    stats.compiled_pairs += 1
-    if want_ids:
-        # Global counter id: taken-bank accesses live in the upper half.
-        ids = di.astype(np.int64) + banks.astype(np.int64) * lane.bank_size
-        return preds.astype(bool), ids
-    return preds.astype(bool)
-
-
-def _run_pair_python(lane: BiModeLane, trace: BranchTrace, want_ids: bool = False):
-    """Pure-Python micro loop over precomputed streams.
-
-    Deliberately mirrors ``BiModePredictor.update`` statement for
-    statement; this is the reference the vectorized strategies are
-    diffed against when a compiler is absent.
-    """
-    ci_arr, di_arr, o_arr = _pair_streams(lane, trace)
-    n = len(o_arr)
-    predictions = np.empty(n, dtype=bool)
-    counter_ids = np.empty(n, dtype=np.int64) if want_ids else None
-    bank_size = lane.bank_size
-    nt = [WEAKLY_NOT_TAKEN] * lane.bank_size
-    tk = [WEAKLY_TAKEN] * lane.bank_size
-    choice = [WEAKLY_TAKEN] * lane.choice_size
-    full_update = lane.full_update
-    ci = ci_arr.tolist()
-    di = di_arr.tolist()
-    outs = o_arr.tolist()
-    for i in range(n):
-        c = ci[i]
-        d = di[i]
-        taken = outs[i]
-        cs = choice[c]
-        choice_taken = cs >= 2
-        bank = tk if choice_taken else nt
-        ds = bank[d]
-        final = ds >= 2
-        predictions[i] = final
-        if want_ids:
-            counter_ids[i] = d + bank_size if choice_taken else d
-        if taken:
-            if ds < 3:
-                bank[d] = ds + 1
-        elif ds > 0:
-            bank[d] = ds - 1
-        if full_update:
-            other = nt if choice_taken else tk
-            os_ = other[d]
-            if taken:
-                if os_ < 3:
-                    other[d] = os_ + 1
-            elif os_ > 0:
-                other[d] = os_ - 1
-        if not (choice_taken != bool(taken) and final == bool(taken)):
-            if taken:
-                if cs < 3:
-                    choice[c] = cs + 1
-            elif cs > 0:
-                choice[c] = cs - 1
-    stats.python_pairs += 1
-    if want_ids:
-        return predictions, counter_ids
-    return predictions
-
-
-# -- the lane-stepped strategy -------------------------------------------------------
-
-# New direction-counter state, indexed by (state << 1) | outcome.
-_TD = np.array([0, 1, 0, 2, 1, 3, 2, 3], dtype=np.int8)
-# Final prediction doubled (fin << 1), indexed by direction state.
-_F2 = np.array([0, 0, 2, 2], dtype=np.int8)
-
-
-def _choice_lut() -> np.ndarray:
-    """New choice state, indexed by (cs << 2) | (fin << 1) | outcome.
-
-    Encodes the partial-update exception: the choice counter is left
-    alone exactly when it chose wrongly (``(cs >= 2) != outcome``) while
-    the selected direction counter was right (``fin == outcome``).
-    """
-    lut = np.empty(16, dtype=np.int8)
-    for cs in range(4):
-        for fin in range(2):
-            for out in range(2):
-                choice_taken = cs >= 2
-                if choice_taken != bool(out) and fin == out:
-                    ncs = cs
-                else:
-                    ncs = min(3, cs + 1) if out else max(0, cs - 1)
-                lut[(cs << 2) | (fin << 1) | out] = ncs
-    return lut
-
-
-_TC = _choice_lut()
-
-
-class _SteppedBatch:
-    """State and stream plumbing for the multi-pair numpy-stepped loop.
-
-    Every pair (lane, trace) owns a slab of one flat int8 state array:
-    two direction banks padded to the batch-wide maximum bank size (so
-    the taken-bank offset is one shared constant) followed by its
-    choice table in a separate region.  Index streams are rebuilt per
-    time chunk from the trace arrays — full-trace streams for wide
-    batches would be hundreds of MB — with running history registers
-    carried across chunks.
-    """
-
-    def __init__(self, pairs: Sequence[Tuple[BiModeLane, BranchTrace]]):
-        self.pairs = list(pairs)
-        # Longest-first order lets the active set shrink as a prefix.
-        self.order = sorted(
-            range(len(self.pairs)), key=lambda p: -len(self.pairs[p][1])
-        )
-        self.lens = [len(self.pairs[p][1]) for p in self.order]
-        P = len(self.pairs)
-        self.max_bank = max((self.pairs[p][0].bank_size for p in self.order), default=1)
-        max_choice = max((self.pairs[p][0].choice_size for p in self.order), default=1)
-        self.dir_base = np.array(
-            [j * 2 * self.max_bank for j in range(P)], dtype=np.int32
-        )
-        choice_region = P * 2 * self.max_bank
-        self.choice_base = np.array(
-            [choice_region + j * max_choice for j in range(P)], dtype=np.int32
-        )
-        self.S = np.zeros(choice_region + P * max_choice, dtype=np.int8)
-        for j in range(P):
-            lane = self.pairs[self.order[j]][0]
-            db, cb = int(self.dir_base[j]), int(self.choice_base[j])
-            self.S[db : db + lane.bank_size] = WEAKLY_NOT_TAKEN
-            self.S[db + self.max_bank : db + self.max_bank + lane.bank_size] = WEAKLY_TAKEN
-            self.S[cb : cb + lane.choice_size] = WEAKLY_TAKEN
-        # Running global-history registers, keyed by (trace, hist_bits).
-        self._ghr: Dict[Tuple[int, int], int] = {}
-
-    def chunk_streams(self, j: int, a: int, b: int, hist_chunk: Dict) -> Tuple:
-        """Local (ci, di) for sorted pair ``j`` over branches [a, b)."""
-        lane, trace = self.pairs[self.order[j]]
-        key = (id(trace), lane.hist_bits)
-        hist = hist_chunk.get(key)
-        if hist is None:
-            initial = self._ghr.get(key, 0)
-            hist = global_history_stream(
-                trace.outcomes[a:b], lane.hist_bits, initial=initial
-            )
-            if lane.hist_bits:
-                value = initial
-                hmask = mask(lane.hist_bits)
-                for taken in trace.outcomes[a:b].tolist():
-                    value = ((value << 1) | (1 if taken else 0)) & hmask
-                self._ghr[key] = value
-            hist_chunk[key] = hist
-        di = gshare_index_stream(
-            trace.pcs[a:b], hist, lane.dir_bits, lane.hist_bits
-        ).astype(np.int32, copy=False)
-        if lane.choice_uses_history:
-            ci = gshare_index_stream(
-                trace.pcs[a:b],
-                hist,
-                lane.choice_bits,
-                min(lane.hist_bits, lane.choice_bits),
-            ).astype(np.int32, copy=False)
-        else:
-            ci = (trace.pcs[a:b] & mask(lane.choice_bits)).astype(np.int32, copy=False)
-        return ci, di
-
-    def replay_block(
-        self,
-        j: int,
-        di_local: np.ndarray,
-        choice_states: np.ndarray,
-        outcomes: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Counter-major replay of one pair's chunk with frozen routing.
-
-        Only valid when every access's choice counter is saturated in
-        the direction of that access's outcome: then no choice counter
-        moves during the span (training re-saturates, the partial-update
-        exception at most skips), bank routing is constant per access,
-        and the remaining bank automata are exactly the independent
-        saturating counters the gshare machinery already solves.
-
-        Returns ``(predictions, counter_ids)``: the selected-counter
-        keys are already the global counter ids the detailed analysis
-        attributes accesses to.
-        """
-        lane = self.pairs[self.order[j]][0]
-        bank = lane.bank_size
-        ct = (choice_states >= 2).astype(np.int32)
-        sel_keys = di_local + ct * bank
-        deltas = np.where(outcomes != 0, 1, -1).astype(np.int32)
-        db = int(self.dir_base[j])
-        init = np.empty(2 * bank, dtype=np.int32)
-        init[:bank] = self.S[db : db + bank]
-        init[bank:] = self.S[db + self.max_bank : db + self.max_bank + bank]
-        if lane.full_update:
-            other_keys = di_local + (1 - ct) * bank
-            keys2 = np.empty(2 * len(sel_keys), dtype=np.int32)
-            keys2[0::2] = sel_keys
-            keys2[1::2] = other_keys
-            pre, end = counter_scan(keys2, np.repeat(deltas, 2), init, 2 * bank)
-            pred_states = pre[0::2]
-        else:
-            pred_states, end = counter_scan(sel_keys, deltas, init, 2 * bank)
-        self.S[db : db + bank] = end[:bank]
-        self.S[db + self.max_bank : db + self.max_bank + bank] = end[bank:]
-        stats.fastpath_chunks += 1
-        return pred_states >= 2, sel_keys
-
-
-def _run_pairs_stepped(
-    pairs: Sequence[Tuple[BiModeLane, BranchTrace]],
-    want: str,
-) -> List:
-    """All pairs through the lane-stepped loop.
-
-    ``want`` selects the per-pair output: ``"counts"`` (miss counts),
-    ``"preds"`` (per-branch predictions) or ``"detailed"``
-    (``(predictions, counter_ids)`` attribution tuples).
-    """
-    want_preds = want != "counts"
-    want_ids = want == "detailed"
-    batch = _SteppedBatch(pairs)
-    P = len(batch.pairs)
-    mis = [0] * P
-    preds_out = [
-        np.empty(len(trace), dtype=bool) if want_preds else None
-        for _, trace in batch.pairs
-    ]
-    ids_out = [
-        np.empty(len(trace), dtype=np.int64) if want_ids else None
-        for _, trace in batch.pairs
-    ]
-    max_bank = batch.max_bank
-    OFF = np.array([0, 0, max_bank, max_bank], dtype=np.int32)
-    S = batch.S
-
-    a = 0
-    nmax = batch.lens[0] if P else 0
-    while a < nmax:
-        # Active pairs are a prefix of the longest-first order; the
-        # chunk never crosses a pair's end (b stops at the shortest
-        # active trace), so column sets are constant within a chunk.
-        k = next((j for j, ln in enumerate(batch.lens) if ln <= a), P)
-        b = min(a + _CHUNK, batch.lens[k - 1])
-        L = b - a
-
-        CI = np.empty((L, k), dtype=np.int32)
-        DI = np.empty((L, k), dtype=np.int32)
-        DLOC = np.empty((L, k), dtype=np.int32)
-        O = np.empty((L, k), dtype=np.int8)
-        hist_chunk: Dict = {}
-        for j in range(k):
-            ci, di = batch.chunk_streams(j, a, b, hist_chunk)
-            DLOC[:, j] = di
-            np.add(di, batch.dir_base[j], out=DI[:, j])
-            np.add(ci, batch.choice_base[j], out=CI[:, j])
-            O[:, j] = batch.pairs[batch.order[j]][1].outcomes[a:b]
-
-        # Block fast path: a column qualifies when every access sees its
-        # choice counter saturated toward that access's outcome.
-        choice_states = S[CI]
-        gate = np.logical_and.reduce(choice_states == O * 3, axis=0)
-        fast_cols = np.flatnonzero(gate)
-        slow_cols = np.flatnonzero(~gate)
-
-        for j in fast_cols:
-            fin, sel_keys = batch.replay_block(
-                int(j), DLOC[:, j], choice_states[:, j], O[:, j]
-            )
-            p = batch.order[int(j)]
-            mis[p] += int(np.count_nonzero(fin != (O[:, j] != 0)))
-            if want_preds:
-                preds_out[p][a:b] = fin
-            if want_ids:
-                ids_out[p][a:b] = sel_keys
-
-        if slow_cols.size:
-            CIs = np.ascontiguousarray(CI[:, slow_cols])
-            DIs = np.ascontiguousarray(DI[:, slow_cols])
-            Os = np.ascontiguousarray(O[:, slow_cols])
-            F2s = np.empty((L, slow_cols.size), dtype=np.int8)
-            Bs = np.empty((L, slow_cols.size), dtype=bool) if want_ids else None
-            fu_local = np.flatnonzero(
-                [batch.pairs[batch.order[int(j)]][0].full_update for j in slow_cols]
-            )
-            _step_chunk(S, OFF, CIs, DIs, Os, F2s, fu_local, max_bank, Bs)
-            stats.stepped_chunks += 1
-
-            fin01 = F2s >> 1
-            wrong_per_col = np.count_nonzero(fin01 != Os, axis=0)
-            for jj, j in enumerate(slow_cols):
-                p = batch.order[int(j)]
-                mis[p] += int(wrong_per_col[jj])
-                if want_preds:
-                    preds_out[p][a:b] = fin01[:, jj] != 0
-                if want_ids:
-                    bank_size = batch.pairs[p][0].bank_size
-                    ids_out[p][a:b] = DLOC[:, j].astype(np.int64) + (
-                        Bs[:, jj].astype(np.int64) * bank_size
-                    )
-        a = b
-
-    if want_ids:
-        return list(zip(preds_out, ids_out))
-    if want_preds:
-        return preds_out
-    return mis
-
-
-def _step_chunk(S, OFF, CIs, DIs, Os, F2s, fu_local, max_bank, Bs=None) -> None:
-    """The hot loop: one numpy-vectorized time step per row, all lanes.
-
-    Per step: gather choice states, resolve the selected bank through
-    the shared padded-bank offset, gather direction states, record the
-    doubled final prediction, then apply both table updates through the
-    precomputed saturating-update LUTs.  All intermediates live in
-    preallocated buffers; per-step cost is ~13 numpy dispatches
-    regardless of batch width, which is what makes wide batches fast.
-    When ``Bs`` is given it receives each access's selected bank bit.
-    """
-    L, width = CIs.shape
-    cs = np.empty(width, dtype=np.int8)
-    off = np.empty(width, dtype=np.int32)
-    sel = np.empty(width, dtype=np.int32)
-    ds = np.empty(width, dtype=np.int8)
-    t1 = np.empty(width, dtype=np.int8)
-    t2 = np.empty(width, dtype=np.int8)
-    nds = np.empty(width, dtype=np.int8)
-    ncs = np.empty(width, dtype=np.int8)
-    has_fu = fu_local.size > 0
-    for t in range(L):
-        cit = CIs[t]
-        dit = DIs[t]
-        ot = Os[t]
-        np.take(S, cit, out=cs)
-        np.take(OFF, cs, out=off)
-        if Bs is not None:
-            np.greater_equal(cs, 2, out=Bs[t])
-        np.add(dit, off, out=sel)
-        np.take(S, sel, out=ds)
-        f2 = F2s[t]
-        np.take(_F2, ds, out=f2)
-        np.left_shift(ds, 1, out=t1)
-        np.bitwise_or(t1, ot, out=t1)
-        np.take(_TD, t1, out=nds)
-        S[sel] = nds
-        if has_fu:
-            # Ablation lanes train the unselected bank too; the other
-            # bank sits at the complementary padded offset.
-            osel = dit[fu_local] + (max_bank - off[fu_local])
-            os_ = S[osel]
-            S[osel] = _TD[(os_ << 1) | ot[fu_local]]
-        np.left_shift(cs, 2, out=t2)
-        np.bitwise_or(t2, f2, out=t2)
-        np.bitwise_or(t2, ot, out=t2)
-        np.take(_TC, t2, out=ncs)
-        S[cit] = ncs
-
-
-# -- dispatch -----------------------------------------------------------------------
-
-
-def _step_min_pairs() -> int:
-    """Batch width where the stepped loop overtakes per-pair stepping."""
-    return int(os.environ.get("REPRO_BIMODE_STEP_MIN", "64"))
-
-
-def _kernel_mode() -> str:
-    mode = os.environ.get("REPRO_BIMODE_KERNEL", "").strip().lower()
-    if not mode:
-        # Inherit the registry-wide pin; the scheme-specific variable
-        # wins when both are set.  REPRO_KERNEL=scalar maps to auto
-        # here — the fused planner already routed scalar-pinned specs
-        # away from this module, so a direct caller still gets the
-        # fastest bit-identical engine.
-        from repro.sim.kernels import kernel_mode
-
-        mode = {"c": "c", "numpy": "numpy"}.get(kernel_mode(), "auto")
-    if mode not in ("auto", "c", "numpy", "python"):
-        raise ValueError(
-            f"REPRO_BIMODE_KERNEL must be auto/c/numpy/python, got {mode!r}"
-        )
-    return mode
-
-
-def _simulate_pairs(
-    pairs: Sequence[Tuple[BiModeLane, BranchTrace]], want: str
-) -> List:
-    """Per-pair results for a batch: ``want`` is ``"counts"``
-    (misprediction counts), ``"preds"`` (per-branch predictions) or
-    ``"detailed"`` (``(predictions, counter_ids)`` tuples).
-
-    Every dispatch decision is reported through :mod:`repro.health`:
-    which engine actually ran the batch and — when the auto chain fell
-    back from the compiled loop — why, so a sweep's final report can
-    state what executed each cell.
-    """
-    from repro import health
-
-    want_ids = want == "detailed"
-    mode = _kernel_mode()
-    if mode == "c" and not _cstep.available():
-        raise RuntimeError(
-            "REPRO_BIMODE_KERNEL=c but no compiled driver is available "
-            "(no C compiler, or REPRO_NO_CC is set)"
-        )
-    use_c = mode == "c" or (mode == "auto" and _cstep.available())
-    if not use_c:
-        engine = (
-            "numpy"
-            if mode == "numpy" or (mode == "auto" and len(pairs) >= _step_min_pairs())
-            else "python"
-        )
-    else:
-        engine = "c"
-    health.engine_used(
-        "bimode-kernel",
-        engine,
-        expected="c" if mode == "auto" else mode,
-        cells=len(pairs),
-        reason=(_cstep.unavailable_reason() or "") if mode == "auto" and not use_c else "",
-    )
-    if use_c:
-        results = []
-        for lane, trace in pairs:
-            if want_ids:
-                results.append(_run_pair_compiled(lane, trace, want_ids=True))
-                continue
-            preds = _run_pair_compiled(lane, trace)
-            results.append(
-                preds
-                if want == "preds"
-                else int(np.count_nonzero(preds != trace.outcomes))
-            )
-        return results
-    if engine == "numpy":
-        return _run_pairs_stepped(pairs, want)
-    results = []
-    for lane, trace in pairs:
-        if want_ids:
-            results.append(_run_pair_python(lane, trace, want_ids=True))
-            continue
-        preds = _run_pair_python(lane, trace)
-        results.append(
-            preds if want == "preds" else int(np.count_nonzero(preds != trace.outcomes))
-        )
-    return results
-
-
-# -- public API ---------------------------------------------------------------------
-
-
-def bimode_lane_predictions(
-    lanes: Sequence[BiModeLane], trace: BranchTrace
+    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Per-branch predictions of every lane over one trace.
-
-    Returns a ``(len(lanes), len(trace))`` boolean array whose row ``k``
-    is bit-for-bit what ``BiModePredictor`` configured as ``lanes[k]``
-    would predict from power-on state.
-    """
-    lanes = list(lanes)
-    predictions = np.empty((len(lanes), len(trace)), dtype=bool)
-    if not lanes:
-        return predictions
-    for k, preds in enumerate(
-        _simulate_pairs([(lane, trace) for lane in lanes], want="preds")
-    ):
-        predictions[k] = preds
-    return predictions
+    """Per-branch predictions of one lane, bit-for-bit what
+    ``BiModePredictor`` configured as ``lane`` predicts from power-on
+    state."""
+    return _run_pair(lane, trace, engine, hist_cache, None)[0]
 
 
-def bimode_lane_detailed(
-    lane: BiModeLane, trace: BranchTrace
+def bimode_detailed(
+    lane: BiModeLane,
+    trace: BranchTrace,
+    engine: str,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
 
     Counter ids follow the scalar convention of
     ``BiModePredictor.simulate_detailed``: the selected direction
     counter's index, with taken-bank accesses offset by ``bank_size``
-    (so the id space has ``2 * bank_size`` counters).  Bit-for-bit
-    identical to the scalar detailed simulation under every execution
-    strategy.
+    (so the id space has ``2 * bank_size`` counters).
     """
-    n = len(trace)
-    if n == 0:
-        return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    preds, ids = _simulate_pairs([(lane, trace)], want="detailed")[0]
+    banks = np.empty(len(trace), dtype=np.uint8)
+    preds, di = _run_pair(lane, trace, engine, hist_cache, banks)
+    ids = di.astype(np.int64) + banks.astype(np.int64) * lane.bank_size
     return preds, ids
-
-
-def bimode_lane_rates(
-    lanes: Sequence[BiModeLane], trace: BranchTrace
-) -> List[float]:
-    """Misprediction rate of every lane over one trace.
-
-    Same integer miss counts as the scalar engine, so rates agree
-    byte-for-byte with ``run(make_predictor(spec), trace)``.
-    """
-    lanes = list(lanes)
-    n = len(trace)
-    if n == 0:
-        return [0.0] * len(lanes)
-    counts = _simulate_pairs([(lane, trace) for lane in lanes], want="counts")
-    return [count / n for count in counts]
 
 
 def bimode_family_rates(
@@ -731,31 +195,10 @@ def bimode_family_rates(
     lane's three tables in a shared arena, derives both index streams
     in-loop from one running 64-bit history register (each lane masks
     its own widths), and reduces to per-lane misprediction counts
-    without materializing index streams or predictions.  Without the
-    compiled driver — or when ``REPRO_BIMODE_KERNEL`` pins a different
-    engine — the family falls back to the per-trace batched strategies
-    of :func:`bimode_lane_rates` (health-reported).  Rates are
-    bit-identical to the scalar engine under every path.
+    without materializing index streams or predictions.  Call only when
+    the compiled driver is available.
     """
-    lanes = list(lanes)
     n = len(trace)
-    if not lanes:
-        return []
-    if n == 0:
-        return [0.0] * len(lanes)
-    from repro import health
-
-    mode = _kernel_mode()
-    if mode not in ("auto", "c") or not _cstep.available():
-        health.engine_used(
-            "bimode-fused",
-            "batched",
-            expected="c",
-            cells=len(lanes),
-            reason=_cstep.unavailable_reason() or f"REPRO_BIMODE_KERNEL={mode}",
-        )
-        return bimode_lane_rates(lanes, trace)
-    health.engine_used("bimode-fused", "c", cells=len(lanes))
     P = len(lanes)
     dmask = np.array([mask(lane.dir_bits) for lane in lanes], dtype=np.int64)
     dhmask = np.array([mask(lane.hist_bits) for lane in lanes], dtype=np.int64)
@@ -798,22 +241,3 @@ def bimode_family_rates(
         tables,
     )
     return [int(m) / n for m in miss]
-
-
-def bimode_matrix_rates(
-    cells: Sequence[Tuple[BiModeLane, BranchTrace]]
-) -> List[float]:
-    """Misprediction rate of every (configuration, trace) cell, batched.
-
-    This is the sweep entry point: ``evaluate_matrix`` hands the *whole*
-    bi-mode portion of a (spec, benchmark) matrix to one call, so the
-    stepped strategy sees the widest possible batch (its throughput
-    scales with width) and the compiled strategy amortizes stream
-    precomputation per trace.
-    """
-    cells = list(cells)
-    counts = _simulate_pairs(cells, want="counts")
-    return [
-        count / len(trace) if len(trace) else 0.0
-        for count, (_, trace) in zip(counts, cells)
-    ]

@@ -6,20 +6,15 @@ Thin orchestration over the predictor batch interface: reset, run,
 (fresh state, consistent result packaging).
 
 Detailed (Section-4) simulation additionally dispatches through the
-batch attribution kernels: gshare and bi-mode through their dedicated
-fused kernels (:mod:`repro.sim.batch` / :mod:`repro.sim.batch_bimode`),
-every other registered scheme through its ``detailed`` lane kernel in
-the registry (:mod:`repro.sim.kernels`).  ``REPRO_DETAILED_KERNEL``
-pins the choice to ``batch`` or ``scalar`` (default ``auto``);
-``REPRO_KERNEL`` picks the engine *within* the batch tier.  Under
-``auto`` every fallback is reported through :mod:`repro.health`; under
-the explicit ``batch`` pin a scheme without a usable batch kernel
-raises ``RuntimeError`` instead of silently running the scalar loop.
+kernel registry (:mod:`repro.sim.kernels`): the predictor's canonical
+spec resolves to its entry's ``detailed`` attribution kernel, with the
+engine chosen by ``REPRO_KERNEL`` exactly as for sweeps.  Every
+fallback to the scalar loop is reported through :mod:`repro.health`;
+``REPRO_KERNEL=c`` without a compiler raises ``RuntimeError`` instead.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.core.interfaces import BranchPredictor, DetailedSimulation, SimulationResult
@@ -63,131 +58,51 @@ def run(
     return result
 
 
-def _detailed_kernel_mode() -> str:
-    mode = os.environ.get("REPRO_DETAILED_KERNEL", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "batch", "scalar"):
-        raise ValueError(
-            f"REPRO_DETAILED_KERNEL must be auto/batch/scalar, got {mode!r}"
-        )
-    return mode
-
-
-def _fallback(predictor: BranchPredictor, mode: str, reason: str) -> None:
-    """Record (or, pinned, refuse) a batch -> scalar detailed fallback.
-
-    Under ``REPRO_DETAILED_KERNEL=auto`` the degradation is a health
-    event and the caller runs the scalar loop; under an explicit
-    ``batch`` pin a silent fall-through would defeat the pin's point,
-    so it raises, naming the scheme.
-    """
-    from repro import health
-
-    if mode == "batch":
-        raise RuntimeError(
-            f"REPRO_DETAILED_KERNEL=batch but {predictor.name} has no usable "
-            f"batch attribution kernel: {reason}"
-        )
-    health.engine_used(
-        "detailed-kernel",
-        "scalar",
-        expected="scalar" if mode == "scalar" else "batch",
-        reason=reason,
-    )
-
-
 def _run_detailed_batch(
-    predictor: BranchPredictor, trace: BranchTrace, mode: str
+    predictor: BranchPredictor, trace: BranchTrace
 ) -> Optional[DetailedSimulation]:
     """The batch attribution kernel's detailed simulation, or ``None``.
 
-    ``None`` means the caller should fall back to the scalar
-    ``simulate_detailed`` path; the fallback is recorded as a health
-    event under ``auto`` and raises ``RuntimeError`` under the explicit
-    ``batch`` pin.  Dispatch covers every registered scheme: gshare and
-    bi-mode keep their dedicated fused attribution kernels, everything
-    else resolves through the kernel registry
+    ``None`` means the caller should run the scalar ``simulate_detailed``
+    loop; the fallback is recorded as a health event.  Dispatch resolves
+    the predictor through the kernel registry
     (:func:`repro.sim.kernels.spec_for_predictor` -> lane -> the
-    scheme's ``detailed`` lane kernel), with the engine within the
-    batch tier following ``REPRO_KERNEL``.  The batch path never
-    touches the predictor's own tables — callers under ``reset=True``
-    semantics observe power-on state either way.
+    scheme's ``detailed`` kernel), with the engine following
+    ``REPRO_KERNEL``.  The batch path never touches the predictor's own
+    tables — callers under ``reset=True`` semantics observe power-on
+    state either way.
     """
     from repro import health
-    from repro.core.bimode import BiModePredictor
-    from repro.predictors.gshare import GSharePredictor
     from repro.sim import kernels, lanes
-    from repro.sim.batch import gshare_lane_detailed, lane_for_spec
-    from repro.sim.batch_bimode import BiModeLane, bimode_lane_detailed
 
-    try:
-        if isinstance(predictor, GSharePredictor):
-            lane = lane_for_spec(predictor.name)
-            if lane is None:  # pragma: no cover - name always parses
-                raise ValueError(f"unbatchable gshare spec {predictor.name!r}")
-            predictions, counter_ids = gshare_lane_detailed(lane, trace)
-            num_counters = lane.table_size
-        elif isinstance(predictor, BiModePredictor):
-            lane = BiModeLane(
-                dir_bits=predictor.direction_index_bits,
-                hist_bits=predictor.history_bits,
-                choice_bits=predictor.choice_index_bits,
-                full_update=predictor.full_update,
-                choice_uses_history=predictor.choice_uses_history,
-            )
-            predictions, counter_ids = bimode_lane_detailed(lane, trace)
-            num_counters = 2 * lane.bank_size
-        else:
-            spec = kernels.spec_for_predictor(predictor)
-            kind, lane = ("scalar", None) if spec is None else kernels.kernel_for_spec(spec)
-            entry = kernels.PORTED.get(kind)
-            if entry is None or entry.detailed is None or lane is None:
-                _fallback(
-                    predictor, mode, f"no batch attribution kernel for {predictor.name}"
-                )
-                return None
-            engines, _, reason = kernels._resolve_engines(
-                entry, [lane], kernels.kernel_mode()
-            )
-            if engines[0] == "scalar":
-                # REPRO_KERNEL=scalar, or a sequential-only scheme with
-                # no compiler: the batch tier has nothing to run with.
-                _fallback(
-                    predictor,
-                    mode,
-                    reason or "REPRO_KERNEL=scalar pins the scalar engine",
-                )
-                return None
-            predictions, counter_ids = entry.detailed(lane, trace, engines[0], None)
-            num_counters = lanes.detailed_num_counters(lane)
-    except RuntimeError:
-        raise  # pinned-mode refusals (and REPRO_KERNEL=c without a compiler)
-    except Exception as exc:  # fall back rather than lose the analysis
-        if mode == "batch":
-            raise RuntimeError(
-                f"REPRO_DETAILED_KERNEL=batch but the batch kernel for "
-                f"{predictor.name} failed: {exc}"
-            ) from exc
-        health.emit(
-            "detailed-kernel",
-            expected="batch",
-            actual="scalar",
-            reason=f"batch kernel failed: {exc}",
-            severity="degraded",
+    spec = kernels.spec_for_predictor(predictor)
+    kind, lane = ("scalar", None) if spec is None else kernels.kernel_for_spec(spec)
+    entry = kernels.PORTED.get(kind)
+    reason = f"no batch attribution kernel for {predictor.name}"
+    if entry is not None and entry.detailed is not None:
+        # raises under REPRO_KERNEL=c without a compiler
+        (engine,), _, why = kernels._resolve_engines(
+            entry, [lane], kernels.kernel_mode()
         )
-        return None
-    health.engine_used("detailed-kernel", "batch", expected="batch")
-    result = SimulationResult(
-        predictor_name=predictor.name,
-        trace_name=trace.name,
-        predictions=predictions,
-        outcomes=trace.outcomes,
-    )
-    return DetailedSimulation(
-        result=result,
-        counter_ids=counter_ids,
-        num_counters=num_counters,
-        pcs=trace.pcs,
-    )
+        if engine != "scalar":
+            predictions, counter_ids = entry.detailed(lane, trace, engine, None)
+            health.engine_used("detailed-kernel", "batch", expected="batch")
+            return DetailedSimulation(
+                result=SimulationResult(
+                    predictor_name=predictor.name,
+                    trace_name=trace.name,
+                    predictions=predictions,
+                    outcomes=trace.outcomes,
+                ),
+                counter_ids=counter_ids,
+                num_counters=lanes.detailed_num_counters(lane),
+                pcs=trace.pcs,
+            )
+        # REPRO_KERNEL=scalar, or a sequential-only scheme with no
+        # compiler: the batch tier has nothing to run with
+        reason = why or "REPRO_KERNEL=scalar pins the scalar engine"
+    health.engine_used("detailed-kernel", "scalar", expected="batch", reason=reason)
+    return None
 
 
 def run_detailed(
@@ -201,29 +116,16 @@ def run_detailed(
     Parameters mirror :func:`run`: ``warmup`` branches still train the
     predictor but are excluded from the returned result (and from the
     attribution arrays).  With ``reset=True`` (the default) the
-    simulation dispatches through the batch attribution kernels when
-    ``$REPRO_DETAILED_KERNEL`` allows (``auto``/``batch``; ``scalar``
-    forces the per-branch loop); results are bit-identical either way.
+    simulation dispatches through the batch attribution kernels per
+    ``$REPRO_KERNEL``; ``reset=False`` continues live predictor state,
+    which only the per-branch loop can.  Results are bit-identical
+    either way.
     """
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if warmup > len(trace):
         raise ValueError(f"warmup ({warmup}) exceeds trace length ({len(trace)})")
-    mode = _detailed_kernel_mode()
-    detailed = None
-    if mode != "scalar" and reset:
-        detailed = _run_detailed_batch(predictor, trace, mode)
-    elif mode == "batch" and not reset:
-        from repro import health
-
-        # the batch kernels replay from power-on state and cannot honour
-        # live predictor tables; the pin is overridden loudly, not silently
-        health.engine_used(
-            "detailed-kernel",
-            "scalar",
-            expected="batch",
-            reason="reset=False continues live predictor state",
-        )
+    detailed = _run_detailed_batch(predictor, trace) if reset else None
     if detailed is None:
         if reset:
             predictor.reset()

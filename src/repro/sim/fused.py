@@ -2,84 +2,50 @@
 
 A paper sweep aims a *grid* of predictor specs at each benchmark trace
 — Figure 2/3/4 together evaluate a hundred-plus configurations per
-trace — and before this module every cell replayed the shared trace
-independently: O(specs x trace) work for what is structurally O(trace)
-of streaming plus O(specs) of reduction.  The planner closes that gap.
+trace — and replaying the shared trace independently per cell is
+O(specs x trace) work for what is structurally O(trace) of streaming
+plus O(specs) of reduction.  The planner closes that gap.
 
 Planner model
 -------------
-``plan_families`` groups a spec grid into **families** by shared
-precomputation:
+``plan_families`` groups a spec grid into **families**, one per kernel
+registry entry (:mod:`repro.sim.kernels`).  Lanes of one family share
+precomputed history streams, and an entry with a fused C loop (gshare,
+bi-mode — including the ``full_update`` / ``choice_hist`` ablation
+variants) advances the whole family in one pass over the raw
+``(pc, outcome)`` stream with one shared 64-bit history register.
 
-* **gshare** — every plain ``gshare:index=I,hist=H`` spec.  All lanes
-  observe the same global-history contents (only masked widths differ)
-  and index with the same ``(pc & imask) ^ (h & hmask)`` form, so one
-  64-bit history register and one pass over the raw ``(pc, outcome)``
-  stream serves the whole family
-  (:func:`repro.sim.batch.gshare_family_rates`).
-* **bimode** — every bi-mode spec, including the ``full_update`` /
-  ``choice_hist`` ablation variants: the same shared-register argument
-  holds for both of its index streams
-  (:func:`repro.sim.batch_bimode.bimode_family_rates`).
-* **one family per ported scheme** — bimodal, the two-level family,
-  agree, gskew, tournament, tri-mode, YAGS, perceptron, the bias
-  filter and the static schemes resolve through the kernel registry
-  (:mod:`repro.sim.kernels`) onto the lane kernels of
-  :mod:`repro.sim.lanes`, sharing precomputed history streams within
-  the family.
-* **scalar** — specs whose knobs no lane parser accepts (out-of-range
-  geometry, unknown options, a bias-filter sub-predictor without a
-  kernel lane).  These run per-cell through the scalar engine; falling
-  off the batched path is reported as a health degradation so the
-  CLI's coalesced summary shows exactly which schemes did not batch,
-  and bias-filter sub-predictor vetoes are named explicitly
-  (:func:`repro.sim.kernels.planner_vetoes`).
+Specs whose knobs no lane parser accepts (out-of-range geometry,
+unknown options, a bias-filter sub-predictor without a kernel lane)
+form the **scalar** family.  These run per-cell through the scalar
+engine; falling off the batched path is reported as a health
+degradation so the CLI's coalesced summary shows exactly which schemes
+did not batch, and bias-filter sub-predictor vetoes are named
+explicitly (:func:`repro.sim.kernels.planner_vetoes`).
 
 ``REPRO_KERNEL=scalar`` pins the *planner* too: every spec routes to
-the scalar family with the pin named as the degradation reason.
+the scalar family with the pin named as the degradation reason.  Every
+other engine choice happens inside the registry, per the same pin.
 
 Families split only on *kind*: two gshare specs never land in separate
 families, because nothing about them prevents sharing the pass.  The
 family evaluators reduce to per-spec misprediction rates in-loop, so
 journals and rate caches keep their per-cell granularity unchanged.
-
-Dispatch
---------
-``REPRO_FUSED`` selects the engine per the ``REPRO_*_KERNEL`` pattern:
-
-* ``auto`` (default) — fused when the compiled step driver
-  (:mod:`repro.sim._cstep`) is available, otherwise the pre-existing
-  per-trace batched kernels, with the fallback health-reported;
-* ``on`` — always fused; without a compiler the family evaluators use
-  their stacked-numpy fallbacks (health-reported);
-* ``off`` — the legacy per-trace batched path, unconditionally.
-
-Every path is bit-identical; the equivalence suite and the
+Every engine is bit-identical; the equivalence suite and the
 differential oracle assert it cell by cell.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim import kernels
-from repro.sim.batch import (
-    gshare_family_rates,
-    gshare_lane_rates,
-)
-from repro.sim.batch_bimode import (
-    bimode_family_rates,
-    bimode_lane_rates,
-)
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "SpecFamily",
     "plan_families",
-    "fused_mode",
-    "fused_active",
     "family_rates",
     "family_detailed",
 ]
@@ -108,7 +74,7 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
 
     Duplicate specs collapse to one lane (the grid's answer is the same
     cell); order within a family follows first appearance.  Returns
-    only non-empty families, gshare first, scalar last.  Under
+    only non-empty families, in registry order, scalar last.  Under
     ``REPRO_KERNEL=scalar`` everything routes to the scalar family.
     """
     scalar_pin = kernels.kernel_mode() == "scalar"
@@ -132,133 +98,42 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
     ]
 
 
-def fused_mode() -> str:
-    """The ``REPRO_FUSED`` knob: ``auto`` (default), ``on`` or ``off``."""
-    mode = os.environ.get("REPRO_FUSED", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(f"REPRO_FUSED must be auto/on/off, got {mode!r}")
-    return mode
+def _scalar_reason(specs: Sequence[str]) -> str:
+    """Why a family runs scalar: the pin, or the unfusable schemes
+    (with any bias-filter sub-predictor veto reported by name)."""
+    if kernels.kernel_mode() == "scalar":
+        return "REPRO_KERNEL=scalar pin"
+    kernels.planner_vetoes(specs)
+    schemes = sorted({spec.split(":", 1)[0] for spec in specs})
+    return "unfusable scheme(s): " + ", ".join(schemes)
 
 
-def fused_active(mode: Optional[str] = None) -> bool:
-    """Whether batchable families should run through the fused pass.
+def family_rates(family: SpecFamily, trace: BranchTrace) -> Dict[str, float]:
+    """Misprediction rate of every spec in one family on one trace.
 
-    ``auto`` requires the compiled driver — the stacked-numpy fallbacks
-    are bit-identical but not faster than the per-trace batched kernels
-    they would replace, so auto degrades to those (health-reported)
-    rather than change engines for nothing.
+    Registry families dispatch through :func:`repro.sim.kernels.
+    family_rates`; the scalar family runs per-cell and reports the
+    degradation.
     """
-    mode = fused_mode() if mode is None else mode
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
-    from repro.sim import _cstep
-
-    if _cstep.available():
-        return True
-    from repro import health
-
-    health.emit(
-        "fused-planner",
-        "fused",
-        "batched",
-        reason=_cstep.unavailable_reason() or "",
-        severity="degraded",
-    )
-    return False
-
-
-def _scalar_rates(specs: Sequence[str], trace: BranchTrace) -> List[float]:
+    if family.kind != "scalar":
+        rates = kernels.family_rates(family.kind, family.specs, family.lanes, trace)
+        return dict(zip(family.specs, rates))
     from repro import health
     from repro.core.registry import make_predictor
     from repro.sim.engine import run
 
-    if kernels.kernel_mode() == "scalar":
-        reason = "REPRO_KERNEL=scalar pin"
-    else:
-        schemes = sorted({spec.split(":", 1)[0] for spec in specs})
-        reason = "unfusable scheme(s): " + ", ".join(schemes)
-        kernels.planner_vetoes(specs)
     health.emit(
         "sweep-planner",
         "fused",
         "scalar",
-        reason=reason,
+        reason=_scalar_reason(family.specs),
         severity="degraded",
-        cells=len(specs),
+        cells=len(family),
     )
-    return [run(make_predictor(spec), trace).misprediction_rate for spec in specs]
-
-
-def family_rates(
-    family: SpecFamily, trace: BranchTrace, fused: Optional[bool] = None
-) -> Dict[str, float]:
-    """Misprediction rate of every spec in one family on one trace.
-
-    ``fused`` pins the engine choice (the sweep entry points resolve
-    :func:`fused_active` once per call rather than once per family);
-    ``None`` resolves it here.  Scalar families always run per-cell and
-    report the degradation.
-    """
-    if family.kind == "scalar":
-        return dict(zip(family.specs, _scalar_rates(family.specs, trace)))
-    if family.kind not in ("gshare", "bimode"):
-        rates = kernels.family_rates(
-            family.kind, family.specs, family.lanes, trace
-        )
-        return dict(zip(family.specs, rates))
-    use_fused = fused_active() if fused is None else fused
-    if (
-        use_fused
-        and kernels.kernel_mode() == "numpy"
-        and os.environ.get("REPRO_FUSED", "").strip().lower() != "on"
-    ):
-        # REPRO_KERNEL=numpy pins the fused families to their pure-numpy
-        # lane kernels too; an explicit REPRO_FUSED=on wins over it.
-        use_fused = False
-    if family.kind == "gshare":
-        fn = gshare_family_rates if use_fused else gshare_lane_rates
-    else:
-        fn = bimode_family_rates if use_fused else bimode_lane_rates
-    return dict(zip(family.specs, fn(list(family.lanes), trace)))
-
-
-def _scalar_detailed(
-    specs: Sequence[str], trace: BranchTrace, dmode: str
-) -> List[Tuple[object, object, int]]:
-    """Per-cell scalar Section-4 cells for an unbatchable family."""
-    from repro import health
-    from repro.core.registry import make_predictor
-
-    if dmode == "batch":
-        schemes = sorted({spec.split(":", 1)[0] for spec in specs})
-        raise RuntimeError(
-            "REPRO_DETAILED_KERNEL=batch but scheme(s) "
-            f"{', '.join(schemes)} have no usable batch attribution kernel"
-        )
-    if kernels.kernel_mode() == "scalar":
-        reason = "REPRO_KERNEL=scalar pin"
-    elif dmode == "scalar":
-        reason = "REPRO_DETAILED_KERNEL=scalar pin"
-    else:
-        schemes = sorted({spec.split(":", 1)[0] for spec in specs})
-        reason = "unfusable scheme(s): " + ", ".join(schemes)
-        kernels.planner_vetoes(specs)
-    health.engine_used(
-        "detailed-kernel",
-        "scalar",
-        expected="scalar" if dmode == "scalar" else "batch",
-        cells=len(specs),
-        reason=reason,
-    )
-    out: List[Tuple[object, object, int]] = []
-    for spec in specs:
-        detailed = make_predictor(spec).simulate_detailed(trace)
-        out.append(
-            (detailed.result.predictions, detailed.counter_ids, detailed.num_counters)
-        )
-    return out
+    return {
+        spec: run(make_predictor(spec), trace).misprediction_rate
+        for spec in family.specs
+    }
 
 
 def family_detailed(
@@ -268,52 +143,31 @@ def family_detailed(
 
     Returns ``{spec: (predictions, counter_ids, num_counters)}``,
     bit-for-bit the scalar ``simulate_detailed`` loop's output from
-    power-on state.  One family is one pass-shaped unit of work: ported
-    schemes share precomputed history streams across their lanes
-    (:func:`repro.sim.kernels.family_detailed`), gshare and bi-mode run
-    their dedicated fused attribution kernels per lane, and the scalar
-    family runs per-cell with the degradation health-reported.
-    ``REPRO_DETAILED_KERNEL`` applies family-wide: ``scalar`` pins the
-    per-branch loops, ``batch`` refuses (``RuntimeError``) any family
-    that cannot run batched, and ``auto`` falls back with a health
-    event — mirroring :func:`repro.sim.engine.run_detailed` exactly.
+    power-on state.  One family is one pass-shaped unit of work:
+    registry families share precomputed history streams across their
+    lanes (:func:`repro.sim.kernels.family_detailed`), and the scalar
+    family runs per-cell with the degradation health-reported —
+    mirroring :func:`repro.sim.engine.run_detailed` exactly.
     """
-    from repro.sim.engine import _detailed_kernel_mode
-
-    dmode = _detailed_kernel_mode()
-    if dmode == "scalar" or family.kind == "scalar":
-        rows = _scalar_detailed(family.specs, trace, dmode)
+    if family.kind != "scalar":
+        rows = kernels.family_detailed(family.kind, family.specs, family.lanes, trace)
         return dict(zip(family.specs, rows))
-    if family.kind in ("gshare", "bimode"):
-        from repro import health
-        from repro.sim.batch import gshare_lane_detailed
-        from repro.sim.batch_bimode import bimode_lane_detailed
+    from repro import health
+    from repro.core.registry import make_predictor
 
-        health.engine_used(
-            "detailed-kernel", "batch", expected="batch", cells=len(family)
+    health.engine_used(
+        "detailed-kernel",
+        "scalar",
+        expected="batch",
+        cells=len(family),
+        reason=_scalar_reason(family.specs),
+    )
+    out: Dict[str, Tuple[object, object, int]] = {}
+    for spec in family.specs:
+        detailed = make_predictor(spec).simulate_detailed(trace)
+        out[spec] = (
+            detailed.result.predictions,
+            detailed.counter_ids,
+            detailed.num_counters,
         )
-        out: Dict[str, Tuple[object, object, int]] = {}
-        for spec, lane in zip(family.specs, family.lanes):
-            if family.kind == "gshare":
-                preds, cids = gshare_lane_detailed(lane, trace)
-                num = lane.table_size
-            else:
-                preds, cids = bimode_lane_detailed(lane, trace)
-                num = 2 * lane.bank_size
-            out[spec] = (preds, cids, num)
-        return out
-    entry = kernels.PORTED[family.kind]
-    if dmode == "batch":
-        # the pin refuses any lane the engine matrix would quietly
-        # degrade to scalar (no compiler for a sequential-only scheme,
-        # or an explicit REPRO_KERNEL=scalar)
-        engines, _, reason = kernels._resolve_engines(
-            entry, family.lanes, kernels.kernel_mode()
-        )
-        if "scalar" in engines:
-            raise RuntimeError(
-                f"REPRO_DETAILED_KERNEL=batch but {family.kind} cannot run "
-                f"batched: {reason or 'REPRO_KERNEL=scalar pins the scalar engine'}"
-            )
-    rows = kernels.family_detailed(family.kind, family.specs, family.lanes, trace)
-    return dict(zip(family.specs, rows))
+    return out

@@ -1,27 +1,23 @@
 """Scheme-agnostic kernel registry: spec -> fastest bit-exact engine.
 
-Before this layer each fast path was a special case: gshare had the
-counting-sort lanes and fused C arena (:mod:`repro.sim.batch`),
-bi-mode had its compiled step loop (:mod:`repro.sim.batch_bimode`),
-and the other ~18 registered schemes ran the scalar engine everywhere.
-The registry makes kernel dispatch a lookup:
+Every registered scheme is one :class:`KernelEntry` in :data:`PORTED`,
+and kernel dispatch is a lookup:
 
 ``kernel_for_spec(spec)`` resolves any predictor spec to a *kernel
 kind* plus a parsed lane description.  Kinds are:
 
-* ``"gshare"`` / ``"bimode"`` — the pre-existing fused family kernels,
-  unchanged and still owning their dedicated health components;
-* one kind per **ported scheme** — bimodal, the two-level family
-  (gag/gas/gap/gselect/pag/pas/pap), agree, gskew, tournament,
-  tri-mode, YAGS, and the second wave: perceptron, the bias filter
-  (over its gshare/bimodal sub-predictors) and the three static
-  schemes — executed by the lane kernels of :mod:`repro.sim.lanes`;
+* one kind per registered scheme — gshare, bi-mode, bimodal, the
+  two-level family (gag/gas/gap/gselect/pag/pas/pap), agree, gskew,
+  tournament, tri-mode, YAGS, perceptron, the bias filter (over its
+  gshare/bimodal sub-predictors) and the three static schemes —
+  executed by the lane kernels of :mod:`repro.sim.batch`,
+  :mod:`repro.sim.batch_bimode` and :mod:`repro.sim.lanes`;
 * ``"scalar"`` — any spec whose knobs the lane parser rejects
   (out-of-range geometry, unknown options, a bias-filter
   sub-predictor without a kernel lane), run per-cell through the
-  scalar engine.  Since the second wave, :data:`SCALAR_ONLY` is empty:
-  every registered scheme has a batch kernel, and the meta-test
-  asserting the set stays empty keeps it that way.
+  scalar engine.  :data:`SCALAR_ONLY` is empty: every registered
+  scheme has a batch kernel, and the meta-test asserting the set stays
+  empty keeps it that way.
 
 ``family_rates(kind, specs, lanes, trace)`` evaluates one family,
 choosing the engine per the ``REPRO_KERNEL`` pin and reporting every
@@ -30,35 +26,35 @@ dispatch decision through :mod:`repro.health` (component
 
 Dispatch
 --------
-``REPRO_KERNEL`` mirrors the per-scheme ``REPRO_BIMODE_KERNEL`` /
-``REPRO_DETAILED_KERNEL`` pins, but applies to every scheme at once:
+``REPRO_KERNEL`` is the one dispatch pin, for rates and Section-4
+attribution alike (``REPRO_NO_CC=1`` vetoes the compiler):
 
 * ``auto`` (default) — compiled loops when a C compiler is available,
-  otherwise the numpy lane kernels (degradation health-reported);
+  otherwise each scheme's numpy form (degradation health-reported);
 * ``c`` — compiled loops or ``RuntimeError`` (no silent fallback);
 * ``numpy`` — the numpy lane kernels; schemes whose update feeds
-  predictor state back into training (e-gskew, tri-mode, YAGS, the
-  perceptron) have no counter-major form and degrade to the scalar
-  engine, health-reported;
+  predictor state back into training (bi-mode, e-gskew, tri-mode,
+  YAGS, the perceptron) have no counter-major form and run their
+  scalar reference, health-reported;
 * ``scalar`` — everything through the scalar engine (the fused planner
   routes every spec to the scalar family, with the pin as the reason).
-
-Precedence: a scheme-specific pin (``REPRO_BIMODE_KERNEL``) and an
-explicit ``REPRO_FUSED=on`` override ``REPRO_KERNEL`` for the scheme
-or family they name.
 
 Engine tiers
 ------------
 ``registered_schemes()`` maps every scheme name of
 :func:`repro.core.registry.available_schemes` to its declared tier:
 
-* ``"fused"`` — dedicated single-pass family kernel (gshare, bimode);
 * ``"lane"`` — compiled loop + numpy form (counter-major scans, the
   bias-filter decomposition, the statics' vectorized one-shots);
 * ``"cloop"`` — compiled per-access loop only (scalar fallback when no
-  compiler): e-gskew's partial update, tri-mode, YAGS, perceptron;
-* ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty since the
-  second wave.
+  compiler): bi-mode, e-gskew's partial update, tri-mode, YAGS,
+  perceptron;
+* ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
+
+An entry may also carry a ``family`` hook — a fused C loop advancing
+every lane of a family in one pass over the trace (gshare, bi-mode) —
+which the compiled engine uses for rates in place of per-lane
+predictions.
 
 The verification suite (``tests/test_kernels.py``) is generated from
 this mapping, so a scheme that registers in ``core/registry.py``
@@ -75,6 +71,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sim import _cstep
+from repro.sim import batch as _gshare
+from repro.sim import batch_bimode as _bimode
 from repro.sim import lanes as _lanes
 from repro.traces.record import BranchTrace
 
@@ -108,25 +106,28 @@ BIASFILTER_SUBS = _lanes.BIASFILTER_SUBS
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """One ported scheme: how to parse its specs and run its lanes."""
+    """One registered scheme: how to parse its specs and run its lanes."""
 
     scheme: str
     tier: str  # "lane" (c+numpy) | "cloop" (c only, scalar fallback)
     lane_for_spec: Callable[[str], Optional[object]]
     predictions: Callable[..., np.ndarray]
     numpy_ok: Callable[[object], bool]  # lane -> numpy engine exists?
-    #: Optional direct rate computation (lane, trace) -> float for
-    #: schemes whose misprediction count reduces without materializing
-    #: predictions (the statics); must be bit-identical to the
-    #: prediction path.
-    rates: Optional[Callable[[object, BranchTrace], float]] = None
+    #: Optional direct rate computation ``(lane, trace, hist_cache) ->
+    #: float`` for schemes whose misprediction count reduces without
+    #: materializing predictions (gshare's closed-form run counts, the
+    #: statics); must be bit-identical to the prediction path.
+    rates: Optional[Callable[..., float]] = None
     #: Section-4 attribution kernel: ``(lane, trace, engine, hist_cache)
     #: -> (predictions, counter_ids)``, bit-identical to the scalar
     #: ``simulate_detailed`` loop.  The detailed tier shares the
     #: prediction tier's engine matrix (``numpy_ok`` gates both) — the
-    #: completeness meta-test asserts no ported scheme leaves this
-    #: ``None``.
+    #: completeness meta-test asserts no entry leaves this ``None``.
     detailed: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
+    #: Optional fused C loop ``(lanes, trace) -> rates`` advancing the
+    #: whole family in one pass over the trace; the compiled engine's
+    #: rate path when present.
+    family: Optional[Callable[[Sequence[object], BranchTrace], List[float]]] = None
 
 
 def _always(lane: object) -> bool:
@@ -149,8 +150,29 @@ _TWOLEVEL = {
     for scheme in ("gag", "gas", "gap", "gselect", "pag", "pas", "pap")
 }
 
-#: The ported wave, in planner/display order.
+#: Every registered scheme's kernels, in planner/display order.
 PORTED: Dict[str, KernelEntry] = {
+    "gshare": KernelEntry(
+        "gshare",
+        "lane",
+        _gshare.lane_for_spec,
+        _gshare.gshare_predictions,
+        _always,
+        rates=_gshare.gshare_rate,
+        detailed=_gshare.gshare_detailed,
+        family=_gshare.gshare_family_rates,
+    ),
+    "bimode": KernelEntry(
+        "bimode",
+        "cloop",
+        _bimode.bimode_lane_for_spec,
+        _bimode.bimode_predictions,
+        # the selected bank depends on the live choice counters: no
+        # counter-major form exists
+        _never,
+        detailed=_bimode.bimode_detailed,
+        family=_bimode.bimode_family_rates,
+    ),
     "bimodal": KernelEntry(
         "bimodal",
         "lane",
@@ -245,8 +267,8 @@ def kernel_mode() -> str:
 
 
 def family_order() -> Tuple[str, ...]:
-    """Every family kind, in planner order (fused first, scalar last)."""
-    return ("gshare", "bimode", *PORTED, "scalar")
+    """Every family kind, in planner order (scalar last)."""
+    return (*PORTED, "scalar")
 
 
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
@@ -261,24 +283,11 @@ def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     raise its original, descriptive error.
     """
     scheme = spec.split(":", 1)[0].strip()
-    if scheme == "gshare":
-        from repro.sim.batch import lane_for_spec
-
-        lane = lane_for_spec(spec)
+    entry = PORTED.get(scheme)
+    if entry is not None:
+        lane = entry.lane_for_spec(spec)
         if lane is not None:
-            return "gshare", lane
-    elif scheme == "bimode":
-        from repro.sim.batch_bimode import bimode_lane_for_spec
-
-        lane = bimode_lane_for_spec(spec)
-        if lane is not None:
-            return "bimode", lane
-    else:
-        entry = PORTED.get(scheme)
-        if entry is not None:
-            lane = entry.lane_for_spec(spec)
-            if lane is not None:
-                return scheme, lane
+            return scheme, lane
     return "scalar", None
 
 
@@ -316,12 +325,15 @@ def spec_for_predictor(predictor: object) -> Optional[str]:
     if isinstance(p, GSharePredictor):
         return f"gshare:index={p.index_bits},hist={p.history_bits}"
     if isinstance(p, BiModePredictor):
-        if not p.full_update or not p.choice_uses_history:
-            return None  # ablation variants have no registry spec
-        return (
+        spec = (
             f"bimode:dir={p.direction_index_bits},hist={p.history_bits},"
             f"choice={p.choice_index_bits}"
         )
+        if p.full_update:
+            spec += ",full_update=1"
+        if p.choice_uses_history:
+            spec += ",choice_hist=1"
+        return spec
     if isinstance(p, BimodalPredictor):
         return f"bimodal:index={p.index_bits},bits={p.table.bits}"
     if isinstance(p, TwoLevelPredictor):
@@ -403,9 +415,7 @@ def registered_schemes() -> Dict[str, str]:
     :func:`repro.core.registry.available_schemes`; a newly registered
     scheme missing here fails that test by name.
     """
-    tiers: Dict[str, str] = {"gshare": "fused", "bimode": "fused"}
-    for scheme, entry in PORTED.items():
-        tiers[scheme] = entry.tier
+    tiers = {scheme: entry.tier for scheme, entry in PORTED.items()}
     for scheme in sorted(SCALAR_ONLY):
         tiers[scheme] = "scalar"
     return tiers
@@ -414,16 +424,16 @@ def registered_schemes() -> Dict[str, str]:
 def registered_detailed_tiers() -> Dict[str, str]:
     """Scheme name -> Section-4 attribution-kernel tier.
 
-    ``"fused"`` for the dedicated gshare/bimode attribution kernels,
-    the prediction tier (``"lane"``/``"cloop"``) for ported schemes
-    whose :class:`KernelEntry` carries a ``detailed`` kernel, and
-    ``"scalar"`` otherwise.  The completeness meta-test asserts no
-    registered scheme maps to ``"scalar"`` — every scheme's detailed
-    pipeline must be batched.
+    The prediction tier (``"lane"``/``"cloop"``) for entries whose
+    :class:`KernelEntry` carries a ``detailed`` kernel, and ``"scalar"``
+    otherwise.  The completeness meta-test asserts no registered scheme
+    maps to ``"scalar"`` — every scheme's detailed pipeline must be
+    batched.
     """
-    tiers: Dict[str, str] = {"gshare": "fused", "bimode": "fused"}
-    for scheme, entry in PORTED.items():
-        tiers[scheme] = entry.tier if entry.detailed is not None else "scalar"
+    tiers = {
+        scheme: entry.tier if entry.detailed is not None else "scalar"
+        for scheme, entry in PORTED.items()
+    }
     for scheme in sorted(SCALAR_ONLY):
         tiers[scheme] = "scalar"
     return tiers
@@ -437,10 +447,9 @@ def _resolve_engines(
 ) -> Tuple[List[str], str, str]:
     """Per-lane engine choice plus ``(expected, fallback_reason)``.
 
-    Follows the ``bimode-kernel`` convention: in ``auto`` the expected
-    engine is the compiled loop, so running anything slower surfaces as
-    a degradation with the compiler's absence (or the scheme's missing
-    numpy form) as the reason.
+    In ``auto`` the expected engine is the compiled loop, so running
+    anything slower surfaces as a degradation with the compiler's
+    absence (or the scheme's missing numpy form) as the reason.
     """
     compiled = _cstep.available()
     if mode == "c" and not compiled:
@@ -469,27 +478,16 @@ def _resolve_engines(
     return engines, expected, reason
 
 
-def family_predictions(
-    kind: str,
-    specs: Sequence[str],
-    lanes: Sequence[object],
-    trace: BranchTrace,
-    mode: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Per-branch predictions of every lane of one ported family.
-
-    Rows are bit-for-bit what the scalar predictor would emit from
-    power-on state; the engine per lane follows ``REPRO_KERNEL`` (or an
-    explicit ``mode``), with the dispatch health-reported under
-    ``"<kind>-kernel"``.
-    """
+def _dispatch(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: Optional[str]
+) -> Tuple[KernelEntry, List[str]]:
+    """Resolve one family's per-lane engines and health-report them
+    under ``"<kind>-kernel"``."""
     from repro import health
-    from repro.core.registry import make_predictor
-    from repro.sim.engine import run
 
-    entry = PORTED[kind]
     if len(specs) != len(lanes):
         raise ValueError("specs and lanes must be parallel")
+    entry = PORTED[kind]
     mode = kernel_mode() if mode is None else mode
     engines, expected, reason = _resolve_engines(entry, lanes, mode)
     for engine in dict.fromkeys(engines):
@@ -500,6 +498,27 @@ def family_predictions(
             cells=engines.count(engine),
             reason=reason if engine != expected else "",
         )
+    return entry, engines
+
+
+def family_predictions(
+    kind: str,
+    specs: Sequence[str],
+    lanes: Sequence[object],
+    trace: BranchTrace,
+    mode: Optional[str] = None,
+) -> List[np.ndarray]:
+    """Per-branch predictions of every lane of one family.
+
+    Rows are bit-for-bit what the scalar predictor would emit from
+    power-on state; the engine per lane follows ``REPRO_KERNEL`` (or an
+    explicit ``mode``), with the dispatch health-reported under
+    ``"<kind>-kernel"``.
+    """
+    from repro.core.registry import make_predictor
+    from repro.sim.engine import run
+
+    entry, engines = _dispatch(kind, specs, lanes, mode)
     hist_cache: Dict[int, np.ndarray] = {}
     out: List[np.ndarray] = []
     for spec, lane, engine in zip(specs, lanes, engines):
@@ -518,7 +537,7 @@ def family_detailed(
     trace: BranchTrace,
     mode: Optional[str] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-    """Section-4 attribution of every lane of one ported family.
+    """Section-4 attribution of every lane of one family.
 
     Returns ``(predictions, counter_ids, num_counters)`` per lane,
     bit-for-bit what the scalar ``simulate_detailed`` loop would emit
@@ -526,27 +545,17 @@ def family_detailed(
     ``REPRO_KERNEL`` (or an explicit ``mode``) exactly like
     :func:`family_predictions` — the detailed kernels share the
     prediction kernels' engine matrix — and dispatch is health-reported
-    under ``"<kind>-kernel"``.
+    under ``"<kind>-kernel"``.  Unlike the rate paths, lanes do not
+    share history streams: every lane's attribution rows are kept until
+    the family returns, and one stream per lane on top would raise the
+    peak for no gain when (as in the paper's grids) the history widths
+    differ.
     """
-    from repro import health
     from repro.core.registry import make_predictor
 
-    entry = PORTED[kind]
+    entry, engines = _dispatch(kind, specs, lanes, mode)
     if entry.detailed is None:  # pragma: no cover - meta-test keeps this dead
         raise RuntimeError(f"scheme {kind!r} has no detailed attribution kernel")
-    if len(specs) != len(lanes):
-        raise ValueError("specs and lanes must be parallel")
-    mode = kernel_mode() if mode is None else mode
-    engines, expected, reason = _resolve_engines(entry, lanes, mode)
-    for engine in dict.fromkeys(engines):
-        health.engine_used(
-            f"{kind}-kernel",
-            engine,
-            expected=expected,
-            cells=engines.count(engine),
-            reason=reason if engine != expected else "",
-        )
-    hist_cache: Dict[int, np.ndarray] = {}
     out: List[Tuple[np.ndarray, np.ndarray, int]] = []
     for spec, lane, engine in zip(specs, lanes, engines):
         if engine == "scalar":
@@ -559,7 +568,7 @@ def family_detailed(
                 )
             )
         else:
-            preds, cids = entry.detailed(lane, trace, engine, hist_cache)
+            preds, cids = entry.detailed(lane, trace, engine, None)
             out.append((preds, cids, _lanes.detailed_num_counters(lane)))
     return out
 
@@ -571,29 +580,34 @@ def family_rates(
     trace: BranchTrace,
     mode: Optional[str] = None,
 ) -> List[float]:
-    """Misprediction rate of every lane of one ported family."""
+    """Misprediction rate of every lane of one family.
+
+    The compiled engine runs the entry's fused ``family`` loop when it
+    has one; otherwise each lane goes through its direct ``rates`` hook
+    or its prediction stream.  Scalar lanes run the scalar engine.
+    """
+    from repro.core.registry import make_predictor
+    from repro.sim.engine import run
+
     n = len(trace)
     if n == 0:
         return [0.0 for _ in specs]
-    entry = PORTED[kind]
-    mode = kernel_mode() if mode is None else mode
-    if entry.rates is not None and mode != "scalar":
-        # Direct reduction (the statics): no prediction stream is
-        # materialized, with the same dispatch reporting as the
-        # prediction path.
-        from repro import health
-
-        engines, expected, _ = _resolve_engines(entry, lanes, mode)
-        for engine in dict.fromkeys(engines):
-            health.engine_used(
-                f"{kind}-kernel", engine, expected=expected, cells=engines.count(engine)
-            )
-        return [entry.rates(lane, trace) for lane in lanes]
+    entry, engines = _dispatch(kind, specs, lanes, mode)
+    if entry.family is not None and set(engines) == {"c"}:
+        return entry.family(list(lanes), trace)
     outcomes = trace.outcomes
-    return [
-        int(np.count_nonzero(preds != outcomes)) / n
-        for preds in family_predictions(kind, specs, lanes, trace, mode=mode)
-    ]
+    hist_cache: Dict[int, np.ndarray] = {}
+    out: List[float] = []
+    for spec, lane, engine in zip(specs, lanes, engines):
+        if engine == "scalar":
+            preds = run(make_predictor(spec), trace).predictions
+        elif entry.rates is not None:
+            out.append(entry.rates(lane, trace, hist_cache))
+            continue
+        else:
+            preds = entry.predictions(lane, trace, engine, hist_cache)
+        out.append(int(np.count_nonzero(preds != outcomes)) / n)
+    return out
 
 
 def planner_vetoes(specs: Sequence[str]) -> None:

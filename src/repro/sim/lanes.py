@@ -88,7 +88,7 @@ from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
 from repro.core.registry import parse_spec
-from repro.sim.batch import counter_scan
+from repro.sim.batch import GShareLane, counter_scan
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -1159,6 +1159,12 @@ def detailed_num_counters(lane) -> int:
     """Section-4 counter count of a lane — the ``num_counters`` of the
     :class:`~repro.core.interfaces.DetailedSimulation` the scalar
     predictor would build for the same configuration."""
+    from repro.sim.batch_bimode import BiModeLane
+
+    if isinstance(lane, GShareLane):
+        return lane.table_size
+    if isinstance(lane, BiModeLane):
+        return 2 * lane.bank_size
     if isinstance(lane, BimodalLane):
         return 1 << lane.index_bits
     if isinstance(lane, TwoLevelLane):
@@ -1182,7 +1188,11 @@ def detailed_num_counters(lane) -> int:
     raise TypeError(f"unknown lane type {type(lane).__name__}")
 
 
-def static_rates(lane: StaticLane, trace: BranchTrace) -> float:
+def static_rates(
+    lane: StaticLane,
+    trace: BranchTrace,
+    hist_cache: Optional[Dict[int, np.ndarray]] = None,
+) -> float:
     """Misprediction rate without materializing predictions: one numpy
     reduction, bit-identical to ``count_nonzero(preds != outcomes) / n``
     (the counts are exact integers, so the division matches)."""

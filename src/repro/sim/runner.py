@@ -8,18 +8,13 @@ and survives across processes, which makes re-running a figure bench
 after the first time nearly free.
 
 Spec grids are grouped into fused families by the sweep planner
-(:mod:`repro.sim.fused`): gshare families and bi-mode families advance
-every lane in one pass over the shared trace (``REPRO_FUSED``), with
-the pre-existing per-trace batched kernels (:mod:`repro.sim.batch`,
-:mod:`repro.sim.batch_bimode`) as the dispatch fallback, and the
-scalar engine for anything unfusable (health-reported).  When the
-fallback path is active, :func:`evaluate_matrix` additionally batches
-the whole bi-mode portion of a sweep matrix — every uncached (spec,
-bench) bi-mode cell — into one cross-trace kernel invocation, which is
-where the stepped strategy gets its width.  Every path produces
-bit-identical rates (asserted by the equivalence suites and the
-differential oracle in :mod:`repro.verify`), so cache entries are
-interchangeable between them.
+(:mod:`repro.sim.fused`) and each family runs through its kernel
+registry entry (:mod:`repro.sim.kernels`) — one pass over the shared
+trace for every lane — with the scalar engine for anything unfusable
+(health-reported).  Every engine produces bit-identical rates
+(asserted by the equivalence suites and the differential oracle in
+:mod:`repro.verify`), so cache entries are interchangeable between
+them.
 """
 
 from __future__ import annotations
@@ -34,8 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro import health
 from repro.faults import fault_point
-from repro.sim.batch_bimode import bimode_lane_for_spec, bimode_matrix_rates
-from repro.sim.fused import family_rates, fused_active, plan_families
+from repro.sim.fused import family_rates, plan_families
 from repro.traces.record import BranchTrace
 from repro.workloads.suite import default_cache_dir
 
@@ -48,6 +42,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: Nothing calls this; it stays bound only because the benchmark's
+#: tracer (``perfbench/tracing.py``) wraps it by name.
+bimode_matrix_rates = None
 
 
 def trace_key(trace: BranchTrace) -> str:
@@ -228,19 +226,15 @@ def evaluate_specs(
     trace: BranchTrace,
     cache: Optional[ResultCache] = None,
     precomputed: Optional[Mapping[str, float]] = None,
-    fused: Optional[bool] = None,
 ) -> Dict[str, float]:
     """Misprediction rate of every spec on one trace, batched.
 
     Uncached specs are grouped into fused families by the sweep
-    planner (:mod:`repro.sim.fused`): plain gshare and bi-mode
-    configurations each advance as one family over the trace (fused
-    single pass when active, the per-trace batched kernels otherwise);
-    other schemes fall back to the scalar engine with a health
-    degradation recorded.  ``precomputed`` rates (from a matrix-level
-    prepass) are honoured like cache hits; ``fused`` pins the engine
-    choice (``None`` resolves ``REPRO_FUSED``).  Results are memoized
-    through ``cache`` with one write per trace.
+    planner (:mod:`repro.sim.fused`), each advancing as one family over
+    the trace; unfusable schemes fall back to the scalar engine with a
+    health degradation recorded.  ``precomputed`` rates (e.g. journalled
+    cells) are honoured like cache hits.  Results are memoized through
+    ``cache`` with one write per trace.
     """
     tkey = trace_key(trace)
     rates: Dict[str, float] = {}
@@ -262,10 +256,8 @@ def evaluate_specs(
         # actually simulates cells, so fault-injection tests can assert
         # exactly which benchmarks were recomputed, in which process.
         fault_point("evaluate", bench=trace.name or "anon", cells=len(missing))
-        if fused is None:
-            fused = fused_active()
         for family in plan_families(missing):
-            computed.update(family_rates(family, trace, fused=fused))
+            computed.update(family_rates(family, trace))
 
     if cache is not None and computed:
         cache.put_many(tkey, computed)
@@ -280,8 +272,8 @@ def evaluate(
 ) -> float:
     """Misprediction rate of the predictor ``spec`` on ``trace``.
 
-    Builds the predictor from its spec string, simulates (through the
-    batch kernel when the spec is a plain gshare), and memoizes through
+    Builds the predictor from its spec string, simulates (through its
+    batch kernel when the registry has one), and memoizes through
     ``cache`` when given.
     """
     return evaluate_specs([spec], trace, cache=cache)[spec]
@@ -328,80 +320,20 @@ def evaluate_matrix(
     maybe_deferred = cache.deferred() if cache is not None else _null_context()
     guard = journal.guard(cache) if journal is not None else _null_context()
     with guard, maybe_deferred:
-        # The cross-trace bi-mode prepass exists to give the stepped
-        # strategy batch width; under the fused engine the per-trace
-        # family pass is the fast path, so the prepass would only steal
-        # its cells.
-        use_fused = fused_active()
-        pre = (
-            {}
-            if use_fused
-            else _bimode_matrix_prepass(specs, traces, cache, journal=journal)
-        )
-        if journal is not None:
-            for bench, trace in traces.items():
-                known = journal.completed(trace_key(trace))
-                if known:
-                    merged = dict(pre.get(bench, {}))
-                    merged.update({s: known[s] for s in specs if s in known})
-                    pre[bench] = merged
         for bench, trace in traces.items():
+            tkey = trace_key(trace)
+            known = journal.completed(tkey) if journal is not None else None
             per_bench[bench] = evaluate_specs(
-                specs, trace, cache=cache, precomputed=pre.get(bench), fused=use_fused
+                specs, trace, cache=cache, precomputed=known
             )
             if journal is not None:
-                journal.record_many(trace_key(trace), per_bench[bench])
+                journal.record_many(tkey, per_bench[bench])
             if progress is not None:
                 for spec in specs:
                     progress(spec, bench, per_bench[bench][spec])
     return SweepResult(
         {spec: {bench: per_bench[bench][spec] for bench in traces} for spec in specs}
     )
-
-
-def _bimode_matrix_prepass(
-    specs: Sequence[str],
-    traces: Mapping[str, BranchTrace],
-    cache: Optional[ResultCache],
-    journal=None,
-) -> Dict[str, Dict[str, float]]:
-    """Batch every uncached bi-mode cell of a matrix into one kernel call.
-
-    The lane-stepped bi-mode strategy gets faster per cell the more
-    (configuration, benchmark) pairs it advances at once, so collecting
-    the cells here — across *all* traces — rather than per-trace inside
-    ``evaluate_specs`` is what gives sweeps their batch width.  Returns
-    ``{bench: {spec: rate}}``, already written through ``cache`` (and
-    ``journal``, when given); cells the journal already holds are
-    skipped like cache hits.
-    """
-    cells = []
-    where = []
-    for bench, trace in traces.items():
-        tkey = trace_key(trace)
-        for spec in dict.fromkeys(specs):
-            lane = bimode_lane_for_spec(spec)
-            if lane is None:
-                continue
-            if cache is not None and cache.get(spec, tkey) is not None:
-                continue
-            if journal is not None and journal.lookup(tkey, spec) is not None:
-                continue
-            cells.append((lane, trace))
-            where.append((bench, spec, tkey))
-    if not cells:
-        return {}
-    pre: Dict[str, Dict[str, float]] = {}
-    by_tkey: Dict[str, Dict[str, float]] = {}
-    for (bench, spec, tkey), rate in zip(where, bimode_matrix_rates(cells)):
-        pre.setdefault(bench, {})[spec] = rate
-        by_tkey.setdefault(tkey, {})[spec] = rate
-    for tkey, found in by_tkey.items():
-        if cache is not None:
-            cache.put_many(tkey, found)
-        if journal is not None:
-            journal.record_many(tkey, found)
-    return pre
 
 
 @contextmanager

@@ -7,10 +7,10 @@ implementation —
 * the predictor's step interface (``predict``/``update`` per branch),
 * the predictor's batch ``simulate`` loop (what :func:`repro.sim.
   engine.run` uses),
-* the gshare lane kernel or each available bi-mode kernel strategy,
-  when the spec qualifies for one,
-* every engine of the spec's registry lane kernel
-  (:mod:`repro.sim.kernels`) for the ported schemes —
+* the spec's registry kernel (:mod:`repro.sim.kernels`) under the
+  ``REPRO_KERNEL=c`` pin (when a compiler is available) and the
+  ``numpy`` pin (which runs the scalar reference for schemes without a
+  numpy form); the ``scalar`` pin's engine is the loop above —
 
 and reports whether all predictions agree, and if not, the index of
 the first diverging branch together with each engine's prediction
@@ -25,7 +25,6 @@ test-suite fuzzers shrink their failing traces before producing it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,8 +32,6 @@ import numpy as np
 
 from repro.core.registry import make_predictor
 from repro.sim import _cstep, kernels
-from repro.sim.batch import gshare_lane_detailed, lane_for_spec
-from repro.sim.batch_bimode import bimode_lane_detailed, bimode_lane_for_spec
 from repro.sim.engine import run, run_steps
 from repro.traces.record import BranchTrace
 from repro.verify.oracle import (
@@ -90,13 +87,6 @@ class DifferentialReport:
         return f"{head}: {self.divergence_detail}"
 
 
-def _bimode_strategies() -> List[str]:
-    strategies = ["numpy", "python"]
-    if _cstep.available():
-        strategies.insert(0, "c")
-    return strategies
-
-
 def diff_spec(
     spec: str, trace: BranchTrace, include_kernels: bool = True
 ) -> DifferentialReport:
@@ -135,46 +125,18 @@ def diff_spec(
             EngineRun("scalar", run(make_predictor(spec), trace).predictions)
         )
     if include_kernels:
-        glane = lane_for_spec(spec)
-        if glane is not None:
-            g_preds, g_ids = gshare_lane_detailed(glane, trace)
-            report.runs.append(EngineRun("batch:gshare", g_preds, g_ids))
-        blane = bimode_lane_for_spec(spec)
-        if blane is not None:
-            saved = os.environ.get("REPRO_BIMODE_KERNEL")
-            try:
-                for strategy in _bimode_strategies():
-                    os.environ["REPRO_BIMODE_KERNEL"] = strategy
-                    b_preds, b_ids = bimode_lane_detailed(blane, trace)
-                    report.runs.append(
-                        EngineRun(f"batch:bimode[{strategy}]", b_preds, b_ids)
-                    )
-            finally:
-                if saved is None:
-                    os.environ.pop("REPRO_BIMODE_KERNEL", None)
-                else:
-                    os.environ["REPRO_BIMODE_KERNEL"] = saved
         kind, lane = kernels.kernel_for_spec(spec)
         if kind in kernels.PORTED:
-            entry = kernels.PORTED[kind]
-            strategies = ["numpy"] if entry.numpy_ok(lane) else []
-            if _cstep.available():
-                strategies.insert(0, "c")
-            for strategy in strategies:
-                # lane runs carry counter ids too, so an attribution
+            pins = ["c", "numpy"] if _cstep.available() else ["numpy"]
+            for pin in pins:
+                # the registry dispatch under each REPRO_KERNEL pin (a
+                # scheme without a numpy form runs its scalar reference);
+                # runs carry counter ids too, so an attribution
                 # regression diverges here even when predictions agree
-                if entry.detailed is not None:
-                    l_preds, l_ids = entry.detailed(lane, trace, strategy)
-                    report.runs.append(
-                        EngineRun(f"lane:{kind}[{strategy}]", l_preds, l_ids)
-                    )
-                else:  # pragma: no cover - meta-test keeps this dead
-                    report.runs.append(
-                        EngineRun(
-                            f"lane:{kind}[{strategy}]",
-                            entry.predictions(lane, trace, strategy),
-                        )
-                    )
+                ((preds, ids, _),) = kernels.family_detailed(
+                    kind, [spec], [lane], trace, mode=pin
+                )
+                report.runs.append(EngineRun(f"lane:{kind}[{pin}]", preds, ids))
 
     reference = report.runs[0]
     first: Optional[int] = None

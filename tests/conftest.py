@@ -62,10 +62,15 @@ ALL_SPECS = [
 ]
 
 
-#: Figure-grid-style specs for the kernel-registry ported schemes, at
-#: 2-3 sizes each: the verification matrix of the per-scheme
-#: equivalence suite, the golden fixtures and the registry benchmark.
+#: Figure-grid-style specs for every kernel-registry scheme, at 2-3
+#: sizes each: the verification matrix of the per-scheme equivalence
+#: suite, the golden fixtures and the registry benchmark.  The gshare
+#: and bi-mode rows reuse specs already frozen in the golden fixtures.
 PORTED_GRID = [
+    "gshare:index=8,hist=6",
+    "gshare:index=6,hist=3",
+    "bimode:dir=7,hist=5,choice=6",
+    "bimode:dir=6,hist=6,choice=5,full_update=1,choice_hist=1",
     "bimodal:index=6",
     "bimodal:index=9",
     "bimodal:index=6,bits=3",

@@ -93,9 +93,9 @@ class TestFastVsReference:
     def test_kernel_modes_identical(self, trace, monkeypatch):
         """Scalar and batch detailed kernels feed the same analysis."""
         spec = "bimode:dir=7,hist=7,choice=6"
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "scalar")
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         scalar = summarize_detailed(run_detailed(make_predictor(spec), trace))
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
         batch = summarize_detailed(run_detailed(make_predictor(spec), trace))
         assert scalar == batch
 

@@ -109,21 +109,23 @@ class TestDetailedKernelDispatch:
     def test_batch_matches_scalar(self, spec, trace, monkeypatch):
         """The batch attribution kernels must reproduce the scalar loop
         bit-for-bit: predictions AND per-access counter ids."""
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "scalar")
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         scalar = run_detailed(make_predictor(spec), trace)
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
         batch = run_detailed(make_predictor(spec), trace)
         assert np.array_equal(scalar.result.predictions, batch.result.predictions)
         assert np.array_equal(scalar.counter_ids, batch.counter_ids)
         assert scalar.num_counters == batch.num_counters
 
-    def test_batch_pin_refuses_kernelless_scheme(self, trace, monkeypatch):
-        """A bias filter over a sub-predictor without a kernel lane has
-        no batch attribution path; under the explicit ``batch`` pin the
-        dispatcher must refuse by name, never silently run scalar."""
-        spec = "biasfilter:table=6,run=2,sub=bimode,sub_index=6,sub_hist=6"
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
-        with pytest.raises(RuntimeError, match="biasfilter"):
+    @pytest.mark.parametrize(
+        "spec", ["gshare:index=8,hist=5", "bimode:dir=7,hist=7,choice=6"]
+    )
+    def test_c_pin_without_compiler_raises(self, spec, trace, monkeypatch):
+        """Under the explicit ``c`` pin a vetoed compiler must raise,
+        never silently run the numpy form or the scalar loop."""
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
             run_detailed(make_predictor(spec), trace)
 
     def test_auto_falls_back_without_kernel(self, trace, monkeypatch):
@@ -132,14 +134,14 @@ class TestDetailedKernelDispatch:
         from repro import health
 
         spec = "biasfilter:table=6,run=2,sub=bimode,sub_index=6,sub_hist=6"
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "auto")
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
         health.clear()
         auto = run_detailed(make_predictor(spec), trace)
         assert any(
             e.actual == "scalar"
             for e in health.events(component="detailed-kernel")
         )
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "scalar")
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         scalar = run_detailed(make_predictor(spec), trace)
         assert np.array_equal(scalar.result.predictions, auto.result.predictions)
         assert np.array_equal(scalar.counter_ids, auto.counter_ids)
@@ -156,7 +158,7 @@ class TestDetailedKernelDispatch:
         )
 
     def test_invalid_mode_rejected(self, trace, monkeypatch):
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "turbo")
+        monkeypatch.setenv("REPRO_KERNEL", "turbo")
         with pytest.raises(ValueError):
             run_detailed(make_predictor("gshare:index=8"), trace)
 

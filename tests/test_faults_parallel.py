@@ -205,18 +205,21 @@ class TestCorruptCacheMidSweep:
 
 class TestCompilerDenied:
     def test_bimode_kernel_reports_fallback(self, traces):
-        from repro.sim.batch_bimode import bimode_lane_for_spec, bimode_lane_rates
+        from repro.sim import kernels
 
-        lane = bimode_lane_for_spec("bimode:dir=6,hist=6,choice=6")
-        baseline = bimode_lane_rates([lane], traces["gcc"])
+        spec = "bimode:dir=6,hist=6,choice=6"
+        kind, lane = kernels.kernel_for_spec(spec)
+        baseline = kernels.family_rates(kind, [spec], [lane], traces["gcc"])
         health.clear()
         with faults.deny_compiler():
-            denied = bimode_lane_rates([lane], traces["gcc"])
+            denied = kernels.family_rates(
+                kind, [spec], [lane], traces["gcc"], mode="auto"
+            )
             (event,) = health.events(component="bimode-kernel")
             assert event.expected == "c"
-            assert event.actual in ("numpy", "python")
+            assert event.actual == "scalar"
             assert event.severity == "degraded"
-            assert "REPRO_NO_CC" in event.reason
+            assert "no numpy kernel" in event.reason
         # dispatch chain degradation never changes the numbers
         assert denied == baseline
 

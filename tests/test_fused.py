@@ -1,7 +1,7 @@
 """Fused sweep planner and family evaluation (:mod:`repro.sim.fused`).
 
-Covers the PR's equivalence contract end to end: the planner's family
-grouping and dedupe, ``REPRO_FUSED`` dispatch (including the compiler-
+Covers the equivalence contract end to end: the planner's family
+grouping and dedupe, ``REPRO_KERNEL`` dispatch (including the compiler-
 denied fallbacks, all health-reported), bit-identity of the fused
 passes against the per-cell scalar engine *and* the differential
 oracle over Figure-2/3/4 spec grids, hypothesis fuzzing of random
@@ -16,14 +16,9 @@ from hypothesis import strategies as st
 
 from repro import faults, health
 from repro.core.registry import make_predictor
+from repro.sim import _cstep
 from repro.sim.engine import run
-from repro.sim.fused import (
-    SpecFamily,
-    family_rates,
-    fused_active,
-    fused_mode,
-    plan_families,
-)
+from repro.sim.fused import SpecFamily, family_rates, plan_families
 from repro.sim.journal import SweepJournal
 from repro.sim.runner import evaluate_specs, trace_key
 from repro.traces.record import BranchTrace
@@ -104,28 +99,17 @@ class TestPlanner:
 
 
 class TestDispatch:
-    def test_mode_default_and_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED", raising=False)
-        assert fused_mode() == "auto"
-        monkeypatch.setenv("REPRO_FUSED", "ON")
-        assert fused_mode() == "on"
-        monkeypatch.setenv("REPRO_FUSED", "off")
-        assert fused_mode() == "off"
-        monkeypatch.setenv("REPRO_FUSED", "sideways")
-        with pytest.raises(ValueError):
-            fused_mode()
-
-    def test_pinned_modes(self):
-        assert fused_active("off") is False
-        assert fused_active("on") is True
-
-    def test_auto_without_compiler_degrades_with_event(self):
+    def test_auto_without_compiler_degrades_with_event(
+        self, small_workload, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        (family,) = plan_families(["gshare:index=6,hist=4"])
         with faults.deny_compiler():
             health.clear()
-            assert fused_active("auto") is False
-            (event,) = health.events(component="fused-planner")
-            assert event.expected == "fused"
-            assert event.actual == "batched"
+            family_rates(family, small_workload)
+            (event,) = health.events(component="gshare-kernel")
+            assert event.expected == "c"
+            assert event.actual == "numpy"
             assert event.severity == "degraded"
 
     def test_scalar_family_reports_degradation(self, small_workload):
@@ -142,8 +126,8 @@ class TestDispatch:
 class TestFamilyDetailed:
     """The per-family Section-4 path (what ``detailed_matrix`` workers
     run): bit-identity against the per-predictor scalar loop, scalar
-    family degradations, and the ``REPRO_DETAILED_KERNEL`` pin at
-    family granularity."""
+    family degradations, and the ``REPRO_KERNEL`` pin at family
+    granularity."""
 
     MIXED_GRID = [
         "gshare:index=7,hist=5",
@@ -192,27 +176,18 @@ class TestFamilyDetailed:
         ]
         assert event.severity == "degraded"
 
-    def test_batch_pin_refuses_scalar_family(self, trace, monkeypatch):
-        from repro.sim.fused import family_detailed
-
-        scalar_spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
-        (family,) = plan_families([scalar_spec])
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
-        with pytest.raises(RuntimeError, match="biasfilter"):
-            family_detailed(family, trace)
-
-    def test_batch_pin_refuses_sequential_scheme_without_compiler(
+    def test_c_pin_refuses_sequential_scheme_without_compiler(
         self, trace, monkeypatch
     ):
-        """A cloop-tier family (no numpy kernel) under the batch pin
-        must refuse when the compiler is denied rather than quietly run
-        the scalar loop."""
+        """A cloop-tier family (no numpy kernel) under the c pin must
+        refuse when the compiler is denied rather than quietly run the
+        scalar loop."""
         from repro.sim.fused import family_detailed
 
         (family,) = plan_families(["perceptron:index=5,hist=6"])
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "batch")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
         with faults.deny_compiler():
-            with pytest.raises(RuntimeError, match="perceptron"):
+            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
                 family_detailed(family, trace)
 
     def test_scalar_pin_is_bit_identical(self, trace, monkeypatch):
@@ -224,9 +199,9 @@ class TestFamilyDetailed:
                 rows.update(family_detailed(family, trace))
             return rows
 
-        monkeypatch.delenv("REPRO_DETAILED_KERNEL", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         baseline = grid()
-        monkeypatch.setenv("REPRO_DETAILED_KERNEL", "scalar")
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         pinned = grid()
         for spec in self.MIXED_GRID:
             assert np.array_equal(baseline[spec][0], pinned[spec][0]), spec
@@ -253,26 +228,27 @@ class TestFigureGridEquivalence:
         for spec in grid:
             assert reference[spec] == oracle_rate(spec, small_workload), spec
 
-    @pytest.mark.parametrize("mode", ["on", "off", "auto"])
+    @pytest.mark.parametrize("mode", ["auto", "c", "numpy", "scalar"])
     def test_modes_are_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        monkeypatch.setenv("REPRO_FUSED", mode)
+        if mode == "c" and not _cstep.available():
+            pytest.skip("no C compiler available")
+        monkeypatch.setenv("REPRO_KERNEL", mode)
         assert evaluate_specs(grid, small_workload) == reference
 
-    @pytest.mark.parametrize("mode", ["on", "auto"])
+    @pytest.mark.parametrize("mode", ["auto", "numpy"])
     def test_compiler_denied_is_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        monkeypatch.setenv("REPRO_FUSED", mode)
+        monkeypatch.setenv("REPRO_KERNEL", mode)
         with faults.deny_compiler():
             assert evaluate_specs(grid, small_workload) == reference
 
     def test_family_rates_directly(self, grid, reference, small_workload):
         for family in plan_families(grid):
-            for fused in (True, False):
-                rates = family_rates(family, small_workload, fused=fused)
-                assert rates == {spec: reference[spec] for spec in family.specs}
+            rates = family_rates(family, small_workload)
+            assert rates == {spec: reference[spec] for spec in family.specs}
 
 
 def _traces(min_size=1, max_size=120):
@@ -337,7 +313,7 @@ class TestPlannerFuzzing:
 
         fused = {}
         for family in families:
-            fused.update(family_rates(family, trace, fused=True))
+            fused.update(family_rates(family, trace))
         for spec in set(grid):
             scalar = run(make_predictor(spec), trace).misprediction_rate
             assert fused[spec] == scalar, spec
@@ -349,7 +325,7 @@ class TestPlannerFuzzing:
         with faults.deny_compiler():
             fused = {}
             for family in plan_families(grid):
-                fused.update(family_rates(family, trace, fused=True))
+                fused.update(family_rates(family, trace))
         for spec in set(grid):
             assert fused[spec] == run(
                 make_predictor(spec), trace

@@ -178,21 +178,25 @@ class TestProductionHooks:
     """The kernels actually report what ran."""
 
     def test_bimode_dispatch_reports_engine(self):
-        from repro.sim.batch_bimode import bimode_lane_for_spec, bimode_lane_rates
+        from repro.sim import kernels
         from tests.conftest import make_toy_trace
 
-        lane = bimode_lane_for_spec("bimode:dir=4,hist=4,choice=4")
-        bimode_lane_rates([lane], make_toy_trace(length=200))
+        spec = "bimode:dir=4,hist=4,choice=4"
+        kind, lane = kernels.kernel_for_spec(spec)
+        kernels.family_rates(kind, [spec], [lane], make_toy_trace(length=200))
         events = health.events(component="bimode-kernel")
         assert len(events) == 1
-        assert events[0].actual in ("c", "numpy", "python")
+        assert events[0].actual in ("c", "scalar")
 
     def test_gshare_batch_reports_engine(self):
-        from repro.sim.batch import gshare_lane_rates, lane_for_spec
+        from repro.sim import kernels
         from tests.conftest import make_toy_trace
 
-        lane = lane_for_spec("gshare:index=4,hist=4")
-        gshare_lane_rates([lane], make_toy_trace(length=200))
+        spec = "gshare:index=4,hist=4"
+        kind, lane = kernels.kernel_for_spec(spec)
+        kernels.family_rates(
+            kind, [spec], [lane], make_toy_trace(length=200), mode="numpy"
+        )
         events = health.events(component="gshare-kernel")
         assert len(events) == 1
         assert events[0].actual == "numpy"

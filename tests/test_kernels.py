@@ -17,8 +17,7 @@ Layers:
   the ``auto`` and ``numpy`` pins, against the scalar engine, the
   step interface and the dict-based oracle;
 * **dispatch** — the ``REPRO_KERNEL`` pin semantics (scalar planner
-  routing, forced-c failure, numpy degradations, inheritance by
-  ``REPRO_BIMODE_KERNEL``), all health-reported;
+  routing, forced-c failure, numpy degradations), all health-reported;
 * **fuzz** — hypothesis differential replay of random traces through
   :func:`repro.verify.differential.diff_spec`, which runs every
   engine the spec qualifies for;
@@ -139,15 +138,13 @@ class TestRegistryCompleteness:
         """ISSUE 9 acceptance: every registered scheme has a batch
         kernel; nothing is allowed to hide behind the scalar tier."""
         assert kernels.SCALAR_ONLY == frozenset()
-        assert set(kernels.PORTED) | {"gshare", "bimode"} == set(
-            available_schemes()
-        )
+        assert set(kernels.PORTED) == set(available_schemes())
         for scheme, tier in kernels.registered_schemes().items():
             assert tier != "scalar", scheme
 
     def test_tiers_are_known_values(self):
         for scheme, tier in kernels.registered_schemes().items():
-            assert tier in ("fused", "lane", "cloop", "scalar"), (scheme, tier)
+            assert tier in ("lane", "cloop", "scalar"), (scheme, tier)
 
     def test_at_least_seven_newly_ported_schemes(self):
         """ISSUE acceptance: >= 7 schemes beyond gshare/bimode run
@@ -202,6 +199,10 @@ class TestRegistryCompleteness:
             if scheme in kernels.PORTED
         }
         for scheme, entry in kernels.PORTED.items():
+            if scheme in ("gshare", "bimode"):
+                # their attribution predates detailed.json and answers
+                # to the oracle in TestDetailedEquivalence instead
+                continue
             assert entry.detailed in frozen_kernels, (
                 f"the detailed kernel behind {scheme!r} has no frozen "
                 "Section-4 summary — add a spec to tests/test_golden.py "
@@ -391,6 +392,35 @@ class TestDetailedEquivalence:
             assert np.array_equal(preds, want_p), spec
             assert np.array_equal(cids, want_c), spec
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"full_update": True},
+            {"choice_uses_history": True},
+            {"full_update": True, "choice_uses_history": True},
+        ],
+    )
+    def test_bimode_ablation_predictors_stay_batched(self, knobs):
+        """Hand-built bi-mode ablation predictors round-trip through
+        ``spec_for_predictor`` and keep ``run_detailed`` on the batch
+        path, bit-identical to their scalar loop."""
+        from repro.core.bimode import BiModePredictor
+        from repro.sim.engine import run_detailed
+
+        trace = _trace("aliasing")
+        predictor = BiModePredictor(6, 4, 5, **knobs)
+        spec = kernels.spec_for_predictor(predictor)
+        assert kernels.kernel_for_spec(spec)[0] == "bimode", spec
+        got = run_detailed(predictor, trace)
+        (event,) = health.events(component="detailed-kernel")
+        # batched wherever the pin admits bi-mode's compiled loop
+        batched = kernels.kernel_mode() in ("auto", "c") and _cstep.available()
+        assert event.actual == ("batch" if batched else "scalar"), event
+        want = BiModePredictor(6, 4, 5, **knobs).simulate_detailed(trace)
+        assert np.array_equal(got.result.predictions, want.result.predictions)
+        assert np.array_equal(got.counter_ids, want.counter_ids)
+        assert got.num_counters == want.num_counters
+
     def test_empty_trace(self):
         from tests.conftest import make_trace
 
@@ -436,6 +466,28 @@ class TestDispatch:
                 kernels.family_rates(
                     kind, ["agree:index=6"], [lane], _trace("toy"), mode="c"
                 )
+
+    @pytest.mark.parametrize(
+        "spec", ["gshare:index=6,hist=4", "bimode:dir=6,hist=6,choice=5"]
+    )
+    def test_c_pin_without_compiler_raises_in_sweeps(self, spec, monkeypatch):
+        """The one strict-pin rule holds for rates and Section 4 alike:
+        no silent fallback from ``REPRO_KERNEL=c`` in either sweep.  The
+        Section-4 sweep quarantines failing cells, so the refusal lands
+        on its failure list instead of a result."""
+        from repro.sim.parallel import detailed_matrix
+        from repro.sim.runner import evaluate_matrix
+
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        traces = {"toy": _trace("toy")}
+        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
+            evaluate_matrix([spec], traces, jobs=1)
+        result = detailed_matrix([spec], traces, jobs=1)
+        assert result[spec] == {}
+        (failure,) = result.failures
+        assert failure.error_type == "RuntimeError"
+        assert "REPRO_KERNEL=c" in failure.message
 
     def test_numpy_pin_degrades_cloop_schemes_to_scalar(self):
         spec = "trimode:dir=5,hist=3,choice=5"
@@ -535,19 +587,24 @@ class TestDispatch:
         assert event.severity == "info"
 
     def test_bimode_kernel_inherits_registry_pin(self, monkeypatch):
-        from repro.sim.batch_bimode import _kernel_mode
-
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert _kernel_mode() == "numpy"
-        # the scheme-specific pin wins over the registry-wide one
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "python")
-        assert _kernel_mode() == "python"
-        # scalar pin maps to auto here: the planner already routed
-        # scalar-pinned specs away from the bimode module
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert _kernel_mode() == "auto"
+        """Bi-mode follows REPRO_KERNEL like every cloop scheme: the
+        numpy pin runs its scalar reference (health-reported), the
+        compiled pin its fused family loop — bit-identical either way."""
+        spec = "bimode:dir=6,hist=6,choice=5"
+        kind, lane = kernels.kernel_for_spec(spec)
+        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
+        (event,) = health.events(component="bimode-kernel")
+        assert event.actual == "scalar"
+        assert event.severity == "degraded"
+        assert "no numpy kernel" in event.reason
+        assert rates == [_scalar_rate(spec, "toy")]
+        if _cstep.available():
+            health.clear()
+            assert kernels.family_rates(
+                kind, [spec], [lane], _trace("toy"), mode="c"
+            ) == rates
+            (event,) = health.events(component="bimode-kernel")
+            assert event.actual == "c"
 
     def test_registry_numpy_pin_is_end_to_end_identical(self, monkeypatch):
         """The whole ALL_SPECS grid lands on the same numbers under

@@ -1,11 +1,13 @@
-"""Equivalence suite for the lane-batched bi-mode kernel.
+"""Equivalence suite for the bi-mode kernel registry entry.
 
-Every execution strategy of :mod:`repro.sim.batch_bimode` (compiled,
-numpy-stepped with the saturated-choice fast path, pure-Python) must be
+The compiled loops of :mod:`repro.sim.batch_bimode` (the fused family
+pass for rates, the per-lane pair loop for predictions), reached
+through the kernel registry under each ``REPRO_KERNEL`` pin, must be
 bit-for-bit identical to the scalar :class:`repro.core.bimode.
 BiModePredictor` — same per-branch predictions, same integer miss
 counts — across ablation knobs, degenerate table sizes, and degenerate
-traces.
+traces.  Bi-mode has no numpy form, so the ``numpy`` pin runs the
+scalar reference through the same dispatch.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_predictor
-from repro.sim import _cstep
+from repro.sim import _cstep, kernels
 from repro.sim import batch_bimode as bb
 from repro.sim.engine import run
+from repro.sim.runner import evaluate_matrix
 from repro.traces.record import BranchTrace
 
 from .conftest import make_toy_trace, scalar_predictions as _scalar_predictions
@@ -36,113 +39,87 @@ DEGENERATE_SPECS = [
     "bimode:dir=0,hist=0,choice=3",  # 1-entry banks only
 ]
 
-STRATEGIES = ["c", "numpy", "python"]
+ENGINES = ["c", "numpy"]
 
 
-def _use(monkeypatch, strategy: str) -> None:
-    if strategy == "c" and not _cstep.available():
+def _use(monkeypatch, engine: str) -> None:
+    if engine == "c" and not _cstep.available():
         pytest.skip("no C compiler available")
-    monkeypatch.setenv("REPRO_BIMODE_KERNEL", strategy)
+    monkeypatch.setenv("REPRO_KERNEL", engine)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+def _lanes(specs):
+    lanes = [bb.bimode_lane_for_spec(s) for s in specs]
+    assert all(lane is not None for lane in lanes)
+    return lanes
+
+
+def _rates(specs, trace):
+    return kernels.family_rates("bimode", specs, _lanes(specs), trace)
+
+
+def _predictions(specs, trace):
+    return kernels.family_predictions("bimode", specs, _lanes(specs), trace)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 class TestBitExactness:
-    def test_rates_match_scalar_engine(self, monkeypatch, strategy, toy_trace):
-        _use(monkeypatch, strategy)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        assert all(lane is not None for lane in lanes)
-        rates = bb.bimode_lane_rates(lanes, toy_trace)
-        for spec, rate in zip(SPECS, rates):
+    def test_rates_match_scalar_engine(self, monkeypatch, engine, toy_trace):
+        _use(monkeypatch, engine)
+        for spec, rate in zip(SPECS, _rates(SPECS, toy_trace)):
             expected = run(make_predictor(spec), toy_trace).misprediction_rate
             assert rate == expected, spec
 
-    def test_predictions_match_scalar_predictor(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_predictions_match_scalar_predictor(self, monkeypatch, engine):
+        _use(monkeypatch, engine)
         trace = make_toy_trace(length=1500, seed=11, num_branches=40)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        got = bb.bimode_lane_predictions(lanes, trace)
-        for k, spec in enumerate(SPECS):
+        for spec, got in zip(SPECS, _predictions(SPECS, trace)):
             expected = _scalar_predictions(spec, trace)
-            diverging = np.flatnonzero(got[k] != expected)
+            diverging = np.flatnonzero(got != expected)
             assert diverging.size == 0, (
                 f"{spec}: first divergence at branch {diverging[:1]}"
             )
 
-    def test_degenerate_table_sizes(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_degenerate_table_sizes(self, monkeypatch, engine):
+        _use(monkeypatch, engine)
         trace = make_toy_trace(length=800, seed=3, num_branches=12)
-        lanes = [bb.bimode_lane_for_spec(s) for s in DEGENERATE_SPECS]
-        assert all(lane is not None for lane in lanes)
-        rates = bb.bimode_lane_rates(lanes, trace)
-        for spec, rate in zip(DEGENERATE_SPECS, rates):
+        for spec, rate in zip(DEGENERATE_SPECS, _rates(DEGENERATE_SPECS, trace)):
             assert rate == run(make_predictor(spec), trace).misprediction_rate
 
-    def test_empty_trace(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_empty_trace(self, monkeypatch, engine):
+        _use(monkeypatch, engine)
         empty = BranchTrace(
             pcs=np.empty(0, dtype=np.int64), outcomes=np.empty(0, dtype=bool)
         )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        assert bb.bimode_lane_rates(lanes, empty) == [0.0] * len(SPECS)
-        assert bb.bimode_lane_predictions(lanes, empty).shape == (len(SPECS), 0)
+        assert _rates(SPECS, empty) == [0.0] * len(SPECS)
+        assert all(len(preds) == 0 for preds in _predictions(SPECS, empty))
 
-    def test_single_branch_trace(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
+    def test_single_branch_trace(self, monkeypatch, engine):
+        _use(monkeypatch, engine)
         one = BranchTrace(
             pcs=np.array([24], dtype=np.int64), outcomes=np.array([True])
         )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        rates = bb.bimode_lane_rates(lanes, one)
-        for spec, rate in zip(SPECS, rates):
+        for spec, rate in zip(SPECS, _rates(SPECS, one)):
             assert rate == run(make_predictor(spec), one).misprediction_rate
         # power-on state predicts taken (taken bank starts weakly taken)
-        assert bb.bimode_lane_predictions(lanes, one).all()
+        assert all(preds.all() for preds in _predictions(SPECS, one))
 
-    def test_matrix_rates_across_traces(self, monkeypatch, strategy):
-        _use(monkeypatch, strategy)
-        traces = [
-            make_toy_trace(length=900, seed=5),
-            make_toy_trace(length=1300, seed=6, num_branches=48),
-            BranchTrace(
+    def test_matrix_rates_across_traces(self, monkeypatch, engine):
+        """A whole (spec, trace) matrix through ``evaluate_matrix``:
+        one family pass per trace, including an empty trace."""
+        _use(monkeypatch, engine)
+        traces = {
+            "a": make_toy_trace(length=900, seed=5),
+            "b": make_toy_trace(length=1300, seed=6, num_branches=48),
+            "empty": BranchTrace(
                 pcs=np.empty(0, dtype=np.int64), outcomes=np.empty(0, dtype=bool)
             ),
-        ]
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS[:3]]
-        cells = [(lane, trace) for trace in traces for lane in lanes]
-        rates = bb.bimode_matrix_rates(cells)
-        for (lane, trace), rate in zip(cells, rates):
-            if len(trace) == 0:
-                assert rate == 0.0
-            else:
-                expected = run(make_predictor(lane.spec), trace).misprediction_rate
-                assert rate == expected, lane.spec
-
-
-class TestFastPath:
-    def test_fast_path_fires_and_stays_exact(self, monkeypatch):
-        """A heavily biased trace saturates choice counters; most chunks
-        must take the counter-major replay and still match the scalar
-        engine exactly."""
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "numpy")
-        rng = np.random.default_rng(17)
-        n = 40_000
-        trace = BranchTrace(
-            pcs=rng.integers(0, 8, size=n).astype(np.int64) * 4,
-            outcomes=np.ones(n, dtype=bool),
-        )
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        bb.stats.reset()
-        rates = bb.bimode_lane_rates(lanes, trace)
-        assert bb.stats.fastpath_chunks > 0
-        for spec, rate in zip(SPECS, rates):
-            assert rate == run(make_predictor(spec), trace).misprediction_rate
-
-    def test_fast_path_skipped_on_mixed_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "numpy")
-        trace = make_toy_trace(length=6000, seed=2)
-        bb.stats.reset()
-        bb.bimode_lane_rates([bb.bimode_lane_for_spec(SPECS[0])], trace)
-        assert bb.stats.stepped_chunks > 0
+        }
+        matrix = evaluate_matrix(SPECS[:3], traces, jobs=1)
+        for spec in SPECS[:3]:
+            for name, trace in traces.items():
+                expected = run(make_predictor(spec), trace).misprediction_rate
+                assert matrix[spec][name] == expected, (spec, name)
 
 
 class TestLaneParsing:
@@ -179,28 +156,12 @@ class TestLaneParsing:
 
 class TestDispatch:
     def test_forced_c_without_compiler_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "c")
-        monkeypatch.setattr(bb._cstep, "available", lambda: False)
-        lane = bb.bimode_lane_for_spec(SPECS[0])
-        with pytest.raises(RuntimeError, match="REPRO_BIMODE_KERNEL"):
-            bb.bimode_lane_rates([lane], make_toy_trace(length=10))
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        monkeypatch.setattr(kernels._cstep, "available", lambda: False)
+        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
+            _rates(SPECS[:1], make_toy_trace(length=10))
 
     def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BIMODE_KERNEL", "turbo")
-        lane = bb.bimode_lane_for_spec(SPECS[0])
+        monkeypatch.setenv("REPRO_KERNEL", "turbo")
         with pytest.raises(ValueError, match="turbo"):
-            bb.bimode_lane_rates([lane], make_toy_trace(length=10))
-
-    def test_auto_uses_stepped_for_wide_batches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CC", "1")
-        monkeypatch.setattr(bb._cstep, "available", lambda: False)
-        monkeypatch.setenv("REPRO_BIMODE_STEP_MIN", "4")
-        monkeypatch.delenv("REPRO_BIMODE_KERNEL", raising=False)
-        trace = make_toy_trace(length=500, seed=1)
-        lanes = [bb.bimode_lane_for_spec(s) for s in SPECS]
-        bb.stats.reset()
-        bb.bimode_lane_rates(lanes, trace)
-        assert bb.stats.stepped_chunks > 0
-        bb.stats.reset()
-        bb.bimode_lane_rates(lanes[:2], trace)
-        assert bb.stats.python_pairs == 2
+            _rates(SPECS[:1], make_toy_trace(length=10))
