@@ -138,7 +138,16 @@ def pc_code_stream(pcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     pair depends only on the trace, so sweeps running many predictor
     configurations over one trace compute it once and pass it to
     :func:`analyze_substreams` for every cell.
+
+    The compiled driver codes 64-bit PCs with one first-seen hash pass
+    and sorts only the distinct PCs; ``np.unique`` is the bit-identical
+    fallback (other dtypes, ``REPRO_NO_CC=1`` or no compiler).
     """
+    from repro.sim import _cstep
+
+    pcs = np.asarray(pcs)
+    if pcs.dtype in (np.int64, np.uint64) and _cstep.available():
+        return _cstep.pc_codes(np.ascontiguousarray(pcs))
     unique_pcs, dense = np.unique(pcs, return_inverse=True)
     return unique_pcs, np.ascontiguousarray(dense, dtype=np.int32)
 
@@ -150,12 +159,13 @@ def analyze_substreams(
 ) -> SubstreamAnalysis:
     """Decompose a detailed simulation into classified substreams.
 
-    Substream grouping runs in O(n) — a two-pass stable counting sort
-    by (PC, counter) replaces the sort-based ``np.unique`` over
-    composite keys — and is asserted bit-identical to the reference
-    formulation (:mod:`repro.analysis.reference`) by the equivalence
-    suite.  ``pc_codes`` (from :func:`pc_code_stream`) skips the
-    per-trace PC dictionary pass when the caller sweeps one trace.
+    The compiled driver groups accesses in one sequential pass — a
+    first-seen hash table over (counter, pc) keys — and sorts only the
+    distinct substreams, not the accesses; the result is asserted
+    bit-identical to the sort-based ``np.unique`` reference
+    (:mod:`repro.analysis.reference`) by the equivalence suite.
+    ``pc_codes`` (from :func:`pc_code_stream`) skips the per-trace PC
+    dictionary pass when the caller sweeps one trace.
     """
     if detailed.pcs is None:
         raise ValueError("detailed simulation lacks per-access PCs")
@@ -185,36 +195,37 @@ def analyze_substreams(
             num_counters=num_counters,
         )
 
-    # Stable radix grouping by (counter, pc): sort by the minor key
-    # first, then stably by the major one.  Segment boundaries in the
-    # resulting order delimit the substreams in ascending (counter, pc)
-    # order — exactly the ordering np.unique over composite keys yields.
-    # The compiled driver fuses the grouping and the per-stream
-    # reduction into one pass; the numpy formulation below is the
-    # bit-identical fallback (REPRO_NO_CC=1 or no compiler).
-    cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
+    # Substreams are numbered in ascending (counter, pc) order — the
+    # ordering np.unique over composite keys yields.  The compiled
+    # driver assigns stream ids in first-seen order through a hash
+    # table, reducing the per-stream counts in the same pass, then sorts
+    # the distinct (counter, pc) keys and renumbers each access by its
+    # key's rank.  The numpy formulation below — a stable radix grouping
+    # by (counter, pc), minor key first, whose segment boundaries
+    # delimit the substreams — is the bit-identical fallback
+    # (REPRO_NO_CC=1 or no compiler).
     from repro.sim import _cstep
 
     if _cstep.available():
         (
             access_stream,
-            stream_counter32,
+            stream_counter,
             stream_pc_idx,
             stream_total,
             stream_taken,
             stream_mispredicted,
         ) = _cstep.substream_group(
-            cid32,
+            np.ascontiguousarray(counter_ids, dtype=np.int64),
             pc_dense,
-            np.ascontiguousarray(outcomes, dtype=np.uint8),
-            np.ascontiguousarray(mispredicted, dtype=np.uint8),
+            np.ascontiguousarray(outcomes, dtype=bool),
+            np.ascontiguousarray(mispredicted, dtype=bool),
             num_counters,
             num_pcs,
         )
-        stream_counter = stream_counter32.astype(np.int64)
         stream_pc = unique_pcs[stream_pc_idx]
         num_streams = len(stream_counter)
     else:
+        cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
         by_pc = stable_group_order(pc_dense, num_pcs)
         order = by_pc[stable_group_order(cid32[by_pc], num_counters)]
         sorted_counter = cid32[order]

@@ -50,11 +50,13 @@ __all__ = [
     "perceptron_lane",
     "biasfilter_lane",
     "substream_group",
+    "pc_codes",
     "class_changes",
 ]
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* One (configuration, trace) bi-mode pair.  Index streams are
  * precomputed by the caller (they depend only on resolved outcomes);
@@ -414,77 +416,170 @@ void biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
     }
 }
 
-/* Substream grouping + reduction for the Section-4 analysis: a stable
- * two-pass counting sort of accesses by (counter, pc) followed by one
- * walk that numbers the substreams in ascending (counter, pc) order —
- * the ordering np.unique over composite keys yields — and accumulates
- * each substream's total/taken/mispredicted counts.  `bucket` must
- * hold max(C, P) + 1 slots; `tmp` and `order` hold n; the stream_*
- * outputs are written in [0, n) worst case, actual length returned.
- * Returns the number of substreams. */
-int64_t substream_group(const int32_t *cid, const int32_t *pc,
-                        const uint8_t *taken, const uint8_t *miss,
-                        int64_t n, int32_t C, int32_t P,
-                        int32_t *bucket, int32_t *tmp, int32_t *order,
-                        int64_t *access_stream,
-                        int32_t *stream_counter, int32_t *stream_pc,
-                        int64_t *stream_total, int64_t *stream_taken,
-                        int64_t *stream_miss)
+/* First-seen hash table shared by the Section-4 grouping passes: an
+ * open-addressed, linearly probed table of `cap` slots (a power of two)
+ * holding ids, -1 marking an empty slot, so any 64-bit key is legal.
+ * keys[id * stride] is the key of id, so a key can lead a per-id
+ * record; ids count up from 0 in first-seen order.  The slots are
+ * private to the pass (fs_free releases them).  When the load reaches
+ * 1/2 the table doubles and the existing keys are reinserted — ids
+ * never change, so ids already handed out stay valid. */
+typedef struct {
+    int32_t *slot;
+    uint64_t *keys;
+    int64_t stride, cap, count;
+    int shift;
+} fs_table;
+
+static inline int64_t fs_home(const fs_table *h, uint64_t key)
 {
-    int64_t t, i;
-    /* pass 1: stable counting sort by pc (minor key) */
-    for (i = 0; i <= P; i++) bucket[i] = 0;
-    for (t = 0; t < n; t++) bucket[pc[t] + 1]++;
-    for (i = 0; i < P; i++) bucket[i + 1] += bucket[i];
-    for (t = 0; t < n; t++) tmp[bucket[pc[t]]++] = (int32_t)t;
-    /* pass 2: stable counting sort by counter (major key) */
-    for (i = 0; i <= C; i++) bucket[i] = 0;
-    for (t = 0; t < n; t++) bucket[cid[t] + 1]++;
-    for (i = 0; i < C; i++) bucket[i + 1] += bucket[i];
-    for (i = 0; i < n; i++) {
-        int32_t a = tmp[i];
-        order[bucket[cid[a]]++] = a;
+    return (int64_t)((key * 0x9E3779B97F4A7C15ULL) >> h->shift);
+}
+
+/* (Re)allocate `cap` empty slots and insert ids [0, count); -1 when
+ * out of memory. */
+static int fs_rebuild(fs_table *h, int64_t cap, int shift)
+{
+    free(h->slot);
+    h->slot = malloc(cap * sizeof(int32_t));
+    if (!h->slot) return -1;
+    h->cap = cap;
+    h->shift = shift;
+    for (int64_t i = 0; i < cap; i++) h->slot[i] = -1;
+    for (int64_t id = 0; id < h->count; id++) {
+        int64_t i = fs_home(h, h->keys[id * h->stride]);
+        while (h->slot[i] >= 0) i = (i + 1) & (cap - 1);
+        h->slot[i] = (int32_t)id;
     }
-    /* pass 3: number substreams and reduce */
-    int64_t s = -1;
-    int32_t prev_c = -1, prev_p = -1;
-    for (i = 0; i < n; i++) {
-        int32_t a = order[i];
-        int32_t c = cid[a], p = pc[a];
-        if (s < 0 || c != prev_c || p != prev_p) {
-            s++;
-            stream_counter[s] = c;
-            stream_pc[s] = p;
-            stream_total[s] = 0;
-            stream_taken[s] = 0;
-            stream_miss[s] = 0;
-            prev_c = c;
-            prev_p = p;
+    return 0;
+}
+
+static int fs_init(fs_table *h, uint64_t *keys, int64_t stride)
+{
+    h->slot = 0;
+    h->keys = keys;
+    h->stride = stride;
+    h->count = 0;
+    return fs_rebuild(h, 16, 60);
+}
+
+static void fs_free(fs_table *h)
+{
+    free(h->slot);
+    h->slot = 0;
+}
+
+/* Id of `key`, inserting it as the next id if unseen; -1 when out of
+ * memory. */
+static inline int64_t fs_id(fs_table *h, uint64_t key)
+{
+    int64_t i = fs_home(h, key);
+    for (;;) {
+        int32_t id = h->slot[i];
+        if (id < 0) break;
+        if (h->keys[id * h->stride] == key) return id;
+        i = (i + 1) & (h->cap - 1);
+    }
+    int64_t id = h->count++;
+    h->keys[id * h->stride] = key;
+    h->slot[i] = (int32_t)id;
+    if (2 * h->count >= h->cap && fs_rebuild(h, 2 * h->cap, h->shift - 1) < 0)
+        return -1;
+    return id;
+}
+
+/* One substream: its (counter, pc) key, then its counts. */
+typedef struct {
+    uint64_t key;
+    int64_t total, taken, miss;
+} stream_rec;
+
+/* Substream grouping + reduction for the Section-4 analysis: one
+ * sequential pass looks each access's (counter, pc) key
+ * `counter * P + pc` up in a first-seen hash table, accumulates the
+ * stream's total/taken/mispredicted counts and writes the stream id to
+ * prov[t].  A stream's key and counts share one 32-byte record, so an
+ * access touches one table slot and one record.  The caller sorts the
+ * keys and renumbers the ids in ascending (counter, pc) order.
+ * `streams` holds up to n records.  Returns the number of streams, -1
+ * for a counter or pc code out of range, -2 when out of memory. */
+int64_t substream_group(const int64_t *cid, const int32_t *pc,
+                        const uint8_t *taken, const uint8_t *miss,
+                        int64_t n, int64_t C, int32_t P, int32_t *prov,
+                        stream_rec *streams)
+{
+    fs_table h;
+    if (fs_init(&h, &streams->key, 4) < 0) return -2;
+    int64_t status = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t c = cid[t];
+        int32_t p = pc[t];
+        if ((uint64_t)c >= (uint64_t)C || (uint32_t)p >= (uint32_t)P) {
+            status = -1;
+            break;
         }
-        stream_total[s]++;
-        stream_taken[s] += taken[a];
-        stream_miss[s] += miss[a];
-        access_stream[a] = s;
+        int64_t before = h.count;
+        int64_t s = fs_id(&h, (uint64_t)c * (uint64_t)P + (uint32_t)p);
+        if (s < 0) {
+            status = -2;
+            break;
+        }
+        stream_rec *r = &streams[s];
+        if (s == before) r->total = r->taken = r->miss = 0;
+        r->total++;
+        r->taken += taken[t];
+        r->miss += miss[t];
+        prov[t] = (int32_t)s;
     }
-    return s + 1;
+    fs_free(&h);
+    return status < 0 ? status : h.count;
+}
+
+/* First-seen coding of a 64-bit PC stream: codes[t] is the id of
+ * pcs[t] in first-seen order, keys[id] its PC.  The caller sorts the
+ * few distinct PCs and renumbers the codes by rank.  `keys` holds up to
+ * n entries.  Returns the number of distinct PCs, -2 when out of
+ * memory. */
+int64_t pc_first_seen(const uint64_t *pcs, int64_t n, int32_t *codes,
+                      uint64_t *keys)
+{
+    fs_table h;
+    if (fs_init(&h, keys, 1) < 0) return -2;
+    int64_t status = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t id = fs_id(&h, pcs[t]);
+        if (id < 0) {
+            status = -2;
+            break;
+        }
+        codes[t] = (int32_t)id;
+    }
+    fs_free(&h);
+    return status < 0 ? status : h.count;
 }
 
 /* Table-4 interference counting in one pass: `last_role[c]` remembers
  * the dominance role of counter c's previous access (-1 = none yet);
  * a differing role counts one change against the *earlier* access's
- * role, matching the lexsort-based reference formulation exactly. */
-void class_changes(const int32_t *cid, const int64_t *access_stream,
-                   const int8_t *stream_role, int64_t n,
-                   int8_t *last_role, int64_t *counts)
+ * role, matching the lexsort-based reference formulation exactly.
+ * Returns 0, or -1 for a counter id outside [0, C) or a stream id
+ * outside [0, S). */
+int class_changes(const int32_t *cid, const int64_t *access_stream,
+                  const int8_t *stream_role, int64_t n, int32_t C,
+                  int64_t S, int8_t *last_role, int64_t *counts)
 {
     for (int64_t t = 0; t < n; t++) {
         int32_t c = cid[t];
-        int8_t r = stream_role[access_stream[t]];
+        int64_t s = access_stream[t];
+        if ((uint32_t)c >= (uint32_t)C || (uint64_t)s >= (uint64_t)S)
+            return -1;
+        int8_t r = stream_role[s];
         int8_t lr = last_role[c];
         if (lr >= 0 && lr != r)
             counts[lr]++;
         last_role[c] = r;
     }
+    return 0;
 }
 """
 
@@ -681,16 +776,36 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # predictions out
         ]
         lib.biasfilter_lane.restype = None
-        lib.substream_group.argtypes = [ctypes.c_void_p] * 4 + [
-            ctypes.c_int64,
-            ctypes.c_int32,
-            ctypes.c_int32,
-        ] + [ctypes.c_void_p] * 9
+        lib.substream_group.argtypes = [
+            ctypes.c_void_p,  # counter ids
+            ctypes.c_void_p,  # pc codes
+            ctypes.c_void_p,  # outcomes
+            ctypes.c_void_p,  # mispredicted
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # num_counters
+            ctypes.c_int32,  # num_pcs
+            ctypes.c_void_p,  # first-seen stream id per access out
+            ctypes.c_void_p,  # stream records out
+        ]
         lib.substream_group.restype = ctypes.c_int64
-        lib.class_changes.argtypes = [ctypes.c_void_p] * 3 + [
-            ctypes.c_int64
-        ] + [ctypes.c_void_p] * 2
-        lib.class_changes.restype = None
+        lib.pc_first_seen.argtypes = [
+            ctypes.c_void_p,  # pcs
+            ctypes.c_int64,  # n
+            ctypes.c_void_p,  # first-seen pc id per access out
+            ctypes.c_void_p,  # distinct pcs out
+        ]
+        lib.pc_first_seen.restype = ctypes.c_int64
+        lib.class_changes.argtypes = [
+            ctypes.c_void_p,  # counter ids
+            ctypes.c_void_p,  # access stream
+            ctypes.c_void_p,  # stream roles
+            ctypes.c_int64,  # n
+            ctypes.c_int32,  # num_counters
+            ctypes.c_int64,  # num_streams
+            ctypes.c_void_p,  # last role per counter
+            ctypes.c_void_p,  # change counts out
+        ]
+        lib.class_changes.restype = ctypes.c_int
         _lib = lib
     except OSError as exc:
         _failure = f"shared object failed to load: {exc}"
@@ -1184,6 +1299,44 @@ def biasfilter_lane(
     return preds
 
 
+def _require(arrays, n: Optional[int] = None) -> None:
+    """Check the ``(array, dtype)`` pairs a C loop is about to read.
+
+    Each array must have exactly its dtype and be C-contiguous, and,
+    when ``n`` is given, hold ``n`` entries.  Raises ``ValueError`` —
+    unlike ``assert``, the check survives ``python -O``.
+    """
+    for arr, dtype in arrays:
+        if arr.dtype != dtype or not arr.flags["C_CONTIGUOUS"]:
+            raise ValueError(
+                f"expected a C-contiguous {np.dtype(dtype)} array, "
+                f"got {arr.dtype} (contiguous={arr.flags['C_CONTIGUOUS']})"
+            )
+        if n is not None and len(arr) != n:
+            raise ValueError(f"array lengths differ: {len(arr)} != {n}")
+
+
+def _require_ids(n: int) -> None:
+    """First-seen ids are int32: at most ``2**31 - 1`` accesses."""
+    if n >= np.iinfo(np.int32).max:
+        raise ValueError(f"{n} accesses exceed the int32 id range")
+
+
+def _ranks(keys: np.ndarray, dtype) -> tuple:
+    """``(order, rank)`` of distinct ``keys``: ``keys[order]`` ascends
+    and ``rank[order]`` counts up from 0 in ``dtype``."""
+    order = np.argsort(keys)
+    rank = np.empty(len(keys), dtype=dtype)
+    rank[order] = np.arange(len(keys), dtype=dtype)
+    return order, rank
+
+
+#: One ``stream_rec`` of the C substream pass.
+_STREAM_RECORD = np.dtype(
+    [("key", np.uint64), ("total", np.int64), ("taken", np.int64), ("miss", np.int64)]
+)
+
+
 def substream_group(
     counter_ids: np.ndarray,
     pc_dense: np.ndarray,
@@ -1194,60 +1347,93 @@ def substream_group(
 ):
     """Group accesses into (counter, pc) substreams through the C loop.
 
-    ``counter_ids``/``pc_dense`` are int32, ``taken``/``mispredicted``
-    uint8, all C-contiguous.  Returns ``(access_stream, stream_counter,
-    stream_pc_idx, stream_total, stream_taken, stream_mispredicted)``
-    with the substreams numbered in ascending (counter, pc) order; the
-    stream arrays are trimmed to the substream count.  Call only when
-    :func:`available`.
+    ``counter_ids`` is int64, ``pc_dense`` int32 and ``taken`` /
+    ``mispredicted`` bool, all C-contiguous and of equal length.  Returns
+    ``(access_stream, stream_counter, stream_pc_idx, stream_total,
+    stream_taken, stream_mispredicted)`` with the substreams numbered in
+    ascending (counter, pc) order.  A counter id outside
+    ``[0, num_counters)`` or a pc code outside ``[0, num_pcs)`` raises
+    ``ValueError``.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled substream driver is not available")
     n = len(counter_ids)
-    for arr, dtype in (
-        (counter_ids, np.int32),
-        (pc_dense, np.int32),
-        (taken, np.uint8),
-        (mispredicted, np.uint8),
-    ):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
-    bucket = np.empty(max(num_counters, num_pcs) + 1, dtype=np.int32)
-    tmp = np.empty(n, dtype=np.int32)
-    order = np.empty(n, dtype=np.int32)
-    access_stream = np.empty(n, dtype=np.int64)
-    stream_counter = np.empty(n, dtype=np.int32)
-    stream_pc = np.empty(n, dtype=np.int32)
-    stream_total = np.empty(n, dtype=np.int64)
-    stream_taken = np.empty(n, dtype=np.int64)
-    stream_miss = np.empty(n, dtype=np.int64)
+    _require(
+        (
+            (counter_ids, np.int64),
+            (pc_dense, np.int32),
+            (taken, np.bool_),
+            (mispredicted, np.bool_),
+        ),
+        n,
+    )
+    _require_ids(n)
+    prov = np.empty(n, dtype=np.int32)
+    # worst case one stream per access; pages past the stream count are
+    # never touched
+    streams = np.empty(n, dtype=_STREAM_RECORD)
     num_streams = lib.substream_group(
         _ptr(counter_ids),
         _ptr(pc_dense),
         _ptr(taken),
         _ptr(mispredicted),
         ctypes.c_int64(n),
-        ctypes.c_int32(num_counters),
+        ctypes.c_int64(num_counters),
         ctypes.c_int32(num_pcs),
-        _ptr(bucket),
-        _ptr(tmp),
-        _ptr(order),
-        _ptr(access_stream),
-        _ptr(stream_counter),
-        _ptr(stream_pc),
-        _ptr(stream_total),
-        _ptr(stream_taken),
-        _ptr(stream_miss),
+        _ptr(prov),
+        _ptr(streams),
     )
-    s = int(num_streams)
+    if num_streams == -1:
+        raise ValueError(
+            f"counter id outside [0, {num_counters}) or pc code outside "
+            f"[0, {num_pcs})"
+        )
+    if num_streams < 0:  # pragma: no cover - malloc failure
+        raise MemoryError("substream hash table")
+    # number the streams in ascending key order: the (counter, pc)
+    # order np.unique over composite keys yields
+    streams = streams[: int(num_streams)]
+    order, rank = _ranks(streams["key"], np.int64)
+    keys = streams["key"][order].astype(np.int64)
     return (
-        access_stream,
-        stream_counter[:s].copy(),
-        stream_pc[:s].copy(),
-        stream_total[:s].copy(),
-        stream_taken[:s].copy(),
-        stream_miss[:s].copy(),
+        rank[prov],
+        keys // num_pcs,
+        keys % num_pcs,
+        streams["total"][order],
+        streams["taken"][order],
+        streams["miss"][order],
     )
+
+
+def pc_codes(pcs: np.ndarray):
+    """``(unique_pcs, dense_codes)`` of a 64-bit PC stream through the C loop.
+
+    ``pcs`` is a C-contiguous int64 or uint64 array.  One first-seen
+    hash pass finds the distinct PCs; sorting them in ``pcs``'s own
+    dtype and renumbering each access by its PC's rank gives exactly
+    ``np.unique(pcs, return_inverse=True)``, with int32 codes.  Call
+    only when :func:`available`.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers gate on available()
+        raise RuntimeError("compiled pc coder is not available")
+    if pcs.dtype not in (np.int64, np.uint64):
+        raise ValueError(f"expected int64 or uint64 pcs, got {pcs.dtype}")
+    _require(((pcs, pcs.dtype),))
+    n = len(pcs)
+    _require_ids(n)
+    codes = np.empty(n, dtype=np.int32)
+    # worst case every PC distinct; pages past the count are never touched
+    keys = np.empty(n, dtype=pcs.dtype)
+    num_pcs = lib.pc_first_seen(_ptr(pcs), ctypes.c_int64(n), _ptr(codes), _ptr(keys))
+    if num_pcs < 0:  # pragma: no cover - malloc failure
+        raise MemoryError("pc hash table")
+    distinct = keys[: int(num_pcs)]
+    order, rank = _ranks(distinct, np.int32)
+    # in place: take() buffers its output under the default mode="raise"
+    np.take(rank, codes, out=codes)
+    return distinct[order], codes
 
 
 def class_changes(
@@ -1258,29 +1444,33 @@ def class_changes(
 ) -> np.ndarray:
     """Count Table-4 role changes through the compiled single pass.
 
-    ``counter_ids`` int32, ``access_stream`` int64, ``stream_role``
-    int8, all C-contiguous.  Returns the int64 ``[dominant,
-    non_dominant, wb]`` change counts.  Call only when
-    :func:`available`.
+    ``counter_ids`` int32, ``access_stream`` int64 (both of one length)
+    and ``stream_role`` int8, all C-contiguous.  Returns the int64
+    ``[dominant, non_dominant, wb]`` change counts.  A counter id
+    outside ``[0, num_counters)`` or a stream id outside the role table
+    raises ``ValueError``.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled class-change driver is not available")
     n = len(counter_ids)
-    for arr, dtype in (
-        (counter_ids, np.int32),
-        (access_stream, np.int64),
-        (stream_role, np.int8),
-    ):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((counter_ids, np.int32), (access_stream, np.int64)), n)
+    _require(((stream_role, np.int8),))
     last_role = np.full(num_counters, -1, dtype=np.int8)
     counts = np.zeros(3, dtype=np.int64)
-    lib.class_changes(
+    status = lib.class_changes(
         _ptr(counter_ids),
         _ptr(access_stream),
         _ptr(stream_role),
         ctypes.c_int64(n),
+        ctypes.c_int32(num_counters),
+        ctypes.c_int64(len(stream_role)),
         _ptr(last_role),
         _ptr(counts),
     )
+    if status != 0:
+        raise ValueError(
+            f"counter id outside [0, {num_counters}) or stream id outside "
+            f"[0, {len(stream_role)})"
+        )
     return counts

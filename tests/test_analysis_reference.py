@@ -1,18 +1,31 @@
 """Equivalence suite for the optimized Section-4 analysis pipeline.
 
-The fast path (compiled grouping drivers + counting sorts, see
-``repro.core.grouping`` and ``repro.sim._cstep``) must produce
-bit-identical summaries to the naive sort-based reference
-implementations preserved in :mod:`repro.analysis.reference` — on every
-predictor family with a detailed path, through both the compiled and the
-pure-numpy fallback formulations, and on the degenerate inputs the
-counting sorts are most likely to get wrong.
+The compiled drivers (``repro.sim._cstep``) group accesses into
+substreams with one first-seen hash pass and sort only the distinct
+(counter, pc) keys; the pure-numpy fallback groups them with stable
+counting sorts (``repro.core.grouping``).  Both must produce
+bit-identical results to the naive sort-based reference implementations
+preserved in :mod:`repro.analysis.reference` — on every predictor family
+with a detailed path, and on the inputs the hash grouping is most likely
+to get wrong: tables that grow mid-trace, keys wider than 32 bits,
+streams first seen in descending order, single accesses and PCs at the
+ends of the 64-bit range.  The drivers' preconditions raise
+``ValueError`` instead of reading or writing out of bounds.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.bias import SNT, ST, WB, analyze_substreams, counter_bias_table
+from repro.analysis.bias import (
+    SNT,
+    ST,
+    WB,
+    analyze_substreams,
+    counter_bias_table,
+    pc_code_stream,
+)
 from repro.analysis.breakdown import misprediction_breakdown
 from repro.analysis.reference import (
     analyze_substreams_reference,
@@ -167,3 +180,202 @@ class TestAnalysisEdgeCases:
         self.test_single_counter_table()
         self.test_all_wb_stream()
         self.test_exact_boundary_rates()
+
+
+def assert_all_paths_agree(detailed, monkeypatch):
+    """Compiled, numpy-fallback and reference analyses are identical,
+    and so are their Table-4 counts; returns the compiled analysis."""
+    compiled = analyze_substreams(detailed)
+    reference = analyze_substreams_reference(detailed)
+    assert_analysis_equal(compiled, reference)
+    for a, b in zip(vars(compiled).values(), vars(reference).values()):
+        assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
+    changes = count_class_changes(detailed, compiled)
+    assert changes == count_class_changes_reference(detailed, reference)
+    with monkeypatch.context() as m:
+        m.setattr(_cstep, "available", lambda: False)
+        fallback = analyze_substreams(detailed)
+        assert_analysis_equal(fallback, reference)
+        assert count_class_changes(detailed, fallback) == changes
+    return compiled
+
+
+def random_detailed(rng, n, pcs, num_counters):
+    """``n`` random accesses over the given distinct PCs and counters."""
+    return detailed_from(
+        pcs=rng.choice(pcs, n),
+        counter_ids=rng.integers(0, num_counters, n),
+        outcomes=rng.random(n) < 0.7,
+        mispredicted=rng.random(n) < 0.2,
+        num_counters=num_counters,
+    )
+
+
+class TestHashGroupingEdgeCases:
+    def test_table_grows_mid_trace(self, monkeypatch):
+        # >= 100K distinct streams: the first-seen table doubles from
+        # its initial 16 slots many times while ids are being handed out
+        rng = np.random.default_rng(1)
+        detailed = random_detailed(rng, 300_000, np.arange(2000) * 4, 4096)
+        analysis = assert_all_paths_agree(detailed, monkeypatch)
+        assert analysis.num_streams >= 100_000
+
+    def test_keys_wider_than_32_bits(self, monkeypatch):
+        # counter * num_pcs + pc_code needs more than 32 bits
+        rng = np.random.default_rng(2)
+        num_counters = 2**20
+        detailed = random_detailed(rng, 50_000, np.arange(5000) * 8, num_counters)
+        detailed.counter_ids[-1] = num_counters - 1
+        analysis = assert_all_paths_agree(detailed, monkeypatch)
+        assert len(np.unique(detailed.pcs)) > 4096
+        assert (num_counters - 1) * len(np.unique(detailed.pcs)) >= 2**32
+        assert analysis.stream_counter[-1] == num_counters - 1
+
+    def test_streams_first_seen_in_descending_order(self, monkeypatch):
+        # first-seen ids run opposite to the (counter, pc) order, so
+        # every access is renumbered through the rank table
+        pairs = [(c, p) for c in range(7, -1, -1) for p in range(5, -1, -1)]
+        rng = np.random.default_rng(3)
+        tail = rng.integers(0, len(pairs), 400)
+        order = list(range(len(pairs))) + tail.tolist()
+        detailed = detailed_from(
+            pcs=[0x400 + 4 * pairs[i][1] for i in order],
+            counter_ids=[pairs[i][0] for i in order],
+            outcomes=rng.random(len(order)) < 0.5,
+            mispredicted=rng.random(len(order)) < 0.3,
+            num_counters=8,
+        )
+        analysis = assert_all_paths_agree(detailed, monkeypatch)
+        assert analysis.num_streams == len(pairs)
+        assert analysis.access_stream[0] == len(pairs) - 1
+        assert analysis.access_stream[len(pairs) - 1] == 0
+
+    def test_single_access(self, monkeypatch):
+        detailed = detailed_from(
+            pcs=[0x1234], counter_ids=[5], outcomes=[True], num_counters=9
+        )
+        analysis = assert_all_paths_agree(detailed, monkeypatch)
+        assert analysis.num_streams == 1
+        assert analysis.access_stream.tolist() == [0]
+
+    def test_pcs_across_the_64_bit_range(self, monkeypatch):
+        top = 2**64 - 1
+        pcs = np.array(
+            [top, 2**32, 0, top, 2**63, 2**32 + 4, 7, 0, 2**63 - 1, top],
+            dtype=np.uint64,
+        )
+        for compiled in (True, False):
+            with monkeypatch.context() as m:
+                if not compiled:
+                    m.setattr(_cstep, "available", lambda: False)
+                for arr in (pcs, pcs.view(np.int64)):
+                    unique_pcs, dense = pc_code_stream(arr)
+                    want_unique, want_dense = np.unique(arr, return_inverse=True)
+                    assert unique_pcs.dtype == arr.dtype
+                    assert np.array_equal(unique_pcs, want_unique)
+                    assert dense.dtype == np.int32
+                    assert np.array_equal(dense, want_dense)
+        # through the analysis (DetailedSimulation stores PCs as int64)
+        detailed = detailed_from(
+            pcs=pcs.view(np.int64),
+            counter_ids=[0, 1, 1, 0, 2, 2, 0, 1, 2, 0],
+            outcomes=[True, False] * 5,
+            num_counters=3,
+        )
+        assert_all_paths_agree(detailed, monkeypatch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from([0, 4, 8, 0x4000, 2**40, 2**63 - 1]),
+                st.integers(0, 5),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        spare_counters=st.integers(0, 3),
+    )
+    def test_random_streams_agree(self, data, spare_counters):
+        pcs, counters, outcomes, missed = (list(col) for col in zip(*data))
+        detailed = detailed_from(
+            pcs=pcs,
+            counter_ids=counters,
+            outcomes=outcomes,
+            mispredicted=missed,
+            num_counters=max(counters) + 1 + spare_counters,
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert_all_paths_agree(detailed, monkeypatch)
+
+
+needs_cc = pytest.mark.skipif(
+    not _cstep.available(), reason="compiled driver unavailable"
+)
+
+
+@needs_cc
+class TestDriverPreconditions:
+    """Bad inputs raise ValueError instead of reaching the C loops."""
+
+    def group_args(self, n=6):
+        return (
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int32),
+            np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+        )
+
+    def test_substream_group_rejects_out_of_range_counter(self):
+        cid, pc, taken, miss = self.group_args()
+        for bad in (4, -1, 2**40):
+            cid[3] = bad
+            with pytest.raises(ValueError, match="counter id"):
+                _cstep.substream_group(cid, pc, taken, miss, 4, 1)
+
+    def test_substream_group_rejects_out_of_range_pc_code(self):
+        cid, pc, taken, miss = self.group_args()
+        pc[2] = 1
+        with pytest.raises(ValueError, match="pc code"):
+            _cstep.substream_group(cid, pc, taken, miss, 4, 1)
+
+    def test_class_changes_rejects_out_of_range_counter(self):
+        cid = np.array([0, 1, 4, 1], dtype=np.int32)
+        access = np.zeros(4, dtype=np.int64)
+        roles = np.zeros(1, dtype=np.int8)
+        with pytest.raises(ValueError, match="counter id"):
+            _cstep.class_changes(cid, access, roles, 4)
+        cid[2] = -1
+        with pytest.raises(ValueError, match="counter id"):
+            _cstep.class_changes(cid, access, roles, 4)
+
+    def test_class_changes_rejects_out_of_range_stream(self):
+        cid = np.zeros(4, dtype=np.int32)
+        access = np.array([0, 1, 0, 0], dtype=np.int64)
+        with pytest.raises(ValueError, match="stream id"):
+            _cstep.class_changes(cid, access, np.zeros(1, dtype=np.int8), 1)
+
+    def test_wrong_dtype_or_layout_raises(self):
+        cid, pc, taken, miss = self.group_args()
+        with pytest.raises(ValueError, match="int64"):
+            _cstep.substream_group(cid.astype(np.int32), pc, taken, miss, 4, 1)
+        with pytest.raises(ValueError, match="contiguous"):
+            _cstep.substream_group(
+                np.zeros(12, dtype=np.int64)[::2], pc, taken, miss, 4, 1
+            )
+        with pytest.raises(ValueError, match="int64 or uint64"):
+            _cstep.pc_codes(np.zeros(4, dtype=np.int32))
+
+    def test_unequal_lengths_raise(self):
+        cid, pc, taken, miss = self.group_args()
+        with pytest.raises(ValueError, match="lengths differ"):
+            _cstep.substream_group(cid, pc[:-1], taken, miss, 4, 1)
+        with pytest.raises(ValueError, match="lengths differ"):
+            _cstep.class_changes(
+                np.zeros(3, dtype=np.int32),
+                np.zeros(4, dtype=np.int64),
+                np.zeros(1, dtype=np.int8),
+                1,
+            )

@@ -50,11 +50,26 @@ def daemon_env(cache, **extra):
 
 
 def start_daemon(sock, env, log_path):
+    """Start a daemon leading its own process group, which its pool
+    workers inherit (see :func:`kill_group`)."""
     log = open(log_path, "w")
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", str(sock)],
-        env=env, stdout=log, stderr=subprocess.STDOUT,
+        env=env, stdout=log, stderr=subprocess.STDOUT, start_new_session=True,
     )
+
+
+def kill_group(proc):
+    """SIGKILL the daemon's whole process group.
+
+    Pool workers outlive a SIGKILLed daemon; killing only the daemon
+    would leave them idle after the test.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the daemon and every worker already exited
+    proc.wait(timeout=30)
 
 
 def wait_up(client, proc, log_path, timeout=60):
@@ -174,9 +189,8 @@ class TestKillNineDrill:
             os.kill(daemon1.pid, signal.SIGKILL)
             daemon1.wait(timeout=30)
         finally:
-            if daemon1.poll() is None:
-                daemon1.kill()
-        time.sleep(1.5)  # let orphaned pool workers wind down
+            kill_group(daemon1)
+        time.sleep(1.5)  # let the killed pool workers exit
 
         union = union_cells()
         recovered = recovered_cells(cache, union)
@@ -208,8 +222,7 @@ class TestKillNineDrill:
             daemon2.wait(timeout=60)
             assert daemon2.returncode == 0
         finally:
-            if daemon2.poll() is None:
-                daemon2.kill()
+            kill_group(daemon2)
 
 
 class TestSigtermDrain:
@@ -237,8 +250,7 @@ class TestSigtermDrain:
             daemon1.wait(timeout=120)
             assert daemon1.returncode == 0
         finally:
-            if daemon1.poll() is None:
-                daemon1.kill()
+            kill_group(daemon1)
         assert not sock.exists()  # graceful exit removed the socket
 
         manifest = json.loads(
@@ -255,5 +267,4 @@ class TestSigtermDrain:
             client.drain()
             daemon2.wait(timeout=60)
         finally:
-            if daemon2.poll() is None:
-                daemon2.kill()
+            kill_group(daemon2)
