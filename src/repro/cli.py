@@ -13,9 +13,6 @@ experiments from the terminal::
     repro-bimode table4 gcc                # Table 4 interference counts
     repro-bimode compare gcc gshare:index=12 bimode:dir=11
     repro-bimode aliasing gshare:index=10,hist=10 gcc
-    repro-bimode serve                     # always-on sweep daemon
-    repro-bimode submit gshare:index=12 --suite cint95
-    repro-bimode status                    # the daemon's job table
     repro-bimode journal compact           # rewrite journals in place
 
 Each command prints ASCII tables/charts and optionally writes CSV via
@@ -136,59 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     al = sub.add_parser("aliasing", help="harmless vs destructive aliasing statistics")
     al.add_argument("spec", help="predictor spec (must support detailed simulation)")
     al.add_argument("benchmark")
-
-    serve_p = sub.add_parser(
-        "serve", help="run the always-on sweep daemon (crash-safe, multi-tenant)"
-    )
-    serve_p.add_argument(
-        "--socket",
-        default=None,
-        help="listen address: a unix-socket path (default: <cache>/service/"
-        "serve.sock) or tcp:host:port",
-    )
-    serve_p.add_argument(
-        "--queue-max",
-        type=int,
-        default=None,
-        help="admission-control ceiling in pending cells "
-        "(default: $REPRO_SERVICE_QUEUE_MAX)",
-    )
-    serve_p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="default per-job timeout in seconds "
-        "(default: $REPRO_SERVICE_TIMEOUT, none if unset)",
-    )
-
-    submit_p = sub.add_parser("submit", help="submit a sweep job to the daemon")
-    submit_p.add_argument("specs", nargs="+", help="predictor specs of the grid")
-    submit_p.add_argument(
-        "--benchmarks",
-        default=None,
-        help="comma-separated benchmark names (default: the --suite)",
-    )
-    submit_p.add_argument("--suite", choices=("cint95", "ibs"), default="cint95")
-    submit_p.add_argument(
-        "--kind", choices=("rates", "detailed"), default="rates",
-        help="Section-2 rates or Section-4 detailed summaries",
-    )
-    submit_p.add_argument("--priority", type=int, default=0)
-    submit_p.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout in seconds"
-    )
-    submit_p.add_argument(
-        "--no-wait", action="store_true",
-        help="print the job id and return instead of streaming progress",
-    )
-    submit_p.add_argument("--socket", default=None, help="daemon address")
-    submit_p.add_argument(
-        "--client", default=None, help="client identity for fair queuing"
-    )
-
-    status_p = sub.add_parser("status", help="list the daemon's jobs")
-    status_p.add_argument("job_id", nargs="?", default=None)
-    status_p.add_argument("--socket", default=None, help="daemon address")
 
     journal_p = sub.add_parser("journal", help="sweep-journal maintenance")
     journal_sub = journal_p.add_subparsers(dest="journal_command", required=True)
@@ -524,105 +468,33 @@ def _cmd_aliasing(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.service import serve
+def _journal_for(path):
+    """The journal of ``path`` as the class whose value key its lines
+    carry: figure sweeps write rate journals and the Section-4 benches
+    payload journals into the same directory."""
+    import json
 
-    return serve(
-        address=args.socket,
-        jobs=args.jobs,
-        queue_max=args.queue_max,
-        default_timeout=args.timeout,
-    )
+    from repro.sim.journal import PayloadJournal, SweepJournal
 
-
-def _cmd_submit(args) -> int:
-    from repro.service import ServiceClient
-
-    if args.benchmarks:
-        benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-    else:
-        benchmarks = list(suite_names(args.suite))
-    if args.length is not None:
-        benchmarks = [
-            {"name": name, "length": args.length, "seed": args.seed}
-            for name in benchmarks
-        ]
-    client = ServiceClient(address=args.socket, client_id=args.client)
-    job_id = client.submit(
-        args.specs,
-        benchmarks,
-        kind=args.kind,
-        priority=args.priority,
-        seed=args.seed,
-        timeout=args.timeout,
-    )
-    print(f"job {job_id} submitted")
-    if args.no_wait:
-        return 0
-
-    def _on_event(event: dict) -> None:
-        if event.get("event") == "progress":
-            print(
-                f"  [{event['completed']}/{event['total']}] {event.get('tkey', '')}",
-                flush=True,
-            )
-        elif event.get("event") == "health":
-            print(
-                f"  [health/{event['severity']}] {event['component']}: "
-                f"{event['expected']} -> {event['actual']} ({event['reason']})",
-                flush=True,
-            )
-
-    job = client.wait(job_id, on_event=_on_event)
-    print(f"job {job_id}: {job['state']}"
-          + (f" ({job['error']})" if job.get("error") else ""))
-    if job.get("results") and args.kind == "rates":
-        benches = sorted({b for rates in job["results"].values() for b in rates})
-        rows = [
-            [spec] + [format_rate(job["results"][spec].get(b, float("nan")))
-                      for b in benches]
-            for spec in job["results"]
-        ]
-        print(ascii_table(["spec"] + benches, rows, title=f"job {job_id}"))
-        if args.csv:
-            csv_rows = [
-                [spec, bench, rate]
-                for spec, rates in job["results"].items()
-                for bench, rate in rates.items()
-            ]
-            write_csv(args.csv, ["spec", "benchmark", "rate"], csv_rows)
-    return 0 if job["state"] == "done" else 1
-
-
-def _cmd_status(args) -> int:
-    from repro.service import ServiceClient
-
-    jobs = ServiceClient(address=args.socket).status(args.job_id)
-    if not jobs:
-        print("no jobs" if args.job_id is None else f"unknown job {args.job_id}")
-        return 0 if args.job_id is None else 1
-    rows = [
-        [
-            job["job_id"],
-            job["client"],
-            job["kind"],
-            job["state"],
-            f"{job['completed_cells']}/{job['total_cells']}",
-            job.get("error", ""),
-        ]
-        for job in jobs
-    ]
-    print(ascii_table(
-        ["job", "client", "kind", "state", "cells", "error"], rows,
-        title="sweep service jobs",
-    ))
-    return 0
+    try:
+        lines = path.read_text().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(entry, dict):
+            for cls in (SweepJournal, PayloadJournal):
+                if cls.VALUE_KEY in entry:
+                    return cls(path)
+    return SweepJournal(path)
 
 
 def _cmd_journal(args) -> int:
     from pathlib import Path
 
-    from repro.sim.journal import SweepJournal
     from repro.workloads.suite import default_cache_dir
 
     root = Path(args.root) if args.root else default_cache_dir() / "journal"
@@ -638,7 +510,7 @@ def _cmd_journal(args) -> int:
         if not path.exists():
             print(f"{path.name}: missing")
             continue
-        journal = SweepJournal(path)
+        journal = _journal_for(path)
         before = path.stat().st_size
         removed = journal.compact()
         after = path.stat().st_size
@@ -660,9 +532,6 @@ _COMMANDS = {
     "table4": _cmd_table4,
     "compare": _cmd_compare,
     "aliasing": _cmd_aliasing,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
-    "status": _cmd_status,
     "journal": _cmd_journal,
 }
 

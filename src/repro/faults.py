@@ -19,10 +19,7 @@ Directive grammar (``$REPRO_FAULTS``, semicolon-separated)::
 Sites are the names production code passes to :func:`fault_point`
 (``worker`` at worker-task entry, ``evaluate`` where rate cells are
 actually simulated, ``detailed`` before each Section-4 analysis cell,
-``materialize`` in the trace store's lock-winning generation path, and
-the sweep service's lifecycle: ``service.accept`` as a request is
-parsed, ``service.dispatch`` as the scheduler hands a task to the
-pool, ``service.persist`` on every job-manifest write).
+and ``materialize`` in the trace store's lock-winning generation path).
 Actions:
 
 * ``raise``  — raise :class:`FaultInjected`;

@@ -26,8 +26,9 @@ Two consumers beyond the end-of-sweep summary:
   event to stderr as it is recorded (machine-readable monitoring; the
   coalesced human summary stays the default);
 * in-process listeners (:func:`add_listener`) receive every event as
-  it is recorded — the sweep service uses this to stream degradations
-  to its clients.  Listeners are called outside the module lock and
+  it is recorded — the benchmark's tracer (``perfbench/tracing.py``)
+  uses this to tag each timing span with the engine that ran in it.
+  Listeners are called outside the module lock and
   must never raise (exceptions are swallowed); re-recording events
   from inside a listener would deadlock nothing but is still a bad
   idea.

@@ -859,19 +859,11 @@ def bimode_pair(
         raise RuntimeError("compiled bi-mode driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    arrays = [
-        (ci, np.int32),
-        (di, np.int32),
-        (outcomes, np.uint8),
-        (nt_bank, np.int8),
-        (tk_bank, np.int8),
-        (choice, np.int8),
-    ]
+    streams = [(ci, np.int32), (di, np.int32), (outcomes, np.uint8)]
     if banks is not None:
-        assert len(banks) == n
-        arrays.append((banks, np.uint8))
-    for arr, dtype in arrays:
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+        streams.append((banks, np.uint8))
+    _require(streams, n)
+    _require(((nt_bank, np.int8), (tk_bank, np.int8), (choice, np.int8)))
     lib.bimode_pair(
         _ptr(ci),
         _ptr(di),
@@ -902,8 +894,8 @@ def gshare_detailed(
         raise RuntimeError("compiled gshare driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    for arr, dtype in ((keys, np.int32), (outcomes, np.uint8), (table, np.int8)):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((keys, np.int32), (outcomes, np.uint8)), n)
+    _require(((table, np.int8),))
     lib.gshare_detailed(
         _ptr(keys), _ptr(outcomes), ctypes.c_int64(n), _ptr(table), _ptr(preds)
     )
@@ -930,15 +922,10 @@ def gshare_fused(
         raise RuntimeError("compiled fused gshare driver is not available")
     num_lanes = len(imask)
     miss = np.zeros(num_lanes, dtype=np.int64)
-    for arr, dtype in (
-        (pcs, np.int64),
-        (outcomes, np.uint8),
-        (imask, np.int64),
-        (hmask, np.int64),
-        (base, np.int64),
-        (tables, np.int8),
-    ):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((pcs, np.int64), (outcomes, np.uint8)), len(outcomes))
+    _require(((imask, np.int64), (hmask, np.int64), (base, np.int64)), num_lanes)
+    _require(((tables, np.int8),))
+    _require_arena(tables, base, imask, hmask)
     lib.gshare_fused(
         _ptr(pcs),
         _ptr(outcomes),
@@ -979,20 +966,24 @@ def bimode_fused(
         raise RuntimeError("compiled fused bi-mode driver is not available")
     num_lanes = len(dmask)
     miss = np.zeros(num_lanes, dtype=np.int64)
-    for arr, dtype in (
-        (pcs, np.int64),
-        (outcomes, np.uint8),
-        (dmask, np.int64),
-        (dhmask, np.int64),
-        (cmask, np.int64),
-        (chmask, np.int64),
-        (full_update, np.uint8),
-        (nt_base, np.int64),
-        (tk_base, np.int64),
-        (choice_base, np.int64),
-        (tables, np.int8),
-    ):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((pcs, np.int64), (outcomes, np.uint8)), len(outcomes))
+    _require(
+        (
+            (dmask, np.int64),
+            (dhmask, np.int64),
+            (cmask, np.int64),
+            (chmask, np.int64),
+            (full_update, np.uint8),
+            (nt_base, np.int64),
+            (tk_base, np.int64),
+            (choice_base, np.int64),
+        ),
+        num_lanes,
+    )
+    _require(((tables, np.int8),))
+    _require_arena(tables, nt_base, dmask, dhmask)
+    _require_arena(tables, tk_base, dmask, dhmask)
+    _require_arena(tables, choice_base, cmask, chmask)
     lib.bimode_fused(
         _ptr(pcs),
         _ptr(outcomes),
@@ -1028,8 +1019,8 @@ def counter_lane(
         raise RuntimeError("compiled counter driver is not available")
     n = len(keys)
     states = np.empty(n, dtype=np.int8)
-    for arr, dtype in ((keys, np.int64), (deltas, np.int8), (table, np.int8)):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((keys, np.int64), (deltas, np.int8)), n)
+    _require(((table, np.int8),))
     lib.counter_lane(
         _ptr(keys),
         _ptr(deltas),
@@ -1064,20 +1055,16 @@ def gskew_lane(
         raise RuntimeError("compiled gskew driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    assert banks.shape[0] == 3 and banks.dtype == np.int8
-    b0, b1, b2 = banks[0], banks[1], banks[2]
-    arrays = [
-        (pcs, np.int64),
-        (outcomes, np.uint8),
-        (b0, np.int8),
-        (b1, np.int8),
-        (b2, np.int8),
-    ]
+    streams = [(pcs, np.int64), (outcomes, np.uint8)]
     if cids is not None:
-        assert len(cids) == n
-        arrays.append((cids, np.int64))
-    for arr, dtype in arrays:
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+        streams.append((cids, np.int64))
+    _require(streams, n)
+    _require(((banks, np.int8),))
+    if banks.shape != (3, 1 << bank_bits):
+        raise ValueError(
+            f"gskew banks must have shape (3, {1 << bank_bits}), got {banks.shape}"
+        )
+    b0, b1, b2 = banks[0], banks[1], banks[2]
     lib.gskew_lane(
         _ptr(pcs),
         _ptr(outcomes),
@@ -1118,20 +1105,12 @@ def trimode_lane(
         raise RuntimeError("compiled tri-mode driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    arrays = [
-        (ci, np.int64),
-        (di, np.int64),
-        (outcomes, np.uint8),
-        (nt_bank, np.int8),
-        (tk_bank, np.int8),
-        (wk_bank, np.int8),
-        (choice, np.int8),
-    ]
+    streams = [(ci, np.int64), (di, np.int64), (outcomes, np.uint8)]
     if cids is not None:
-        assert len(cids) == n
-        arrays.append((cids, np.int64))
-    for arr, dtype in arrays:
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+        streams.append((cids, np.int64))
+    _require(streams, n)
+    _require(((nt_bank, np.int8), (tk_bank, np.int8), (wk_bank, np.int8)), len(nt_bank))
+    _require(((choice, np.int8),))
     lib.trimode_lane(
         _ptr(ci),
         _ptr(di),
@@ -1175,22 +1154,15 @@ def yags_lane(
         raise RuntimeError("compiled YAGS driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    arrays = [
-        (ci, np.int64),
-        (ki, np.int64),
-        (tags, np.int32),
-        (outcomes, np.uint8),
-        (choice, np.int8),
-        (tk_tags, np.int32),
-        (tk_ctr, np.int8),
-        (nt_tags, np.int32),
-        (nt_ctr, np.int8),
-    ]
+    streams = [(ci, np.int64), (ki, np.int64), (tags, np.int32), (outcomes, np.uint8)]
     if cids is not None:
-        assert len(cids) == n
-        arrays.append((cids, np.int64))
-    for arr, dtype in arrays:
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+        streams.append((cids, np.int64))
+    _require(streams, n)
+    _require(((choice, np.int8),))
+    _require(
+        ((tk_tags, np.int32), (tk_ctr, np.int8), (nt_tags, np.int32), (nt_ctr, np.int8)),
+        len(tk_ctr),
+    )
     lib.yags_lane(
         _ptr(ci),
         _ptr(ki),
@@ -1233,9 +1205,10 @@ def perceptron_lane(
         raise RuntimeError("compiled perceptron driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    assert len(weights) == (1 << index_bits) * (hist_bits + 1)
-    for arr, dtype in ((pcs, np.int64), (outcomes, np.uint8), (weights, np.int32)):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
+    if hist_bits < 0:
+        raise ValueError(f"hist_bits must be >= 0, got {hist_bits}")
+    _require(((weights, np.int32),), (1 << index_bits) * (hist_bits + 1))
     lib.perceptron_lane(
         _ptr(pcs),
         _ptr(outcomes),
@@ -1275,14 +1248,14 @@ def biasfilter_lane(
         raise RuntimeError("compiled bias-filter driver is not available")
     n = len(outcomes)
     preds = np.empty(n, dtype=np.uint8)
-    for arr, dtype in (
-        (pcs, np.int64),
-        (outcomes, np.uint8),
-        (dirs, np.uint8),
-        (runs, np.int8),
-        (sub_table, np.int8),
-    ):
-        assert arr.dtype == dtype and arr.flags["C_CONTIGUOUS"]
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
+    _require(((dirs, np.uint8), (runs, np.int8)), 1 << filter_bits)
+    _require(((sub_table, np.int8),))
+    if len(sub_table) <= ((1 << sub_index_bits) - 1) | ((1 << sub_hist_bits) - 1):
+        raise ValueError(
+            f"sub-predictor table of {len(sub_table)} entries is smaller than "
+            f"its index/history reach ({sub_index_bits}/{sub_hist_bits} bits)"
+        )
     lib.biasfilter_lane(
         _ptr(pcs),
         _ptr(outcomes),
@@ -1314,6 +1287,22 @@ def _require(arrays, n: Optional[int] = None) -> None:
             )
         if n is not None and len(arr) != n:
             raise ValueError(f"array lengths differ: {len(arr)} != {n}")
+
+
+def _require_arena(
+    tables: np.ndarray, base: np.ndarray, mask: np.ndarray, hmask: np.ndarray
+) -> None:
+    """Check that every lane of a fused family stays inside ``tables``.
+
+    The C loops touch ``tables[base[k] + ((pc & mask[k]) ^ (h & hmask[k]))]``
+    unchecked; with non-negative masks that index lies in
+    ``[base[k], base[k] + (mask[k] | hmask[k])]`` whatever the pc and
+    history, so an O(lanes) check bounds every access.
+    """
+    if (mask < 0).any() or (hmask < 0).any() or (base < 0).any():
+        raise ValueError("fused lane masks and arena bases must be >= 0")
+    if ((mask | hmask) >= len(tables) - base).any():
+        raise ValueError(f"a fused lane reaches past its {len(tables)}-entry arena")
 
 
 def _require_ids(n: int) -> None:

@@ -379,3 +379,145 @@ class TestDriverPreconditions:
                 np.zeros(1, dtype=np.int8),
                 1,
             )
+
+    # -- predictor drivers --------------------------------------------------
+
+    @staticmethod
+    def lane_call(name, n=8):
+        """``(driver, args, stream_index)`` of one valid predictor-driver
+        call: ``args[0]`` is a per-branch stream and ``args[stream_index]``
+        another one that must match its length."""
+        out = np.ones(n, dtype=np.uint8)
+        pcs = np.arange(n, dtype=np.int64)
+
+        def i8(size):
+            return np.full(size, 2, dtype=np.int8)
+
+        def i64(*values):
+            return np.array(values, dtype=np.int64)
+
+        calls = {
+            "bimode_pair": (
+                [np.zeros(n, np.int32), np.zeros(n, np.int32), out,
+                 i8(4), i8(4), i8(4), False],
+                2,
+            ),
+            "gshare_detailed": ([np.zeros(n, np.int32), out, i8(4)], 1),
+            "gshare_fused": ([pcs, out, i64(3), i64(3), i64(0), i8(4)], 1),
+            "bimode_fused": (
+                [pcs, out, i64(3), i64(3), i64(3), i64(0),
+                 np.zeros(1, np.uint8), i64(0), i64(4), i64(8), i8(12)],
+                1,
+            ),
+            "counter_lane": (
+                [np.zeros(n, np.int64), np.ones(n, np.int8), i8(4)], 1
+            ),
+            "gskew_lane": (
+                [pcs, out, 2, 2, True, np.full((3, 4), 2, dtype=np.int8)], 1
+            ),
+            "trimode_lane": (
+                [np.zeros(n, np.int64), np.zeros(n, np.int64), out,
+                 i8(4), i8(4), i8(4), i8(4)],
+                2,
+            ),
+            "yags_lane": (
+                [np.zeros(n, np.int64), np.zeros(n, np.int64),
+                 np.zeros(n, np.int32), out, i8(4),
+                 np.zeros(4, np.int32), i8(4), np.zeros(4, np.int32), i8(4)],
+                3,
+            ),
+            "perceptron_lane": (
+                [pcs, out, 2, 3, 19, -8, 7, np.zeros(16, np.int32)], 1
+            ),
+            "biasfilter_lane": (
+                [pcs, out, 2, 3, 2, 2, np.zeros(4, np.uint8),
+                 np.zeros(4, np.int8), i8(4)],
+                1,
+            ),
+        }
+        args, stream_index = calls[name]
+        return getattr(_cstep, name), args, stream_index
+
+    LANE_DRIVERS = (
+        "bimode_pair",
+        "gshare_detailed",
+        "gshare_fused",
+        "bimode_fused",
+        "counter_lane",
+        "gskew_lane",
+        "trimode_lane",
+        "yags_lane",
+        "perceptron_lane",
+        "biasfilter_lane",
+    )
+
+    @pytest.mark.parametrize("name", LANE_DRIVERS)
+    def test_lane_driver_accepts_valid_call(self, name):
+        driver, args, _ = self.lane_call(name)
+        driver(*args)
+
+    @pytest.mark.parametrize("name", LANE_DRIVERS)
+    def test_lane_driver_rejects_wrong_dtype(self, name):
+        driver, args, _ = self.lane_call(name)
+        args[0] = args[0].astype(np.float64)
+        with pytest.raises(ValueError, match="expected a C-contiguous"):
+            driver(*args)
+
+    @pytest.mark.parametrize("name", LANE_DRIVERS)
+    def test_lane_driver_rejects_non_contiguous(self, name):
+        driver, args, _ = self.lane_call(name)
+        args[0] = np.repeat(args[0], 2)[::2]
+        with pytest.raises(ValueError, match="contiguous=False"):
+            driver(*args)
+
+    @pytest.mark.parametrize("name", LANE_DRIVERS)
+    def test_lane_driver_rejects_unequal_lengths(self, name):
+        driver, args, stream_index = self.lane_call(name)
+        args[stream_index] = args[stream_index][:-1]
+        with pytest.raises(ValueError, match="lengths differ"):
+            driver(*args)
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("gshare_fused", 4, 1),  # base + (imask | hmask) == len(tables)
+            ("bimode_fused", 7, 9),  # not-taken bank overlaps the end
+            ("bimode_fused", 8, 9),  # taken bank overlaps the end
+            ("bimode_fused", 9, 9),  # choice table overlaps the end
+            ("gshare_fused", 4, -1),
+            ("bimode_fused", 9, -4),
+        ],
+    )
+    def test_fused_rejects_out_of_arena_base(self, name, index, value):
+        driver, args, _ = self.lane_call(name)
+        args[index] = np.array([value], dtype=np.int64)
+        with pytest.raises(ValueError, match="arena"):
+            driver(*args)
+
+    @pytest.mark.parametrize(
+        "name, index",
+        [("gshare_fused", 2), ("gshare_fused", 3)]
+        + [("bimode_fused", index) for index in (2, 3, 4, 5)],
+    )
+    def test_fused_rejects_negative_mask(self, name, index):
+        driver, args, _ = self.lane_call(name)
+        args[index] = np.array([-1], dtype=np.int64)
+        with pytest.raises(ValueError, match=">= 0"):
+            driver(*args)
+
+    def test_lane_tables_must_match_their_parameters(self):
+        driver, args, _ = self.lane_call("gskew_lane")
+        args[5] = np.full((3, 8), 2, dtype=np.int8)
+        with pytest.raises(ValueError, match="shape"):
+            driver(*args)
+        driver, args, _ = self.lane_call("perceptron_lane")
+        args[7] = np.zeros(12, np.int32)
+        with pytest.raises(ValueError, match="lengths differ"):
+            driver(*args)
+        args[3], args[7] = -1, np.zeros(0, np.int32)  # zero-width rows
+        with pytest.raises(ValueError, match="hist_bits"):
+            driver(*args)
+        driver, args, _ = self.lane_call("biasfilter_lane")
+        args[5] = 3  # history reach wider than the 4-entry sub-table
+        with pytest.raises(ValueError, match="reach"):
+            driver(*args)

@@ -81,3 +81,59 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "destructive" in out and "capacity" in out
+
+
+class TestJournalCompact:
+    def test_journal_compact_cli(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.sim.journal import SweepJournal
+
+        root = tmp_path / "journals"
+        journal = SweepJournal.for_name("fig2", root=root)
+        journal.record_many("t1", {"a": 0.1, "b": 0.2})
+        with open(journal.path, "a") as fh:
+            fh.write("garbage\n")
+        assert main(["journal", "compact", "--root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "fig2.jsonl: 2 cells, dropped 1 line(s)" in out
+        assert SweepJournal.for_name("fig2", root=root).corrupt_lines == 0
+
+    def test_journal_compact_empty_root(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["journal", "compact", "--root", str(tmp_path / "none")]) == 0
+        assert "no journals" in capsys.readouterr().out
+
+    def test_journal_compact_named_missing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["journal", "compact", "ghost", "--root", str(tmp_path)]) == 0
+        assert "ghost.jsonl: missing" in capsys.readouterr().out
+
+    def test_compacts_rate_and_payload_journals_side_by_side(self, tmp_path, capsys):
+        from repro.sim.journal import PayloadJournal, SweepJournal
+
+        root = tmp_path / "journal"
+        rates = SweepJournal.for_name("figure2-cint95", root=root)
+        rates.record_many("gcc", {"gshare:index=8": 0.1, "bimode:dir=7": 0.2})
+        payloads = PayloadJournal.for_name("fig7-detailed-scale1", root=root)
+        payloads.record_many(
+            "gcc", {"gshare:index=8": {"wb": 0.5}, "bimode:dir=7": {"wb": 0.25}}
+        )
+        for journal in (rates, payloads):
+            lines = journal.path.read_text().splitlines()
+            with open(journal.path, "a") as fh:
+                fh.write(lines[0] + "\n" + "garbage\n")
+
+        assert main(["journal", "compact", "--root", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "figure2-cint95.jsonl: 2 cells, dropped 2 line(s)" in out
+        assert "fig7-detailed-scale1.jsonl: 2 cells, dropped 2 line(s)" in out
+        assert SweepJournal(rates.path).completed("gcc") == {
+            "gshare:index=8": 0.1,
+            "bimode:dir=7": 0.2,
+        }
+        assert PayloadJournal(payloads.path).completed("gcc") == {
+            "gshare:index=8": {"wb": 0.5},
+            "bimode:dir=7": {"wb": 0.25},
+        }
