@@ -21,12 +21,12 @@ which :func:`counter_bias_table` computes from a detailed simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.grouping import stable_group_order
-from repro.core.interfaces import DetailedSimulation
+from repro.core.grouping import dense_ranks, stable_group_order
+from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = [
     "ST",
@@ -72,7 +72,8 @@ def classify_rate(taken_rate: float, threshold: float = BIAS_THRESHOLD) -> int:
 
 @dataclass
 class SubstreamAnalysis:
-    """Substream decomposition of one detailed simulation.
+    """Substream decomposition of one detailed simulation (or of the
+    substream grouping a compiled detailed loop emitted).
 
     Streams are the distinct ``(static branch, counter)`` pairs observed;
     arrays below are parallel, one entry per stream.
@@ -88,7 +89,7 @@ class SubstreamAnalysis:
     stream_class:
         Bias class (``SNT``/``ST``/``WB``) of each stream.
     access_stream:
-        For every dynamic branch, the index of its stream (maps
+        For every dynamic branch, the int32 index of its stream (maps
         per-access data onto stream attributes).
     counter_dominant:
         Per counter id, the dominant strong class (``ST`` or ``SNT``);
@@ -153,106 +154,66 @@ def pc_code_stream(pcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def analyze_substreams(
-    detailed: DetailedSimulation,
+    detailed: Union[DetailedSimulation, SubstreamGrouping],
     threshold: float = BIAS_THRESHOLD,
     pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> SubstreamAnalysis:
     """Decompose a detailed simulation into classified substreams.
 
-    The compiled driver groups accesses in one sequential pass — a
-    first-seen hash table over (counter, pc) keys — and sorts only the
-    distinct substreams, not the accesses; the result is asserted
-    bit-identical to the sort-based ``np.unique`` reference
+    Substreams are numbered in ascending (counter, pc) order — the
+    ordering ``np.unique`` over composite keys yields.  A
+    :class:`~repro.core.interfaces.SubstreamGrouping` (what the gshare
+    and bi-mode loops emit in sweeps) already holds every stream's
+    counts under first-seen ids, so only its distinct keys are sorted
+    and each access renumbered by its key's rank.  A
+    :class:`DetailedSimulation` is grouped the same way by the compiled
+    first-seen pass over its counter ids; without a compiler a stable
+    radix grouping by (counter, pc) is the bit-identical fallback.  All
+    paths are asserted bit-identical to the sort-based reference
     (:mod:`repro.analysis.reference`) by the equivalence suite.
     ``pc_codes`` (from :func:`pc_code_stream`) skips the per-trace PC
     dictionary pass when the caller sweeps one trace.
     """
-    if detailed.pcs is None:
-        raise ValueError("detailed simulation lacks per-access PCs")
     if not 0.5 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0.5, 1.0], got {threshold}")
-    counter_ids = detailed.counter_ids
-    outcomes = detailed.result.outcomes
-    mispredicted = detailed.result.mispredicted
-    num_counters = detailed.num_counters
-
-    if pc_codes is None:
-        pc_codes = pc_code_stream(detailed.pcs)
-    unique_pcs, pc_dense = pc_codes
-    num_pcs = len(unique_pcs)
-    n = len(counter_ids)
-
-    if n == 0:
-        return SubstreamAnalysis(
-            stream_counter=np.empty(0, dtype=np.int64),
-            stream_pc=unique_pcs[:0],
-            stream_total=np.empty(0, dtype=np.int64),
-            stream_taken=np.empty(0, dtype=np.int64),
-            stream_mispredicted=np.empty(0, dtype=np.int64),
-            stream_class=np.empty(0, dtype=np.int8),
-            access_stream=np.empty(0, dtype=np.int64),
-            counter_dominant=np.full(num_counters, -1, dtype=np.int8),
-            num_counters=num_counters,
-        )
-
-    # Substreams are numbered in ascending (counter, pc) order — the
-    # ordering np.unique over composite keys yields.  The compiled
-    # driver assigns stream ids in first-seen order through a hash
-    # table, reducing the per-stream counts in the same pass, then sorts
-    # the distinct (counter, pc) keys and renumbers each access by its
-    # key's rank.  The numpy formulation below — a stable radix grouping
-    # by (counter, pc), minor key first, whose segment boundaries
-    # delimit the substreams — is the bit-identical fallback
-    # (REPRO_NO_CC=1 or no compiler).
     from repro.sim import _cstep
 
-    if _cstep.available():
-        (
-            access_stream,
-            stream_counter,
-            stream_pc_idx,
-            stream_total,
-            stream_taken,
-            stream_mispredicted,
-        ) = _cstep.substream_group(
-            np.ascontiguousarray(counter_ids, dtype=np.int64),
-            pc_dense,
-            np.ascontiguousarray(outcomes, dtype=bool),
-            np.ascontiguousarray(mispredicted, dtype=bool),
-            num_counters,
-            num_pcs,
-        )
-        stream_pc = unique_pcs[stream_pc_idx]
-        num_streams = len(stream_counter)
+    num_counters = detailed.num_counters
+    if isinstance(detailed, SubstreamGrouping):
+        streams = _sorted_streams(detailed)
     else:
-        cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
-        by_pc = stable_group_order(pc_dense, num_pcs)
-        order = by_pc[stable_group_order(cid32[by_pc], num_counters)]
-        sorted_counter = cid32[order]
-        sorted_pc = pc_dense[order]
-
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_counter[1:], sorted_counter[:-1], out=first[1:])
-        first[1:] |= sorted_pc[1:] != sorted_pc[:-1]
-        starts = np.flatnonzero(first)
-        num_streams = len(starts)
-
-        access_stream = np.empty(n, dtype=np.int64)
-        access_stream[order] = np.cumsum(first) - 1
-
-        stream_counter = sorted_counter[starts].astype(np.int64)
-        stream_pc = unique_pcs[sorted_pc[starts]]
-        stream_total = np.empty(num_streams, dtype=np.int64)
-        stream_total[:-1] = np.diff(starts)
-        stream_total[-1] = n - starts[-1]
-        stream_taken = np.add.reduceat(outcomes[order], starts, dtype=np.int64)
-        stream_mispredicted = np.add.reduceat(
-            mispredicted[order], starts, dtype=np.int64
-        )
+        if detailed.pcs is None:
+            raise ValueError("detailed simulation lacks per-access PCs")
+        if pc_codes is None:
+            pc_codes = pc_code_stream(detailed.pcs)
+        unique_pcs, pc_dense = pc_codes
+        outcomes = detailed.result.outcomes
+        mispredicted = detailed.result.mispredicted
+        if _cstep.available():
+            grouping = _cstep.substream_group(
+                np.ascontiguousarray(detailed.counter_ids, dtype=np.int64),
+                pc_codes,
+                np.ascontiguousarray(outcomes, dtype=bool),
+                np.ascontiguousarray(mispredicted, dtype=bool),
+                num_counters,
+            )
+            streams = _sorted_streams(grouping)
+        else:
+            streams = _radix_streams(
+                detailed.counter_ids, pc_dense, unique_pcs, outcomes, mispredicted,
+                num_counters,
+            )
+    (
+        access_stream,
+        stream_counter,
+        stream_pc,
+        stream_total,
+        stream_taken,
+        stream_mispredicted,
+    ) = streams
 
     rates = stream_taken / stream_total
-    stream_class = np.full(num_streams, WB, dtype=np.int8)
+    stream_class = np.full(len(stream_counter), WB, dtype=np.int8)
     stream_class[rates >= threshold - THRESHOLD_EPS] = ST
     stream_class[rates <= (1.0 - threshold) + THRESHOLD_EPS] = SNT
 
@@ -283,6 +244,67 @@ def analyze_substreams(
         access_stream=access_stream,
         counter_dominant=counter_dominant,
         num_counters=num_counters,
+    )
+
+
+def _sorted_streams(grouping: SubstreamGrouping) -> tuple:
+    """A first-seen grouping's streams in ascending (counter, pc) order:
+    sort the distinct keys, renumber every access by its key's rank."""
+    records = grouping.streams
+    order, rank = dense_ranks(records["key"])
+    return (
+        np.take(rank, grouping.access_stream),
+        grouping.stream_counter[order],
+        grouping.unique_pcs[grouping.stream_pc_code[order]],
+        records["total"][order],
+        records["taken"][order],
+        records["miss"][order],
+    )
+
+
+def _radix_streams(
+    counter_ids: np.ndarray,
+    pc_dense: np.ndarray,
+    unique_pcs: np.ndarray,
+    outcomes: np.ndarray,
+    mispredicted: np.ndarray,
+    num_counters: int,
+) -> tuple:
+    """The streams of :func:`_sorted_streams` by stable radix grouping
+    of the accesses, minor key (pc) first; segment boundaries of the
+    grouped order delimit the substreams.  The no-compiler fallback."""
+    from repro.sim import _cstep
+
+    n = len(counter_ids)
+    _cstep._require_ids(n)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return (np.empty(0, dtype=np.int32), empty, unique_pcs[:0], empty, empty, empty)
+    cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
+    by_pc = stable_group_order(pc_dense, len(unique_pcs))
+    order = by_pc[stable_group_order(cid32[by_pc], num_counters)]
+    sorted_counter = cid32[order]
+    sorted_pc = pc_dense[order]
+
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_counter[1:], sorted_counter[:-1], out=first[1:])
+    first[1:] |= sorted_pc[1:] != sorted_pc[:-1]
+    starts = np.flatnonzero(first)
+
+    access_stream = np.empty(n, dtype=np.int32)
+    access_stream[order] = np.cumsum(first) - 1
+
+    stream_total = np.empty(len(starts), dtype=np.int64)
+    stream_total[:-1] = np.diff(starts)
+    stream_total[-1] = n - starts[-1]
+    return (
+        access_stream,
+        sorted_counter[starts].astype(np.int64),
+        unique_pcs[sorted_pc[starts]],
+        stream_total,
+        np.add.reduceat(outcomes[order], starts, dtype=np.int64),
+        np.add.reduceat(mispredicted[order], starts, dtype=np.int64),
     )
 
 

@@ -18,12 +18,13 @@ gshare on every column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from repro.analysis.bias import SubstreamAnalysis
 from repro.core.grouping import stable_group_order
-from repro.core.interfaces import DetailedSimulation
+from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = ["ClassChangeCounts", "count_class_changes"]
 
@@ -49,20 +50,22 @@ class ClassChangeCounts:
 
 
 def count_class_changes(
-    detailed: DetailedSimulation, analysis: SubstreamAnalysis
+    detailed: Union[DetailedSimulation, SubstreamGrouping],
+    analysis: SubstreamAnalysis,
 ) -> ClassChangeCounts:
     """Count role changes between consecutive accesses to each counter.
 
-    ``analysis`` must come from the same ``detailed`` simulation (the
-    per-access stream mapping is reused).
+    ``analysis`` must come from the same ``detailed`` simulation (or
+    substream grouping).  Each access's counter is its stream's
+    (``stream_counter[access_stream]``), so no per-access counter array
+    is read.
     """
-    n = detailed.result.num_branches
+    n = detailed.num_branches
     if n != len(analysis.access_stream):
         raise ValueError("analysis does not match the detailed simulation")
     if n < 2:
         return ClassChangeCounts(dominant=0, non_dominant=0, wb=0)
 
-    counter_ids = np.ascontiguousarray(detailed.counter_ids, dtype=np.int32)
     from repro.sim import _cstep
 
     if _cstep.available():
@@ -70,12 +73,13 @@ def count_class_changes(
         # no sort at all; attributing each change to the earlier
         # access's role exactly as the grouped formulation does
         counts = _cstep.class_changes(
-            counter_ids,
-            np.ascontiguousarray(analysis.access_stream, dtype=np.int64),
+            np.ascontiguousarray(analysis.access_stream, dtype=np.int32),
+            np.ascontiguousarray(analysis.stream_counter, dtype=np.int64),
             np.ascontiguousarray(analysis.stream_role(), dtype=np.int8),
             analysis.num_counters,
         )
     else:
+        counter_ids = analysis.stream_counter[analysis.access_stream]
         roles = analysis.access_role()
         # group accesses by counter, keeping time order within each
         # group; the stable counting sort is the same permutation

@@ -60,6 +60,7 @@ def analyze_substreams_reference(
     num_pcs = len(unique_pcs)
     key = counter_ids * num_pcs + pc_dense
     unique_keys, access_stream = np.unique(key, return_inverse=True)
+    access_stream = access_stream.astype(np.int32)
 
     stream_total = np.bincount(access_stream, minlength=len(unique_keys))
     stream_taken = np.bincount(

@@ -17,7 +17,7 @@ freshly computed one and resumed benches stay bit-identical.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.analysis.bias import (
 )
 from repro.analysis.breakdown import misprediction_breakdown
 from repro.analysis.interference import ClassChangeCounts, count_class_changes
-from repro.core.interfaces import DetailedSimulation
+from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = ["summarize_detailed", "bias_areas", "build_summary"]
 
@@ -48,7 +48,7 @@ def bias_areas(table: np.ndarray) -> Dict[str, float]:
 
 
 def build_summary(
-    detailed: DetailedSimulation,
+    detailed: Union[DetailedSimulation, SubstreamGrouping],
     analysis: SubstreamAnalysis,
     table: np.ndarray,
     alias: AliasingStats,
@@ -62,7 +62,6 @@ def build_summary(
     (:mod:`repro.analysis.reference`), so the two can never drift in
     payload shape.
     """
-    result = detailed.result
     breakdown = misprediction_breakdown(analysis)
     total = int(analysis.stream_total.sum())
     wb_dynamic = (
@@ -71,9 +70,9 @@ def build_summary(
         else 0.0
     )
     summary = {
-        "num_branches": int(result.num_branches),
+        "num_branches": int(detailed.num_branches),
         "num_counters": int(detailed.num_counters),
-        "misprediction_rate": float(result.misprediction_rate),
+        "misprediction_rate": float(detailed.misprediction_rate),
         "breakdown": {
             "overall": float(breakdown.overall),
             "snt": float(breakdown.snt),
@@ -112,7 +111,7 @@ def build_summary(
 
 
 def summarize_detailed(
-    detailed: DetailedSimulation,
+    detailed: Union[DetailedSimulation, SubstreamGrouping],
     threshold: float = BIAS_THRESHOLD,
     include_bias_table: bool = False,
     analysis: Optional[SubstreamAnalysis] = None,
@@ -127,8 +126,12 @@ def summarize_detailed(
     length sweep), ``aliasing`` / ``sharing`` (interference
     decomposition), and ``class_changes`` (Table 4).
 
-    ``pc_codes`` (from :func:`repro.analysis.bias.pc_code_stream`) lets
-    sweeps over one trace amortize the PC dictionary across cells.
+    ``detailed`` may also be the substream grouping a compiled detailed
+    loop emitted (:class:`~repro.core.interfaces.SubstreamGrouping`):
+    its stream records carry the misprediction count, so no per-access
+    prediction or counter array is needed.  ``pc_codes`` (from
+    :func:`repro.analysis.bias.pc_code_stream`) lets sweeps over one
+    trace amortize the PC dictionary across cells.
     """
     if analysis is None:
         analysis = analyze_substreams(detailed, threshold=threshold, pc_codes=pc_codes)

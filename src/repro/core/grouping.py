@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stable_group_order"]
+__all__ = ["stable_group_order", "dense_ranks"]
 
 try:  # scipy ships a C counting sort (COO->CSR); optional, numpy fallback below
     from scipy.sparse import _sparsetools as _scipy_sparsetools
@@ -33,11 +33,20 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     """Permutation grouping ``keys`` by value, stable in time.
 
-    ``keys`` must hold integers in ``[0, num_buckets)``.  Equivalent to
+    ``keys`` must hold integers in ``[0, num_buckets)``; anything else
+    raises ``ValueError`` (scipy's kernel does not bound-check, so a
+    stray key would corrupt memory instead).  Equivalent to
     ``np.argsort(keys, kind="stable")`` but O(n + num_buckets) via
     scipy's C counting sort when available.
     """
+    keys = np.asarray(keys)
     n = len(keys)
+    # checked in the keys' own dtype, before the int32 cast could wrap
+    if n and (keys.min() < 0 or keys.max() >= num_buckets):
+        raise ValueError(
+            f"group keys must lie in [0, {num_buckets}), got "
+            f"[{keys.min()}, {keys.max()}]"
+        )
     if (
         _COO_TOCSR is None
         or n >= np.iinfo(np.int32).max
@@ -51,3 +60,13 @@ def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     order = np.empty(n, dtype=np.int32)
     _COO_TOCSR(num_buckets, n, n, keys, times, times, indptr, cols, order)
     return order
+
+
+def dense_ranks(keys: np.ndarray):
+    """``(order, rank)`` of distinct ``keys``: ``keys[order]`` ascends
+    and ``rank[order]`` counts up from 0 as int32 — the renumbering
+    that turns first-seen ids into sorted ones."""
+    order = np.argsort(keys)
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[order] = np.arange(len(keys), dtype=np.int32)
+    return order, rank

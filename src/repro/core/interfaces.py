@@ -15,7 +15,10 @@ Every predictor in this package implements :class:`BranchPredictor`:
 For the Section-4 analysis, predictors that expose which second-level
 counter produced each prediction additionally implement
 :meth:`simulate_detailed`, returning a :class:`DetailedSimulation` that
-records the (globally unique) counter id used for every access.
+records the (globally unique) counter id used for every access.  Loops
+that group accesses into substreams as they run return a
+:class:`SubstreamGrouping` instead, which carries the same counter
+attribution without a per-access counter array.
 """
 
 from __future__ import annotations
@@ -27,7 +30,12 @@ import numpy as np
 
 from repro.traces.record import BranchTrace
 
-__all__ = ["BranchPredictor", "DetailedSimulation", "SimulationResult"]
+__all__ = [
+    "BranchPredictor",
+    "DetailedSimulation",
+    "SimulationResult",
+    "SubstreamGrouping",
+]
 
 
 @dataclass
@@ -103,6 +111,71 @@ class DetailedSimulation:
             self.pcs = np.asarray(self.pcs, dtype=np.int64)
             if len(self.pcs) != self.result.num_branches:
                 raise ValueError("pcs length must match the number of branches")
+
+    @property
+    def num_branches(self) -> int:
+        return self.result.num_branches
+
+    @property
+    def misprediction_rate(self) -> float:
+        return self.result.misprediction_rate
+
+
+@dataclass
+class SubstreamGrouping:
+    """One detailed simulation, grouped into (counter, static branch)
+    substreams while it ran — the compact alternative to a
+    :class:`DetailedSimulation` for the Section-4 analysis.
+
+    Attributes
+    ----------
+    access_stream:
+        For every dynamic branch, the int32 id of its substream; ids
+        count up from 0 in first-seen order.
+    streams:
+        One record per substream, indexed by id: ``key`` is
+        ``counter * len(unique_pcs) + pc_code``, and ``total`` /
+        ``taken`` / ``miss`` its access, taken and misprediction counts.
+    unique_pcs:
+        The trace's sorted distinct PCs; a pc code indexes them.
+    num_counters:
+        Total number of distinct direction-counter ids.
+    """
+
+    access_stream: np.ndarray
+    streams: np.ndarray
+    unique_pcs: np.ndarray
+    num_counters: int
+
+    @property
+    def num_branches(self) -> int:
+        return len(self.access_stream)
+
+    @property
+    def misprediction_rate(self) -> float:
+        if self.num_branches == 0:
+            return 0.0
+        return int(self.streams["miss"].sum()) / self.num_branches
+
+    @property
+    def stream_counter(self) -> np.ndarray:
+        """Counter id of each substream (first-seen order)."""
+        return self.streams["key"].astype(np.int64) // self._key_radix
+
+    @property
+    def stream_pc_code(self) -> np.ndarray:
+        """Pc code of each substream (first-seen order); it indexes
+        ``unique_pcs``."""
+        return self.streams["key"].astype(np.int64) % self._key_radix
+
+    @property
+    def _key_radix(self) -> int:
+        return max(1, len(self.unique_pcs))
+
+    @property
+    def counter_ids(self) -> np.ndarray:
+        """Per-access counter ids, as :class:`DetailedSimulation` holds them."""
+        return self.stream_counter[self.access_stream]
 
 
 class BranchPredictor(abc.ABC):

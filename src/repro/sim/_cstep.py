@@ -2,13 +2,21 @@
 
 The bi-mode choice/bank feedback defeats counter-major decomposition
 (see :mod:`repro.sim.batch_bimode`), leaving a genuinely sequential
-per-branch automaton; the gshare detailed path likewise walks one
-saturating counter per branch when per-access attribution is wanted.
-Each automaton is ~10 integer operations per branch, so a tiny C loop
-runs it one to two orders of magnitude faster than any Python-level
+per-branch automaton; several comparator schemes are the same.  Each
+automaton is ~10 integer operations per branch, so a tiny C loop runs
+it one to two orders of magnitude faster than any Python-level
 stepping.  This module compiles those loops on first use with the
 *system* C compiler — no build system, no installed extension, no new
 dependency — and loads them through :mod:`ctypes`.
+
+The Section-4 analysis needs every access's (counter, static branch)
+substream.  The gshare and bi-mode detailed loops derive their indices
+in-loop from the raw PCs and one history register and group each
+access into its substream as they run, through the first-seen hash
+table every grouping pass here shares; they emit int32 stream ids and
+per-stream ``{key, total, taken, miss}`` records, never a per-branch
+counter id.  The other schemes' loops write counter ids, which
+:func:`substream_group` groups the same way afterwards.
 
 The driver is strictly optional:
 
@@ -36,6 +44,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.grouping import dense_ranks
+from repro.core.interfaces import SubstreamGrouping
+
 __all__ = [
     "available",
     "unavailable_reason",
@@ -57,57 +68,6 @@ __all__ = [
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
-
-/* One (configuration, trace) bi-mode pair.  Index streams are
- * precomputed by the caller (they depend only on resolved outcomes);
- * this loop advances only the sequential counter state, mirroring
- * BiModePredictor.update exactly: partial update of the selected bank
- * (both banks under full_update), and the choice counter trains unless
- * it chose wrongly while the selected counter was nevertheless right.
- * When non-NULL, `banks` receives the per-access selected bank bit
- * (1 = taken bank), the attribution the Section-4 analysis needs. */
-void bimode_pair(const int32_t *ci, const int32_t *di, const uint8_t *o,
-                 int64_t n, int8_t *nt_bank, int8_t *tk_bank, int8_t *choice,
-                 int full_update, uint8_t *preds, uint8_t *banks)
-{
-    for (int64_t t = 0; t < n; t++) {
-        int32_t c = ci[t], d = di[t];
-        uint8_t taken = o[t];
-        int8_t cs = choice[c];
-        int ct = cs >= 2;
-        int8_t *bank = ct ? tk_bank : nt_bank;
-        int8_t ds = bank[d];
-        uint8_t fin = ds >= 2;
-        preds[t] = fin;
-        if (banks)
-            banks[t] = (uint8_t)ct;
-        bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
-        if (full_update) {
-            int8_t *other = ct ? nt_bank : tk_bank;
-            int8_t os = other[d];
-            other[d] = taken ? (os < 3 ? os + 1 : 3) : (os > 0 ? os - 1 : 0);
-        }
-        if (!((ct != (int)taken) && (fin == taken)))
-            choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
-    }
-}
-
-/* One gshare (configuration, trace) pair with per-access attribution.
- * The index stream is precomputed by the caller (it depends only on
- * resolved outcomes); the loop advances the saturating PHT exactly like
- * GSharePredictor._run and records each access's prediction.  The
- * accessed counter id IS the index stream, so nothing else needs
- * materializing for the Section-4 analysis. */
-void gshare_detailed(const int32_t *keys, const uint8_t *o, int64_t n,
-                     int8_t *table, uint8_t *preds)
-{
-    for (int64_t t = 0; t < n; t++) {
-        int32_t j = keys[t];
-        int8_t s = table[j];
-        preds[t] = s >= 2;
-        table[j] = o[t] ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
-    }
-}
 
 /* Fused gshare family: every lane of a spec family advances in ONE
  * pass over the raw trace.  All gshare lanes observe the same global
@@ -437,8 +397,9 @@ static inline int64_t fs_home(const fs_table *h, uint64_t key)
 }
 
 /* (Re)allocate `cap` empty slots and insert ids [0, count); -1 when
- * out of memory. */
-static int fs_rebuild(fs_table *h, int64_t cap, int shift)
+ * out of memory.  Runs O(log n) times per pass, so it stays out of line
+ * rather than being inlined into every loop that emits ids. */
+static __attribute__((noinline)) int fs_rebuild(fs_table *h, int64_t cap, int shift)
 {
     free(h->slot);
     h->slot = malloc(cap * sizeof(int32_t));
@@ -494,45 +455,158 @@ typedef struct {
     int64_t total, taken, miss;
 } stream_rec;
 
-/* Substream grouping + reduction for the Section-4 analysis: one
- * sequential pass looks each access's (counter, pc) key
- * `counter * P + pc` up in a first-seen hash table, accumulates the
- * stream's total/taken/mispredicted counts and writes the stream id to
- * prov[t].  A stream's key and counts share one 32-byte record, so an
- * access touches one table slot and one record.  The caller sorts the
- * keys and renumbers the ids in ascending (counter, pc) order.
- * `streams` holds up to n records.  Returns the number of streams, -1
+/* The Section-4 substream grouping of one sequential pass, shared by
+ * every loop that emits it: each access's (counter, pc) key
+ * `counter * P + pc[t]` is looked up in a first-seen hash table, the
+ * stream's total/taken/mispredicted counts accumulate in its 32-byte
+ * record (key and counts together, so an access touches one table slot
+ * and one record) and the stream id goes to ids[t].  The caller sorts
+ * the few distinct keys and renumbers the ids in ascending (counter,
+ * pc) order.  `rec` holds one record per possible stream. */
+typedef struct {
+    fs_table h;
+    stream_rec *rec;
+    int32_t *ids;
+    const int32_t *pc;
+    uint32_t P;
+} stream_group;
+
+static int sg_init(stream_group *g, const int32_t *pc, int32_t P,
+                   int32_t *ids, stream_rec *rec)
+{
+    g->rec = rec;
+    g->ids = ids;
+    g->pc = pc;
+    g->P = (uint32_t)P;
+    return fs_init(&g->h, &rec->key, 4);
+}
+
+/* Count access t, which read `counter`, into its substream: 0, -1 for
+ * a pc code outside [0, P), -2 when out of memory. */
+static inline int sg_emit(stream_group *g, int64_t t, uint64_t counter,
+                          int taken, int miss)
+{
+    uint32_t p = (uint32_t)g->pc[t];
+    if (p >= g->P) return -1;
+    int64_t before = g->h.count;
+    int64_t s = fs_id(&g->h, counter * g->P + p);
+    if (s < 0) return -2;
+    stream_rec *r = &g->rec[s];
+    if (s == before) r->total = r->taken = r->miss = 0;
+    r->total++;
+    r->taken += taken;
+    r->miss += miss;
+    g->ids[t] = (int32_t)s;
+    return 0;
+}
+
+/* Release the table: the number of streams, or the failing status. */
+static int64_t sg_finish(stream_group *g, int status)
+{
+    fs_free(&g->h);
+    return status < 0 ? status : g->h.count;
+}
+
+/* Substream grouping of a precomputed counter-id stream (the schemes
+ * whose loops write counter ids).  Returns the number of streams, -1
  * for a counter or pc code out of range, -2 when out of memory. */
-int64_t substream_group(const int64_t *cid, const int32_t *pc,
-                        const uint8_t *taken, const uint8_t *miss,
-                        int64_t n, int64_t C, int32_t P, int32_t *prov,
+int64_t substream_group(const int64_t *cid, const uint8_t *taken,
+                        const uint8_t *miss, int64_t n, int64_t C,
+                        const int32_t *pc, int32_t P, int32_t *ids,
                         stream_rec *streams)
 {
-    fs_table h;
-    if (fs_init(&h, &streams->key, 4) < 0) return -2;
-    int64_t status = 0;
+    stream_group g;
+    if (sg_init(&g, pc, P, ids, streams) < 0) return -2;
+    int status = 0;
     for (int64_t t = 0; t < n; t++) {
         int64_t c = cid[t];
-        int32_t p = pc[t];
-        if ((uint64_t)c >= (uint64_t)C || (uint32_t)p >= (uint32_t)P) {
+        if ((uint64_t)c >= (uint64_t)C) {
             status = -1;
             break;
         }
-        int64_t before = h.count;
-        int64_t s = fs_id(&h, (uint64_t)c * (uint64_t)P + (uint32_t)p);
-        if (s < 0) {
-            status = -2;
-            break;
-        }
-        stream_rec *r = &streams[s];
-        if (s == before) r->total = r->taken = r->miss = 0;
-        r->total++;
-        r->taken += taken[t];
-        r->miss += miss[t];
-        prov[t] = (int32_t)s;
+        status = sg_emit(&g, t, (uint64_t)c, taken[t], miss[t]);
+        if (status < 0) break;
     }
-    fs_free(&h);
-    return status < 0 ? status : h.count;
+    return sg_finish(&g, status);
+}
+
+/* One gshare (configuration, trace) pair, Section-4 form.  The PHT
+ * index is derived in-loop from the raw PC and one 64-bit history
+ * register exactly as in gshare_fused, and the PHT advances like
+ * GSharePredictor._run.  `preds` (nullable) receives the predictions;
+ * with `ids` non-NULL every access is grouped into its (counter, pc)
+ * substream as it runs, the PHT slot being the counter.  Returns the
+ * number of streams (0 without grouping), -1 for a pc code out of
+ * range, -2 when out of memory. */
+int64_t gshare_detailed(const int64_t *pcs, const uint8_t *o, int64_t n,
+                        int64_t imask, int64_t hmask, int8_t *table,
+                        uint8_t *preds, const int32_t *pc, int32_t P,
+                        int32_t *ids, stream_rec *streams)
+{
+    stream_group g;
+    if (ids && sg_init(&g, pc, P, ids, streams) < 0) return -2;
+    int status = 0;
+    uint64_t h = 0;
+    for (int64_t t = 0; t < n; t++) {
+        uint8_t taken = o[t];
+        int64_t j = (pcs[t] & imask) ^ (int64_t)(h & (uint64_t)hmask);
+        int8_t s = table[j];
+        uint8_t fin = s >= 2;
+        if (preds) preds[t] = fin;
+        if (ids) {
+            status = sg_emit(&g, t, (uint64_t)j, taken, fin != taken);
+            if (status < 0) break;
+        }
+        table[j] = taken ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+        h = (h << 1) | taken;
+    }
+    return ids ? sg_finish(&g, status) : 0;
+}
+
+/* One bi-mode (configuration, trace) pair, Section-4 form: the
+ * choice/bank feedback loop of bimode_fused for a single lane, with
+ * three separate tables.  The counter of an access is its selected
+ * direction counter, taken-bank counters offset by bank_size (the
+ * scalar simulate_detailed convention).  `preds`, `ids` and the return
+ * value are as for gshare_detailed. */
+int64_t bimode_pair(const int64_t *pcs, const uint8_t *o, int64_t n,
+                    int64_t dmask, int64_t dhmask, int64_t cmask,
+                    int64_t chmask, int full_update, int64_t bank_size,
+                    int8_t *nt_bank, int8_t *tk_bank, int8_t *choice,
+                    uint8_t *preds, const int32_t *pc, int32_t P,
+                    int32_t *ids, stream_rec *streams)
+{
+    stream_group g;
+    if (ids && sg_init(&g, pc, P, ids, streams) < 0) return -2;
+    int status = 0;
+    uint64_t h = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t pcv = pcs[t];
+        uint8_t taken = o[t];
+        int64_t d = (pcv & dmask) ^ (int64_t)(h & (uint64_t)dhmask);
+        int64_t c = (pcv & cmask) ^ (int64_t)(h & (uint64_t)chmask);
+        int8_t cs = choice[c];
+        int ct = cs >= 2;
+        int8_t *bank = ct ? tk_bank : nt_bank;
+        int8_t ds = bank[d];
+        uint8_t fin = ds >= 2;
+        if (preds) preds[t] = fin;
+        if (ids) {
+            status = sg_emit(&g, t, (uint64_t)(d + (ct ? bank_size : 0)),
+                             taken, fin != taken);
+            if (status < 0) break;
+        }
+        bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
+        if (full_update) {
+            int8_t *other = ct ? nt_bank : tk_bank;
+            int8_t os = other[d];
+            other[d] = taken ? (os < 3 ? os + 1 : 3) : (os > 0 ? os - 1 : 0);
+        }
+        if (!((ct != (int)taken) && (fin == taken)))
+            choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
+        h = (h << 1) | taken;
+    }
+    return ids ? sg_finish(&g, status) : 0;
 }
 
 /* First-seen coding of a 64-bit PC stream: codes[t] is the id of
@@ -558,30 +632,36 @@ int64_t pc_first_seen(const uint64_t *pcs, int64_t n, int32_t *codes,
     return status < 0 ? status : h.count;
 }
 
-/* Table-4 interference counting in one pass: `last_role[c]` remembers
- * the dominance role of counter c's previous access (-1 = none yet);
- * a differing role counts one change against the *earlier* access's
- * role, matching the lexsort-based reference formulation exactly.
- * Returns 0, or -1 for a counter id outside [0, C) or a stream id
- * outside [0, S). */
-int class_changes(const int32_t *cid, const int64_t *access_stream,
-                  const int8_t *stream_role, int64_t n, int32_t C,
-                  int64_t S, int8_t *last_role, int64_t *counts)
+/* Table-4 interference counting in one pass over the stream ids:
+ * an access's counter is the counter of its stream, and
+ * `last_role[c]` remembers the dominance role of counter c's previous
+ * access (-1 = none yet); a differing role counts one change against
+ * the *earlier* access's role, matching the lexsort-based reference
+ * formulation exactly.  Returns 0, or -1 for a stream id outside
+ * [0, S) or a stream counter outside [0, C). */
+int class_changes(const int32_t *ids, const int64_t *stream_counter,
+                  const int8_t *stream_role, int64_t n, int64_t S,
+                  int64_t C, int8_t *last_role, int64_t *counts)
 {
     for (int64_t t = 0; t < n; t++) {
-        int32_t c = cid[t];
-        int64_t s = access_stream[t];
-        if ((uint32_t)c >= (uint32_t)C || (uint64_t)s >= (uint64_t)S)
-            return -1;
+        int32_t s = ids[t];
+        if ((uint64_t)(uint32_t)s >= (uint64_t)S) return -1;
+        int64_t c = stream_counter[s];
+        if ((uint64_t)c >= (uint64_t)C) return -1;
         int8_t r = stream_role[s];
         int8_t lr = last_role[c];
-        if (lr >= 0 && lr != r)
-            counts[lr]++;
+        /* branch-free: a first access (lr = -1) counts into slot 3 */
+        counts[lr & 3] += lr != r;
         last_role[c] = r;
     }
     return 0;
 }
 """
+
+#: Trailing arguments of the loops that emit a substream grouping:
+#: pc codes, their count, then the stream id per access (nullable) and
+#: the stream records out.
+_GROUPING_ARGS = (ctypes.c_void_p, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p)
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
@@ -645,27 +725,34 @@ def _load() -> Optional[ctypes.CDLL]:
             )
             return None
         lib = ctypes.CDLL(str(so_path))
-        lib.bimode_pair.argtypes = [
-            ctypes.c_void_p,  # ci
-            ctypes.c_void_p,  # di
+        lib.gshare_detailed.argtypes = [
+            ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
             ctypes.c_int64,  # n
+            ctypes.c_int64,  # imask
+            ctypes.c_int64,  # hmask
+            ctypes.c_void_p,  # PHT
+            ctypes.c_void_p,  # predictions out (nullable)
+            *_GROUPING_ARGS,
+        ]
+        lib.gshare_detailed.restype = ctypes.c_int64
+        lib.bimode_pair.argtypes = [
+            ctypes.c_void_p,  # pcs
+            ctypes.c_void_p,  # outcomes
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # dmask
+            ctypes.c_int64,  # dhmask
+            ctypes.c_int64,  # cmask
+            ctypes.c_int64,  # chmask
+            ctypes.c_int,  # full_update
+            ctypes.c_int64,  # bank_size
             ctypes.c_void_p,  # not-taken bank
             ctypes.c_void_p,  # taken bank
             ctypes.c_void_p,  # choice table
-            ctypes.c_int,  # full_update
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # selected-bank bits out (nullable)
+            ctypes.c_void_p,  # predictions out (nullable)
+            *_GROUPING_ARGS,
         ]
-        lib.bimode_pair.restype = None
-        lib.gshare_detailed.argtypes = [
-            ctypes.c_void_p,  # keys (index stream)
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # PHT
-            ctypes.c_void_p,  # predictions out
-        ]
-        lib.gshare_detailed.restype = None
+        lib.bimode_pair.restype = ctypes.c_int64
         lib.gshare_fused.argtypes = [
             ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
@@ -778,14 +865,11 @@ def _load() -> Optional[ctypes.CDLL]:
         lib.biasfilter_lane.restype = None
         lib.substream_group.argtypes = [
             ctypes.c_void_p,  # counter ids
-            ctypes.c_void_p,  # pc codes
             ctypes.c_void_p,  # outcomes
             ctypes.c_void_p,  # mispredicted
             ctypes.c_int64,  # n
             ctypes.c_int64,  # num_counters
-            ctypes.c_int32,  # num_pcs
-            ctypes.c_void_p,  # first-seen stream id per access out
-            ctypes.c_void_p,  # stream records out
+            *_GROUPING_ARGS,
         ]
         lib.substream_group.restype = ctypes.c_int64
         lib.pc_first_seen.argtypes = [
@@ -796,12 +880,12 @@ def _load() -> Optional[ctypes.CDLL]:
         ]
         lib.pc_first_seen.restype = ctypes.c_int64
         lib.class_changes.argtypes = [
-            ctypes.c_void_p,  # counter ids
-            ctypes.c_void_p,  # access stream
+            ctypes.c_void_p,  # stream id per access
+            ctypes.c_void_p,  # stream counters
             ctypes.c_void_p,  # stream roles
             ctypes.c_int64,  # n
-            ctypes.c_int32,  # num_counters
             ctypes.c_int64,  # num_streams
+            ctypes.c_int64,  # num_counters
             ctypes.c_void_p,  # last role per counter
             ctypes.c_void_p,  # change counts out
         ]
@@ -836,70 +920,100 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def bimode_pair(
-    ci: np.ndarray,
-    di: np.ndarray,
-    outcomes: np.ndarray,
-    nt_bank: np.ndarray,
-    tk_bank: np.ndarray,
-    choice: np.ndarray,
-    full_update: bool,
-    banks: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Run one bi-mode pair through the compiled loop.
-
-    ``ci``/``di`` are int32 index streams, ``outcomes`` uint8; the three
-    table arrays are int8 and are updated in place.  Returns the uint8
-    per-branch final predictions.  Pass a uint8 ``banks`` array of the
-    same length to also record each access's selected bank bit (1 =
-    taken bank).  Call only when :func:`available`.
-    """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled bi-mode driver is not available")
-    n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
-    streams = [(ci, np.int32), (di, np.int32), (outcomes, np.uint8)]
-    if banks is not None:
-        streams.append((banks, np.uint8))
-    _require(streams, n)
-    _require(((nt_bank, np.int8), (tk_bank, np.int8), (choice, np.int8)))
-    lib.bimode_pair(
-        _ptr(ci),
-        _ptr(di),
-        _ptr(outcomes),
-        ctypes.c_int64(n),
-        _ptr(nt_bank),
-        _ptr(tk_bank),
-        _ptr(choice),
-        ctypes.c_int(1 if full_update else 0),
-        _ptr(preds),
-        _ptr(banks) if banks is not None else None,
-    )
-    return preds
-
-
 def gshare_detailed(
-    keys: np.ndarray, outcomes: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """Run one gshare pair through the compiled loop.
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    imask: int,
+    hmask: int,
+    table: np.ndarray,
+    pc_codes=None,
+    predictions: bool = True,
+):
+    """Run one gshare pair through the compiled Section-4 loop.
 
-    ``keys`` is the int32 index stream, ``outcomes`` uint8; ``table`` is
-    the int8 PHT, updated in place.  Returns the uint8 per-branch
-    predictions (each access's counter id is ``keys`` itself).  Call
-    only when :func:`available`.
+    ``pcs`` is int64, ``outcomes`` uint8; ``table`` is the int8 PHT,
+    updated in place, and ``imask``/``hmask`` the PC and history masks
+    of its index.  Returns ``(predictions, grouping)``: the uint8
+    per-branch predictions (``None`` unless ``predictions``), and —
+    given the trace's ``pc_codes`` (see :func:`substream_group`) — the
+    substream grouping with each access's PHT slot as its counter, else
+    ``None``.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled gshare driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
-    _require(((keys, np.int32), (outcomes, np.uint8)), n)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((table, np.int8),))
-    lib.gshare_detailed(
-        _ptr(keys), _ptr(outcomes), ctypes.c_int64(n), _ptr(table), _ptr(preds)
+    _require_reach(table, 0, imask, hmask)
+    preds = np.empty(n, dtype=np.uint8) if predictions else None
+    group = _Grouping(pc_codes, n, len(table))
+    status = lib.gshare_detailed(
+        _ptr(pcs),
+        _ptr(outcomes),
+        ctypes.c_int64(n),
+        ctypes.c_int64(imask),
+        ctypes.c_int64(hmask),
+        _ptr(table),
+        _ptr(preds) if predictions else None,
+        *group.args(),
     )
-    return preds
+    return preds, group.result(status, "pc code")
+
+
+def bimode_pair(
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    dmask: int,
+    dhmask: int,
+    cmask: int,
+    chmask: int,
+    full_update: bool,
+    nt_bank: np.ndarray,
+    tk_bank: np.ndarray,
+    choice: np.ndarray,
+    pc_codes=None,
+    predictions: bool = True,
+):
+    """Run one bi-mode pair through the compiled Section-4 loop.
+
+    ``pcs`` is int64, ``outcomes`` uint8; the three int8 tables are
+    updated in place, the direction index being ``(pc & dmask) ^ (h &
+    dhmask)`` into either bank and the choice index ``(pc & cmask) ^ (h
+    & chmask)``.  Returns ``(predictions, grouping)`` as
+    :func:`gshare_detailed` does, an access's counter being its selected
+    direction counter with taken-bank counters offset by the bank size.
+    Call only when :func:`available`.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers gate on available()
+        raise RuntimeError("compiled bi-mode driver is not available")
+    n = len(outcomes)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
+    bank_size = len(nt_bank)
+    _require(((nt_bank, np.int8), (tk_bank, np.int8)), bank_size)
+    _require(((choice, np.int8),))
+    _require_reach(nt_bank, 0, dmask, dhmask)
+    _require_reach(choice, 0, cmask, chmask)
+    preds = np.empty(n, dtype=np.uint8) if predictions else None
+    group = _Grouping(pc_codes, n, 2 * bank_size)
+    status = lib.bimode_pair(
+        _ptr(pcs),
+        _ptr(outcomes),
+        ctypes.c_int64(n),
+        ctypes.c_int64(dmask),
+        ctypes.c_int64(dhmask),
+        ctypes.c_int64(cmask),
+        ctypes.c_int64(chmask),
+        ctypes.c_int(1 if full_update else 0),
+        ctypes.c_int64(bank_size),
+        _ptr(nt_bank),
+        _ptr(tk_bank),
+        _ptr(choice),
+        _ptr(preds) if predictions else None,
+        *group.args(),
+    )
+    return preds, group.result(status, "pc code")
 
 
 def gshare_fused(
@@ -925,7 +1039,7 @@ def gshare_fused(
     _require(((pcs, np.int64), (outcomes, np.uint8)), len(outcomes))
     _require(((imask, np.int64), (hmask, np.int64), (base, np.int64)), num_lanes)
     _require(((tables, np.int8),))
-    _require_arena(tables, base, imask, hmask)
+    _require_reach(tables, base, imask, hmask)
     lib.gshare_fused(
         _ptr(pcs),
         _ptr(outcomes),
@@ -981,9 +1095,9 @@ def bimode_fused(
         num_lanes,
     )
     _require(((tables, np.int8),))
-    _require_arena(tables, nt_base, dmask, dhmask)
-    _require_arena(tables, tk_base, dmask, dhmask)
-    _require_arena(tables, choice_base, cmask, chmask)
+    _require_reach(tables, nt_base, dmask, dhmask)
+    _require_reach(tables, tk_base, dmask, dhmask)
+    _require_reach(tables, choice_base, cmask, chmask)
     lib.bimode_fused(
         _ptr(pcs),
         _ptr(outcomes),
@@ -1289,110 +1403,117 @@ def _require(arrays, n: Optional[int] = None) -> None:
             raise ValueError(f"array lengths differ: {len(arr)} != {n}")
 
 
-def _require_arena(
-    tables: np.ndarray, base: np.ndarray, mask: np.ndarray, hmask: np.ndarray
-) -> None:
-    """Check that every lane of a fused family stays inside ``tables``.
+def _require_reach(tables: np.ndarray, base, mask, hmask) -> None:
+    """Check that every lane indexing ``tables`` stays inside it.
 
-    The C loops touch ``tables[base[k] + ((pc & mask[k]) ^ (h & hmask[k]))]``
-    unchecked; with non-negative masks that index lies in
-    ``[base[k], base[k] + (mask[k] | hmask[k])]`` whatever the pc and
-    history, so an O(lanes) check bounds every access.
+    The C loops touch ``tables[base + ((pc & mask) ^ (h & hmask))]``
+    unchecked; with non-negative masks that index lies in ``[base, base
+    + (mask | hmask)]`` whatever the pc and history, so an O(lanes)
+    check bounds every access.  ``base``/``mask``/``hmask`` are per-lane
+    vectors (a fused family's arena) or scalars (one lane's table).
     """
+    base, mask, hmask = (np.asarray(v, dtype=np.int64) for v in (base, mask, hmask))
     if (mask < 0).any() or (hmask < 0).any() or (base < 0).any():
-        raise ValueError("fused lane masks and arena bases must be >= 0")
+        raise ValueError("lane masks and arena bases must be >= 0")
     if ((mask | hmask) >= len(tables) - base).any():
-        raise ValueError(f"a fused lane reaches past its {len(tables)}-entry arena")
+        raise ValueError(f"a lane reaches past its {len(tables)}-entry table arena")
+
+
+#: Stream and pc ids are int32: a grouped pass holds fewer accesses.
+_ID_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def _require_ids(n: int) -> None:
-    """First-seen ids are int32: at most ``2**31 - 1`` accesses."""
-    if n >= np.iinfo(np.int32).max:
+    """First-seen ids are int32: at most ``_ID_LIMIT - 1`` accesses."""
+    if n >= _ID_LIMIT:
         raise ValueError(f"{n} accesses exceed the int32 id range")
 
 
-def _ranks(keys: np.ndarray, dtype) -> tuple:
-    """``(order, rank)`` of distinct ``keys``: ``keys[order]`` ascends
-    and ``rank[order]`` counts up from 0 in ``dtype``."""
-    order = np.argsort(keys)
-    rank = np.empty(len(keys), dtype=dtype)
-    rank[order] = np.arange(len(keys), dtype=dtype)
-    return order, rank
-
-
-#: One ``stream_rec`` of the C substream pass.
+#: One ``stream_rec`` of the C grouping passes.
 _STREAM_RECORD = np.dtype(
     [("key", np.uint64), ("total", np.int64), ("taken", np.int64), ("miss", np.int64)]
 )
 
 
+class _Grouping:
+    """The substream-grouping arguments of one C pass: buffers for the
+    stream ids and records when the trace's ``pc_codes`` — the
+    ``(unique_pcs, dense_codes)`` pair of ``pc_code_stream`` — are
+    given, NULLs otherwise."""
+
+    def __init__(self, pc_codes, n: int, num_counters: int) -> None:
+        self.pc_codes = pc_codes
+        self.num_counters = num_counters
+        if pc_codes is None:
+            return
+        unique_pcs, dense = pc_codes
+        _require(((dense, np.int32),), n)
+        self.num_pcs = len(unique_pcs)
+        if self.num_pcs >= _ID_LIMIT:
+            raise ValueError(f"{self.num_pcs} distinct pcs exceed the int32 id range")
+        _require_ids(n)
+        self.ids = np.empty(n, dtype=np.int32)
+        # one record per possible (counter, pc) stream, at most one per
+        # access; pages past the stream count are never touched
+        capacity = min(n, num_counters * self.num_pcs)
+        self.records = np.empty(max(1, capacity), dtype=_STREAM_RECORD)
+
+    def args(self) -> tuple:
+        if self.pc_codes is None:
+            return (None, ctypes.c_int32(0), None, None)
+        return (
+            _ptr(self.pc_codes[1]),
+            ctypes.c_int32(self.num_pcs),
+            _ptr(self.ids),
+            _ptr(self.records),
+        )
+
+    def result(self, status: int, bad: str) -> Optional[SubstreamGrouping]:
+        """The grouping of a pass that returned ``status``; ``bad``
+        names what a status of -1 found out of range."""
+        if status == -1:
+            raise ValueError(f"{bad} outside [0, {self.num_pcs})")
+        if status < 0:  # pragma: no cover - malloc failure
+            raise MemoryError("substream hash table")
+        if self.pc_codes is None:
+            return None
+        return SubstreamGrouping(
+            self.ids, self.records[:status].copy(), self.pc_codes[0], self.num_counters
+        )
+
+
 def substream_group(
     counter_ids: np.ndarray,
-    pc_dense: np.ndarray,
+    pc_codes,
     taken: np.ndarray,
     mispredicted: np.ndarray,
     num_counters: int,
-    num_pcs: int,
-):
-    """Group accesses into (counter, pc) substreams through the C loop.
+) -> SubstreamGrouping:
+    """Group precomputed accesses into (counter, pc) substreams in C.
 
-    ``counter_ids`` is int64, ``pc_dense`` int32 and ``taken`` /
-    ``mispredicted`` bool, all C-contiguous and of equal length.  Returns
-    ``(access_stream, stream_counter, stream_pc_idx, stream_total,
-    stream_taken, stream_mispredicted)`` with the substreams numbered in
-    ascending (counter, pc) order.  A counter id outside
-    ``[0, num_counters)`` or a pc code outside ``[0, num_pcs)`` raises
-    ``ValueError``.  Call only when :func:`available`.
+    ``counter_ids`` is int64 and ``taken`` / ``mispredicted`` bool, all
+    C-contiguous and of equal length; ``pc_codes`` is the trace's
+    ``(unique_pcs, dense_codes)`` with int32 codes.  Returns the
+    first-seen :class:`~repro.core.interfaces.SubstreamGrouping` — the
+    one the gshare and bi-mode loops emit as they run.  A counter id
+    outside ``[0, num_counters)`` or a pc code outside the distinct pcs
+    raises ``ValueError``.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled substream driver is not available")
     n = len(counter_ids)
-    _require(
-        (
-            (counter_ids, np.int64),
-            (pc_dense, np.int32),
-            (taken, np.bool_),
-            (mispredicted, np.bool_),
-        ),
-        n,
-    )
-    _require_ids(n)
-    prov = np.empty(n, dtype=np.int32)
-    # worst case one stream per access; pages past the stream count are
-    # never touched
-    streams = np.empty(n, dtype=_STREAM_RECORD)
-    num_streams = lib.substream_group(
+    _require(((counter_ids, np.int64), (taken, np.bool_), (mispredicted, np.bool_)), n)
+    group = _Grouping(pc_codes, n, num_counters)
+    status = lib.substream_group(
         _ptr(counter_ids),
-        _ptr(pc_dense),
         _ptr(taken),
         _ptr(mispredicted),
         ctypes.c_int64(n),
         ctypes.c_int64(num_counters),
-        ctypes.c_int32(num_pcs),
-        _ptr(prov),
-        _ptr(streams),
+        *group.args(),
     )
-    if num_streams == -1:
-        raise ValueError(
-            f"counter id outside [0, {num_counters}) or pc code outside "
-            f"[0, {num_pcs})"
-        )
-    if num_streams < 0:  # pragma: no cover - malloc failure
-        raise MemoryError("substream hash table")
-    # number the streams in ascending key order: the (counter, pc)
-    # order np.unique over composite keys yields
-    streams = streams[: int(num_streams)]
-    order, rank = _ranks(streams["key"], np.int64)
-    keys = streams["key"][order].astype(np.int64)
-    return (
-        rank[prov],
-        keys // num_pcs,
-        keys % num_pcs,
-        streams["total"][order],
-        streams["taken"][order],
-        streams["miss"][order],
-    )
+    return group.result(status, f"counter id outside [0, {num_counters}) or pc code")
 
 
 def pc_codes(pcs: np.ndarray):
@@ -1419,47 +1540,49 @@ def pc_codes(pcs: np.ndarray):
     if num_pcs < 0:  # pragma: no cover - malloc failure
         raise MemoryError("pc hash table")
     distinct = keys[: int(num_pcs)]
-    order, rank = _ranks(distinct, np.int32)
+    order, rank = dense_ranks(distinct)
     # in place: take() buffers its output under the default mode="raise"
     np.take(rank, codes, out=codes)
     return distinct[order], codes
 
 
 def class_changes(
-    counter_ids: np.ndarray,
     access_stream: np.ndarray,
+    stream_counter: np.ndarray,
     stream_role: np.ndarray,
     num_counters: int,
 ) -> np.ndarray:
     """Count Table-4 role changes through the compiled single pass.
 
-    ``counter_ids`` int32, ``access_stream`` int64 (both of one length)
-    and ``stream_role`` int8, all C-contiguous.  Returns the int64
-    ``[dominant, non_dominant, wb]`` change counts.  A counter id
-    outside ``[0, num_counters)`` or a stream id outside the role table
-    raises ``ValueError``.  Call only when :func:`available`.
+    ``access_stream`` holds each access's int32 stream id;
+    ``stream_counter`` (int64) and ``stream_role`` (int8) are the
+    per-stream counter and dominance role, all C-contiguous.  Returns
+    the int64 ``[dominant, non_dominant, wb]`` change counts.  A stream
+    id outside the stream tables or a stream counter outside
+    ``[0, num_counters)`` raises ``ValueError``.  Call only when
+    :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled class-change driver is not available")
-    n = len(counter_ids)
-    _require(((counter_ids, np.int32), (access_stream, np.int64)), n)
-    _require(((stream_role, np.int8),))
+    num_streams = len(stream_counter)
+    _require(((access_stream, np.int32),))
+    _require(((stream_counter, np.int64), (stream_role, np.int8)), num_streams)
     last_role = np.full(num_counters, -1, dtype=np.int8)
-    counts = np.zeros(3, dtype=np.int64)
+    counts = np.zeros(4, dtype=np.int64)  # slot 3 takes first accesses
     status = lib.class_changes(
-        _ptr(counter_ids),
         _ptr(access_stream),
+        _ptr(stream_counter),
         _ptr(stream_role),
-        ctypes.c_int64(n),
-        ctypes.c_int32(num_counters),
-        ctypes.c_int64(len(stream_role)),
+        ctypes.c_int64(len(access_stream)),
+        ctypes.c_int64(num_streams),
+        ctypes.c_int64(num_counters),
         _ptr(last_role),
         _ptr(counts),
     )
     if status != 0:
         raise ValueError(
-            f"counter id outside [0, {num_counters}) or stream id outside "
-            f"[0, {len(stream_role)})"
+            f"stream id outside [0, {num_streams}) or counter id outside "
+            f"[0, {num_counters})"
         )
-    return counts
+    return counts[:3]

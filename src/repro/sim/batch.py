@@ -43,8 +43,10 @@ lane by lane.
 Gshare is a ``lane`` entry of the kernel registry
 (:mod:`repro.sim.kernels`): under the compiled engine a whole family's
 rates come from one fused pass (:func:`gshare_family_rates`), under
-numpy from the per-lane counter-major :func:`gshare_rate`; Section-4
-attribution runs through :func:`gshare_detailed` on either engine.
+numpy from the per-lane counter-major :func:`gshare_rate`.  Section-4
+sweeps group each lane's accesses into substreams inside the compiled
+loop (:func:`gshare_substreams`); per-access attribution runs through
+:func:`gshare_detailed` on either engine.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import numpy as np
 from repro.core.counters import WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
+from repro.core.interfaces import SubstreamGrouping
 from repro.core.indexing import gshare_index_stream
 from repro.core.registry import parse_spec
 from repro.traces.record import BranchTrace
@@ -66,6 +69,7 @@ __all__ = [
     "lane_for_spec",
     "gshare_predictions",
     "gshare_detailed",
+    "gshare_substreams",
     "gshare_rate",
     "gshare_lane_predictions",
     "gshare_lane_rates",
@@ -335,6 +339,43 @@ def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _gshare_c(
+    lane: GShareLane,
+    trace: BranchTrace,
+    init: int,
+    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    predictions: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[SubstreamGrouping]]:
+    """One lane through the compiled Section-4 loop: ``(predictions,
+    grouping)``, each ``None`` unless asked for (``predictions``, or the
+    trace's ``pc_codes`` for the substream grouping)."""
+    from repro.sim import _cstep
+
+    preds, grouping = _cstep.gshare_detailed(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        lane.table_size - 1,
+        (1 << lane.history_bits) - 1,
+        np.full(lane.table_size, init, dtype=np.int8),
+        pc_codes,
+        predictions,
+    )
+    return None if preds is None else preds.view(bool), grouping
+
+
+def gshare_substreams(
+    lane: GShareLane,
+    trace: BranchTrace,
+    pc_codes: Tuple[np.ndarray, np.ndarray],
+    init: int = WEAKLY_TAKEN,
+) -> SubstreamGrouping:
+    """Section-4 substreams of one lane, grouped as the compiled loop
+    runs (no per-access prediction or counter array).  ``pc_codes`` is
+    the trace's :func:`repro.analysis.bias.pc_code_stream`, shared by
+    every lane.  Call only when the compiled driver is available."""
+    return _gshare_c(lane, trace, init, pc_codes, predictions=False)[1]
+
+
 def gshare_detailed(
     lane: GShareLane,
     trace: BranchTrace,
@@ -344,27 +385,24 @@ def gshare_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
 
-    The accessed PHT slot IS the counter id, so attribution costs one
-    extra array view.  ``engine="c"`` runs the per-branch automaton in
-    the compiled step driver (:func:`repro.sim._cstep.gshare_detailed`);
-    ``"numpy"`` resolves it counter-major.  Both are bit-for-bit what
+    ``engine="c"`` runs the compiled Section-4 loop and reads each
+    access's counter off its substream (``stream_counter[stream]``);
+    ``"numpy"`` resolves the automaton counter-major, where the
+    accessed PHT slot IS the counter id.  Both are bit-for-bit what
     ``GSharePredictor.simulate_detailed`` records from power-on state.
     """
     n = len(trace)
     if n == 0:
         return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    keys = _lane_keys(lane, trace, hist_cache)
     if engine == "c":
-        from repro.sim import _cstep
+        from repro.analysis.bias import pc_code_stream
 
-        table = np.full(lane.table_size, init, dtype=np.int8)
-        preds = _cstep.gshare_detailed(
-            np.ascontiguousarray(keys), outcomes.view(np.uint8), table
-        )
-        return preds.view(bool), keys.astype(np.int64)
+        preds, grouping = _gshare_c(lane, trace, init, pc_code_stream(trace.pcs))
+        return preds, grouping.counter_ids
     if engine != "numpy":
         raise ValueError(f"unsupported gshare engine {engine!r}")
+    outcomes = np.ascontiguousarray(trace.outcomes)
+    keys = _lane_keys(lane, trace, hist_cache)
     order, run_first, run_len, run_out, run_s0 = _lane_runs(
         keys, outcomes, lane.table_size, init
     )
@@ -389,6 +427,8 @@ def gshare_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
+    if engine == "c":
+        return _gshare_c(lane, trace, WEAKLY_TAKEN)[0]
     return gshare_detailed(lane, trace, engine, hist_cache)[0]
 
 

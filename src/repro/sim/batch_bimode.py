@@ -11,15 +11,17 @@ depends on the selected bank's prediction (the partial-update exception
 of Section 2.2).  The access-to-counter mapping is therefore itself a
 function of counter state and cannot be precomputed.
 
-What is still precomputable — the global-history stream, hence the
-within-bank direction index and the choice index of every access — is
-hoisted out, leaving a small sequential automaton (~10 integer ops per
-branch) that runs in the compiled loops of :mod:`repro.sim._cstep`:
+What remains is a small sequential automaton (~10 integer ops per
+branch) that runs in the compiled loops of :mod:`repro.sim._cstep`,
+both of which derive the direction and choice indices in-loop from the
+raw PCs and one running 64-bit history register:
 
 * :func:`bimode_family_rates` — the whole lane family in one pass over
   the raw trace (``bimode_fused``), reducing to per-lane miss counts;
-* :func:`bimode_detailed` / :func:`bimode_predictions` — one lane's
-  per-branch predictions and counter ids (``bimode_pair``).
+* :func:`bimode_substreams` / :func:`bimode_detailed` /
+  :func:`bimode_predictions` — one lane (``bimode_pair``), grouping its
+  accesses into Section-4 substreams as it runs, and/or recording
+  per-branch predictions.
 
 Bi-mode is a ``cloop`` entry of the kernel registry
 (:mod:`repro.sim.kernels`): without a compiler it runs the scalar
@@ -37,10 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
-from repro.core.indexing import gshare_index_stream, mask
+from repro.core.indexing import mask
+from repro.core.interfaces import SubstreamGrouping
 from repro.core.registry import parse_spec
 from repro.sim import _cstep
-from repro.sim.lanes import _hist
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "bimode_lane_for_spec",
     "bimode_predictions",
     "bimode_detailed",
+    "bimode_substreams",
     "bimode_family_rates",
 ]
 
@@ -121,37 +124,41 @@ def bimode_lane_for_spec(spec: str) -> Optional[BiModeLane]:
     )
 
 
+def _choice_hist_mask(lane: BiModeLane) -> int:
+    """History mask of the choice index: none unless the choice table
+    uses history, then at most the choice width."""
+    if not lane.choice_uses_history:
+        return 0
+    return mask(min(lane.hist_bits, lane.choice_bits))
+
+
 def _run_pair(
     lane: BiModeLane,
     trace: BranchTrace,
     engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]],
-    banks: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One lane through the compiled per-branch loop: ``(predictions,
-    direction_index)``; ``banks`` (uint8, optional) receives each
-    access's selected bank bit."""
+    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    predictions: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[SubstreamGrouping]]:
+    """One lane through the compiled Section-4 loop: ``(predictions,
+    grouping)``, each ``None`` unless asked for (``predictions``, or the
+    trace's ``pc_codes`` for the substream grouping)."""
     if engine != "c":
         raise ValueError(f"unsupported bi-mode engine {engine!r}")
-    histories = _hist(trace, lane.hist_bits, hist_cache)
-    di = gshare_index_stream(trace.pcs, histories, lane.dir_bits, lane.hist_bits)
-    if lane.choice_uses_history:
-        ci = gshare_index_stream(
-            trace.pcs, histories, lane.choice_bits, min(lane.hist_bits, lane.choice_bits)
-        )
-    else:
-        ci = trace.pcs & mask(lane.choice_bits)
-    preds = _cstep.bimode_pair(
-        np.ascontiguousarray(ci, dtype=np.int32),
-        np.ascontiguousarray(di, dtype=np.int32),
+    preds, grouping = _cstep.bimode_pair(
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
         np.ascontiguousarray(trace.outcomes).view(np.uint8),
+        mask(lane.dir_bits),
+        mask(lane.hist_bits),
+        mask(lane.choice_bits),
+        _choice_hist_mask(lane),
+        lane.full_update,
         np.full(lane.bank_size, WEAKLY_NOT_TAKEN, dtype=np.int8),
         np.full(lane.bank_size, WEAKLY_TAKEN, dtype=np.int8),
         np.full(lane.choice_size, WEAKLY_TAKEN, dtype=np.int8),
-        lane.full_update,
-        banks,
+        pc_codes,
+        predictions,
     )
-    return preds.view(bool), di
+    return None if preds is None else preds.view(bool), grouping
 
 
 def bimode_predictions(
@@ -163,7 +170,17 @@ def bimode_predictions(
     """Per-branch predictions of one lane, bit-for-bit what
     ``BiModePredictor`` configured as ``lane`` predicts from power-on
     state."""
-    return _run_pair(lane, trace, engine, hist_cache, None)[0]
+    return _run_pair(lane, trace, engine)[0]
+
+
+def bimode_substreams(
+    lane: BiModeLane, trace: BranchTrace, pc_codes: Tuple[np.ndarray, np.ndarray]
+) -> SubstreamGrouping:
+    """Section-4 substreams of one lane, grouped as the compiled loop
+    runs (no per-access prediction or counter array).  ``pc_codes`` is
+    the trace's :func:`repro.analysis.bias.pc_code_stream`, shared by
+    every lane.  Call only when the compiled driver is available."""
+    return _run_pair(lane, trace, "c", pc_codes, predictions=False)[1]
 
 
 def bimode_detailed(
@@ -177,12 +194,13 @@ def bimode_detailed(
     Counter ids follow the scalar convention of
     ``BiModePredictor.simulate_detailed``: the selected direction
     counter's index, with taken-bank accesses offset by ``bank_size``
-    (so the id space has ``2 * bank_size`` counters).
+    (so the id space has ``2 * bank_size`` counters).  They are read off
+    each access's substream (``stream_counter[stream]``).
     """
-    banks = np.empty(len(trace), dtype=np.uint8)
-    preds, di = _run_pair(lane, trace, engine, hist_cache, banks)
-    ids = di.astype(np.int64) + banks.astype(np.int64) * lane.bank_size
-    return preds, ids
+    from repro.analysis.bias import pc_code_stream
+
+    preds, grouping = _run_pair(lane, trace, engine, pc_code_stream(trace.pcs))
+    return preds, grouping.counter_ids
 
 
 def bimode_family_rates(
@@ -203,15 +221,7 @@ def bimode_family_rates(
     dmask = np.array([mask(lane.dir_bits) for lane in lanes], dtype=np.int64)
     dhmask = np.array([mask(lane.hist_bits) for lane in lanes], dtype=np.int64)
     cmask = np.array([mask(lane.choice_bits) for lane in lanes], dtype=np.int64)
-    chmask = np.array(
-        [
-            mask(min(lane.hist_bits, lane.choice_bits))
-            if lane.choice_uses_history
-            else 0
-            for lane in lanes
-        ],
-        dtype=np.int64,
-    )
+    chmask = np.array([_choice_hist_mask(lane) for lane in lanes], dtype=np.int64)
     full_update = np.array([lane.full_update for lane in lanes], dtype=np.uint8)
     nt_base = np.empty(P, dtype=np.int64)
     tk_base = np.empty(P, dtype=np.int64)

@@ -38,7 +38,9 @@ differential oracle assert it cell by cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sim import kernels
 from repro.traces.record import BranchTrace
@@ -137,20 +139,25 @@ def family_rates(family: SpecFamily, trace: BranchTrace) -> Dict[str, float]:
 
 
 def family_detailed(
-    family: SpecFamily, trace: BranchTrace
-) -> Dict[str, Tuple[object, object, int]]:
+    family: SpecFamily,
+    trace: BranchTrace,
+    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Dict[str, object]:
     """Section-4 attribution of every spec in one family on one trace.
 
-    Returns ``{spec: (predictions, counter_ids, num_counters)}``,
-    bit-for-bit the scalar ``simulate_detailed`` loop's output from
-    power-on state.  One family is one pass-shaped unit of work:
-    registry families share precomputed history streams across their
-    lanes (:func:`repro.sim.kernels.family_detailed`), and the scalar
-    family runs per-cell with the degradation health-reported —
-    mirroring :func:`repro.sim.engine.run_detailed` exactly.
+    Returns ``{spec: row}`` with the rows of :func:`repro.sim.kernels.
+    family_detailed`: a detailed simulation, bit-for-bit the scalar
+    ``simulate_detailed`` loop's output from power-on state, or — given
+    the trace's ``pc_codes`` and a compiled gshare or bi-mode lane — the
+    substream grouping its loop emits.  Registry families dispatch through the kernel
+    registry, and the scalar family runs per-cell with the degradation
+    health-reported — mirroring :func:`repro.sim.engine.run_detailed`
+    exactly.
     """
     if family.kind != "scalar":
-        rows = kernels.family_detailed(family.kind, family.specs, family.lanes, trace)
+        rows = kernels.family_detailed(
+            family.kind, family.specs, family.lanes, trace, pc_codes=pc_codes
+        )
         return dict(zip(family.specs, rows))
     from repro import health
     from repro.core.registry import make_predictor
@@ -162,12 +169,4 @@ def family_detailed(
         cells=len(family),
         reason=_scalar_reason(family.specs),
     )
-    out: Dict[str, Tuple[object, object, int]] = {}
-    for spec in family.specs:
-        detailed = make_predictor(spec).simulate_detailed(trace)
-        out[spec] = (
-            detailed.result.predictions,
-            detailed.counter_ids,
-            detailed.num_counters,
-        )
-    return out
+    return {spec: make_predictor(spec).simulate_detailed(trace) for spec in family.specs}

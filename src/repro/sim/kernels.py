@@ -54,7 +54,9 @@ Engine tiers
 An entry may also carry a ``family`` hook — a fused C loop advancing
 every lane of a family in one pass over the trace (gshare, bi-mode) —
 which the compiled engine uses for rates in place of per-lane
-predictions.
+predictions, and a ``substreams`` hook — a compiled per-lane loop that
+groups accesses into Section-4 substreams as it runs (gshare, bi-mode)
+— which detailed sweeps use in place of per-access attribution.
 
 The verification suite (``tests/test_kernels.py``) is generated from
 this mapping, so a scheme that registers in ``core/registry.py``
@@ -70,6 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.interfaces import DetailedSimulation, SimulationResult, SubstreamGrouping
 from repro.sim import _cstep
 from repro.sim import batch as _gshare
 from repro.sim import batch_bimode as _bimode
@@ -128,6 +131,10 @@ class KernelEntry:
     #: whole family in one pass over the trace; the compiled engine's
     #: rate path when present.
     family: Optional[Callable[[Sequence[object], BranchTrace], List[float]]] = None
+    #: Optional compiled Section-4 loop ``(lane, trace, pc_codes) ->
+    #: SubstreamGrouping`` grouping accesses into substreams as it runs;
+    #: the compiled engine's sweep path when present.
+    substreams: Optional[Callable[..., SubstreamGrouping]] = None
 
 
 def _always(lane: object) -> bool:
@@ -161,6 +168,7 @@ PORTED: Dict[str, KernelEntry] = {
         rates=_gshare.gshare_rate,
         detailed=_gshare.gshare_detailed,
         family=_gshare.gshare_family_rates,
+        substreams=_gshare.gshare_substreams,
     ),
     "bimode": KernelEntry(
         "bimode",
@@ -172,6 +180,7 @@ PORTED: Dict[str, KernelEntry] = {
         _never,
         detailed=_bimode.bimode_detailed,
         family=_bimode.bimode_family_rates,
+        substreams=_bimode.bimode_substreams,
     ),
     "bimodal": KernelEntry(
         "bimodal",
@@ -536,40 +545,53 @@ def family_detailed(
     lanes: Sequence[object],
     trace: BranchTrace,
     mode: Optional[str] = None,
-) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> list:
     """Section-4 attribution of every lane of one family.
 
-    Returns ``(predictions, counter_ids, num_counters)`` per lane,
-    bit-for-bit what the scalar ``simulate_detailed`` loop would emit
-    from power-on state.  Engine choice per lane follows
-    ``REPRO_KERNEL`` (or an explicit ``mode``) exactly like
-    :func:`family_predictions` — the detailed kernels share the
-    prediction kernels' engine matrix — and dispatch is health-reported
-    under ``"<kind>-kernel"``.  Unlike the rate paths, lanes do not
-    share history streams: every lane's attribution rows are kept until
-    the family returns, and one stream per lane on top would raise the
-    peak for no gain when (as in the paper's grids) the history widths
-    differ.
+    Returns one :class:`~repro.core.interfaces.DetailedSimulation` per
+    lane, bit-for-bit what the scalar ``simulate_detailed`` loop would
+    emit from power-on state.  Given the trace's ``pc_codes``
+    (:func:`repro.analysis.bias.pc_code_stream`), a lane whose entry has
+    a ``substreams`` loop and runs compiled returns the
+    :class:`~repro.core.interfaces.SubstreamGrouping` that loop emits
+    instead (no per-access array but the int32 stream ids); the
+    Section-4 analysis reads either.
+    Engine choice per lane follows ``REPRO_KERNEL`` (or an explicit
+    ``mode``) exactly like :func:`family_predictions` — the detailed
+    kernels share the prediction kernels' engine matrix — and dispatch
+    is health-reported under ``"<kind>-kernel"``.  Each lane runs its
+    own pass and the family returns every lane's row at once; in a
+    sweep a gshare or bi-mode row holds 4 bytes per branch (its stream
+    ids) plus one record per substream, not per-access predictions and
+    counter ids.
     """
     from repro.core.registry import make_predictor
 
     entry, engines = _dispatch(kind, specs, lanes, mode)
     if entry.detailed is None:  # pragma: no cover - meta-test keeps this dead
         raise RuntimeError(f"scheme {kind!r} has no detailed attribution kernel")
-    out: List[Tuple[np.ndarray, np.ndarray, int]] = []
+    out: list = []
     for spec, lane, engine in zip(specs, lanes, engines):
+        if engine == "c" and pc_codes is not None and entry.substreams is not None:
+            out.append(entry.substreams(lane, trace, pc_codes))
+            continue
         if engine == "scalar":
             detailed = make_predictor(spec).simulate_detailed(trace)
-            out.append(
-                (
-                    np.asarray(detailed.result.predictions, dtype=bool),
-                    detailed.counter_ids,
-                    detailed.num_counters,
-                )
-            )
         else:
             preds, cids = entry.detailed(lane, trace, engine, None)
-            out.append((preds, cids, _lanes.detailed_num_counters(lane)))
+            detailed = DetailedSimulation(
+                result=SimulationResult(
+                    predictor_name=spec,
+                    trace_name=trace.name,
+                    predictions=preds,
+                    outcomes=trace.outcomes,
+                ),
+                counter_ids=cids,
+                num_counters=_lanes.detailed_num_counters(lane),
+                pcs=trace.pcs,
+            )
+        out.append(detailed)
     return out
 
 

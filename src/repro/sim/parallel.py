@@ -44,9 +44,9 @@ cells) are reported through :mod:`repro.health`.
 
 Detailed (Section-4) analysis sweeps are a first-class workload here
 too: :func:`detailed_matrix` ships one supervised task per ``(trace,
-spec family)`` — cells of one scheme share a fused attribution pass
-(:func:`repro.sim.fused.family_detailed`) — workers reduce each
-attribution simulation to a compact summary dict in-process (kilobytes
+spec family)`` — cells of one scheme share a detailed family pass
+(:func:`repro.sim.fused.family_detailed`) — workers reduce each lane's
+substream grouping to a compact summary dict in-process (kilobytes
 over the pipe, never the per-branch arrays), and completed cells
 persist to a :class:`repro.sim.journal.PayloadJournal` for crash-safe
 resume with bit-identical aggregates.
@@ -305,42 +305,31 @@ def _detailed_cells(
 ) -> Dict[str, dict]:
     """Run and summarize the detailed simulation of each spec on one trace.
 
-    Cells evaluate family-wise through the fused detailed passes
-    (:func:`repro.sim.fused.family_detailed`): specs sharing a scheme
-    share one pass's precomputed streams, and each lane's
-    ``(predictions, counter_ids)`` is bit-identical to the scalar
-    ``run_detailed`` path.  The heavy per-access attribution arrays
-    never leave this function — each cell is reduced to its compact
-    Section-4 summary dict
+    Cells evaluate family-wise through the detailed passes
+    (:func:`repro.sim.fused.family_detailed`), which share the trace's
+    PC codes.  Compiled gshare and bi-mode lanes group their accesses
+    into (counter, pc) substreams as they run and hand back only int32
+    stream ids and per-stream ``{key, total, taken, miss}`` records —
+    the misprediction count comes from those records — while the other
+    schemes hand back a detailed simulation for the analysis to group.
+    Either is reduced at once to its compact Section-4 summary dict
     (:func:`repro.analysis.summary.summarize_detailed`), kilobytes
     instead of tens of megabytes, which is what makes detailed cells
-    shippable across the process pool and journallable as JSON.
+    shippable across the process pool and journallable as JSON; the
+    summaries are bit-identical to the scalar ``run_detailed`` path's.
     """
     from repro.analysis.bias import pc_code_stream
     from repro.analysis.summary import summarize_detailed
-    from repro.core.interfaces import DetailedSimulation, SimulationResult
     from repro.sim.fused import family_detailed, plan_families
 
     pc_codes = pc_code_stream(trace.pcs)  # per-trace, shared by every cell
     out: Dict[str, dict] = {}
     for family in plan_families(list(specs)):
-        rows = family_detailed(family, trace)
+        rows = family_detailed(family, trace, pc_codes=pc_codes)
         for spec in family.specs:
             fault_point("detailed", bench=trace.name or "anon", spec=spec)
-            predictions, counter_ids, num_counters = rows[spec]
-            detailed = DetailedSimulation(
-                result=SimulationResult(
-                    predictor_name=spec,
-                    trace_name=trace.name,
-                    predictions=predictions,
-                    outcomes=trace.outcomes,
-                ),
-                counter_ids=counter_ids,
-                num_counters=num_counters,
-                pcs=trace.pcs,
-            )
             out[spec] = summarize_detailed(
-                detailed,
+                rows[spec],
                 threshold=opts["threshold"],
                 include_bias_table=opts["include_bias_table"],
                 pc_codes=pc_codes,
@@ -833,7 +822,7 @@ def detailed_matrix(
     dict of :func:`repro.analysis.summary.summarize_detailed`.  The
     sweep ships one supervised task per ``(trace, spec family)`` — the
     fused planner's grouping, so cells of one scheme share a single
-    fused attribution pass (:func:`repro.sim.fused.family_detailed`)
+    detailed family pass (:func:`repro.sim.fused.family_detailed`)
     while staying much finer-grained than whole benchmarks; tasks get
     the full :class:`TaskPolicy` treatment — retries, pool reseeding
     after a killed worker, timeouts, serial salvage, and quarantine
@@ -897,8 +886,8 @@ def detailed_matrix(
                 if not store.has(recipe.name, recipe.length, recipe.seed):
                     materialize.append(_Task(bench, recipe, [], kind="materialize"))
             # One task per (trace, family): specs of one scheme share a
-            # fused detailed pass (precomputed streams, one C arena),
-            # while the journal keeps its per-cell resume granularity.
+            # detailed family pass (and the trace's PC codes), while the
+            # journal keeps its per-cell resume granularity.
             from repro.sim.fused import plan_families
 
             for family in plan_families(missing):

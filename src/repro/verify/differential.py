@@ -133,10 +133,16 @@ def diff_spec(
                 # scheme without a numpy form runs its scalar reference);
                 # runs carry counter ids too, so an attribution
                 # regression diverges here even when predictions agree
-                ((preds, ids, _),) = kernels.family_detailed(
+                (detailed,) = kernels.family_detailed(
                     kind, [spec], [lane], trace, mode=pin
                 )
-                report.runs.append(EngineRun(f"lane:{kind}[{pin}]", preds, ids))
+                report.runs.append(
+                    EngineRun(
+                        f"lane:{kind}[{pin}]",
+                        detailed.result.predictions,
+                        detailed.counter_ids,
+                    )
+                )
 
     reference = report.runs[0]
     first: Optional[int] = None

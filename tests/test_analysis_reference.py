@@ -34,11 +34,13 @@ from repro.analysis.reference import (
 )
 from repro.analysis.interference import count_class_changes
 from repro.analysis.summary import summarize_detailed
+from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 from repro.core.registry import make_predictor
 from repro.sim import _cstep
 from repro.sim.engine import run_detailed
+from repro.sim.fused import family_detailed, plan_families
 from repro.traces.record import BranchTrace
-from tests.conftest import make_toy_trace
+from tests.conftest import make_toy_trace, make_trace
 from tests.test_analysis_bias import detailed_from
 
 DETAILED_SPECS = [
@@ -311,6 +313,95 @@ class TestHashGroupingEdgeCases:
             assert_all_paths_agree(detailed, monkeypatch)
 
 
+def _section4_specs():
+    """Every ``section4`` benchmark spec plus the two bi-mode ablations
+    the streaming loop also serves."""
+    from perfbench.workloads import section4_grid
+
+    return section4_grid() + [
+        "bimode:dir=7,hist=7,choice=6,full_update=1",
+        "bimode:dir=7,hist=5,choice=6,choice_hist=1",
+    ]
+
+
+def _streaming_trace(kind):
+    rng = np.random.default_rng(17)
+    if kind == "toy":
+        return make_toy_trace(length=3000, seed=5)
+    if kind == "empty":
+        return BranchTrace.empty("none")
+    if kind == "one-branch":
+        return make_trace([0x40], [True])
+    if kind == "single-pc":
+        return make_trace([0x400] * 600, rng.random(600) < 0.7)
+    if kind == "wide-pcs":  # PCs at and above 2**32
+        pcs = rng.choice([2**32, 2**32 + 4, 2**40 + 12, 2**62 - 8, 0x400], 1500)
+        return make_trace(pcs, rng.random(1500) < 0.6)
+    raise ValueError(kind)
+
+
+STREAMING_TRACES = ("toy", "empty", "one-branch", "single-pc", "wide-pcs")
+
+
+def _section4_rows(spec, trace):
+    """What a ``detailed_matrix`` worker hands the analysis for one
+    cell: the family pass's row under the trace's shared pc codes."""
+    pc_codes = pc_code_stream(trace.pcs)
+    (family,) = plan_families([spec])
+    return family_detailed(family, trace, pc_codes=pc_codes)[spec], pc_codes
+
+
+class TestStreamingSection4:
+    """The streaming gshare/bi-mode loops group substreams as they run;
+    on every ``section4`` spec the grouped analysis must equal the
+    sort-based reference and the ``REPRO_NO_CC`` fallback field by
+    field, on ordinary and edge-case traces."""
+
+    @pytest.mark.parametrize("kind", STREAMING_TRACES)
+    @pytest.mark.parametrize("spec", _section4_specs())
+    def test_streamed_analysis_matches_reference_and_fallback(
+        self, spec, kind, monkeypatch
+    ):
+        trace = _streaming_trace(kind)
+        scalar = make_predictor(spec).simulate_detailed(trace)
+        reference = analyze_substreams_reference(scalar)
+        want_summary = summarize_detailed_reference(scalar, include_bias_table=True)
+        want_changes = count_class_changes_reference(scalar, reference)
+
+        def check(row, pc_codes):
+            analysis = analyze_substreams(row, pc_codes=pc_codes)
+            assert_analysis_equal(analysis, reference)
+            for a, b in zip(vars(analysis).values(), vars(reference).values()):
+                assert getattr(a, "dtype", None) == getattr(b, "dtype", None)
+            assert count_class_changes(row, analysis) == want_changes
+            summary = summarize_detailed(
+                row, include_bias_table=True, pc_codes=pc_codes
+            )
+            assert summary == want_summary
+
+        if _cstep.available():
+            row, pc_codes = _section4_rows(spec, trace)
+            assert isinstance(row, SubstreamGrouping)
+            assert row.num_counters == scalar.num_counters
+            assert np.array_equal(row.counter_ids, scalar.counter_ids)
+            check(row, pc_codes)
+        monkeypatch.setattr(_cstep, "available", lambda: False)
+        row, pc_codes = _section4_rows(spec, trace)
+        assert isinstance(row, DetailedSimulation)
+        check(row, pc_codes)
+
+    @pytest.mark.parametrize("kind", STREAMING_TRACES)
+    @pytest.mark.parametrize("spec", _section4_specs())
+    def test_run_detailed_matches_scalar(self, spec, kind):
+        trace = _streaming_trace(kind)
+        got = run_detailed(make_predictor(spec), trace)
+        want = make_predictor(spec).simulate_detailed(trace)
+        assert np.array_equal(got.result.predictions, want.result.predictions)
+        assert np.array_equal(got.counter_ids, want.counter_ids)
+        assert got.counter_ids.dtype == want.counter_ids.dtype
+        assert got.num_counters == want.num_counters
+
+
 needs_cc = pytest.mark.skipif(
     not _cstep.available(), reason="compiled driver unavailable"
 )
@@ -321,9 +412,11 @@ class TestDriverPreconditions:
     """Bad inputs raise ValueError instead of reaching the C loops."""
 
     def group_args(self, n=6):
+        """Valid ``substream_group`` arguments: ``n`` accesses of one pc
+        on counter 0 of 4."""
         return (
             np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int32),
+            (np.array([0x40], dtype=np.int64), np.zeros(n, dtype=np.int32)),
             np.ones(n, dtype=bool),
             np.zeros(n, dtype=bool),
         )
@@ -333,37 +426,40 @@ class TestDriverPreconditions:
         for bad in (4, -1, 2**40):
             cid[3] = bad
             with pytest.raises(ValueError, match="counter id"):
-                _cstep.substream_group(cid, pc, taken, miss, 4, 1)
+                _cstep.substream_group(cid, pc, taken, miss, 4)
 
     def test_substream_group_rejects_out_of_range_pc_code(self):
         cid, pc, taken, miss = self.group_args()
-        pc[2] = 1
-        with pytest.raises(ValueError, match="pc code"):
-            _cstep.substream_group(cid, pc, taken, miss, 4, 1)
+        for bad in (1, -1):
+            pc[1][2] = bad
+            with pytest.raises(ValueError, match="pc code"):
+                _cstep.substream_group(cid, pc, taken, miss, 4)
 
     def test_class_changes_rejects_out_of_range_counter(self):
-        cid = np.array([0, 1, 4, 1], dtype=np.int32)
-        access = np.zeros(4, dtype=np.int64)
-        roles = np.zeros(1, dtype=np.int8)
+        access = np.array([0, 1, 2, 1], dtype=np.int32)
+        counters = np.array([0, 1, 4], dtype=np.int64)
+        roles = np.zeros(3, dtype=np.int8)
         with pytest.raises(ValueError, match="counter id"):
-            _cstep.class_changes(cid, access, roles, 4)
-        cid[2] = -1
+            _cstep.class_changes(access, counters, roles, 4)
+        counters[2] = -1
         with pytest.raises(ValueError, match="counter id"):
-            _cstep.class_changes(cid, access, roles, 4)
+            _cstep.class_changes(access, counters, roles, 4)
 
     def test_class_changes_rejects_out_of_range_stream(self):
-        cid = np.zeros(4, dtype=np.int32)
-        access = np.array([0, 1, 0, 0], dtype=np.int64)
-        with pytest.raises(ValueError, match="stream id"):
-            _cstep.class_changes(cid, access, np.zeros(1, dtype=np.int8), 1)
+        counters = np.zeros(1, dtype=np.int64)
+        roles = np.zeros(1, dtype=np.int8)
+        for bad in (1, -1):
+            access = np.array([0, bad, 0, 0], dtype=np.int32)
+            with pytest.raises(ValueError, match="stream id"):
+                _cstep.class_changes(access, counters, roles, 1)
 
     def test_wrong_dtype_or_layout_raises(self):
         cid, pc, taken, miss = self.group_args()
         with pytest.raises(ValueError, match="int64"):
-            _cstep.substream_group(cid.astype(np.int32), pc, taken, miss, 4, 1)
+            _cstep.substream_group(cid.astype(np.int32), pc, taken, miss, 4)
         with pytest.raises(ValueError, match="contiguous"):
             _cstep.substream_group(
-                np.zeros(12, dtype=np.int64)[::2], pc, taken, miss, 4, 1
+                np.zeros(12, dtype=np.int64)[::2], pc, taken, miss, 4
             )
         with pytest.raises(ValueError, match="int64 or uint64"):
             _cstep.pc_codes(np.zeros(4, dtype=np.int32))
@@ -371,11 +467,11 @@ class TestDriverPreconditions:
     def test_unequal_lengths_raise(self):
         cid, pc, taken, miss = self.group_args()
         with pytest.raises(ValueError, match="lengths differ"):
-            _cstep.substream_group(cid, pc[:-1], taken, miss, 4, 1)
+            _cstep.substream_group(cid, (pc[0], pc[1][:-1]), taken, miss, 4)
         with pytest.raises(ValueError, match="lengths differ"):
             _cstep.class_changes(
                 np.zeros(3, dtype=np.int32),
-                np.zeros(4, dtype=np.int64),
+                np.zeros(2, dtype=np.int64),
                 np.zeros(1, dtype=np.int8),
                 1,
             )
@@ -396,13 +492,13 @@ class TestDriverPreconditions:
         def i64(*values):
             return np.array(values, dtype=np.int64)
 
+        codes = (np.array([0x40], np.int64), np.zeros(n, np.int32))
         calls = {
             "bimode_pair": (
-                [np.zeros(n, np.int32), np.zeros(n, np.int32), out,
-                 i8(4), i8(4), i8(4), False],
-                2,
+                [pcs, out, 3, 3, 3, 0, False, i8(4), i8(4), i8(4), codes],
+                1,
             ),
-            "gshare_detailed": ([np.zeros(n, np.int32), out, i8(4)], 1),
+            "gshare_detailed": ([pcs, out, 3, 3, i8(4), codes], 1),
             "gshare_fused": ([pcs, out, i64(3), i64(3), i64(0), i8(4)], 1),
             "bimode_fused": (
                 [pcs, out, i64(3), i64(3), i64(3), i64(0),
@@ -521,3 +617,93 @@ class TestDriverPreconditions:
         args[5] = 3  # history reach wider than the 4-entry sub-table
         with pytest.raises(ValueError, match="reach"):
             driver(*args)
+
+    # -- Section-4 detailed loops and the grouping passes --------------------
+
+    GROUPED = ("gshare_detailed", "bimode_pair")
+    #: index of the pc codes argument of each grouped loop's valid call
+    CODES = {"gshare_detailed": 5, "bimode_pair": 10}
+
+    @pytest.mark.parametrize("name", GROUPED)
+    def test_grouped_loop_returns_streams(self, name):
+        driver, args, _ = self.lane_call(name)
+        preds, grouping = driver(*args)
+        assert preds.shape == (8,) and grouping.access_stream.dtype == np.int32
+        assert grouping.streams["total"].sum() == 8
+        # predictions alone, or streams alone
+        preds, grouping = driver(*args[: self.CODES[name]])
+        assert preds.shape == (8,) and grouping is None
+        preds, grouping = driver(*args, predictions=False)
+        assert preds is None and grouping is not None
+
+    @pytest.mark.parametrize("name", GROUPED)
+    def test_grouped_loop_rejects_bad_pc_codes(self, name):
+        index = self.CODES[name]
+        for bad in (1, -1):
+            driver, args, _ = self.lane_call(name)
+            args[index][1][3] = bad
+            with pytest.raises(ValueError, match="pc code"):
+                driver(*args)
+        driver, args, _ = self.lane_call(name)
+        unique_pcs, codes = args[index]
+        for bad_codes, message in (
+            (codes[:-1], "lengths differ"),
+            (codes.astype(np.int64), "int32"),
+            (np.repeat(codes, 2)[::2], "contiguous=False"),
+        ):
+            args[index] = (unique_pcs, bad_codes)
+            with pytest.raises(ValueError, match=message):
+                driver(*args)
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("gshare_detailed", 2, 7),  # PC mask past the 4-entry PHT
+            ("gshare_detailed", 3, 4),  # history mask past it
+            ("bimode_pair", 2, 4),  # direction PC mask past the banks
+            ("bimode_pair", 3, 7),  # direction history mask past them
+            ("bimode_pair", 4, 8),  # choice PC mask past the choice table
+            ("bimode_pair", 5, 4),  # choice history mask past it
+        ],
+    )
+    def test_grouped_loop_rejects_table_reach(self, name, index, value):
+        driver, args, _ = self.lane_call(name)
+        args[index] = value
+        with pytest.raises(ValueError, match="reaches past"):
+            driver(*args)
+        args[index] = -1
+        with pytest.raises(ValueError, match=">= 0"):
+            driver(*args)
+
+    def test_bimode_banks_must_match(self):
+        driver, args, _ = self.lane_call("bimode_pair")
+        args[8] = np.full(8, 2, dtype=np.int8)  # taken bank != not-taken bank
+        with pytest.raises(ValueError, match="lengths differ"):
+            driver(*args)
+
+    def test_grouped_passes_reject_ids_past_int32(self, monkeypatch):
+        """Stream and pc ids are int32; ``n >= 2**31 - 1`` accesses are
+        refused before any id is written (the limit is lowered here so
+        the check runs without allocating 2**31 accesses)."""
+        monkeypatch.setattr(_cstep, "_ID_LIMIT", 8)
+        for name in self.GROUPED:
+            driver, args, _ = self.lane_call(name)
+            with pytest.raises(ValueError, match="int32 id range"):
+                driver(*args)
+            # predictions alone write no ids
+            driver(*args[: self.CODES[name]])
+        cid, pc, taken, miss = self.group_args(n=8)
+        with pytest.raises(ValueError, match="int32 id range"):
+            _cstep.substream_group(cid, pc, taken, miss, 4)
+        with pytest.raises(ValueError, match="int32 id range"):
+            _cstep.pc_codes(np.zeros(8, dtype=np.int64))
+        cid, pc, taken, miss = self.group_args(n=7)
+        _cstep.substream_group(cid, pc, taken, miss, 4)
+        # the numpy fallback refuses where the compiled pass does
+        monkeypatch.setattr(_cstep, "available", lambda: False)
+        detailed = detailed_from(
+            pcs=[0x400] * 8, counter_ids=[0] * 8, outcomes=[True] * 8,
+            mispredicted=[False] * 8, num_counters=4,
+        )
+        with pytest.raises(ValueError, match="int32 id range"):
+            analyze_substreams(detailed)

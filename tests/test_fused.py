@@ -150,11 +150,11 @@ class TestFamilyDetailed:
         for family in plan_families(self.MIXED_GRID):
             rows.update(family_detailed(family, trace))
         assert set(rows) == set(self.MIXED_GRID)
-        for spec, (preds, cids, num) in rows.items():
+        for spec, got in rows.items():
             detailed = make_predictor(spec).simulate_detailed(trace)
-            assert np.array_equal(preds, detailed.result.predictions), spec
-            assert np.array_equal(cids, detailed.counter_ids), spec
-            assert num == detailed.num_counters, spec
+            assert np.array_equal(got.result.predictions, detailed.result.predictions), spec
+            assert np.array_equal(got.counter_ids, detailed.counter_ids), spec
+            assert got.num_counters == detailed.num_counters, spec
 
     def test_scalar_family_reports_detailed_degradation(self, trace):
         from repro.sim.fused import family_detailed
@@ -165,10 +165,10 @@ class TestFamilyDetailed:
         health.clear()
         rows = family_detailed(family, trace)
         detailed = make_predictor(scalar_spec).simulate_detailed(trace)
-        preds, cids, num = rows[scalar_spec]
-        assert np.array_equal(preds, detailed.result.predictions)
-        assert np.array_equal(cids, detailed.counter_ids)
-        assert num == detailed.num_counters
+        got = rows[scalar_spec]
+        assert np.array_equal(got.result.predictions, detailed.result.predictions)
+        assert np.array_equal(got.counter_ids, detailed.counter_ids)
+        assert got.num_counters == detailed.num_counters
         (event,) = [
             e
             for e in health.events(component="detailed-kernel")
@@ -204,9 +204,10 @@ class TestFamilyDetailed:
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
         pinned = grid()
         for spec in self.MIXED_GRID:
-            assert np.array_equal(baseline[spec][0], pinned[spec][0]), spec
-            assert np.array_equal(baseline[spec][1], pinned[spec][1]), spec
-            assert baseline[spec][2] == pinned[spec][2], spec
+            base, pin = baseline[spec], pinned[spec]
+            assert np.array_equal(base.result.predictions, pin.result.predictions), spec
+            assert np.array_equal(base.counter_ids, pin.counter_ids), spec
+            assert base.num_counters == pin.num_counters, spec
 
 
 class TestFigureGridEquivalence:

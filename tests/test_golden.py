@@ -249,7 +249,6 @@ def test_family_detailed_reproduces_golden_summaries():
     must land on the same frozen summaries as the per-predictor
     ``run_detailed`` loop that froze them."""
     from repro.analysis.summary import summarize_detailed
-    from repro.core.interfaces import DetailedSimulation, SimulationResult
     from repro.sim.fused import family_detailed, plan_families
 
     expected = json.loads(DETAILED_GOLDEN_PATH.read_text())["summaries"]
@@ -258,18 +257,7 @@ def test_family_detailed_reproduces_golden_summaries():
     for name in DETAILED_TRACE_NAMES:
         trace = traces[name]
         for family in plan_families(DETAILED_SPECS):
-            for spec, (preds, cids, num) in family_detailed(family, trace).items():
-                detailed = DetailedSimulation(
-                    result=SimulationResult(
-                        predictor_name=spec,
-                        trace_name=trace.name,
-                        predictions=preds,
-                        outcomes=trace.outcomes,
-                    ),
-                    counter_ids=cids,
-                    num_counters=num,
-                    pcs=trace.pcs,
-                )
+            for spec, detailed in family_detailed(family, trace).items():
                 got = json.loads(
                     json.dumps(summarize_detailed(detailed), sort_keys=True)
                 )

@@ -355,12 +355,12 @@ class TestDetailedEquivalence:
             rows = kernels.family_detailed(
                 family.kind, family.specs, family.lanes, trace, mode=mode
             )
-            for spec, (preds, cids, num) in zip(family.specs, rows):
+            for spec, got in zip(family.specs, rows):
                 want_p, want_c, want_n = _scalar_detailed_cell(spec, trace_kind)
                 if (
-                    num != want_n
-                    or not np.array_equal(preds, want_p)
-                    or not np.array_equal(cids, want_c)
+                    got.num_counters != want_n
+                    or not np.array_equal(got.result.predictions, want_p)
+                    or not np.array_equal(got.counter_ids, want_c)
                 ):
                     drifted.append(f"{spec} [{mode}/{trace_kind}]")
         assert not drifted, drifted
@@ -374,9 +374,9 @@ class TestDetailedEquivalence:
         assert oracle_supports_detailed(spec), spec
         o_preds, o_ids = oracle_detailed(spec, trace)
         kind, lane = kernels.kernel_for_spec(spec)
-        ((preds, cids, _),) = kernels.family_detailed(kind, [spec], [lane], trace)
-        assert np.array_equal(preds, o_preds), spec
-        assert np.array_equal(cids, o_ids), spec
+        (got,) = kernels.family_detailed(kind, [spec], [lane], trace)
+        assert np.array_equal(got.result.predictions, o_preds), spec
+        assert np.array_equal(got.counter_ids, o_ids), spec
 
     def test_detailed_shares_family_history_pass(self):
         """Several lanes of one family resolve in one call, sharing the
@@ -386,11 +386,11 @@ class TestDetailedEquivalence:
         lanes = [kernels.kernel_for_spec(s)[1] for s in specs]
         rows = kernels.family_detailed("agree", specs, lanes, trace)
         assert len(rows) == 2
-        for spec, (preds, cids, num) in zip(specs, rows):
+        for spec, got in zip(specs, rows):
             want_p, want_c, want_n = _scalar_detailed_cell(spec, "toy")
-            assert num == want_n, spec
-            assert np.array_equal(preds, want_p), spec
-            assert np.array_equal(cids, want_c), spec
+            assert got.num_counters == want_n, spec
+            assert np.array_equal(got.result.predictions, want_p), spec
+            assert np.array_equal(got.counter_ids, want_c), spec
 
     @pytest.mark.parametrize(
         "knobs",
@@ -427,11 +427,9 @@ class TestDetailedEquivalence:
         empty = make_trace([], [])
         for spec in ("agree:index=6", "trimode:dir=5", "btfnt"):
             kind, lane = kernels.kernel_for_spec(spec)
-            ((preds, cids, num),) = kernels.family_detailed(
-                kind, [spec], [lane], empty
-            )
-            assert len(preds) == 0 and len(cids) == 0
-            assert num > 0
+            (got,) = kernels.family_detailed(kind, [spec], [lane], empty)
+            assert got.num_branches == 0 and len(got.counter_ids) == 0
+            assert got.num_counters > 0
 
 
 class TestDispatch:

@@ -9,6 +9,7 @@ and traces.
 import numpy as np
 import pytest
 
+from repro.core.grouping import stable_group_order
 from repro.predictors.gshare import GSharePredictor
 from repro.sim.batch import (
     GShareLane,
@@ -172,3 +173,29 @@ class TestEdgeCases:
         for k in range(len(lanes)):
             expected = int((preds[k] != trace.outcomes).sum()) / len(trace)
             assert rates[k] == expected
+
+
+class TestStableGroupOrder:
+    """Keys outside ``[0, num_buckets)`` raise instead of reaching
+    scipy's unchecked counting sort (where a negative key silently broke
+    the permutation and a large one crashed the interpreter)."""
+
+    def test_valid_keys_match_stable_argsort(self):
+        keys = np.array([2, 0, 1, 0, 2, 2, 1], dtype=np.int64)
+        order = stable_group_order(keys, 3)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert len(stable_group_order(np.empty(0, dtype=np.int64), 0)) == 0
+
+    @pytest.mark.parametrize(
+        "keys, num_buckets",
+        [
+            ([0, -5, 1], 2),  # negative
+            ([0, 1_000_000, 1], 2),  # past the buckets
+            ([0, 2, 1], 2),  # exactly num_buckets
+            ([0, 2**32 + 1, 1], 4),  # wraps to 1 on the int32 cast
+            ([0, -(2**32) + 1, 1], 4),  # wraps to 1 from below
+        ],
+    )
+    def test_out_of_range_keys_raise(self, keys, num_buckets):
+        with pytest.raises(ValueError, match="group keys"):
+            stable_group_order(np.array(keys, dtype=np.int64), num_buckets)
