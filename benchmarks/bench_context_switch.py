@@ -23,8 +23,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import bench_length, emit_table
-from repro.core.registry import make_predictor
-from repro.sim.engine import run
+from repro.sim.runner import evaluate
 from repro.traces.filters import interleave
 from repro.workloads.suite import load_benchmark
 
@@ -42,17 +41,11 @@ def _run():
     b = load_benchmark("groff", length=length)
     out = {}
     for label, spec in SCHEMES:
-        solo_a = run(make_predictor(spec), a)
-        solo_b = run(make_predictor(spec), b)
-        solo = (solo_a.num_mispredictions + solo_b.num_mispredictions) / (
-            len(a) + len(b)
-        )
-        out[(label, "solo")] = solo
+        misses = sum(round(evaluate(spec, t) * len(t)) for t in (a, b))
+        out[(label, "solo")] = misses / (len(a) + len(b))
         for period in PERIODS:
             merged = interleave(a, b, period=period, name=f"mix{period}")
-            out[(label, period)] = run(
-                make_predictor(spec), merged
-            ).misprediction_rate
+            out[(label, period)] = evaluate(spec, merged)
     return out
 
 

@@ -12,8 +12,7 @@ transcription of the paper's definitions per aggregate — for two jobs:
   bit-for-bit on every golden trace;
 * **timing baseline**: ``scalar simulation + reference analysis`` is
   exactly what the Section-4 benches executed before the batched
-  pipeline existed (the recorded comparison is
-  ``results/BENCH_detailed_kernel.json``).
+  pipeline existed.
 
 Nothing here is exported through the package's public analysis API;
 import it explicitly.

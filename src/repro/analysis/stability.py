@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.registry import make_predictor
-from repro.sim.engine import run
+from repro.sim.runner import evaluate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
 
@@ -77,7 +76,7 @@ def seed_spread(
     rates: List[float] = []
     for seed in seeds:
         trace = generate_trace(profile, length=length, seed=seed)
-        rates.append(run(make_predictor(spec), trace).misprediction_rate)
+        rates.append(evaluate(spec, trace))
     return SeedSpread(spec=spec, benchmark=benchmark, rates=tuple(rates))
 
 
@@ -102,8 +101,8 @@ def compare_across_seeds(
     wins_b = 0
     for seed in seeds:
         trace = generate_trace(profile, length=length, seed=seed)
-        rate_a = run(make_predictor(spec_a), trace).misprediction_rate
-        rate_b = run(make_predictor(spec_b), trace).misprediction_rate
+        rate_a = evaluate(spec_a, trace)
+        rate_b = evaluate(spec_b, trace)
         diffs.append(rate_a - rate_b)
         wins_b += rate_b < rate_a
     mean = sum(diffs) / len(diffs)

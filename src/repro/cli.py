@@ -28,8 +28,7 @@ from repro.analysis.report import ascii_chart, ascii_table, format_rate, write_c
 from repro.analysis.sweep import paper_sweep
 from repro.core.hardware import PAPER_SIZE_POINTS_KB
 from repro.core.registry import available_schemes, make_predictor
-from repro.sim.engine import run
-from repro.sim.runner import ResultCache
+from repro.sim.runner import ResultCache, evaluate
 from repro.traces.stats import compute_stats
 from repro.workloads.suite import load_benchmark, load_suite, suite_names
 
@@ -275,11 +274,11 @@ def _cmd_stats(args) -> int:
 def _cmd_run(args) -> int:
     trace = load_benchmark(args.benchmark, length=args.length, seed=args.seed)
     predictor = make_predictor(args.spec)
-    result = run(predictor, trace)
+    rate = evaluate(args.spec, trace)
     print(f"predictor : {predictor.name}")
     print(f"size      : {predictor.size_bytes():.0f} bytes of counters")
     print(f"benchmark : {trace.name} ({len(trace)} branches)")
-    print(f"mispredict: {format_rate(result.misprediction_rate)}")
+    print(f"mispredict: {format_rate(rate)}")
     return 0
 
 
@@ -433,12 +432,11 @@ def _cmd_compare(args) -> int:
     rows = []
     for spec in args.specs:
         predictor = make_predictor(spec)
-        result = run(predictor, trace)
         rows.append(
             [
                 predictor.name,
                 f"{predictor.size_bytes() / 1024:.3g}KB",
-                format_rate(result.misprediction_rate),
+                format_rate(evaluate(spec, trace)),
             ]
         )
     headers = ["predictor", "size", "misprediction"]

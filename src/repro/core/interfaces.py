@@ -3,20 +3,20 @@
 Every predictor in this package implements :class:`BranchPredictor`:
 
 * the **step interface** (:meth:`predict` / :meth:`update` /
-  :meth:`predict_and_update`), the reference semantics, convenient for
-  unit tests and for composing predictors;
+  :meth:`predict_and_update`), the single scalar reference semantics of
+  each scheme, convenient for unit tests and for composing predictors;
 * the **batch interface** (:meth:`simulate`), which runs a whole
   :class:`~repro.traces.record.BranchTrace` and returns the per-branch
-  predictions.  The default implementation loops over the step
-  interface; concrete predictors override it with an optimized loop.
-  The two must agree — the test suite checks this equivalence
-  property for every predictor.
+  predictions by stepping the step interface.  Fast engines live in the
+  kernel registry (:mod:`repro.sim.kernels`), not in the predictors;
+  bi-mode alone keeps a hand-tuned loop (see :mod:`repro.core.bimode`).
 
-For the Section-4 analysis, predictors that expose which second-level
-counter produced each prediction additionally implement
-:meth:`simulate_detailed`, returning a :class:`DetailedSimulation` that
-records the (globally unique) counter id used for every access.  Loops
-that group accesses into substreams as they run return a
+For the Section-4 analysis, :meth:`simulate_detailed` also records the
+(globally unique) counter id used for every access, returning a
+:class:`DetailedSimulation`.  It is one generic loop over two hooks
+each predictor provides: :meth:`_counter_id` (the counter that answers
+for ``pc`` at the current state) and :meth:`_num_detail_counters`.
+Loops that group accesses into substreams as they run return a
 :class:`SubstreamGrouping` instead, which carries the same counter
 attribution without a per-access counter array.
 """
@@ -182,9 +182,10 @@ class BranchPredictor(abc.ABC):
     """Abstract dynamic branch predictor.
 
     Subclasses must implement :meth:`predict`, :meth:`update`,
-    :meth:`reset` and :meth:`size_bits`; they should override
-    :meth:`simulate` with a fast loop and, if they participate in the
-    bias analysis, :meth:`simulate_detailed`.
+    :meth:`reset` and :meth:`size_bits`, and, to take part in the
+    bias analysis, the attribution hooks :meth:`_counter_id` and
+    :meth:`_num_detail_counters`.  The batch methods are generic loops
+    over these; subclasses do not override them.
     """
 
     #: Short scheme name, e.g. ``"gshare"``; set by subclasses.
@@ -227,15 +228,27 @@ class BranchPredictor(abc.ABC):
         """Human-readable configuration name; subclasses should override."""
         return self.scheme
 
+    # -- counter attribution (Section 4) ---------------------------------------
+
+    def _counter_id(self, pc: int) -> int:
+        """Id of the counter that supplies the prediction for ``pc`` at
+        the current state, in ``[0, _num_detail_counters())``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support detailed simulation"
+        )
+
+    def _num_detail_counters(self) -> int:
+        """Number of distinct counter ids :meth:`_counter_id` returns."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support detailed simulation"
+        )
+
     # -- batch simulation -----------------------------------------------------
 
     def simulate(self, trace: BranchTrace) -> SimulationResult:
-        """Run the whole trace; returns per-branch predictions.
-
-        The default implementation steps :meth:`predict_and_update`
-        once per branch.  Subclasses override this with vectorized /
-        tight-loop versions; behaviour must be identical.
-        """
+        """Run the whole trace from the current state; returns
+        per-branch predictions.  Steps :meth:`predict_and_update` once
+        per branch."""
         predictions = np.empty(len(trace), dtype=bool)
         step = self.predict_and_update
         for i, (pc, taken) in enumerate(
@@ -250,11 +263,28 @@ class BranchPredictor(abc.ABC):
         )
 
     def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        """Like :meth:`simulate` but also records the direction counter
-        used per access.  Only implemented by predictors participating
-        in the Section-4 bias analysis."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support detailed simulation"
+        """Like :meth:`simulate` but also records the counter that
+        answered each access (read through :meth:`_counter_id` before
+        the step)."""
+        num_counters = self._num_detail_counters()
+        predictions = np.empty(len(trace), dtype=bool)
+        counter_ids = np.empty(len(trace), dtype=np.int64)
+        counter_id, step = self._counter_id, self.predict_and_update
+        for i, (pc, taken) in enumerate(
+            zip(trace.pcs.tolist(), trace.outcomes.tolist())
+        ):
+            counter_ids[i] = counter_id(pc)
+            predictions[i] = step(pc, taken)
+        return DetailedSimulation(
+            result=SimulationResult(
+                predictor_name=self.name,
+                trace_name=trace.name,
+                predictions=predictions,
+                outcomes=trace.outcomes,
+            ),
+            counter_ids=counter_ids,
+            num_counters=num_counters,
+            pcs=trace.pcs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

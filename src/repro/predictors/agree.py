@@ -17,17 +17,10 @@ the paper's counter-bytes cost metric.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_TAKEN, CounterTable
-from repro.core.history import GlobalHistoryRegister, global_history_stream
-from repro.core.indexing import gshare_index, gshare_index_stream, mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.history import GlobalHistoryRegister
+from repro.core.indexing import gshare_index, mask
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["AgreePredictor"]
 
@@ -104,6 +97,14 @@ class AgreePredictor(BranchPredictor):
     def _index(self, pc: int) -> int:
         return gshare_index(pc, self.ghr.value, self.index_bits, self.history_bits)
 
+    def _counter_id(self, pc: int) -> int:
+        """The agree-PHT entry: its id is the gshare index, exactly as
+        for gshare itself."""
+        return self._index(pc)
+
+    def _num_detail_counters(self) -> int:
+        return self.table.size
+
     def predict(self, pc: int) -> bool:
         agree = self.table.predict(self._index(pc))
         return self._bias(pc) == agree
@@ -117,60 +118,3 @@ class AgreePredictor(BranchPredictor):
         agreed = self.bias_bits[bias_slot] == taken
         self.table.update(self._index(pc), agreed)
         self.ghr.push(taken)
-
-    # -- batch interface -----------------------------------------------------------
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        """The prediction counter is the agree-PHT entry: its id is the
-        gshare index, exactly as for gshare itself."""
-        predictions, counter_ids = self._run(trace, want_counters=True)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=self.table.size,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace, want_counters: bool):
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-
-        histories = global_history_stream(
-            trace.outcomes, self.history_bits, initial=self.ghr.value
-        )
-        idx_arr = gshare_index_stream(
-            trace.pcs, histories, self.index_bits, self.history_bits
-        )
-        counter_ids = idx_arr.copy() if want_counters else None
-        indices = idx_arr.tolist()
-        slots = (trace.pcs & self._bias_mask).tolist()
-        outcomes = trace.outcomes.tolist()
-        states = self.table.states
-        bias_bits = self.bias_bits
-        bias_valid = self.bias_valid
-
-        for i in range(n):
-            j = indices[i]
-            slot = slots[i]
-            taken = outcomes[i]
-            state = states[j]
-            predictions[i] = (state >= 2) == bias_bits[slot]
-            if not bias_valid[slot]:
-                bias_valid[slot] = True
-                bias_bits[slot] = taken
-            if bias_bits[slot] == taken:
-                if state < 3:
-                    states[j] = state + 1
-            elif state > 0:
-                states[j] = state - 1
-
-        if n and self.history_bits:
-            for taken in outcomes[-self.history_bits:]:
-                self.ghr.push(taken)
-        return predictions, counter_ids

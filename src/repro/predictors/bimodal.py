@@ -9,16 +9,9 @@ accuracy at modest cost) but no inter-branch correlation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import CounterTable
 from repro.core.indexing import mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["BimodalPredictor"]
 
@@ -64,55 +57,7 @@ class BimodalPredictor(BranchPredictor):
         self.table.update(pc & self._mask, taken)
 
     def _counter_id(self, pc: int) -> int:
-        """Counter attribution at the current state, for predictors that
-        embed this one (tournament, bias filter)."""
         return pc & self._mask
 
     def _num_detail_counters(self) -> int:
         return self.table.size
-
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        predictions, _ = self._run(trace, want_counters=False)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        predictions, counter_ids = self._run(trace, want_counters=True)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=self.table.size,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace, want_counters: bool):
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        idx_arr = trace.pcs & self._mask
-        counter_ids = idx_arr.copy() if want_counters else None
-        indices = idx_arr.tolist()
-        outcomes = trace.outcomes.tolist()
-        states = self.table.states
-        threshold = self.table.threshold
-        max_state = self.table.max_state
-
-        for i in range(n):
-            j = indices[i]
-            state = states[j]
-            predictions[i] = state >= threshold
-            if outcomes[i]:
-                if state < max_state:
-                    states[j] = state + 1
-            elif state > 0:
-                states[j] = state - 1
-        return predictions, counter_ids

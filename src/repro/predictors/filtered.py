@@ -32,15 +32,8 @@ removes the near-constant history bits monotone branches contribute.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.indexing import mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["BiasFilterPredictor"]
 
@@ -124,52 +117,17 @@ class BiasFilterPredictor(BranchPredictor):
         elif run < self._max_run:
             self.runs[slot] = run + 1
 
-    # -- batch interface -----------------------------------------------------------
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
+    def _counter_id(self, pc: int) -> int:
         """Counter-id layout: the filter slots first, then the
         sub-predictor's counters offset by the filter size.  A filtered
         access attributes its prediction to the filter entry that
-        answered; an unfiltered one to the sub-predictor counter
-        (via the sub's ``_counter_id`` attribution hook)."""
-        sub = self.sub_predictor
-        try:
-            sub_size = sub._num_detail_counters()
-            sub_cid = sub._counter_id
-        except AttributeError:
-            raise NotImplementedError(
-                f"bias-filter sub-predictor {sub.name} does not expose "
-                "counter attribution"
-            ) from None
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        counter_ids = np.empty(n, dtype=np.int64)
-        filter_size = 1 << self.filter_index_bits
-        pc_mask = self._mask
-        max_run = self._max_run
-        directions, runs = self.directions, self.runs
+        answered; an unfiltered one to the sub-predictor counter."""
+        slot = pc & self._mask
+        if self.runs[slot] >= self._max_run:
+            return slot
+        return (1 << self.filter_index_bits) + self.sub_predictor._counter_id(pc)
 
-        for i, (pc, taken) in enumerate(
-            zip(trace.pcs.tolist(), trace.outcomes.tolist())
-        ):
-            slot = pc & pc_mask
-            if runs[slot] >= max_run:
-                counter_ids[i] = slot
-                predictions[i] = directions[slot]
-            else:
-                counter_ids[i] = filter_size + sub_cid(pc)
-                predictions[i] = sub.predict(pc)
-            self.update(pc, taken)
-
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=filter_size + sub_size,
-            pcs=trace.pcs,
+    def _num_detail_counters(self) -> int:
+        return (1 << self.filter_index_bits) + (
+            self.sub_predictor._num_detail_counters()
         )

@@ -18,17 +18,10 @@ All counters initialize weakly-taken (paper footnote 2).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_TAKEN, CounterTable
-from repro.core.history import GlobalHistoryRegister, global_history_stream
-from repro.core.indexing import gshare_index, gshare_index_stream, num_phts
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.history import GlobalHistoryRegister
+from repro.core.indexing import gshare_index, num_phts
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["GSharePredictor"]
 
@@ -92,65 +85,7 @@ class GSharePredictor(BranchPredictor):
         self.ghr.push(taken)
 
     def _counter_id(self, pc: int) -> int:
-        """Counter attribution at the current state, for predictors that
-        embed this one (tournament, bias filter)."""
         return self._index(pc)
 
     def _num_detail_counters(self) -> int:
         return self.table.size
-
-    # -- batch interface -----------------------------------------------------------
-
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        predictions, _ = self._run(trace, want_counters=False)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        predictions, counter_ids = self._run(trace, want_counters=True)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=self.table.size,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace, want_counters: bool):
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-
-        histories = global_history_stream(
-            trace.outcomes, self.history_bits, initial=self.ghr.value
-        )
-        idx_arr = gshare_index_stream(
-            trace.pcs, histories, self.index_bits, self.history_bits
-        )
-        counter_ids = idx_arr.copy() if want_counters else None
-        indices = idx_arr.tolist()
-        outcomes = trace.outcomes.tolist()
-        states = self.table.states
-
-        for i in range(n):
-            j = indices[i]
-            state = states[j]
-            predictions[i] = state >= 2
-            if outcomes[i]:
-                if state < 3:
-                    states[j] = state + 1
-            elif state > 0:
-                states[j] = state - 1
-
-        if n and self.history_bits:
-            for taken in outcomes[-self.history_bits:]:
-                self.ghr.push(taken)
-        return predictions, counter_ids

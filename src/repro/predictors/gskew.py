@@ -24,17 +24,10 @@ Two update policies are provided:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_TAKEN, CounterTable
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["GSkewPredictor"]
 
@@ -126,6 +119,18 @@ class GSkewPredictor(BranchPredictor):
         )
         return votes >= 2
 
+    def _counter_id(self, pc: int) -> int:
+        """Counter attribution for the majority vote: the prediction is
+        credited to the first bank (lowest bank number) that voted with
+        the majority, at id ``bank * bank_size + index``."""
+        indices = self._indices(pc)
+        votes = [bank.predict(index) for bank, index in zip(self.banks, indices)]
+        k = votes.index(sum(votes) >= 2)
+        return k * self.banks[0].size + indices[k]
+
+    def _num_detail_counters(self) -> int:
+        return self.NUM_BANKS * self.banks[0].size
+
     def update(self, pc: int, taken: bool) -> None:
         indices = self._indices(pc)
         bank_predictions = [
@@ -142,51 +147,3 @@ class GSkewPredictor(BranchPredictor):
                 if voted == majority:
                     bank.update(index, taken)
         self.ghr.push(taken)
-
-    # -- batch interface --------------------------------------------------------------
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        """Counter attribution for the majority vote: the prediction is
-        credited to the first bank (lowest bank number) that voted with
-        the majority, at id ``bank * bank_size + index``."""
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        counter_ids = np.empty(n, dtype=np.int64)
-        banks = self.banks
-        bank_size = 1 << self.bank_index_bits
-        enhanced = self.update_policy == "enhanced"
-
-        for i, (pc, taken) in enumerate(
-            zip(trace.pcs.tolist(), trace.outcomes.tolist())
-        ):
-            indices = self._indices(pc)
-            votes = [
-                bank.predict(index) for bank, index in zip(banks, indices)
-            ]
-            majority = sum(votes) >= 2
-            predictions[i] = majority
-            for k in range(self.NUM_BANKS):
-                if votes[k] == majority:
-                    counter_ids[i] = k * bank_size + indices[k]
-                    break
-            if not enhanced or majority != taken:
-                for bank, index in zip(banks, indices):
-                    bank.update(index, taken)
-            else:
-                for bank, index, voted in zip(banks, indices, votes):
-                    if voted == majority:
-                        bank.update(index, taken)
-            self.ghr.push(taken)
-
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=self.NUM_BANKS * bank_size,
-            pcs=trace.pcs,
-        )

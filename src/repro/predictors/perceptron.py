@@ -27,16 +27,9 @@ trade-off the comparison bench exposes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["PerceptronPredictor"]
 
@@ -112,6 +105,14 @@ class PerceptronPredictor(BranchPredictor):
         _, y = self._output(pc)
         return y >= 0
 
+    def _counter_id(self, pc: int) -> int:
+        """The "prediction counter" of a perceptron access is its weight
+        row, selected by address alone."""
+        return pc & self._mask
+
+    def _num_detail_counters(self) -> int:
+        return 1 << self.index_bits
+
     def update(self, pc: int, taken: bool) -> None:
         row, y = self._output(pc)
         prediction = y >= 0
@@ -124,72 +125,3 @@ class PerceptronPredictor(BranchPredictor):
                 x = 1 if (history >> (i - 1)) & 1 else -1
                 row[i] = min(w_max, max(w_min, row[i] + t * x))
         self.ghr.push(taken)
-
-    # -- batch interface -----------------------------------------------------------
-
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        """Tight loop; the dot product keeps this slower than the
-        counter-table predictors (linear in history length)."""
-        predictions = self._run(trace)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        """The "prediction counter" of a perceptron access is its weight
-        row, selected by address alone: id = ``pc & mask(index_bits)``."""
-        predictions = self._run(trace)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=(trace.pcs & self._mask).astype(np.int64),
-            num_counters=1 << self.index_bits,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace) -> np.ndarray:
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        pcs = trace.pcs.tolist()
-        outcomes = trace.outcomes.tolist()
-        weights = self.weights
-        pc_mask = self._mask
-        hist_bits = self.history_bits
-        theta = self.theta
-        w_max, w_min = self._w_max, self._w_min
-        history = self.ghr.value
-        hist_mask = self.ghr.mask
-
-        for i in range(n):
-            row = weights[pcs[i] & pc_mask]
-            y = row[0]
-            for j in range(1, hist_bits + 1):
-                if (history >> (j - 1)) & 1:
-                    y += row[j]
-                else:
-                    y -= row[j]
-            prediction = y >= 0
-            predictions[i] = prediction
-            taken = outcomes[i]
-            if prediction != taken or (y if y >= 0 else -y) <= theta:
-                t = 1 if taken else -1
-                value = row[0] + t
-                row[0] = w_max if value > w_max else (w_min if value < w_min else value)
-                for j in range(1, hist_bits + 1):
-                    x = t if (history >> (j - 1)) & 1 else -t
-                    value = row[j] + x
-                    row[j] = (
-                        w_max if value > w_max else (w_min if value < w_min else value)
-                    )
-            history = ((history << 1) | taken) & hist_mask
-
-        self.ghr.value = history
-        return predictions

@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = [
     "AlwaysTakenPredictor",
@@ -50,23 +43,12 @@ class _FixedPredictor(BranchPredictor):
     def size_bits(self) -> int:
         return 0
 
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        predictions = np.full(len(trace), self._direction, dtype=bool)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
+    def _counter_id(self, pc: int) -> int:
         """One virtual "counter" — the hardwired direction."""
-        return DetailedSimulation(
-            result=self.simulate(trace),
-            counter_ids=np.zeros(len(trace), dtype=np.int64),
-            num_counters=1,
-            pcs=trace.pcs,
-        )
+        return 0
+
+    def _num_detail_counters(self) -> int:
+        return 1
 
 
 class AlwaysTakenPredictor(_FixedPredictor):
@@ -128,24 +110,9 @@ class BTFNTPredictor(BranchPredictor):
     def size_bits(self) -> int:
         return 0
 
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        backward = self._backward
-        predictions = np.fromiter(
-            (backward(pc) for pc in trace.pcs.tolist()), dtype=bool, count=len(trace)
-        )
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
+    def _counter_id(self, pc: int) -> int:
         """Two virtual "counters": 0 = forward rule, 1 = backward rule."""
-        result = self.simulate(trace)
-        return DetailedSimulation(
-            result=result,
-            counter_ids=result.predictions.astype(np.int64),
-            num_counters=2,
-            pcs=trace.pcs,
-        )
+        return int(self._backward(pc))
+
+    def _num_detail_counters(self) -> int:
+        return 2

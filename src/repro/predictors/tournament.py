@@ -13,16 +13,9 @@ correlation with dedicated structures, at the cost of three tables.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_TAKEN, CounterTable
 from repro.core.indexing import mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["TournamentPredictor"]
 
@@ -88,49 +81,18 @@ class TournamentPredictor(BranchPredictor):
         self.component_a.update(pc, taken)
         self.component_b.update(pc, taken)
 
-    # -- batch interface -----------------------------------------------------------
+    def _counter_id(self, pc: int) -> int:
+        """The *selected* component's counter: component-a ids come
+        first, component-b ids are offset by component-a's counter
+        count.  Both components must provide the attribution hooks."""
+        if self.meta.predict(pc & self._meta_mask):
+            return self.component_a._num_detail_counters() + (
+                self.component_b._counter_id(pc)
+            )
+        return self.component_a._counter_id(pc)
 
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        """The prediction counter is the *selected* component's counter:
-        component-a ids come first, component-b ids are offset by
-        component-a's counter count.  Requires both components to expose
-        the ``_counter_id`` attribution hook (the spec-form bimodal +
-        gshare pairing does)."""
-        a, b = self.component_a, self.component_b
-        try:
-            size_a = a._num_detail_counters()
-            size_b = b._num_detail_counters()
-        except AttributeError:
-            raise NotImplementedError(
-                f"tournament components [{a.name}|{b.name}] do not expose "
-                "counter attribution"
-            ) from None
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        counter_ids = np.empty(n, dtype=np.int64)
-        meta = self.meta
-        meta_mask = self._meta_mask
-
-        for i, (pc, taken) in enumerate(
-            zip(trace.pcs.tolist(), trace.outcomes.tolist())
-        ):
-            if meta.predict(pc & meta_mask):
-                counter_ids[i] = size_a + b._counter_id(pc)
-                predictions[i] = b.predict(pc)
-            else:
-                counter_ids[i] = a._counter_id(pc)
-                predictions[i] = a.predict(pc)
-            self.update(pc, taken)
-
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=size_a + size_b,
-            pcs=trace.pcs,
+    def _num_detail_counters(self) -> int:
+        return (
+            self.component_a._num_detail_counters()
+            + self.component_b._num_detail_counters()
         )

@@ -31,8 +31,6 @@ This is a research extension, not part of the original paper; the
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import (
     STRONGLY_NOT_TAKEN,
     STRONGLY_TAKEN,
@@ -40,14 +38,9 @@ from repro.core.counters import (
     WEAKLY_TAKEN,
     CounterTable,
 )
-from repro.core.history import GlobalHistoryRegister, global_history_stream
-from repro.core.indexing import gshare_index, gshare_index_stream, mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.history import GlobalHistoryRegister
+from repro.core.indexing import gshare_index, mask
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["TriModePredictor"]
 
@@ -151,6 +144,14 @@ class TriModePredictor(BranchPredictor):
         bank = self.banks[self._bank_of(state)]
         return bank.predict(self._direction_index(pc))
 
+    def _counter_id(self, pc: int) -> int:
+        """The selected bank's counter at ``bank * bank_size + index``."""
+        bank_id = self._bank_of(self.choice.states[self._choice_index(pc)])
+        return bank_id * self.bank_size + self._direction_index(pc)
+
+    def _num_detail_counters(self) -> int:
+        return 3 * self.bank_size
+
     def update(self, pc: int, taken: bool) -> None:
         choice_index = self._choice_index(pc)
         direction_index = self._direction_index(pc)
@@ -169,84 +170,3 @@ class TriModePredictor(BranchPredictor):
             self.choice.update(choice_index, taken)
 
         self.ghr.push(taken)
-
-    # -- batch interface -------------------------------------------------------------
-
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        predictions, _ = self._run(trace, want_counters=False)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        predictions, counter_ids = self._run(trace, want_counters=True)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=3 * self.bank_size,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace, want_counters: bool):
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        counter_ids = np.empty(n, dtype=np.int64) if want_counters else None
-
-        histories = global_history_stream(
-            trace.outcomes, self.history_bits, initial=self.ghr.value
-        )
-        direction_idx = gshare_index_stream(
-            trace.pcs, histories, self.direction_index_bits, self.history_bits
-        ).tolist()
-        choice_idx = (trace.pcs & mask(self.choice_index_bits)).tolist()
-        outcomes = trace.outcomes.tolist()
-
-        choice_states = self.choice.states
-        bank_states = [bank.states for bank in self.banks]
-        bank_size = self.bank_size
-
-        for i in range(n):
-            ci = choice_idx[i]
-            di = direction_idx[i]
-            taken = outcomes[i]
-            choice_state = choice_states[ci]
-            if choice_state == 3:
-                bank_id = _TAKEN_BANK
-            elif choice_state == 0:
-                bank_id = _NOT_TAKEN_BANK
-            else:
-                bank_id = _WEAK_BANK
-            states = bank_states[bank_id]
-            dir_state = states[di]
-            final = dir_state >= 2
-            predictions[i] = final
-            if want_counters:
-                counter_ids[i] = bank_id * bank_size + di
-
-            if taken:
-                if dir_state < 3:
-                    states[di] = dir_state + 1
-            elif dir_state > 0:
-                states[di] = dir_state - 1
-
-            classified_direction = choice_state >= 2
-            if not (classified_direction != taken and final == taken):
-                if taken:
-                    if choice_state < 3:
-                        choice_states[ci] = choice_state + 1
-                elif choice_state > 0:
-                    choice_states[ci] = choice_state - 1
-
-        if n and self.history_bits:
-            for taken in outcomes[-self.history_bits:]:
-                self.ghr.push(taken)
-        return predictions, counter_ids

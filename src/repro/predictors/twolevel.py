@@ -35,21 +35,10 @@ is how real hardware approximates them as well.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_TAKEN, CounterTable
-from repro.core.history import (
-    GlobalHistoryRegister,
-    PerAddressHistoryTable,
-    global_history_stream,
-)
-from repro.core.indexing import concat_index, concat_index_stream, mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.history import GlobalHistoryRegister, PerAddressHistoryTable
+from repro.core.indexing import concat_index
+from repro.core.interfaces import BranchPredictor
 
 __all__ = [
     "TwoLevelPredictor",
@@ -161,88 +150,11 @@ class TwoLevelPredictor(BranchPredictor):
         else:
             self.ghr.push(taken)
 
-    # -- batch interface -----------------------------------------------------------
+    def _counter_id(self, pc: int) -> int:
+        return self._index(pc)
 
-    def simulate(self, trace: BranchTrace) -> SimulationResult:
-        predictions, _ = self._run(trace, want_counters=False)
-        return SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
-        predictions, counter_ids = self._run(trace, want_counters=True)
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=self.table.size,
-            pcs=trace.pcs,
-        )
-
-    def _run(self, trace: BranchTrace, want_counters: bool):
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        outcomes = trace.outcomes.tolist()
-        states = self.table.states
-
-        if not self.per_address:
-            histories = global_history_stream(
-                trace.outcomes, self.history_bits, initial=self.ghr.value
-            )
-            idx_arr = concat_index_stream(
-                histories, self.history_bits, trace.pcs, self.pht_select_bits
-            )
-            counter_ids = idx_arr.copy() if want_counters else None
-            indices = idx_arr.tolist()
-            for i in range(n):
-                j = indices[i]
-                state = states[j]
-                predictions[i] = state >= 2
-                if outcomes[i]:
-                    if state < 3:
-                        states[j] = state + 1
-                elif state > 0:
-                    states[j] = state - 1
-            if n and self.history_bits:
-                for taken in outcomes[-self.history_bits:]:
-                    self.ghr.push(taken)
-            return predictions, counter_ids
-
-        # Per-address history: the registers evolve with the trace but
-        # the evolution is still outcome-only, so one sequential pass
-        # computes both the history and the counter updates.
-        counter_ids = np.empty(n, dtype=np.int64) if want_counters else None
-        pcs = trace.pcs.tolist()
-        registers = self.bht.registers
-        bht_mask = mask(self.bht.index_bits)
-        hist_mask = mask(self.history_bits)
-        select_mask = mask(self.pht_select_bits)
-        hist_bits = self.history_bits
-        for i in range(n):
-            pc = pcs[i]
-            reg_i = pc & bht_mask
-            history = registers[reg_i]
-            j = ((pc & select_mask) << hist_bits) | history
-            state = states[j]
-            predictions[i] = state >= 2
-            if want_counters:
-                counter_ids[i] = j
-            taken = outcomes[i]
-            if taken:
-                if state < 3:
-                    states[j] = state + 1
-            elif state > 0:
-                states[j] = state - 1
-            registers[reg_i] = ((history << 1) | (1 if taken else 0)) & hist_mask
-        return predictions, counter_ids
+    def _num_detail_counters(self) -> int:
+        return self.table.size
 
 
 class GAgPredictor(TwoLevelPredictor):

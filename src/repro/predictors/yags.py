@@ -22,17 +22,10 @@ correctly — mirroring the bi-mode choice predictor's partial update.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN, CounterTable
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import gshare_index, mask
-from repro.core.interfaces import (
-    BranchPredictor,
-    DetailedSimulation,
-    SimulationResult,
-)
-from repro.traces.record import BranchTrace
+from repro.core.interfaces import BranchPredictor
 
 __all__ = ["YagsPredictor"]
 
@@ -190,43 +183,17 @@ class YagsPredictor(BranchPredictor):
 
         self.ghr.push(taken)
 
-    # -- batch interface ---------------------------------------------------------------
-
-    def simulate_detailed(self, trace: BranchTrace) -> DetailedSimulation:
+    def _counter_id(self, pc: int) -> int:
         """Counter-id layout: the choice table first, then the taken
         cache, then the not-taken cache.  A cache hit attributes the
         prediction to the hitting cache entry; a miss to the choice
         counter that supplied the bias."""
-        n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-        counter_ids = np.empty(n, dtype=np.int64)
-        choice_size = self.choice.size
+        bias, _cache, index, _tag, hit = self._probe(pc)
+        if hit is None:
+            return pc & self._choice_mask
+        # a taken bias probes the NOT-taken cache and vice versa
         cache_size = 1 << self.cache_index_bits
-        choice_mask = self._choice_mask
+        return self.choice.size + (cache_size if bias else 0) + index
 
-        for i, (pc, taken) in enumerate(
-            zip(trace.pcs.tolist(), trace.outcomes.tolist())
-        ):
-            bias, _cache, index, _tag, hit = self._probe(pc)
-            if hit is None:
-                counter_ids[i] = pc & choice_mask
-                predictions[i] = bias
-            else:
-                # a taken bias probes the NOT-taken cache and vice versa
-                offset = choice_size + (cache_size if bias else 0)
-                counter_ids[i] = offset + index
-                predictions[i] = hit >= 2
-            self.update(pc, taken)
-
-        result = SimulationResult(
-            predictor_name=self.name,
-            trace_name=trace.name,
-            predictions=predictions,
-            outcomes=trace.outcomes,
-        )
-        return DetailedSimulation(
-            result=result,
-            counter_ids=counter_ids,
-            num_counters=choice_size + 2 * cache_size,
-            pcs=trace.pcs,
-        )
+    def _num_detail_counters(self) -> int:
+        return self.choice.size + 2 * (1 << self.cache_index_bits)

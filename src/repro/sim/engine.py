@@ -1,9 +1,12 @@
 """Trace-driven simulation engine.
 
 Thin orchestration over the predictor batch interface: reset, run,
-(optionally) warm-up split.  All heavy lifting lives in the predictors'
-``simulate`` fast paths; the engine guarantees the contract around them
-(fresh state, consistent result packaging).
+(optionally) warm-up split.  :func:`run` is the *stateful* API — it
+steps the live predictor, so ``run(p, a)`` followed by
+``run(p, b, reset=False)`` equals one run over both chunks — and so it
+runs each predictor's scalar reference, not the kernel registry.  A
+caller that only wants the rate of a fresh predictor should use
+:func:`repro.sim.runner.evaluate`, which shares the sweeps' dispatch.
 
 Detailed (Section-4) simulation additionally dispatches through the
 kernel registry (:mod:`repro.sim.kernels`): the predictor's canonical
@@ -63,9 +66,9 @@ def _run_detailed_batch(
 ) -> Optional[DetailedSimulation]:
     """The batch attribution kernel's detailed simulation, or ``None``.
 
-    ``None`` means the caller should run the scalar ``simulate_detailed``
-    loop; the fallback is recorded as a health event.  Dispatch resolves
-    the predictor through the kernel registry
+    ``None`` means the caller should run the predictor's generic
+    ``simulate_detailed`` loop; the fallback is recorded as a health
+    event.  Dispatch resolves the predictor through the kernel registry
     (:func:`repro.sim.kernels.spec_for_predictor` -> lane -> the
     scheme's ``detailed`` kernel), with the engine following
     ``REPRO_KERNEL``.  The batch path never touches the predictor's own
@@ -152,8 +155,9 @@ def run_steps(
 ) -> SimulationResult:
     """Simulate via the scalar step interface (reference semantics).
 
-    Exists so tests can assert batch/step equivalence; production code
-    should use :func:`run`.
+    Always the generic step loop, even for bi-mode's kept ``simulate``;
+    tests use it to pin :func:`run`'s contract.  Production code should
+    use :func:`run`.
     """
     if reset:
         predictor.reset()

@@ -122,8 +122,8 @@ class KernelEntry:
     #: statics); must be bit-identical to the prediction path.
     rates: Optional[Callable[..., float]] = None
     #: Section-4 attribution kernel: ``(lane, trace, engine, hist_cache)
-    #: -> (predictions, counter_ids)``, bit-identical to the scalar
-    #: ``simulate_detailed`` loop.  The detailed tier shares the
+    #: -> (predictions, counter_ids)``, bit-identical to the predictor's
+    #: step-driven ``simulate_detailed`` loop.  The detailed tier shares the
     #: prediction tier's engine matrix (``numpy_ok`` gates both) — the
     #: completeness meta-test asserts no entry leaves this ``None``.
     detailed: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
@@ -611,10 +611,10 @@ def family_rates(
     from repro.core.registry import make_predictor
     from repro.sim.engine import run
 
+    entry, engines = _dispatch(kind, specs, lanes, mode)
     n = len(trace)
     if n == 0:
         return [0.0 for _ in specs]
-    entry, engines = _dispatch(kind, specs, lanes, mode)
     if entry.family is not None and set(engines) == {"c"}:
         return entry.family(list(lanes), trace)
     outcomes = trace.outcomes

@@ -1,16 +1,18 @@
-"""Differential replay: oracle vs scalar engine vs batched kernels.
+"""Differential replay: oracle vs scalar reference vs batched kernels.
 
 :func:`diff_spec` runs one spec over one trace through every available
 implementation —
 
 * the dict-based oracle (:mod:`repro.verify.oracle`),
-* the predictor's step interface (``predict``/``update`` per branch),
-* the predictor's batch ``simulate`` loop (what :func:`repro.sim.
-  engine.run` uses),
+* the predictor's step interface (``predict``/``update`` per branch,
+  through the generic ``simulate_detailed`` loop where the scheme
+  attributes accesses, so the run carries its counter ids),
+* :func:`repro.sim.engine.run`, which differs from the step loop only
+  for bi-mode, the one scheme that keeps a hand-tuned ``simulate``,
 * the spec's registry kernel (:mod:`repro.sim.kernels`) under the
   ``REPRO_KERNEL=c`` pin (when a compiler is available) and the
   ``numpy`` pin (which runs the scalar reference for schemes without a
-  numpy form); the ``scalar`` pin's engine is the loop above —
+  numpy form); the ``scalar`` pin's engine is :func:`run` —
 
 and reports whether all predictions agree, and if not, the index of
 the first diverging branch together with each engine's prediction
@@ -106,24 +108,16 @@ def diff_spec(
         report.runs.append(EngineRun("oracle", o_preds, o_ids))
     else:
         report.runs.append(EngineRun("oracle", oracle_predictions(spec, trace)))
-    report.runs.append(
-        EngineRun("step", run_steps(make_predictor(spec), trace).predictions)
-    )
     if detailed:
-        predictor = make_predictor(spec)
-        predictor.reset()
-        scalar_detailed = predictor.simulate_detailed(trace)
+        step = make_predictor(spec).simulate_detailed(trace)
         report.runs.append(
-            EngineRun(
-                "scalar",
-                scalar_detailed.result.predictions,
-                scalar_detailed.counter_ids,
-            )
+            EngineRun("step", step.result.predictions, step.counter_ids)
         )
     else:
         report.runs.append(
-            EngineRun("scalar", run(make_predictor(spec), trace).predictions)
+            EngineRun("step", run_steps(make_predictor(spec), trace).predictions)
         )
+    report.runs.append(EngineRun("run", run(make_predictor(spec), trace).predictions))
     if include_kernels:
         kind, lane = kernels.kernel_for_spec(spec)
         if kind in kernels.PORTED:

@@ -1,8 +1,8 @@
 """Pure-Python reference oracle for every registered predictor.
 
-The oracle exists to catch bugs in the *fast* implementations — the
-scalar predictors' batched ``simulate`` loops and the vectorized
-kernels — so it deliberately shares no simulation machinery with them:
+The oracle exists to catch bugs in the other implementations — the
+predictors' step interfaces (and bi-mode's hand-tuned ``simulate``
+loop) and the batched kernels — so it deliberately shares no simulation machinery with them:
 state lives in plain dicts and ints, every update is written as the
 obvious transliteration of the scheme's published rule, and nothing is
 vectorized.  Slow and boring is the point; if the oracle and an engine

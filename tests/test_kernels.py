@@ -142,6 +142,54 @@ class TestRegistryCompleteness:
         for scheme, tier in kernels.registered_schemes().items():
             assert tier != "scalar", scheme
 
+    def test_step_is_the_one_scalar_reference(self):
+        """Every scheme's scalar semantics live in ``predict``/``update``
+        alone: bi-mode is the only predictor that keeps a hand-tuned
+        ``simulate`` loop, and none overrides ``simulate_detailed``."""
+        from repro.core.bimode import BiModePredictor
+        from repro.core.interfaces import BranchPredictor
+
+        for spec in ALL_SPECS:
+            make_predictor(spec)  # imports every registered predictor module
+        classes, stack = [], [BranchPredictor]
+        while stack:
+            for sub in stack.pop().__subclasses__():
+                stack.append(sub)
+                if sub.__module__.startswith("repro."):
+                    classes.append(sub)
+        assert BiModePredictor in classes
+        for cls in classes:
+            assert "simulate_detailed" not in vars(cls), cls.__name__
+            if cls is not BiModePredictor:
+                assert "simulate" not in vars(cls), cls.__name__
+
+    @pytest.mark.parametrize("spec", PORTED_GRID)
+    def test_every_scheme_answers_the_attribution_hooks(self, spec):
+        predictor = make_predictor(spec)
+        num_counters = predictor._num_detail_counters()
+        assert num_counters > 0, spec
+        for pc in _trace("toy").pcs[:50].tolist():
+            assert 0 <= predictor._counter_id(pc) < num_counters, spec
+
+    @pytest.mark.parametrize("spec", PORTED_GRID)
+    def test_detailed_loop_continues_across_chunks(self, spec):
+        """Two ``simulate_detailed`` calls without a reset in between
+        equal one call over the whole trace: the generic loop steps the
+        live predictor, so chunked Section-4 runs keep their state."""
+        trace = _trace("aliasing")
+        k = len(trace) // 3
+        whole = make_predictor(spec).simulate_detailed(trace)
+        predictor = make_predictor(spec)
+        head = predictor.simulate_detailed(trace[:k])
+        tail = predictor.simulate_detailed(trace[k:])
+        assert np.array_equal(
+            np.concatenate([head.result.predictions, tail.result.predictions]),
+            whole.result.predictions,
+        ), spec
+        assert np.array_equal(
+            np.concatenate([head.counter_ids, tail.counter_ids]), whole.counter_ids
+        ), spec
+
     def test_tiers_are_known_values(self):
         for scheme, tier in kernels.registered_schemes().items():
             assert tier in ("lane", "cloop", "scalar"), (scheme, tier)
@@ -472,20 +520,23 @@ class TestDispatch:
         """The one strict-pin rule holds for rates and Section 4 alike:
         no silent fallback from ``REPRO_KERNEL=c`` in either sweep.  The
         Section-4 sweep quarantines failing cells, so the refusal lands
-        on its failure list instead of a result."""
+        on its failure list instead of a result.  An empty trace is
+        refused too: nothing short-circuits ahead of the pin check."""
         from repro.sim.parallel import detailed_matrix
         from repro.sim.runner import evaluate_matrix
+        from tests.conftest import make_trace
 
         monkeypatch.setenv("REPRO_KERNEL", "c")
         monkeypatch.setenv("REPRO_NO_CC", "1")
-        traces = {"toy": _trace("toy")}
-        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-            evaluate_matrix([spec], traces, jobs=1)
-        result = detailed_matrix([spec], traces, jobs=1)
-        assert result[spec] == {}
-        (failure,) = result.failures
-        assert failure.error_type == "RuntimeError"
-        assert "REPRO_KERNEL=c" in failure.message
+        for trace in (_trace("toy"), make_trace([], [], name="empty")):
+            traces = {trace.name: trace}
+            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
+                evaluate_matrix([spec], traces, jobs=1)
+            result = detailed_matrix([spec], traces, jobs=1)
+            assert result[spec] == {}
+            (failure,) = result.failures
+            assert failure.error_type == "RuntimeError"
+            assert "REPRO_KERNEL=c" in failure.message
 
     def test_numpy_pin_degrades_cloop_schemes_to_scalar(self):
         spec = "trimode:dir=5,hist=3,choice=5"
