@@ -55,6 +55,8 @@ __all__ = [
     "gshare_fused",
     "bimode_fused",
     "counter_lane",
+    "agree_lane",
+    "tournament_lane",
     "gskew_lane",
     "trimode_lane",
     "yags_lane",
@@ -143,14 +145,13 @@ void bimode_fused(const int64_t *pcs, const uint8_t *o, int64_t n,
 }
 
 /* One pass of a single saturating-counter table with precomputed keys:
- * the shared automaton of every feedback-free scheme in the kernel
- * registry (bimodal at any width, the two-level GAx/PAx family, agree
- * on its agreed-stream, gskew-total's banks, tournament components and
- * meta).  Each access records the state it OBSERVES (before its own
- * delta); prediction semantics stay with the numpy caller, which is
+ * the shared automaton of the counter-major schemes whose keys need
+ * numpy preparation (bimodal at any width, the two-level GAx/PAx
+ * family, the bias filter's sub-predictor over its unfiltered
+ * accesses).  Each access records the state it OBSERVES (before its
+ * own delta); prediction semantics stay with the numpy caller, which is
  * what lets one loop serve schemes with different read interpretations.
- * Deltas are in {-1, 0, +1}; 0 reads without training (e.g. the meta
- * table of a tournament when its components agree). */
+ * Deltas are in {-1, 0, +1}; 0 reads without training. */
 void counter_lane(const int64_t *keys, const int8_t *delta, int64_t n,
                   int8_t *table, int8_t max_state, int8_t *states)
 {
@@ -163,112 +164,199 @@ void counter_lane(const int64_t *keys, const int8_t *delta, int64_t n,
     }
 }
 
+/* The per-access comparator loops below share one shape: each reads
+ * the raw (pcs, outcomes) trace, derives its table indices in-loop from
+ * the PC and one running 64-bit history register (masked per access
+ * exactly like GlobalHistoryRegister.value), counts its mispredictions
+ * in-loop and returns that count.  `preds` (the per-branch final
+ * predictions) and `cids` (each access's Section-4 counter id) are
+ * nullable: a rate needs neither, so a family of lanes rates without
+ * materializing any per-branch stream. */
+
+static inline int8_t sat2(int8_t s, int up)
+{
+    return up ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+}
+
+/* One agree (configuration, trace) pair: the gshare-indexed agree PHT
+ * and the first-outcome biasing bits of AgreePredictor in one pass.
+ * bias[slot] is 2 until the slot's first occurrence updates it to that
+ * occurrence's outcome; an unset slot predicts with bias not-taken.
+ * The PHT counter predicts "agrees with the bias" and trains toward
+ * whether the outcome agreed.  A cid is the PHT slot. */
+int64_t agree_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                   int64_t imask, int64_t hmask, int64_t bmask,
+                   int8_t *table, uint8_t *bias, uint8_t *preds,
+                   int64_t *cids)
+{
+    int64_t miss = 0;
+    uint64_t h = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t pc = pcs[t];
+        uint8_t taken = o[t];
+        int64_t j = (pc & imask) ^ (int64_t)(h & (uint64_t)hmask);
+        uint8_t *b = bias + (pc & bmask);
+        int8_t s = table[j];
+        uint8_t fin = (*b == 1) == (s >= 2);
+        miss += fin != taken;
+        if (preds) preds[t] = fin;
+        if (cids) cids[t] = j;
+        if (*b > 1) *b = taken;
+        table[j] = sat2(s, *b == taken);
+        h = (h << 1) | taken;
+    }
+    return miss;
+}
+
+/* One tournament (configuration, trace) pair: the registry pairing of
+ * TournamentPredictor in one pass — a bimodal component (a) indexed
+ * pc & imask, a gshare component (b) with as many history bits as index
+ * bits, and the meta table indexed pc & mmask.  Meta state >= 2 selects
+ * b; meta trains toward "b was right" only when the components
+ * disagree.  A cid is the selected component's counter, b's offset by
+ * the component size. */
+int64_t tournament_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                        int64_t imask, int64_t mmask, int64_t size,
+                        int8_t *a_table, int8_t *b_table, int8_t *meta,
+                        uint8_t *preds, int64_t *cids)
+{
+    int64_t miss = 0;
+    uint64_t h = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t pc = pcs[t];
+        uint8_t taken = o[t];
+        int64_t ia = pc & imask;
+        int64_t ib = ia ^ (int64_t)(h & (uint64_t)imask);
+        int8_t *m = meta + (pc & mmask);
+        int8_t sa = a_table[ia], sb = b_table[ib];
+        int pa = sa >= 2, pb = sb >= 2;
+        int sel = *m >= 2;
+        uint8_t fin = (uint8_t)(sel ? pb : pa);
+        miss += fin != taken;
+        if (preds) preds[t] = fin;
+        if (cids) cids[t] = sel ? size + ib : ia;
+        if (pa != pb) *m = sat2(*m, pb == (int)taken);
+        a_table[ia] = sat2(sa, taken);
+        b_table[ib] = sat2(sb, taken);
+        h = (h << 1) | taken;
+    }
+    return miss;
+}
+
 /* One gskew (configuration, trace) pair: three banks indexed by the
  * rotation-XOR skewing functions of GSkewPredictor._indices, majority
  * vote, and either the total or the enhanced (e-gskew) update policy.
  * The enhanced policy's partial update feeds bank state back into which
- * banks train, so the whole automaton runs here; indices are computed
- * in-loop from the running 64-bit history register (masked per access
- * exactly like GlobalHistoryRegister.value). */
-static int64_t rot_left(int64_t v, int64_t amount, int64_t bits, int64_t m)
+ * banks train, so the whole automaton runs here.  Every rotated value
+ * is already masked to the bank width, and the rotation amounts are
+ * reduced modulo it once, before the loop (a 0-bit bank indexes slot 0
+ * whatever the amounts).  A cid is the first (lowest-numbered) bank
+ * voting with the majority, bank k offset by k * bank_size. */
+static inline int64_t rot(int64_t v, int64_t amount, int64_t bits, int64_t m)
 {
-    if (bits == 0)
-        return 0;
-    amount %= bits;
-    v &= m;
     return ((v << amount) | (v >> (bits - amount))) & m;
 }
 
-void gskew_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
-                int64_t bank_bits, int64_t hmask, int enhanced,
-                int8_t *b0, int8_t *b1, int8_t *b2, uint8_t *preds,
-                int64_t *cids)
+int64_t gskew_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                   int64_t bank_bits, int64_t hmask, int enhanced,
+                   int8_t *b0, int8_t *b1, int8_t *b2, uint8_t *preds,
+                   int64_t *cids)
 {
     int64_t m = bank_bits ? (((int64_t)1 << bank_bits) - 1) : 0;
     int64_t bank_size = (int64_t)1 << bank_bits;
-    int64_t r1 = bank_bits / 2, r2 = (2 * bank_bits) / 3;
+    int64_t bits = bank_bits ? bank_bits : 1;
+    int64_t pc1 = 1 % bits, pc2 = 2 % bits;
+    int64_t h1 = (bank_bits / 2) % bits, h2 = ((2 * bank_bits) / 3) % bits;
+    int64_t miss = 0;
     uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
         int64_t pc = pcs[t];
         uint8_t taken = o[t];
         int64_t pc_lo = pc & m;
         int64_t pc_hi = (pc >> bank_bits) & m;
-        int64_t hist = bank_bits ? ((int64_t)(h & (uint64_t)hmask) & m) : 0;
+        int64_t hist = (int64_t)(h & (uint64_t)hmask) & m;
         int64_t i0 = pc_lo ^ hist;
-        int64_t i1 = rot_left(pc_lo, 1, bank_bits, m)
-                     ^ rot_left(hist, r1, bank_bits, m) ^ pc_hi;
-        int64_t i2 = rot_left(pc_lo, 2, bank_bits, m)
-                     ^ rot_left(hist, r2, bank_bits, m)
-                     ^ rot_left(pc_hi, 1, bank_bits, m);
+        int64_t i1 = rot(pc_lo, pc1, bits, m) ^ rot(hist, h1, bits, m) ^ pc_hi;
+        int64_t i2 = rot(pc_lo, pc2, bits, m) ^ rot(hist, h2, bits, m)
+                     ^ rot(pc_hi, pc1, bits, m);
         int8_t s0 = b0[i0], s1 = b1[i1], s2 = b2[i2];
         int v0 = s0 >= 2, v1 = s1 >= 2, v2 = s2 >= 2;
         int maj = (v0 + v1 + v2) >= 2;
-        preds[t] = (uint8_t)maj;
-        /* attribution: the first (lowest-numbered) bank voting with
-         * the majority, bank k offset by k * bank_size */
+        miss += maj != (int)taken;
+        if (preds) preds[t] = (uint8_t)maj;
         if (cids)
             cids[t] = (v0 == maj) ? i0
                       : ((v1 == maj) ? bank_size + i1 : 2 * bank_size + i2);
         int all = !enhanced || maj != (int)taken;
-        if (all || v0 == maj)
-            b0[i0] = taken ? (s0 < 3 ? s0 + 1 : 3) : (s0 > 0 ? s0 - 1 : 0);
-        if (all || v1 == maj)
-            b1[i1] = taken ? (s1 < 3 ? s1 + 1 : 3) : (s1 > 0 ? s1 - 1 : 0);
-        if (all || v2 == maj)
-            b2[i2] = taken ? (s2 < 3 ? s2 + 1 : 3) : (s2 > 0 ? s2 - 1 : 0);
+        if (all || v0 == maj) b0[i0] = sat2(s0, taken);
+        if (all || v1 == maj) b1[i1] = sat2(s1, taken);
+        if (all || v2 == maj) b2[i2] = sat2(s2, taken);
         h = (h << 1) | taken;
     }
+    return miss;
 }
 
 /* One tri-mode (configuration, trace) pair: bi-mode's bank feedback
- * with a third (weak) bank.  Choice/direction index streams are
- * precomputed by the caller (outcome-only, like bimode_pair); this loop
- * mirrors TriModePredictor._run exactly, including the generalized
- * partial-update exception on the choice table. */
-void trimode_lane(const int64_t *ci, const int64_t *di, const uint8_t *o,
-                  int64_t n, int64_t bank_size, int8_t *nt_bank,
-                  int8_t *tk_bank, int8_t *wk_bank, int8_t *choice,
-                  uint8_t *preds, int64_t *cids)
+ * with a third (weak) bank, TriModePredictor.update exactly.  The
+ * direction index is gshare-style, the choice index PC-only; choice
+ * state 3 selects the taken bank, 0 the not-taken bank, 1-2 the weak
+ * bank, and the choice trains unless its direction was wrong while the
+ * selected counter was right.  A cid is the selected direction counter,
+ * bank b (not-taken, taken, weak) offset by b * bank_size. */
+int64_t trimode_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                     int64_t dmask, int64_t dhmask, int64_t cmask,
+                     int64_t bank_size, int8_t *nt_bank, int8_t *tk_bank,
+                     int8_t *wk_bank, int8_t *choice, uint8_t *preds,
+                     int64_t *cids)
 {
+    int64_t miss = 0;
+    uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
-        int64_t c = ci[t], d = di[t];
+        int64_t pc = pcs[t];
         uint8_t taken = o[t];
-        int8_t cs = choice[c];
-        int8_t *bank = (cs == 3) ? tk_bank : ((cs == 0) ? nt_bank : wk_bank);
+        int64_t d = (pc & dmask) ^ (int64_t)(h & (uint64_t)dhmask);
+        int8_t *c = choice + (pc & cmask);
+        int8_t cs = *c;
+        int bank_id = (cs == 3) ? 1 : ((cs == 0) ? 0 : 2);
+        int8_t *bank = bank_id == 1 ? tk_bank : (bank_id == 0 ? nt_bank : wk_bank);
         int8_t ds = bank[d];
         uint8_t fin = ds >= 2;
-        preds[t] = fin;
-        /* attribution: bank b (not-taken, taken, weak) occupies ids
-         * [b * bank_size, (b + 1) * bank_size) */
-        if (cids) {
-            int64_t bank_id = (cs == 3) ? 1 : ((cs == 0) ? 0 : 2);
-            cids[t] = bank_id * bank_size + d;
-        }
-        bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
-        int cls = cs >= 2;
-        if (!((cls != (int)taken) && (fin == taken)))
-            choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
+        miss += fin != taken;
+        if (preds) preds[t] = fin;
+        if (cids) cids[t] = bank_id * bank_size + d;
+        bank[d] = sat2(ds, taken);
+        if (!(((cs >= 2) != (int)taken) && (fin == taken)))
+            *c = sat2(cs, taken);
+        h = (h << 1) | taken;
     }
+    return miss;
 }
 
 /* One YAGS (configuration, trace) pair: bimodal choice bias plus two
- * tagged exception caches.  Choice index, cache index and partial-tag
- * streams are precomputed (outcome-only); the loop mirrors
- * YagsPredictor.update exactly — probe the cache OPPOSITE the bias,
- * train/allocate it when the outcome deviates from the bias or the
- * entry already hit, and skip the choice update when the bias was
- * wrong yet the override got it right. */
-void yags_lane(const int64_t *ci, const int64_t *ki, const int32_t *tg,
-               const uint8_t *o, int64_t n, int64_t choice_size,
-               int64_t cache_size, int8_t *choice,
-               int32_t *tk_tags, int8_t *tk_ctr,
-               int32_t *nt_tags, int8_t *nt_ctr, uint8_t *preds,
-               int64_t *cids)
+ * tagged exception caches, YagsPredictor.update exactly.  The choice
+ * index is PC-only, the cache index gshare-style, the partial tag
+ * (pc >> tag_shift) & tag_mask (at most 30 bits, so never the -1 of an
+ * empty entry).  Probe the cache OPPOSITE the bias, train/allocate it
+ * when the outcome deviates from the bias or the entry already hit,
+ * and skip the choice update when the bias was wrong yet the override
+ * got it right.  Cid layout: choice table, taken cache, not-taken
+ * cache; a hit charges the hitting cache entry, a miss the choice
+ * counter that supplied the bias. */
+int64_t yags_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                  int64_t cmask, int64_t kmask, int64_t khmask,
+                  int64_t tag_shift, int64_t tag_mask, int64_t choice_size,
+                  int64_t cache_size, int8_t *choice, int32_t *tk_tags,
+                  int8_t *tk_ctr, int32_t *nt_tags, int8_t *nt_ctr,
+                  uint8_t *preds, int64_t *cids)
 {
+    int64_t miss = 0;
+    uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
-        int64_t c = ci[t], k = ki[t];
-        int32_t tag = tg[t];
+        int64_t pc = pcs[t];
         uint8_t taken = o[t];
+        int64_t c = pc & cmask;
+        int64_t k = (pc & kmask) ^ (int64_t)(h & (uint64_t)khmask);
+        int32_t tag = (int32_t)((pc >> tag_shift) & tag_mask);
         int8_t cs = choice[c];
         int bias = cs >= 2;
         int32_t *tags = bias ? nt_tags : tk_tags;
@@ -276,42 +364,39 @@ void yags_lane(const int64_t *ci, const int64_t *ki, const int32_t *tg,
         int hit = tags[k] == tag;
         int8_t hs = ctr[k];
         int fin = hit ? (hs >= 2) : bias;
-        preds[t] = (uint8_t)fin;
-        /* attribution layout: choice table, taken cache, not-taken
-         * cache; a hit charges the hitting cache entry, a miss the
-         * choice counter that supplied the bias */
-        if (cids)
-            cids[t] = hit
-                ? choice_size + (bias ? cache_size : 0) + k
-                : c;
+        miss += fin != (int)taken;
+        if (preds) preds[t] = (uint8_t)fin;
+        if (cids) cids[t] = hit ? choice_size + (bias ? cache_size : 0) + k : c;
         if ((int)taken != bias || hit) {
             if (!hit) {
                 tags[k] = tag;
                 ctr[k] = taken ? 2 : 1;
             } else {
-                ctr[k] = taken ? (hs < 3 ? hs + 1 : 3)
-                               : (hs > 0 ? hs - 1 : 0);
+                ctr[k] = sat2(hs, taken);
             }
         }
         if (!((bias != (int)taken) && (fin == (int)taken)))
-            choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
+            choice[c] = sat2(cs, taken);
+        h = (h << 1) | taken;
     }
+    return miss;
 }
 
 /* One perceptron (configuration, trace) pair: one signed int32 weight
  * row per PC hash, dot product against the running history register,
- * threshold-gated training — PerceptronPredictor.simulate exactly.
- * The dot product accumulates in int64 (worst case |y| <= 63 * 2^29,
- * beyond int32); weights saturate to [w_min, w_max] per update.  Like
- * gskew_lane the history register lives in-loop: only the low
- * `hist_bits` bits are ever read, so the unmasked shift-in matches the
- * scalar GlobalHistoryRegister bit-for-bit. */
-void perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
-                     int64_t pc_mask, int64_t hist_bits, int64_t theta,
-                     int64_t w_min, int64_t w_max,
-                     int32_t *weights, uint8_t *preds)
+ * threshold-gated training — PerceptronPredictor.update exactly.  The
+ * dot product accumulates in int64 (worst case |y| <= 63 * 2^29,
+ * beyond int32); weights saturate to [w_min, w_max] per update.  Only
+ * the low `hist_bits` bits of the history register are ever read, so
+ * the unmasked shift-in matches the scalar GlobalHistoryRegister
+ * bit-for-bit. */
+int64_t perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                        int64_t pc_mask, int64_t hist_bits, int64_t theta,
+                        int64_t w_min, int64_t w_max,
+                        int32_t *weights, uint8_t *preds)
 {
     int64_t stride = hist_bits + 1;
+    int64_t miss = 0;
     uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
         uint8_t taken = o[t];
@@ -324,7 +409,8 @@ void perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
                 y -= row[j];
         }
         uint8_t pred = y >= 0;
-        preds[t] = pred;
+        miss += pred != taken;
+        if (preds) preds[t] = pred;
         int64_t mag = y >= 0 ? y : -y;
         if (pred != taken || mag <= theta) {
             int64_t d = taken ? 1 : -1;
@@ -337,6 +423,7 @@ void perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
         }
         h = (h << 1) | taken;
     }
+    return miss;
 }
 
 /* One bias-filter (configuration, trace) pair: the per-address
@@ -345,28 +432,36 @@ void perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
  * bimodal when it is 0 — the same index formula covers both).  A
  * filtered access is answered by the filter's direction bit and hidden
  * from the sub-predictor ENTIRELY: its table does not train and its
- * history register is not pushed, matching the scalar design note. */
-void biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
-                     int64_t fmask, int64_t max_run,
-                     int64_t sub_imask, int64_t sub_hmask,
-                     uint8_t *dirs, int8_t *runs, int8_t *sub_table,
-                     uint8_t *preds)
+ * history register is not pushed, matching the scalar design note.
+ * biasfilter_lane instantiates this body twice, once with NULL preds:
+ * with a per-access `if (preds)` the loop runs out of registers, and
+ * its rate-only pass measured ~15% slower than the store it skips. */
+static inline __attribute__((always_inline)) int64_t
+biasfilter_run(const int64_t *pcs, const uint8_t *o, int64_t n,
+               int64_t fmask, int64_t max_run,
+               int64_t sub_imask, int64_t sub_hmask,
+               uint8_t *dirs, int8_t *runs, int8_t *sub_table,
+               uint8_t *preds)
 {
+    int64_t miss = 0;
     uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
         int64_t pc = pcs[t];
         uint8_t taken = o[t];
         int64_t slot = pc & fmask;
         int8_t run = runs[slot];
+        uint8_t fin;
         if (run >= max_run) {
-            preds[t] = dirs[slot];
+            fin = dirs[slot];
         } else {
             int64_t idx = (pc & sub_imask) ^ (int64_t)(h & (uint64_t)sub_hmask);
             int8_t s = sub_table[idx];
-            preds[t] = s >= 2;
-            sub_table[idx] = taken ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+            fin = s >= 2;
+            sub_table[idx] = sat2(s, taken);
             h = (h << 1) | taken;
         }
+        miss += fin != taken;
+        if (preds) preds[t] = fin;
         if (run == 0 || dirs[slot] != taken) {
             dirs[slot] = taken;
             runs[slot] = 1;
@@ -374,6 +469,20 @@ void biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
             runs[slot] = (int8_t)(run + 1);
         }
     }
+    return miss;
+}
+
+int64_t biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
+                        int64_t fmask, int64_t max_run,
+                        int64_t sub_imask, int64_t sub_hmask,
+                        uint8_t *dirs, int8_t *runs, int8_t *sub_table,
+                        uint8_t *preds)
+{
+    if (!preds)
+        return biasfilter_run(pcs, o, n, fmask, max_run, sub_imask, sub_hmask,
+                              dirs, runs, sub_table, 0);
+    return biasfilter_run(pcs, o, n, fmask, max_run, sub_imask, sub_hmask,
+                          dirs, runs, sub_table, preds);
 }
 
 /* First-seen hash table shared by the Section-4 grouping passes: an
@@ -663,6 +772,21 @@ int class_changes(const int32_t *ids, const int64_t *stream_counter,
 #: the stream records out.
 _GROUPING_ARGS = (ctypes.c_void_p, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p)
 
+#: Trailing arguments of the comparator loops that attribute accesses:
+#: the predictions and the counter ids out, both nullable.
+_LANE_OUT_ARGS = (ctypes.c_void_p, ctypes.c_void_p)
+
+#: The per-access comparator loops; each returns its miss count.
+_COMPARATOR_LOOPS = (
+    "agree_lane",
+    "tournament_lane",
+    "gskew_lane",
+    "trimode_lane",
+    "yags_lane",
+    "perceptron_lane",
+    "biasfilter_lane",
+)
+
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 _failure: Optional[str] = None
@@ -791,6 +915,29 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # observed states out
         ]
         lib.counter_lane.restype = None
+        lib.agree_lane.argtypes = [
+            ctypes.c_void_p,  # pcs
+            ctypes.c_void_p,  # outcomes
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # imask
+            ctypes.c_int64,  # hmask
+            ctypes.c_int64,  # bmask
+            ctypes.c_void_p,  # agree PHT
+            ctypes.c_void_p,  # biasing bits
+            *_LANE_OUT_ARGS,
+        ]
+        lib.tournament_lane.argtypes = [
+            ctypes.c_void_p,  # pcs
+            ctypes.c_void_p,  # outcomes
+            ctypes.c_int64,  # n
+            ctypes.c_int64,  # imask
+            ctypes.c_int64,  # mmask
+            ctypes.c_int64,  # component size
+            ctypes.c_void_p,  # bimodal table
+            ctypes.c_void_p,  # gshare table
+            ctypes.c_void_p,  # meta table
+            *_LANE_OUT_ARGS,
+        ]
         lib.gskew_lane.argtypes = [
             ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
@@ -801,30 +948,31 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # bank 0
             ctypes.c_void_p,  # bank 1
             ctypes.c_void_p,  # bank 2
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
+            *_LANE_OUT_ARGS,
         ]
-        lib.gskew_lane.restype = None
         lib.trimode_lane.argtypes = [
-            ctypes.c_void_p,  # ci
-            ctypes.c_void_p,  # di
+            ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
             ctypes.c_int64,  # n
+            ctypes.c_int64,  # dmask
+            ctypes.c_int64,  # dhmask
+            ctypes.c_int64,  # cmask
             ctypes.c_int64,  # bank_size
             ctypes.c_void_p,  # not-taken bank
             ctypes.c_void_p,  # taken bank
             ctypes.c_void_p,  # weak bank
             ctypes.c_void_p,  # choice table
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
+            *_LANE_OUT_ARGS,
         ]
-        lib.trimode_lane.restype = None
         lib.yags_lane.argtypes = [
-            ctypes.c_void_p,  # ci (choice index)
-            ctypes.c_void_p,  # ki (cache index)
-            ctypes.c_void_p,  # tg (partial tags)
+            ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
             ctypes.c_int64,  # n
+            ctypes.c_int64,  # cmask
+            ctypes.c_int64,  # kmask
+            ctypes.c_int64,  # khmask
+            ctypes.c_int64,  # tag_shift
+            ctypes.c_int64,  # tag_mask
             ctypes.c_int64,  # choice_size
             ctypes.c_int64,  # cache_size
             ctypes.c_void_p,  # choice table
@@ -832,10 +980,8 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # taken-cache counters
             ctypes.c_void_p,  # not-taken-cache tags
             ctypes.c_void_p,  # not-taken-cache counters
-            ctypes.c_void_p,  # predictions out
-            ctypes.c_void_p,  # counter ids out (nullable)
+            *_LANE_OUT_ARGS,
         ]
-        lib.yags_lane.restype = None
         lib.perceptron_lane.argtypes = [
             ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
@@ -846,9 +992,8 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_int64,  # w_min
             ctypes.c_int64,  # w_max
             ctypes.c_void_p,  # weight arena
-            ctypes.c_void_p,  # predictions out
+            ctypes.c_void_p,  # predictions out (nullable)
         ]
-        lib.perceptron_lane.restype = None
         lib.biasfilter_lane.argtypes = [
             ctypes.c_void_p,  # pcs
             ctypes.c_void_p,  # outcomes
@@ -860,9 +1005,10 @@ def _load() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p,  # filter direction bits
             ctypes.c_void_p,  # filter run counters
             ctypes.c_void_p,  # sub-predictor counter table
-            ctypes.c_void_p,  # predictions out
+            ctypes.c_void_p,  # predictions out (nullable)
         ]
-        lib.biasfilter_lane.restype = None
+        for name in _COMPARATOR_LOOPS:
+            getattr(lib, name).restype = ctypes.c_int64  # the miss count
         lib.substream_group.argtypes = [
             ctypes.c_void_p,  # counter ids
             ctypes.c_void_p,  # outcomes
@@ -1146,6 +1292,102 @@ def counter_lane(
     return states
 
 
+def _lane_outputs(n: int, preds: Optional[np.ndarray], cids: Optional[np.ndarray]):
+    """Pointers to a comparator loop's nullable outputs: uint8
+    predictions and int64 counter ids, each, when given, a C-contiguous
+    array of ``n`` entries."""
+    for arr, dtype in ((preds, np.uint8), (cids, np.int64)):
+        if arr is not None:
+            _require(((arr, dtype),), n)
+    return tuple(None if arr is None else _ptr(arr) for arr in (preds, cids))
+
+
+def agree_lane(
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    imask: int,
+    hmask: int,
+    bmask: int,
+    table: np.ndarray,
+    bias: np.ndarray,
+    preds: Optional[np.ndarray] = None,
+    cids: Optional[np.ndarray] = None,
+) -> int:
+    """Run one agree pair through the compiled loop.
+
+    ``pcs`` is int64, ``outcomes`` uint8; ``table`` is the int8 agree
+    PHT, indexed ``(pc & imask) ^ (h & hmask)``, and ``bias`` the uint8
+    biasing-bit table (2 = not yet set), indexed ``pc & bmask``; both
+    are updated in place.  Fills the optional ``preds`` (uint8) and
+    ``cids`` (int64 PHT slots) of ``len(outcomes)`` entries and returns
+    the misprediction count.  Call only when :func:`available`.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers gate on available()
+        raise RuntimeError("compiled agree driver is not available")
+    n = len(outcomes)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
+    _require(((table, np.int8),))
+    _require(((bias, np.uint8),))
+    _require_reach(table, 0, imask, hmask)
+    _require_reach(bias, 0, bmask, 0)
+    return lib.agree_lane(
+        _ptr(pcs),
+        _ptr(outcomes),
+        ctypes.c_int64(n),
+        ctypes.c_int64(imask),
+        ctypes.c_int64(hmask),
+        ctypes.c_int64(bmask),
+        _ptr(table),
+        _ptr(bias),
+        *_lane_outputs(n, preds, cids),
+    )
+
+
+def tournament_lane(
+    pcs: np.ndarray,
+    outcomes: np.ndarray,
+    imask: int,
+    mmask: int,
+    a_table: np.ndarray,
+    b_table: np.ndarray,
+    meta: np.ndarray,
+    preds: Optional[np.ndarray] = None,
+    cids: Optional[np.ndarray] = None,
+) -> int:
+    """Run one bimodal + gshare tournament pair through the compiled loop.
+
+    ``pcs`` is int64, ``outcomes`` uint8; the three int8 tables are
+    updated in place: the bimodal ``a_table`` indexed ``pc & imask``,
+    the equal-size gshare ``b_table`` indexed ``(pc & imask) ^ (h &
+    imask)`` and the ``meta`` table indexed ``pc & mmask``.  Fills the
+    optional ``preds`` (uint8) and ``cids`` (int64: the selected
+    component's counter, gshare ids offset by the component size) and
+    returns the misprediction count.  Call only when :func:`available`.
+    """
+    lib = _load()
+    if lib is None:  # pragma: no cover - callers gate on available()
+        raise RuntimeError("compiled tournament driver is not available")
+    n = len(outcomes)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
+    _require(((a_table, np.int8), (b_table, np.int8)), len(a_table))
+    _require(((meta, np.int8),))
+    _require_reach(a_table, 0, imask, imask)
+    _require_reach(meta, 0, mmask, 0)
+    return lib.tournament_lane(
+        _ptr(pcs),
+        _ptr(outcomes),
+        ctypes.c_int64(n),
+        ctypes.c_int64(imask),
+        ctypes.c_int64(mmask),
+        ctypes.c_int64(len(a_table)),
+        _ptr(a_table),
+        _ptr(b_table),
+        _ptr(meta),
+        *_lane_outputs(n, preds, cids),
+    )
+
+
 def gskew_lane(
     pcs: np.ndarray,
     outcomes: np.ndarray,
@@ -1153,33 +1395,32 @@ def gskew_lane(
     hist_bits: int,
     enhanced: bool,
     banks: np.ndarray,
+    preds: Optional[np.ndarray] = None,
     cids: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> int:
     """Run one gskew pair through the compiled loop.
 
     ``pcs`` is int64, ``outcomes`` uint8; ``banks`` is the int8
-    ``(3, 1 << bank_bits)`` bank-state array, updated in place.  Returns
-    the uint8 per-branch majority predictions.  Pass an int64 ``cids``
-    array of the same length to also record each access's attributed
-    counter id (first majority-voting bank, offset by its bank number).
-    Call only when :func:`available`.
+    ``(3, 1 << bank_bits)`` bank-state array, updated in place.  Fills
+    the optional ``preds`` (uint8 majority predictions) and ``cids``
+    (int64: the first majority-voting bank's counter, offset by its
+    bank number) and returns the misprediction count.  Call only when
+    :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled gskew driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
-    streams = [(pcs, np.int64), (outcomes, np.uint8)]
-    if cids is not None:
-        streams.append((cids, np.int64))
-    _require(streams, n)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((banks, np.int8),))
     if banks.shape != (3, 1 << bank_bits):
         raise ValueError(
             f"gskew banks must have shape (3, {1 << bank_bits}), got {banks.shape}"
         )
+    if not 0 <= hist_bits < 64:  # the history mask must fit int64
+        raise ValueError(f"hist_bits must be in [0, 63], got {hist_bits}")
     b0, b1, b2 = banks[0], banks[1], banks[2]
-    lib.gskew_lane(
+    return lib.gskew_lane(
         _ptr(pcs),
         _ptr(outcomes),
         ctypes.c_int64(n),
@@ -1189,100 +1430,114 @@ def gskew_lane(
         _ptr(b0),
         _ptr(b1),
         _ptr(b2),
-        _ptr(preds),
-        _ptr(cids) if cids is not None else None,
+        *_lane_outputs(n, preds, cids),
     )
-    return preds
 
 
 def trimode_lane(
-    ci: np.ndarray,
-    di: np.ndarray,
+    pcs: np.ndarray,
     outcomes: np.ndarray,
+    dmask: int,
+    dhmask: int,
+    cmask: int,
     nt_bank: np.ndarray,
     tk_bank: np.ndarray,
     wk_bank: np.ndarray,
     choice: np.ndarray,
+    preds: Optional[np.ndarray] = None,
     cids: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> int:
     """Run one tri-mode pair through the compiled loop.
 
-    ``ci``/``di`` are int64 index streams, ``outcomes`` uint8; the four
-    table arrays are int8 and are updated in place.  Returns the uint8
-    per-branch final predictions.  Pass an int64 ``cids`` array of the
-    same length to also record each access's selected direction counter
-    (bank b offset by ``b * bank_size``).  Call only when
-    :func:`available`.
+    ``pcs`` is int64, ``outcomes`` uint8; the three equal-size int8
+    banks are indexed ``(pc & dmask) ^ (h & dhmask)`` and the int8
+    ``choice`` table ``pc & cmask``, all updated in place.  Fills the
+    optional ``preds`` (uint8) and ``cids`` (int64: the selected
+    direction counter, bank b offset by ``b * bank_size``) and returns
+    the misprediction count.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled tri-mode driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
-    streams = [(ci, np.int64), (di, np.int64), (outcomes, np.uint8)]
-    if cids is not None:
-        streams.append((cids, np.int64))
-    _require(streams, n)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((nt_bank, np.int8), (tk_bank, np.int8), (wk_bank, np.int8)), len(nt_bank))
     _require(((choice, np.int8),))
-    lib.trimode_lane(
-        _ptr(ci),
-        _ptr(di),
+    _require_reach(nt_bank, 0, dmask, dhmask)
+    _require_reach(choice, 0, cmask, 0)
+    return lib.trimode_lane(
+        _ptr(pcs),
         _ptr(outcomes),
         ctypes.c_int64(n),
+        ctypes.c_int64(dmask),
+        ctypes.c_int64(dhmask),
+        ctypes.c_int64(cmask),
         ctypes.c_int64(len(nt_bank)),
         _ptr(nt_bank),
         _ptr(tk_bank),
         _ptr(wk_bank),
         _ptr(choice),
-        _ptr(preds),
-        _ptr(cids) if cids is not None else None,
+        *_lane_outputs(n, preds, cids),
     )
-    return preds
+
+
+#: YAGS partial tags are int32 and -1 marks an empty cache entry, so a
+#: tag holds at most this many bits.
+_MAX_TAG_BITS = 30
 
 
 def yags_lane(
-    ci: np.ndarray,
-    ki: np.ndarray,
-    tags: np.ndarray,
+    pcs: np.ndarray,
     outcomes: np.ndarray,
+    cmask: int,
+    kmask: int,
+    khmask: int,
+    tag_shift: int,
+    tag_mask: int,
     choice: np.ndarray,
     tk_tags: np.ndarray,
     tk_ctr: np.ndarray,
     nt_tags: np.ndarray,
     nt_ctr: np.ndarray,
+    preds: Optional[np.ndarray] = None,
     cids: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> int:
     """Run one YAGS pair through the compiled loop.
 
-    ``ci``/``ki`` are int64 index streams, ``tags`` the int32 partial-tag
-    stream, ``outcomes`` uint8; the choice table and both (tags,
-    counters) cache pairs are updated in place (tag arrays int32,
-    counters int8).  Returns the uint8 per-branch final predictions.
-    Pass an int64 ``cids`` array of the same length to also record each
-    access's attributed counter (choice table, then taken cache, then
-    not-taken cache).  Call only when :func:`available`.
+    ``pcs`` is int64, ``outcomes`` uint8; the int8 ``choice`` table is
+    indexed ``pc & cmask``, both (int32 tags, int8 counters) caches
+    ``(pc & kmask) ^ (h & khmask)``, and an access's partial tag is
+    ``(pc >> tag_shift) & tag_mask`` (at most 30 bits); all tables are
+    updated in place.  Fills the optional ``preds`` (uint8) and ``cids``
+    (int64: choice table, then taken cache, then not-taken cache) and
+    returns the misprediction count.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled YAGS driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
-    streams = [(ci, np.int64), (ki, np.int64), (tags, np.int32), (outcomes, np.uint8)]
-    if cids is not None:
-        streams.append((cids, np.int64))
-    _require(streams, n)
+    _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((choice, np.int8),))
     _require(
         ((tk_tags, np.int32), (tk_ctr, np.int8), (nt_tags, np.int32), (nt_ctr, np.int8)),
         len(tk_ctr),
     )
-    lib.yags_lane(
-        _ptr(ci),
-        _ptr(ki),
-        _ptr(tags),
+    _require_reach(choice, 0, cmask, 0)
+    _require_reach(tk_ctr, 0, kmask, khmask)
+    if not 0 <= tag_mask < 1 << _MAX_TAG_BITS or not 0 <= tag_shift < 64:
+        raise ValueError(
+            f"YAGS tags must be at most {_MAX_TAG_BITS} bits below bit 64, "
+            f"got mask {tag_mask:#x} at shift {tag_shift}"
+        )
+    return lib.yags_lane(
+        _ptr(pcs),
         _ptr(outcomes),
         ctypes.c_int64(n),
+        ctypes.c_int64(cmask),
+        ctypes.c_int64(kmask),
+        ctypes.c_int64(khmask),
+        ctypes.c_int64(tag_shift),
+        ctypes.c_int64(tag_mask),
         ctypes.c_int64(len(choice)),
         ctypes.c_int64(len(tk_ctr)),
         _ptr(choice),
@@ -1290,10 +1545,8 @@ def yags_lane(
         _ptr(tk_ctr),
         _ptr(nt_tags),
         _ptr(nt_ctr),
-        _ptr(preds),
-        _ptr(cids) if cids is not None else None,
+        *_lane_outputs(n, preds, cids),
     )
-    return preds
 
 
 def perceptron_lane(
@@ -1305,25 +1558,25 @@ def perceptron_lane(
     w_min: int,
     w_max: int,
     weights: np.ndarray,
-) -> np.ndarray:
+    preds: Optional[np.ndarray] = None,
+) -> int:
     """Run one perceptron pair through the compiled loop.
 
     ``pcs`` is int64, ``outcomes`` uint8; ``weights`` is the int32
     arena of ``(1 << index_bits) * (hist_bits + 1)`` weights laid out
     row-major ``[bias, w_1 .. w_hist]`` per perceptron, updated in
-    place.  Returns the uint8 per-branch predictions.  Call only when
-    :func:`available`.
+    place.  Fills the optional uint8 ``preds`` and returns the
+    misprediction count.  Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled perceptron driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
-    if hist_bits < 0:
-        raise ValueError(f"hist_bits must be >= 0, got {hist_bits}")
+    if not 0 <= hist_bits <= 64:
+        raise ValueError(f"hist_bits must be in [0, 64], got {hist_bits}")
     _require(((weights, np.int32),), (1 << index_bits) * (hist_bits + 1))
-    lib.perceptron_lane(
+    return lib.perceptron_lane(
         _ptr(pcs),
         _ptr(outcomes),
         ctypes.c_int64(n),
@@ -1333,9 +1586,8 @@ def perceptron_lane(
         ctypes.c_int64(w_min),
         ctypes.c_int64(w_max),
         _ptr(weights),
-        _ptr(preds),
+        _lane_outputs(n, preds, None)[0],
     )
-    return preds
 
 
 def biasfilter_lane(
@@ -1348,42 +1600,39 @@ def biasfilter_lane(
     dirs: np.ndarray,
     runs: np.ndarray,
     sub_table: np.ndarray,
-) -> np.ndarray:
+    preds: Optional[np.ndarray] = None,
+) -> int:
     """Run one bias-filter pair through the compiled loop.
 
     ``pcs`` is int64, ``outcomes`` uint8; ``dirs`` (uint8) and ``runs``
     (int8) are the filter state, ``sub_table`` the int8 2-bit-counter
     table of the sub-predictor (gshare when ``sub_hist_bits > 0``, else
-    bimodal), all updated in place.  Returns the uint8 per-branch
-    predictions.  Call only when :func:`available`.
+    bimodal), all updated in place.  Fills the optional uint8 ``preds``
+    and returns the misprediction count.  Call only when
+    :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("compiled bias-filter driver is not available")
     n = len(outcomes)
-    preds = np.empty(n, dtype=np.uint8)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((dirs, np.uint8), (runs, np.int8)), 1 << filter_bits)
     _require(((sub_table, np.int8),))
-    if len(sub_table) <= ((1 << sub_index_bits) - 1) | ((1 << sub_hist_bits) - 1):
-        raise ValueError(
-            f"sub-predictor table of {len(sub_table)} entries is smaller than "
-            f"its index/history reach ({sub_index_bits}/{sub_hist_bits} bits)"
-        )
-    lib.biasfilter_lane(
+    sub_imask, sub_hmask = (1 << sub_index_bits) - 1, (1 << sub_hist_bits) - 1
+    _require_reach(sub_table, 0, sub_imask, sub_hmask)
+    return lib.biasfilter_lane(
         _ptr(pcs),
         _ptr(outcomes),
         ctypes.c_int64(n),
         ctypes.c_int64((1 << filter_bits) - 1),
         ctypes.c_int64(max_run),
-        ctypes.c_int64((1 << sub_index_bits) - 1),
-        ctypes.c_int64((1 << sub_hist_bits) - 1),
+        ctypes.c_int64(sub_imask),
+        ctypes.c_int64(sub_hmask),
         _ptr(dirs),
         _ptr(runs),
         _ptr(sub_table),
-        _ptr(preds),
+        _lane_outputs(n, preds, None)[0],
     )
-    return preds
 
 
 def _require(arrays, n: Optional[int] = None) -> None:

@@ -51,12 +51,15 @@ Engine tiers
   perceptron;
 * ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
 
-An entry may also carry a ``family`` hook — a fused C loop advancing
-every lane of a family in one pass over the trace (gshare, bi-mode) —
-which the compiled engine uses for rates in place of per-lane
-predictions, and a ``substreams`` hook — a compiled per-lane loop that
-groups accesses into Section-4 substreams as it runs (gshare, bi-mode)
-— which detailed sweeps use in place of per-access attribution.
+An entry may also carry a ``family`` hook, which the compiled engine
+uses for rates in place of per-lane predictions: gshare and bi-mode
+advance every lane of a family in one fused C loop, and the seven
+compiled comparators (agree, gskew, tournament, tri-mode, YAGS,
+perceptron, bias filter) run each lane's C loop over the raw trace
+with no per-branch buffer, counting misses in-loop.  A ``substreams``
+hook — a compiled per-lane loop that groups accesses into Section-4
+substreams as it runs (gshare, bi-mode) — is what detailed sweeps use
+in place of per-access attribution.
 
 The verification suite (``tests/test_kernels.py``) is generated from
 this mapping, so a scheme that registers in ``core/registry.py``
@@ -127,9 +130,10 @@ class KernelEntry:
     #: prediction tier's engine matrix (``numpy_ok`` gates both) — the
     #: completeness meta-test asserts no entry leaves this ``None``.
     detailed: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
-    #: Optional fused C loop ``(lanes, trace) -> rates`` advancing the
-    #: whole family in one pass over the trace; the compiled engine's
-    #: rate path when present.
+    #: Optional compiled ``(lanes, trace) -> rates`` computing every
+    #: lane's rate without a per-branch stream (a fused family loop, or
+    #: one in-loop-counting loop per lane); the compiled engine's rate
+    #: path when present.
     family: Optional[Callable[[Sequence[object], BranchTrace], List[float]]] = None
     #: Optional compiled Section-4 loop ``(lane, trace, pc_codes) ->
     #: SubstreamGrouping`` grouping accesses into substreams as it runs;
@@ -198,6 +202,7 @@ PORTED: Dict[str, KernelEntry] = {
         _lanes.agree_predictions,
         _always,
         detailed=_lanes.agree_detailed,
+        family=_lanes.agree_family_rates,
     ),
     "gskew": KernelEntry(
         "gskew",
@@ -207,6 +212,7 @@ PORTED: Dict[str, KernelEntry] = {
         # total-update gskew is feedback-free, e-gskew is not
         lambda lane: not lane.enhanced,
         detailed=_lanes.gskew_detailed,
+        family=_lanes.gskew_family_rates,
     ),
     "tournament": KernelEntry(
         "tournament",
@@ -215,6 +221,7 @@ PORTED: Dict[str, KernelEntry] = {
         _lanes.tournament_predictions,
         _always,
         detailed=_lanes.tournament_detailed,
+        family=_lanes.tournament_family_rates,
     ),
     "trimode": KernelEntry(
         "trimode",
@@ -223,6 +230,7 @@ PORTED: Dict[str, KernelEntry] = {
         _lanes.trimode_predictions,
         _never,
         detailed=_lanes.trimode_detailed,
+        family=_lanes.trimode_family_rates,
     ),
     "yags": KernelEntry(
         "yags",
@@ -231,6 +239,7 @@ PORTED: Dict[str, KernelEntry] = {
         _lanes.yags_predictions,
         _never,
         detailed=_lanes.yags_detailed,
+        family=_lanes.yags_family_rates,
     ),
     # -- second wave: the former SCALAR_ONLY tier -------------------------------
     "perceptron": KernelEntry(
@@ -242,6 +251,7 @@ PORTED: Dict[str, KernelEntry] = {
         # feeds back into training, so no counter-major form exists
         _never,
         detailed=_lanes.perceptron_detailed,
+        family=_lanes.perceptron_family_rates,
     ),
     "biasfilter": KernelEntry(
         "biasfilter",
@@ -250,6 +260,7 @@ PORTED: Dict[str, KernelEntry] = {
         _lanes.biasfilter_predictions,
         _always,
         detailed=_lanes.biasfilter_detailed,
+        family=_lanes.biasfilter_family_rates,
     ),
     **{
         scheme: KernelEntry(
@@ -604,9 +615,12 @@ def family_rates(
 ) -> List[float]:
     """Misprediction rate of every lane of one family.
 
-    The compiled engine runs the entry's fused ``family`` loop when it
-    has one; otherwise each lane goes through its direct ``rates`` hook
-    or its prediction stream.  Scalar lanes run the scalar engine.
+    When every lane runs compiled and the entry has a ``family`` hook,
+    that hook rates the family: gshare and bi-mode in one fused pass,
+    the compiled comparators one in-loop-counting pass per lane, none
+    of them writing a per-branch stream.  Otherwise each lane goes
+    through its direct ``rates`` hook or its prediction stream.  Scalar
+    lanes run the scalar engine.
     """
     from repro.core.registry import make_predictor
     from repro.sim.engine import run

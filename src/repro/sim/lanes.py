@@ -7,31 +7,39 @@ execution strategy available.  This module supplies the per-scheme
 gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
 :mod:`repro.sim.batch_bimode`:
 
+* **compiled comparator loops** — agree, gskew (both update policies),
+  the bimodal+gshare tournament, tri-mode, YAGS, the perceptron and
+  the bias filter.  Under the compiled engine each lane is one C loop
+  in :mod:`repro.sim._cstep` over the raw ``(pcs, outcomes)`` trace:
+  it derives its indices in-loop from the PC and one 64-bit history
+  register, counts its mispredictions in-loop, and writes per-branch
+  predictions and counter ids only when a caller asks for them.  The
+  ``*_family_rates`` hooks rate a whole family that way, with no
+  per-branch stream at all.  E-gskew's partial update, tri-mode's and
+  YAGS's bank/cache selection and the perceptron's threshold gate feed
+  predictor state back into training, which defeats counter-major
+  decomposition exactly like bi-mode's choice feedback: those schemes
+  have no numpy form.
 * **counter-major schemes** — bimodal (any counter width), the whole
-  two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp), agree,
-  gskew with the *total* update policy, and the bimodal+gshare
-  tournament.  None of these feed predictions back into their own index
-  or training streams, so every per-access counter id and training
-  delta is precomputable from ``(pcs, outcomes)`` alone and the
-  remaining sequential work is exactly one saturating-counter automaton
-  per table.  That automaton runs through the shared compiled loop
+  two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp), and the numpy
+  forms of agree, total-update gskew and the tournament.  None of these
+  feed predictions back into their own index or training streams, so
+  every per-access counter id and training delta is precomputable from
+  ``(pcs, outcomes)`` alone and the remaining sequential work is
+  exactly one saturating-counter automaton per table.  That automaton
+  runs through the shared compiled loop
   (:func:`repro.sim._cstep.counter_lane`) or the counter-major
   segmented scan (:func:`repro.sim.batch.counter_scan`) — the same
   machinery, and the same bit-exactness argument, as the gshare kernel.
-* **sequential schemes** — gskew's *enhanced* (e-gskew) policy,
-  tri-mode, YAGS, and the perceptron.  Their partial updates feed
-  predictor state back into which table trains (or which bank an
-  access lands in, or — for the perceptron — whether the threshold
-  gate fires), which defeats counter-major decomposition exactly like
-  bi-mode's choice feedback; each gets a dedicated compiled per-pair
-  loop in :mod:`repro.sim._cstep` over precomputed index streams.
+  The numpy forms are the ``REPRO_NO_CC`` / ``REPRO_KERNEL=numpy``
+  engine of agree, gskew-total and the tournament.
 * **second-wave lane schemes** — the bias filter (over a gshare or
   bimodal sub-predictor) and the three static schemes
   (always-taken / always-not-taken / btfnt).  The statics are pure
-  vectorized one-shots; the bias filter decomposes (see below) into
-  the per-slot grouping machinery plus one counter automaton over the
-  *unfiltered* subsequence, so it runs under both the compiled loop
-  and the numpy engine.
+  vectorized one-shots; the bias filter's numpy form decomposes (see
+  below) into the per-slot grouping machinery plus one counter
+  automaton over the *unfiltered* subsequence, which also serves its
+  Section-4 attribution under both engines.
 
 Scheme-specific notes
 ---------------------
@@ -52,9 +60,9 @@ that is ``True`` by construction, matching ``AgreePredictor.update``
 which sets the bias before computing agreement.
 
 **Tournament.**  Both components are feedback-free (bimodal + gshare),
-so their prediction streams come from two counter scans; the meta table
-then trains with deltas in ``{-1, 0, +1}`` (0 when the components
-agree), which the generalized scan and the compiled loop both support.
+so in the numpy form their prediction streams come from two counter
+scans; the meta table then trains with deltas in ``{-1, 0, +1}`` (0
+when the components agree), which the generalized scan supports.
 
 **Bias filter.**  The filter automaton (direction bit + saturating run
 counter per slot) evolves from ``(pcs, outcomes)`` alone — after every
@@ -79,7 +87,7 @@ dict-based oracle by the registry-driven verification suite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,6 +96,7 @@ from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
 from repro.core.registry import parse_spec
+from repro.sim import _cstep
 from repro.sim.batch import GShareLane, counter_scan
 from repro.traces.record import BranchTrace
 
@@ -141,6 +150,10 @@ __all__ = [
 #: scalar constructors, so the lane parsers reject them too (the spec
 #: then falls to the scalar family and raises the original error).
 _MAX_TABLE_BITS = 24
+
+#: GlobalHistoryRegister's width ceiling, which the scalar constructors
+#: enforce the same way.
+_MAX_HIST_BITS = 62
 
 
 # -- lane descriptions ------------------------------------------------------------
@@ -357,7 +370,7 @@ def gskew_lane_for_spec(spec: str) -> Optional[GSkewLane]:
         hist = int(kwargs.get("hist", bank))
     except ValueError:
         return None
-    if not 0 <= bank <= _MAX_TABLE_BITS or hist < 0:
+    if not 0 <= bank <= _MAX_TABLE_BITS or not 0 <= hist <= _MAX_HIST_BITS:
         return None
     return GSkewLane(bank_bits=bank, hist_bits=hist, enhanced=policy == "enhanced")
 
@@ -419,9 +432,11 @@ def perceptron_lane_for_spec(spec: str) -> Optional[PerceptronLane]:
     index = kw["index"]
     hist = kw.get("hist", 12)
     w = kw.get("w", 8)
-    # hist caps at the GlobalHistoryRegister width; w at int32-safe
-    # saturation (the int64 dot product then never overflows).
-    if not 0 <= index <= _MAX_TABLE_BITS or not 0 <= hist <= 62 or not 2 <= w <= 30:
+    if not 0 <= index <= _MAX_TABLE_BITS or not 0 <= hist <= _MAX_HIST_BITS:
+        return None
+    # w caps at int32-safe saturation (the int64 dot product then never
+    # overflows).
+    if not 2 <= w <= 30:
         return None
     return PerceptronLane(index_bits=index, hist_bits=hist, weight_bits=w)
 
@@ -544,8 +559,6 @@ def _observed_states(
     counter-major scan — the shared automaton of every counter-major
     scheme.  ``deltas`` are int-like in ``{-1, 0, +1}``."""
     if engine == "c":
-        from repro.sim import _cstep
-
         table = np.full(num_counters, init, dtype=np.int8)
         return _cstep.counter_lane(
             np.ascontiguousarray(keys, dtype=np.int64),
@@ -562,6 +575,161 @@ def _observed_states(
 
 def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
     return np.where(outcomes, 1, -1).astype(np.int8)
+
+
+# -- compiled comparator loops ------------------------------------------------------
+#
+# Each ``_<scheme>_c(lane, trace, preds=None[, cids=None]) -> int`` runs
+# one lane's compiled loop from power-on state over the raw trace,
+# filling the optional uint8 prediction and int64 counter-id buffers,
+# and returns the misprediction count.
+
+
+def _raw(trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
+    """The trace as the compiled loops read it (views, no copy)."""
+    return (
+        np.ascontiguousarray(trace.pcs, dtype=np.int64),
+        np.ascontiguousarray(trace.outcomes).view(np.uint8),
+    )
+
+
+def _c_predictions(run: Callable[..., int], lane, trace: BranchTrace) -> np.ndarray:
+    preds = np.empty(len(trace), dtype=np.uint8)
+    run(lane, trace, preds)
+    return preds.view(bool)
+
+
+def _c_detailed(
+    run: Callable[..., int], lane, trace: BranchTrace
+) -> Tuple[np.ndarray, np.ndarray]:
+    preds = np.empty(len(trace), dtype=np.uint8)
+    cids = np.empty(len(trace), dtype=np.int64)
+    run(lane, trace, preds, cids)
+    return preds.view(bool), cids
+
+
+def _c_family_rates(run: Callable[..., int]) -> Callable[..., List[float]]:
+    """The ``family`` hook of a compiled comparator: every lane's loop
+    with no per-branch buffer, each rate ``miss / n``."""
+
+    def family_rates(lanes: Sequence[object], trace: BranchTrace) -> List[float]:
+        n = len(trace)
+        return [run(lane, trace) / n for lane in lanes]
+
+    return family_rates
+
+
+def _agree_c(lane: AgreeLane, trace: BranchTrace, preds=None, cids=None) -> int:
+    return _cstep.agree_lane(
+        *_raw(trace),
+        mask(lane.index_bits),
+        mask(lane.hist_bits),
+        mask(lane.bias_bits),
+        np.full(1 << lane.index_bits, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(1 << lane.bias_bits, 2, dtype=np.uint8),  # 2 = not yet set
+        preds,
+        cids,
+    )
+
+
+def _tournament_c(
+    lane: TournamentLane, trace: BranchTrace, preds=None, cids=None
+) -> int:
+    size = 1 << lane.index_bits
+    return _cstep.tournament_lane(
+        *_raw(trace),
+        mask(lane.index_bits),
+        mask(lane.meta_bits),
+        np.full(size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(1 << lane.meta_bits, WEAKLY_TAKEN, dtype=np.int8),
+        preds,
+        cids,
+    )
+
+
+def _gskew_c(lane: GSkewLane, trace: BranchTrace, preds=None, cids=None) -> int:
+    return _cstep.gskew_lane(
+        *_raw(trace),
+        lane.bank_bits,
+        lane.hist_bits,
+        lane.enhanced,
+        np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8),
+        preds,
+        cids,
+    )
+
+
+def _trimode_c(lane: TriModeLane, trace: BranchTrace, preds=None, cids=None) -> int:
+    size = 1 << lane.dir_bits
+    return _cstep.trimode_lane(
+        *_raw(trace),
+        mask(lane.dir_bits),
+        mask(lane.hist_bits),
+        mask(lane.choice_bits),
+        np.full(size, WEAKLY_NOT_TAKEN, dtype=np.int8),
+        np.full(size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(1 << lane.choice_bits, WEAKLY_TAKEN, dtype=np.int8),
+        preds,
+        cids,
+    )
+
+
+def _yags_c(lane: YagsLane, trace: BranchTrace, preds=None, cids=None) -> int:
+    cache_size = 1 << lane.cache_bits
+    return _cstep.yags_lane(
+        *_raw(trace),
+        mask(lane.choice_bits),
+        mask(lane.cache_bits),
+        mask(lane.hist_bits),
+        lane.cache_bits,
+        mask(lane.tag_bits),
+        np.full(1 << lane.choice_bits, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(cache_size, -1, dtype=np.int32),
+        np.full(cache_size, WEAKLY_TAKEN, dtype=np.int8),
+        np.full(cache_size, -1, dtype=np.int32),
+        np.full(cache_size, WEAKLY_NOT_TAKEN, dtype=np.int8),
+        preds,
+        cids,
+    )
+
+
+def _perceptron_c(lane: PerceptronLane, trace: BranchTrace, preds=None) -> int:
+    return _cstep.perceptron_lane(
+        *_raw(trace),
+        lane.index_bits,
+        lane.hist_bits,
+        lane.theta,
+        lane.w_min,
+        lane.w_max,
+        np.zeros((1 << lane.index_bits) * (lane.hist_bits + 1), dtype=np.int32),
+        preds,
+    )
+
+
+def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace, preds=None) -> int:
+    size = 1 << lane.filter_bits
+    return _cstep.biasfilter_lane(
+        *_raw(trace),
+        lane.filter_bits,
+        lane.max_run,
+        lane.sub_index_bits,
+        lane.sub_hist_bits,
+        np.zeros(size, dtype=np.uint8),
+        np.zeros(size, dtype=np.int8),
+        np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8),
+        preds,
+    )
+
+
+agree_family_rates = _c_family_rates(_agree_c)
+tournament_family_rates = _c_family_rates(_tournament_c)
+gskew_family_rates = _c_family_rates(_gskew_c)
+trimode_family_rates = _c_family_rates(_trimode_c)
+yags_family_rates = _c_family_rates(_yags_c)
+perceptron_family_rates = _c_family_rates(_perceptron_c)
+biasfilter_family_rates = _c_family_rates(_biasfilter_c)
 
 
 # -- counter-major kernels --------------------------------------------------------
@@ -639,6 +807,8 @@ def agree_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed agree-PHT slot IS
     the id (the biasing bits are not counters)."""
+    if engine == "c":
+        return _c_detailed(_agree_c, lane, trace)
     n = len(trace)
     outcomes = trace.outcomes
     histories = _hist(trace, lane.hist_bits, hist_cache)
@@ -671,6 +841,8 @@ def agree_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
+    if engine == "c":
+        return _c_predictions(_agree_c, lane, trace)
     return agree_detailed(lane, trace, engine, hist_cache)[0]
 
 
@@ -716,20 +888,7 @@ def gskew_detailed(
     the first (lowest-numbered) bank voting with the majority, bank ``k``
     offset by ``k * bank_size``."""
     if engine == "c":
-        from repro.sim import _cstep
-
-        banks = np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8)
-        cids = np.empty(len(trace), dtype=np.int64)
-        preds = _cstep.gskew_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.bank_bits,
-            lane.hist_bits,
-            lane.enhanced,
-            banks,
-            cids,
-        )
-        return preds.view(bool), cids
+        return _c_detailed(_gskew_c, lane, trace)
     if engine != "numpy" or lane.enhanced:
         # e-gskew's partial update feeds bank state back into which
         # banks train; no counter-major form exists.
@@ -759,18 +918,7 @@ def gskew_predictions(
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
     if engine == "c":
-        from repro.sim import _cstep
-
-        banks = np.full((3, 1 << lane.bank_bits), WEAKLY_TAKEN, dtype=np.int8)
-        preds = _cstep.gskew_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.bank_bits,
-            lane.hist_bits,
-            lane.enhanced,
-            banks,
-        )
-        return preds.view(bool)
+        return _c_predictions(_gskew_c, lane, trace)
     if engine != "numpy" or lane.enhanced:
         # e-gskew's partial update feeds bank state back into which
         # banks train; no counter-major form exists.
@@ -792,6 +940,8 @@ def tournament_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the *selected* component's
     counter, gshare (component b) ids offset by the bimodal's size."""
+    if engine == "c":
+        return _c_detailed(_tournament_c, lane, trace)
     outcomes = trace.outcomes
     deltas = _train_deltas(outcomes)
     a_keys = (trace.pcs & mask(lane.index_bits)).astype(np.int64)
@@ -824,44 +974,17 @@ def tournament_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
+    if engine == "c":
+        return _c_predictions(_tournament_c, lane, trace)
     return tournament_detailed(lane, trace, engine, hist_cache)[0]
 
 
 # -- sequential (compiled-loop) kernels -------------------------------------------
 
 
-def _trimode_run(
-    lane: TriModeLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]],
-    cids: Optional[np.ndarray],
-) -> np.ndarray:
+def _compiled_only(scheme: str, engine: str) -> None:
     if engine != "c":
-        raise ValueError(f"unsupported tri-mode engine {engine!r}")
-    from repro.sim import _cstep
-
-    histories = _hist(trace, lane.hist_bits, hist_cache)
-    di = gshare_index_stream(
-        trace.pcs, histories, lane.dir_bits, lane.hist_bits
-    ).astype(np.int64)
-    ci = (trace.pcs & mask(lane.choice_bits)).astype(np.int64)
-    size = 1 << lane.dir_bits
-    nt_bank = np.full(size, WEAKLY_NOT_TAKEN, dtype=np.int8)
-    tk_bank = np.full(size, WEAKLY_TAKEN, dtype=np.int8)
-    wk_bank = np.full(size, WEAKLY_TAKEN, dtype=np.int8)
-    choice = np.full(1 << lane.choice_bits, WEAKLY_TAKEN, dtype=np.int8)
-    preds = _cstep.trimode_lane(
-        np.ascontiguousarray(ci),
-        np.ascontiguousarray(di),
-        np.ascontiguousarray(trace.outcomes).view(np.uint8),
-        nt_bank,
-        tk_bank,
-        wk_bank,
-        choice,
-        cids,
-    )
-    return preds.view(bool)
+        raise ValueError(f"unsupported {scheme} engine {engine!r}")
 
 
 def trimode_detailed(
@@ -872,8 +995,8 @@ def trimode_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the selected direction counter,
     bank ``b`` (not-taken, taken, weak) offset by ``b * bank_size``."""
-    cids = np.empty(len(trace), dtype=np.int64)
-    return _trimode_run(lane, trace, engine, hist_cache, cids), cids
+    _compiled_only("tri-mode", engine)
+    return _c_detailed(_trimode_c, lane, trace)
 
 
 def trimode_predictions(
@@ -882,45 +1005,8 @@ def trimode_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    return _trimode_run(lane, trace, engine, hist_cache, None)
-
-
-def _yags_run(
-    lane: YagsLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]],
-    cids: Optional[np.ndarray],
-) -> np.ndarray:
-    if engine != "c":
-        raise ValueError(f"unsupported YAGS engine {engine!r}")
-    from repro.sim import _cstep
-
-    histories = _hist(trace, lane.hist_bits, hist_cache)
-    ki = gshare_index_stream(
-        trace.pcs, histories, lane.cache_bits, lane.hist_bits
-    ).astype(np.int64)
-    ci = (trace.pcs & mask(lane.choice_bits)).astype(np.int64)
-    tags = ((trace.pcs >> lane.cache_bits) & mask(lane.tag_bits)).astype(np.int32)
-    cache_size = 1 << lane.cache_bits
-    choice = np.full(1 << lane.choice_bits, WEAKLY_TAKEN, dtype=np.int8)
-    tk_tags = np.full(cache_size, -1, dtype=np.int32)
-    tk_ctr = np.full(cache_size, WEAKLY_TAKEN, dtype=np.int8)
-    nt_tags = np.full(cache_size, -1, dtype=np.int32)
-    nt_ctr = np.full(cache_size, WEAKLY_NOT_TAKEN, dtype=np.int8)
-    preds = _cstep.yags_lane(
-        np.ascontiguousarray(ci),
-        np.ascontiguousarray(ki),
-        np.ascontiguousarray(tags),
-        np.ascontiguousarray(trace.outcomes).view(np.uint8),
-        choice,
-        tk_tags,
-        tk_ctr,
-        nt_tags,
-        nt_ctr,
-        cids,
-    )
-    return preds.view(bool)
+    _compiled_only("tri-mode", engine)
+    return _c_predictions(_trimode_c, lane, trace)
 
 
 def yags_detailed(
@@ -932,8 +1018,8 @@ def yags_detailed(
     """``(predictions, counter_ids)``: choice table, then taken cache,
     then not-taken cache; a hit charges the hitting cache entry, a miss
     the choice counter that supplied the bias."""
-    cids = np.empty(len(trace), dtype=np.int64)
-    return _yags_run(lane, trace, engine, hist_cache, cids), cids
+    _compiled_only("YAGS", engine)
+    return _c_detailed(_yags_c, lane, trace)
 
 
 def yags_predictions(
@@ -942,7 +1028,8 @@ def yags_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    return _yags_run(lane, trace, engine, hist_cache, None)
+    _compiled_only("YAGS", engine)
+    return _c_predictions(_yags_c, lane, trace)
 
 
 def perceptron_predictions(
@@ -951,25 +1038,11 @@ def perceptron_predictions(
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
-    if engine != "c":
-        # The threshold gate reads the dot product of the weights the
-        # *predictor* accumulated: training feeds back into training, so
-        # no counter-major form exists.
-        raise ValueError(f"unsupported perceptron engine {engine!r}")
-    from repro.sim import _cstep
-
-    weights = np.zeros((1 << lane.index_bits) * (lane.hist_bits + 1), dtype=np.int32)
-    preds = _cstep.perceptron_lane(
-        np.ascontiguousarray(trace.pcs, dtype=np.int64),
-        np.ascontiguousarray(trace.outcomes).view(np.uint8),
-        lane.index_bits,
-        lane.hist_bits,
-        lane.theta,
-        lane.w_min,
-        lane.w_max,
-        weights,
-    )
-    return preds.view(bool)
+    # The threshold gate reads the dot product of the weights the
+    # *predictor* accumulated: training feeds back into training, so no
+    # counter-major form exists.
+    _compiled_only("perceptron", engine)
+    return _c_predictions(_perceptron_c, lane, trace)
 
 
 def perceptron_detailed(
@@ -1036,24 +1109,7 @@ def biasfilter_predictions(
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> np.ndarray:
     if engine == "c":
-        from repro.sim import _cstep
-
-        size = 1 << lane.filter_bits
-        dirs = np.zeros(size, dtype=np.uint8)
-        runs = np.zeros(size, dtype=np.int8)
-        sub_table = np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8)
-        preds = _cstep.biasfilter_lane(
-            np.ascontiguousarray(trace.pcs, dtype=np.int64),
-            np.ascontiguousarray(trace.outcomes).view(np.uint8),
-            lane.filter_bits,
-            lane.max_run,
-            lane.sub_index_bits,
-            lane.sub_hist_bits,
-            dirs,
-            runs,
-            sub_table,
-        )
-        return preds.view(bool)
+        return _c_predictions(_biasfilter_c, lane, trace)
     if engine != "numpy":
         raise ValueError(f"unsupported bias-filter engine {engine!r}")
     n = len(trace)

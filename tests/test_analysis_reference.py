@@ -508,19 +508,16 @@ class TestDriverPreconditions:
             "counter_lane": (
                 [np.zeros(n, np.int64), np.ones(n, np.int8), i8(4)], 1
             ),
+            "agree_lane": ([pcs, out, 3, 3, 3, i8(4), np.full(4, 2, np.uint8)], 1),
+            "tournament_lane": ([pcs, out, 3, 3, i8(4), i8(4), i8(4)], 1),
             "gskew_lane": (
                 [pcs, out, 2, 2, True, np.full((3, 4), 2, dtype=np.int8)], 1
             ),
-            "trimode_lane": (
-                [np.zeros(n, np.int64), np.zeros(n, np.int64), out,
-                 i8(4), i8(4), i8(4), i8(4)],
-                2,
-            ),
+            "trimode_lane": ([pcs, out, 3, 3, 3, i8(4), i8(4), i8(4), i8(4)], 1),
             "yags_lane": (
-                [np.zeros(n, np.int64), np.zeros(n, np.int64),
-                 np.zeros(n, np.int32), out, i8(4),
-                 np.zeros(4, np.int32), i8(4), np.zeros(4, np.int32), i8(4)],
-                3,
+                [pcs, out, 3, 3, 3, 2, 63, i8(4), np.full(4, -1, np.int32), i8(4),
+                 np.full(4, -1, np.int32), i8(4)],
+                1,
             ),
             "perceptron_lane": (
                 [pcs, out, 2, 3, 19, -8, 7, np.zeros(16, np.int32)], 1
@@ -540,6 +537,8 @@ class TestDriverPreconditions:
         "gshare_fused",
         "bimode_fused",
         "counter_lane",
+        "agree_lane",
+        "tournament_lane",
         "gskew_lane",
         "trimode_lane",
         "yags_lane",
@@ -601,11 +600,91 @@ class TestDriverPreconditions:
         with pytest.raises(ValueError, match=">= 0"):
             driver(*args)
 
+    #: The per-access comparator loops: each returns its miss count and
+    #: fills optional predictions; the first five also counter ids.
+    COMPARATORS = (
+        "agree_lane",
+        "tournament_lane",
+        "gskew_lane",
+        "trimode_lane",
+        "yags_lane",
+        "perceptron_lane",
+        "biasfilter_lane",
+    )
+
+    @pytest.mark.parametrize("name", COMPARATORS)
+    def test_comparator_counts_its_misses(self, name):
+        driver, args, _ = self.lane_call(name)
+        miss = driver(*args)
+        driver, args, _ = self.lane_call(name)
+        preds = np.empty(8, dtype=np.uint8)
+        assert driver(*args, preds) == miss == np.count_nonzero(preds != args[1])
+
+    @pytest.mark.parametrize("name", COMPARATORS)
+    def test_comparator_checks_its_outputs(self, name):
+        bad_preds = (
+            (np.empty(7, np.uint8), "lengths differ"),
+            (np.empty(8, np.int8), "uint8"),
+            (np.empty(16, np.uint8)[::2], "contiguous=False"),
+        )
+        for bad, message in bad_preds:
+            driver, args, _ = self.lane_call(name)
+            with pytest.raises(ValueError, match=message):
+                driver(*args, bad)
+        if name in ("perceptron_lane", "biasfilter_lane"):
+            return  # no counter ids: perceptron and bias filter attribute in numpy
+        for bad, message in ((np.empty(7, np.int64), "lengths differ"),
+                             (np.empty(8, np.int32), "int64")):
+            driver, args, _ = self.lane_call(name)
+            with pytest.raises(ValueError, match=message):
+                driver(*args, None, bad)
+
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("agree_lane", 2, 4),  # PHT PC mask past the 4-entry PHT
+            ("agree_lane", 3, 7),  # PHT history mask past it
+            ("agree_lane", 4, 4),  # bias mask past the biasing bits
+            ("tournament_lane", 2, 4),  # component mask past the tables
+            ("tournament_lane", 3, 4),  # meta mask past the meta table
+            ("trimode_lane", 2, 4),  # direction PC mask past the banks
+            ("trimode_lane", 3, 7),  # direction history mask past them
+            ("trimode_lane", 4, 4),  # choice mask past the choice table
+            ("yags_lane", 2, 4),  # choice mask past the choice table
+            ("yags_lane", 3, 4),  # cache PC mask past the caches
+            ("yags_lane", 4, 7),  # cache history mask past them
+        ],
+    )
+    def test_comparator_rejects_table_reach(self, name, index, value):
+        driver, args, _ = self.lane_call(name)
+        args[index] = value
+        with pytest.raises(ValueError, match="reaches past"):
+            driver(*args)
+        args[index] = -1
+        with pytest.raises(ValueError, match=">= 0"):
+            driver(*args)
+
+    def test_yags_tags_fit_int32(self):
+        """Tags are int32 with -1 marking an empty entry: at most 30
+        bits, and a shift C can perform."""
+        for shift, tag_mask in ((2, 1 << 30), (2, -1), (64, 63), (-1, 63)):
+            driver, args, _ = self.lane_call("yags_lane")
+            args[5], args[6] = shift, tag_mask
+            with pytest.raises(ValueError, match="30 bits"):
+                driver(*args)
+        args[5], args[6] = 33, (1 << 30) - 1
+        driver(*args)
+
     def test_lane_tables_must_match_their_parameters(self):
         driver, args, _ = self.lane_call("gskew_lane")
         args[5] = np.full((3, 8), 2, dtype=np.int8)
         with pytest.raises(ValueError, match="shape"):
             driver(*args)
+        for hist_bits in (-1, 64):
+            driver, args, _ = self.lane_call("gskew_lane")
+            args[3] = hist_bits
+            with pytest.raises(ValueError, match="hist_bits"):
+                driver(*args)
         driver, args, _ = self.lane_call("perceptron_lane")
         args[7] = np.zeros(12, np.int32)
         with pytest.raises(ValueError, match="lengths differ"):
@@ -617,6 +696,11 @@ class TestDriverPreconditions:
         args[5] = 3  # history reach wider than the 4-entry sub-table
         with pytest.raises(ValueError, match="reach"):
             driver(*args)
+        for name, index in (("tournament_lane", 5), ("trimode_lane", 7)):
+            driver, args, _ = self.lane_call(name)
+            args[index] = np.full(8, 2, dtype=np.int8)  # tables of unequal size
+            with pytest.raises(ValueError, match="lengths differ"):
+                driver(*args)
 
     # -- Section-4 detailed loops and the grouping passes --------------------
 

@@ -294,6 +294,7 @@ class TestKernelForSpec:
             "agree:index=8,flavor=mild",  # unknown knob -> scalar raises it
             "bimodal:index=30",  # out-of-range geometry
             "gskew:bank=7,update=sideways",
+            "gskew:bank=5,hist=63",  # wider than the history register
             "not a spec",
         ],
     )
@@ -377,6 +378,109 @@ class TestEquivalence:
             assert kernels.family_rates(kind, [spec], [lane], empty) == [0.0]
 
 
+#: The compiled comparators whose ``family`` hook rates a family with
+#: one loop per lane over the raw trace, at ordinary and boundary
+#: geometries: 0-bit tables, 30-bit YAGS tags, the widest history.
+COMPARATOR_BOUNDARY_SPECS = [
+    "agree:index=6,hist=6",
+    "agree:index=0",
+    "agree:index=6,hist=6,bias=0",
+    "tournament:index=5,meta=5",
+    "tournament:index=5,meta=0",
+    "tournament:index=0,meta=0",
+    "gskew:bank=5,hist=5",
+    "gskew:bank=0,hist=0",
+    "gskew:bank=4,hist=62,update=total",
+    "trimode:dir=5,hist=5,choice=5",
+    "trimode:dir=5,hist=5,choice=0",
+    "trimode:dir=0",
+    "yags:choice=6,cache=5,hist=5,tag=6",
+    "yags:choice=6,cache=0,hist=0",
+    "yags:choice=6,cache=5,hist=5,tag=30",
+    "yags:choice=0,cache=4,hist=4,tag=30",
+    "perceptron:index=4,hist=8",
+    "perceptron:index=0,hist=0",
+    "perceptron:index=3,hist=62",
+    "biasfilter:table=6,run=2,sub_index=6,sub_hist=6",
+    "biasfilter:table=0,run=1,sub=bimodal,sub_index=0",
+]
+
+
+@lru_cache(maxsize=None)
+def _boundary_trace(kind: str):
+    """Boundary traces: empty, one branch, and 300 branches (so every
+    history register wraps past 64 bits) over small or >= 2**32 pcs."""
+    from tests.conftest import make_trace
+
+    if kind == "empty":
+        return make_trace([], [])
+    if kind == "one-branch":
+        return make_trace([2**33 + 4], [True])
+    rng = np.random.default_rng(29)
+    base = 2**32 if kind == "wide-pcs" else 0
+    sites = base + rng.integers(0, 2**30, size=20, dtype=np.int64) * 4
+    if kind == "wide-pcs":
+        sites[:4] = rng.integers(2**40, 2**62, size=4, dtype=np.int64)
+        # sites differing only in the top bit of a 30-bit YAGS tag
+        sites[4:6] = sites[6] + np.array([2**33, 2**34])
+    pcs = rng.choice(sites, size=300)
+    # per-site bias plus a period-3 pattern, so tables and caches train
+    bias = rng.random(len(sites))[np.searchsorted(np.sort(sites), pcs)]
+    outcomes = (rng.random(300) < bias) ^ (np.arange(300) % 3 == 0)
+    return make_trace(pcs, outcomes, name=kind)
+
+
+class TestComparatorBoundaries:
+    """The compiled comparators' ``family`` rate at the boundaries: it
+    equals the miss share of the family's predictions and the oracle
+    under ``c``, and the compiler-vetoed and numpy-pinned paths give the
+    same rates and predictions."""
+
+    @pytest.mark.parametrize("trace_kind", ["empty", "one-branch", "history-wrap", "wide-pcs"])
+    @pytest.mark.parametrize("spec", COMPARATOR_BOUNDARY_SPECS)
+    def test_family_rate_matches_predictions_and_oracle(
+        self, spec, trace_kind, monkeypatch
+    ):
+        trace = _boundary_trace(trace_kind)
+        kind, lane = kernels.kernel_for_spec(spec)
+        assert kind == spec.split(":")[0] and kernels.PORTED[kind].family is not None
+        monkeypatch.delenv("REPRO_NO_CC", raising=False)
+        if not _cstep.available():
+            pytest.skip(_cstep.unavailable_reason())
+        (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode="c")
+        (preds,) = kernels.family_predictions(kind, [spec], [lane], trace, mode="c")
+        n = len(trace)
+        misses = int(np.count_nonzero(preds != trace.outcomes))
+        assert rate == (misses / n if n else 0.0) == oracle_rate(spec, trace)
+        for pins in ({"REPRO_NO_CC": "1", "REPRO_KERNEL": "auto"}, {"REPRO_KERNEL": "numpy"}):
+            with monkeypatch.context() as pinned:
+                for var, value in pins.items():
+                    pinned.setenv(var, value)
+                (got_rate,) = kernels.family_rates(kind, [spec], [lane], trace)
+                (got_preds,) = kernels.family_predictions(kind, [spec], [lane], trace)
+            assert got_rate == rate, pins
+            assert np.array_equal(got_preds, preds), pins
+
+    def test_family_hook_rates_every_lane_of_a_family(self):
+        """One ``family`` call over a multi-lane family equals the lanes
+        rated one by one."""
+        if not _cstep.available():
+            pytest.skip(_cstep.unavailable_reason())
+        trace = _boundary_trace("wide-pcs")
+        families = {}
+        for spec in COMPARATOR_BOUNDARY_SPECS:
+            kind, lane = kernels.kernel_for_spec(spec)
+            families.setdefault(kind, []).append((spec, lane))
+        for kind, members in families.items():
+            specs, lanes = zip(*members)
+            together = kernels.family_rates(kind, specs, lanes, trace, mode="c")
+            alone = [
+                kernels.family_rates(kind, [spec], [lane], trace, mode="c")[0]
+                for spec, lane in members
+            ]
+            assert together == alone, kind
+
+
 @lru_cache(maxsize=None)
 def _scalar_detailed_cell(spec: str, trace_kind: str):
     detailed = make_predictor(spec).simulate_detailed(_trace(trace_kind))
@@ -427,8 +531,9 @@ class TestDetailedEquivalence:
         assert np.array_equal(got.counter_ids, o_ids), spec
 
     def test_detailed_shares_family_history_pass(self):
-        """Several lanes of one family resolve in one call, sharing the
-        precomputed history streams; per-lane answers stay per-cell."""
+        """Several lanes of one family resolve in one call (the numpy
+        engine shares their history streams); per-lane answers stay
+        per-cell."""
         specs = ["agree:index=6,hist=6", "agree:index=8,hist=4,bias=6"]
         trace = _trace("toy")
         lanes = [kernels.kernel_for_spec(s)[1] for s in specs]
