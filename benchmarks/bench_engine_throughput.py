@@ -12,7 +12,8 @@ import pytest
 
 from benchmarks.common import load_bench_trace
 from repro.core.registry import make_predictor
-from repro.sim.batch import GShareLane, gshare_lane_rates
+from repro.sim import kernels
+from repro.sim.batch import GShareLane
 from repro.sim.engine import run
 from repro.sim.runner import evaluate, evaluate_matrix
 
@@ -27,6 +28,13 @@ SPECS = [
 #: The gshare.best candidate family at one paper size (index_bits=12):
 #: the workload the batch kernel exists to accelerate.
 BATCH_LANES = [GShareLane(index_bits=12, history_bits=h) for h in range(13)]
+
+
+def batched_rates(trace):
+    """The family through the kernel registry: one fused C pass, or the
+    per-lane counter-major scan without a compiler."""
+    specs = [lane.spec for lane in BATCH_LANES]
+    return kernels.family_rates("gshare", specs, BATCH_LANES, trace)
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +59,7 @@ def test_simulation_throughput(benchmark, spec, trace):
 def test_batched_kernel_throughput(benchmark, trace):
     """Lane-branches/second of the multi-lane kernel (13 lanes = one
     full history-length search at 12 index bits)."""
-    rates = benchmark.pedantic(
-        gshare_lane_rates, args=(BATCH_LANES, trace), rounds=3, iterations=1
-    )
+    rates = benchmark.pedantic(batched_rates, args=(trace,), rounds=3, iterations=1)
     assert all(0.0 <= r <= 1.0 for r in rates)
     lane_branches_per_second = len(BATCH_LANES) * len(trace) / benchmark.stats["mean"]
     print(f"\nbatched x{len(BATCH_LANES)}: {lane_branches_per_second / 1e6:.2f} M lane-branches/s")
@@ -72,7 +78,7 @@ def test_batched_kernel_speedup_vs_scalar(benchmark, trace):
         return [run(make_predictor(s), trace).misprediction_rate for s in specs]
 
     scalar_rates = benchmark.pedantic(scalar_family, rounds=1, iterations=1)
-    assert scalar_rates == gshare_lane_rates(BATCH_LANES, trace)
+    assert scalar_rates == batched_rates(trace)
 
 
 @pytest.mark.benchmark(group="throughput-sweep")

@@ -20,8 +20,8 @@ Environment knobs:
   use e.g. 0.1 for a quick smoke pass of the whole harness).
 * ``REPRO_JOBS`` — worker processes for sweep-shaped benches (default
   serial; ``0``/``auto`` means one per CPU).
-* ``REPRO_KERNEL`` — kernel engine pin (``auto``/``c``/``numpy``/
-  ``scalar``, default ``auto``) for every spec family of a grid
+* ``REPRO_KERNEL`` — kernel engine pin (``auto``/``c``/``scalar``,
+  default ``auto``) for every spec family of a grid
   (:mod:`repro.sim.kernels`), with ``REPRO_NO_CC=1`` vetoing the
   compiler.  The figure benches inherit it through ``evaluate_matrix``
   and ``detailed_matrix``; results are bit-identical under every pin.

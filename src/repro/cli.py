@@ -194,19 +194,16 @@ def _cmd_kernels(args) -> int:
             return "c" if compiled else "error (no compiler)"
         if mode == "auto" and compiled:
             return "c"
-        # numpy pin, or auto without a compiler
+        # auto without a compiler
         if form == "yes":
             return "numpy"
         if form == "no":
             return "scalar"
         return "numpy or scalar (per config)"
 
-    def detailed_form(scheme: str, form: str) -> str:
-        # Section-4 attribution engines: the detailed kernels share the
-        # prediction kernels' engine matrix, so the numpy form gates both.
-        tier = kernels.registered_detailed_tiers()[scheme]
-        if tier == "scalar":  # pragma: no cover - meta-test keeps this dead
-            return "scalar"
+    def detailed_form(form: str) -> str:
+        # Section-4 attribution runs the same per-lane kernel as rates,
+        # so the numpy form gates both.
         if form == "yes":
             return "c+numpy"
         if form == "no":
@@ -219,7 +216,7 @@ def _cmd_kernels(args) -> int:
             tier,
             numpy_form(scheme, tier),
             "fused C loop" if kernels.PORTED[scheme].family else "per lane",
-            detailed_form(scheme, numpy_form(scheme, tier)),
+            detailed_form(numpy_form(scheme, tier)),
             picks(tier, numpy_form(scheme, tier)),
         ]
         for scheme, tier in sorted(kernels.registered_schemes().items())

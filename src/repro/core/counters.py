@@ -38,6 +38,7 @@ __all__ = [
     "WEAKLY_TAKEN",
     "STRONGLY_NOT_TAKEN",
     "STRONGLY_TAKEN",
+    "MAX_INDEX_BITS",
     "SaturatingCounter",
     "CounterTable",
 ]
@@ -46,6 +47,11 @@ STRONGLY_NOT_TAKEN = 0
 WEAKLY_NOT_TAKEN = 1
 WEAKLY_TAKEN = 2
 STRONGLY_TAKEN = 3
+
+#: Widest table index a :class:`CounterTable` allocates; the kernel lane
+#: parsers reject wider specs too, so they fall to the scalar engine and
+#: raise its error.
+MAX_INDEX_BITS = 24
 
 _STATE_NAMES = {
     STRONGLY_NOT_TAKEN: "strongly-not-taken",
@@ -144,7 +150,7 @@ class CounterTable:
     def __init__(self, index_bits: int, bits: int = 2, init: int = WEAKLY_TAKEN):
         if index_bits < 0:
             raise ValueError(f"index_bits must be >= 0, got {index_bits}")
-        if index_bits > 24:
+        if index_bits > MAX_INDEX_BITS:
             raise ValueError(
                 f"index_bits={index_bits} would allocate {1 << index_bits} counters; "
                 "refusing (likely a mis-parsed size)"

@@ -1,12 +1,7 @@
 """Trace-driven simulation: engine, batch kernel, metrics, cached and
 process-parallel multi-run orchestration."""
 
-from repro.sim.batch import (
-    GShareLane,
-    gshare_lane_predictions,
-    gshare_lane_rates,
-    lane_for_spec,
-)
+from repro.sim.batch import GShareLane, lane_for_spec
 from repro.sim.engine import run, run_detailed, run_steps
 from repro.sim.fetch import FetchEngine, FetchStats
 from repro.sim.metrics import (
@@ -41,8 +36,6 @@ __all__ = [
     "evaluate_matrix",
     "evaluate_matrix_parallel",
     "evaluate_specs",
-    "gshare_lane_predictions",
-    "gshare_lane_rates",
     "lane_for_spec",
     "misprediction_rate",
     "parallel_jobs",

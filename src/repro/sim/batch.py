@@ -33,9 +33,13 @@ The kernel transposes each lane from time-major to counter-major:
    doubling steps (``L`` = most runs on any one counter), yielding each
    run's start state;
 4. inside a run the automaton moves monotonically, so both the
-   per-access predictions and the run's misprediction *count* have
-   closed forms — rate queries never materialize per-access state.
+   per-access states and the run's misprediction *count* have closed
+   forms — rate queries never materialize per-access state.
 
+One run decomposition serves both queries: :func:`counter_scan`
+returns the state each access observes (deltas in ``{-1, 0, +1}``, so
+the counter-major lanes of :mod:`repro.sim.lanes` share it), and
+:func:`gshare_rate` counts each run's misses from its start state.
 Results are bit-for-bit identical to the scalar step interface
 (:func:`repro.sim.engine.run_steps`); the equivalence suite asserts it
 lane by lane.
@@ -56,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import WEAKLY_TAKEN
+from repro.core.counters import MAX_INDEX_BITS, WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.interfaces import SubstreamGrouping
@@ -67,15 +71,13 @@ from repro.traces.record import BranchTrace
 __all__ = [
     "GShareLane",
     "lane_for_spec",
-    "gshare_predictions",
     "gshare_detailed",
     "gshare_substreams",
     "gshare_rate",
-    "gshare_lane_predictions",
-    "gshare_lane_rates",
     "gshare_family_rates",
     "counter_scan",
 ]
+
 
 @dataclass(frozen=True)
 class GShareLane:
@@ -116,69 +118,9 @@ def lane_for_spec(spec: str) -> Optional[GShareLane]:
         history_bits = int(kwargs.get("hist", index_bits))
     except ValueError:
         return None
-    if index_bits < 0 or not 0 <= history_bits <= index_bits:
+    if not 0 <= index_bits <= MAX_INDEX_BITS or not 0 <= history_bits <= index_bits:
         return None
     return GShareLane(index_bits=index_bits, history_bits=history_bits)
-
-
-#: Stable counting-sort grouping, shared with the Section-4 analysis
-#: (see :mod:`repro.core.grouping`).
-_stable_group_order = stable_group_order
-
-
-def _lane_runs(
-    keys: np.ndarray, outcomes: np.ndarray, num_counters: int, init: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Counter-major run decomposition of one lane's access stream.
-
-    Returns ``(order, run_first, run_len, run_out, run_s0)``:
-    the grouping permutation, each run's first position in grouped
-    order, its length, its (constant) outcome, and — the sequential part
-    of the problem, resolved by segmented map composition — the counter
-    state at the run's first access.
-    """
-    n = len(keys)
-    order = _stable_group_order(keys, num_counters)
-    grouped_keys = keys[order]
-    grouped_outs = outcomes[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(grouped_keys[1:], grouped_keys[:-1], out=seg_start[1:])
-    run_start = seg_start.copy()
-    run_start[1:] |= grouped_outs[1:] != grouped_outs[:-1]
-
-    run_first = np.flatnonzero(run_start)
-    num_runs = len(run_first)
-    run_len = np.empty(num_runs, dtype=np.int32)
-    run_len[:-1] = np.diff(run_first)
-    run_len[-1] = n - run_first[-1]
-    run_out = grouped_outs[run_first]
-
-    # Elementary run maps s -> min(hi, max(lo, s + c)): a taken run of
-    # length r is (c=r, lo=min(r,3), hi=3), a not-taken run is
-    # (c=-r, lo=0, hi=max(3-r,0)).
-    shift = np.where(run_out, run_len, -run_len).astype(np.int32)
-    lo = np.where(run_out, np.minimum(run_len, 3), 0).astype(np.int32)
-    hi = np.where(run_out, 3, np.maximum(3 - run_len, 0)).astype(np.int32)
-
-    # Position of each run within its counter's segment.
-    seg_start_runs = seg_start[run_first]
-    seg_first_run = np.flatnonzero(seg_start_runs)
-    seg_id = np.cumsum(seg_start_runs, dtype=np.int64) - 1
-    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id]
-
-    _compose_segmented(shift, lo, hi, pos)
-
-    # State before each run's first access: init at segment heads,
-    # otherwise the previous run's inclusive composition applied to init.
-    run_s0 = np.full(num_runs, init, dtype=np.int32)
-    interior = np.flatnonzero(~seg_start_runs)
-    prev = interior - 1
-    run_s0[interior] = np.minimum(
-        hi[prev], np.maximum(lo[prev], init + shift[prev])
-    )
-    return order, run_first, run_len, run_out, run_s0
 
 
 def _compose_segmented(
@@ -206,54 +148,22 @@ def _compose_segmented(
         dist <<= 1
 
 
-def counter_scan(
-    keys: np.ndarray,
-    deltas: np.ndarray,
-    init_states: np.ndarray,
-    num_counters: int,
-    max_state: int = 3,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generalized counter-major scan over saturating counters.
+def _counter_runs(
+    keys: np.ndarray, deltas: np.ndarray, num_counters: int, init: int, max_state: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Counter-major run decomposition of one access stream.
 
-    Extends the gshare run machinery in two directions needed by the
-    lane kernels of :mod:`repro.sim.lanes`: each
-    counter starts from its *own* initial state (``init_states``, e.g. a
-    live table snapshot rather than a power-on constant), and each
-    access carries a delta in ``{-1, 0, +1}`` — ``0`` meaning the access
-    reads the counter without training it (a skipped partial update).
-
-    Parameters
-    ----------
-    keys:
-        Per-access counter ids, time order, in ``[0, num_counters)``.
-    deltas:
-        Per-access counter movement, same length as ``keys``.
-    init_states:
-        ``(num_counters,)`` counter states before the first access.
-    num_counters:
-        Size of the counter space.
-    max_state:
-        Saturation ceiling (``3`` for the classic 2-bit counter;
-        ``(1 << bits) - 1`` for the multi-bit bimodal ablations).
-
-    Returns
-    -------
-    ``(pre_states, end_states)`` — the state each access *observes*
-    (before its own delta, in time order) and the final state of every
-    counter after all accesses.
+    Returns ``(order, run_first, run_len, run_delta, run_s0)``: the
+    grouping permutation, each run's first position in grouped order,
+    its length, its (constant) delta, and — the sequential part of the
+    problem, resolved by segmented map composition — the counter state
+    at the run's first access.
     """
-    keys = np.asarray(keys)
-    deltas = np.asarray(deltas)
-    init_states = np.asarray(init_states, dtype=np.int32)
     n = len(keys)
-    end_states = init_states.copy()
-    if n == 0:
-        return np.empty(0, dtype=np.int32), end_states
     keys32 = keys.astype(np.int32, copy=False)
-
-    order = _stable_group_order(keys32, num_counters)
+    order = stable_group_order(keys32, num_counters)
     grouped_keys = keys32[order]
-    grouped_deltas = deltas[order].astype(np.int32, copy=False)
+    grouped_deltas = deltas[order]
 
     seg_start = np.empty(n, dtype=bool)
     seg_start[0] = True
@@ -266,7 +176,7 @@ def counter_scan(
     run_len = np.empty(num_runs, dtype=np.int32)
     run_len[:-1] = np.diff(run_first)
     run_len[-1] = n - run_first[-1]
-    run_delta = grouped_deltas[run_first]
+    run_delta = grouped_deltas[run_first].astype(np.int32)
 
     # Elementary maps: a +1 run of length r is (c=r, lo=min(r,M), hi=M),
     # a -1 run is (c=-r, lo=0, hi=max(M-r,0)), a 0 run is the identity.
@@ -276,23 +186,55 @@ def counter_scan(
         run_delta < 0, np.maximum(max_state - run_len, 0), max_state
     ).astype(np.int32)
 
+    # Position of each run within its counter's segment.
     seg_start_runs = seg_start[run_first]
     seg_first_run = np.flatnonzero(seg_start_runs)
-    seg_id_runs = np.cumsum(seg_start_runs, dtype=np.int64) - 1
-    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id_runs]
+    seg_id = np.cumsum(seg_start_runs, dtype=np.int64) - 1
+    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id]
 
     _compose_segmented(shift, lo, hi, pos)
 
-    # Per-run start state: the counter's own init at segment heads,
-    # otherwise the previous run's inclusive composition applied to it.
-    seg_init = init_states[grouped_keys[run_first]]
-    run_s0 = seg_init.copy()
+    # State before each run's first access: init at segment heads,
+    # otherwise the previous run's inclusive composition applied to init.
+    run_s0 = np.full(num_runs, init, dtype=np.int32)
     interior = np.flatnonzero(~seg_start_runs)
     prev = interior - 1
-    run_s0[interior] = np.minimum(
-        hi[prev], np.maximum(lo[prev], seg_init[interior] + shift[prev])
-    )
+    run_s0[interior] = np.minimum(hi[prev], np.maximum(lo[prev], init + shift[prev]))
+    return order, run_first, run_len, run_delta, run_s0
 
+
+def counter_scan(
+    keys: np.ndarray,
+    deltas: np.ndarray,
+    num_counters: int,
+    init: int,
+    max_state: int = 3,
+) -> np.ndarray:
+    """Counter-major scan over saturating counters: the state each
+    access *observes* (before its own delta), in time order.
+
+    Parameters
+    ----------
+    keys:
+        Per-access counter ids, time order, in ``[0, num_counters)``.
+    deltas:
+        Per-access counter movement in ``{-1, 0, +1}``, same length as
+        ``keys`` — ``0`` meaning the access reads the counter without
+        training it (a skipped partial update).
+    num_counters:
+        Size of the counter space.
+    init:
+        Every counter's state before the first access.
+    max_state:
+        Saturation ceiling (``3`` for the classic 2-bit counter;
+        ``(1 << bits) - 1`` for the multi-bit bimodal ablations).
+    """
+    n = len(keys)
+    if n == 0:
+        return np.empty(0, dtype=np.int32)
+    order, run_first, _, run_delta, run_s0 = _counter_runs(
+        np.asarray(keys), np.asarray(deltas), num_counters, init, max_state
+    )
     # Within a run the automaton moves monotonically (or not at all).
     run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
     offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
@@ -301,16 +243,43 @@ def counter_scan(
     ).astype(np.int32)
     pre_states = np.empty(n, dtype=np.int32)
     pre_states[order] = state_grouped
+    return pre_states
 
-    # Final state of every touched counter: the segment's last run's
-    # inclusive composition applied to the segment's initial state.
-    seg_last_run = np.append(seg_first_run[1:], num_runs) - 1
-    touched = grouped_keys[run_first[seg_first_run]]
-    end_states[touched] = np.minimum(
-        hi[seg_last_run],
-        np.maximum(lo[seg_last_run], init_states[touched] + shift[seg_last_run]),
-    )
-    return pre_states, end_states
+
+def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[starts] = True
+    return mask
+
+
+def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
+    return np.where(outcomes, 1, -1).astype(np.int8)
+
+
+def _observed_states(
+    keys: np.ndarray,
+    deltas: np.ndarray,
+    num_counters: int,
+    init: int,
+    max_state: int,
+    engine: str,
+) -> np.ndarray:
+    """The state each access observes, via the compiled loop or the
+    counter-major scan — the shared automaton of every counter-major
+    scheme.  ``deltas`` are int-like in ``{-1, 0, +1}``."""
+    if engine == "c":
+        from repro.sim import _cstep
+
+        table = np.full(num_counters, init, dtype=np.int8)
+        return _cstep.counter_lane(
+            np.ascontiguousarray(keys, dtype=np.int64),
+            np.ascontiguousarray(deltas, dtype=np.int8),
+            table,
+            max_state,
+        )
+    if engine != "numpy":
+        raise ValueError(f"unsupported counter engine {engine!r}")
+    return counter_scan(keys, deltas, num_counters, init, max_state)
 
 
 def _lane_keys(
@@ -333,22 +302,14 @@ def _lane_keys(
     return keys.astype(np.int32, copy=False)
 
 
-def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[starts] = True
-    return mask
-
-
 def _gshare_c(
     lane: GShareLane,
     trace: BranchTrace,
-    init: int,
-    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    predictions: bool = True,
-) -> Tuple[Optional[np.ndarray], Optional[SubstreamGrouping]]:
+    pc_codes: Tuple[np.ndarray, np.ndarray],
+    predictions: bool,
+) -> Tuple[Optional[np.ndarray], SubstreamGrouping]:
     """One lane through the compiled Section-4 loop: ``(predictions,
-    grouping)``, each ``None`` unless asked for (``predictions``, or the
-    trace's ``pc_codes`` for the substream grouping)."""
+    grouping)``, the predictions ``None`` unless asked for."""
     from repro.sim import _cstep
 
     preds, grouping = _cstep.gshare_detailed(
@@ -356,7 +317,7 @@ def _gshare_c(
         np.ascontiguousarray(trace.outcomes).view(np.uint8),
         lane.table_size - 1,
         (1 << lane.history_bits) - 1,
-        np.full(lane.table_size, init, dtype=np.int8),
+        np.full(lane.table_size, WEAKLY_TAKEN, dtype=np.int8),
         pc_codes,
         predictions,
     )
@@ -364,16 +325,13 @@ def _gshare_c(
 
 
 def gshare_substreams(
-    lane: GShareLane,
-    trace: BranchTrace,
-    pc_codes: Tuple[np.ndarray, np.ndarray],
-    init: int = WEAKLY_TAKEN,
+    lane: GShareLane, trace: BranchTrace, pc_codes: Tuple[np.ndarray, np.ndarray]
 ) -> SubstreamGrouping:
     """Section-4 substreams of one lane, grouped as the compiled loop
     runs (no per-access prediction or counter array).  ``pc_codes`` is
     the trace's :func:`repro.analysis.bias.pc_code_stream`, shared by
     every lane.  Call only when the compiled driver is available."""
-    return _gshare_c(lane, trace, init, pc_codes, predictions=False)[1]
+    return _gshare_c(lane, trace, pc_codes, predictions=False)[1]
 
 
 def gshare_detailed(
@@ -381,7 +339,6 @@ def gshare_detailed(
     trace: BranchTrace,
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
-    init: int = WEAKLY_TAKEN,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
 
@@ -391,52 +348,24 @@ def gshare_detailed(
     accessed PHT slot IS the counter id.  Both are bit-for-bit what
     ``GSharePredictor.simulate_detailed`` records from power-on state.
     """
-    n = len(trace)
-    if n == 0:
-        return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     if engine == "c":
         from repro.analysis.bias import pc_code_stream
 
-        preds, grouping = _gshare_c(lane, trace, init, pc_code_stream(trace.pcs))
+        preds, grouping = _gshare_c(
+            lane, trace, pc_code_stream(trace.pcs), predictions=True
+        )
         return preds, grouping.counter_ids
-    if engine != "numpy":
-        raise ValueError(f"unsupported gshare engine {engine!r}")
-    outcomes = np.ascontiguousarray(trace.outcomes)
-    keys = _lane_keys(lane, trace, hist_cache)
-    order, run_first, run_len, run_out, run_s0 = _lane_runs(
-        keys, outcomes, lane.table_size, init
+    keys = _lane_keys(lane, trace, hist_cache).astype(np.int64)
+    pre = _observed_states(
+        keys, _train_deltas(trace.outcomes), lane.table_size, WEAKLY_TAKEN, 3, engine
     )
-    # Within a run the automaton is monotone: the j-th access of a
-    # taken run sees min(3, s0 + j), of a not-taken run max(0, s0 - j).
-    run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-    offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-    s0 = run_s0[run_id]
-    state = np.where(
-        run_out[run_id],
-        np.minimum(3, s0 + offset_in_run),
-        np.maximum(0, s0 - offset_in_run),
-    )
-    predictions = np.empty(n, dtype=bool)
-    predictions[order] = state >= 2
-    return predictions, keys.astype(np.int64)
-
-
-def gshare_predictions(
-    lane: GShareLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        return _gshare_c(lane, trace, WEAKLY_TAKEN)[0]
-    return gshare_detailed(lane, trace, engine, hist_cache)[0]
+    return pre >= 2, keys
 
 
 def gshare_rate(
     lane: GShareLane,
     trace: BranchTrace,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
-    init: int = WEAKLY_TAKEN,
 ) -> float:
     """Misprediction rate of one lane, counter-major, without
     materializing per-access state: a run's mispredictions have a
@@ -449,48 +378,25 @@ def gshare_rate(
     n = len(trace)
     if n == 0:
         return 0.0
-    keys = _lane_keys(lane, trace, hist_cache)
-    _, _, run_len, run_out, run_s0 = _lane_runs(
-        keys, np.ascontiguousarray(trace.outcomes), lane.table_size, init
+    _, _, run_len, run_delta, run_s0 = _counter_runs(
+        _lane_keys(lane, trace, hist_cache),
+        _train_deltas(trace.outcomes),
+        lane.table_size,
+        WEAKLY_TAKEN,
+        3,
     )
     # Taken run: accesses j with min(3, s0+j) < 2 mispredict, i.e.
     # clip(2-s0, 0, r) of them; not-taken run: clip(s0-1, 0, r).
     missed = np.where(
-        run_out,
+        run_delta > 0,
         np.clip(2 - run_s0, 0, run_len),
         np.clip(run_s0 - 1, 0, run_len),
     )
     return int(missed.sum()) / n
 
 
-def gshare_lane_predictions(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> np.ndarray:
-    """Per-branch predictions of every lane over one trace.
-
-    Returns a ``(len(lanes), len(trace))`` boolean array whose row ``k``
-    is bit-for-bit what ``GSharePredictor(lanes[k].index_bits,
-    lanes[k].history_bits)`` would predict from power-on state.
-    """
-    lanes = list(lanes)
-    predictions = np.empty((len(lanes), len(trace)), dtype=bool)
-    hist_cache: Dict[int, np.ndarray] = {}
-    for k, lane in enumerate(lanes):
-        predictions[k] = gshare_detailed(lane, trace, "numpy", hist_cache, init)[0]
-    return predictions
-
-
-def gshare_lane_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
-) -> List[float]:
-    """Misprediction rate of every lane over one trace (counter-major,
-    one history stream per distinct history length)."""
-    hist_cache: Dict[int, np.ndarray] = {}
-    return [gshare_rate(lane, trace, hist_cache, init) for lane in lanes]
-
-
 def gshare_family_rates(
-    lanes: Sequence[GShareLane], trace: BranchTrace, init: int = WEAKLY_TAKEN
+    lanes: Sequence[GShareLane], trace: BranchTrace
 ) -> List[float]:
     """Misprediction rate of every lane via the fused single-pass driver.
 
@@ -508,7 +414,7 @@ def gshare_family_rates(
     base[1:] = np.cumsum(sizes)[:-1]
     imask = np.array([lane.table_size - 1 for lane in lanes], dtype=np.int64)
     hmask = np.array([(1 << lane.history_bits) - 1 for lane in lanes], dtype=np.int64)
-    tables = np.full(int(sizes.sum()), init, dtype=np.int8)
+    tables = np.full(int(sizes.sum()), WEAKLY_TAKEN, dtype=np.int8)
     miss = _cstep.gshare_fused(
         np.ascontiguousarray(trace.pcs, dtype=np.int64),
         np.ascontiguousarray(trace.outcomes).view(np.uint8),

@@ -18,10 +18,9 @@ raw PCs and one running 64-bit history register:
 
 * :func:`bimode_family_rates` — the whole lane family in one pass over
   the raw trace (``bimode_fused``), reducing to per-lane miss counts;
-* :func:`bimode_substreams` / :func:`bimode_detailed` /
-  :func:`bimode_predictions` — one lane (``bimode_pair``), grouping its
-  accesses into Section-4 substreams as it runs, and/or recording
-  per-branch predictions.
+* :func:`bimode_substreams` / :func:`bimode_detailed` — one lane
+  (``bimode_pair``), grouping its accesses into Section-4 substreams as
+  it runs, and recording per-branch predictions when asked to.
 
 Bi-mode is a ``cloop`` entry of the kernel registry
 (:mod:`repro.sim.kernels`): without a compiler it runs the scalar
@@ -38,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
+from repro.core.counters import MAX_INDEX_BITS, WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
 from repro.core.indexing import mask
 from repro.core.interfaces import SubstreamGrouping
 from repro.core.registry import parse_spec
@@ -48,7 +47,6 @@ from repro.traces.record import BranchTrace
 __all__ = [
     "BiModeLane",
     "bimode_lane_for_spec",
-    "bimode_predictions",
     "bimode_detailed",
     "bimode_substreams",
     "bimode_family_rates",
@@ -113,7 +111,9 @@ def bimode_lane_for_spec(spec: str) -> Optional[BiModeLane]:
         choice_hist = bool(int(kwargs.get("choice_hist", 0)))
     except ValueError:
         return None
-    if dir_bits < 0 or choice_bits < 0 or not 0 <= hist_bits <= dir_bits:
+    if not 0 <= dir_bits <= MAX_INDEX_BITS or not 0 <= choice_bits <= MAX_INDEX_BITS:
+        return None
+    if not 0 <= hist_bits <= dir_bits:
         return None
     return BiModeLane(
         dir_bits=dir_bits,
@@ -136,12 +136,11 @@ def _run_pair(
     lane: BiModeLane,
     trace: BranchTrace,
     engine: str,
-    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    pc_codes: Tuple[np.ndarray, np.ndarray],
     predictions: bool = True,
-) -> Tuple[Optional[np.ndarray], Optional[SubstreamGrouping]]:
+) -> Tuple[Optional[np.ndarray], SubstreamGrouping]:
     """One lane through the compiled Section-4 loop: ``(predictions,
-    grouping)``, each ``None`` unless asked for (``predictions``, or the
-    trace's ``pc_codes`` for the substream grouping)."""
+    grouping)``, the predictions ``None`` unless asked for."""
     if engine != "c":
         raise ValueError(f"unsupported bi-mode engine {engine!r}")
     preds, grouping = _cstep.bimode_pair(
@@ -159,18 +158,6 @@ def _run_pair(
         predictions,
     )
     return None if preds is None else preds.view(bool), grouping
-
-
-def bimode_predictions(
-    lane: BiModeLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    """Per-branch predictions of one lane, bit-for-bit what
-    ``BiModePredictor`` configured as ``lane`` predicts from power-on
-    state."""
-    return _run_pair(lane, trace, engine)[0]
 
 
 def bimode_substreams(

@@ -19,23 +19,24 @@ kind* plus a parsed lane description.  Kinds are:
   scheme has a batch kernel, and the meta-test asserting the set stays
   empty keeps it that way.
 
-``family_rates(kind, specs, lanes, trace)`` evaluates one family,
-choosing the engine per the ``REPRO_KERNEL`` pin and reporting every
-dispatch decision through :mod:`repro.health` (component
-``"<kind>-kernel"``).
+``family_rates(kind, specs, lanes, trace)`` and ``family_detailed``
+evaluate one family, choosing the engine per the ``REPRO_KERNEL`` pin
+and reporting every dispatch decision through :mod:`repro.health`
+(component ``"<kind>-kernel"``).  ``engine.run_detailed`` shares this
+dispatch: it resolves a live predictor's spec and calls
+:func:`family_detailed`.
 
 Dispatch
 --------
 ``REPRO_KERNEL`` is the one dispatch pin, for rates and Section-4
 attribution alike (``REPRO_NO_CC=1`` vetoes the compiler):
 
-* ``auto`` (default) — compiled loops when a C compiler is available,
-  otherwise each scheme's numpy form (degradation health-reported);
+* ``auto`` (default) — compiled loops when a C compiler is available;
+  otherwise each scheme's numpy form, and the schemes whose update
+  feeds predictor state back into training (bi-mode, e-gskew,
+  tri-mode, YAGS, the perceptron), which have no counter-major form,
+  their scalar reference (degradations health-reported);
 * ``c`` — compiled loops or ``RuntimeError`` (no silent fallback);
-* ``numpy`` — the numpy lane kernels; schemes whose update feeds
-  predictor state back into training (bi-mode, e-gskew, tri-mode,
-  YAGS, the perceptron) have no counter-major form and run their
-  scalar reference, health-reported;
 * ``scalar`` — everything through the scalar engine (the fused planner
   routes every spec to the scalar family, with the pin as the reason).
 
@@ -51,15 +52,18 @@ Engine tiers
   perceptron;
 * ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
 
-An entry may also carry a ``family`` hook, which the compiled engine
-uses for rates in place of per-lane predictions: gshare and bi-mode
-advance every lane of a family in one fused C loop, and the seven
-compiled comparators (agree, gskew, tournament, tri-mode, YAGS,
-perceptron, bias filter) run each lane's C loop over the raw trace
-with no per-branch buffer, counting misses in-loop.  A ``substreams``
-hook — a compiled per-lane loop that groups accesses into Section-4
-substreams as it runs (gshare, bi-mode) — is what detailed sweeps use
-in place of per-access attribution.
+Every entry has one per-lane kernel, ``detailed(lane, trace, engine,
+hist_cache) -> (predictions, counter_ids)``; rates count the misses of
+its predictions unless a faster hook applies.  A ``family`` hook is
+what the compiled engine uses for rates: gshare and bi-mode advance
+every lane of a family in one fused C loop, and the seven compiled
+comparators (agree, gskew, tournament, tri-mode, YAGS, perceptron,
+bias filter) run each lane's C loop over the raw trace with no
+per-branch buffer, counting misses in-loop.  Gshare's ``rates`` hook
+counts a numpy lane's misses in closed form from its counter runs.  A
+``substreams`` hook — a compiled per-lane loop that groups accesses
+into Section-4 substreams as it runs (gshare, bi-mode) — is what
+detailed sweeps use in place of per-access attribution.
 
 The verification suite (``tests/test_kernels.py``) is generated from
 this mapping, so a scheme that registers in ``core/registry.py``
@@ -90,10 +94,8 @@ __all__ = [
     "kernel_for_spec",
     "spec_for_predictor",
     "registered_schemes",
-    "registered_detailed_tiers",
     "family_order",
     "family_rates",
-    "family_predictions",
     "family_detailed",
     "planner_vetoes",
 ]
@@ -117,19 +119,17 @@ class KernelEntry:
     scheme: str
     tier: str  # "lane" (c+numpy) | "cloop" (c only, scalar fallback)
     lane_for_spec: Callable[[str], Optional[object]]
-    predictions: Callable[..., np.ndarray]
     numpy_ok: Callable[[object], bool]  # lane -> numpy engine exists?
+    #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
+    #: (predictions, counter_ids)``, bit-identical to the predictor's
+    #: step-driven ``simulate_detailed`` loop.  It serves Section-4
+    #: attribution, and rates wherever no faster hook below applies.
+    detailed: Callable[..., Tuple[np.ndarray, np.ndarray]]
     #: Optional direct rate computation ``(lane, trace, hist_cache) ->
     #: float`` for schemes whose misprediction count reduces without
-    #: materializing predictions (gshare's closed-form run counts, the
-    #: statics); must be bit-identical to the prediction path.
+    #: materializing predictions (gshare's closed-form run counts); the
+    #: numpy engine's rate path when present.
     rates: Optional[Callable[..., float]] = None
-    #: Section-4 attribution kernel: ``(lane, trace, engine, hist_cache)
-    #: -> (predictions, counter_ids)``, bit-identical to the predictor's
-    #: step-driven ``simulate_detailed`` loop.  The detailed tier shares the
-    #: prediction tier's engine matrix (``numpy_ok`` gates both) — the
-    #: completeness meta-test asserts no entry leaves this ``None``.
-    detailed: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
     #: Optional compiled ``(lanes, trace) -> rates`` computing every
     #: lane's rate without a per-branch stream (a fused family loop, or
     #: one in-loop-counting loop per lane); the compiled engine's rate
@@ -154,7 +154,6 @@ _TWOLEVEL = {
         scheme=scheme,
         tier="lane",
         lane_for_spec=_lanes.twolevel_lane_for_spec,
-        predictions=_lanes.twolevel_predictions,
         numpy_ok=_always,
         detailed=_lanes.twolevel_detailed,
     )
@@ -167,10 +166,9 @@ PORTED: Dict[str, KernelEntry] = {
         "gshare",
         "lane",
         _gshare.lane_for_spec,
-        _gshare.gshare_predictions,
         _always,
+        _gshare.gshare_detailed,
         rates=_gshare.gshare_rate,
-        detailed=_gshare.gshare_detailed,
         family=_gshare.gshare_family_rates,
         substreams=_gshare.gshare_substreams,
     ),
@@ -178,67 +176,56 @@ PORTED: Dict[str, KernelEntry] = {
         "bimode",
         "cloop",
         _bimode.bimode_lane_for_spec,
-        _bimode.bimode_predictions,
         # the selected bank depends on the live choice counters: no
         # counter-major form exists
         _never,
-        detailed=_bimode.bimode_detailed,
+        _bimode.bimode_detailed,
         family=_bimode.bimode_family_rates,
         substreams=_bimode.bimode_substreams,
     ),
     "bimodal": KernelEntry(
-        "bimodal",
-        "lane",
-        _lanes.bimodal_lane_for_spec,
-        _lanes.bimodal_predictions,
-        _always,
-        detailed=_lanes.bimodal_detailed,
+        "bimodal", "lane", _lanes.bimodal_lane_for_spec, _always, _lanes.bimodal_detailed
     ),
     **_TWOLEVEL,
     "agree": KernelEntry(
         "agree",
         "lane",
         _lanes.agree_lane_for_spec,
-        _lanes.agree_predictions,
         _always,
-        detailed=_lanes.agree_detailed,
+        _lanes.agree_detailed,
         family=_lanes.agree_family_rates,
     ),
     "gskew": KernelEntry(
         "gskew",
         "cloop",
         _lanes.gskew_lane_for_spec,
-        _lanes.gskew_predictions,
         # total-update gskew is feedback-free, e-gskew is not
         lambda lane: not lane.enhanced,
-        detailed=_lanes.gskew_detailed,
+        _lanes.gskew_detailed,
         family=_lanes.gskew_family_rates,
     ),
     "tournament": KernelEntry(
         "tournament",
         "lane",
         _lanes.tournament_lane_for_spec,
-        _lanes.tournament_predictions,
         _always,
-        detailed=_lanes.tournament_detailed,
+        _lanes.tournament_detailed,
         family=_lanes.tournament_family_rates,
     ),
     "trimode": KernelEntry(
         "trimode",
         "cloop",
         _lanes.trimode_lane_for_spec,
-        _lanes.trimode_predictions,
         _never,
-        detailed=_lanes.trimode_detailed,
+        _lanes.trimode_detailed,
         family=_lanes.trimode_family_rates,
     ),
     "yags": KernelEntry(
         "yags",
         "cloop",
         _lanes.yags_lane_for_spec,
-        _lanes.yags_predictions,
         _never,
-        detailed=_lanes.yags_detailed,
+        _lanes.yags_detailed,
         family=_lanes.yags_family_rates,
     ),
     # -- second wave: the former SCALAR_ONLY tier -------------------------------
@@ -246,20 +233,18 @@ PORTED: Dict[str, KernelEntry] = {
         "perceptron",
         "cloop",
         _lanes.perceptron_lane_for_spec,
-        _lanes.perceptron_predictions,
         # the threshold gate reads the trained dot product: training
         # feeds back into training, so no counter-major form exists
         _never,
-        detailed=_lanes.perceptron_detailed,
+        _lanes.perceptron_detailed,
         family=_lanes.perceptron_family_rates,
     ),
     "biasfilter": KernelEntry(
         "biasfilter",
         "lane",
         _lanes.biasfilter_lane_for_spec,
-        _lanes.biasfilter_predictions,
         _always,
-        detailed=_lanes.biasfilter_detailed,
+        _lanes.biasfilter_detailed,
         family=_lanes.biasfilter_family_rates,
     ),
     **{
@@ -267,9 +252,7 @@ PORTED: Dict[str, KernelEntry] = {
             scheme=scheme,
             tier="lane",
             lane_for_spec=_lanes.static_lane_for_spec,
-            predictions=_lanes.static_predictions,
             numpy_ok=_always,
-            rates=_lanes.static_rates,
             detailed=_lanes.static_detailed,
         )
         for scheme in ("always-taken", "always-not-taken", "btfnt")
@@ -278,11 +261,11 @@ PORTED: Dict[str, KernelEntry] = {
 
 
 def kernel_mode() -> str:
-    """The ``REPRO_KERNEL`` pin: ``auto`` (default), ``c``, ``numpy``
-    or ``scalar``."""
+    """The ``REPRO_KERNEL`` pin: ``auto`` (default), ``c`` or
+    ``scalar``."""
     mode = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "c", "numpy", "scalar"):
-        raise ValueError(f"REPRO_KERNEL must be auto/c/numpy/scalar, got {mode!r}")
+    if mode not in ("auto", "c", "scalar"):
+        raise ValueError(f"REPRO_KERNEL must be auto/c/scalar, got {mode!r}")
     return mode
 
 
@@ -315,8 +298,8 @@ def spec_for_predictor(predictor: object) -> Optional[str]:
     """Reconstruct the canonical spec of a live predictor instance, or
     ``None`` when its configuration has no spec form.
 
-    The detailed-kernel dispatcher receives a *predictor object*, not a
-    spec (``engine.run_detailed``'s contract), and predictor ``name``
+    ``engine.run_detailed`` receives a *predictor object*, not a spec,
+    and predictor ``name``
     strings are display labels, not parseable specs (the bias filter
     brackets its sub-predictor; agree renames its knobs).  Rebuilding
     the spec from the instance's attributes and round-tripping it
@@ -441,36 +424,28 @@ def registered_schemes() -> Dict[str, str]:
     return tiers
 
 
-def registered_detailed_tiers() -> Dict[str, str]:
-    """Scheme name -> Section-4 attribution-kernel tier.
-
-    The prediction tier (``"lane"``/``"cloop"``) for entries whose
-    :class:`KernelEntry` carries a ``detailed`` kernel, and ``"scalar"``
-    otherwise.  The completeness meta-test asserts no registered scheme
-    maps to ``"scalar"`` — every scheme's detailed pipeline must be
-    batched.
-    """
-    tiers = {
-        scheme: entry.tier if entry.detailed is not None else "scalar"
-        for scheme, entry in PORTED.items()
-    }
-    for scheme in sorted(SCALAR_ONLY):
-        tiers[scheme] = "scalar"
-    return tiers
-
-
 # -- family evaluation --------------------------------------------------------------
 
 
-def _resolve_engines(
-    entry: KernelEntry, lanes: Sequence[object], mode: str
-) -> Tuple[List[str], str, str]:
-    """Per-lane engine choice plus ``(expected, fallback_reason)``.
+def _dispatch(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: Optional[str]
+) -> Tuple[KernelEntry, List[str], str]:
+    """Resolve one family's per-lane engines, health-report them under
+    ``"<kind>-kernel"``, and return ``(entry, engines, fallback_reason)``.
 
+    ``mode`` defaults to the ``REPRO_KERNEL`` pin; an explicit
+    ``"numpy"`` picks what ``REPRO_NO_CC=1`` picks under ``auto`` (the
+    differential layer replays both engines in one process that way).
     In ``auto`` the expected engine is the compiled loop, so running
     anything slower surfaces as a degradation with the compiler's
     absence (or the scheme's missing numpy form) as the reason.
     """
+    from repro import health
+
+    if len(specs) != len(lanes):
+        raise ValueError("specs and lanes must be parallel")
+    entry = PORTED[kind]
+    mode = kernel_mode() if mode is None else mode
     compiled = _cstep.available()
     if mode == "c" and not compiled:
         raise RuntimeError(
@@ -495,21 +470,6 @@ def _resolve_engines(
                 f"no numpy kernel for {entry.scheme} (sequential update feedback)"
             )
     reason = next((r for r in reasons if r), "")
-    return engines, expected, reason
-
-
-def _dispatch(
-    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: Optional[str]
-) -> Tuple[KernelEntry, List[str]]:
-    """Resolve one family's per-lane engines and health-report them
-    under ``"<kind>-kernel"``."""
-    from repro import health
-
-    if len(specs) != len(lanes):
-        raise ValueError("specs and lanes must be parallel")
-    entry = PORTED[kind]
-    mode = kernel_mode() if mode is None else mode
-    engines, expected, reason = _resolve_engines(entry, lanes, mode)
     for engine in dict.fromkeys(engines):
         health.engine_used(
             f"{kind}-kernel",
@@ -518,36 +478,7 @@ def _dispatch(
             cells=engines.count(engine),
             reason=reason if engine != expected else "",
         )
-    return entry, engines
-
-
-def family_predictions(
-    kind: str,
-    specs: Sequence[str],
-    lanes: Sequence[object],
-    trace: BranchTrace,
-    mode: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Per-branch predictions of every lane of one family.
-
-    Rows are bit-for-bit what the scalar predictor would emit from
-    power-on state; the engine per lane follows ``REPRO_KERNEL`` (or an
-    explicit ``mode``), with the dispatch health-reported under
-    ``"<kind>-kernel"``.
-    """
-    from repro.core.registry import make_predictor
-    from repro.sim.engine import run
-
-    entry, engines = _dispatch(kind, specs, lanes, mode)
-    hist_cache: Dict[int, np.ndarray] = {}
-    out: List[np.ndarray] = []
-    for spec, lane, engine in zip(specs, lanes, engines):
-        if engine == "scalar":
-            result = run(make_predictor(spec), trace)
-            out.append(np.asarray(result.predictions, dtype=bool))
-        else:
-            out.append(entry.predictions(lane, trace, engine, hist_cache))
-    return out
+    return entry, engines, reason
 
 
 def family_detailed(
@@ -569,19 +500,29 @@ def family_detailed(
     instead (no per-access array but the int32 stream ids); the
     Section-4 analysis reads either.
     Engine choice per lane follows ``REPRO_KERNEL`` (or an explicit
-    ``mode``) exactly like :func:`family_predictions` — the detailed
-    kernels share the prediction kernels' engine matrix — and dispatch
-    is health-reported under ``"<kind>-kernel"``.  Each lane runs its
-    own pass and the family returns every lane's row at once; in a
-    sweep a gshare or bi-mode row holds 4 bytes per branch (its stream
-    ids) plus one record per substream, not per-access predictions and
-    counter ids.
+    ``mode``) exactly like :func:`family_rates`; dispatch is
+    health-reported under ``"<kind>-kernel"``, and whether the lanes
+    ran batched or on the scalar loop under ``"detailed-kernel"``.
+    Each lane runs its own pass and the family returns every lane's row
+    at once; in a sweep a gshare or bi-mode row holds 4 bytes per
+    branch (its stream ids) plus one record per substream, not
+    per-access predictions and counter ids.
     """
+    from repro import health
     from repro.core.registry import make_predictor
 
-    entry, engines = _dispatch(kind, specs, lanes, mode)
-    if entry.detailed is None:  # pragma: no cover - meta-test keeps this dead
-        raise RuntimeError(f"scheme {kind!r} has no detailed attribution kernel")
+    entry, engines, reason = _dispatch(kind, specs, lanes, mode)
+    scalar = engines.count("scalar")
+    if scalar < len(engines):
+        health.engine_used("detailed-kernel", "batch", cells=len(engines) - scalar)
+    if scalar:
+        health.engine_used(
+            "detailed-kernel",
+            "scalar",
+            expected="batch",
+            cells=scalar,
+            reason=reason or "REPRO_KERNEL=scalar pin",
+        )
     out: list = []
     for spec, lane, engine in zip(specs, lanes, engines):
         if engine == "c" and pc_codes is not None and entry.substreams is not None:
@@ -619,13 +560,13 @@ def family_rates(
     that hook rates the family: gshare and bi-mode in one fused pass,
     the compiled comparators one in-loop-counting pass per lane, none
     of them writing a per-branch stream.  Otherwise each lane goes
-    through its direct ``rates`` hook or its prediction stream.  Scalar
-    lanes run the scalar engine.
+    through its direct ``rates`` hook, or counts the misses of its
+    ``detailed`` predictions.  Scalar lanes run the scalar engine.
     """
     from repro.core.registry import make_predictor
     from repro.sim.engine import run
 
-    entry, engines = _dispatch(kind, specs, lanes, mode)
+    entry, engines, _ = _dispatch(kind, specs, lanes, mode)
     n = len(trace)
     if n == 0:
         return [0.0 for _ in specs]
@@ -641,7 +582,7 @@ def family_rates(
             out.append(entry.rates(lane, trace, hist_cache))
             continue
         else:
-            preds = entry.predictions(lane, trace, engine, hist_cache)
+            preds = entry.detailed(lane, trace, engine, hist_cache)[0]
         out.append(int(np.count_nonzero(preds != outcomes)) / n)
     return out
 

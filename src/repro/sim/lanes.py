@@ -5,7 +5,11 @@ every registered predictor spec onto the fastest bit-identical
 execution strategy available.  This module supplies the per-scheme
 *kernels* for the first ported wave — everything beyond the original
 gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
-:mod:`repro.sim.batch_bimode`:
+:mod:`repro.sim.batch_bimode`.  Each scheme has one per-lane hook,
+``<scheme>_detailed(lane, trace, engine, hist_cache) -> (predictions,
+counter_ids)``: it serves Section-4 attribution, and the registry
+counts a lane's misses from its predictions wherever no faster rate
+path applies.
 
 * **compiled comparator loops** — agree, gskew (both update policies),
   the bimodal+gshare tournament, tri-mode, YAGS, the perceptron and
@@ -31,15 +35,15 @@ gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
   (:func:`repro.sim._cstep.counter_lane`) or the counter-major
   segmented scan (:func:`repro.sim.batch.counter_scan`) — the same
   machinery, and the same bit-exactness argument, as the gshare kernel.
-  The numpy forms are the ``REPRO_NO_CC`` / ``REPRO_KERNEL=numpy``
-  engine of agree, gskew-total and the tournament.
+  The numpy forms are the ``REPRO_NO_CC`` engine of agree,
+  gskew-total and the tournament.
 * **second-wave lane schemes** — the bias filter (over a gshare or
   bimodal sub-predictor) and the three static schemes
   (always-taken / always-not-taken / btfnt).  The statics are pure
   vectorized one-shots; the bias filter's numpy form decomposes (see
   below) into the per-slot grouping machinery plus one counter
-  automaton over the *unfiltered* subsequence, which also serves its
-  Section-4 attribution under both engines.
+  automaton over the *unfiltered* subsequence, which serves its
+  per-access predictions and attribution under both engines.
 
 Scheme-specific notes
 ---------------------
@@ -91,13 +95,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
+from repro.core.counters import MAX_INDEX_BITS, WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
 from repro.core.registry import parse_spec
 from repro.sim import _cstep
-from repro.sim.batch import GShareLane, counter_scan
+from repro.sim.batch import GShareLane, _observed_states, _train_deltas
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -121,17 +125,6 @@ __all__ = [
     "perceptron_lane_for_spec",
     "biasfilter_lane_for_spec",
     "static_lane_for_spec",
-    "bimodal_predictions",
-    "twolevel_predictions",
-    "agree_predictions",
-    "gskew_predictions",
-    "tournament_predictions",
-    "trimode_predictions",
-    "yags_predictions",
-    "perceptron_predictions",
-    "biasfilter_predictions",
-    "static_predictions",
-    "static_rates",
     "per_address_histories",
     "bimodal_detailed",
     "twolevel_detailed",
@@ -146,13 +139,9 @@ __all__ = [
     "detailed_num_counters",
 ]
 
-#: CounterTable's geometry ceiling; larger specs are rejected by the
-#: scalar constructors, so the lane parsers reject them too (the spec
-#: then falls to the scalar family and raises the original error).
-_MAX_TABLE_BITS = 24
-
-#: GlobalHistoryRegister's width ceiling, which the scalar constructors
-#: enforce the same way.
+#: GlobalHistoryRegister's width ceiling: the lane parsers reject wider
+#: histories, as they reject tables wider than ``MAX_INDEX_BITS``, so the
+#: spec falls to the scalar family and raises the constructor's error.
 _MAX_HIST_BITS = 62
 
 
@@ -290,7 +279,7 @@ def bimodal_lane_for_spec(spec: str) -> Optional[BimodalLane]:
     if kw is None:
         return None
     index, bits = kw["index"], kw.get("bits", 2)
-    if not 0 <= index <= _MAX_TABLE_BITS or not 1 <= bits <= 7:
+    if not 0 <= index <= MAX_INDEX_BITS or not 1 <= bits <= 7:
         return None
     return BimodalLane(index_bits=index, counter_bits=bits)
 
@@ -328,11 +317,11 @@ def twolevel_lane_for_spec(spec: str) -> Optional[TwoLevelLane]:
     else:
         select = kw[select_key]
     bht = kw["bht"] if per_address else None
-    if hist < 0 or select < 0 or hist + select > _MAX_TABLE_BITS:
+    if hist < 0 or select < 0 or hist + select > MAX_INDEX_BITS:
         return None
     if scheme in ("gas", "gselect", "pas", "pap") and select < 1:
         return None
-    if per_address and not 0 <= bht <= _MAX_TABLE_BITS:
+    if per_address and not 0 <= bht <= MAX_INDEX_BITS:
         return None
     return TwoLevelLane(scheme=scheme, hist_bits=hist, select_bits=select, bht_bits=bht)
 
@@ -346,9 +335,9 @@ def agree_lane_for_spec(spec: str) -> Optional[AgreeLane]:
     index = kw["index"]
     hist = kw.get("hist", index)
     bias = kw.get("bias", index)
-    if not 0 <= index <= _MAX_TABLE_BITS or not 0 <= hist <= index:
+    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= hist <= index:
         return None
-    if not 0 <= bias <= _MAX_TABLE_BITS:
+    if not 0 <= bias <= MAX_INDEX_BITS:
         return None
     return AgreeLane(index_bits=index, hist_bits=hist, bias_bits=bias)
 
@@ -370,7 +359,7 @@ def gskew_lane_for_spec(spec: str) -> Optional[GSkewLane]:
         hist = int(kwargs.get("hist", bank))
     except ValueError:
         return None
-    if not 0 <= bank <= _MAX_TABLE_BITS or not 0 <= hist <= _MAX_HIST_BITS:
+    if not 0 <= bank <= MAX_INDEX_BITS or not 0 <= hist <= _MAX_HIST_BITS:
         return None
     return GSkewLane(bank_bits=bank, hist_bits=hist, enhanced=policy == "enhanced")
 
@@ -383,7 +372,7 @@ def tournament_lane_for_spec(spec: str) -> Optional[TournamentLane]:
         return None
     index = kw["index"]
     meta = kw.get("meta", index)
-    if not 0 <= index <= _MAX_TABLE_BITS or not 0 <= meta <= _MAX_TABLE_BITS:
+    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= meta <= MAX_INDEX_BITS:
         return None
     return TournamentLane(index_bits=index, meta_bits=meta)
 
@@ -397,9 +386,9 @@ def trimode_lane_for_spec(spec: str) -> Optional[TriModeLane]:
     dir_bits = kw["dir"]
     hist = kw.get("hist", dir_bits)
     choice = kw.get("choice", dir_bits)
-    if not 0 <= dir_bits <= _MAX_TABLE_BITS or not 0 <= hist <= dir_bits:
+    if not 0 <= dir_bits <= MAX_INDEX_BITS or not 0 <= hist <= dir_bits:
         return None
-    if not 0 <= choice <= _MAX_TABLE_BITS:
+    if not 0 <= choice <= MAX_INDEX_BITS:
         return None
     return TriModeLane(dir_bits=dir_bits, hist_bits=hist, choice_bits=choice)
 
@@ -416,7 +405,7 @@ def yags_lane_for_spec(spec: str) -> Optional[YagsLane]:
     choice, cache = kw["choice"], kw["cache"]
     hist = kw.get("hist", cache)
     tag = kw.get("tag", 6)
-    if not 0 <= choice <= _MAX_TABLE_BITS or not 0 <= cache <= _MAX_TABLE_BITS:
+    if not 0 <= choice <= MAX_INDEX_BITS or not 0 <= cache <= MAX_INDEX_BITS:
         return None
     if not 0 <= hist <= cache or not 1 <= tag <= 30:
         return None
@@ -432,7 +421,7 @@ def perceptron_lane_for_spec(spec: str) -> Optional[PerceptronLane]:
     index = kw["index"]
     hist = kw.get("hist", 12)
     w = kw.get("w", 8)
-    if not 0 <= index <= _MAX_TABLE_BITS or not 0 <= hist <= _MAX_HIST_BITS:
+    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= hist <= _MAX_HIST_BITS:
         return None
     # w caps at int32-safe saturation (the int64 dot product then never
     # overflows).
@@ -475,9 +464,9 @@ def biasfilter_lane_for_spec(spec: str) -> Optional[BiasFilterLane]:
     except ValueError:
         return None
     # run counters live in int8 in the compiled loop: run_bits <= 7
-    if not 0 <= table <= _MAX_TABLE_BITS or not 1 <= run <= 7:
+    if not 0 <= table <= MAX_INDEX_BITS or not 1 <= run <= 7:
         return None
-    if not 0 <= sub_index <= _MAX_TABLE_BITS or not 0 <= sub_hist <= sub_index:
+    if not 0 <= sub_index <= MAX_INDEX_BITS or not 0 <= sub_hist <= sub_index:
         return None
     return BiasFilterLane(
         filter_bits=table,
@@ -547,42 +536,13 @@ def per_address_histories(
     return hist
 
 
-def _observed_states(
-    keys: np.ndarray,
-    deltas: np.ndarray,
-    num_counters: int,
-    init: int,
-    max_state: int,
-    engine: str,
-) -> np.ndarray:
-    """The state each access observes, via the compiled loop or the
-    counter-major scan — the shared automaton of every counter-major
-    scheme.  ``deltas`` are int-like in ``{-1, 0, +1}``."""
-    if engine == "c":
-        table = np.full(num_counters, init, dtype=np.int8)
-        return _cstep.counter_lane(
-            np.ascontiguousarray(keys, dtype=np.int64),
-            np.ascontiguousarray(deltas, dtype=np.int8),
-            table,
-            max_state,
-        )
-    if engine != "numpy":
-        raise ValueError(f"unsupported counter engine {engine!r}")
-    init_states = np.full(num_counters, init, dtype=np.int32)
-    pre, _ = counter_scan(keys, deltas, init_states, num_counters, max_state=max_state)
-    return pre
-
-
-def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
-    return np.where(outcomes, 1, -1).astype(np.int8)
-
-
 # -- compiled comparator loops ------------------------------------------------------
 #
-# Each ``_<scheme>_c(lane, trace, preds=None[, cids=None]) -> int`` runs
-# one lane's compiled loop from power-on state over the raw trace,
+# Each ``_<scheme>_c(lane, trace[, preds=None[, cids=None]]) -> int``
+# runs one lane's compiled loop from power-on state over the raw trace,
 # filling the optional uint8 prediction and int64 counter-id buffers,
-# and returns the misprediction count.
+# and returns the misprediction count.  The bias filter's loop only
+# rates: its attribution is the decomposition of ``biasfilter_detailed``.
 
 
 def _raw(trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
@@ -591,12 +551,6 @@ def _raw(trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
         np.ascontiguousarray(trace.pcs, dtype=np.int64),
         np.ascontiguousarray(trace.outcomes).view(np.uint8),
     )
-
-
-def _c_predictions(run: Callable[..., int], lane, trace: BranchTrace) -> np.ndarray:
-    preds = np.empty(len(trace), dtype=np.uint8)
-    run(lane, trace, preds)
-    return preds.view(bool)
 
 
 def _c_detailed(
@@ -708,7 +662,7 @@ def _perceptron_c(lane: PerceptronLane, trace: BranchTrace, preds=None) -> int:
     )
 
 
-def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace, preds=None) -> int:
+def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace) -> int:
     size = 1 << lane.filter_bits
     return _cstep.biasfilter_lane(
         *_raw(trace),
@@ -719,7 +673,7 @@ def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace, preds=None) -> int:
         np.zeros(size, dtype=np.uint8),
         np.zeros(size, dtype=np.int8),
         np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8),
-        preds,
+        None,
     )
 
 
@@ -754,15 +708,6 @@ def bimodal_detailed(
     return pre >= lane.threshold, keys
 
 
-def bimodal_predictions(
-    lane: BimodalLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    return bimodal_detailed(lane, trace, engine, hist_cache)[0]
-
-
 def twolevel_detailed(
     lane: TwoLevelLane,
     trace: BranchTrace,
@@ -788,15 +733,6 @@ def twolevel_detailed(
         engine,
     )
     return pre >= 2, keys
-
-
-def twolevel_predictions(
-    lane: TwoLevelLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    return twolevel_detailed(lane, trace, engine, hist_cache)[0]
 
 
 def agree_detailed(
@@ -833,17 +769,6 @@ def agree_detailed(
         keys, _train_deltas(agreed), 1 << lane.index_bits, WEAKLY_TAKEN, 3, engine
     )
     return (pre >= 2) == bias_at_predict, keys
-
-
-def agree_predictions(
-    lane: AgreeLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        return _c_predictions(_agree_c, lane, trace)
-    return agree_detailed(lane, trace, engine, hist_cache)[0]
 
 
 def _rotate_stream(values: np.ndarray, amount: int, bits: int) -> np.ndarray:
@@ -911,27 +836,6 @@ def gskew_detailed(
     return majority, cids
 
 
-def gskew_predictions(
-    lane: GSkewLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        return _c_predictions(_gskew_c, lane, trace)
-    if engine != "numpy" or lane.enhanced:
-        # e-gskew's partial update feeds bank state back into which
-        # banks train; no counter-major form exists.
-        raise ValueError(f"unsupported gskew engine {engine!r} for {lane}")
-    deltas = _train_deltas(trace.outcomes)
-    size = 1 << lane.bank_bits
-    votes = np.zeros(len(trace), dtype=np.int8)
-    for keys in _gskew_index_streams(lane, trace, hist_cache):
-        pre = _observed_states(keys, deltas, size, WEAKLY_TAKEN, 3, "numpy")
-        votes += (pre >= 2).astype(np.int8)
-    return votes >= 2
-
-
 def tournament_detailed(
     lane: TournamentLane,
     trace: BranchTrace,
@@ -968,17 +872,6 @@ def tournament_detailed(
     )
 
 
-def tournament_predictions(
-    lane: TournamentLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        return _c_predictions(_tournament_c, lane, trace)
-    return tournament_detailed(lane, trace, engine, hist_cache)[0]
-
-
 # -- sequential (compiled-loop) kernels -------------------------------------------
 
 
@@ -999,16 +892,6 @@ def trimode_detailed(
     return _c_detailed(_trimode_c, lane, trace)
 
 
-def trimode_predictions(
-    lane: TriModeLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    _compiled_only("tri-mode", engine)
-    return _c_predictions(_trimode_c, lane, trace)
-
-
 def yags_detailed(
     lane: YagsLane,
     trace: BranchTrace,
@@ -1022,29 +905,6 @@ def yags_detailed(
     return _c_detailed(_yags_c, lane, trace)
 
 
-def yags_predictions(
-    lane: YagsLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    _compiled_only("YAGS", engine)
-    return _c_predictions(_yags_c, lane, trace)
-
-
-def perceptron_predictions(
-    lane: PerceptronLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    # The threshold gate reads the dot product of the weights the
-    # *predictor* accumulated: training feeds back into training, so no
-    # counter-major form exists.
-    _compiled_only("perceptron", engine)
-    return _c_predictions(_perceptron_c, lane, trace)
-
-
 def perceptron_detailed(
     lane: PerceptronLane,
     trace: BranchTrace,
@@ -1053,9 +913,13 @@ def perceptron_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed weight row is
     selected by address alone, so the ids are a pure vectorized hash;
-    the predictions still need the sequential loop."""
-    preds = perceptron_predictions(lane, trace, engine, hist_cache)
-    return preds, (trace.pcs & mask(lane.index_bits)).astype(np.int64)
+    the predictions still need the sequential loop (the threshold gate
+    reads the trained dot product: training feeds back into training,
+    so no counter-major form exists)."""
+    _compiled_only("perceptron", engine)
+    preds = np.empty(len(trace), dtype=np.uint8)
+    _perceptron_c(lane, trace, preds)
+    return preds.view(bool), (trace.pcs & mask(lane.index_bits)).astype(np.int64)
 
 
 def _biasfilter_classify(
@@ -1102,43 +966,6 @@ def _biasfilter_classify(
     return filtered, filtered_pred
 
 
-def biasfilter_predictions(
-    lane: BiasFilterLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    if engine == "c":
-        return _c_predictions(_biasfilter_c, lane, trace)
-    if engine != "numpy":
-        raise ValueError(f"unsupported bias-filter engine {engine!r}")
-    n = len(trace)
-    preds = np.empty(n, dtype=bool)
-    if n == 0:
-        return preds
-    pcs = trace.pcs
-    outcomes = trace.outcomes
-    filtered, filtered_pred = _biasfilter_classify(lane, pcs, outcomes)
-    preds[filtered] = filtered_pred[filtered]
-
-    # The sub-predictor sees exactly the unfiltered subsequence — its
-    # history register included, so the compressed arrays feed the
-    # ordinary gshare/bimodal counter-major pipeline.  The full-trace
-    # hist_cache does not apply to the compressed stream.
-    unfiltered = np.flatnonzero(~filtered)
-    sub_pcs = pcs[unfiltered]
-    sub_out = outcomes[unfiltered]
-    histories = global_history_stream(sub_out, lane.sub_hist_bits)
-    keys = gshare_index_stream(
-        sub_pcs, histories, lane.sub_index_bits, lane.sub_hist_bits
-    ).astype(np.int64)
-    pre = _observed_states(
-        keys, _train_deltas(sub_out), 1 << lane.sub_index_bits, WEAKLY_TAKEN, 3, engine
-    )
-    preds[unfiltered] = pre >= 2
-    return preds
-
-
 def biasfilter_detailed(
     lane: BiasFilterLane,
     trace: BranchTrace,
@@ -1182,20 +1009,6 @@ def biasfilter_detailed(
     return preds, cids
 
 
-def static_predictions(
-    lane: StaticLane,
-    trace: BranchTrace,
-    engine: str,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> np.ndarray:
-    """The static schemes keep no state, so the same vectorized
-    one-shot serves every engine (the ``c``/``numpy`` distinction is
-    meaningless without an automaton)."""
-    if lane.scheme == "btfnt":
-        return (trace.pcs & 1).astype(bool)
-    return np.full(len(trace), lane.scheme == "always-taken", dtype=bool)
-
-
 def static_detailed(
     lane: StaticLane,
     trace: BranchTrace,
@@ -1204,11 +1017,13 @@ def static_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: btfnt attributes to its two
     virtual rules (0 = forward, 1 = backward); the fixed schemes have a
-    single virtual counter."""
-    preds = static_predictions(lane, trace, engine, hist_cache)
+    single virtual counter.  The statics keep no state, so the same
+    vectorized one-shot serves every engine."""
     if lane.scheme == "btfnt":
+        preds = (trace.pcs & 1).astype(bool)
         return preds, preds.astype(np.int64)
-    return preds, np.zeros(len(trace), dtype=np.int64)
+    n = len(trace)
+    return np.full(n, lane.scheme == "always-taken"), np.zeros(n, dtype=np.int64)
 
 
 def detailed_num_counters(lane) -> int:
@@ -1242,20 +1057,3 @@ def detailed_num_counters(lane) -> int:
     if isinstance(lane, StaticLane):
         return 2 if lane.scheme == "btfnt" else 1
     raise TypeError(f"unknown lane type {type(lane).__name__}")
-
-
-def static_rates(
-    lane: StaticLane,
-    trace: BranchTrace,
-    hist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> float:
-    """Misprediction rate without materializing predictions: one numpy
-    reduction, bit-identical to ``count_nonzero(preds != outcomes) / n``
-    (the counts are exact integers, so the division matches)."""
-    n = len(trace)
-    taken = int(np.count_nonzero(trace.outcomes))
-    if lane.scheme == "always-taken":
-        return (n - taken) / n
-    if lane.scheme == "always-not-taken":
-        return taken / n
-    return int(np.count_nonzero((trace.pcs & 1).astype(bool) != trace.outcomes)) / n

@@ -157,6 +157,19 @@ class TestDetailedKernelDispatch:
             second.result.misprediction_rate <= cold.result.misprediction_rate
         )
 
+    @pytest.mark.parametrize("pin", ["auto", "scalar"])
+    def test_keeps_display_name_and_predictor_state(self, pin, trace, monkeypatch):
+        """Through the registry the row carries the predictor's display
+        name (not its canonical spec), and the caller's predictor is
+        left at power-on state on every engine."""
+        spec = "biasfilter:table=6,run=2,sub_index=6,sub_hist=4"
+        monkeypatch.setenv("REPRO_KERNEL", pin)
+        p = make_predictor(spec)
+        detailed = run_detailed(p, trace)
+        assert detailed.result.predictor_name == p.name != spec
+        cold = run(make_predictor(spec), trace).predictions
+        assert np.array_equal(run(p, trace, reset=False).predictions, cold)
+
     def test_invalid_mode_rejected(self, trace, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "turbo")
         with pytest.raises(ValueError):

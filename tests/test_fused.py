@@ -233,18 +233,37 @@ class TestFigureGridEquivalence:
     def test_modes_are_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
+        """Every engine: the three ``REPRO_KERNEL`` pins, and ``numpy``
+        — the lanes a vetoed compiler leaves (``REPRO_NO_CC=1``)."""
         if mode == "c" and not _cstep.available():
             pytest.skip("no C compiler available")
-        monkeypatch.setenv("REPRO_KERNEL", mode)
+        if mode == "numpy":
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+            monkeypatch.setenv("REPRO_NO_CC", "1")
+        else:
+            monkeypatch.setenv("REPRO_KERNEL", mode)
         assert evaluate_specs(grid, small_workload) == reference
 
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
     def test_compiler_denied_is_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        monkeypatch.setenv("REPRO_KERNEL", mode)
+        """With the compiler denied, the sweep dispatch and the registry's
+        explicit ``mode="numpy"`` engine both land on the reference."""
+        from repro.sim import kernels
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with faults.deny_compiler():
-            assert evaluate_specs(grid, small_workload) == reference
+            if mode == "auto":
+                assert evaluate_specs(grid, small_workload) == reference
+                return
+            rates = {}
+            for family in plan_families(grid):
+                rows = kernels.family_rates(
+                    family.kind, family.specs, family.lanes, small_workload, mode=mode
+                )
+                rates.update(zip(family.specs, rows))
+            assert rates == reference
 
     def test_family_rates_directly(self, grid, reference, small_workload):
         for family in plan_families(grid):

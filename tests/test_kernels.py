@@ -13,9 +13,12 @@ Layers:
 * **completeness** — the registry/oracle/golden coverage meta-tests;
 * **resolution** — ``kernel_for_spec`` routing, including rejection of
   malformed knobs back to the scalar family;
-* **equivalence** — every ported spec, on two trace shapes, under both
-  the ``auto`` and ``numpy`` pins, against the scalar engine, the
-  step interface and the dict-based oracle;
+* **equivalence** — every ported spec, on two trace shapes, under the
+  ``auto`` dispatch and the explicit ``numpy`` engine, against the
+  scalar engine, the step interface and the dict-based oracle;
+* **boundaries** — empty, one-branch, history-wrapping and wide-pc
+  traces and 0-bit tables, under the compiled engine, the vetoed
+  compiler and the scalar pin, against the oracle;
 * **dispatch** — the ``REPRO_KERNEL`` pin semantics (scalar planner
   routing, forced-c failure, numpy degradations), all health-reported;
 * **fuzz** — hypothesis differential replay of random traces through
@@ -201,24 +204,16 @@ class TestRegistryCompleteness:
         assert len(ported) >= 7, ported
 
     def test_every_registered_scheme_has_a_detailed_tier(self):
-        """ISSUE 10 acceptance: every scheme's Section-4 pipeline runs
-        batched — no registered scheme may hide behind the scalar
-        ``simulate_detailed`` loop."""
-        tiers = kernels.registered_detailed_tiers()
+        """Every scheme's Section-4 pipeline runs batched: its PORTED
+        entry's one per-lane hook, ``detailed``, is what both rates and
+        attribution fall back to."""
         for scheme in available_schemes():
-            assert scheme in tiers, (
-                f"scheme {scheme!r} reports no detailed tier — register it "
-                "in sim/kernels.py"
-            )
-            assert tiers[scheme] != "scalar", (
+            entry = kernels.PORTED.get(scheme)
+            assert entry is not None and callable(entry.detailed), (
                 f"scheme {scheme!r} has no batch attribution kernel — wire "
                 "a `detailed` callable into its PORTED entry in "
                 "sim/kernels.py (lane kernel in sim/lanes.py, compiled "
                 "loop in sim/_cstep.py)"
-            )
-        for scheme, entry in kernels.PORTED.items():
-            assert entry.detailed is not None, (
-                f"PORTED entry for {scheme!r} declares no detailed kernel"
             )
 
     def test_every_registered_scheme_has_detailed_oracle_coverage(self):
@@ -266,9 +261,9 @@ class TestRegistryCompleteness:
     def test_ported_grid_covers_every_ported_scheme_twice(self):
         for scheme, entry in kernels.PORTED.items():
             sizes = [s for s in PORTED_GRID if s.split(":", 1)[0] == scheme]
-            # the knob-less statics (direct-rate schemes) admit exactly
-            # one spec spelling; everything else needs >= 2 geometries
-            want = 1 if entry.rates is not None else 2
+            # the knob-less statics admit exactly one spec spelling;
+            # everything else needs >= 2 geometries
+            want = 1 if entry.lane_for_spec(scheme) is not None else 2
             assert len(sizes) >= want, (
                 f"PORTED_GRID needs >= {want} size(s) of {scheme!r}"
             )
@@ -295,11 +290,32 @@ class TestKernelForSpec:
             "bimodal:index=30",  # out-of-range geometry
             "gskew:bank=7,update=sideways",
             "gskew:bank=5,hist=63",  # wider than the history register
+            "gshare:index=25,hist=4",  # wider than a counter table
+            "bimode:dir=25,hist=4,choice=4",
+            "bimode:dir=4,hist=4,choice=25",
             "not a spec",
         ],
     )
     def test_unported_and_malformed_specs_fall_to_scalar(self, spec):
         assert kernels.kernel_for_spec(spec) == ("scalar", None)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "gshare:index=25,hist=4",
+            "bimode:dir=25,hist=4,choice=4",
+            "bimode:dir=4,hist=4,choice=25",
+        ],
+    )
+    def test_oversized_tables_raise_in_sweeps(self, spec, monkeypatch):
+        """A table wider than a counter table may be raises the scalar
+        constructor's error under the default dispatch too, instead of
+        running a lane that ``REPRO_KERNEL=scalar`` would refuse."""
+        from repro.sim.runner import evaluate_specs
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        with pytest.raises(ValueError, match="index_bits=25"):
+            evaluate_specs([spec], _trace("toy"))
 
     def test_lane_parsers_mirror_scalar_defaults(self):
         """Defaulted and explicit spellings of the same configuration
@@ -353,7 +369,8 @@ class TestEquivalence:
         default auto dispatch."""
         trace = _trace("toy")
         kind, lane = kernels.kernel_for_spec(spec)
-        (preds,) = kernels.family_predictions(kind, [spec], [lane], trace)
+        (row,) = kernels.family_detailed(kind, [spec], [lane], trace)
+        preds = row.result.predictions
         expected = scalar_predictions(spec, trace)
         diverging = np.flatnonzero(preds != expected)
         assert diverging.size == 0, (
@@ -430,36 +447,76 @@ def _boundary_trace(kind: str):
     return make_trace(pcs, outcomes, name=kind)
 
 
+#: The other schemes at the boundaries: ordinary geometries, 0-bit
+#: tables, and (gshare, bi-mode) the ablation knobs.
+SCHEME_BOUNDARY_SPECS = [
+    "gshare:index=6,hist=6",
+    "gshare:index=0,hist=0",
+    "gshare:index=6,hist=0",
+    "bimode:dir=5,hist=5,choice=5",
+    "bimode:dir=0,hist=0,choice=0",
+    "bimode:dir=5,hist=3,choice=4,full_update=1,choice_hist=1",
+    "bimodal:index=6",
+    "bimodal:index=0",
+    "bimodal:index=4,bits=3",
+    "gag:hist=8",
+    "gag:hist=0",
+    "gas:hist=4,select=2",
+    "gselect:hist=3,addr=3",
+    "gap:hist=4,addr=2",
+    "pag:hist=6,bht=4",
+    "pag:hist=0,bht=0",
+    "pas:hist=4,select=2,bht=3",
+    "pap:hist=3,addr=2,bht=0",
+    "always-taken",
+    "always-not-taken",
+    "btfnt",
+]
+
+BOUNDARY_TRACES = ["empty", "one-branch", "history-wrap", "wide-pcs"]
+
+
+def _assert_engines_match_oracle(spec, trace, monkeypatch):
+    """``family_rates`` and the ``family_detailed`` predictions and
+    counter ids of one spec, under the compiled engine (when a compiler
+    exists), the vetoed compiler and the scalar pin, all equal the
+    oracle's — and the rate is the miss share of those predictions."""
+    kind, lane = kernels.kernel_for_spec(spec)
+    assert kind == spec.split(":")[0], spec
+    want_preds, want_ids = oracle_detailed(spec, trace)
+    n = len(trace)
+    want_rate = int(np.count_nonzero(want_preds != trace.outcomes)) / n if n else 0.0
+    assert oracle_rate(spec, trace) == want_rate
+    pins = [{"REPRO_NO_CC": "1"}, {"REPRO_KERNEL": "scalar"}]
+    monkeypatch.delenv("REPRO_NO_CC", raising=False)
+    if _cstep.available():
+        pins.insert(0, {"REPRO_KERNEL": "c"})
+    for pin in pins:
+        with monkeypatch.context() as pinned:
+            pinned.delenv("REPRO_KERNEL", raising=False)
+            for var, value in pin.items():
+                pinned.setenv(var, value)
+            (rate,) = kernels.family_rates(kind, [spec], [lane], trace)
+            (row,) = kernels.family_detailed(kind, [spec], [lane], trace)
+        assert rate == want_rate, pin
+        assert np.array_equal(row.result.predictions, want_preds), pin
+        assert np.array_equal(row.counter_ids, want_ids), pin
+
+
 class TestComparatorBoundaries:
     """The compiled comparators' ``family`` rate at the boundaries: it
     equals the miss share of the family's predictions and the oracle
-    under ``c``, and the compiler-vetoed and numpy-pinned paths give the
-    same rates and predictions."""
+    under ``c``, and the compiler-vetoed and scalar-pinned paths give the
+    same rates, predictions and counter ids."""
 
-    @pytest.mark.parametrize("trace_kind", ["empty", "one-branch", "history-wrap", "wide-pcs"])
+    @pytest.mark.parametrize("trace_kind", BOUNDARY_TRACES)
     @pytest.mark.parametrize("spec", COMPARATOR_BOUNDARY_SPECS)
     def test_family_rate_matches_predictions_and_oracle(
         self, spec, trace_kind, monkeypatch
     ):
-        trace = _boundary_trace(trace_kind)
-        kind, lane = kernels.kernel_for_spec(spec)
-        assert kind == spec.split(":")[0] and kernels.PORTED[kind].family is not None
-        monkeypatch.delenv("REPRO_NO_CC", raising=False)
-        if not _cstep.available():
-            pytest.skip(_cstep.unavailable_reason())
-        (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode="c")
-        (preds,) = kernels.family_predictions(kind, [spec], [lane], trace, mode="c")
-        n = len(trace)
-        misses = int(np.count_nonzero(preds != trace.outcomes))
-        assert rate == (misses / n if n else 0.0) == oracle_rate(spec, trace)
-        for pins in ({"REPRO_NO_CC": "1", "REPRO_KERNEL": "auto"}, {"REPRO_KERNEL": "numpy"}):
-            with monkeypatch.context() as pinned:
-                for var, value in pins.items():
-                    pinned.setenv(var, value)
-                (got_rate,) = kernels.family_rates(kind, [spec], [lane], trace)
-                (got_preds,) = kernels.family_predictions(kind, [spec], [lane], trace)
-            assert got_rate == rate, pins
-            assert np.array_equal(got_preds, preds), pins
+        kind = spec.split(":")[0]
+        assert kernels.PORTED[kind].family is not None
+        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind), monkeypatch)
 
     def test_family_hook_rates_every_lane_of_a_family(self):
         """One ``family`` call over a multi-lane family equals the lanes
@@ -481,6 +538,17 @@ class TestComparatorBoundaries:
             assert together == alone, kind
 
 
+class TestSchemeBoundaries:
+    """The same boundary traces for gshare, bi-mode, bimodal, the
+    two-level family and the statics: rates, predictions and counter
+    ids equal the oracle's under every engine."""
+
+    @pytest.mark.parametrize("trace_kind", BOUNDARY_TRACES)
+    @pytest.mark.parametrize("spec", SCHEME_BOUNDARY_SPECS)
+    def test_engines_match_oracle(self, spec, trace_kind, monkeypatch):
+        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind), monkeypatch)
+
+
 @lru_cache(maxsize=None)
 def _scalar_detailed_cell(spec: str, trace_kind: str):
     detailed = make_predictor(spec).simulate_detailed(_trace(trace_kind))
@@ -492,10 +560,10 @@ def _scalar_detailed_cell(spec: str, trace_kind: str):
 
 
 class TestDetailedEquivalence:
-    """Every ported spec's Section-4 attribution, under both the
-    ``auto`` and ``numpy`` pins, on two trace shapes, against the
-    scalar ``simulate_detailed`` loop and the dict-based oracle —
-    predictions AND per-access counter ids, bit for bit."""
+    """Every ported spec's Section-4 attribution, under the ``auto``
+    dispatch and the explicit ``numpy`` engine, on two trace shapes,
+    against the scalar ``simulate_detailed`` loop and the dict-based
+    oracle — predictions AND per-access counter ids, bit for bit."""
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
@@ -663,7 +731,7 @@ class TestDispatch:
 
     def test_numpy_pin_degrades_perceptron_to_scalar(self):
         """Perceptron training feeds back into training — cloop tier,
-        so a numpy pin must degrade it (health-reported), bit-exact."""
+        so the numpy engine must degrade it (health-reported), bit-exact."""
         spec = "perceptron:index=5,hist=6"
         kind, lane = kernels.kernel_for_spec(spec)
         rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
@@ -701,19 +769,20 @@ class TestDispatch:
 
     @pytest.mark.parametrize("spec", ["always-taken", "always-not-taken", "btfnt"])
     def test_static_direct_rates_match_prediction_path(self, spec):
-        """The statics' O(1) direct-rate hook must equal the rate the
-        prediction lane computes, and family_rates must use it."""
+        """The statics rate through their one vectorized ``detailed``
+        hook: on every engine ``family_rates`` equals the miss share of
+        the predictions ``family_detailed`` returns, with no degradation
+        reported."""
         trace = _trace("toy")
         kind, lane = kernels.kernel_for_spec(spec)
-        entry = kernels.PORTED[kind]
-        assert entry.rates is not None
-        direct = entry.rates(lane, trace)
-        (preds,) = kernels.family_predictions(kind, [spec], [lane], trace)
-        assert direct == np.count_nonzero(preds != trace.outcomes) / len(trace)
-        health.clear()
-        assert kernels.family_rates(kind, [spec], [lane], trace) == [direct]
-        (event,) = health.events(component=f"{kind}-kernel")
-        assert event.severity == "info"
+        for mode in ("c", "numpy") if _cstep.available() else ("numpy",):
+            (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+            misses = np.count_nonzero(row.result.predictions != trace.outcomes)
+            health.clear()
+            rates = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
+            assert rates == [misses / len(trace)], mode
+            (event,) = health.events(component=f"{kind}-kernel")
+            assert event.actual == mode and event.severity == "info"
 
     def test_auto_without_compiler_degrades_with_reason(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
@@ -742,7 +811,7 @@ class TestDispatch:
 
     def test_bimode_kernel_inherits_registry_pin(self, monkeypatch):
         """Bi-mode follows REPRO_KERNEL like every cloop scheme: the
-        numpy pin runs its scalar reference (health-reported), the
+        numpy engine runs its scalar reference (health-reported), the
         compiled pin its fused family loop — bit-identical either way."""
         spec = "bimode:dir=6,hist=6,choice=5"
         kind, lane = kernels.kernel_for_spec(spec)
@@ -761,8 +830,10 @@ class TestDispatch:
             assert event.actual == "c"
 
     def test_registry_numpy_pin_is_end_to_end_identical(self, monkeypatch):
-        """The whole ALL_SPECS grid lands on the same numbers under
-        REPRO_KERNEL=numpy as under the default dispatch."""
+        """The whole ALL_SPECS grid lands on the same numbers with the
+        compiler vetoed (``REPRO_NO_CC=1``: the numpy lanes, and the
+        scalar reference where a scheme has none) as under the default
+        dispatch."""
         from repro.sim.fused import family_rates as fused_rates
 
         def grid():
@@ -772,8 +843,9 @@ class TestDispatch:
             return out
 
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.delenv("REPRO_NO_CC", raising=False)
         baseline = grid()
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        monkeypatch.setenv("REPRO_NO_CC", "1")
         assert grid() == baseline
 
 

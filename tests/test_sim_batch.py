@@ -11,15 +11,23 @@ import pytest
 
 from repro.core.grouping import stable_group_order
 from repro.predictors.gshare import GSharePredictor
-from repro.sim.batch import (
-    GShareLane,
-    gshare_lane_predictions,
-    gshare_lane_rates,
-    lane_for_spec,
-)
+from repro.sim.batch import GShareLane, gshare_detailed, gshare_rate, lane_for_spec
 from repro.sim.engine import run_steps
 from repro.traces.record import BranchTrace
 from tests.conftest import make_toy_trace, make_trace
+
+
+def lane_predictions(lanes, trace):
+    """Each lane's numpy-engine predictions (the ``detailed`` kernel),
+    sharing one history stream per history length."""
+    hist_cache = {}
+    return [gshare_detailed(lane, trace, "numpy", hist_cache)[0] for lane in lanes]
+
+
+def lane_rates(lanes, trace):
+    """Each lane's closed-form counter-major rate."""
+    hist_cache = {}
+    return [gshare_rate(lane, trace, hist_cache) for lane in lanes]
 
 
 def reference(lane: GShareLane, trace: BranchTrace):
@@ -79,8 +87,8 @@ class TestPredictionEquivalence:
             for i in range(7)
             for h in range(i + 1)
         ]
-        batch = gshare_lane_predictions(lanes, toy_trace)
-        rates = gshare_lane_rates(lanes, toy_trace)
+        batch = lane_predictions(lanes, toy_trace)
+        rates = lane_rates(lanes, toy_trace)
         for k, lane in enumerate(lanes):
             ref = reference(lane, toy_trace)
             np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
@@ -88,8 +96,8 @@ class TestPredictionEquivalence:
 
     def test_workload_trace(self, small_workload):
         lanes = [GShareLane(10, h) for h in (0, 3, 7, 10)]
-        batch = gshare_lane_predictions(lanes, small_workload)
-        rates = gshare_lane_rates(lanes, small_workload)
+        batch = lane_predictions(lanes, small_workload)
+        rates = lane_rates(lanes, small_workload)
         for k, lane in enumerate(lanes):
             ref = reference(lane, small_workload)
             np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
@@ -99,7 +107,7 @@ class TestPredictionEquivalence:
         """history_bits=0 degenerates to per-PC bimodal."""
         lane = GShareLane(index_bits=6, history_bits=0)
         np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], toy_trace)[0],
+            lane_predictions([lane], toy_trace)[0],
             reference(lane, toy_trace).predictions,
         )
 
@@ -109,9 +117,9 @@ class TestPredictionEquivalence:
         lane = GShareLane(index_bits=0, history_bits=0)
         ref = reference(lane, trace)
         np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
+            lane_predictions([lane], trace)[0], ref.predictions
         )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert lane_rates([lane], trace) == [ref.misprediction_rate]
 
     @pytest.mark.parametrize(
         "outcomes",
@@ -126,8 +134,8 @@ class TestPredictionEquivalence:
     def test_adversarial_outcome_patterns(self, outcomes):
         trace = make_trace([64 + 4 * (i % 3) for i in range(64)], outcomes)
         lanes = [GShareLane(2, 0), GShareLane(2, 2), GShareLane(4, 1)]
-        batch = gshare_lane_predictions(lanes, trace)
-        rates = gshare_lane_rates(lanes, trace)
+        batch = lane_predictions(lanes, trace)
+        rates = lane_rates(lanes, trace)
         for k, lane in enumerate(lanes):
             ref = reference(lane, trace)
             np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
@@ -138,38 +146,38 @@ class TestEdgeCases:
     def test_empty_trace(self):
         trace = make_trace([], [])
         lanes = [GShareLane(4, 2)]
-        assert gshare_lane_predictions(lanes, trace).shape == (1, 0)
-        assert gshare_lane_rates(lanes, trace) == [0.0]
+        assert [len(p) for p in lane_predictions(lanes, trace)] == [0]
+        assert lane_rates(lanes, trace) == [0.0]
 
     def test_length_one(self):
         trace = make_trace([64], [False])
         lane = GShareLane(4, 2)
         ref = reference(lane, trace)
         np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
+            lane_predictions([lane], trace)[0], ref.predictions
         )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert lane_rates([lane], trace) == [ref.misprediction_rate]
 
     def test_length_two(self):
         trace = make_trace([64, 64], [False, True])
         lane = GShareLane(3, 3)
         ref = reference(lane, trace)
         np.testing.assert_array_equal(
-            gshare_lane_predictions([lane], trace)[0], ref.predictions
+            lane_predictions([lane], trace)[0], ref.predictions
         )
-        assert gshare_lane_rates([lane], trace) == [ref.misprediction_rate]
+        assert lane_rates([lane], trace) == [ref.misprediction_rate]
 
     def test_no_lanes(self, toy_trace):
-        assert gshare_lane_predictions([], toy_trace).shape == (0, len(toy_trace))
-        assert gshare_lane_rates([], toy_trace) == []
+        assert lane_predictions([], toy_trace) == []
+        assert lane_rates([], toy_trace) == []
 
     def test_rates_match_predictions(self):
         """The closed-form rate path agrees with counting mispredictions
         from the materialized prediction path."""
         trace = make_toy_trace(length=3000, seed=11)
         lanes = [GShareLane(i, h) for i in (3, 5, 8) for h in (0, i // 2, i)]
-        preds = gshare_lane_predictions(lanes, trace)
-        rates = gshare_lane_rates(lanes, trace)
+        preds = lane_predictions(lanes, trace)
+        rates = lane_rates(lanes, trace)
         for k in range(len(lanes)):
             expected = int((preds[k] != trace.outcomes).sum()) / len(trace)
             assert rates[k] == expected

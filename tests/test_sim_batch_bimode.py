@@ -2,12 +2,13 @@
 
 The compiled loops of :mod:`repro.sim.batch_bimode` (the fused family
 pass for rates, the per-lane pair loop for predictions), reached
-through the kernel registry under each ``REPRO_KERNEL`` pin, must be
-bit-for-bit identical to the scalar :class:`repro.core.bimode.
-BiModePredictor` — same per-branch predictions, same integer miss
-counts — across ablation knobs, degenerate table sizes, and degenerate
-traces.  Bi-mode has no numpy form, so the ``numpy`` pin runs the
-scalar reference through the same dispatch.
+through the kernel registry under ``REPRO_KERNEL=c`` and with the
+compiler vetoed (``REPRO_NO_CC=1``), must be bit-for-bit identical to
+the scalar :class:`repro.core.bimode.BiModePredictor` — same per-branch
+predictions, same integer miss counts — across ablation knobs,
+degenerate table sizes, and degenerate traces.  Bi-mode has no numpy
+form, so the vetoed ``numpy`` engine runs the scalar reference through
+the same dispatch.
 """
 
 from __future__ import annotations
@@ -43,9 +44,15 @@ ENGINES = ["c", "numpy"]
 
 
 def _use(monkeypatch, engine: str) -> None:
-    if engine == "c" and not _cstep.available():
-        pytest.skip("no C compiler available")
-    monkeypatch.setenv("REPRO_KERNEL", engine)
+    """Pin ``c`` by ``REPRO_KERNEL``; reach ``numpy`` (for bi-mode, its
+    scalar reference) by vetoing the compiler."""
+    if engine == "c":
+        if not _cstep.available():
+            pytest.skip("no C compiler available")
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+    else:
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_NO_CC", "1")
 
 
 def _lanes(specs):
@@ -59,7 +66,8 @@ def _rates(specs, trace):
 
 
 def _predictions(specs, trace):
-    return kernels.family_predictions("bimode", specs, _lanes(specs), trace)
+    rows = kernels.family_detailed("bimode", specs, _lanes(specs), trace)
+    return [row.result.predictions for row in rows]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -140,6 +148,8 @@ class TestLaneParsing:
             "bimode:hist=4",  # dir missing
             "bimode:dir=4,hist=6",  # hist > dir
             "bimode:dir=-1",  # negative
+            "bimode:dir=25,hist=4,choice=4",  # wider than a counter table
+            "bimode:dir=4,hist=4,choice=25",
             "bimode:dir=4,meta=3",  # unknown knob
             "not a spec",
         ],
