@@ -115,8 +115,14 @@ def _rates_by_spec(
     jobs: Optional[int] = None,
     journal=None,
 ) -> Dict[str, Dict[str, float]]:
-    """``result[spec][bench]`` for the whole spec set, batched per trace."""
-    return evaluate_matrix(specs, traces, cache=cache, jobs=jobs, journal=journal)
+    """``result[spec][bench]`` for the whole spec set, batched per trace.
+
+    The best configuration is picked on the suite average, so a sweep
+    that lost cells raises instead of averaging over part of the suite.
+    """
+    return evaluate_matrix(
+        specs, traces, cache=cache, jobs=jobs, journal=journal
+    ).complete()
 
 
 def _argmin_spec(

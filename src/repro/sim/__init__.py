@@ -1,5 +1,5 @@
-"""Trace-driven simulation: engine, batch kernel, metrics, cached and
-process-parallel multi-run orchestration."""
+"""Trace-driven simulation: engine, batch kernel, metrics, and cached
+matrix sweeps, in-process or over a supervised worker pool."""
 
 from repro.sim.batch import GShareLane, lane_for_spec
 from repro.sim.engine import run, run_detailed, run_steps
@@ -11,12 +11,7 @@ from repro.sim.metrics import (
     steady_state_rate,
     wilson_interval,
 )
-from repro.sim.parallel import (
-    TraceRecipe,
-    evaluate_matrix_parallel,
-    parallel_jobs,
-    recipe_of,
-)
+from repro.sim.parallel import TraceRecipe, parallel_jobs, recipe_of
 from repro.sim.runner import (
     ResultCache,
     evaluate,
@@ -34,7 +29,6 @@ __all__ = [
     "branch_penalty_cpi",
     "evaluate",
     "evaluate_matrix",
-    "evaluate_matrix_parallel",
     "evaluate_specs",
     "lane_for_spec",
     "misprediction_rate",

@@ -643,17 +643,16 @@ int64_t substream_group(const int64_t *cid, const uint8_t *taken,
  * index is derived in-loop from the raw PC and one 64-bit history
  * register exactly as in gshare_fused, and the PHT advances like
  * GSharePredictor._run.  `preds` (nullable) receives the predictions;
- * with `ids` non-NULL every access is grouped into its (counter, pc)
- * substream as it runs, the PHT slot being the counter.  Returns the
- * number of streams (0 without grouping), -1 for a pc code out of
- * range, -2 when out of memory. */
+ * every access is grouped into its (counter, pc) substream as it runs,
+ * the PHT slot being the counter.  Returns the number of streams, -1
+ * for a pc code out of range, -2 when out of memory. */
 int64_t gshare_detailed(const int64_t *pcs, const uint8_t *o, int64_t n,
                         int64_t imask, int64_t hmask, int8_t *table,
                         uint8_t *preds, const int32_t *pc, int32_t P,
                         int32_t *ids, stream_rec *streams)
 {
     stream_group g;
-    if (ids && sg_init(&g, pc, P, ids, streams) < 0) return -2;
+    if (sg_init(&g, pc, P, ids, streams) < 0) return -2;
     int status = 0;
     uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
@@ -662,14 +661,12 @@ int64_t gshare_detailed(const int64_t *pcs, const uint8_t *o, int64_t n,
         int8_t s = table[j];
         uint8_t fin = s >= 2;
         if (preds) preds[t] = fin;
-        if (ids) {
-            status = sg_emit(&g, t, (uint64_t)j, taken, fin != taken);
-            if (status < 0) break;
-        }
+        status = sg_emit(&g, t, (uint64_t)j, taken, fin != taken);
+        if (status < 0) break;
         table[j] = taken ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
         h = (h << 1) | taken;
     }
-    return ids ? sg_finish(&g, status) : 0;
+    return sg_finish(&g, status);
 }
 
 /* One bi-mode (configuration, trace) pair, Section-4 form: the
@@ -686,7 +683,7 @@ int64_t bimode_pair(const int64_t *pcs, const uint8_t *o, int64_t n,
                     int32_t *ids, stream_rec *streams)
 {
     stream_group g;
-    if (ids && sg_init(&g, pc, P, ids, streams) < 0) return -2;
+    if (sg_init(&g, pc, P, ids, streams) < 0) return -2;
     int status = 0;
     uint64_t h = 0;
     for (int64_t t = 0; t < n; t++) {
@@ -700,11 +697,9 @@ int64_t bimode_pair(const int64_t *pcs, const uint8_t *o, int64_t n,
         int8_t ds = bank[d];
         uint8_t fin = ds >= 2;
         if (preds) preds[t] = fin;
-        if (ids) {
-            status = sg_emit(&g, t, (uint64_t)(d + (ct ? bank_size : 0)),
-                             taken, fin != taken);
-            if (status < 0) break;
-        }
+        status = sg_emit(&g, t, (uint64_t)(d + (ct ? bank_size : 0)),
+                         taken, fin != taken);
+        if (status < 0) break;
         bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
         if (full_update) {
             int8_t *other = ct ? nt_bank : tk_bank;
@@ -715,7 +710,7 @@ int64_t bimode_pair(const int64_t *pcs, const uint8_t *o, int64_t n,
             choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
         h = (h << 1) | taken;
     }
-    return ids ? sg_finish(&g, status) : 0;
+    return sg_finish(&g, status);
 }
 
 /* First-seen coding of a 64-bit PC stream: codes[t] is the id of
@@ -768,8 +763,8 @@ int class_changes(const int32_t *ids, const int64_t *stream_counter,
 """
 
 #: Trailing arguments of the loops that emit a substream grouping:
-#: pc codes, their count, then the stream id per access (nullable) and
-#: the stream records out.
+#: pc codes, their count, then the stream id per access and the stream
+#: records out.
 _GROUPING_ARGS = (ctypes.c_void_p, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p)
 
 #: Trailing arguments of the comparator loops that attribute accesses:
@@ -1072,7 +1067,7 @@ def gshare_detailed(
     imask: int,
     hmask: int,
     table: np.ndarray,
-    pc_codes=None,
+    pc_codes,
     predictions: bool = True,
 ):
     """Run one gshare pair through the compiled Section-4 loop.
@@ -1080,10 +1075,10 @@ def gshare_detailed(
     ``pcs`` is int64, ``outcomes`` uint8; ``table`` is the int8 PHT,
     updated in place, and ``imask``/``hmask`` the PC and history masks
     of its index.  Returns ``(predictions, grouping)``: the uint8
-    per-branch predictions (``None`` unless ``predictions``), and —
-    given the trace's ``pc_codes`` (see :func:`substream_group`) — the
-    substream grouping with each access's PHT slot as its counter, else
-    ``None``.  Call only when :func:`available`.
+    per-branch predictions (``None`` unless ``predictions``) and the
+    substream grouping over the trace's ``pc_codes`` (see
+    :func:`substream_group`), each access's PHT slot being its counter.
+    Call only when :func:`available`.
     """
     lib = _load()
     if lib is None:  # pragma: no cover - callers gate on available()
@@ -1118,7 +1113,7 @@ def bimode_pair(
     nt_bank: np.ndarray,
     tk_bank: np.ndarray,
     choice: np.ndarray,
-    pc_codes=None,
+    pc_codes,
     predictions: bool = True,
 ):
     """Run one bi-mode pair through the compiled Section-4 loop.
@@ -1685,16 +1680,13 @@ _STREAM_RECORD = np.dtype(
 
 
 class _Grouping:
-    """The substream-grouping arguments of one C pass: buffers for the
-    stream ids and records when the trace's ``pc_codes`` — the
-    ``(unique_pcs, dense_codes)`` pair of ``pc_code_stream`` — are
-    given, NULLs otherwise."""
+    """The substream-grouping arguments of one C pass: the trace's
+    ``pc_codes`` — the ``(unique_pcs, dense_codes)`` pair of
+    ``pc_code_stream`` — and buffers for the stream ids and records."""
 
     def __init__(self, pc_codes, n: int, num_counters: int) -> None:
         self.pc_codes = pc_codes
         self.num_counters = num_counters
-        if pc_codes is None:
-            return
         unique_pcs, dense = pc_codes
         _require(((dense, np.int32),), n)
         self.num_pcs = len(unique_pcs)
@@ -1708,8 +1700,6 @@ class _Grouping:
         self.records = np.empty(max(1, capacity), dtype=_STREAM_RECORD)
 
     def args(self) -> tuple:
-        if self.pc_codes is None:
-            return (None, ctypes.c_int32(0), None, None)
         return (
             _ptr(self.pc_codes[1]),
             ctypes.c_int32(self.num_pcs),
@@ -1717,15 +1707,13 @@ class _Grouping:
             _ptr(self.records),
         )
 
-    def result(self, status: int, bad: str) -> Optional[SubstreamGrouping]:
+    def result(self, status: int, bad: str) -> SubstreamGrouping:
         """The grouping of a pass that returned ``status``; ``bad``
         names what a status of -1 found out of range."""
         if status == -1:
             raise ValueError(f"{bad} outside [0, {self.num_pcs})")
         if status < 0:  # pragma: no cover - malloc failure
             raise MemoryError("substream hash table")
-        if self.pc_codes is None:
-            return None
         return SubstreamGrouping(
             self.ids, self.records[:status].copy(), self.pc_codes[0], self.num_counters
         )

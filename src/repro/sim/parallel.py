@@ -1,21 +1,30 @@
-"""Process-parallel sweep execution with supervised, fault-tolerant workers.
+"""The sweep driver: one plan/supervise/merge loop for every matrix.
 
-Design-space sweeps (specs x benchmarks) are embarrassingly parallel
-across traces, so :func:`evaluate_matrix_parallel` ships one work item
-per (trace, spec family) — the fused planner's grouping, after
-deduplicating identical (spec, trace) cells across benchmarks — to a
-``ProcessPoolExecutor``.  Work items carry a
-:class:`TraceRecipe` — ``(name, length, seed)`` plus an optional trace
-store root — rather than the trace arrays themselves: workers map the
-published trace out of the zero-copy store
-(:class:`repro.traces.store.TraceStore`, shared OS page cache across
-the pool) and materialize it on first use, instead of paying
-multi-megabyte pickles or a regeneration per task.  Cold-store
-materialization itself fans out into the pool as first-class
-supervised tasks (:func:`materialize_parallel`, or recipe-valued
-``traces`` in :func:`evaluate_matrix_parallel`).
+Every figure of the paper is a (spec x benchmark) matrix: the rates of
+Figures 2-4 (:func:`repro.sim.runner.evaluate_matrix`) and the Section-4
+summaries of Figures 5-8 and Table 4 (:func:`detailed_matrix`).  Both
+run through one private driver, ``_sweep_matrix``, and differ only in
+what they hand it: how a batch of cells is computed on one trace, how
+already-known cells are looked up, and what a finished batch writes.
 
-Every task is individually supervised (:class:`TaskPolicy`):
+The driver plans per unique trace key — benchmarks sharing a trace,
+and repeated specs, collapse onto one set of cells — and takes cached
+or journalled cells (see :class:`repro.sim.journal.SweepJournal`) as
+they are.  With ``jobs`` of 1 (``$REPRO_JOBS`` unset) every missing
+cell of a trace is computed in the parent in one batch.  Otherwise each
+trace's missing cells ship to a ``ProcessPoolExecutor`` as one work
+item per spec *family* (the fused planner's grouping, see
+:mod:`repro.sim.fused`).  Work items carry a :class:`TraceRecipe` —
+``(name, length, seed)`` plus an optional trace store root — rather
+than the trace arrays: workers map the published trace out of the
+zero-copy store (:class:`repro.traces.store.TraceStore`, shared OS
+page cache across the pool) instead of paying multi-megabyte pickles
+or a regeneration per task.  Cold recipe traces materialize across the
+pool first, as supervised tasks of their own (also
+:func:`materialize_parallel`).  Traces without a recipe are computed in
+the parent.
+
+Every pool task is individually supervised (:class:`TaskPolicy`):
 
 * a configurable per-task timeout (``$REPRO_TASK_TIMEOUT`` seconds) —
   an expired task's pool is abandoned and reseeded so stragglers cannot
@@ -25,36 +34,30 @@ Every task is individually supervised (:class:`TaskPolicy`):
   ``BrokenProcessPool`` (a worker killed mid-task);
 * completed results are always salvaged — one crashed worker never
   discards, or recomputes, a benchmark whose worker already finished;
-* a task that exhausts its retries gets one final in-parent serial
-  attempt, and if that also fails it is quarantined into a structured
-  :class:`FailedCell` (exception type, message, traceback, attempt
-  count) attached to the returned :class:`SweepResult` instead of
-  poisoning the matrix.
+* a task that exhausts its retries gets one final in-parent attempt.
 
-Workers never touch the result cache.  The parent filters out cached
-(and journalled — see :class:`repro.sim.journal.SweepJournal`) cells
-before dispatch, merges each worker's rates *as it completes* — into
-the matrix, the cache, and the journal — and the final matrix is
-assembled in input order, deterministic regardless of completion order.
-Inside a worker the cells route exactly as in the serial path, so
-parallel and serial sweeps produce byte-identical tables.
+One failure policy holds for every ``jobs`` value: a task that still
+raises is quarantined into a structured :class:`FailedCell` (exception
+type, message, traceback, attempt count) on the returned
+:class:`SweepResult`, and its cells are left out of the matrix rather
+than poisoning it.  Callers that average over benchmarks must check
+``failures``.
 
-Degradations (pool unavailable -> serial, worker retries, quarantined
-cells) are reported through :mod:`repro.health`.
+Workers never touch the result cache or the journal.  The parent merges
+each finished batch *as it lands* — into the matrix, the cache and the
+journal, one write per trace key and batch — so a crash or interrupt
+loses at most the work in flight, and the final matrix is assembled in
+input order, whatever the completion order.  Inside a worker the cells
+route exactly as in the parent, so pooled and in-parent sweeps produce
+byte-identical tables.  Degradations (pool unavailable -> in-parent,
+worker retries, quarantined cells) are reported through
+:mod:`repro.health`.
 
-Detailed (Section-4) analysis sweeps are a first-class workload here
-too: :func:`detailed_matrix` ships one supervised task per ``(trace,
-spec family)`` — cells of one scheme share a detailed family pass
-(:func:`repro.sim.fused.family_detailed`) — workers reduce each lane's
-substream grouping to a compact summary dict in-process (kilobytes
-over the pipe, never the per-branch arrays), and completed cells
-persist to a :class:`repro.sim.journal.PayloadJournal` for crash-safe
-resume with bit-identical aggregates.
-
-Parallelism is controlled by the ``$REPRO_JOBS`` environment knob (or an
-explicit ``jobs`` argument).  ``REPRO_JOBS=1``, unset ``REPRO_JOBS``, an
-unpicklable platform, or traces that carry no recipe all fall back to
-the serial path, which computes bit-identical rates.
+Section-4 cells are reduced where they run to the compact summary dict
+of :func:`repro.analysis.summary.summarize_detailed` (kilobytes over
+the pipe, never the per-branch arrays) and persist to a
+:class:`repro.sim.journal.PayloadJournal` for crash-safe resume with
+bit-identical aggregates.
 """
 
 from __future__ import annotations
@@ -63,11 +66,12 @@ import os
 import time
 import traceback as _tb
 from collections import deque
-from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import health
 from repro.faults import fault_point
@@ -82,7 +86,6 @@ __all__ = [
     "parallel_jobs",
     "effective_jobs",
     "materialize_parallel",
-    "evaluate_matrix_parallel",
     "detailed_matrix",
 ]
 
@@ -210,7 +213,7 @@ class FailedCell:
     traceback: str
     attempts: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"{self.bench} [{len(self.specs)} specs]: {self.error_type}: "
             f"{self.message} (after {self.attempts} attempts)"
@@ -233,18 +236,27 @@ class SweepResult(Dict[str, Dict[str, float]]):
     def quarantined_benches(self) -> List[str]:
         return sorted({cell.bench for cell in self.failures})
 
+    def complete(self) -> "SweepResult":
+        """This result, or a ``RuntimeError`` naming the failed cells:
+        for callers that average over the benchmarks, which a partial
+        suite would silently skew."""
+        if self.failures:
+            raise RuntimeError(
+                "sweep cells failed: " + "; ".join(str(cell) for cell in self.failures)
+            )
+        return self
+
 
 class _Task:
-    """One supervised work item: evaluate a benchmark, run a detailed
-    (Section-4) analysis cell, or materialize a trace into the store
-    (``kind``)."""
+    """One supervised work item: compute ``specs`` on a benchmark's
+    trace, or — with no ``compute`` — materialize the trace into the
+    store."""
 
     __slots__ = (
         "bench",
         "recipe",
-        "missing",
-        "kind",
-        "opts",
+        "specs",
+        "compute",
         "attempts",
         "last_error",
         "last_tb",
@@ -253,16 +265,14 @@ class _Task:
     def __init__(
         self,
         bench: str,
-        recipe: TraceRecipe,
-        missing: List[str],
-        kind: str = "evaluate",
-        opts: Optional[dict] = None,
+        recipe: Optional[TraceRecipe],
+        specs: Sequence[str],
+        compute: Optional[Callable] = None,
     ):
         self.bench = bench
         self.recipe = recipe
-        self.missing = list(missing)
-        self.kind = kind
-        self.opts = opts
+        self.specs = list(specs)
+        self.compute = compute
         self.attempts = 0
         self.last_error: Optional[BaseException] = None
         self.last_tb = ""
@@ -287,17 +297,6 @@ def _load_recipe(recipe: TraceRecipe) -> BranchTrace:
         seed=recipe.seed,
         store=_recipe_store(recipe),
     )
-
-
-def _worker_evaluate(
-    recipe: TraceRecipe, specs: Tuple[str, ...]
-) -> Tuple[str, Dict[str, float]]:
-    """Map (or materialize) one trace and evaluate every spec on it."""
-    from repro.sim.runner import evaluate_specs
-
-    fault_point("worker", bench=recipe.name)
-    trace = _load_recipe(recipe)
-    return recipe.name, evaluate_specs(tuple(specs), trace, cache=None)
 
 
 def _detailed_cells(
@@ -337,26 +336,18 @@ def _detailed_cells(
     return out
 
 
-def _worker_detailed(
-    recipe: TraceRecipe, specs: Tuple[str, ...], opts: dict
-) -> Tuple[str, Dict[str, dict]]:
-    """Map (or materialize) one trace and run detailed cells on it."""
-    fault_point("worker", bench=recipe.name)
-    trace = _load_recipe(recipe)
-    return recipe.name, _detailed_cells(specs, trace, opts)
+def _worker(recipe: TraceRecipe, specs: Tuple[str, ...], compute: Optional[Callable]):
+    """A task, worker side: map (or materialize) the recipe's trace and
+    return ``compute(specs, trace)``.
 
-
-def _worker_materialize(recipe: TraceRecipe) -> Tuple[str, None]:
-    """Materialize one cold trace into the store (worker side).
-
-    Returns no rates — the value of the task is the published trace.
-    The store's single-flight lock makes overlapping materializers (a
-    retried task, or an evaluate task racing ahead) generate at most
-    once between them.
+    A materialize task (no ``compute``) returns ``None``: its value is
+    the published trace.  The store's single-flight lock makes
+    overlapping materializers (a retried task, or a compute task racing
+    ahead) generate at most once between them.
     """
     fault_point("worker", bench=recipe.name)
-    _load_recipe(recipe)
-    return recipe.name, None
+    trace = _load_recipe(recipe)
+    return None if compute is None else compute(specs, trace)
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -379,16 +370,16 @@ def _run_supervised(
     jobs: int,
     policy: TaskPolicy,
     on_done=None,
-) -> Tuple[Dict[str, Dict[str, float]], List[_Task], List[_Task]]:
+) -> Tuple[List[_Task], List[_Task]]:
     """Drive every task through the pool under per-task supervision.
 
-    Returns ``(done, exhausted, leftover)``: completed rates by
-    benchmark, tasks that failed every pool attempt (candidates for the
-    caller's serial salvage), and tasks never attempted because the pool
-    itself could not be (re)created (the caller runs those through the
-    ordinary serial path, no attempts charged).
+    ``on_done(task, values)`` receives each compute task's result as it
+    completes.  Returns ``(exhausted, leftover)``: tasks that failed
+    every pool attempt (candidates for the caller's in-parent salvage),
+    and tasks never attempted because the pool itself could not be
+    (re)created (the caller runs those in the parent, no attempts
+    charged).
     """
-    done: Dict[str, Dict[str, float]] = {}
     exhausted: List[_Task] = []
     queue = deque(tasks)
     inflight: Dict[object, Tuple[_Task, float]] = {}
@@ -435,23 +426,13 @@ def _run_supervised(
                     )
                     leftover = [task for task, _ in inflight.values()]
                     leftover.extend(queue)
-                    return done, exhausted, leftover
+                    return exhausted, leftover
             try:
                 while queue:
                     task = queue.popleft()
-                    if task.kind == "materialize":
-                        future = pool.submit(_worker_materialize, task.recipe)
-                    elif task.kind == "detailed":
-                        future = pool.submit(
-                            _worker_detailed,
-                            task.recipe,
-                            tuple(task.missing),
-                            task.opts,
-                        )
-                    else:
-                        future = pool.submit(
-                            _worker_evaluate, task.recipe, tuple(task.missing)
-                        )
+                    future = pool.submit(
+                        _worker, task.recipe, tuple(task.specs), task.compute
+                    )
                     inflight[future] = (task, time.monotonic())
             except (BrokenProcessPool, RuntimeError) as exc:
                 queue.appendleft(task)
@@ -470,17 +451,15 @@ def _run_supervised(
             for future in ready:
                 task, _started = inflight.pop(future)
                 try:
-                    _, rates = future.result()
+                    values = future.result()
                 except BrokenProcessPool as exc:
                     broken = exc
                     _note_failure(task, exc, "pool-broken")
                 except Exception as exc:
                     _note_failure(task, exc, "worker-raised")
                 else:
-                    if rates is not None:
-                        done[task.bench] = rates
-                    if on_done is not None:
-                        on_done(task, rates)
+                    if on_done is not None and task.compute is not None:
+                        on_done(task, values)
             if broken is not None:
                 # The pool is poisoned: every other in-flight task is
                 # charged one attempt (we cannot attribute the crash)
@@ -520,13 +499,13 @@ def _run_supervised(
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    return done, exhausted, []
+    return exhausted, []
 
 
 def _quarantine(task: _Task, exc: BaseException) -> FailedCell:
     cell = FailedCell(
         bench=task.bench,
-        specs=tuple(task.missing),
+        specs=tuple(task.specs),
         error_type=type(exc).__name__,
         message=str(exc),
         traceback="".join(_tb.format_exception(type(exc), exc, exc.__traceback__)),
@@ -587,7 +566,6 @@ def materialize_parallel(
                 store_root=store_root,
             ),
             [],
-            kind="materialize",
         )
         for name in names
     ]
@@ -597,7 +575,7 @@ def materialize_parallel(
         for task in tasks:
             _load_recipe(task.recipe)
         return
-    _, exhausted, leftover = _run_supervised(tasks, jobs, policy)
+    exhausted, leftover = _run_supervised(tasks, jobs, policy)
     for task in exhausted + leftover:
         # Serial fallback in the parent; failures surface to the caller.
         _load_recipe(task.recipe)
@@ -608,187 +586,137 @@ def _is_recipe(value) -> bool:
 
 
 def _resolve_trace(value) -> BranchTrace:
-    """A real trace for serial evaluation (maps recipes via the store)."""
+    """A real trace for in-parent evaluation (maps recipes via the store)."""
     return _load_recipe(value) if _is_recipe(value) else value
 
 
-def evaluate_matrix_parallel(
+def _guarded(journal, cache):
+    """The signal guard of a journalled sweep (see
+    :meth:`repro.sim.journal.SweepJournal.guard`), a no-op without one."""
+    return journal.guard(cache) if journal is not None else nullcontext()
+
+
+def _sweep_matrix(
     specs: Sequence[str],
-    traces: Mapping[str, BranchTrace],
-    cache=None,
+    traces: Mapping[str, object],
+    compute: Callable[[Sequence[str], BranchTrace], Dict[str, object]],
+    lookup: Callable[[str, List[str]], Dict[str, object]],
+    merge: Callable[[str, Dict[str, object]], None],
     progress=None,
     jobs: Optional[int] = None,
-    journal=None,
     policy: Optional[TaskPolicy] = None,
 ) -> SweepResult:
-    """Parallel :func:`repro.sim.runner.evaluate_matrix`.
+    """The one matrix sweep loop: ``result[spec][bench]``.
 
-    Identical ``(spec, trace)`` cells are simulated exactly once: the
-    matrix is planned per unique trace key — benchmarks sharing a trace
-    (and repeated specs in the grid) collapse onto one set of cells,
-    and every completed cell fans back out to each requesting benchmark
-    key.  A trace's missing cells then ship as one supervised task per
-    spec *family* (the fused planner's grouping, see
-    :mod:`repro.sim.fused`) rather than per cell, while cache and
-    journal entries stay per-cell — so resume, salvage, and quarantine
-    granularity are unchanged.  Cells already recorded in ``cache`` or
-    ``journal`` are never recomputed; each completed task is merged
-    (matrix + cache + journal) as soon as it finishes, so a crash or
-    interrupt loses at most the in-flight tasks.  Tasks that exhaust
-    every retry and the final serial attempt are quarantined on
-    ``SweepResult.failures`` — their cells are omitted from the matrix
-    rather than poisoning it.
+    The matrix is planned per unique trace key: benchmarks sharing a
+    trace, and repeated specs, collapse onto one set of cells, and each
+    cell that lands fans out to every benchmark of its key.
+    ``lookup(tkey, specs)`` returns the cells already known (cache or
+    journal hits).  The rest are computed by ``compute(specs, trace)``:
+    in the parent when ``jobs`` is 1 or the trace has no recipe,
+    otherwise as one supervised pool task per (trace, spec family) of
+    the fused planner, after cold recipe traces have been materialized
+    across the pool.  A computed batch goes through ``merge(tkey,
+    values)``, the sweep's durable writes, as soon as it lands, so a
+    crash or interrupt loses at most the work in flight.
+    ``progress(spec, bench, value)`` fires once per returned cell.
 
-    ``traces`` values may be :class:`TraceRecipe` instead of loaded
-    arrays: the sweep then fans cold-store materialization out into the
-    pool as first-class supervised tasks ahead of the evaluate tasks,
-    and workers map the published trace instead of regenerating it.
+    A task that raises in the parent, or in the pool on every retry and
+    then once more in the parent, is quarantined on
+    ``SweepResult.failures``, and its cells are left out of the matrix.
     """
     from repro.sim.fused import plan_families
-    from repro.sim.runner import evaluate_specs, trace_key
+    from repro.sim.runner import trace_key
+    from repro.workloads.suite import trace_store
 
-    specs = list(specs)
+    specs = list(dict.fromkeys(specs))
     jobs = effective_jobs(jobs)
     if policy is None:
         policy = TaskPolicy.from_env()
+    tkey_of = {bench: trace_key(value) for bench, value in traces.items()}
+    benches_of: Dict[str, List[str]] = {}
+    for bench, tkey in tkey_of.items():
+        benches_of.setdefault(tkey, []).append(bench)
+    per_bench: Dict[str, Dict[str, object]] = {bench: {} for bench in traces}
+    failures: List[FailedCell] = []
 
-    # Plan per unique trace key: which cells are not already
-    # cached/journalled?  ``local`` holds trace keys (not benchmarks)
-    # for the in-parent serial path.
-    per_bench: Dict[str, Dict[str, float]] = {bench: {} for bench in traces}
-    tasks: List[_Task] = []
+    def land(tkey: str, values: Dict[str, object]) -> None:
+        for bench in benches_of[tkey]:
+            per_bench[bench].update(values)
+            if progress is not None:
+                for spec, value in values.items():
+                    progress(spec, bench, value)
+
+    def on_done(task: _Task, values: Dict[str, object]) -> None:
+        merge(tkey_of[task.bench], values)
+        land(tkey_of[task.bench], values)
+
+    def in_parent(task: _Task) -> bool:
+        try:
+            values = compute(task.specs, _resolve_trace(traces[task.bench]))
+        except Exception as exc:
+            task.attempts += 1
+            failures.append(_quarantine(task, exc))
+            return False
+        on_done(task, values)
+        return True
+
     materialize: List[_Task] = []
-    local: List[str] = []
-    tkeys = {
-        bench: value.tkey if _is_recipe(value) else trace_key(value)
-        for bench, value in traces.items()
-    }
-    tkey_benches: Dict[str, List[str]] = {}
-    tkey_value: Dict[str, object] = {}
-    for bench, value in traces.items():
-        tkey_benches.setdefault(tkeys[bench], []).append(bench)
-        tkey_value.setdefault(tkeys[bench], value)
-
-    for tkey, benches in tkey_benches.items():
-        value = tkey_value[tkey]
-        known: Dict[str, float] = {}
-        missing: List[str] = []
-        for spec in dict.fromkeys(specs):
-            hit = cache.get(spec, tkey) if cache is not None else None
-            if hit is None and journal is not None:
-                hit = journal.lookup(tkey, spec)
-                if hit is not None and cache is not None:
-                    cache.put_many(tkey, {spec: hit})
-            if hit is not None:
-                known[spec] = hit
-            else:
-                missing.append(spec)
-        for bench in benches:
-            per_bench[bench].update(known)
+    pooled: List[_Task] = []
+    local: List[_Task] = []
+    for tkey, benches in benches_of.items():
+        known = lookup(tkey, specs)
+        land(tkey, known)
+        missing = [spec for spec in specs if spec not in known]
         if not missing:
             continue
         rep = benches[0]
+        value = traces[rep]
         recipe = value if _is_recipe(value) else recipe_of(value)
-        if jobs > 1 and recipe is not None:
-            if _is_recipe(value):
-                store = _recipe_store(recipe)
-                if store is None:
-                    from repro.workloads.suite import trace_store
+        if jobs <= 1 or recipe is None:
+            local.append(_Task(rep, recipe, missing, compute))
+            continue
+        if _is_recipe(value):
+            store = _recipe_store(recipe) or trace_store()
+            if not store.has(recipe.name, recipe.length, recipe.seed):
+                materialize.append(_Task(rep, recipe, []))
+        pooled.extend(
+            _Task(rep, recipe, family.specs, compute)
+            for family in plan_families(missing)
+        )
 
-                    store = trace_store()
-                if not store.has(recipe.name, recipe.length, recipe.seed):
-                    materialize.append(_Task(rep, recipe, [], kind="materialize"))
-            for family in plan_families(missing):
-                tasks.append(_Task(rep, recipe, list(family.specs)))
-        else:
-            local.append(tkey)
-
-    failures: List[FailedCell] = []
-
-    def _merge(tkey: str, rates: Dict[str, float]) -> None:
-        for bench in tkey_benches[tkey]:
-            per_bench[bench].update(rates)
-        if cache is not None:
-            cache.put_many(tkey, rates)
-        if journal is not None:
-            journal.record_many(tkey, rates)
-
-    def _on_done(task: _Task, rates) -> None:
-        if rates is not None:
-            _merge(tkeys[task.bench], rates)
-
-    guard = journal.guard(cache) if journal is not None else _null()
-    with guard:
-        if tasks or materialize:
-            # Materialize tasks go first so cold generation fans out
-            # across the pool; an evaluate task reaching a still-cold
-            # trace simply joins the store's single-flight wait.
-            _, exhausted, leftover = _run_supervised(
-                materialize + tasks,
-                jobs,
-                policy,
-                on_done=_on_done,
-            )
-            local.extend(
-                tkeys[task.bench] for task in leftover if task.kind == "evaluate"
-            )
-            # Final in-parent serial attempt, then quarantine.  A failed
-            # materialize task is never quarantined: its bench's
-            # evaluate task materializes on demand, so the sweep only
-            # lost a head start.
-            for task in exhausted:
-                if task.kind == "materialize":
-                    health.emit(
-                        "trace-store",
-                        "pool-materialize",
-                        "deferred-to-evaluate",
-                        reason=f"{task.bench}: {type(task.last_error).__name__}: "
-                        f"{task.last_error}",
-                        severity="degraded",
-                    )
-                    continue
-                try:
-                    rates = evaluate_specs(
-                        task.missing, _resolve_trace(traces[task.bench]), cache=None
-                    )
-                except Exception as exc:
-                    task.attempts += 1
-                    failures.append(_quarantine(task, exc))
-                else:
-                    health.emit(
-                        "parallel-pool",
-                        "pool",
-                        "serial-salvage",
-                        reason=f"{task.bench} recovered after {task.attempts} failed attempts",
-                        severity="degraded",
-                        cells=len(task.missing),
-                    )
-                    _merge(tkeys[task.bench], rates)
-
-        for tkey in dict.fromkeys(local):
-            rep = tkey_benches[tkey][0]
-            missing = [s for s in dict.fromkeys(specs) if s not in per_bench[rep]]
-            if not missing:
-                continue
-            try:
-                rates = evaluate_specs(
-                    missing, _resolve_trace(tkey_value[tkey]), cache=None
+    if pooled:
+        # Materialize tasks go first so cold generation fans out across
+        # the pool; a compute task reaching a still-cold trace simply
+        # joins the store's single-flight wait.
+        exhausted, leftover = _run_supervised(
+            materialize + pooled, jobs, policy, on_done=on_done
+        )
+        for task in exhausted:
+            if task.compute is None:
+                # Never quarantined: the trace's compute task
+                # materializes on demand, so the sweep only lost a head
+                # start.
+                health.emit(
+                    "trace-store",
+                    "pool-materialize",
+                    "deferred-to-evaluate",
+                    reason=f"{task.bench}: {type(task.last_error).__name__}: "
+                    f"{task.last_error}",
+                    severity="degraded",
                 )
-            except Exception as exc:
-                value = tkey_value[tkey]
-                task = _Task(
-                    rep, value if _is_recipe(value) else recipe_of(value), missing
+            elif in_parent(task):
+                health.emit(
+                    "parallel-pool",
+                    "pool",
+                    "serial-salvage",
+                    reason=f"{task.bench} recovered after {task.attempts} failed attempts",
+                    severity="degraded",
+                    cells=len(task.specs),
                 )
-                task.attempts = 1
-                failures.append(_quarantine(task, exc))
-            else:
-                _merge(tkey, rates)
-
-    if progress is not None:
-        for bench in traces:
-            for spec in specs:
-                if spec in per_bench[bench]:
-                    progress(spec, bench, per_bench[bench][spec])
+        local = [task for task in leftover if task.compute is not None] + local
+    for task in local:
+        in_parent(task)
 
     return SweepResult(
         {
@@ -814,19 +742,15 @@ def detailed_matrix(
     threshold: Optional[float] = None,
     include_bias_table: bool = False,
 ) -> SweepResult:
-    """Parallel Section-4 analysis sweep: ``{spec: {bench: summary}}``.
+    """Section-4 analysis sweep: ``{spec: {bench: summary}}``.
 
-    The detailed counterpart of :func:`evaluate_matrix_parallel`:
-    every ``(spec, benchmark)`` cell runs a detailed (attribution)
-    simulation and is reduced *in the worker* to the compact summary
-    dict of :func:`repro.analysis.summary.summarize_detailed`.  The
-    sweep ships one supervised task per ``(trace, spec family)`` — the
-    fused planner's grouping, so cells of one scheme share a single
-    detailed family pass (:func:`repro.sim.fused.family_detailed`)
-    while staying much finer-grained than whole benchmarks; tasks get
-    the full :class:`TaskPolicy` treatment — retries, pool reseeding
-    after a killed worker, timeouts, serial salvage, and quarantine
-    into ``SweepResult.failures``.
+    The detailed counterpart of :func:`repro.sim.runner.evaluate_matrix`,
+    run by the same sweep loop: every ``(spec, benchmark)`` cell runs a
+    detailed (attribution) simulation and is reduced where it runs — in
+    the parent or in a pool worker — to the compact summary dict of
+    :func:`repro.analysis.summary.summarize_detailed`.  Cells of one
+    scheme share a single detailed family pass
+    (:func:`repro.sim.fused.family_detailed`).
 
     ``journal`` must be a :class:`repro.sim.journal.PayloadJournal`
     (cell values are summary dicts): journalled cells are never
@@ -835,175 +759,33 @@ def detailed_matrix(
     run.  When a rate ``cache`` is passed, each computed summary's
     ``misprediction_rate`` is fed into it as a byproduct, so later rate
     sweeps over the same cells hit for free.
-
-    ``traces`` values may be :class:`TraceRecipe`; cold traces then
-    materialize across the pool first, exactly as in
-    :func:`evaluate_matrix_parallel`.
     """
     from repro.analysis.bias import BIAS_THRESHOLD
-    from repro.sim.runner import trace_key
 
-    if threshold is None:
-        threshold = BIAS_THRESHOLD
     opts = {
-        "threshold": float(threshold),
+        "threshold": float(BIAS_THRESHOLD if threshold is None else threshold),
         "include_bias_table": bool(include_bias_table),
     }
-    specs = list(specs)
-    jobs = effective_jobs(jobs)
-    if policy is None:
-        policy = TaskPolicy.from_env()
 
-    per_bench: Dict[str, Dict[str, dict]] = {}
-    tasks: List[_Task] = []
-    materialize: List[_Task] = []
-    local: List[str] = []
-    tkeys = {
-        bench: value.tkey if _is_recipe(value) else trace_key(value)
-        for bench, value in traces.items()
-    }
-    for bench, value in traces.items():
-        tkey = tkeys[bench]
-        known: Dict[str, dict] = {}
-        missing: List[str] = []
-        for spec in specs:
-            hit = journal.lookup(tkey, spec) if journal is not None else None
-            if hit is not None:
-                known[spec] = hit
-            else:
-                missing.append(spec)
-        per_bench[bench] = known
-        if not missing:
-            continue
-        recipe = value if _is_recipe(value) else recipe_of(value)
-        if jobs > 1 and recipe is not None:
-            if _is_recipe(value):
-                store = _recipe_store(recipe)
-                if store is None:
-                    from repro.workloads.suite import trace_store
+    def lookup(tkey: str, wanted: List[str]) -> Dict[str, dict]:
+        done = journal.completed(tkey) if journal is not None else {}
+        return {spec: done[spec] for spec in wanted if spec in done}
 
-                    store = trace_store()
-                if not store.has(recipe.name, recipe.length, recipe.seed):
-                    materialize.append(_Task(bench, recipe, [], kind="materialize"))
-            # One task per (trace, family): specs of one scheme share a
-            # detailed family pass (and the trace's PC codes), while the
-            # journal keeps its per-cell resume granularity.
-            from repro.sim.fused import plan_families
-
-            for family in plan_families(missing):
-                tasks.append(
-                    _Task(
-                        bench,
-                        recipe,
-                        list(family.specs),
-                        kind="detailed",
-                        opts=opts,
-                    )
-                )
-        else:
-            local.append(bench)
-
-    failures: List[FailedCell] = []
-
-    def _merge(bench: str, summaries: Dict[str, dict]) -> None:
-        per_bench[bench].update(summaries)
+    def merge(tkey: str, summaries: Dict[str, dict]) -> None:
         if journal is not None:
-            journal.record_many(tkeys[bench], summaries)
+            journal.record_many(tkey, summaries)
         if cache is not None:
-            cache.put_many(
-                tkeys[bench],
-                {
-                    spec: summary["misprediction_rate"]
-                    for spec, summary in summaries.items()
-                },
-            )
+            rates = {s: cell["misprediction_rate"] for s, cell in summaries.items()}
+            cache.put_many(tkey, rates)
 
-    def _on_done(task: _Task, summaries) -> None:
-        if summaries is not None:
-            _merge(task.bench, summaries)
-
-    guard = journal.guard(cache) if journal is not None else _null()
-    with guard:
-        if tasks or materialize:
-            _, exhausted, leftover = _run_supervised(
-                materialize + tasks,
-                jobs,
-                policy,
-                on_done=_on_done,
-            )
-            local.extend(
-                task.bench for task in leftover if task.kind == "detailed"
-            )
-            for task in exhausted:
-                if task.kind == "materialize":
-                    health.emit(
-                        "trace-store",
-                        "pool-materialize",
-                        "deferred-to-evaluate",
-                        reason=f"{task.bench}: {type(task.last_error).__name__}: "
-                        f"{task.last_error}",
-                        severity="degraded",
-                    )
-                    continue
-                try:
-                    summaries = _detailed_cells(
-                        task.missing, _resolve_trace(traces[task.bench]), opts
-                    )
-                except Exception as exc:
-                    task.attempts += 1
-                    failures.append(_quarantine(task, exc))
-                else:
-                    health.emit(
-                        "parallel-pool",
-                        "pool",
-                        "serial-salvage",
-                        reason=f"{task.bench} recovered after {task.attempts} failed attempts",
-                        severity="degraded",
-                        cells=len(task.missing),
-                    )
-                    _merge(task.bench, summaries)
-
-        for bench in dict.fromkeys(local):
-            missing = [s for s in specs if s not in per_bench[bench]]
-            if not missing:
-                continue
-            try:
-                summaries = _detailed_cells(
-                    missing, _resolve_trace(traces[bench]), opts
-                )
-            except Exception as exc:
-                value = traces[bench]
-                task = _Task(
-                    bench,
-                    value if _is_recipe(value) else recipe_of(value),
-                    missing,
-                    kind="detailed",
-                    opts=opts,
-                )
-                task.attempts = 1
-                failures.append(_quarantine(task, exc))
-            else:
-                _merge(bench, summaries)
-
-    if progress is not None:
-        for bench in traces:
-            for spec in specs:
-                if spec in per_bench[bench]:
-                    progress(spec, bench, per_bench[bench][spec])
-
-    return SweepResult(
-        {
-            spec: {
-                bench: per_bench[bench][spec]
-                for bench in traces
-                if spec in per_bench[bench]
-            }
-            for spec in specs
-        },
-        failures=failures,
-    )
-
-
-@contextmanager
-def _null():
-    yield None
+    with _guarded(journal, cache):
+        return _sweep_matrix(
+            specs,
+            traces,
+            partial(_detailed_cells, opts=opts),
+            lookup,
+            merge,
+            progress,
+            jobs,
+            policy,
+        )

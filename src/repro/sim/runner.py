@@ -15,6 +15,13 @@ trace for every lane — with the scalar engine for anything unfusable
 (asserted by the equivalence suites and the differential oracle in
 :mod:`repro.verify`), so cache entries are interchangeable between
 them.
+
+:func:`evaluate_matrix` is the rate form of the one matrix sweep loop
+in :mod:`repro.sim.parallel`: it hands that loop :func:`evaluate_specs`
+as the per-trace computation, the cache and journal as the hit lookup,
+and the cache and journal writes as the merge.  The same loop runs in
+the parent and over the worker pool, with one failure policy: a cell
+whose computation raises is quarantined on the result's ``failures``.
 """
 
 from __future__ import annotations
@@ -24,14 +31,27 @@ import json
 import logging
 import os
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro import health
 from repro.faults import fault_point
 from repro.sim.fused import family_rates, plan_families
 from repro.traces.record import BranchTrace
 from repro.workloads.suite import default_cache_dir
+
+if TYPE_CHECKING:
+    from repro.sim.parallel import SweepResult, TaskPolicy
 
 __all__ = [
     "trace_key",
@@ -225,15 +245,13 @@ def evaluate_specs(
     specs: Sequence[str],
     trace: BranchTrace,
     cache: Optional[ResultCache] = None,
-    precomputed: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, float]:
     """Misprediction rate of every spec on one trace, batched.
 
     Uncached specs are grouped into fused families by the sweep
     planner (:mod:`repro.sim.fused`), each advancing as one family over
     the trace; unfusable schemes fall back to the scalar engine with a
-    health degradation recorded.  ``precomputed`` rates (e.g. journalled
-    cells) are honoured like cache hits.  Results are memoized through
+    health degradation recorded.  Results are memoized through
     ``cache`` with one write per trace.
     """
     tkey = trace_key(trace)
@@ -242,9 +260,7 @@ def evaluate_specs(
     for spec in specs:
         if spec in rates or spec in missing:
             continue
-        hit = precomputed.get(spec) if precomputed is not None else None
-        if hit is None and cache is not None:
-            hit = cache.get(spec, tkey)
+        hit = cache.get(spec, tkey) if cache is not None else None
         if hit is not None:
             rates[spec] = hit
         else:
@@ -286,56 +302,54 @@ def evaluate_matrix(
     progress=None,
     jobs: Optional[int] = None,
     journal=None,
-) -> Dict[str, Dict[str, float]]:
+    policy: Optional[TaskPolicy] = None,
+) -> SweepResult:
     """Rates for every (spec, benchmark) pair: ``result[spec][bench]``.
 
-    ``progress`` (optional) is called with ``(spec, bench, rate)`` after
-    each cell, for CLI feedback on long sweeps.  ``jobs`` selects the
-    process-parallel executor (default: the ``$REPRO_JOBS`` knob, serial
-    when unset); results are identical either way.  ``journal``
-    (optional, a :class:`repro.sim.journal.SweepJournal`) makes the
-    sweep resumable: completed cells are appended to the journal as
-    they finish, cells already journalled are never re-simulated, and
-    SIGINT/SIGTERM flush the deferred cache before interrupting.
+    Runs the one sweep loop of :mod:`repro.sim.parallel`, in the parent
+    or over its supervised worker pool: ``jobs`` (default: the
+    ``$REPRO_JOBS`` knob, in-parent when unset) and ``policy`` (a
+    :class:`~repro.sim.parallel.TaskPolicy`, default from the
+    environment) select it, and the rates are identical either way.
+    ``traces`` values may be :class:`~repro.sim.parallel.TraceRecipe`
+    instead of loaded traces.  Cells already in ``cache`` or in
+    ``journal`` (a :class:`repro.sim.journal.SweepJournal`) are never
+    re-simulated, and journalled ones refill the cache.  Computed cells
+    go to both as each trace's batch finishes, which makes the sweep
+    resumable.  ``progress`` (optional) is called with ``(spec, bench,
+    rate)`` once per returned cell, for CLI feedback on long sweeps.
+
+    Returns a :class:`~repro.sim.parallel.SweepResult`: a cell whose
+    computation raised is left out of the matrix and listed on its
+    ``failures``, under every ``jobs`` value.
     """
-    specs = list(specs)
-    from repro.sim.parallel import (
-        SweepResult,
-        effective_jobs,
-        evaluate_matrix_parallel,
-    )
+    from repro.sim.parallel import _guarded, _sweep_matrix
 
-    if effective_jobs(jobs) > 1:
-        return evaluate_matrix_parallel(
-            specs, traces, cache=cache, progress=progress, jobs=jobs, journal=journal
+    def lookup(tkey: str, wanted: List[str]) -> Dict[str, float]:
+        hits = {}
+        if cache is not None:
+            hits = {spec: cache.get(spec, tkey) for spec in wanted}
+            hits = {spec: rate for spec, rate in hits.items() if rate is not None}
+        done = journal.completed(tkey) if journal is not None else {}
+        refill = {s: done[s] for s in wanted if s not in hits and s in done}
+        if cache is not None:
+            cache.put_many(tkey, refill)
+        return {**hits, **refill}
+
+    def merge(tkey: str, rates: Dict[str, float]) -> None:
+        if cache is not None:
+            cache.put_many(tkey, rates)
+        if journal is not None:
+            journal.record_many(tkey, rates)
+
+    with _guarded(journal, cache):
+        return _sweep_matrix(
+            list(specs),
+            traces,
+            partial(evaluate_specs, cache=None),
+            lookup,
+            merge,
+            progress,
+            jobs,
+            policy,
         )
-
-    # Recipe-valued entries (store-backed sweeps) are materialized here
-    # on the serial path; the parallel path fans them out instead.
-    from repro.sim.parallel import _resolve_trace
-
-    traces = {bench: _resolve_trace(value) for bench, value in traces.items()}
-
-    per_bench: Dict[str, Dict[str, float]] = {}
-    maybe_deferred = cache.deferred() if cache is not None else _null_context()
-    guard = journal.guard(cache) if journal is not None else _null_context()
-    with guard, maybe_deferred:
-        for bench, trace in traces.items():
-            tkey = trace_key(trace)
-            known = journal.completed(tkey) if journal is not None else None
-            per_bench[bench] = evaluate_specs(
-                specs, trace, cache=cache, precomputed=known
-            )
-            if journal is not None:
-                journal.record_many(tkey, per_bench[bench])
-            if progress is not None:
-                for spec in specs:
-                    progress(spec, bench, per_bench[bench][spec])
-    return SweepResult(
-        {spec: {bench: per_bench[bench][spec] for bench in traces} for spec in specs}
-    )
-
-
-@contextmanager
-def _null_context():
-    yield None

@@ -714,9 +714,7 @@ class TestDriverPreconditions:
         preds, grouping = driver(*args)
         assert preds.shape == (8,) and grouping.access_stream.dtype == np.int32
         assert grouping.streams["total"].sum() == 8
-        # predictions alone, or streams alone
-        preds, grouping = driver(*args[: self.CODES[name]])
-        assert preds.shape == (8,) and grouping is None
+        # streams alone
         preds, grouping = driver(*args, predictions=False)
         assert preds is None and grouping is not None
 
@@ -774,8 +772,6 @@ class TestDriverPreconditions:
             driver, args, _ = self.lane_call(name)
             with pytest.raises(ValueError, match="int32 id range"):
                 driver(*args)
-            # predictions alone write no ids
-            driver(*args[: self.CODES[name]])
         cid, pc, taken, miss = self.group_args(n=8)
         with pytest.raises(ValueError, match="int32 id range"):
             _cstep.substream_group(cid, pc, taken, miss, 4)

@@ -16,11 +16,7 @@ import pytest
 
 from repro import faults, health
 from repro.sim.journal import SweepJournal
-from repro.sim.parallel import (
-    FailedCell,
-    TaskPolicy,
-    evaluate_matrix_parallel,
-)
+from repro.sim.parallel import FailedCell, TaskPolicy
 from repro.sim.runner import ResultCache, evaluate_matrix, trace_key
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
@@ -69,7 +65,7 @@ class TestWorkerCrashSalvage:
     ):
         with faults.traced(tmp_path / "trace"):
             with faults.inject("worker:raise:bench=gcc,where=worker"):
-                result = evaluate_matrix_parallel(
+                result = evaluate_matrix(
                     SPECS,
                     traces,
                     jobs=2,
@@ -94,7 +90,7 @@ class TestWorkerCrashSalvage:
 
     def test_salvage_reported_as_degradation(self, traces):
         with faults.inject("worker:raise:bench=gcc,where=worker"):
-            evaluate_matrix_parallel(
+            evaluate_matrix(
                 SPECS, traces, jobs=2, policy=TaskPolicy(retries=0, backoff=0.0)
             )
         kinds = {e.actual for e in health.events(component="parallel-pool")}
@@ -108,7 +104,7 @@ class TestQuarantine:
 
     def test_exactly_one_failed_cell_per_family(self, traces, serial_reference):
         with faults.inject("evaluate:raise:bench=gcc"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS, traces, jobs=2, policy=TaskPolicy(retries=1, backoff=0.0)
             )
 
@@ -143,10 +139,56 @@ class TestQuarantine:
 
     def test_serial_path_quarantines_too(self, traces, serial_reference):
         with faults.inject("evaluate:raise:bench=gcc"):
-            result = evaluate_matrix_parallel(SPECS, traces, jobs=1)
+            result = evaluate_matrix(SPECS, traces, jobs=1)
         assert [cell.bench for cell in result.failures] == ["gcc"]
         for spec in SPECS:
             assert result[spec]["xlisp"] == serial_reference[spec]["xlisp"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_suite_sweep_refuses_a_partial_suite(self, traces, jobs):
+        """gshare.best is the best *suite average*: a quarantined
+        benchmark must fail the sweep, not drop out of the average."""
+        from repro.analysis.sweep import best_gshare_at_size, paper_sweep
+
+        with faults.inject("evaluate:raise:bench=gcc"):
+            with pytest.raises(RuntimeError, match="gcc .*FaultInjected"):
+                paper_sweep(traces, kb_points=(0.25, 1.0), jobs=jobs)
+            with pytest.raises(RuntimeError, match="gcc .*FaultInjected"):
+                best_gshare_at_size(0.25, traces, jobs=jobs)
+
+
+class TestJournalRefill:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_refills_cache_once_per_trace(
+        self, traces, serial_reference, tmp_path, monkeypatch, jobs
+    ):
+        """A fully journalled sweep resumed into an empty cache computes
+        nothing and writes each trace's cache table exactly once."""
+        journal = SweepJournal(tmp_path / "done.jsonl")
+        evaluate_matrix(SPECS, traces, jobs=1, journal=journal)
+
+        flushed = []
+        flush = ResultCache.flush
+
+        def counted(cache):
+            flushed.append(sorted(cache._dirty))
+            return flush(cache)
+
+        monkeypatch.setattr(ResultCache, "flush", counted)
+        cache = ResultCache(tmp_path / "rc")
+        with faults.traced(tmp_path / "trace"):
+            resumed = SweepJournal(journal.path)
+            result = evaluate_matrix(
+                SPECS, traces, cache=cache, jobs=jobs, journal=resumed
+            )
+        assert result == serial_reference
+        assert faults.trace_counts(tmp_path / "trace", site="evaluate") == {}
+        assert sorted(flushed) == sorted([trace_key(t)] for t in traces.values())
+        reread = ResultCache(tmp_path / "rc")
+        for bench, trace in traces.items():
+            tkey = trace_key(trace)
+            for spec in SPECS:
+                assert reread.get(spec, tkey) == serial_reference[spec][bench]
 
 
 class TestKilledWorker:
@@ -155,7 +197,7 @@ class TestKilledWorker:
         # gcc exhausts its pool attempts and is salvaged in-parent
         # (the exit action never fires outside a worker).
         with faults.inject("worker:exit:bench=gcc"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS, traces, jobs=2, policy=TaskPolicy(retries=2, backoff=0.0)
             )
         assert result == serial_reference
@@ -169,7 +211,7 @@ class TestTimeout:
         # the gcc worker wedges for 30 s; the supervisor times it out,
         # abandons the pool, and the parent salvages the cell serially
         with faults.inject("worker:sleep:seconds=30,bench=gcc,where=worker"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS,
                 traces,
                 jobs=2,

@@ -35,7 +35,15 @@ def clean_health():
     health.clear()
 
 
+@pytest.fixture()
+def default_pin(monkeypatch):
+    """The default dispatch, whichever ``REPRO_KERNEL`` the suite runs
+    under: these tests check what the planner does by default."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+
+
 class TestPlanner:
+    @pytest.mark.usefixtures("default_pin")
     def test_partitions_by_kind_in_fixed_order(self):
         scalar_spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
         families = plan_families(
@@ -68,6 +76,7 @@ class TestPlanner:
         assert by_kind["scalar"].specs == (scalar_spec,)
         assert by_kind["scalar"].lanes == (None,)
 
+    @pytest.mark.usefixtures("default_pin")
     def test_empty_families_are_omitted(self):
         (only,) = plan_families(["gshare:index=5,hist=2"])
         assert only.kind == "gshare"
@@ -80,6 +89,7 @@ class TestPlanner:
         assert family.specs == ("gshare:index=6,hist=4",)
         assert len(family.lanes) == 1
 
+    @pytest.mark.usefixtures("default_pin")
     def test_bimode_ablation_variants_stay_in_one_family(self):
         (family,) = plan_families(
             [
@@ -112,6 +122,7 @@ class TestDispatch:
             assert event.actual == "numpy"
             assert event.severity == "degraded"
 
+    @pytest.mark.usefixtures("default_pin")
     def test_scalar_family_reports_degradation(self, small_workload):
         health.clear()
         scalar_spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
@@ -184,8 +195,8 @@ class TestFamilyDetailed:
         scalar loop."""
         from repro.sim.fused import family_detailed
 
-        (family,) = plan_families(["perceptron:index=5,hist=6"])
         monkeypatch.setenv("REPRO_KERNEL", "c")
+        (family,) = plan_families(["perceptron:index=5,hist=6"])
         with faults.deny_compiler():
             with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
                 family_detailed(family, trace)
@@ -342,7 +353,9 @@ class TestPlannerFuzzing:
     @given(grid=_grids(), trace=_traces(min_size=0, max_size=30))
     @settings(max_examples=15, deadline=None)
     def test_fused_numpy_fallbacks_agree_on_tiny_traces(self, grid, trace):
-        with faults.deny_compiler():
+        # the auto pin's fallbacks: the strict c pin refuses instead
+        with pytest.MonkeyPatch.context() as mp, faults.deny_compiler():
+            mp.delenv("REPRO_KERNEL", raising=False)
             fused = {}
             for family in plan_families(grid):
                 fused.update(family_rates(family, trace))
@@ -369,17 +382,19 @@ def bench_traces(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.usefixtures("default_pin")
 class TestParallelDedupe:
     """Satellite: identical (spec, trace) cells are simulated once and
     the rates fanned out to every requesting bench key."""
 
     def test_shared_trace_simulated_once(self, bench_traces, tmp_path):
-        from repro.sim.parallel import TaskPolicy, evaluate_matrix_parallel
+        from repro.sim.parallel import TaskPolicy
+        from repro.sim.runner import evaluate_matrix
 
         shared = bench_traces["gcc"]
         traces = {"run-a": shared, "run-b": shared, "xlisp": bench_traces["xlisp"]}
         with faults.traced(tmp_path / "trace"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS, traces, jobs=2, policy=TaskPolicy(retries=0, backoff=0.0)
             )
 
@@ -394,10 +409,11 @@ class TestParallelDedupe:
             ).misprediction_rate
 
     def test_duplicate_specs_do_not_add_work(self, bench_traces, tmp_path):
-        from repro.sim.parallel import TaskPolicy, evaluate_matrix_parallel
+        from repro.sim.parallel import TaskPolicy
+        from repro.sim.runner import evaluate_matrix
 
         with faults.traced(tmp_path / "trace"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS + SPECS,
                 {"gcc": bench_traces["gcc"]},
                 jobs=2,
@@ -416,7 +432,8 @@ class TestJournalResumeWithFamilies:
     — a partially journalled family resumes cell by cell."""
 
     def test_journalled_cells_survive_family_tasks(self, bench_traces, tmp_path):
-        from repro.sim.parallel import TaskPolicy, evaluate_matrix_parallel
+        from repro.sim.parallel import TaskPolicy
+        from repro.sim.runner import evaluate_matrix
 
         trace = bench_traces["gcc"]
         tkey = trace_key(trace)
@@ -424,7 +441,7 @@ class TestJournalResumeWithFamilies:
         journal = SweepJournal(tmp_path / "fused.jsonl")
         journal.record(tkey, SPECS[0], sentinel)
 
-        result = evaluate_matrix_parallel(
+        result = evaluate_matrix(
             SPECS,
             {"gcc": trace},
             jobs=2,
@@ -446,16 +463,17 @@ class TestJournalResumeWithFamilies:
     def test_interrupted_family_sweep_resumes_bit_identically(
         self, bench_traces, tmp_path
     ):
-        from repro.sim.parallel import TaskPolicy, evaluate_matrix_parallel
+        from repro.sim.parallel import TaskPolicy
+        from repro.sim.runner import evaluate_matrix
 
-        reference = evaluate_matrix_parallel(
+        reference = evaluate_matrix(
             SPECS, bench_traces, jobs=2, policy=TaskPolicy(retries=0, backoff=0.0)
         )
 
         journal = SweepJournal(tmp_path / "resume.jsonl")
         with faults.inject("evaluate:sigint:nth=2"):
             with pytest.raises(KeyboardInterrupt):
-                evaluate_matrix_parallel(
+                evaluate_matrix(
                     SPECS,
                     bench_traces,
                     jobs=1,  # serial: the injected SIGINT hits in-process
@@ -465,7 +483,7 @@ class TestJournalResumeWithFamilies:
         assert len(SweepJournal(journal.path)) > 0
 
         resumed_journal = SweepJournal(journal.path)
-        resumed = evaluate_matrix_parallel(
+        resumed = evaluate_matrix(
             SPECS,
             bench_traces,
             jobs=2,

@@ -567,7 +567,8 @@ class TestDetailedEquivalence:
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_attribution_matches_scalar(self, mode, trace_kind):
+    def test_grid_attribution_matches_scalar(self, mode, trace_kind, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)  # plan by default
         trace = _trace(trace_kind)
         drifted = []
         for family in plan_families(PORTED_GRID):
@@ -691,10 +692,12 @@ class TestDispatch:
     )
     def test_c_pin_without_compiler_raises_in_sweeps(self, spec, monkeypatch):
         """The one strict-pin rule holds for rates and Section 4 alike:
-        no silent fallback from ``REPRO_KERNEL=c`` in either sweep.  The
-        Section-4 sweep quarantines failing cells, so the refusal lands
-        on its failure list instead of a result.  An empty trace is
-        refused too: nothing short-circuits ahead of the pin check."""
+        no silent fallback from ``REPRO_KERNEL=c`` in either sweep.  Both
+        sweeps quarantine failing cells, so the refusal lands on their
+        failure lists instead of a result, and a suite sweep that
+        averages the rates raises it.  An empty trace is refused too:
+        nothing short-circuits ahead of the pin check."""
+        from repro.analysis.sweep import paper_sweep
         from repro.sim.parallel import detailed_matrix
         from repro.sim.runner import evaluate_matrix
         from tests.conftest import make_trace
@@ -703,13 +706,14 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_NO_CC", "1")
         for trace in (_trace("toy"), make_trace([], [], name="empty")):
             traces = {trace.name: trace}
+            for sweep in (evaluate_matrix, detailed_matrix):
+                result = sweep([spec], traces, jobs=1)
+                assert result[spec] == {}
+                (failure,) = result.failures
+                assert failure.error_type == "RuntimeError"
+                assert "REPRO_KERNEL=c" in failure.message
             with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-                evaluate_matrix([spec], traces, jobs=1)
-            result = detailed_matrix([spec], traces, jobs=1)
-            assert result[spec] == {}
-            (failure,) = result.failures
-            assert failure.error_type == "RuntimeError"
-            assert "REPRO_KERNEL=c" in failure.message
+                paper_sweep(traces, kb_points=(1 / 64,), jobs=1)
 
     def test_numpy_pin_degrades_cloop_schemes_to_scalar(self):
         spec = "trimode:dir=5,hist=3,choice=5"
@@ -892,7 +896,7 @@ class TestKillDrillPortedFamily:
     def test_hard_killed_worker_still_lands_on_serial_answer(
         self, monkeypatch, tmp_path
     ):
-        from repro.sim.parallel import TaskPolicy, evaluate_matrix_parallel
+        from repro.sim.parallel import TaskPolicy
         from repro.sim.runner import evaluate_matrix
         from repro.workloads.generator import generate_trace
         from repro.workloads.profiles import get_profile
@@ -905,7 +909,7 @@ class TestKillDrillPortedFamily:
         serial = evaluate_matrix(self.SPECS, traces, jobs=1)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
         with faults.inject("worker:exit:bench=gcc"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 self.SPECS,
                 traces,
                 jobs=2,

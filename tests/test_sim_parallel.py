@@ -8,7 +8,6 @@ from repro.sim.parallel import (
     TaskPolicy,
     TraceRecipe,
     effective_jobs,
-    evaluate_matrix_parallel,
     parallel_jobs,
     recipe_of,
 )
@@ -108,7 +107,7 @@ class TestParallelMatrix:
         serial = evaluate_matrix(
             SPECS, workload_pair, cache=ResultCache(tmp_path / "a"), jobs=1
         )
-        parallel = evaluate_matrix_parallel(
+        parallel = evaluate_matrix(
             SPECS, workload_pair, cache=ResultCache(tmp_path / "b"), jobs=2
         )
         assert parallel == serial
@@ -124,7 +123,7 @@ class TestParallelMatrix:
     def test_recipeless_traces_run_locally(self, tmp_path):
         toys = {"t1": make_toy_trace(length=500, seed=1), "t2": make_toy_trace(length=500, seed=2)}
         toys["t1"].name, toys["t2"].name = "t1", "t2"
-        parallel = evaluate_matrix_parallel(SPECS, toys, jobs=4)
+        parallel = evaluate_matrix(SPECS, toys, jobs=4)
         serial = {
             spec: {b: evaluate_specs([spec], t)[spec] for b, t in toys.items()}
             for spec in SPECS
@@ -134,7 +133,7 @@ class TestParallelMatrix:
     def test_merges_into_cache(self, workload_pair, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         cache = ResultCache(tmp_path / "d")
-        matrix = evaluate_matrix_parallel(SPECS, workload_pair, cache=cache, jobs=2)
+        matrix = evaluate_matrix(SPECS, workload_pair, cache=cache, jobs=2)
         for bench, trace in workload_pair.items():
             for spec in SPECS:
                 assert cache.get(spec, trace_key(trace)) == matrix[spec][bench]
@@ -148,7 +147,7 @@ class TestParallelMatrix:
         poisoned = 0.123456
         for trace in workload_pair.values():
             cache.put_many(trace_key(trace), {spec: poisoned for spec in SPECS})
-        matrix = evaluate_matrix_parallel(SPECS, workload_pair, cache=cache, jobs=2)
+        matrix = evaluate_matrix(SPECS, workload_pair, cache=cache, jobs=2)
         assert all(
             rate == poisoned for rates in matrix.values() for rate in rates.values()
         )
@@ -156,7 +155,7 @@ class TestParallelMatrix:
     def test_progress_covers_every_cell(self, workload_pair, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         calls = []
-        evaluate_matrix_parallel(
+        evaluate_matrix(
             SPECS,
             workload_pair,
             jobs=2,
@@ -180,7 +179,7 @@ class TestSerialFallback:
         monkeypatch.setattr(par, "ProcessPoolExecutor", _no_pool)
         health.clear()
         try:
-            result = par.evaluate_matrix_parallel(SPECS, workload_pair, jobs=2)
+            result = evaluate_matrix(SPECS, workload_pair, jobs=2)
             events = health.events(component="parallel-pool")
         finally:
             health.clear()
@@ -199,7 +198,7 @@ class TestSerialFallback:
         toy.name = "toy"
         mixed = dict(workload_pair)
         mixed["toy"] = toy
-        parallel = evaluate_matrix_parallel(SPECS, mixed, jobs=2)
+        parallel = evaluate_matrix(SPECS, mixed, jobs=2)
         serial = evaluate_matrix(SPECS, mixed, jobs=1)
         assert parallel == serial
         assert parallel.failures == []

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import faults, health
-from repro.sim.parallel import TaskPolicy, TraceRecipe, evaluate_matrix_parallel
+from repro.sim.parallel import TaskPolicy, TraceRecipe
 from repro.sim.runner import evaluate_matrix
 from repro.traces.io import load_npz, save_npz
 from repro.traces.store import GENERATOR_VERSION, TraceStore
@@ -253,7 +253,7 @@ class TestStoreBackedSweeps:
     def test_parallel_recipes_match_serial(self, store, tmp_path):
         serial = evaluate_matrix(SPECS, self._recipes(store), jobs=1)
         with faults.traced(tmp_path / "trace"):
-            parallel = evaluate_matrix_parallel(
+            parallel = evaluate_matrix(
                 SPECS,
                 self._recipes(TraceStore(tmp_path / "store2")),
                 jobs=2,
@@ -273,7 +273,7 @@ class TestStoreBackedSweeps:
         # every fresh worker dies at its first generation attempt; only
         # the in-parent salvage (where exit never fires) can finish
         with faults.inject("materialize:exit:nth=1"):
-            result = evaluate_matrix_parallel(
+            result = evaluate_matrix(
                 SPECS, cold, jobs=2, policy=TaskPolicy(retries=1, backoff=0.0)
             )
         assert result == serial  # bit-identical final table
@@ -287,7 +287,7 @@ class TestStoreBackedSweeps:
         recipes = self._recipes(store)
         evaluate_matrix(SPECS, recipes, jobs=1)  # warms the store
         with faults.traced(tmp_path / "trace"):
-            evaluate_matrix_parallel(
+            evaluate_matrix(
                 SPECS, recipes, jobs=2, policy=TaskPolicy(retries=0, backoff=0.0)
             )
         counts = faults.trace_counts(tmp_path / "trace", site="materialize")
