@@ -161,63 +161,38 @@ def _cmd_list(args) -> int:
 
 def _cmd_kernels(args) -> int:
     """The kernel registry, resolved against this environment: every
-    scheme's tier, whether it has a numpy form or a fused family loop,
-    and the engine the current ``REPRO_KERNEL`` pin actually lands on."""
+    scheme's tier (``lane`` schemes have a numpy form, ``cloop`` schemes
+    only their C loop), whether it has a fused family loop, and the
+    engine the current ``REPRO_KERNEL`` pin actually lands on."""
     from repro.sim import _cstep, kernels
 
     compiled = _cstep.available()
     mode = kernels.kernel_mode()
-    # representative specs for the cloop schemes whose numpy capability
-    # depends on lane knobs (gskew: total update is feedback-free)
-    probes = {
-        "bimode": ("bimode:dir=6",),
-        "gskew": ("gskew:bank=6", "gskew:bank=6,update=total"),
-        "trimode": ("trimode:dir=6",),
-        "yags": ("yags:choice=6,cache=5",),
-        "perceptron": ("perceptron:index=6",),
-    }
 
-    def numpy_form(scheme: str, tier: str) -> str:
-        if tier == "lane":
-            return "yes"
-        entry = kernels.PORTED[scheme]
-        forms = {
-            "yes" if entry.numpy_ok(entry.lane_for_spec(probe)) else "no"
-            for probe in probes[scheme]
-        }
-        return forms.pop() if len(forms) == 1 else "per-config"
-
-    def picks(tier: str, form: str) -> str:
+    def picks(tier: str) -> str:
         if mode == "scalar":
             return "scalar"
         if mode == "c":
             return "c" if compiled else "error (no compiler)"
-        if mode == "auto" and compiled:
+        if compiled:
             return "c"
         # auto without a compiler
-        if form == "yes":
-            return "numpy"
-        if form == "no":
-            return "scalar"
-        return "numpy or scalar (per config)"
+        return "numpy" if tier == "lane" else "scalar"
 
-    def detailed_form(form: str) -> str:
+    def detailed_form(tier: str) -> str:
         # Section-4 attribution runs the same per-lane kernel as rates,
-        # so the numpy form gates both.
-        if form == "yes":
+        # so the tier gates both.
+        if tier == "lane":
             return "c+numpy"
-        if form == "no":
-            return "c" if compiled else "scalar (no compiler)"
-        return "c or c+numpy (per config)"
+        return "c" if compiled else "scalar (no compiler)"
 
     rows = [
         [
             scheme,
             tier,
-            numpy_form(scheme, tier),
             "fused C loop" if kernels.PORTED[scheme].family else "per lane",
-            detailed_form(numpy_form(scheme, tier)),
-            picks(tier, numpy_form(scheme, tier)),
+            detailed_form(tier),
+            picks(tier),
         ]
         for scheme, tier in sorted(kernels.registered_schemes().items())
     ]
@@ -226,7 +201,6 @@ def _cmd_kernels(args) -> int:
             [
                 "scheme",
                 "tier",
-                "numpy form",
                 "family",
                 "detailed",
                 f"REPRO_KERNEL={mode} picks",

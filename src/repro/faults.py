@@ -307,12 +307,14 @@ def corrupt_cache_file(cache, tkey: str, payload: str = "{corrupt! not json") ->
 @contextmanager
 def deny_compiler():
     """Pretend no C compiler exists for the duration of the block."""
-    previous = os.environ.get("REPRO_NO_CC")
-    os.environ["REPRO_NO_CC"] = "1"
+    from repro._cbuild import NO_CC_ENV
+
+    previous = os.environ.get(NO_CC_ENV)
+    os.environ[NO_CC_ENV] = "1"
     try:
         yield
     finally:
         if previous is None:
-            os.environ.pop("REPRO_NO_CC", None)
+            os.environ.pop(NO_CC_ENV, None)
         else:
-            os.environ["REPRO_NO_CC"] = previous
+            os.environ[NO_CC_ENV] = previous

@@ -5,9 +5,12 @@ The bi-mode choice/bank feedback defeats counter-major decomposition
 per-branch automaton; several comparator schemes are the same.  Each
 automaton is ~10 integer operations per branch, so a tiny C loop runs
 it one to two orders of magnitude faster than any Python-level
-stepping.  This module compiles those loops on first use with the
-*system* C compiler — no build system, no installed extension, no new
-dependency — and loads them through :mod:`ctypes`.
+stepping.  This module holds those loops' C source and their ctypes
+bindings; :mod:`repro._cbuild` compiles the source with the *system* C
+compiler on first use, loads it, and remembers why it could not (no
+compiler, ``REPRO_NO_CC=1``, an unloadable object), in which case the
+callers fall back to the pure-numpy / pure-Python paths with
+bit-identical results.
 
 The Section-4 analysis needs every access's (counter, static branch)
 substream.  The gshare and bi-mode detailed loops derive their indices
@@ -17,33 +20,17 @@ table every grouping pass here shares; they emit int32 stream ids and
 per-stream ``{key, total, taken, miss}`` records, never a per-branch
 counter id.  The other schemes' loops write counter ids, which
 :func:`substream_group` groups the same way afterwards.
-
-The driver is strictly optional:
-
-* the shared object is built once into the repro cache directory
-  (keyed by a hash of the C source, so edits rebuild automatically);
-* any failure — no compiler on PATH, sandboxed ``cc``, unloadable
-  object — is remembered and reported via :func:`available`, and the
-  callers fall back to the pure-numpy / pure-Python paths with
-  bit-identical results;
-* ``REPRO_NO_CC=1`` disables the driver outright (used by tests to pin
-  a specific execution strategy, and as an escape hatch on platforms
-  where invoking the compiler is unwanted).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from repro import _cbuild
+from repro._cbuild import ptr as _ptr
 from repro.core.grouping import dense_ranks
 from repro.core.interfaces import SubstreamGrouping
 
@@ -782,283 +769,203 @@ _COMPARATOR_LOOPS = (
     "biasfilter_lane",
 )
 
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_failure: Optional[str] = None
+
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare every entry point's argument and return types."""
+    lib.gshare_detailed.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # imask
+        ctypes.c_int64,  # hmask
+        ctypes.c_void_p,  # PHT
+        ctypes.c_void_p,  # predictions out (nullable)
+        *_GROUPING_ARGS,
+    ]
+    lib.gshare_detailed.restype = ctypes.c_int64
+    lib.bimode_pair.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # dmask
+        ctypes.c_int64,  # dhmask
+        ctypes.c_int64,  # cmask
+        ctypes.c_int64,  # chmask
+        ctypes.c_int,  # full_update
+        ctypes.c_int64,  # bank_size
+        ctypes.c_void_p,  # not-taken bank
+        ctypes.c_void_p,  # taken bank
+        ctypes.c_void_p,  # choice table
+        ctypes.c_void_p,  # predictions out (nullable)
+        *_GROUPING_ARGS,
+    ]
+    lib.bimode_pair.restype = ctypes.c_int64
+    lib.gshare_fused.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_lanes
+        ctypes.c_void_p,  # imask
+        ctypes.c_void_p,  # hmask
+        ctypes.c_void_p,  # base
+        ctypes.c_void_p,  # tables arena
+        ctypes.c_void_p,  # miss out
+    ]
+    lib.gshare_fused.restype = None
+    lib.bimode_fused.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_lanes
+        ctypes.c_void_p,  # dmask
+        ctypes.c_void_p,  # dhmask
+        ctypes.c_void_p,  # cmask
+        ctypes.c_void_p,  # chmask
+        ctypes.c_void_p,  # full_update
+        ctypes.c_void_p,  # nt_base
+        ctypes.c_void_p,  # tk_base
+        ctypes.c_void_p,  # choice_base
+        ctypes.c_void_p,  # tables arena
+        ctypes.c_void_p,  # miss out
+    ]
+    lib.bimode_fused.restype = None
+    lib.counter_lane.argtypes = [
+        ctypes.c_void_p,  # keys
+        ctypes.c_void_p,  # deltas
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # table
+        ctypes.c_int8,  # max_state
+        ctypes.c_void_p,  # observed states out
+    ]
+    lib.counter_lane.restype = None
+    lib.agree_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # imask
+        ctypes.c_int64,  # hmask
+        ctypes.c_int64,  # bmask
+        ctypes.c_void_p,  # agree PHT
+        ctypes.c_void_p,  # biasing bits
+        *_LANE_OUT_ARGS,
+    ]
+    lib.tournament_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # imask
+        ctypes.c_int64,  # mmask
+        ctypes.c_int64,  # component size
+        ctypes.c_void_p,  # bimodal table
+        ctypes.c_void_p,  # gshare table
+        ctypes.c_void_p,  # meta table
+        *_LANE_OUT_ARGS,
+    ]
+    lib.gskew_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # bank_bits
+        ctypes.c_int64,  # hmask
+        ctypes.c_int,  # enhanced
+        ctypes.c_void_p,  # bank 0
+        ctypes.c_void_p,  # bank 1
+        ctypes.c_void_p,  # bank 2
+        *_LANE_OUT_ARGS,
+    ]
+    lib.trimode_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # dmask
+        ctypes.c_int64,  # dhmask
+        ctypes.c_int64,  # cmask
+        ctypes.c_int64,  # bank_size
+        ctypes.c_void_p,  # not-taken bank
+        ctypes.c_void_p,  # taken bank
+        ctypes.c_void_p,  # weak bank
+        ctypes.c_void_p,  # choice table
+        *_LANE_OUT_ARGS,
+    ]
+    lib.yags_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # cmask
+        ctypes.c_int64,  # kmask
+        ctypes.c_int64,  # khmask
+        ctypes.c_int64,  # tag_shift
+        ctypes.c_int64,  # tag_mask
+        ctypes.c_int64,  # choice_size
+        ctypes.c_int64,  # cache_size
+        ctypes.c_void_p,  # choice table
+        ctypes.c_void_p,  # taken-cache tags
+        ctypes.c_void_p,  # taken-cache counters
+        ctypes.c_void_p,  # not-taken-cache tags
+        ctypes.c_void_p,  # not-taken-cache counters
+        *_LANE_OUT_ARGS,
+    ]
+    lib.perceptron_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # pc_mask
+        ctypes.c_int64,  # hist_bits
+        ctypes.c_int64,  # theta
+        ctypes.c_int64,  # w_min
+        ctypes.c_int64,  # w_max
+        ctypes.c_void_p,  # weight arena
+        ctypes.c_void_p,  # predictions out (nullable)
+    ]
+    lib.biasfilter_lane.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # fmask
+        ctypes.c_int64,  # max_run
+        ctypes.c_int64,  # sub_imask
+        ctypes.c_int64,  # sub_hmask
+        ctypes.c_void_p,  # filter direction bits
+        ctypes.c_void_p,  # filter run counters
+        ctypes.c_void_p,  # sub-predictor counter table
+        ctypes.c_void_p,  # predictions out (nullable)
+    ]
+    for name in _COMPARATOR_LOOPS:
+        getattr(lib, name).restype = ctypes.c_int64  # the miss count
+    lib.substream_group.argtypes = [
+        ctypes.c_void_p,  # counter ids
+        ctypes.c_void_p,  # outcomes
+        ctypes.c_void_p,  # mispredicted
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_counters
+        *_GROUPING_ARGS,
+    ]
+    lib.substream_group.restype = ctypes.c_int64
+    lib.pc_first_seen.argtypes = [
+        ctypes.c_void_p,  # pcs
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # first-seen pc id per access out
+        ctypes.c_void_p,  # distinct pcs out
+    ]
+    lib.pc_first_seen.restype = ctypes.c_int64
+    lib.class_changes.argtypes = [
+        ctypes.c_void_p,  # stream id per access
+        ctypes.c_void_p,  # stream counters
+        ctypes.c_void_p,  # stream roles
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # num_streams
+        ctypes.c_int64,  # num_counters
+        ctypes.c_void_p,  # last role per counter
+        ctypes.c_void_p,  # change counts out
+    ]
+    lib.class_changes.restype = ctypes.c_int
 
 
-def _source_digest() -> str:
-    return hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
+_LIB = _cbuild.CLibrary("step", _C_SOURCE, _bind)
 
 
-def _build_dir() -> Path:
-    from repro.workloads.suite import default_cache_dir
-
-    return default_cache_dir() / "ckernel"
-
-
-def _compile(so_path: Path) -> bool:
-    """Build the shared object atomically; False on any failure."""
-    compiler = next(
-        (c for c in ("cc", "gcc", "clang") if shutil.which(c)), None
-    )
-    if compiler is None:
-        return False
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    src = so_path.with_suffix(".c")
-    src.write_text(_C_SOURCE)
-    with tempfile.NamedTemporaryFile(
-        dir=so_path.parent, suffix=".so.tmp", delete=False
-    ) as tmp:
-        tmp_path = Path(tmp.name)
-    try:
-        proc = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp_path), str(src)],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            return False
-        os.replace(tmp_path, so_path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        tmp_path.unlink(missing_ok=True)
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted, _failure
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return None
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        so_path = _build_dir() / f"step-{_source_digest()}.so"
-        if not so_path.exists() and not _compile(so_path):
-            _failure = (
-                "no C compiler on PATH"
-                if not any(shutil.which(c) for c in ("cc", "gcc", "clang"))
-                else "compiler invocation failed"
-            )
-            return None
-        lib = ctypes.CDLL(str(so_path))
-        lib.gshare_detailed.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # imask
-            ctypes.c_int64,  # hmask
-            ctypes.c_void_p,  # PHT
-            ctypes.c_void_p,  # predictions out (nullable)
-            *_GROUPING_ARGS,
-        ]
-        lib.gshare_detailed.restype = ctypes.c_int64
-        lib.bimode_pair.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # dmask
-            ctypes.c_int64,  # dhmask
-            ctypes.c_int64,  # cmask
-            ctypes.c_int64,  # chmask
-            ctypes.c_int,  # full_update
-            ctypes.c_int64,  # bank_size
-            ctypes.c_void_p,  # not-taken bank
-            ctypes.c_void_p,  # taken bank
-            ctypes.c_void_p,  # choice table
-            ctypes.c_void_p,  # predictions out (nullable)
-            *_GROUPING_ARGS,
-        ]
-        lib.bimode_pair.restype = ctypes.c_int64
-        lib.gshare_fused.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_lanes
-            ctypes.c_void_p,  # imask
-            ctypes.c_void_p,  # hmask
-            ctypes.c_void_p,  # base
-            ctypes.c_void_p,  # tables arena
-            ctypes.c_void_p,  # miss out
-        ]
-        lib.gshare_fused.restype = None
-        lib.bimode_fused.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_lanes
-            ctypes.c_void_p,  # dmask
-            ctypes.c_void_p,  # dhmask
-            ctypes.c_void_p,  # cmask
-            ctypes.c_void_p,  # chmask
-            ctypes.c_void_p,  # full_update
-            ctypes.c_void_p,  # nt_base
-            ctypes.c_void_p,  # tk_base
-            ctypes.c_void_p,  # choice_base
-            ctypes.c_void_p,  # tables arena
-            ctypes.c_void_p,  # miss out
-        ]
-        lib.bimode_fused.restype = None
-        lib.counter_lane.argtypes = [
-            ctypes.c_void_p,  # keys
-            ctypes.c_void_p,  # deltas
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # table
-            ctypes.c_int8,  # max_state
-            ctypes.c_void_p,  # observed states out
-        ]
-        lib.counter_lane.restype = None
-        lib.agree_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # imask
-            ctypes.c_int64,  # hmask
-            ctypes.c_int64,  # bmask
-            ctypes.c_void_p,  # agree PHT
-            ctypes.c_void_p,  # biasing bits
-            *_LANE_OUT_ARGS,
-        ]
-        lib.tournament_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # imask
-            ctypes.c_int64,  # mmask
-            ctypes.c_int64,  # component size
-            ctypes.c_void_p,  # bimodal table
-            ctypes.c_void_p,  # gshare table
-            ctypes.c_void_p,  # meta table
-            *_LANE_OUT_ARGS,
-        ]
-        lib.gskew_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # bank_bits
-            ctypes.c_int64,  # hmask
-            ctypes.c_int,  # enhanced
-            ctypes.c_void_p,  # bank 0
-            ctypes.c_void_p,  # bank 1
-            ctypes.c_void_p,  # bank 2
-            *_LANE_OUT_ARGS,
-        ]
-        lib.trimode_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # dmask
-            ctypes.c_int64,  # dhmask
-            ctypes.c_int64,  # cmask
-            ctypes.c_int64,  # bank_size
-            ctypes.c_void_p,  # not-taken bank
-            ctypes.c_void_p,  # taken bank
-            ctypes.c_void_p,  # weak bank
-            ctypes.c_void_p,  # choice table
-            *_LANE_OUT_ARGS,
-        ]
-        lib.yags_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # cmask
-            ctypes.c_int64,  # kmask
-            ctypes.c_int64,  # khmask
-            ctypes.c_int64,  # tag_shift
-            ctypes.c_int64,  # tag_mask
-            ctypes.c_int64,  # choice_size
-            ctypes.c_int64,  # cache_size
-            ctypes.c_void_p,  # choice table
-            ctypes.c_void_p,  # taken-cache tags
-            ctypes.c_void_p,  # taken-cache counters
-            ctypes.c_void_p,  # not-taken-cache tags
-            ctypes.c_void_p,  # not-taken-cache counters
-            *_LANE_OUT_ARGS,
-        ]
-        lib.perceptron_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # pc_mask
-            ctypes.c_int64,  # hist_bits
-            ctypes.c_int64,  # theta
-            ctypes.c_int64,  # w_min
-            ctypes.c_int64,  # w_max
-            ctypes.c_void_p,  # weight arena
-            ctypes.c_void_p,  # predictions out (nullable)
-        ]
-        lib.biasfilter_lane.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # fmask
-            ctypes.c_int64,  # max_run
-            ctypes.c_int64,  # sub_imask
-            ctypes.c_int64,  # sub_hmask
-            ctypes.c_void_p,  # filter direction bits
-            ctypes.c_void_p,  # filter run counters
-            ctypes.c_void_p,  # sub-predictor counter table
-            ctypes.c_void_p,  # predictions out (nullable)
-        ]
-        for name in _COMPARATOR_LOOPS:
-            getattr(lib, name).restype = ctypes.c_int64  # the miss count
-        lib.substream_group.argtypes = [
-            ctypes.c_void_p,  # counter ids
-            ctypes.c_void_p,  # outcomes
-            ctypes.c_void_p,  # mispredicted
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_counters
-            *_GROUPING_ARGS,
-        ]
-        lib.substream_group.restype = ctypes.c_int64
-        lib.pc_first_seen.argtypes = [
-            ctypes.c_void_p,  # pcs
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # first-seen pc id per access out
-            ctypes.c_void_p,  # distinct pcs out
-        ]
-        lib.pc_first_seen.restype = ctypes.c_int64
-        lib.class_changes.argtypes = [
-            ctypes.c_void_p,  # stream id per access
-            ctypes.c_void_p,  # stream counters
-            ctypes.c_void_p,  # stream roles
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # num_streams
-            ctypes.c_int64,  # num_counters
-            ctypes.c_void_p,  # last role per counter
-            ctypes.c_void_p,  # change counts out
-        ]
-        lib.class_changes.restype = ctypes.c_int
-        _lib = lib
-    except OSError as exc:
-        _failure = f"shared object failed to load: {exc}"
-        _lib = None
-    return _lib
-
-
-def available() -> bool:
-    """Whether the compiled driver can be used in this environment."""
-    return _load() is not None
-
-
-def unavailable_reason() -> Optional[str]:
-    """Why the compiled driver cannot run, or ``None`` if it can.
-
-    Feeds the degradation events of the kernel dispatch chain
-    (:mod:`repro.health`): a sweep report can then state *why* cells
-    fell back from the compiled loop to numpy/Python stepping.
-    """
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return "REPRO_NO_CC is set"
-    if _load() is not None:
-        return None
-    return _failure or "compiled driver unavailable"
-
-
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
+available = _LIB.available
+unavailable_reason = _LIB.unavailable_reason
 
 
 def gshare_detailed(
@@ -1080,9 +987,7 @@ def gshare_detailed(
     :func:`substream_group`), each access's PHT slot being its counter.
     Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled gshare driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((table, np.int8),))
@@ -1126,9 +1031,7 @@ def bimode_pair(
     direction counter with taken-bank counters offset by the bank size.
     Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled bi-mode driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     bank_size = len(nt_bank)
@@ -1172,9 +1075,7 @@ def gshare_fused(
     counter arena (updated in place).  Returns the int64 per-lane
     misprediction counts.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled fused gshare driver is not available")
+    lib = _LIB.require()
     num_lanes = len(imask)
     miss = np.zeros(num_lanes, dtype=np.int64)
     _require(((pcs, np.int64), (outcomes, np.uint8)), len(outcomes))
@@ -1216,9 +1117,7 @@ def bimode_fused(
     (updated in place).  Returns the int64 per-lane misprediction
     counts.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled fused bi-mode driver is not available")
+    lib = _LIB.require()
     num_lanes = len(dmask)
     miss = np.zeros(num_lanes, dtype=np.int64)
     _require(((pcs, np.int64), (outcomes, np.uint8)), len(outcomes))
@@ -1269,9 +1168,7 @@ def counter_lane(
     *observed* (before its own delta) — prediction semantics belong to
     the caller.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled counter driver is not available")
+    lib = _LIB.require()
     n = len(keys)
     states = np.empty(n, dtype=np.int8)
     _require(((keys, np.int64), (deltas, np.int8)), n)
@@ -1317,9 +1214,7 @@ def agree_lane(
     ``cids`` (int64 PHT slots) of ``len(outcomes)`` entries and returns
     the misprediction count.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled agree driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((table, np.int8),))
@@ -1360,9 +1255,7 @@ def tournament_lane(
     component's counter, gshare ids offset by the component size) and
     returns the misprediction count.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled tournament driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((a_table, np.int8), (b_table, np.int8)), len(a_table))
@@ -1402,9 +1295,7 @@ def gskew_lane(
     bank number) and returns the misprediction count.  Call only when
     :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled gskew driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((banks, np.int8),))
@@ -1451,9 +1342,7 @@ def trimode_lane(
     direction counter, bank b offset by ``b * bank_size``) and returns
     the misprediction count.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled tri-mode driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((nt_bank, np.int8), (tk_bank, np.int8), (wk_bank, np.int8)), len(nt_bank))
@@ -1507,9 +1396,7 @@ def yags_lane(
     (int64: choice table, then taken cache, then not-taken cache) and
     returns the misprediction count.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled YAGS driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((choice, np.int8),))
@@ -1563,9 +1450,7 @@ def perceptron_lane(
     place.  Fills the optional uint8 ``preds`` and returns the
     misprediction count.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled perceptron driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     if not 0 <= hist_bits <= 64:
@@ -1606,9 +1491,7 @@ def biasfilter_lane(
     and returns the misprediction count.  Call only when
     :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled bias-filter driver is not available")
+    lib = _LIB.require()
     n = len(outcomes)
     _require(((pcs, np.int64), (outcomes, np.uint8)), n)
     _require(((dirs, np.uint8), (runs, np.int8)), 1 << filter_bits)
@@ -1736,9 +1619,7 @@ def substream_group(
     outside ``[0, num_counters)`` or a pc code outside the distinct pcs
     raises ``ValueError``.  Call only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled substream driver is not available")
+    lib = _LIB.require()
     n = len(counter_ids)
     _require(((counter_ids, np.int64), (taken, np.bool_), (mispredicted, np.bool_)), n)
     group = _Grouping(pc_codes, n, num_counters)
@@ -1762,9 +1643,7 @@ def pc_codes(pcs: np.ndarray):
     ``np.unique(pcs, return_inverse=True)``, with int32 codes.  Call
     only when :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled pc coder is not available")
+    lib = _LIB.require()
     if pcs.dtype not in (np.int64, np.uint64):
         raise ValueError(f"expected int64 or uint64 pcs, got {pcs.dtype}")
     _require(((pcs, pcs.dtype),))
@@ -1799,9 +1678,7 @@ def class_changes(
     ``[0, num_counters)`` raises ``ValueError``.  Call only when
     :func:`available`.
     """
-    lib = _load()
-    if lib is None:  # pragma: no cover - callers gate on available()
-        raise RuntimeError("compiled class-change driver is not available")
+    lib = _LIB.require()
     num_streams = len(stream_counter)
     _require(((access_stream, np.int32),))
     _require(((stream_counter, np.int64), (stream_role, np.int8)), num_streams)

@@ -1,8 +1,9 @@
 """Append-only sweep journal: crash-safe resume for long sweeps.
 
-The result cache (:class:`repro.sim.runner.ResultCache`) batches its
-writes — inside a ``deferred()`` block a SIGINT can lose every rate
-computed since the last flush, and a paper-scale Figure-3/Figure-4
+The result cache (:class:`repro.sim.runner.ResultCache`) writes a
+trace key's table once per computed batch, and keeps a table whose
+write failed dirty until a later flush — so a SIGINT can lose every
+rate computed since the last write, and a paper-scale Figure-3/Figure-4
 sweep holds hours of work in that window.  The journal closes the gap:
 every completed ``(trace key, spec) -> rate`` cell is appended to a
 JSONL file *as it completes*, with one ``O_APPEND`` write (plus fsync)
@@ -22,9 +23,9 @@ journals each cell's compact analysis summary so interrupted breakdown
 sweeps resume without re-running any attribution simulation.
 
 :meth:`SweepJournal.guard` additionally installs SIGINT/SIGTERM
-handlers for the duration of a sweep that flush the deferred result
-cache before the signal is re-delivered, so even the cache loses
-nothing on a polite kill.
+handlers for the duration of a sweep that flush the result cache's
+dirty tables (writes that failed once) before the signal is
+re-delivered, so even the cache loses nothing on a polite kill.
 """
 
 from __future__ import annotations
@@ -219,9 +220,10 @@ class SweepJournal:
     def guard(self, cache=None):
         """SIGINT/SIGTERM-safe region around a sweep.
 
-        On either signal the deferred result cache is flushed first,
-        then the interruption proceeds normally (``KeyboardInterrupt``
-        for SIGINT, ``SystemExit(128 + signum)`` for SIGTERM).  Outside
+        On either signal the result cache's dirty tables are flushed
+        first, then the interruption proceeds normally
+        (``KeyboardInterrupt`` for SIGINT, ``SystemExit(128 + signum)``
+        for SIGTERM).  Outside
         the main thread — where Python forbids installing handlers —
         this degrades to a no-op wrapper; the journal itself is already
         durable line-by-line.

@@ -32,10 +32,8 @@ Dispatch
 attribution alike (``REPRO_NO_CC=1`` vetoes the compiler):
 
 * ``auto`` (default) — compiled loops when a C compiler is available;
-  otherwise each scheme's numpy form, and the schemes whose update
-  feeds predictor state back into training (bi-mode, e-gskew,
-  tri-mode, YAGS, the perceptron), which have no counter-major form,
-  their scalar reference (degradations health-reported);
+  otherwise the ``lane`` tier's numpy forms and the ``cloop`` tier's
+  scalar ``step()`` reference (degradations health-reported);
 * ``c`` — compiled loops or ``RuntimeError`` (no silent fallback);
 * ``scalar`` — everything through the scalar engine (the fused planner
   routes every spec to the scalar family, with the pin as the reason).
@@ -46,11 +44,17 @@ Engine tiers
 :func:`repro.core.registry.available_schemes` to its declared tier:
 
 * ``"lane"`` — compiled loop + numpy form (counter-major scans, the
-  bias-filter decomposition, the statics' vectorized one-shots);
+  bias-filter decomposition, the statics' vectorized one-shots): gshare,
+  bimodal, the two-level family, the bias filter and the statics;
 * ``"cloop"`` — compiled per-access loop only (scalar fallback when no
-  compiler): bi-mode, e-gskew's partial update, tri-mode, YAGS,
-  perceptron;
+  compiler): bi-mode and the comparators agree, gskew, tournament,
+  tri-mode, YAGS and perceptron;
 * ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
+
+The tier alone decides the no-compiler engine.  The ``no-cc`` benchmark
+workload runs gshare's numpy lane and bi-mode's scalar engine; no
+workload rates a comparator without a compiler, so each comparator
+keeps only its C loop.
 
 Every entry has one per-lane kernel, ``detailed(lane, trace, engine,
 hist_cache) -> (predictions, counter_ids)``; rates count the misses of
@@ -119,7 +123,6 @@ class KernelEntry:
     scheme: str
     tier: str  # "lane" (c+numpy) | "cloop" (c only, scalar fallback)
     lane_for_spec: Callable[[str], Optional[object]]
-    numpy_ok: Callable[[object], bool]  # lane -> numpy engine exists?
     #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
     #: (predictions, counter_ids)``, bit-identical to the predictor's
     #: step-driven ``simulate_detailed`` loop.  It serves Section-4
@@ -141,20 +144,11 @@ class KernelEntry:
     substreams: Optional[Callable[..., SubstreamGrouping]] = None
 
 
-def _always(lane: object) -> bool:
-    return True
-
-
-def _never(lane: object) -> bool:
-    return False
-
-
 _TWOLEVEL = {
     scheme: KernelEntry(
         scheme=scheme,
         tier="lane",
         lane_for_spec=_lanes.twolevel_lane_for_spec,
-        numpy_ok=_always,
         detailed=_lanes.twolevel_detailed,
     )
     for scheme in ("gag", "gas", "gap", "gselect", "pag", "pas", "pap")
@@ -166,7 +160,6 @@ PORTED: Dict[str, KernelEntry] = {
         "gshare",
         "lane",
         _gshare.lane_for_spec,
-        _always,
         _gshare.gshare_detailed,
         rates=_gshare.gshare_rate,
         family=_gshare.gshare_family_rates,
@@ -176,22 +169,18 @@ PORTED: Dict[str, KernelEntry] = {
         "bimode",
         "cloop",
         _bimode.bimode_lane_for_spec,
-        # the selected bank depends on the live choice counters: no
-        # counter-major form exists
-        _never,
         _bimode.bimode_detailed,
         family=_bimode.bimode_family_rates,
         substreams=_bimode.bimode_substreams,
     ),
     "bimodal": KernelEntry(
-        "bimodal", "lane", _lanes.bimodal_lane_for_spec, _always, _lanes.bimodal_detailed
+        "bimodal", "lane", _lanes.bimodal_lane_for_spec, _lanes.bimodal_detailed
     ),
     **_TWOLEVEL,
     "agree": KernelEntry(
         "agree",
-        "lane",
+        "cloop",
         _lanes.agree_lane_for_spec,
-        _always,
         _lanes.agree_detailed,
         family=_lanes.agree_family_rates,
     ),
@@ -199,16 +188,13 @@ PORTED: Dict[str, KernelEntry] = {
         "gskew",
         "cloop",
         _lanes.gskew_lane_for_spec,
-        # total-update gskew is feedback-free, e-gskew is not
-        lambda lane: not lane.enhanced,
         _lanes.gskew_detailed,
         family=_lanes.gskew_family_rates,
     ),
     "tournament": KernelEntry(
         "tournament",
-        "lane",
+        "cloop",
         _lanes.tournament_lane_for_spec,
-        _always,
         _lanes.tournament_detailed,
         family=_lanes.tournament_family_rates,
     ),
@@ -216,7 +202,6 @@ PORTED: Dict[str, KernelEntry] = {
         "trimode",
         "cloop",
         _lanes.trimode_lane_for_spec,
-        _never,
         _lanes.trimode_detailed,
         family=_lanes.trimode_family_rates,
     ),
@@ -224,7 +209,6 @@ PORTED: Dict[str, KernelEntry] = {
         "yags",
         "cloop",
         _lanes.yags_lane_for_spec,
-        _never,
         _lanes.yags_detailed,
         family=_lanes.yags_family_rates,
     ),
@@ -233,9 +217,6 @@ PORTED: Dict[str, KernelEntry] = {
         "perceptron",
         "cloop",
         _lanes.perceptron_lane_for_spec,
-        # the threshold gate reads the trained dot product: training
-        # feeds back into training, so no counter-major form exists
-        _never,
         _lanes.perceptron_detailed,
         family=_lanes.perceptron_family_rates,
     ),
@@ -243,7 +224,6 @@ PORTED: Dict[str, KernelEntry] = {
         "biasfilter",
         "lane",
         _lanes.biasfilter_lane_for_spec,
-        _always,
         _lanes.biasfilter_detailed,
         family=_lanes.biasfilter_family_rates,
     ),
@@ -252,7 +232,6 @@ PORTED: Dict[str, KernelEntry] = {
             scheme=scheme,
             tier="lane",
             lane_for_spec=_lanes.static_lane_for_spec,
-            numpy_ok=_always,
             detailed=_lanes.static_detailed,
         )
         for scheme in ("always-taken", "always-not-taken", "btfnt")
@@ -460,15 +439,13 @@ def _dispatch(
             engines.append("scalar")
         elif mode == "c" or (mode == "auto" and compiled):
             engines.append("c")
-        elif entry.numpy_ok(lane):
+        elif entry.tier == "lane":
             engines.append("numpy")
             if mode == "auto":
                 reasons.append(_cstep.unavailable_reason() or "")
         else:
             engines.append("scalar")
-            reasons.append(
-                f"no numpy kernel for {entry.scheme} (sequential update feedback)"
-            )
+            reasons.append(f"no numpy kernel for {entry.scheme} (compiled loop only)")
     reason = next((r for r in reasons if r), "")
     for engine in dict.fromkeys(engines):
         health.engine_used(

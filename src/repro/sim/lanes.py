@@ -19,24 +19,20 @@ path applies.
   register, counts its mispredictions in-loop, and writes per-branch
   predictions and counter ids only when a caller asks for them.  The
   ``*_family_rates`` hooks rate a whole family that way, with no
-  per-branch stream at all.  E-gskew's partial update, tri-mode's and
-  YAGS's bank/cache selection and the perceptron's threshold gate feed
-  predictor state back into training, which defeats counter-major
-  decomposition exactly like bi-mode's choice feedback: those schemes
-  have no numpy form.
-* **counter-major schemes** — bimodal (any counter width), the whole
-  two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp), and the numpy
-  forms of agree, total-update gskew and the tournament.  None of these
-  feed predictions back into their own index or training streams, so
-  every per-access counter id and training delta is precomputable from
-  ``(pcs, outcomes)`` alone and the remaining sequential work is
-  exactly one saturating-counter automaton per table.  That automaton
-  runs through the shared compiled loop
+  per-branch stream at all.  Apart from the bias filter these schemes
+  are compiled-only (the ``cloop`` tier of :mod:`repro.sim.kernels`):
+  without a compiler the registry runs their scalar ``step()``
+  reference.
+* **counter-major schemes** — bimodal (any counter width) and the
+  whole two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp).  None
+  of these feed predictions back into their own index or training
+  streams, so every per-access counter id and training delta is
+  precomputable from ``(pcs, outcomes)`` alone and the remaining
+  sequential work is exactly one saturating-counter automaton per
+  table.  That automaton runs through the shared compiled loop
   (:func:`repro.sim._cstep.counter_lane`) or the counter-major
   segmented scan (:func:`repro.sim.batch.counter_scan`) — the same
   machinery, and the same bit-exactness argument, as the gshare kernel.
-  The numpy forms are the ``REPRO_NO_CC`` engine of agree,
-  gskew-total and the tournament.
 * **second-wave lane schemes** — the bias filter (over a gshare or
   bimodal sub-predictor) and the three static schemes
   (always-taken / always-not-taken / btfnt).  The statics are pure
@@ -53,20 +49,6 @@ earlier occurrences of the PCs mapping to it.  The kernel groups
 accesses by BHT slot with the stable counting sort and assembles each
 access's history word from the previous ``hist_bits`` outcomes *within
 its group* — fully vectorized, one pass per history bit.
-
-**Agree.**  The biasing bit of a slot is invalid until the slot's first
-dynamic occurrence *updates*, and that first update sets it to the
-branch outcome.  At prediction time access ``i`` therefore sees bias
-``False`` if no earlier access touched its slot (including at the first
-occurrence itself), else the outcome of the slot's first occurrence.
-The counters train toward ``bias == outcome`` — at a first occurrence
-that is ``True`` by construction, matching ``AgreePredictor.update``
-which sets the bias before computing agreement.
-
-**Tournament.**  Both components are feedback-free (bimodal + gshare),
-so in the numpy form their prediction streams come from two counter
-scans; the meta table then trains with deltas in ``{-1, 0, +1}`` (0
-when the components agree), which the generalized scan supports.
 
 **Bias filter.**  The filter automaton (direction bit + saturating run
 counter per slot) evolves from ``(pcs, outcomes)`` alone — after every
@@ -735,6 +717,14 @@ def twolevel_detailed(
     return pre >= 2, keys
 
 
+# -- compiled-loop kernels ----------------------------------------------------------
+
+
+def _compiled_only(scheme: str, engine: str) -> None:
+    if engine != "c":
+        raise ValueError(f"unsupported {scheme} engine {engine!r}")
+
+
 def agree_detailed(
     lane: AgreeLane,
     trace: BranchTrace,
@@ -743,64 +733,8 @@ def agree_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed agree-PHT slot IS
     the id (the biasing bits are not counters)."""
-    if engine == "c":
-        return _c_detailed(_agree_c, lane, trace)
-    n = len(trace)
-    outcomes = trace.outcomes
-    histories = _hist(trace, lane.hist_bits, hist_cache)
-    keys = gshare_index_stream(
-        trace.pcs, histories, lane.index_bits, lane.hist_bits
-    ).astype(np.int64)
-
-    # First dynamic occurrence of each biasing slot; every later access
-    # sees that occurrence's outcome as its bias, earlier (and the first
-    # occurrence itself) the power-on False of an invalid slot.
-    slots = (trace.pcs & mask(lane.bias_bits)).astype(np.int64)
-    first = np.full(1 << lane.bias_bits, n, dtype=np.int64)
-    np.minimum.at(first, slots, np.arange(n, dtype=np.int64))
-    first_of_slot = first[slots]  # <= own position for every access
-    bias_after_update = outcomes[first_of_slot]
-    bias_at_predict = np.where(
-        first_of_slot < np.arange(n, dtype=np.int64), bias_after_update, False
-    )
-
-    agreed = bias_after_update == outcomes  # True at first occurrences
-    pre = _observed_states(
-        keys, _train_deltas(agreed), 1 << lane.index_bits, WEAKLY_TAKEN, 3, engine
-    )
-    return (pre >= 2) == bias_at_predict, keys
-
-
-def _rotate_stream(values: np.ndarray, amount: int, bits: int) -> np.ndarray:
-    """Vectorized ``gskew._rotate``: left-rotate within a bits-wide word."""
-    if bits == 0:
-        return np.zeros_like(values)
-    amount %= bits
-    m = mask(bits)
-    values = values & m
-    return ((values << amount) | (values >> (bits - amount))) & m
-
-
-def _gskew_index_streams(
-    lane: GSkewLane, trace: BranchTrace, hist_cache: Optional[Dict[int, np.ndarray]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    bits = lane.bank_bits
-    pcs = trace.pcs.astype(np.int64, copy=False)
-    if bits == 0:
-        zero = np.zeros(len(trace), dtype=np.int64)
-        return zero, zero, zero
-    m = mask(bits)
-    pc_lo = pcs & m
-    pc_hi = (pcs >> bits) & m
-    hist = _hist(trace, lane.hist_bits, hist_cache) & m
-    i0 = pc_lo ^ hist
-    i1 = _rotate_stream(pc_lo, 1, bits) ^ _rotate_stream(hist, bits // 2, bits) ^ pc_hi
-    i2 = (
-        _rotate_stream(pc_lo, 2, bits)
-        ^ _rotate_stream(hist, (2 * bits) // 3, bits)
-        ^ _rotate_stream(pc_hi, 1, bits)
-    )
-    return i0, i1, i2
+    _compiled_only("agree", engine)
+    return _c_detailed(_agree_c, lane, trace)
 
 
 def gskew_detailed(
@@ -812,28 +746,8 @@ def gskew_detailed(
     """``(predictions, counter_ids)``: the prediction is attributed to
     the first (lowest-numbered) bank voting with the majority, bank ``k``
     offset by ``k * bank_size``."""
-    if engine == "c":
-        return _c_detailed(_gskew_c, lane, trace)
-    if engine != "numpy" or lane.enhanced:
-        # e-gskew's partial update feeds bank state back into which
-        # banks train; no counter-major form exists.
-        raise ValueError(f"unsupported gskew engine {engine!r} for {lane}")
-    deltas = _train_deltas(trace.outcomes)
-    size = 1 << lane.bank_bits
-    streams = _gskew_index_streams(lane, trace, hist_cache)
-    votes = [
-        _observed_states(keys, deltas, size, WEAKLY_TAKEN, 3, "numpy") >= 2
-        for keys in streams
-    ]
-    majority = (
-        votes[0].astype(np.int8) + votes[1].astype(np.int8) + votes[2].astype(np.int8)
-    ) >= 2
-    cids = np.where(
-        votes[0] == majority,
-        streams[0],
-        np.where(votes[1] == majority, size + streams[1], 2 * size + streams[2]),
-    )
-    return majority, cids
+    _compiled_only("gskew", engine)
+    return _c_detailed(_gskew_c, lane, trace)
 
 
 def tournament_detailed(
@@ -844,40 +758,8 @@ def tournament_detailed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the *selected* component's
     counter, gshare (component b) ids offset by the bimodal's size."""
-    if engine == "c":
-        return _c_detailed(_tournament_c, lane, trace)
-    outcomes = trace.outcomes
-    deltas = _train_deltas(outcomes)
-    a_keys = (trace.pcs & mask(lane.index_bits)).astype(np.int64)
-    histories = _hist(trace, lane.index_bits, hist_cache)
-    b_keys = gshare_index_stream(
-        trace.pcs, histories, lane.index_bits, lane.index_bits
-    ).astype(np.int64)
-    size = 1 << lane.index_bits
-    pred_a = _observed_states(a_keys, deltas, size, WEAKLY_TAKEN, 3, engine) >= 2
-    pred_b = _observed_states(b_keys, deltas, size, WEAKLY_TAKEN, 3, engine) >= 2
-
-    # Meta trains toward "trust b" only on component disagreement.
-    meta_keys = (trace.pcs & mask(lane.meta_bits)).astype(np.int64)
-    meta_deltas = np.where(
-        pred_a == pred_b, 0, np.where(pred_b == outcomes, 1, -1)
-    ).astype(np.int8)
-    pre_meta = _observed_states(
-        meta_keys, meta_deltas, 1 << lane.meta_bits, WEAKLY_TAKEN, 3, engine
-    )
-    select_b = pre_meta >= 2
-    return (
-        np.where(select_b, pred_b, pred_a),
-        np.where(select_b, size + b_keys, a_keys),
-    )
-
-
-# -- sequential (compiled-loop) kernels -------------------------------------------
-
-
-def _compiled_only(scheme: str, engine: str) -> None:
-    if engine != "c":
-        raise ValueError(f"unsupported {scheme} engine {engine!r}")
+    _compiled_only("tournament", engine)
+    return _c_detailed(_tournament_c, lane, trace)
 
 
 def trimode_detailed(

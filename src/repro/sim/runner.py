@@ -30,7 +30,6 @@ import hashlib
 import json
 import logging
 import os
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -100,16 +99,14 @@ class ResultCache:
     contention across benchmarks.  Writes are atomic (temp file +
     ``os.replace``), so a reader — or a concurrent sweep worker's
     merge — can never observe a half-written table.  Batch producers
-    should use :meth:`put_many` or the :meth:`deferred` context manager:
-    ``put`` alone rewrites the trace's file on every cell, which is
-    O(cells²) bytes over a sweep.
+    should use :meth:`put_many`: ``put`` alone rewrites the trace's
+    file on every cell, which is O(cells²) bytes over a sweep.
     """
 
     def __init__(self, root: Optional[Path] = None):
         self.root = (Path(root) if root is not None else default_cache_dir()) / "results"
         self._loaded: Dict[str, Dict[str, float]] = {}
         self._dirty: Set[str] = set()
-        self._defer_writes = False
 
     def _path(self, tkey: str) -> Path:
         return self.root / f"{tkey}.json"
@@ -185,8 +182,7 @@ class ResultCache:
             return
         self._table(tkey).update(rates)
         self._dirty.add(tkey)
-        if not self._defer_writes:
-            self.flush()
+        self.flush()
 
     def flush(self) -> List[str]:
         """Write every dirty per-trace table atomically.
@@ -224,21 +220,6 @@ class ResultCache:
                 )
         self._dirty = set(failed)
         return failed
-
-    @contextmanager
-    def deferred(self):
-        """Batch all writes inside the block into one flush per trace.
-
-        Re-entrant: the outermost block flushes.
-        """
-        outermost = not self._defer_writes
-        self._defer_writes = True
-        try:
-            yield self
-        finally:
-            if outermost:
-                self._defer_writes = False
-                self.flush()
 
 
 def evaluate_specs(

@@ -4,10 +4,10 @@
 event replay (phase-boundary draws, loop draws, jump checks) plus numpy
 assembly.  The replay is inherently sequential — every draw comes from
 one shared Mersenne-Twister stream — so its cost is pure Python
-interpreter overhead, ~1 µs per event.  This module compiles that loop
-with the system C compiler, exactly like :mod:`repro.sim._cstep` does
-for the bi-mode automaton: no build system, no new dependency, shared
-object cached under the repro cache directory and loaded via ctypes.
+interpreter overhead, ~1 µs per event.  This module holds that loop's
+C source; :mod:`repro._cbuild` compiles it with the system C compiler
+and loads it via ctypes, as it does the predictor loops of
+:mod:`repro.sim._cstep`.
 
 Bit-identity with the Python replay (and therefore with
 ``Program.run``) rests on three pillars:
@@ -26,23 +26,20 @@ Bit-identity with the Python replay (and therefore with
   degrades to the pure-Python replay instead of corrupting traces.
 
 ``REPRO_NO_CC=1`` disables the driver (tests use it to pin the Python
-path); any compile/load failure is remembered and surfaced through
-:func:`unavailable_reason` for the health report.
+path); any build, load or self-test failure is remembered and surfaced
+through :func:`unavailable_reason` for the health report.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from pathlib import Path
 from random import Random
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro import _cbuild
+from repro._cbuild import ptr as _ptr
 
 __all__ = [
     "available",
@@ -308,57 +305,6 @@ void corr_sweep(const int64_t *part, const uint8_t *flip,
 }
 """
 
-_lib: Optional[ctypes.CDLL] = None
-_load_attempted = False
-_failure: Optional[str] = None
-
-
-def _source_digest() -> str:
-    return hashlib.sha1(_C_SOURCE.encode()).hexdigest()[:16]
-
-
-def _build_dir() -> Path:
-    from repro.workloads.suite import default_cache_dir
-
-    return default_cache_dir() / "ckernel"
-
-
-def _compile(so_path: Path) -> bool:
-    """Build the shared object atomically; False on any failure."""
-    compiler = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-    if compiler is None:
-        return False
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    src = so_path.with_suffix(".c")
-    src.write_text(_C_SOURCE)
-    with tempfile.NamedTemporaryFile(
-        dir=so_path.parent, suffix=".so.tmp", delete=False
-    ) as tmp:
-        tmp_path = Path(tmp.name)
-    try:
-        proc = subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-shared",
-                "-fPIC",
-                "-o",
-                str(tmp_path),
-                str(src),
-                "-lm",
-            ],
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            return False
-        os.replace(tmp_path, so_path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        tmp_path.unlink(missing_ok=True)
-
 
 def _mt_state(rng: Random) -> Tuple[np.ndarray, int]:
     """Extract (624 MT words, cursor) from a ``random.Random``."""
@@ -366,8 +312,9 @@ def _mt_state(rng: Random) -> Tuple[np.ndarray, int]:
     return np.asarray(state[:624], dtype=np.uint32), int(state[624])
 
 
-def _selftest(lib: ctypes.CDLL) -> bool:
-    """Draw from both implementations and require exact agreement."""
+def _selftest(lib: ctypes.CDLL) -> Optional[str]:
+    """Draw from both implementations and require exact agreement;
+    the reason to refuse the driver, or ``None``."""
     rng = Random(0xC0FFEE)
     words, pos = _mt_state(rng)
     nd, ni, nrv = 512, 256, 256
@@ -384,61 +331,29 @@ def _selftest(lib: ctypes.CDLL) -> bool:
         outr.ctypes.data_as(ctypes.c_void_p),
         ctypes.c_int64(nrv),
     )
-    if any(outd[i] != rng.random() for i in range(nd)):
-        return False
-    if any(outi[i] != rng.randint(-3, 3) for i in range(ni)):
-        return False
     lambd = 1.0 / 12.0
-    return all(outr[i] == round(rng.expovariate(lambd)) for i in range(nrv))
+    if (
+        any(outd[i] != rng.random() for i in range(nd))
+        or any(outi[i] != rng.randint(-3, 3) for i in range(ni))
+        or any(outr[i] != round(rng.expovariate(lambd)) for i in range(nrv))
+    ):  # pragma: no cover - platform-dependent
+        return "MT19937 replication self-test failed"
+    return None
 
 
-def _load() -> Optional[ctypes.CDLL]:
-    global _lib, _load_attempted, _failure
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return None
-    if _load_attempted:
-        return _lib
-    _load_attempted = True
-    try:
-        so_path = _build_dir() / f"fastgen-{_source_digest()}.so"
-        if not so_path.exists() and not _compile(so_path):
-            _failure = (
-                "no C compiler on PATH"
-                if not any(shutil.which(c) for c in ("cc", "gcc", "clang"))
-                else "compiler invocation failed"
-            )
-            return None
-        lib = ctypes.CDLL(str(so_path))
-        lib.fastgen_events.restype = ctypes.c_int64
-        lib.corr_sweep.restype = None
-        lib.mt_selftest.restype = None
-        if not _selftest(lib):  # pragma: no cover - platform-dependent
-            _failure = "MT19937 replication self-test failed"
-            _lib = None
-            return None
-        _lib = lib
-    except OSError as exc:  # pragma: no cover - environment-dependent
-        _failure = f"shared object failed to load: {exc}"
-        _lib = None
-    return _lib
+def _bind(lib: ctypes.CDLL) -> Optional[str]:
+    """Declare the return types, then run the self-test."""
+    lib.fastgen_events.restype = ctypes.c_int64
+    lib.corr_sweep.restype = None
+    lib.mt_selftest.restype = None
+    return _selftest(lib)
 
 
-def available() -> bool:
-    """Whether the compiled event-pass driver can be used."""
-    return _load() is not None
+_LIB = _cbuild.CLibrary("fastgen", _C_SOURCE, _bind, flags=("-lm",))
 
 
-def unavailable_reason() -> Optional[str]:
-    """Why the compiled driver cannot run, or ``None`` if it can."""
-    if os.environ.get("REPRO_NO_CC", "").strip() not in ("", "0"):
-        return "REPRO_NO_CC is set"
-    if _load() is not None:
-        return None
-    return _failure or "compiled driver unavailable"
-
-
-def _ptr(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
+available = _LIB.available
+unavailable_reason = _LIB.unavailable_reason
 
 
 def events(
@@ -455,7 +370,7 @@ def events(
     (its state is copied out, the object itself is not advanced — the
     caller must not reuse it either way).
     """
-    lib = _load()
+    lib = _LIB.load()
     if lib is None:
         return None
     words, pos = _mt_state(rng)
@@ -536,7 +451,7 @@ def corr_sweep(
     m: int,
 ) -> Optional[np.ndarray]:
     """Resolve ``m`` correlated elements in C; uint8 values or ``None``."""
-    lib = _load()
+    lib = _LIB.load()
     if lib is None:
         return None
     # The C loop walks raw pointers with unit stride; np.nonzero on a 2-D

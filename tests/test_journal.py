@@ -203,15 +203,18 @@ class TestForName:
 class TestGuard:
     def test_sigint_flushes_cache_then_interrupts(self, journal, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        # Defer writes *without* the context manager, so the signal
+        # A directory squatting on the table path fails the first write,
+        # so the table stays dirty; once the path is clear, the signal
         # handler installed by guard() is the only thing that can flush.
-        cache._defer_writes = True
+        blocker = tmp_path / "cache" / "results" / "tkey.json"
+        blocker.mkdir(parents=True)
+        cache.put_many("tkey", {"spec": 0.5})
+        blocker.rmdir()
         with pytest.raises(KeyboardInterrupt):
             with journal.guard(cache):
-                cache.put("spec", "tkey", 0.5)
                 assert ResultCache(tmp_path / "cache").get("spec", "tkey") is None
                 os.kill(os.getpid(), signal.SIGINT)
-        # the handler flushed the deferred cache before interrupting
+        # the handler retried the failed write before interrupting
         assert ResultCache(tmp_path / "cache").get("spec", "tkey") == 0.5
 
     def test_sigterm_raises_systemexit(self, journal):

@@ -349,7 +349,10 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind):
+    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind, monkeypatch):
+        # the engine is the explicit ``mode``; a REPRO_KERNEL=scalar pin
+        # would route the whole plan to the scalar family
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         trace = _trace(trace_kind)
         drifted = []
         for family in plan_families(PORTED_GRID):
@@ -715,34 +718,36 @@ class TestDispatch:
             with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
                 paper_sweep(traces, kb_points=(1 / 64,), jobs=1)
 
-    def test_numpy_pin_degrades_cloop_schemes_to_scalar(self):
-        spec = "trimode:dir=5,hist=3,choice=5"
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "trimode:dir=5,hist=3,choice=5",
+            "perceptron:index=5,hist=6",
+            "agree:index=6,hist=6",
+            "gskew:bank=5,hist=5,update=total",
+            "tournament:index=6,meta=5",
+        ],
+        ids=lambda spec: spec.split(":", 1)[0],
+    )
+    def test_numpy_pin_degrades_cloop_schemes_to_scalar(self, spec):
+        """The comparators keep only their C loop (cloop tier), so the
+        numpy engine runs their scalar reference — health-reported,
+        bit-exact."""
         kind, lane = kernels.kernel_for_spec(spec)
         rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="trimode-kernel")
+        (event,) = health.events(component=f"{kind}-kernel")
         assert event.actual == "scalar"
         assert event.severity == "degraded"
         assert "no numpy kernel" in event.reason
         assert rates == [_scalar_rate(spec, "toy")]
 
     def test_numpy_pin_keeps_counter_major_on_numpy(self):
-        spec = "tournament:index=6,meta=5"
-        kind, lane = kernels.kernel_for_spec(spec)
-        kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="tournament-kernel")
-        assert event.actual == "numpy"
-        assert event.severity == "info"
-
-    def test_numpy_pin_degrades_perceptron_to_scalar(self):
-        """Perceptron training feeds back into training — cloop tier,
-        so the numpy engine must degrade it (health-reported), bit-exact."""
-        spec = "perceptron:index=5,hist=6"
+        spec = "gas:hist=4,select=2"
         kind, lane = kernels.kernel_for_spec(spec)
         rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="perceptron-kernel")
-        assert event.actual == "scalar"
-        assert event.severity == "degraded"
-        assert "no numpy kernel" in event.reason
+        (event,) = health.events(component="gas-kernel")
+        assert event.actual == "numpy"
+        assert event.severity == "info"
         assert rates == [_scalar_rate(spec, "toy")]
 
     def test_numpy_pin_keeps_biasfilter_on_numpy(self):
@@ -790,13 +795,13 @@ class TestDispatch:
 
     def test_auto_without_compiler_degrades_with_reason(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        spec = "agree:index=6,hist=6"
+        spec = "bimodal:index=6"
         kind, lane = kernels.kernel_for_spec(spec)
         baseline = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
         health.clear()
         with faults.deny_compiler():
             denied = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
-            (event,) = health.events(component="agree-kernel")
+            (event,) = health.events(component="bimodal-kernel")
             assert event.expected == "c"
             assert event.actual == "numpy"
             assert event.severity == "degraded"

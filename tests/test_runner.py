@@ -57,29 +57,10 @@ class TestResultCacheBatching:
         cache.put_many("tkey", {})
         assert not (tmp_path / "results").exists()
 
-    def test_deferred_batches_writes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with cache.deferred():
-            cache.put("a", "tkey", 0.1)
-            cache.put("b", "tkey", 0.2)
-            assert not (tmp_path / "results" / "tkey.json").exists()
-        data = json.loads((tmp_path / "results" / "tkey.json").read_text())
-        assert data == {"a": 0.1, "b": 0.2}
-
-    def test_deferred_is_reentrant(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with cache.deferred():
-            with cache.deferred():
-                cache.put("a", "tkey", 0.1)
-            # inner exit must not flush — only the outermost block does
-            assert not (tmp_path / "results" / "tkey.json").exists()
-        assert (tmp_path / "results" / "tkey.json").exists()
-
     def test_flush_leaves_no_temp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with cache.deferred():
-            cache.put_many("t1", {"a": 0.1})
-            cache.put_many("t2", {"b": 0.2})
+        cache.put_many("t1", {"a": 0.1})
+        cache.put_many("t2", {"b": 0.2})
         names = sorted(p.name for p in (tmp_path / "results").iterdir())
         assert names == ["t1.json", "t2.json"]
 
@@ -195,13 +176,16 @@ class TestResultCache:
 
     def test_flush_failure_keeps_other_tables(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with cache.deferred():
-            cache.put("spec", "ok", 0.1)
-            cache.put("spec", "blocked", 0.2)
-            # a directory squatting on the table path makes os.replace fail
-            (tmp_path / "results").mkdir(parents=True, exist_ok=True)
-            (tmp_path / "results" / "blocked.json").mkdir()
-        # the deferred exit flushed: the healthy table landed …
+        # a directory squatting on a table path makes os.replace fail
+        (tmp_path / "results").mkdir(parents=True)
+        (tmp_path / "results" / "ok.json").mkdir()
+        cache.put_many("ok", {"spec": 0.1})
+        assert cache._dirty == {"ok"}
+        (tmp_path / "results" / "ok.json").rmdir()
+        (tmp_path / "results" / "blocked.json").mkdir()
+        # one flush retries "ok" and fails "blocked", sorted first
+        cache.put_many("blocked", {"spec": 0.2})
+        # the failing table did not stop the healthy one landing …
         assert ResultCache(tmp_path).get("spec", "ok") == 0.1
         # … the blocked one failed but stayed dirty for a later retry
         assert cache._dirty == {"blocked"}
@@ -214,9 +198,8 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         (tmp_path / "results").mkdir(parents=True)
         (tmp_path / "results" / "t1.json").mkdir()
-        with cache.deferred():
-            cache.put("spec", "t1", 0.5)
-        failed = cache.flush()  # retry outside the deferred block
+        cache.put_many("t1", {"spec": 0.5})
+        failed = cache.flush()  # the retry fails again
         assert failed == ["t1"]
         from repro import health
 
@@ -229,8 +212,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         (tmp_path / "results").mkdir(parents=True)
         (tmp_path / "results" / "t1.json").mkdir()
-        with cache.deferred():
-            cache.put("spec", "t1", 0.5)
+        cache.put_many("t1", {"spec": 0.5})
         leftovers = [
             p for p in (tmp_path / "results").iterdir() if ".tmp" in p.name
         ]
