@@ -20,11 +20,11 @@ Environment knobs:
   use e.g. 0.1 for a quick smoke pass of the whole harness).
 * ``REPRO_JOBS`` — worker processes for sweep-shaped benches (default
   serial; ``0``/``auto`` means one per CPU).
-* ``REPRO_KERNEL`` — kernel engine pin (``auto``/``c``/``scalar``,
-  default ``auto``) for every spec family of a grid
-  (:mod:`repro.sim.kernels`), with ``REPRO_NO_CC=1`` vetoing the
-  compiler.  The figure benches inherit it through ``evaluate_matrix``
-  and ``detailed_matrix``; results are bit-identical under every pin.
+* ``REPRO_NO_CC`` — the one kernel engine switch: ``1`` vetoes the C
+  compiler, so every spec family of a grid (:mod:`repro.sim.kernels`)
+  runs its numpy form or its scalar ``step()`` reference.  The figure
+  benches inherit it through ``evaluate_matrix`` and
+  ``detailed_matrix``; results are bit-identical either way.
 * ``REPRO_RESUME`` — resume interrupted figure sweeps from their
   journal (default ``1``; set ``0`` to discard a stale journal and
   start the sweep from scratch).

@@ -19,9 +19,9 @@ The heavy lifting is fused: the sweep planner (:mod:`repro.sim.fused`)
 groups the whole spec grid into families — every gshare cell of a sweep
 (the 1PHT points and the whole ``gshare.best`` candidate family) is one
 family, every bi-mode cell another — and each family runs through its
-kernel registry entry (:mod:`repro.sim.kernels`, ``REPRO_KERNEL``): one
-compiled pass over each trace with per-spec in-loop reduction, or,
-without a compiler, gshare's counter-major numpy lanes and bi-mode's
+kernel registry entry (:mod:`repro.sim.kernels`): one compiled pass
+over each trace with per-spec in-loop reduction, or, without a compiler
+(``REPRO_NO_CC=1``), gshare's counter-major numpy lanes and bi-mode's
 scalar loop.  The (spec, benchmark) matrix can be split across worker
 processes with ``jobs`` / ``$REPRO_JOBS`` (:mod:`repro.sim.parallel`).
 All engines return bit-identical rates to the scalar reference engine

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Tuple
 
 from repro.analysis.report import ascii_chart, ascii_table, format_rate, write_csv
 from repro.analysis.sweep import paper_sweep
@@ -82,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "kernels",
-        help="kernel registry: per-scheme tier and which engine "
-        "REPRO_KERNEL picks in this environment",
+        help="kernel registry: per-scheme tier, the engine this process "
+        "picks and the form each family runs in",
     )
 
     stats = sub.add_parser("stats", help="Table 2: branch counts per benchmark")
@@ -160,51 +161,34 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    """The kernel registry, resolved against this environment: every
-    scheme's tier (``lane`` schemes have a numpy form, ``cloop`` schemes
-    only their C loop), whether it has a fused family loop, and the
-    engine the current ``REPRO_KERNEL`` pin actually lands on."""
-    from repro.sim import _cstep, kernels
+    """The kernel registry, resolved against this process: every
+    scheme's tier (without a compiler, ``lane`` schemes run their numpy
+    form and ``cloop`` schemes their scalar ``step()`` reference), the
+    engine the dispatch picks, and the form a family's rates and
+    Section-4 attribution actually run in."""
+    from repro.sim import _cstep, kernels, lanes
 
     compiled = _cstep.available()
-    mode = kernels.kernel_mode()
 
-    def picks(tier: str) -> str:
-        if mode == "scalar":
-            return "scalar"
-        if mode == "c":
-            return "c" if compiled else "error (no compiler)"
-        if compiled:
-            return "c"
-        # auto without a compiler
-        return "numpy" if tier == "lane" else "scalar"
+    def forms(entry, engine: str) -> Tuple[str, str]:
+        if entry.detailed is lanes.static_detailed:
+            return ("vectorized (any engine)",) * 2
+        if engine != "c":
+            form = "step() per lane" if engine == "scalar" else "numpy per lane"
+            return form, form
+        # sim/lanes.py holds the per-lane loops; gshare's and bi-mode's
+        # family hooks advance every lane in one pass
+        fused = entry.family is not None and entry.family.__module__ != lanes.__name__
+        detailed = "grouping C loop per lane" if entry.substreams else "C loop per lane"
+        return ("fused C loop" if fused else "C loop per lane"), detailed
 
-    def detailed_form(tier: str) -> str:
-        # Section-4 attribution runs the same per-lane kernel as rates,
-        # so the tier gates both.
-        if tier == "lane":
-            return "c+numpy"
-        return "c" if compiled else "scalar (no compiler)"
-
-    rows = [
-        [
-            scheme,
-            tier,
-            "fused C loop" if kernels.PORTED[scheme].family else "per lane",
-            detailed_form(tier),
-            picks(tier),
-        ]
-        for scheme, tier in sorted(kernels.registered_schemes().items())
-    ]
+    rows = []
+    for scheme, tier in sorted(kernels.registered_schemes().items()):
+        engine = kernels.default_engine(tier)
+        rows.append([scheme, tier, engine, *forms(kernels.PORTED[scheme], engine)])
     print(
         ascii_table(
-            [
-                "scheme",
-                "tier",
-                "family",
-                "detailed",
-                f"REPRO_KERNEL={mode} picks",
-            ],
+            ["scheme", "tier", "engine", "family rates", "detailed"],
             rows,
             title="kernel registry",
         )

@@ -420,15 +420,18 @@ int64_t perceptron_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
  * filtered access is answered by the filter's direction bit and hidden
  * from the sub-predictor ENTIRELY: its table does not train and its
  * history register is not pushed, matching the scalar design note.
- * biasfilter_lane instantiates this body twice, once with NULL preds:
- * with a per-access `if (preds)` the loop runs out of registers, and
- * its rate-only pass measured ~15% slower than the store it skips. */
+ * A cid is the filter slot of a filtered access, else the
+ * sub-predictor's counter offset by the filter size (fmask + 1).
+ * biasfilter_lane instantiates this body twice, once with NULL outputs:
+ * with per-access `if (preds)` tests the loop runs out of registers,
+ * and its rate-only pass measured ~15% slower than the stores it
+ * skips. */
 static inline __attribute__((always_inline)) int64_t
 biasfilter_run(const int64_t *pcs, const uint8_t *o, int64_t n,
                int64_t fmask, int64_t max_run,
                int64_t sub_imask, int64_t sub_hmask,
                uint8_t *dirs, int8_t *runs, int8_t *sub_table,
-               uint8_t *preds)
+               uint8_t *preds, int64_t *cids)
 {
     int64_t miss = 0;
     uint64_t h = 0;
@@ -440,10 +443,12 @@ biasfilter_run(const int64_t *pcs, const uint8_t *o, int64_t n,
         uint8_t fin;
         if (run >= max_run) {
             fin = dirs[slot];
+            if (cids) cids[t] = slot;
         } else {
             int64_t idx = (pc & sub_imask) ^ (int64_t)(h & (uint64_t)sub_hmask);
             int8_t s = sub_table[idx];
             fin = s >= 2;
+            if (cids) cids[t] = fmask + 1 + idx;
             sub_table[idx] = sat2(s, taken);
             h = (h << 1) | taken;
         }
@@ -463,13 +468,13 @@ int64_t biasfilter_lane(const int64_t *pcs, const uint8_t *o, int64_t n,
                         int64_t fmask, int64_t max_run,
                         int64_t sub_imask, int64_t sub_hmask,
                         uint8_t *dirs, int8_t *runs, int8_t *sub_table,
-                        uint8_t *preds)
+                        uint8_t *preds, int64_t *cids)
 {
-    if (!preds)
+    if (!preds && !cids)
         return biasfilter_run(pcs, o, n, fmask, max_run, sub_imask, sub_hmask,
-                              dirs, runs, sub_table, 0);
+                              dirs, runs, sub_table, 0, 0);
     return biasfilter_run(pcs, o, n, fmask, max_run, sub_imask, sub_hmask,
-                          dirs, runs, sub_table, preds);
+                          dirs, runs, sub_table, preds, cids);
 }
 
 /* First-seen hash table shared by the Section-4 grouping passes: an
@@ -928,7 +933,7 @@ def _bind(lib: ctypes.CDLL) -> None:
         ctypes.c_void_p,  # filter direction bits
         ctypes.c_void_p,  # filter run counters
         ctypes.c_void_p,  # sub-predictor counter table
-        ctypes.c_void_p,  # predictions out (nullable)
+        *_LANE_OUT_ARGS,
     ]
     for name in _COMPARATOR_LOOPS:
         getattr(lib, name).restype = ctypes.c_int64  # the miss count
@@ -1481,15 +1486,17 @@ def biasfilter_lane(
     runs: np.ndarray,
     sub_table: np.ndarray,
     preds: Optional[np.ndarray] = None,
+    cids: Optional[np.ndarray] = None,
 ) -> int:
     """Run one bias-filter pair through the compiled loop.
 
     ``pcs`` is int64, ``outcomes`` uint8; ``dirs`` (uint8) and ``runs``
     (int8) are the filter state, ``sub_table`` the int8 2-bit-counter
     table of the sub-predictor (gshare when ``sub_hist_bits > 0``, else
-    bimodal), all updated in place.  Fills the optional uint8 ``preds``
-    and returns the misprediction count.  Call only when
-    :func:`available`.
+    bimodal), all updated in place.  Fills the optional ``preds``
+    (uint8) and ``cids`` (int64: the filter slot of a filtered access,
+    else ``(1 << filter_bits)`` plus the sub-predictor's counter) and
+    returns the misprediction count.  Call only when :func:`available`.
     """
     lib = _LIB.require()
     n = len(outcomes)
@@ -1509,7 +1516,7 @@ def biasfilter_lane(
         _ptr(dirs),
         _ptr(runs),
         _ptr(sub_table),
-        _lane_outputs(n, preds, None)[0],
+        *_lane_outputs(n, preds, cids),
     )
 
 

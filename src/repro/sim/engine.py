@@ -11,10 +11,10 @@ caller that only wants the rate of a fresh predictor should use
 Detailed (Section-4) simulation from power-on state shares the sweeps'
 dispatch: the predictor's canonical spec
 (:func:`repro.sim.kernels.spec_for_predictor`) goes through
-:func:`repro.sim.kernels.family_detailed`, with the engine chosen by
-``REPRO_KERNEL`` exactly as for sweeps.  Every fallback to the scalar
-loop is reported through :mod:`repro.health`; ``REPRO_KERNEL=c``
-without a compiler raises ``RuntimeError`` instead.
+:func:`repro.sim.kernels.family_detailed`, with the engine chosen
+exactly as for sweeps — by the scheme's tier and whether a compiler is
+available (``REPRO_NO_CC=1`` vetoes it).  Every fallback to the scalar
+loop is reported through :mod:`repro.health`.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ def run_detailed(
     Parameters mirror :func:`run`: ``warmup`` branches still train the
     predictor but are excluded from the returned result (and from the
     attribution arrays).  With ``reset=True`` (the default) a predictor
-    with a spec form runs through the kernel registry per
-    ``$REPRO_KERNEL``, on fresh tables: its own state is left as it
-    was.  ``reset=False`` continues live predictor state, which only the
-    per-branch loop can.  Results are bit-identical either way.
+    with a spec form runs through the kernel registry, on fresh tables:
+    its own state is left as it was.  ``reset=False`` continues live
+    predictor state, which only the per-branch loop can.  Results are
+    bit-identical either way.
     """
     from repro import health
     from repro.sim import kernels

@@ -21,11 +21,9 @@ form the **scalar** family.  These run per-cell through the scalar
 engine; falling off the batched path is reported as a health
 degradation so the CLI's coalesced summary shows exactly which schemes
 did not batch, and bias-filter sub-predictor vetoes are named
-explicitly (:func:`repro.sim.kernels.planner_vetoes`).
-
-``REPRO_KERNEL=scalar`` pins the *planner* too: every spec routes to
-the scalar family with the pin named as the degradation reason.  Every
-other engine choice happens inside the registry, per the same pin.
+explicitly (:func:`repro.sim.kernels.planner_vetoes`).  Every engine
+choice happens inside the registry, from each kind's tier and whether a
+compiler is available (``REPRO_NO_CC=1`` vetoes it).
 
 Families split only on *kind*: two gshare specs never land in separate
 families, because nothing about them prevents sharing the pass.  The
@@ -76,17 +74,12 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
 
     Duplicate specs collapse to one lane (the grid's answer is the same
     cell); order within a family follows first appearance.  Returns
-    only non-empty families, in registry order, scalar last.  Under
-    ``REPRO_KERNEL=scalar`` everything routes to the scalar family.
+    only non-empty families, in registry order, scalar last.
     """
-    scalar_pin = kernels.kernel_mode() == "scalar"
     groups: Dict[str, List[Tuple[str, object]]] = {
         kind: [] for kind in kernels.family_order()
     }
     for spec in dict.fromkeys(specs):
-        if scalar_pin:
-            groups["scalar"].append((spec, None))
-            continue
         kind, lane = kernels.kernel_for_spec(spec)
         groups[kind].append((spec, lane))
     return [
@@ -101,10 +94,8 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
 
 
 def _scalar_reason(specs: Sequence[str]) -> str:
-    """Why a family runs scalar: the pin, or the unfusable schemes
-    (with any bias-filter sub-predictor veto reported by name)."""
-    if kernels.kernel_mode() == "scalar":
-        return "REPRO_KERNEL=scalar pin"
+    """Why a family runs scalar: the unfusable schemes (with any
+    bias-filter sub-predictor veto reported by name)."""
     kernels.planner_vetoes(specs)
     schemes = sorted({spec.split(":", 1)[0] for spec in specs})
     return "unfusable scheme(s): " + ", ".join(schemes)

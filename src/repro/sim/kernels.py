@@ -20,49 +20,39 @@ kind* plus a parsed lane description.  Kinds are:
   empty keeps it that way.
 
 ``family_rates(kind, specs, lanes, trace)`` and ``family_detailed``
-evaluate one family, choosing the engine per the ``REPRO_KERNEL`` pin
-and reporting every dispatch decision through :mod:`repro.health`
-(component ``"<kind>-kernel"``).  ``engine.run_detailed`` shares this
-dispatch: it resolves a live predictor's spec and calls
-:func:`family_detailed`.
+evaluate one family and report every dispatch decision through
+:mod:`repro.health` (component ``"<kind>-kernel"``).
+``engine.run_detailed`` shares this dispatch: it resolves a live
+predictor's spec and calls :func:`family_detailed`.
 
 Dispatch
 --------
-``REPRO_KERNEL`` is the one dispatch pin, for rates and Section-4
-attribution alike (``REPRO_NO_CC=1`` vetoes the compiler):
+The engine is a function of the scheme's tier and of whether this
+process has a compiler (``REPRO_NO_CC=1`` vetoes it), for rates and
+Section-4 attribution alike; no environment variable pins it.
 
-* ``auto`` (default) — compiled loops when a C compiler is available;
-  otherwise the ``lane`` tier's numpy forms and the ``cloop`` tier's
-  scalar ``step()`` reference (degradations health-reported);
-* ``c`` — compiled loops or ``RuntimeError`` (no silent fallback);
-* ``scalar`` — everything through the scalar engine (the fused planner
-  routes every spec to the scalar family, with the pin as the reason).
-
-Engine tiers
-------------
-``registered_schemes()`` maps every scheme name of
-:func:`repro.core.registry.available_schemes` to its declared tier:
-
-* ``"lane"`` — compiled loop + numpy form (counter-major scans, the
-  bias-filter decomposition, the statics' vectorized one-shots): gshare,
-  bimodal, the two-level family, the bias filter and the statics;
-* ``"cloop"`` — compiled per-access loop only (scalar fallback when no
-  compiler): bi-mode and the comparators agree, gskew, tournament,
-  tri-mode, YAGS and perceptron;
+* ``"lane"`` — compiled loop, or its numpy form without a compiler
+  (counter-major scans): gshare, bimodal and the two-level family; the
+  statics' one vectorized form ignores the engine;
+* ``"cloop"`` — compiled per-access loop, or the scalar ``step()``
+  reference without a compiler: bi-mode and the comparators agree,
+  gskew, tournament, tri-mode, YAGS, perceptron and the bias filter;
 * ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
 
-The tier alone decides the no-compiler engine.  The ``no-cc`` benchmark
-workload runs gshare's numpy lane and bi-mode's scalar engine; no
-workload rates a comparator without a compiler, so each comparator
-keeps only its C loop.
+Running anything but the compiled loop is a health-reported
+degradation.  The ``no-cc`` benchmark workload runs gshare's numpy lane
+and bi-mode's scalar engine; no workload rates a comparator without a
+compiler, so each comparator keeps only its C loop.  In-process callers
+may ask for one engine by ``mode=`` (``"c"``, ``"numpy"`` or
+``"scalar"``): the differential layer replays the engines that way, and
+the tests reach the scalar reference through it.
 
 Every entry has one per-lane kernel, ``detailed(lane, trace, engine,
 hist_cache) -> (predictions, counter_ids)``; rates count the misses of
 its predictions unless a faster hook applies.  A ``family`` hook is
 what the compiled engine uses for rates: gshare and bi-mode advance
 every lane of a family in one fused C loop, and the seven compiled
-comparators (agree, gskew, tournament, tri-mode, YAGS, perceptron,
-bias filter) run each lane's C loop over the raw trace with no
+comparators run each lane's C loop over the raw trace with no
 per-branch buffer, counting misses in-loop.  Gshare's ``rates`` hook
 counts a numpy lane's misses in closed form from its counter runs.  A
 ``substreams`` hook — a compiled per-lane loop that groups accesses
@@ -77,7 +67,6 @@ fails CI by construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -94,7 +83,7 @@ __all__ = [
     "SCALAR_ONLY",
     "BIASFILTER_SUBS",
     "KernelEntry",
-    "kernel_mode",
+    "default_engine",
     "kernel_for_spec",
     "spec_for_predictor",
     "registered_schemes",
@@ -121,7 +110,7 @@ class KernelEntry:
     """One registered scheme: how to parse its specs and run its lanes."""
 
     scheme: str
-    tier: str  # "lane" (c+numpy) | "cloop" (c only, scalar fallback)
+    tier: str  # "lane" (c, numpy fallback) | "cloop" (c, scalar fallback)
     lane_for_spec: Callable[[str], Optional[object]]
     #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
     #: (predictions, counter_ids)``, bit-identical to the predictor's
@@ -222,7 +211,7 @@ PORTED: Dict[str, KernelEntry] = {
     ),
     "biasfilter": KernelEntry(
         "biasfilter",
-        "lane",
+        "cloop",
         _lanes.biasfilter_lane_for_spec,
         _lanes.biasfilter_detailed,
         family=_lanes.biasfilter_family_rates,
@@ -239,15 +228,6 @@ PORTED: Dict[str, KernelEntry] = {
 }
 
 
-def kernel_mode() -> str:
-    """The ``REPRO_KERNEL`` pin: ``auto`` (default), ``c`` or
-    ``scalar``."""
-    mode = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "c", "scalar"):
-        raise ValueError(f"REPRO_KERNEL must be auto/c/scalar, got {mode!r}")
-    return mode
-
-
 def family_order() -> Tuple[str, ...]:
     """Every family kind, in planner order (scalar last)."""
     return (*PORTED, "scalar")
@@ -257,9 +237,8 @@ def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     """Resolve a spec to ``(kind, lane)``; ``("scalar", None)`` when no
     lane kernel covers it.
 
-    Resolution is structural only — the ``REPRO_KERNEL`` pin changes
-    which *engine* runs a family, not which family a spec belongs to
-    (except ``scalar``, which the planner applies before ever asking).
+    Resolution is structural only: the engine that runs a family is
+    picked later, by :func:`family_rates` / :func:`family_detailed`.
     A spec whose knobs a lane parser rejects (out-of-range geometry,
     unknown options) falls to scalar so the scalar constructor can
     raise its original, descriptive error.
@@ -406,56 +385,55 @@ def registered_schemes() -> Dict[str, str]:
 # -- family evaluation --------------------------------------------------------------
 
 
-def _dispatch(
-    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: Optional[str]
-) -> Tuple[KernelEntry, List[str], str]:
-    """Resolve one family's per-lane engines, health-report them under
-    ``"<kind>-kernel"``, and return ``(entry, engines, fallback_reason)``.
+#: The engines an in-process caller may ask for; ``auto`` is the default
+#: dispatch.
+_MODES = ("auto", "c", "numpy", "scalar")
 
-    ``mode`` defaults to the ``REPRO_KERNEL`` pin; an explicit
-    ``"numpy"`` picks what ``REPRO_NO_CC=1`` picks under ``auto`` (the
-    differential layer replays both engines in one process that way).
-    In ``auto`` the expected engine is the compiled loop, so running
+
+def default_engine(tier: str) -> str:
+    """The engine the default dispatch runs a ``tier`` on in this
+    process: ``c`` when a compiler is available, else the ``lane`` tier's
+    numpy form or the ``cloop`` tier's scalar ``step()`` reference."""
+    if _cstep.available():
+        return "c"
+    return "numpy" if tier == "lane" else "scalar"
+
+
+def _dispatch(
+    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: str
+) -> Tuple[KernelEntry, str, str]:
+    """Resolve one family's engine, health-report it under
+    ``"<kind>-kernel"``, and return ``(entry, engine, fallback_reason)``.
+
+    Under ``auto`` the expected engine is the compiled loop, so running
     anything slower surfaces as a degradation with the compiler's
-    absence (or the scheme's missing numpy form) as the reason.
+    absence (or the scheme's missing numpy form) as the reason.  An
+    explicit ``"numpy"`` picks what a vetoed compiler picks under
+    ``auto``; ``"c"`` and ``"scalar"`` run that engine.
     """
     from repro import health
 
     if len(specs) != len(lanes):
         raise ValueError("specs and lanes must be parallel")
+    if mode not in _MODES:
+        raise ValueError(f"kernel mode must be one of {_MODES}, got {mode!r}")
     entry = PORTED[kind]
-    mode = kernel_mode() if mode is None else mode
-    compiled = _cstep.available()
-    if mode == "c" and not compiled:
-        raise RuntimeError(
-            "REPRO_KERNEL=c but no compiled driver is available "
-            "(no C compiler, or REPRO_NO_CC is set)"
-        )
     expected = "c" if mode == "auto" else mode
-    engines: List[str] = []
-    reasons: List[str] = []
-    for lane in lanes:
-        if mode == "scalar":
-            engines.append("scalar")
-        elif mode == "c" or (mode == "auto" and compiled):
-            engines.append("c")
-        elif entry.tier == "lane":
-            engines.append("numpy")
-            if mode == "auto":
-                reasons.append(_cstep.unavailable_reason() or "")
-        else:
-            engines.append("scalar")
-            reasons.append(f"no numpy kernel for {entry.scheme} (compiled loop only)")
-    reason = next((r for r in reasons if r), "")
-    for engine in dict.fromkeys(engines):
-        health.engine_used(
-            f"{kind}-kernel",
-            engine,
-            expected=expected,
-            cells=engines.count(engine),
-            reason=reason if engine != expected else "",
-        )
-    return entry, engines, reason
+    if mode == "auto":
+        engine = default_engine(entry.tier)
+    elif mode == "numpy" and entry.tier != "lane":
+        engine = "scalar"
+    else:
+        engine = mode
+    reason = ""
+    if engine == "scalar" and mode != "scalar":
+        reason = f"no numpy kernel for {entry.scheme} (compiled loop only)"
+    elif engine == "numpy" and mode == "auto":
+        reason = _cstep.unavailable_reason() or ""
+    health.engine_used(
+        f"{kind}-kernel", engine, expected=expected, cells=len(specs), reason=reason
+    )
+    return entry, engine, reason
 
 
 def family_detailed(
@@ -463,7 +441,7 @@ def family_detailed(
     specs: Sequence[str],
     lanes: Sequence[object],
     trace: BranchTrace,
-    mode: Optional[str] = None,
+    mode: str = "auto",
     pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> list:
     """Section-4 attribution of every lane of one family.
@@ -476,8 +454,7 @@ def family_detailed(
     :class:`~repro.core.interfaces.SubstreamGrouping` that loop emits
     instead (no per-access array but the int32 stream ids); the
     Section-4 analysis reads either.
-    Engine choice per lane follows ``REPRO_KERNEL`` (or an explicit
-    ``mode``) exactly like :func:`family_rates`; dispatch is
+    The engine follows the dispatch of :func:`family_rates`; it is
     health-reported under ``"<kind>-kernel"``, and whether the lanes
     ran batched or on the scalar loop under ``"detailed-kernel"``.
     Each lane runs its own pass and the family returns every lane's row
@@ -488,20 +465,16 @@ def family_detailed(
     from repro import health
     from repro.core.registry import make_predictor
 
-    entry, engines, reason = _dispatch(kind, specs, lanes, mode)
-    scalar = engines.count("scalar")
-    if scalar < len(engines):
-        health.engine_used("detailed-kernel", "batch", cells=len(engines) - scalar)
-    if scalar:
-        health.engine_used(
-            "detailed-kernel",
-            "scalar",
-            expected="batch",
-            cells=scalar,
-            reason=reason or "REPRO_KERNEL=scalar pin",
-        )
+    entry, engine, reason = _dispatch(kind, specs, lanes, mode)
+    health.engine_used(
+        "detailed-kernel",
+        "scalar" if engine == "scalar" else "batch",
+        expected="scalar" if mode == "scalar" else "batch",
+        cells=len(specs),
+        reason=reason,
+    )
     out: list = []
-    for spec, lane, engine in zip(specs, lanes, engines):
+    for spec, lane in zip(specs, lanes):
         if engine == "c" and pc_codes is not None and entry.substreams is not None:
             out.append(entry.substreams(lane, trace, pc_codes))
             continue
@@ -529,30 +502,31 @@ def family_rates(
     specs: Sequence[str],
     lanes: Sequence[object],
     trace: BranchTrace,
-    mode: Optional[str] = None,
+    mode: str = "auto",
 ) -> List[float]:
     """Misprediction rate of every lane of one family.
 
-    When every lane runs compiled and the entry has a ``family`` hook,
-    that hook rates the family: gshare and bi-mode in one fused pass,
-    the compiled comparators one in-loop-counting pass per lane, none
-    of them writing a per-branch stream.  Otherwise each lane goes
-    through its direct ``rates`` hook, or counts the misses of its
-    ``detailed`` predictions.  Scalar lanes run the scalar engine.
+    Under the compiled engine an entry with a ``family`` hook rates the
+    family through it: gshare and bi-mode in one fused pass, the
+    compiled comparators one in-loop-counting pass per lane, none of
+    them writing a per-branch stream.  Otherwise each lane goes through
+    its direct ``rates`` hook, or counts the misses of its ``detailed``
+    predictions; the scalar engine runs each spec's ``step()``
+    reference.
     """
     from repro.core.registry import make_predictor
     from repro.sim.engine import run
 
-    entry, engines, _ = _dispatch(kind, specs, lanes, mode)
+    entry, engine, _ = _dispatch(kind, specs, lanes, mode)
     n = len(trace)
     if n == 0:
         return [0.0 for _ in specs]
-    if entry.family is not None and set(engines) == {"c"}:
+    if engine == "c" and entry.family is not None:
         return entry.family(list(lanes), trace)
     outcomes = trace.outcomes
     hist_cache: Dict[int, np.ndarray] = {}
     out: List[float] = []
-    for spec, lane, engine in zip(specs, lanes, engines):
+    for spec, lane in zip(specs, lanes):
         if engine == "scalar":
             preds = run(make_predictor(spec), trace).predictions
         elif entry.rates is not None:

@@ -19,10 +19,10 @@ path applies.
   register, counts its mispredictions in-loop, and writes per-branch
   predictions and counter ids only when a caller asks for them.  The
   ``*_family_rates`` hooks rate a whole family that way, with no
-  per-branch stream at all.  Apart from the bias filter these schemes
-  are compiled-only (the ``cloop`` tier of :mod:`repro.sim.kernels`):
-  without a compiler the registry runs their scalar ``step()``
-  reference.
+  per-branch stream at all.  These schemes are compiled-only (the
+  ``cloop`` tier of :mod:`repro.sim.kernels`): without a compiler
+  (``REPRO_NO_CC=1``, the one engine switch) the registry runs their
+  scalar ``step()`` reference.
 * **counter-major schemes** — bimodal (any counter width) and the
   whole two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp).  None
   of these feed predictions back into their own index or training
@@ -30,16 +30,12 @@ path applies.
   precomputable from ``(pcs, outcomes)`` alone and the remaining
   sequential work is exactly one saturating-counter automaton per
   table.  That automaton runs through the shared compiled loop
-  (:func:`repro.sim._cstep.counter_lane`) or the counter-major
-  segmented scan (:func:`repro.sim.batch.counter_scan`) — the same
-  machinery, and the same bit-exactness argument, as the gshare kernel.
-* **second-wave lane schemes** — the bias filter (over a gshare or
-  bimodal sub-predictor) and the three static schemes
-  (always-taken / always-not-taken / btfnt).  The statics are pure
-  vectorized one-shots; the bias filter's numpy form decomposes (see
-  below) into the per-slot grouping machinery plus one counter
-  automaton over the *unfiltered* subsequence, which serves its
-  per-access predictions and attribution under both engines.
+  (:func:`repro.sim._cstep.counter_lane`) or, without a compiler, the
+  counter-major segmented scan (:func:`repro.sim.batch.counter_scan`)
+  — the same machinery, and the same bit-exactness argument, as the
+  gshare kernel.
+* **statics** — always-taken / always-not-taken / btfnt: pure
+  vectorized one-shots that serve every engine.
 
 Scheme-specific notes
 ---------------------
@@ -50,20 +46,9 @@ accesses by BHT slot with the stable counting sort and assembles each
 access's history word from the previous ``hist_bits`` outcomes *within
 its group* — fully vectorized, one pass per history bit.
 
-**Bias filter.**  The filter automaton (direction bit + saturating run
-counter per slot) evolves from ``(pcs, outcomes)`` alone — after every
-update the direction bit equals the slot's last outcome, and the run
-counter equals the length of the slot's current run of identical
-outcomes, capped at ``2**run_bits - 1``.  Grouping accesses by filter
-slot (the per-address-history machinery) therefore yields each
-access's filtered/unfiltered classification and, for filtered
-accesses, the prediction (the previous same-slot outcome) with no
-sequential work.  The sub-predictor sees exactly the *unfiltered*
-subsequence — its global history included, per the scalar design note
-— so its prediction stream is one ordinary counter-major scan over the
-compressed ``(pcs, outcomes)`` arrays.  Supported sub-predictors:
-gshare and bimodal (the configurations the benches sweep); any other
-sub falls to the scalar family with an explicit planner veto.
+**Bias filter.**  The compiled loop inlines the sub-predictor: gshare
+or bimodal (the configurations the benches sweep); any other sub falls
+to the scalar family with an explicit planner veto.
 
 Every kernel is asserted bit-identical to its scalar predictor and the
 dict-based oracle by the registry-driven verification suite
@@ -80,7 +65,7 @@ import numpy as np
 from repro.core.counters import MAX_INDEX_BITS, WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
-from repro.core.indexing import concat_index_stream, gshare_index_stream, mask
+from repro.core.indexing import concat_index_stream, mask
 from repro.core.registry import parse_spec
 from repro.sim import _cstep
 from repro.sim.batch import GShareLane, _observed_states, _train_deltas
@@ -523,8 +508,7 @@ def per_address_histories(
 # Each ``_<scheme>_c(lane, trace[, preds=None[, cids=None]]) -> int``
 # runs one lane's compiled loop from power-on state over the raw trace,
 # filling the optional uint8 prediction and int64 counter-id buffers,
-# and returns the misprediction count.  The bias filter's loop only
-# rates: its attribution is the decomposition of ``biasfilter_detailed``.
+# and returns the misprediction count.
 
 
 def _raw(trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
@@ -644,7 +628,9 @@ def _perceptron_c(lane: PerceptronLane, trace: BranchTrace, preds=None) -> int:
     )
 
 
-def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace) -> int:
+def _biasfilter_c(
+    lane: BiasFilterLane, trace: BranchTrace, preds=None, cids=None
+) -> int:
     size = 1 << lane.filter_bits
     return _cstep.biasfilter_lane(
         *_raw(trace),
@@ -655,7 +641,8 @@ def _biasfilter_c(lane: BiasFilterLane, trace: BranchTrace) -> int:
         np.zeros(size, dtype=np.uint8),
         np.zeros(size, dtype=np.int8),
         np.full(1 << lane.sub_index_bits, WEAKLY_TAKEN, dtype=np.int8),
-        None,
+        preds,
+        cids,
     )
 
 
@@ -804,91 +791,17 @@ def perceptron_detailed(
     return preds.view(bool), (trace.pcs & mask(lane.index_bits)).astype(np.int64)
 
 
-def _biasfilter_classify(
-    lane: BiasFilterLane, pcs: np.ndarray, outcomes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized filter automaton: ``(filtered, filtered_pred)`` per
-    access, both in trace order (``filtered_pred`` valid where
-    ``filtered``).
-
-    Within each filter slot's stable grouping, the run counter an
-    access observes is ``min(max_run, streak)`` where ``streak`` is the
-    length of the run of identical outcomes ending at the previous
-    same-slot access, and the direction bit it observes is that
-    previous access's outcome.
-    """
-    n = len(pcs)
-    slots = (pcs & mask(lane.filter_bits)).astype(np.int32)
-    order = stable_group_order(slots, 1 << lane.filter_bits)
-    g_slot = slots[order]
-    g_out = outcomes[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(g_slot[1:], g_slot[:-1], out=seg_start[1:])
-    # a run restarts at a segment start or an outcome flip
-    boundary = seg_start.copy()
-    boundary[1:] |= g_out[1:] != g_out[:-1]
-    idx = np.arange(n, dtype=np.int64)
-    last_boundary = np.maximum.accumulate(np.where(boundary, idx, -1))
-    streak = idx - last_boundary + 1
-
-    prev_streak = np.empty(n, dtype=np.int64)
-    prev_streak[0] = 0
-    prev_streak[1:] = streak[:-1]
-    g_filtered = ~seg_start & (prev_streak >= lane.max_run)
-    g_pred = np.empty(n, dtype=bool)
-    g_pred[0] = False
-    g_pred[1:] = g_out[:-1]  # valid wherever g_filtered (never at seg start)
-
-    filtered = np.empty(n, dtype=bool)
-    filtered[order] = g_filtered
-    filtered_pred = np.empty(n, dtype=bool)
-    filtered_pred[order] = g_pred
-    return filtered, filtered_pred
-
-
 def biasfilter_detailed(
     lane: BiasFilterLane,
     trace: BranchTrace,
     engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(predictions, counter_ids)``: filter slots first, then the
-    sub-predictor's counters offset by the filter size.  The
-    filtered/unfiltered classification and both id streams are
-    feedback-free (the filter automaton evolves from ``(pcs, outcomes)``
-    alone), so only the sub-predictor's counter automaton touches the
-    engine — the detailed tier runs under both the compiled loop and
-    the numpy scan.
-    """
-    n = len(trace)
-    preds = np.empty(n, dtype=bool)
-    cids = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return preds, cids
-    pcs = trace.pcs
-    outcomes = trace.outcomes
-    filtered, filtered_pred = _biasfilter_classify(lane, pcs, outcomes)
-    preds[filtered] = filtered_pred[filtered]
-    cids[filtered] = (pcs[filtered] & mask(lane.filter_bits)).astype(np.int64)
-
-    # unfiltered subsequence: ordinary gshare/bimodal counter automaton
-    # over the compressed arrays (the sub's history skips filtered
-    # branches), ids offset past the filter slots
-    unfiltered = np.flatnonzero(~filtered)
-    sub_pcs = pcs[unfiltered]
-    sub_out = outcomes[unfiltered]
-    histories = global_history_stream(sub_out, lane.sub_hist_bits)
-    keys = gshare_index_stream(
-        sub_pcs, histories, lane.sub_index_bits, lane.sub_hist_bits
-    ).astype(np.int64)
-    pre = _observed_states(
-        keys, _train_deltas(sub_out), 1 << lane.sub_index_bits, WEAKLY_TAKEN, 3, engine
-    )
-    preds[unfiltered] = pre >= 2
-    cids[unfiltered] = (1 << lane.filter_bits) + keys
-    return preds, cids
+    """``(predictions, counter_ids)``: a filtered access charges its
+    filter slot, any other the sub-predictor's counter offset by the
+    filter size."""
+    _compiled_only("bias filter", engine)
+    return _c_detailed(_biasfilter_c, lane, trace)
 
 
 def static_detailed(

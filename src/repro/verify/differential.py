@@ -9,10 +9,10 @@ implementation —
   attributes accesses, so the run carries its counter ids),
 * :func:`repro.sim.engine.run`, which differs from the step loop only
   for bi-mode, the one scheme that keeps a hand-tuned ``simulate``,
-* the spec's registry kernel (:mod:`repro.sim.kernels`) under the
-  ``REPRO_KERNEL=c`` pin (when a compiler is available) and the
-  ``numpy`` pin (which runs the scalar reference for schemes without a
-  numpy form); the ``scalar`` pin's engine is :func:`run` —
+* the spec's registry kernel (:mod:`repro.sim.kernels`) on the ``c``
+  engine (when a compiler is available) and the ``numpy`` engine (which
+  runs the scalar reference for schemes without a numpy form); the
+  ``scalar`` engine is :func:`run` —
 
 and reports whether all predictions agree, and if not, the index of
 the first diverging branch together with each engine's prediction
@@ -121,18 +121,18 @@ def diff_spec(
     if include_kernels:
         kind, lane = kernels.kernel_for_spec(spec)
         if kind in kernels.PORTED:
-            pins = ["c", "numpy"] if _cstep.available() else ["numpy"]
-            for pin in pins:
-                # the registry dispatch under each REPRO_KERNEL pin (a
-                # scheme without a numpy form runs its scalar reference);
-                # runs carry counter ids too, so an attribution
-                # regression diverges here even when predictions agree
+            modes = ["c", "numpy"] if _cstep.available() else ["numpy"]
+            for mode in modes:
+                # the registry dispatch on each engine (a scheme without
+                # a numpy form runs its scalar reference); runs carry
+                # counter ids too, so an attribution regression diverges
+                # here even when predictions agree
                 (detailed,) = kernels.family_detailed(
-                    kind, [spec], [lane], trace, mode=pin
+                    kind, [spec], [lane], trace, mode=mode
                 )
                 report.runs.append(
                     EngineRun(
-                        f"lane:{kind}[{pin}]",
+                        f"lane:{kind}[{mode}]",
                         detailed.result.predictions,
                         detailed.counter_ids,
                     )

@@ -2,7 +2,10 @@
 
 :func:`build_program` turns a :class:`~repro.workloads.profiles.BenchmarkProfile`
 into a concrete :class:`~repro.workloads.cfg.Program` — deterministically
-in ``(profile, seed)`` — and :func:`generate_trace` runs it.
+in ``(profile, seed)`` — and :func:`generate_trace` runs it through the
+vectorized generator of :mod:`repro.workloads.fastgen` (its compiled
+event pass unless ``REPRO_NO_CC=1``), bit-identical to the reference
+``Program.run``.
 
 Construction sketch:
 
@@ -20,7 +23,6 @@ Construction sketch:
 
 from __future__ import annotations
 
-import os
 from random import Random
 from typing import Dict, List, Tuple
 from zlib import crc32
@@ -262,16 +264,6 @@ def _cached_program(profile: BenchmarkProfile, seed: int) -> Program:
     return program
 
 
-def _tracegen_mode() -> str:
-    """Engine choice from ``$REPRO_TRACEGEN`` (``fast`` or ``scalar``)."""
-    mode = os.environ.get("REPRO_TRACEGEN", "").strip().lower() or "fast"
-    if mode not in ("fast", "scalar"):
-        raise ValueError(
-            f"REPRO_TRACEGEN must be 'fast' or 'scalar', got {mode!r}"
-        )
-    return mode
-
-
 def generate_trace(
     profile: BenchmarkProfile, length: int | None = None, seed: int = 0
 ) -> BranchTrace:
@@ -281,41 +273,31 @@ def generate_trace(
     program-build seed and the run seed are derived from ``seed`` so one
     integer reproduces the whole trace.
 
-    Generation dispatches on ``$REPRO_TRACEGEN``: ``fast`` (the
-    default) runs the vectorized two-pass generator of
-    :mod:`repro.workloads.fastgen`, which is bit-identical to the
-    scalar path; ``scalar`` forces ``Program.run``.  A program outside
-    the fast path's envelope falls back to scalar with a
-    :mod:`repro.health` degradation event, never an error.
+    Generation runs the vectorized two-pass generator of
+    :mod:`repro.workloads.fastgen`, which is bit-identical to the scalar
+    ``Program.run``.  A program outside the fast path's envelope falls
+    back to ``Program.run`` with a :mod:`repro.health` degradation
+    event, never an error.
     """
     from repro import health
+    from repro.workloads import fastgen
 
     if length is None:
         length = profile.default_length
-    mode = _tracegen_mode()
     program = _cached_program(profile, seed)
     run_seed = seed * 2 + 1
-    trace: BranchTrace | None = None
-    if mode == "fast":
-        from repro.workloads import fastgen
-
-        if fastgen.supports(program):
-            trace = fastgen.fast_run(program, length, seed=run_seed)
-            health.engine_used(
-                "tracegen", fastgen.engine_name(), expected="fastgen-c"
-            )
-        else:
-            health.emit(
-                "tracegen",
-                "fastgen",
-                "scalar",
-                reason=f"{profile.name}: program outside the fast-path envelope",
-                severity="degraded",
-            )
-    if trace is None:
+    if fastgen.supports(program):
+        trace = fastgen.fast_run(program, length, seed=run_seed)
+        health.engine_used("tracegen", fastgen.engine_name(), expected="fastgen-c")
+    else:
+        health.emit(
+            "tracegen",
+            "fastgen",
+            "scalar",
+            reason=f"{profile.name}: program outside the fast-path envelope",
+            severity="degraded",
+        )
         trace = program.run(length=length, seed=run_seed)
-        if mode == "scalar":
-            health.engine_used("tracegen", "scalar", expected="scalar")
     trace.metadata.update(
         {
             "paper_static": profile.paper_static,

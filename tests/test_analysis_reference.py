@@ -105,12 +105,10 @@ class TestFastVsReference:
             detailed, include_bias_table=True
         )
 
-    def test_kernel_modes_identical(self, trace, monkeypatch):
+    def test_kernel_modes_identical(self, trace):
         """Scalar and batch detailed kernels feed the same analysis."""
         spec = "bimode:dir=7,hist=7,choice=6"
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar = summarize_detailed(run_detailed(make_predictor(spec), trace))
-        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        scalar = summarize_detailed(make_predictor(spec).simulate_detailed(trace))
         batch = summarize_detailed(run_detailed(make_predictor(spec), trace))
         assert scalar == batch
 
@@ -601,7 +599,7 @@ class TestDriverPreconditions:
             driver(*args)
 
     #: The per-access comparator loops: each returns its miss count and
-    #: fills optional predictions; the first five also counter ids.
+    #: fills optional predictions; all but the perceptron also counter ids.
     COMPARATORS = (
         "agree_lane",
         "tournament_lane",
@@ -631,8 +629,8 @@ class TestDriverPreconditions:
             driver, args, _ = self.lane_call(name)
             with pytest.raises(ValueError, match=message):
                 driver(*args, bad)
-        if name in ("perceptron_lane", "biasfilter_lane"):
-            return  # no counter ids: perceptron and bias filter attribute in numpy
+        if name == "perceptron_lane":
+            return  # no counter ids: the perceptron's rows are a pure pc hash
         for bad, message in ((np.empty(7, np.int64), "lengths differ"),
                              (np.empty(8, np.int32), "int64")):
             driver, args, _ = self.lane_call(name)

@@ -83,6 +83,46 @@ class TestCommands:
         assert "destructive" in out and "capacity" in out
 
 
+class TestKernelsVerb:
+    """``repro-bimode kernels`` prints the form each family really runs
+    in and the engine this process picks."""
+
+    @staticmethod
+    def _rows(capsys):
+        import re
+
+        assert main(["kernels"]) == 0
+        out = capsys.readouterr().out
+        rows = {}
+        for line in out.splitlines():
+            cells = re.split(r"\s{2,}", line.strip())
+            if len(cells) == 5:
+                rows[cells[0]] = cells[1:]
+        return rows
+
+    def test_rows_with_compiler(self, capsys):
+        from repro.sim import _cstep
+
+        if not _cstep.available():
+            pytest.skip(_cstep.unavailable_reason())
+        rows = self._rows(capsys)
+        assert rows["scheme"] == ["tier", "engine", "family rates", "detailed"]
+        assert rows["gshare"] == [
+            "lane", "c", "fused C loop", "grouping C loop per lane"
+        ]
+        assert rows["agree"] == ["cloop", "c", "C loop per lane", "C loop per lane"]
+        assert rows["biasfilter"] == rows["agree"]
+
+    def test_rows_without_compiler(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CC", "1")
+        rows = self._rows(capsys)
+        assert rows["gshare"] == ["lane", "numpy", "numpy per lane", "numpy per lane"]
+        assert rows["agree"] == [
+            "cloop", "scalar", "step() per lane", "step() per lane"
+        ]
+        assert rows["biasfilter"] == rows["agree"]
+
+
 class TestJournalCompact:
     def test_journal_compact_cli(self, tmp_path, capsys):
         from repro.cli import main

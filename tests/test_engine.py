@@ -4,7 +4,9 @@ equivalence matrix — the core correctness property of the fast paths."""
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.registry import make_predictor
+from repro.sim import kernels
 from repro.sim.engine import run, run_detailed, run_steps
 from tests.conftest import ALL_SPECS, make_toy_trace
 
@@ -106,12 +108,10 @@ class TestDetailedKernelDispatch:
     @pytest.mark.parametrize(
         "spec", ["gshare:index=8,hist=5", "bimode:dir=7,hist=7,choice=6"]
     )
-    def test_batch_matches_scalar(self, spec, trace, monkeypatch):
+    def test_batch_matches_scalar(self, spec, trace):
         """The batch attribution kernels must reproduce the scalar loop
         bit-for-bit: predictions AND per-access counter ids."""
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar = run_detailed(make_predictor(spec), trace)
-        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        scalar = make_predictor(spec).simulate_detailed(trace)
         batch = run_detailed(make_predictor(spec), trace)
         assert np.array_equal(scalar.result.predictions, batch.result.predictions)
         assert np.array_equal(scalar.counter_ids, batch.counter_ids)
@@ -120,29 +120,28 @@ class TestDetailedKernelDispatch:
     @pytest.mark.parametrize(
         "spec", ["gshare:index=8,hist=5", "bimode:dir=7,hist=7,choice=6"]
     )
-    def test_c_pin_without_compiler_raises(self, spec, trace, monkeypatch):
-        """Under the explicit ``c`` pin a vetoed compiler must raise,
-        never silently run the numpy form or the scalar loop."""
-        monkeypatch.setenv("REPRO_KERNEL", "c")
-        monkeypatch.setenv("REPRO_NO_CC", "1")
-        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-            run_detailed(make_predictor(spec), trace)
+    def test_c_pin_without_compiler_raises(self, spec, trace):
+        """The detailed dispatch ``run_detailed`` shares, asked for the
+        ``c`` engine under a vetoed compiler, must raise, never silently
+        run the numpy form or the scalar loop."""
+        kind, lane = kernels.kernel_for_spec(spec)
+        with faults.deny_compiler():
+            with pytest.raises(RuntimeError, match="not available"):
+                kernels.family_detailed(kind, [spec], [lane], trace, mode="c")
 
-    def test_auto_falls_back_without_kernel(self, trace, monkeypatch):
-        """The same kernel-less scheme under ``auto`` keeps the
-        health-reported scalar fallback."""
+    def test_auto_falls_back_without_kernel(self, trace):
+        """A kernel-less scheme keeps the health-reported scalar
+        fallback."""
         from repro import health
 
         spec = "biasfilter:table=6,run=2,sub=bimode,sub_index=6,sub_hist=6"
-        monkeypatch.setenv("REPRO_KERNEL", "auto")
         health.clear()
         auto = run_detailed(make_predictor(spec), trace)
         assert any(
             e.actual == "scalar"
             for e in health.events(component="detailed-kernel")
         )
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar = run_detailed(make_predictor(spec), trace)
+        scalar = make_predictor(spec).simulate_detailed(trace)
         assert np.array_equal(scalar.result.predictions, auto.result.predictions)
         assert np.array_equal(scalar.counter_ids, auto.counter_ids)
 
@@ -161,19 +160,25 @@ class TestDetailedKernelDispatch:
     def test_keeps_display_name_and_predictor_state(self, pin, trace, monkeypatch):
         """Through the registry the row carries the predictor's display
         name (not its canonical spec), and the caller's predictor is
-        left at power-on state on every engine."""
+        left at power-on state on every engine: the compiled loop, or
+        with the compiler vetoed the bias filter's scalar reference."""
         spec = "biasfilter:table=6,run=2,sub_index=6,sub_hist=4"
-        monkeypatch.setenv("REPRO_KERNEL", pin)
+        if pin == "scalar":
+            monkeypatch.setenv("REPRO_NO_CC", "1")
         p = make_predictor(spec)
         detailed = run_detailed(p, trace)
         assert detailed.result.predictor_name == p.name != spec
         cold = run(make_predictor(spec), trace).predictions
         assert np.array_equal(run(p, trace, reset=False).predictions, cold)
 
-    def test_invalid_mode_rejected(self, trace, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(ValueError):
-            run_detailed(make_predictor("gshare:index=8"), trace)
+    def test_invalid_mode_rejected(self, trace):
+        """The detailed dispatch ``run_detailed`` shares refuses an
+        unknown engine."""
+        kind, lane = kernels.kernel_for_spec("gshare:index=8")
+        with pytest.raises(ValueError, match="turbo"):
+            kernels.family_detailed(
+                kind, ["gshare:index=8"], [lane], trace, mode="turbo"
+            )
 
 
 class TestEmptyTrace:

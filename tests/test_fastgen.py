@@ -4,7 +4,7 @@ The contract under test is *bit-identity*: for every registered profile
 and multiple (length, seed) points, :func:`repro.workloads.fastgen.fast_run`
 must reproduce ``Program.run`` exactly — same pcs, same outcomes, same
 metadata-bearing name — on both the compiled event-pass driver and the
-pure-Python fallback.  Plus the ``$REPRO_TRACEGEN`` dispatcher: engine
+pure-Python fallback.  Plus ``generate_trace``'s dispatch: engine
 selection, health bookkeeping, and the scalar fallback for programs the
 fast path refuses.
 """
@@ -100,32 +100,23 @@ class TestEngineSelection:
 
 
 class TestDispatch:
-    """$REPRO_TRACEGEN routing in generate_trace."""
+    """Engine routing in generate_trace."""
 
-    def test_default_is_fast_and_identical_to_scalar(self, monkeypatch):
+    def test_default_is_fast_and_identical_to_scalar(self):
         profile = get_profile("xlisp")
-        monkeypatch.delenv("REPRO_TRACEGEN", raising=False)
         fast = generate_trace(profile, length=20_000, seed=3)
-        monkeypatch.setenv("REPRO_TRACEGEN", "scalar")
-        slow = generate_trace(profile, length=20_000, seed=3)
-        assert np.array_equal(fast.pcs, slow.pcs)
-        assert np.array_equal(fast.outcomes, slow.outcomes)
-        assert fast.metadata == slow.metadata
+        program = build_program(profile, seed=3)
+        slow = program.run(length=20_000, seed=7)  # run seed = 2 * seed + 1
+        assert_bit_identical(fast, slow)
+        assert fast.metadata["paper_static"] == profile.paper_static
 
-    def test_invalid_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEGEN", "warp")
-        with pytest.raises(ValueError, match="REPRO_TRACEGEN"):
-            generate_trace(get_profile("xlisp"), length=1_000, seed=0)
-
-    def test_fast_mode_records_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEGEN", "fast")
+    def test_fast_mode_records_engine(self):
         generate_trace(get_profile("compress"), length=1_000, seed=0)
         (event,) = health.events(component="tracegen")
         assert event.expected == "fastgen-c"
         assert event.actual == fastgen.engine_name()
 
-    def test_python_engine_counts_as_degraded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEGEN", "fast")
+    def test_python_engine_counts_as_degraded(self):
         with faults.deny_compiler():
             generate_trace(get_profile("compress"), length=1_000, seed=0)
         (event,) = health.events(component="tracegen")
@@ -133,18 +124,10 @@ class TestDispatch:
         assert event.severity == "degraded"
 
     def test_unsupported_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEGEN", "fast")
         monkeypatch.setattr(fastgen, "supports", lambda program: False)
         trace = generate_trace(get_profile("go"), length=2_000, seed=1)
-        monkeypatch.setenv("REPRO_TRACEGEN", "scalar")
-        reference = generate_trace(get_profile("go"), length=2_000, seed=1)
+        reference = build_program(get_profile("go"), seed=1).run(length=2_000, seed=3)
         assert np.array_equal(trace.outcomes, reference.outcomes)
         events = health.events(component="tracegen")
         fallback = [e for e in events if e.actual == "scalar"]
         assert fallback and fallback[0].severity == "degraded"
-
-    def test_scalar_mode_is_not_degraded(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACEGEN", "scalar")
-        generate_trace(get_profile("compress"), length=1_000, seed=0)
-        events = health.events(component="tracegen")
-        assert events and not any(e.degraded for e in events)

@@ -1,7 +1,7 @@
 """Fused sweep planner and family evaluation (:mod:`repro.sim.fused`).
 
 Covers the equivalence contract end to end: the planner's family
-grouping and dedupe, ``REPRO_KERNEL`` dispatch (including the compiler-
+grouping and dedupe, the registry dispatch (including the compiler-
 denied fallbacks, all health-reported), bit-identity of the fused
 passes against the per-cell scalar engine *and* the differential
 oracle over Figure-2/3/4 spec grids, hypothesis fuzzing of random
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import faults, health
 from repro.core.registry import make_predictor
-from repro.sim import _cstep
+from repro.sim import _cstep, kernels
 from repro.sim.engine import run
 from repro.sim.fused import SpecFamily, family_rates, plan_families
 from repro.sim.journal import SweepJournal
@@ -35,15 +35,7 @@ def clean_health():
     health.clear()
 
 
-@pytest.fixture()
-def default_pin(monkeypatch):
-    """The default dispatch, whichever ``REPRO_KERNEL`` the suite runs
-    under: these tests check what the planner does by default."""
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
-
-
 class TestPlanner:
-    @pytest.mark.usefixtures("default_pin")
     def test_partitions_by_kind_in_fixed_order(self):
         scalar_spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
         families = plan_families(
@@ -76,7 +68,6 @@ class TestPlanner:
         assert by_kind["scalar"].specs == (scalar_spec,)
         assert by_kind["scalar"].lanes == (None,)
 
-    @pytest.mark.usefixtures("default_pin")
     def test_empty_families_are_omitted(self):
         (only,) = plan_families(["gshare:index=5,hist=2"])
         assert only.kind == "gshare"
@@ -89,7 +80,6 @@ class TestPlanner:
         assert family.specs == ("gshare:index=6,hist=4",)
         assert len(family.lanes) == 1
 
-    @pytest.mark.usefixtures("default_pin")
     def test_bimode_ablation_variants_stay_in_one_family(self):
         (family,) = plan_families(
             [
@@ -109,10 +99,7 @@ class TestPlanner:
 
 
 class TestDispatch:
-    def test_auto_without_compiler_degrades_with_event(
-        self, small_workload, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_without_compiler_degrades_with_event(self, small_workload):
         (family,) = plan_families(["gshare:index=6,hist=4"])
         with faults.deny_compiler():
             health.clear()
@@ -122,7 +109,6 @@ class TestDispatch:
             assert event.actual == "numpy"
             assert event.severity == "degraded"
 
-    @pytest.mark.usefixtures("default_pin")
     def test_scalar_family_reports_degradation(self, small_workload):
         health.clear()
         scalar_spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
@@ -137,8 +123,7 @@ class TestDispatch:
 class TestFamilyDetailed:
     """The per-family Section-4 path (what ``detailed_matrix`` workers
     run): bit-identity against the per-predictor scalar loop, scalar
-    family degradations, and the ``REPRO_KERNEL`` pin at family
-    granularity."""
+    family degradations, and explicit engines at family granularity."""
 
     MIXED_GRID = [
         "gshare:index=7,hist=5",
@@ -187,33 +172,29 @@ class TestFamilyDetailed:
         ]
         assert event.severity == "degraded"
 
-    def test_c_pin_refuses_sequential_scheme_without_compiler(
-        self, trace, monkeypatch
-    ):
-        """A cloop-tier family (no numpy kernel) under the c pin must
-        refuse when the compiler is denied rather than quietly run the
-        scalar loop."""
-        from repro.sim.fused import family_detailed
-
-        monkeypatch.setenv("REPRO_KERNEL", "c")
+    def test_c_pin_refuses_sequential_scheme_without_compiler(self, trace):
+        """A cloop-tier family (no numpy kernel) asked for the ``c``
+        engine must refuse when the compiler is denied rather than
+        quietly run the scalar loop."""
         (family,) = plan_families(["perceptron:index=5,hist=6"])
         with faults.deny_compiler():
-            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-                family_detailed(family, trace)
+            with pytest.raises(RuntimeError, match="not available"):
+                kernels.family_detailed(
+                    family.kind, family.specs, family.lanes, trace, mode="c"
+                )
 
-    def test_scalar_pin_is_bit_identical(self, trace, monkeypatch):
+    def test_scalar_pin_is_bit_identical(self, trace):
+        """Every family of the grid on the scalar engine gives the rows
+        of the default dispatch."""
         from repro.sim.fused import family_detailed
 
-        def grid():
-            rows = {}
-            for family in plan_families(self.MIXED_GRID):
-                rows.update(family_detailed(family, trace))
-            return rows
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        baseline = grid()
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        pinned = grid()
+        baseline, pinned = {}, {}
+        for family in plan_families(self.MIXED_GRID):
+            baseline.update(family_detailed(family, trace))
+            rows = kernels.family_detailed(
+                family.kind, family.specs, family.lanes, trace, mode="scalar"
+            )
+            pinned.update(zip(family.specs, rows))
         for spec in self.MIXED_GRID:
             base, pin = baseline[spec], pinned[spec]
             assert np.array_equal(base.result.predictions, pin.result.predictions), spec
@@ -244,26 +225,30 @@ class TestFigureGridEquivalence:
     def test_modes_are_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        """Every engine: the three ``REPRO_KERNEL`` pins, and ``numpy``
-        — the lanes a vetoed compiler leaves (``REPRO_NO_CC=1``)."""
+        """Every engine: the default sweep dispatch, ``numpy`` — the
+        lanes a vetoed compiler leaves (``REPRO_NO_CC=1``) — and the
+        registry's explicit ``c`` and ``scalar`` engines."""
         if mode == "c" and not _cstep.available():
             pytest.skip("no C compiler available")
-        if mode == "numpy":
-            monkeypatch.delenv("REPRO_KERNEL", raising=False)
-            monkeypatch.setenv("REPRO_NO_CC", "1")
-        else:
-            monkeypatch.setenv("REPRO_KERNEL", mode)
-        assert evaluate_specs(grid, small_workload) == reference
+        if mode in ("auto", "numpy"):
+            if mode == "numpy":
+                monkeypatch.setenv("REPRO_NO_CC", "1")
+            assert evaluate_specs(grid, small_workload) == reference
+            return
+        rates = {}
+        for family in plan_families(grid):
+            rows = kernels.family_rates(
+                family.kind, family.specs, family.lanes, small_workload, mode=mode
+            )
+            rates.update(zip(family.specs, rows))
+        assert rates == reference
 
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
     def test_compiler_denied_is_bit_identical(
-        self, grid, reference, small_workload, monkeypatch, mode
+        self, grid, reference, small_workload, mode
     ):
         """With the compiler denied, the sweep dispatch and the registry's
         explicit ``mode="numpy"`` engine both land on the reference."""
-        from repro.sim import kernels
-
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with faults.deny_compiler():
             if mode == "auto":
                 assert evaluate_specs(grid, small_workload) == reference
@@ -353,9 +338,8 @@ class TestPlannerFuzzing:
     @given(grid=_grids(), trace=_traces(min_size=0, max_size=30))
     @settings(max_examples=15, deadline=None)
     def test_fused_numpy_fallbacks_agree_on_tiny_traces(self, grid, trace):
-        # the auto pin's fallbacks: the strict c pin refuses instead
-        with pytest.MonkeyPatch.context() as mp, faults.deny_compiler():
-            mp.delenv("REPRO_KERNEL", raising=False)
+        # the default dispatch's fallbacks without a compiler
+        with faults.deny_compiler():
             fused = {}
             for family in plan_families(grid):
                 fused.update(family_rates(family, trace))
@@ -382,7 +366,6 @@ def bench_traces(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.usefixtures("default_pin")
 class TestParallelDedupe:
     """Satellite: identical (spec, trace) cells are simulated once and
     the rates fanned out to every requesting bench key."""

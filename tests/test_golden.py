@@ -119,8 +119,9 @@ def _compute_rates() -> dict:
     }
 
 
-def _compute_detailed() -> dict:
-    """Full Section-4 summaries, JSON-normalised for exact comparison."""
+def _compute_detailed(simulate=run_detailed) -> dict:
+    """Full Section-4 summaries, JSON-normalised for exact comparison;
+    ``simulate(predictor, trace)`` runs each cell."""
     from repro.analysis.summary import summarize_detailed
 
     traces = _build_traces()
@@ -128,9 +129,7 @@ def _compute_detailed() -> dict:
         spec: {
             name: json.loads(
                 json.dumps(
-                    summarize_detailed(
-                        run_detailed(make_predictor(spec), traces[name])
-                    ),
+                    summarize_detailed(simulate(make_predictor(spec), traces[name])),
                     sort_keys=True,
                 )
             )
@@ -223,12 +222,8 @@ def test_detailed_fixture_recipes_match_checked_in_file():
     )
 
 
-def test_detailed_summaries_match_golden_fixtures():
-    """The frozen cells are *whole summaries* — per-class breakdown,
-    bias areas, aliasing/sharing, class-change counts — compared
-    JSON-exactly, so a single misattributed access drifts here."""
+def _detailed_drift(got: dict) -> list:
     expected = json.loads(DETAILED_GOLDEN_PATH.read_text())["summaries"]
-    got = _compute_detailed()
     drifted = []
     for spec in DETAILED_SPECS:
         for name in DETAILED_TRACE_NAMES:
@@ -236,12 +231,29 @@ def test_detailed_summaries_match_golden_fixtures():
             have = got[spec][name]
             if want != have:
                 drifted.append(f"  {spec} | {name}: expected {want}  got {have}")
+    return drifted
+
+
+def test_detailed_summaries_match_golden_fixtures():
+    """The frozen cells are *whole summaries* — per-class breakdown,
+    bias areas, aliasing/sharing, class-change counts — compared
+    JSON-exactly, so a single misattributed access drifts here."""
+    drifted = _detailed_drift(_compute_detailed())
     assert not drifted, (
         "Section-4 summaries drifted from tests/golden/detailed.json "
         "(intentional? regenerate with "
         "`PYTHONPATH=src:. python tests/test_golden.py --regen`):\n"
         + "\n".join(drifted)
     )
+
+
+def test_scalar_loop_reproduces_golden_summaries():
+    """The scalar ``simulate_detailed`` loop lands on the summaries the
+    registry froze, whichever engine the registry ran."""
+    drifted = _detailed_drift(
+        _compute_detailed(lambda predictor, trace: predictor.simulate_detailed(trace))
+    )
+    assert not drifted, "scalar Section-4 summaries diverge:\n" + "\n".join(drifted)
 
 
 def test_family_detailed_reproduces_golden_summaries():

@@ -18,9 +18,11 @@ Layers:
   scalar engine, the step interface and the dict-based oracle;
 * **boundaries** — empty, one-branch, history-wrapping and wide-pc
   traces and 0-bit tables, under the compiled engine, the vetoed
-  compiler and the scalar pin, against the oracle;
-* **dispatch** — the ``REPRO_KERNEL`` pin semantics (scalar planner
-  routing, forced-c failure, numpy degradations), all health-reported;
+  compiler and the scalar reference, against the oracle;
+* **identities** — degenerate configurations of different schemes that
+  are the same predictor by definition, equal on every engine;
+* **dispatch** — the engine the tier and the compiler pick, explicit
+  ``mode=`` requests and the numpy degradations, all health-reported;
 * **fuzz** — hypothesis differential replay of random traces through
   :func:`repro.verify.differential.diff_spec`, which runs every
   engine the spec qualifies for;
@@ -30,6 +32,7 @@ Layers:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -307,13 +310,12 @@ class TestKernelForSpec:
             "bimode:dir=4,hist=4,choice=25",
         ],
     )
-    def test_oversized_tables_raise_in_sweeps(self, spec, monkeypatch):
+    def test_oversized_tables_raise_in_sweeps(self, spec):
         """A table wider than a counter table may be raises the scalar
         constructor's error under the default dispatch too, instead of
-        running a lane that ``REPRO_KERNEL=scalar`` would refuse."""
+        running a lane that the scalar engine would refuse."""
         from repro.sim.runner import evaluate_specs
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         with pytest.raises(ValueError, match="index_bits=25"):
             evaluate_specs([spec], _trace("toy"))
 
@@ -349,10 +351,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind, monkeypatch):
-        # the engine is the explicit ``mode``; a REPRO_KERNEL=scalar pin
-        # would route the whole plan to the scalar family
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_grid_rates_match_scalar_and_oracle(self, mode, trace_kind):
         trace = _trace(trace_kind)
         drifted = []
         for family in plan_families(PORTED_GRID):
@@ -479,47 +478,42 @@ SCHEME_BOUNDARY_SPECS = [
 BOUNDARY_TRACES = ["empty", "one-branch", "history-wrap", "wide-pcs"]
 
 
-def _assert_engines_match_oracle(spec, trace, monkeypatch):
+def _assert_engines_match_oracle(spec, trace):
     """``family_rates`` and the ``family_detailed`` predictions and
     counter ids of one spec, under the compiled engine (when a compiler
-    exists), the vetoed compiler and the scalar pin, all equal the
-    oracle's — and the rate is the miss share of those predictions."""
+    exists), the vetoed compiler (``REPRO_NO_CC=1``) and the scalar
+    reference, all equal the oracle's — and the rate is the miss share
+    of those predictions."""
     kind, lane = kernels.kernel_for_spec(spec)
     assert kind == spec.split(":")[0], spec
     want_preds, want_ids = oracle_detailed(spec, trace)
     n = len(trace)
     want_rate = int(np.count_nonzero(want_preds != trace.outcomes)) / n if n else 0.0
     assert oracle_rate(spec, trace) == want_rate
-    pins = [{"REPRO_NO_CC": "1"}, {"REPRO_KERNEL": "scalar"}]
-    monkeypatch.delenv("REPRO_NO_CC", raising=False)
+    engines = {"no-cc": "auto", "scalar": "scalar"}
     if _cstep.available():
-        pins.insert(0, {"REPRO_KERNEL": "c"})
-    for pin in pins:
-        with monkeypatch.context() as pinned:
-            pinned.delenv("REPRO_KERNEL", raising=False)
-            for var, value in pin.items():
-                pinned.setenv(var, value)
-            (rate,) = kernels.family_rates(kind, [spec], [lane], trace)
-            (row,) = kernels.family_detailed(kind, [spec], [lane], trace)
-        assert rate == want_rate, pin
-        assert np.array_equal(row.result.predictions, want_preds), pin
-        assert np.array_equal(row.counter_ids, want_ids), pin
+        engines = {"c": "c", **engines}
+    for engine, mode in engines.items():
+        with faults.deny_compiler() if engine == "no-cc" else nullcontext():
+            (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
+            (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+        assert rate == want_rate, engine
+        assert np.array_equal(row.result.predictions, want_preds), engine
+        assert np.array_equal(row.counter_ids, want_ids), engine
 
 
 class TestComparatorBoundaries:
     """The compiled comparators' ``family`` rate at the boundaries: it
     equals the miss share of the family's predictions and the oracle
-    under ``c``, and the compiler-vetoed and scalar-pinned paths give the
-    same rates, predictions and counter ids."""
+    under ``c``, and the compiler-vetoed and scalar reference paths give
+    the same rates, predictions and counter ids."""
 
     @pytest.mark.parametrize("trace_kind", BOUNDARY_TRACES)
     @pytest.mark.parametrize("spec", COMPARATOR_BOUNDARY_SPECS)
-    def test_family_rate_matches_predictions_and_oracle(
-        self, spec, trace_kind, monkeypatch
-    ):
+    def test_family_rate_matches_predictions_and_oracle(self, spec, trace_kind):
         kind = spec.split(":")[0]
         assert kernels.PORTED[kind].family is not None
-        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind), monkeypatch)
+        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind))
 
     def test_family_hook_rates_every_lane_of_a_family(self):
         """One ``family`` call over a multi-lane family equals the lanes
@@ -548,8 +542,68 @@ class TestSchemeBoundaries:
 
     @pytest.mark.parametrize("trace_kind", BOUNDARY_TRACES)
     @pytest.mark.parametrize("spec", SCHEME_BOUNDARY_SPECS)
-    def test_engines_match_oracle(self, spec, trace_kind, monkeypatch):
-        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind), monkeypatch)
+    def test_engines_match_oracle(self, spec, trace_kind):
+        _assert_engines_match_oracle(spec, _boundary_trace(trace_kind))
+
+
+#: Degenerate configurations of two schemes that are one predictor by
+#: the schemes' definitions (Mittal's survey, arXiv 1804.00261), each
+#: with the reason.
+IDENTITIES = [
+    ("gshare:index=10,hist=0", "bimodal:index=10",
+     "gshare XORs no history bits into its PC index"),
+    ("gselect:hist=0,addr=10", "bimodal:index=10",
+     "gselect concatenates no history bits to its 10 address bits"),
+    ("gas:hist=0,select=10", "bimodal:index=10",
+     "GAs selects one of 2**10 one-counter PHTs by address alone"),
+    ("pag:hist=8,bht=0", "gag:hist=8",
+     "a one-entry BHT is one history register shared by every branch"),
+    ("pas:hist=6,select=4,bht=0", "gas:hist=6,select=4",
+     "a one-entry BHT turns PAs's per-address history global"),
+    ("pap:hist=6,addr=4,bht=0", "gap:hist=6,addr=4",
+     "a one-entry BHT turns PAp's per-address history global"),
+    ("biasfilter:table=10,run=3,sub=bimodal,sub_index=10",
+     "biasfilter:table=10,run=3,sub_index=10,sub_hist=0",
+     "a gshare sub-predictor with no history is a bimodal table"),
+]
+
+
+@lru_cache(maxsize=None)
+def _identity_trace(kind: str):
+    if kind != "gcc-100k":
+        return _boundary_trace(kind)
+    from repro.workloads.generator import generate_trace
+    from repro.workloads.profiles import get_profile
+
+    return generate_trace(get_profile("gcc"), length=100_000, seed=0)
+
+
+class TestCrossSchemeIdentities:
+    """Checks that are not another implementation of the same scheme:
+    each pair gives equal rates and equal per-branch predictions on the
+    compiled engine, the numpy engine and the scalar reference, and
+    equals the oracle."""
+
+    @pytest.mark.parametrize("trace_kind", [*BOUNDARY_TRACES, "gcc-100k"])
+    @pytest.mark.parametrize(
+        "left, right, reason", IDENTITIES, ids=[pair[0] for pair in IDENTITIES]
+    )
+    def test_pair_is_one_predictor(self, left, right, reason, trace_kind):
+        trace = _identity_trace(trace_kind)
+        want = oracle_rate(left, trace)
+        assert oracle_rate(right, trace) == want, reason
+        modes = ("c", "numpy", "scalar") if _cstep.available() else ("numpy", "scalar")
+        for mode in modes:
+            runs = []
+            for spec in (left, right):
+                kind, lane = kernels.kernel_for_spec(spec)
+                assert kind == spec.split(":")[0], spec
+                (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
+                (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+                runs.append((rate, row.result.predictions))
+            (left_rate, left_preds), (right_rate, right_preds) = runs
+            assert left_rate == right_rate == want, (mode, reason)
+            assert np.array_equal(left_preds, right_preds), (mode, reason)
 
 
 @lru_cache(maxsize=None)
@@ -570,8 +624,7 @@ class TestDetailedEquivalence:
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    def test_grid_attribution_matches_scalar(self, mode, trace_kind, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)  # plan by default
+    def test_grid_attribution_matches_scalar(self, mode, trace_kind):
         trace = _trace(trace_kind)
         drifted = []
         for family in plan_families(PORTED_GRID):
@@ -638,9 +691,8 @@ class TestDetailedEquivalence:
         assert kernels.kernel_for_spec(spec)[0] == "bimode", spec
         got = run_detailed(predictor, trace)
         (event,) = health.events(component="detailed-kernel")
-        # batched wherever the pin admits bi-mode's compiled loop
-        batched = kernels.kernel_mode() in ("auto", "c") and _cstep.available()
-        assert event.actual == ("batch" if batched else "scalar"), event
+        # batched wherever bi-mode's compiled loop can run
+        assert event.actual == ("batch" if _cstep.available() else "scalar"), event
         want = BiModePredictor(6, 4, 5, **knobs).simulate_detailed(trace)
         assert np.array_equal(got.result.predictions, want.result.predictions)
         assert np.array_equal(got.counter_ids, want.counter_ids)
@@ -658,65 +710,22 @@ class TestDetailedEquivalence:
 
 
 class TestDispatch:
-    def test_invalid_pin_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "sideways")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            kernels.kernel_mode()
+    def test_invalid_pin_raises(self):
+        """An in-process caller may only ask for a known engine."""
+        kind, lane = kernels.kernel_for_spec("agree:index=6")
+        with pytest.raises(ValueError, match="sideways"):
+            kernels.family_rates(
+                kind, ["agree:index=6"], [lane], _trace("toy"), mode="sideways"
+            )
 
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert kernels.kernel_mode() == "auto"
-
-    def test_scalar_pin_routes_whole_planner(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        (family,) = plan_families(ALL_SPECS)
-        assert family.kind == "scalar"
-        assert family.lanes == tuple(None for _ in family.specs)
-
-    def test_scalar_pin_names_itself_in_degradation(self, monkeypatch):
-        from repro.sim.fused import family_rates as fused_rates
-
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        (family,) = plan_families(["agree:index=5,hist=5"])
-        fused_rates(family, _trace("toy"))
-        (event,) = health.events(component="sweep-planner")
-        assert "REPRO_KERNEL=scalar pin" in event.reason
-
-    def test_forced_c_without_compiler_raises(self, monkeypatch):
+    def test_forced_c_without_compiler_raises(self):
+        """An explicit ``mode="c"`` never falls back silently."""
         kind, lane = kernels.kernel_for_spec("agree:index=6")
         with faults.deny_compiler():
-            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
+            with pytest.raises(RuntimeError, match="not available"):
                 kernels.family_rates(
                     kind, ["agree:index=6"], [lane], _trace("toy"), mode="c"
                 )
-
-    @pytest.mark.parametrize(
-        "spec", ["gshare:index=6,hist=4", "bimode:dir=6,hist=6,choice=5"]
-    )
-    def test_c_pin_without_compiler_raises_in_sweeps(self, spec, monkeypatch):
-        """The one strict-pin rule holds for rates and Section 4 alike:
-        no silent fallback from ``REPRO_KERNEL=c`` in either sweep.  Both
-        sweeps quarantine failing cells, so the refusal lands on their
-        failure lists instead of a result, and a suite sweep that
-        averages the rates raises it.  An empty trace is refused too:
-        nothing short-circuits ahead of the pin check."""
-        from repro.analysis.sweep import paper_sweep
-        from repro.sim.parallel import detailed_matrix
-        from repro.sim.runner import evaluate_matrix
-        from tests.conftest import make_trace
-
-        monkeypatch.setenv("REPRO_KERNEL", "c")
-        monkeypatch.setenv("REPRO_NO_CC", "1")
-        for trace in (_trace("toy"), make_trace([], [], name="empty")):
-            traces = {trace.name: trace}
-            for sweep in (evaluate_matrix, detailed_matrix):
-                result = sweep([spec], traces, jobs=1)
-                assert result[spec] == {}
-                (failure,) = result.failures
-                assert failure.error_type == "RuntimeError"
-                assert "REPRO_KERNEL=c" in failure.message
-            with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-                paper_sweep(traces, kb_points=(1 / 64,), jobs=1)
 
     @pytest.mark.parametrize(
         "spec",
@@ -726,6 +735,7 @@ class TestDispatch:
             "agree:index=6,hist=6",
             "gskew:bank=5,hist=5,update=total",
             "tournament:index=6,meta=5",
+            "biasfilter:table=6,run=2,sub_index=6,sub_hist=4",
         ],
         ids=lambda spec: spec.split(":", 1)[0],
     )
@@ -750,22 +760,12 @@ class TestDispatch:
         assert event.severity == "info"
         assert rates == [_scalar_rate(spec, "toy")]
 
-    def test_numpy_pin_keeps_biasfilter_on_numpy(self):
-        spec = "biasfilter:table=6,run=2,sub_index=6,sub_hist=4"
-        kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
-        (event,) = health.events(component="biasfilter-kernel")
-        assert event.actual == "numpy"
-        assert event.severity == "info"
-        assert rates == [_scalar_rate(spec, "toy")]
-
-    def test_unsupported_biasfilter_sub_is_vetoed_by_name(self, monkeypatch):
+    def test_unsupported_biasfilter_sub_is_vetoed_by_name(self):
         """A bias-filter spec whose sub-predictor has no kernel lane
         routes scalar, and the planner names the veto in a health event
         rather than hiding it behind the generic unfusable reason."""
         from repro.sim.fused import family_rates as fused_rates
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
         (family,) = plan_families([spec])
         assert family.kind == "scalar"
@@ -793,8 +793,7 @@ class TestDispatch:
             (event,) = health.events(component=f"{kind}-kernel")
             assert event.actual == mode and event.severity == "info"
 
-    def test_auto_without_compiler_degrades_with_reason(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_without_compiler_degrades_with_reason(self):
         spec = "bimodal:index=6"
         kind, lane = kernels.kernel_for_spec(spec)
         baseline = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
@@ -809,8 +808,7 @@ class TestDispatch:
         assert denied == baseline
 
     @pytest.mark.skipif(not _cstep.available(), reason="no C compiler")
-    def test_auto_with_compiler_runs_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_with_compiler_runs_compiled(self):
         spec = "yags:choice=6,cache=5"
         kind, lane = kernels.kernel_for_spec(spec)
         kernels.family_rates(kind, [spec], [lane], _trace("toy"))
@@ -818,10 +816,10 @@ class TestDispatch:
         assert event.actual == "c"
         assert event.severity == "info"
 
-    def test_bimode_kernel_inherits_registry_pin(self, monkeypatch):
-        """Bi-mode follows REPRO_KERNEL like every cloop scheme: the
-        numpy engine runs its scalar reference (health-reported), the
-        compiled pin its fused family loop — bit-identical either way."""
+    def test_bimode_kernel_inherits_registry_pin(self):
+        """Bi-mode dispatches like every cloop scheme: the numpy engine
+        runs its scalar reference (health-reported), the compiled engine
+        its fused family loop — bit-identical either way."""
         spec = "bimode:dir=6,hist=6,choice=5"
         kind, lane = kernels.kernel_for_spec(spec)
         rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
@@ -851,7 +849,6 @@ class TestDispatch:
                 out.update(fused_rates(family, _trace("toy")))
             return out
 
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.delenv("REPRO_NO_CC", raising=False)
         baseline = grid()
         monkeypatch.setenv("REPRO_NO_CC", "1")

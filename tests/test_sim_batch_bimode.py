@@ -2,7 +2,7 @@
 
 The compiled loops of :mod:`repro.sim.batch_bimode` (the fused family
 pass for rates, the per-lane pair loop for predictions), reached
-through the kernel registry under ``REPRO_KERNEL=c`` and with the
+through the kernel registry on the compiled engine and with the
 compiler vetoed (``REPRO_NO_CC=1``), must be bit-for-bit identical to
 the scalar :class:`repro.core.bimode.BiModePredictor` — same per-branch
 predictions, same integer miss counts — across ablation knobs,
@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.registry import make_predictor
 from repro.sim import _cstep, kernels
 from repro.sim import batch_bimode as bb
@@ -44,14 +45,12 @@ ENGINES = ["c", "numpy"]
 
 
 def _use(monkeypatch, engine: str) -> None:
-    """Pin ``c`` by ``REPRO_KERNEL``; reach ``numpy`` (for bi-mode, its
+    """Require the compiler for ``c``; reach ``numpy`` (for bi-mode, its
     scalar reference) by vetoing the compiler."""
     if engine == "c":
         if not _cstep.available():
             pytest.skip("no C compiler available")
-        monkeypatch.setenv("REPRO_KERNEL", "c")
     else:
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setenv("REPRO_NO_CC", "1")
 
 
@@ -61,8 +60,8 @@ def _lanes(specs):
     return lanes
 
 
-def _rates(specs, trace):
-    return kernels.family_rates("bimode", specs, _lanes(specs), trace)
+def _rates(specs, trace, mode="auto"):
+    return kernels.family_rates("bimode", specs, _lanes(specs), trace, mode=mode)
 
 
 def _predictions(specs, trace):
@@ -165,13 +164,11 @@ class TestLaneParsing:
 
 
 class TestDispatch:
-    def test_forced_c_without_compiler_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "c")
-        monkeypatch.setattr(kernels._cstep, "available", lambda: False)
-        with pytest.raises(RuntimeError, match="REPRO_KERNEL=c"):
-            _rates(SPECS[:1], make_toy_trace(length=10))
+    def test_forced_c_without_compiler_raises(self):
+        with faults.deny_compiler():
+            with pytest.raises(RuntimeError, match="not available"):
+                _rates(SPECS[:1], make_toy_trace(length=10), mode="c")
 
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="turbo"):
-            _rates(SPECS[:1], make_toy_trace(length=10))
+            _rates(SPECS[:1], make_toy_trace(length=10), mode="turbo")
