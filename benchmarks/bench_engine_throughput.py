@@ -1,9 +1,11 @@
 """Engine throughput microbenchmarks (pytest-benchmark timing proper).
 
 Not a paper artifact: measures the simulator's branches/second for one
-cell of the main predictors, the batched multi-lane gshare kernel, and
-the sweep matrix driver, which together bound how long the figure
-benches take.  These use multiple rounds (real statistics) since each round is cheap.
+cell of the main predictors, the batched multi-lane gshare kernel (a
+13-lane family that fits in cache, and the whole 116-lane Figure-2/3/4
+family whose tables do not), and the sweep matrix driver, which
+together bound how long the figure benches take.  These use multiple
+rounds (real statistics) since each round is cheap.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import load_bench_trace
+from repro.analysis.sweep import gshare_spec
+from repro.core.hardware import PAPER_SIZE_POINTS_KB, HardwareBudget
 from repro.core.registry import make_predictor
 from repro.sim import kernels
 from repro.sim.batch import GShareLane
@@ -28,6 +32,18 @@ SPECS = [
 #: The gshare.best candidate family at one paper size (index_bits=12):
 #: the workload the batch kernel exists to accelerate.
 BATCH_LANES = [GShareLane(index_bits=12, history_bits=h) for h in range(13)]
+
+#: Every gshare spec of a ``paper_sweep`` (Figs 2-4): the full history
+#: search at each of the eight paper sizes, 1PHT points included (the
+#: ``hist=index`` lanes).  116 lanes whose tables total 4.4 MB.
+PAPER_FAMILY = [
+    gshare_spec(bits, h)
+    for bits in (HardwareBudget(kb).index_bits for kb in PAPER_SIZE_POINTS_KB)
+    for h in range(bits + 1)
+]
+
+#: The largest-footprint CINT95 trace, at full bench length.
+PAPER_FAMILY_TRACE = "gcc"
 
 
 def batched_rates(trace):
@@ -65,6 +81,30 @@ def test_batched_kernel_throughput(benchmark, trace):
     print(f"\nbatched x{len(BATCH_LANES)}: {lane_branches_per_second / 1e6:.2f} M lane-branches/s")
     # the whole point of the kernel: clearly faster than the scalar
     # gshare step loop on the same work
+    assert lane_branches_per_second > 1_000_000
+
+
+@pytest.mark.benchmark(group="throughput-batched")
+def test_paper_family_throughput(benchmark):
+    """Lane-branches/second of the whole Figure-2/3/4 gshare family on
+    a full-length trace: the family a paper sweep rates per trace, and
+    an arena larger than a typical per-core L2, which the 13-lane case
+    above cannot show."""
+    assert len(PAPER_FAMILY) == 116
+    trace = load_bench_trace(PAPER_FAMILY_TRACE)
+    lanes = [kernels.kernel_for_spec(spec)[1] for spec in PAPER_FAMILY]
+    rates = benchmark.pedantic(
+        kernels.family_rates,
+        args=("gshare", PAPER_FAMILY, lanes, trace),
+        rounds=3,
+        iterations=1,
+    )
+    assert all(0.0 <= r <= 1.0 for r in rates)
+    lane_branches_per_second = len(lanes) * len(trace) / benchmark.stats["mean"]
+    print(
+        f"\npaper family x{len(lanes)} on {PAPER_FAMILY_TRACE} ({len(trace)} branches): "
+        f"{lane_branches_per_second / 1e6:.2f} M lane-branches/s"
+    )
     assert lane_branches_per_second > 1_000_000
 
 

@@ -171,7 +171,7 @@ def _cmd_kernels(args) -> int:
     compiled = _cstep.available()
 
     def forms(entry, engine: str) -> Tuple[str, str]:
-        if entry.detailed is lanes.static_detailed:
+        if engine == "vectorized":
             return ("vectorized (any engine)",) * 2
         if engine != "c":
             form = "step() per lane" if engine == "scalar" else "numpy per lane"
@@ -184,8 +184,10 @@ def _cmd_kernels(args) -> int:
 
     rows = []
     for scheme, tier in sorted(kernels.registered_schemes().items()):
-        engine = kernels.default_engine(tier)
-        rows.append([scheme, tier, engine, *forms(kernels.PORTED[scheme], engine)])
+        entry = kernels.PORTED[scheme]
+        static = entry.detailed is lanes.static_detailed
+        engine = "vectorized" if static else kernels.default_engine(tier)
+        rows.append([scheme, tier, engine, *forms(entry, engine)])
     print(
         ascii_table(
             ["scheme", "tier", "engine", "family rates", "detailed"],

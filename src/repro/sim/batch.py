@@ -398,13 +398,15 @@ def gshare_rate(
 def gshare_family_rates(
     lanes: Sequence[GShareLane], trace: BranchTrace
 ) -> List[float]:
-    """Misprediction rate of every lane via the fused single-pass driver.
+    """Misprediction rate of every lane via the fused family driver.
 
-    The whole lane family advances in ONE pass over the trace: the
-    compiled driver (:func:`repro.sim._cstep.gshare_fused`) keeps every
-    lane's PHT in a shared arena and reduces to per-lane misprediction
-    counts in-loop, so neither index streams nor per-access state are
-    ever materialized.  Call only when the compiled driver is available.
+    The whole lane family advances in one pass per block of branches:
+    the compiled driver (:func:`repro.sim._cstep.gshare_fused`) keeps
+    every lane's PHT in a shared arena, runs each block lane by lane so
+    one lane's table stays in cache for the block, and reduces to
+    per-lane misprediction counts in-loop, so neither index streams nor
+    per-access state are ever materialized.  Call only when the compiled
+    driver is available.
     """
     from repro.sim import _cstep
 

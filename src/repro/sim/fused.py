@@ -13,7 +13,9 @@ registry entry (:mod:`repro.sim.kernels`).  Lanes of one family share
 precomputed history streams, and an entry with a fused C loop (gshare,
 bi-mode — including the ``full_update`` / ``choice_hist`` ablation
 variants) advances the whole family in one pass over the raw
-``(pc, outcome)`` stream with one shared 64-bit history register.
+``(pc, outcome)`` stream with one shared 64-bit history register
+(gshare's block by block, each lane running the whole block so its
+table stays in cache).
 
 Specs whose knobs no lane parser accepts (out-of-range geometry,
 unknown options, a bias-filter sub-predictor without a kernel lane)

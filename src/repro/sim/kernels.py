@@ -33,7 +33,8 @@ Section-4 attribution alike; no environment variable pins it.
 
 * ``"lane"`` — compiled loop, or its numpy form without a compiler
   (counter-major scans): gshare, bimodal and the two-level family; the
-  statics' one vectorized form ignores the engine;
+  statics' one vectorized form ignores the engine and is reported as
+  ``"vectorized"`` (only ``mode="scalar"`` runs their ``step()``);
 * ``"cloop"`` — compiled per-access loop, or the scalar ``step()``
   reference without a compiler: bi-mode and the comparators agree,
   gskew, tournament, tri-mode, YAGS, perceptron and the bias filter;
@@ -409,7 +410,9 @@ def _dispatch(
     anything slower surfaces as a degradation with the compiler's
     absence (or the scheme's missing numpy form) as the reason.  An
     explicit ``"numpy"`` picks what a vetoed compiler picks under
-    ``auto``; ``"c"`` and ``"scalar"`` run that engine.
+    ``auto``; ``"c"`` and ``"scalar"`` run that engine.  The statics
+    run their one vectorized form on every engine but ``"scalar"``, and
+    report it as ``"vectorized"``, at info severity, whatever the mode.
     """
     from repro import health
 
@@ -419,7 +422,9 @@ def _dispatch(
         raise ValueError(f"kernel mode must be one of {_MODES}, got {mode!r}")
     entry = PORTED[kind]
     expected = "c" if mode == "auto" else mode
-    if mode == "auto":
+    if entry.detailed is _lanes.static_detailed and mode != "scalar":
+        engine = expected = "vectorized"
+    elif mode == "auto":
         engine = default_engine(entry.tier)
     elif mode == "numpy" and entry.tier != "lane":
         engine = "scalar"

@@ -112,6 +112,7 @@ class TestKernelsVerb:
         ]
         assert rows["agree"] == ["cloop", "c", "C loop per lane", "C loop per lane"]
         assert rows["biasfilter"] == rows["agree"]
+        assert rows["btfnt"] == ["lane", "vectorized", *["vectorized (any engine)"] * 2]
 
     def test_rows_without_compiler(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CC", "1")
@@ -121,6 +122,7 @@ class TestKernelsVerb:
             "cloop", "scalar", "step() per lane", "step() per lane"
         ]
         assert rows["biasfilter"] == rows["agree"]
+        assert rows["btfnt"] == ["lane", "vectorized", *["vectorized (any engine)"] * 2]
 
 
 class TestJournalCompact:

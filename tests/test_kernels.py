@@ -535,6 +535,35 @@ class TestComparatorBoundaries:
             assert together == alone, kind
 
 
+#: A multi-lane gshare family of mixed index widths and history
+#: lengths (81 lanes), for traces that straddle the fused loop's blocks.
+BLOCK_FAMILY = [f"gshare:index={i},hist={h}" for i in range(4, 13) for h in range(i + 1)]
+
+#: One branch short of a block, exactly one, one over, and three full
+#: blocks plus a partial one.
+BLOCK_LENGTHS = [
+    _cstep.GSHARE_BLOCK - 1,
+    _cstep.GSHARE_BLOCK,
+    _cstep.GSHARE_BLOCK + 1,
+    3 * _cstep.GSHARE_BLOCK + 7,
+]
+
+
+@lru_cache(maxsize=None)
+def _block_trace(length: int):
+    """A prefix of one trace over 400 sites spread past 12 index bits,
+    with per-site bias and a period-5 pattern, so tables and history
+    carry state across every block edge."""
+    from tests.conftest import make_trace
+
+    rng = np.random.default_rng(31)
+    n = max(BLOCK_LENGTHS)
+    sites = rng.integers(0, 2**20, size=400, dtype=np.int64) * 4
+    site = rng.integers(0, len(sites), size=n)
+    outcomes = (rng.random(n) < rng.random(len(sites))[site]) ^ (np.arange(n) % 5 == 0)
+    return make_trace(sites[site][:length], outcomes[:length], name=f"block-{length}")
+
+
 class TestSchemeBoundaries:
     """The same boundary traces for gshare, bi-mode, bimodal, the
     two-level family and the statics: rates, predictions and counter
@@ -544,6 +573,24 @@ class TestSchemeBoundaries:
     @pytest.mark.parametrize("spec", SCHEME_BOUNDARY_SPECS)
     def test_engines_match_oracle(self, spec, trace_kind):
         _assert_engines_match_oracle(spec, _boundary_trace(trace_kind))
+
+    def test_gshare_block_mirrors_the_c_source(self):
+        assert f"enum {{ B = {_cstep.GSHARE_BLOCK} }};" in _cstep._C_SOURCE
+
+    @pytest.mark.parametrize("length", BLOCK_LENGTHS)
+    def test_gshare_family_straddles_blocks(self, length):
+        """Every lane of a mixed gshare family rated in one call equals
+        the oracle on traces that end inside, at and past a block edge
+        of the lane-major fused loop, on the compiled and numpy
+        engines."""
+        trace = _block_trace(length)
+        assert len(trace) == length
+        lanes = [kernels.kernel_for_spec(spec)[1] for spec in BLOCK_FAMILY]
+        want = [oracle_rate(spec, trace) for spec in BLOCK_FAMILY]
+        modes = ("c", "numpy") if _cstep.available() else ("numpy",)
+        for mode in modes:
+            got = kernels.family_rates("gshare", BLOCK_FAMILY, lanes, trace, mode=mode)
+            assert got == want, mode
 
 
 #: Degenerate configurations of two schemes that are one predictor by
@@ -780,18 +827,23 @@ class TestDispatch:
     def test_static_direct_rates_match_prediction_path(self, spec):
         """The statics rate through their one vectorized ``detailed``
         hook: on every engine ``family_rates`` equals the miss share of
-        the predictions ``family_detailed`` returns, with no degradation
-        reported."""
+        the predictions ``family_detailed`` returns, and the health
+        event names that form at info severity, whatever the mode and
+        whether or not a compiler exists."""
         trace = _trace("toy")
         kind, lane = kernels.kernel_for_spec(spec)
-        for mode in ("c", "numpy") if _cstep.available() else ("numpy",):
-            (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
-            misses = np.count_nonzero(row.result.predictions != trace.outcomes)
-            health.clear()
-            rates = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
+        for mode, denied in [
+            ("auto", False), ("auto", True), ("c", True), ("numpy", False)
+        ]:
+            with faults.deny_compiler() if denied else nullcontext():
+                (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+                misses = np.count_nonzero(row.result.predictions != trace.outcomes)
+                health.clear()
+                rates = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
             assert rates == [misses / len(trace)], mode
             (event,) = health.events(component=f"{kind}-kernel")
-            assert event.actual == mode and event.severity == "info"
+            assert event.actual == event.expected == "vectorized", (mode, denied)
+            assert event.severity == "info" and event.reason == "", (mode, denied)
 
     def test_auto_without_compiler_degrades_with_reason(self):
         spec = "bimodal:index=6"
