@@ -17,7 +17,6 @@ from repro.analysis.sweep import gshare_spec
 from repro.core.hardware import PAPER_SIZE_POINTS_KB, HardwareBudget
 from repro.core.registry import make_predictor
 from repro.sim import kernels
-from repro.sim.batch import GShareLane
 from repro.sim.engine import run
 from repro.sim.runner import evaluate, evaluate_matrix
 
@@ -31,7 +30,8 @@ SPECS = [
 
 #: The gshare.best candidate family at one paper size (index_bits=12):
 #: the workload the batch kernel exists to accelerate.
-BATCH_LANES = [GShareLane(index_bits=12, history_bits=h) for h in range(13)]
+BATCH_SPECS = [gshare_spec(12, h) for h in range(13)]
+BATCH_LANES = [kernels.kernel_for_spec(spec)[1] for spec in BATCH_SPECS]
 
 #: Every gshare spec of a ``paper_sweep`` (Figs 2-4): the full history
 #: search at each of the eight paper sizes, 1PHT points included (the
@@ -46,11 +46,17 @@ PAPER_FAMILY = [
 PAPER_FAMILY_TRACE = "gcc"
 
 
+def mean_seconds(benchmark):
+    """The timed mean, or ``None`` when timing is off
+    (``--benchmark-disable``): the derived throughput print and floor
+    are then skipped, and only the correctness asserts run."""
+    return None if benchmark.stats is None else benchmark.stats["mean"]
+
+
 def batched_rates(trace):
     """The family through the kernel registry: one fused C pass, or the
     per-lane counter-major scan without a compiler."""
-    specs = [lane.spec for lane in BATCH_LANES]
-    return kernels.family_rates("gshare", specs, BATCH_LANES, trace)
+    return kernels.family_rates("gshare", BATCH_SPECS, BATCH_LANES, trace)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +71,10 @@ def test_simulation_throughput(benchmark, spec, trace):
     """One uncached cell through the sweeps' dispatch path."""
     rate = benchmark.pedantic(evaluate, args=(spec, trace), rounds=3, iterations=1)
     assert 0.0 <= rate <= 1.0
-    branches_per_second = len(trace) / benchmark.stats["mean"]
+    mean = mean_seconds(benchmark)
+    if mean is None:
+        return
+    branches_per_second = len(trace) / mean
     print(f"\n{spec}: {branches_per_second / 1e6:.2f} M branches/s")
     # sanity floor: the harness is unusable below ~100 K branches/s
     assert branches_per_second > 100_000
@@ -77,7 +86,10 @@ def test_batched_kernel_throughput(benchmark, trace):
     full history-length search at 12 index bits)."""
     rates = benchmark.pedantic(batched_rates, args=(trace,), rounds=3, iterations=1)
     assert all(0.0 <= r <= 1.0 for r in rates)
-    lane_branches_per_second = len(BATCH_LANES) * len(trace) / benchmark.stats["mean"]
+    mean = mean_seconds(benchmark)
+    if mean is None:
+        return
+    lane_branches_per_second = len(BATCH_LANES) * len(trace) / mean
     print(f"\nbatched x{len(BATCH_LANES)}: {lane_branches_per_second / 1e6:.2f} M lane-branches/s")
     # the whole point of the kernel: clearly faster than the scalar
     # gshare step loop on the same work
@@ -100,7 +112,10 @@ def test_paper_family_throughput(benchmark):
         iterations=1,
     )
     assert all(0.0 <= r <= 1.0 for r in rates)
-    lane_branches_per_second = len(lanes) * len(trace) / benchmark.stats["mean"]
+    mean = mean_seconds(benchmark)
+    if mean is None:
+        return
+    lane_branches_per_second = len(lanes) * len(trace) / mean
     print(
         f"\npaper family x{len(lanes)} on {PAPER_FAMILY_TRACE} ({len(trace)} branches): "
         f"{lane_branches_per_second / 1e6:.2f} M lane-branches/s"
@@ -112,10 +127,8 @@ def test_paper_family_throughput(benchmark):
 def test_batched_kernel_speedup_vs_scalar(benchmark, trace):
     """Wall-clock of the scalar engine over the same 13-configuration
     family, for a direct speedup readout against the batched group."""
-    specs = [lane.spec for lane in BATCH_LANES]
-
     def scalar_family():
-        return [run(make_predictor(s), trace).misprediction_rate for s in specs]
+        return [run(make_predictor(s), trace).misprediction_rate for s in BATCH_SPECS]
 
     scalar_rates = benchmark.pedantic(scalar_family, rounds=1, iterations=1)
     assert scalar_rates == batched_rates(trace)
@@ -125,12 +138,15 @@ def test_batched_kernel_speedup_vs_scalar(benchmark, trace):
 def test_sweep_matrix_throughput(benchmark, trace):
     """Cells/second of the (uncached) sweep matrix driver on a
     mixed gshare + bi-mode spec set — the figure benches' inner loop."""
-    specs = [lane.spec for lane in BATCH_LANES] + ["bimode:dir=11,hist=11,choice=11"]
+    specs = BATCH_SPECS + ["bimode:dir=11,hist=11,choice=11"]
     traces = {TRACE_NAME: trace}
     matrix = benchmark.pedantic(
         evaluate_matrix, args=(specs, traces), rounds=1, iterations=1
     )
-    cells = len(specs) * len(traces)
-    cells_per_second = cells / benchmark.stats["mean"]
-    print(f"\nsweep matrix: {cells_per_second:.1f} cells/s ({cells} cells)")
     assert all(0.0 <= matrix[s][TRACE_NAME] <= 1.0 for s in specs)
+    mean = mean_seconds(benchmark)
+    if mean is None:
+        return
+    cells = len(specs) * len(traces)
+    cells_per_second = cells / mean
+    print(f"\nsweep matrix: {cells_per_second:.1f} cells/s ({cells} cells)")

@@ -39,6 +39,7 @@ __all__ = [
     "STRONGLY_NOT_TAKEN",
     "STRONGLY_TAKEN",
     "MAX_INDEX_BITS",
+    "check_index_bits",
     "SaturatingCounter",
     "CounterTable",
 ]
@@ -48,10 +49,20 @@ WEAKLY_NOT_TAKEN = 1
 WEAKLY_TAKEN = 2
 STRONGLY_TAKEN = 3
 
-#: Widest table index a :class:`CounterTable` allocates; the kernel lane
-#: parsers reject wider specs too, so they fall to the scalar engine and
-#: raise its error.
+#: Widest table index any predictor table allocates: every constructor
+#: checks its table widths with :func:`check_index_bits`.
 MAX_INDEX_BITS = 24
+
+
+def check_index_bits(index_bits: int, name: str = "index_bits") -> None:
+    """Refuse a table index width outside ``0..MAX_INDEX_BITS``."""
+    if index_bits < 0:
+        raise ValueError(f"{name} must be >= 0, got {index_bits}")
+    if index_bits > MAX_INDEX_BITS:
+        raise ValueError(
+            f"{name}={index_bits} would allocate {1 << index_bits} entries; "
+            "refusing (likely a mis-parsed size)"
+        )
 
 _STATE_NAMES = {
     STRONGLY_NOT_TAKEN: "strongly-not-taken",
@@ -148,13 +159,7 @@ class CounterTable:
     __slots__ = ("index_bits", "bits", "init", "size", "_max", "_threshold", "states")
 
     def __init__(self, index_bits: int, bits: int = 2, init: int = WEAKLY_TAKEN):
-        if index_bits < 0:
-            raise ValueError(f"index_bits must be >= 0, got {index_bits}")
-        if index_bits > MAX_INDEX_BITS:
-            raise ValueError(
-                f"index_bits={index_bits} would allocate {1 << index_bits} counters; "
-                "refusing (likely a mis-parsed size)"
-            )
+        check_index_bits(index_bits)
         if bits < 1:
             raise ValueError(f"counter width must be >= 1 bit, got {bits}")
         self._max = (1 << bits) - 1

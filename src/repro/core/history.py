@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.counters import check_index_bits
+
 __all__ = [
     "GlobalHistoryRegister",
     "PerAddressHistoryTable",
@@ -90,8 +92,7 @@ class PerAddressHistoryTable:
     __slots__ = ("index_bits", "history_bits", "_index_mask", "_hist_mask", "registers")
 
     def __init__(self, index_bits: int, history_bits: int):
-        if index_bits < 0:
-            raise ValueError(f"index_bits must be >= 0, got {index_bits}")
+        check_index_bits(index_bits)
         if history_bits < 0:
             raise ValueError(f"history_bits must be >= 0, got {history_bits}")
         self.index_bits = index_bits

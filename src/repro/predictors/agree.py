@@ -17,7 +17,7 @@ the paper's counter-bytes cost metric.
 
 from __future__ import annotations
 
-from repro.core.counters import WEAKLY_TAKEN, CounterTable
+from repro.core.counters import WEAKLY_TAKEN, CounterTable, check_index_bits
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import gshare_index, mask
 from repro.core.interfaces import BranchPredictor
@@ -57,8 +57,7 @@ class AgreePredictor(BranchPredictor):
             )
         if bias_index_bits is None:
             bias_index_bits = index_bits
-        if bias_index_bits < 0:
-            raise ValueError(f"bias_index_bits must be >= 0, got {bias_index_bits}")
+        check_index_bits(bias_index_bits, "bias_index_bits")
         self.index_bits = index_bits
         self.history_bits = history_bits
         self.bias_index_bits = bias_index_bits

@@ -32,6 +32,7 @@ removes the near-constant history bits monotone branches contribute.
 
 from __future__ import annotations
 
+from repro.core.counters import check_index_bits
 from repro.core.indexing import mask
 from repro.core.interfaces import BranchPredictor
 
@@ -60,8 +61,7 @@ class BiasFilterPredictor(BranchPredictor):
         filter_index_bits: int = 12,
         run_bits: int = 3,
     ):
-        if filter_index_bits < 0:
-            raise ValueError(f"filter_index_bits must be >= 0, got {filter_index_bits}")
+        check_index_bits(filter_index_bits, "filter_index_bits")
         if run_bits < 1:
             raise ValueError(f"run_bits must be >= 1, got {run_bits}")
         self.sub_predictor = sub_predictor

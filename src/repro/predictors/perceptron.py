@@ -27,6 +27,7 @@ trade-off the comparison bench exposes.
 
 from __future__ import annotations
 
+from repro.core.counters import check_index_bits
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import mask
 from repro.core.interfaces import BranchPredictor
@@ -50,8 +51,7 @@ class PerceptronPredictor(BranchPredictor):
     scheme = "perceptron"
 
     def __init__(self, index_bits: int, history_bits: int = 12, weight_bits: int = 8):
-        if index_bits < 0:
-            raise ValueError(f"index_bits must be >= 0, got {index_bits}")
+        check_index_bits(index_bits)
         if history_bits < 0:
             raise ValueError(f"history_bits must be >= 0, got {history_bits}")
         if weight_bits < 2:

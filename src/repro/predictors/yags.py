@@ -22,7 +22,12 @@ correctly — mirroring the bi-mode choice predictor's partial update.
 
 from __future__ import annotations
 
-from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN, CounterTable
+from repro.core.counters import (
+    WEAKLY_NOT_TAKEN,
+    WEAKLY_TAKEN,
+    CounterTable,
+    check_index_bits,
+)
 from repro.core.history import GlobalHistoryRegister
 from repro.core.indexing import gshare_index, mask
 from repro.core.interfaces import BranchPredictor
@@ -102,8 +107,7 @@ class YagsPredictor(BranchPredictor):
     ):
         if choice_index_bits < 0:
             raise ValueError(f"choice_index_bits must be >= 0, got {choice_index_bits}")
-        if cache_index_bits < 0:
-            raise ValueError(f"cache_index_bits must be >= 0, got {cache_index_bits}")
+        check_index_bits(cache_index_bits, "cache_index_bits")
         if history_bits is None:
             history_bits = cache_index_bits
         if not 0 <= history_bits <= cache_index_bits:

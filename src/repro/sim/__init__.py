@@ -1,7 +1,7 @@
 """Trace-driven simulation: engine, batch kernel, metrics, and cached
 matrix sweeps, in-process or over a supervised worker pool."""
 
-from repro.sim.batch import GShareLane, lane_for_spec
+from repro.sim.batch import GShareLane
 from repro.sim.engine import run, run_detailed, run_steps
 from repro.sim.fetch import FetchEngine, FetchStats
 from repro.sim.metrics import (
@@ -30,7 +30,6 @@ __all__ = [
     "evaluate",
     "evaluate_matrix",
     "evaluate_specs",
-    "lane_for_spec",
     "misprediction_rate",
     "parallel_jobs",
     "per_branch_rates",

@@ -67,6 +67,13 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
+/* The 2-bit saturating counter update every loop below shares: one
+ * step toward taken (up) or not-taken, clamped to 0..3. */
+static inline int8_t sat2(int8_t s, int up)
+{
+    return up ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+}
+
 /* Fused gshare family: every lane of a spec family advances in one
  * pass per block of B branches.  All gshare lanes observe the same
  * global history contents (only the masked width differs), so a single
@@ -112,7 +119,7 @@ void gshare_fused(const int64_t *pcs, const uint8_t *o, int64_t n,
                 int8_t *cell = table + ((bp[j] & im) ^ (int64_t)(hb[j] & hm));
                 int8_t s = *cell;
                 lane_miss += (int64_t)((s >= 2) != taken);
-                *cell = taken ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+                *cell = sat2(s, taken);
             }
             miss[k] += lane_miss;
         }
@@ -150,14 +157,14 @@ void bimode_fused(const int64_t *pcs, const uint8_t *o, int64_t n,
             int8_t ds = bank[d];
             uint8_t fin = ds >= 2;
             miss[k] += (int64_t)(fin != taken);
-            bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
+            bank[d] = sat2(ds, taken);
             if (full_update[k]) {
                 int8_t *other = tables + (ct ? nt_base[k] : tk_base[k]);
                 int8_t os = other[d];
-                other[d] = taken ? (os < 3 ? os + 1 : 3) : (os > 0 ? os - 1 : 0);
+                other[d] = sat2(os, taken);
             }
             if (!((ct != (int)taken) && (fin == taken)))
-                choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
+                choice[c] = sat2(cs, taken);
         }
         h = (h << 1) | taken;
     }
@@ -191,11 +198,6 @@ void counter_lane(const int64_t *keys, const int8_t *delta, int64_t n,
  * predictions) and `cids` (each access's Section-4 counter id) are
  * nullable: a rate needs neither, so a family of lanes rates without
  * materializing any per-branch stream. */
-
-static inline int8_t sat2(int8_t s, int up)
-{
-    return up ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
-}
 
 /* One agree (configuration, trace) pair: the gshare-indexed agree PHT
  * and the first-outcome biasing bits of AgreePredictor in one pass.
@@ -687,7 +689,7 @@ int64_t gshare_detailed(const int64_t *pcs, const uint8_t *o, int64_t n,
         if (preds) preds[t] = fin;
         status = sg_emit(&g, t, (uint64_t)j, taken, fin != taken);
         if (status < 0) break;
-        table[j] = taken ? (s < 3 ? s + 1 : 3) : (s > 0 ? s - 1 : 0);
+        table[j] = sat2(s, taken);
         h = (h << 1) | taken;
     }
     return sg_finish(&g, status);
@@ -724,14 +726,14 @@ int64_t bimode_pair(const int64_t *pcs, const uint8_t *o, int64_t n,
         status = sg_emit(&g, t, (uint64_t)(d + (ct ? bank_size : 0)),
                          taken, fin != taken);
         if (status < 0) break;
-        bank[d] = taken ? (ds < 3 ? ds + 1 : 3) : (ds > 0 ? ds - 1 : 0);
+        bank[d] = sat2(ds, taken);
         if (full_update) {
             int8_t *other = ct ? nt_bank : tk_bank;
             int8_t os = other[d];
-            other[d] = taken ? (os < 3 ? os + 1 : 3) : (os > 0 ? os - 1 : 0);
+            other[d] = sat2(os, taken);
         }
         if (!((ct != (int)taken) && (fin == taken)))
-            choice[c] = taken ? (cs < 3 ? cs + 1 : 3) : (cs > 0 ? cs - 1 : 0);
+            choice[c] = sat2(cs, taken);
         h = (h << 1) | taken;
     }
     return sg_finish(&g, status);

@@ -60,17 +60,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import MAX_INDEX_BITS, WEAKLY_TAKEN
+from repro.core.counters import WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.interfaces import SubstreamGrouping
 from repro.core.indexing import gshare_index_stream
-from repro.core.registry import parse_spec
+from repro.predictors.gshare import GSharePredictor
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "GShareLane",
-    "lane_for_spec",
+    "gshare_lane_of",
     "gshare_detailed",
     "gshare_substreams",
     "gshare_rate",
@@ -95,32 +95,13 @@ class GShareLane:
             )
 
     @property
-    def spec(self) -> str:
-        """The registry spec string naming this configuration."""
-        return f"gshare:index={self.index_bits},hist={self.history_bits}"
-
-    @property
     def table_size(self) -> int:
         return 1 << self.index_bits
 
 
-def lane_for_spec(spec: str) -> Optional[GShareLane]:
-    """Parse a spec string into a lane, or ``None`` if it is not a plain
-    gshare configuration the batch kernel can simulate."""
-    try:
-        scheme, kwargs = parse_spec(spec)
-    except ValueError:
-        return None
-    if scheme != "gshare" or not set(kwargs) <= {"index", "hist"} or "index" not in kwargs:
-        return None
-    try:
-        index_bits = int(kwargs["index"])
-        history_bits = int(kwargs.get("hist", index_bits))
-    except ValueError:
-        return None
-    if not 0 <= index_bits <= MAX_INDEX_BITS or not 0 <= history_bits <= index_bits:
-        return None
-    return GShareLane(index_bits=index_bits, history_bits=history_bits)
+def gshare_lane_of(p: GSharePredictor) -> GShareLane:
+    """The lane of a built gshare predictor."""
+    return GShareLane(index_bits=p.index_bits, history_bits=p.history_bits)
 
 
 def _compose_segmented(

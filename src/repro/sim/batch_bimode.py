@@ -37,16 +37,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import MAX_INDEX_BITS, WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
+from repro.core.bimode import BiModePredictor
+from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
 from repro.core.indexing import mask
 from repro.core.interfaces import SubstreamGrouping
-from repro.core.registry import parse_spec
 from repro.sim import _cstep
 from repro.traces.record import BranchTrace
 
 __all__ = [
     "BiModeLane",
-    "bimode_lane_for_spec",
+    "bimode_lane_of",
     "bimode_detailed",
     "bimode_substreams",
     "bimode_family_rates",
@@ -74,16 +74,6 @@ class BiModeLane:
             raise ValueError(f"choice_bits must be >= 0, got {self.choice_bits}")
 
     @property
-    def spec(self) -> str:
-        """The registry spec string naming this configuration."""
-        parts = [f"dir={self.dir_bits}", f"hist={self.hist_bits}", f"choice={self.choice_bits}"]
-        if self.full_update:
-            parts.append("full_update=1")
-        if self.choice_uses_history:
-            parts.append("choice_hist=1")
-        return "bimode:" + ",".join(parts)
-
-    @property
     def bank_size(self) -> int:
         """Counters per direction bank."""
         return 1 << self.dir_bits
@@ -93,34 +83,14 @@ class BiModeLane:
         return 1 << self.choice_bits
 
 
-def bimode_lane_for_spec(spec: str) -> Optional[BiModeLane]:
-    """Parse a spec string into a lane, or ``None`` if it is not a
-    bi-mode configuration the batch kernel can simulate."""
-    try:
-        scheme, kwargs = parse_spec(spec)
-    except ValueError:
-        return None
-    allowed = {"dir", "hist", "choice", "full_update", "choice_hist"}
-    if scheme != "bimode" or not set(kwargs) <= allowed or "dir" not in kwargs:
-        return None
-    try:
-        dir_bits = int(kwargs["dir"])
-        hist_bits = int(kwargs.get("hist", dir_bits))
-        choice_bits = int(kwargs.get("choice", dir_bits))
-        full_update = bool(int(kwargs.get("full_update", 0)))
-        choice_hist = bool(int(kwargs.get("choice_hist", 0)))
-    except ValueError:
-        return None
-    if not 0 <= dir_bits <= MAX_INDEX_BITS or not 0 <= choice_bits <= MAX_INDEX_BITS:
-        return None
-    if not 0 <= hist_bits <= dir_bits:
-        return None
+def bimode_lane_of(p: BiModePredictor) -> BiModeLane:
+    """The lane of a built bi-mode predictor."""
     return BiModeLane(
-        dir_bits=dir_bits,
-        hist_bits=hist_bits,
-        choice_bits=choice_bits,
-        full_update=full_update,
-        choice_uses_history=choice_hist,
+        dir_bits=p.direction_index_bits,
+        hist_bits=p.history_bits,
+        choice_bits=p.choice_index_bits,
+        full_update=bool(p.full_update),
+        choice_uses_history=bool(p.choice_uses_history),
     )
 
 

@@ -9,8 +9,8 @@ caller that only wants the rate of a fresh predictor should use
 :func:`repro.sim.runner.evaluate`, which shares the sweeps' dispatch.
 
 Detailed (Section-4) simulation from power-on state shares the sweeps'
-dispatch: the predictor's canonical spec
-(:func:`repro.sim.kernels.spec_for_predictor`) goes through
+dispatch: the lane read off the predictor
+(:func:`repro.sim.kernels.lane_of`) goes through
 :func:`repro.sim.kernels.family_detailed`, with the engine chosen
 exactly as for sweeps — by the scheme's tier and whether a compiler is
 available (``REPRO_NO_CC=1`` vetoes it).  Every fallback to the scalar
@@ -71,7 +71,7 @@ def run_detailed(
     Parameters mirror :func:`run`: ``warmup`` branches still train the
     predictor but are excluded from the returned result (and from the
     attribution arrays).  With ``reset=True`` (the default) a predictor
-    with a spec form runs through the kernel registry, on fresh tables:
+    with a kernel lane runs through the kernel registry, on fresh tables:
     its own state is left as it was.  ``reset=False`` continues live
     predictor state, which only the per-branch loop can.  Results are
     bit-identical either way.
@@ -83,11 +83,9 @@ def run_detailed(
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if warmup > len(trace):
         raise ValueError(f"warmup ({warmup}) exceeds trace length ({len(trace)})")
-    spec = kernels.spec_for_predictor(predictor) if reset else None
-    kind, lane = ("scalar", None) if spec is None else kernels.kernel_for_spec(spec)
+    kind, lane = kernels.lane_of(predictor) if reset else ("scalar", None)
     if kind != "scalar":
-        (detailed,) = kernels.family_detailed(kind, [spec], [lane], trace)
-        detailed.result.predictor_name = predictor.name
+        (detailed,) = kernels.family_detailed(kind, [predictor], [lane], trace)
     else:
         if reset:
             health.engine_used(

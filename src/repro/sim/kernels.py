@@ -3,8 +3,10 @@
 Every registered scheme is one :class:`KernelEntry` in :data:`PORTED`,
 and kernel dispatch is a lookup:
 
-``kernel_for_spec(spec)`` resolves any predictor spec to a *kernel
-kind* plus a parsed lane description.  Kinds are:
+``kernel_for_spec(spec)`` builds the spec's predictor with
+:func:`repro.core.registry.make_predictor` — the one reading of a spec,
+its defaults and its range checks — and :func:`lane_of` reads a *kernel
+kind* plus a lane description off that predictor.  Kinds are:
 
 * one kind per registered scheme — gshare, bi-mode, bimodal, the
   two-level family (gag/gas/gap/gselect/pag/pas/pap), agree, gskew,
@@ -12,18 +14,21 @@ kind* plus a parsed lane description.  Kinds are:
   gshare/bimodal sub-predictors) and the three static schemes —
   executed by the lane kernels of :mod:`repro.sim.batch`,
   :mod:`repro.sim.batch_bimode` and :mod:`repro.sim.lanes`;
-* ``"scalar"`` — any spec whose knobs the lane parser rejects
-  (out-of-range geometry, unknown options, a bias-filter
-  sub-predictor without a kernel lane), run per-cell through the
-  scalar engine.  :data:`SCALAR_ONLY` is empty: every registered
-  scheme has a batch kernel, and the meta-test asserting the set stays
-  empty keeps it that way.
+* ``"scalar"`` — any spec the constructor refuses (its run raises
+  the constructor's error) or whose valid configuration no kernel
+  runs (a knob past a C integer width, a bias-filter sub-predictor
+  or tournament pairing without a kernel lane, a custom btfnt
+  classifier), run per-cell through the scalar engine.
+  :data:`SCALAR_ONLY` is empty: every registered scheme has a batch
+  kernel, and the meta-test asserting the set stays empty keeps it
+  that way.
 
 ``family_rates(kind, specs, lanes, trace)`` and ``family_detailed``
 evaluate one family and report every dispatch decision through
 :mod:`repro.health` (component ``"<kind>-kernel"``).
-``engine.run_detailed`` shares this dispatch: it resolves a live
-predictor's spec and calls :func:`family_detailed`.
+``engine.run_detailed`` shares this dispatch: it reads the lane off
+the live predictor with :func:`lane_of` and calls
+:func:`family_detailed`.
 
 Dispatch
 --------
@@ -68,12 +73,19 @@ fails CI by construction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.interfaces import DetailedSimulation, SimulationResult, SubstreamGrouping
+from repro.core.interfaces import (
+    BranchPredictor,
+    DetailedSimulation,
+    SimulationResult,
+    SubstreamGrouping,
+)
 from repro.sim import _cstep
 from repro.sim import batch as _gshare
 from repro.sim import batch_bimode as _bimode
@@ -86,7 +98,7 @@ __all__ = [
     "KernelEntry",
     "default_engine",
     "kernel_for_spec",
-    "spec_for_predictor",
+    "lane_of",
     "registered_schemes",
     "family_order",
     "family_rates",
@@ -108,11 +120,13 @@ BIASFILTER_SUBS = _lanes.BIASFILTER_SUBS
 
 @dataclass(frozen=True)
 class KernelEntry:
-    """One registered scheme: how to parse its specs and run its lanes."""
+    """One registered scheme: how to read its lanes and run them."""
 
     scheme: str
     tier: str  # "lane" (c, numpy fallback) | "cloop" (c, scalar fallback)
-    lane_for_spec: Callable[[str], Optional[object]]
+    #: ``predictor -> lane``, or ``None`` when the kernel cannot run that
+    #: (valid) configuration; the constructor already checked the rest.
+    lane_of: Callable[[BranchPredictor], Optional[object]]
     #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
     #: (predictions, counter_ids)``, bit-identical to the predictor's
     #: step-driven ``simulate_detailed`` loop.  It serves Section-4
@@ -138,7 +152,7 @@ _TWOLEVEL = {
     scheme: KernelEntry(
         scheme=scheme,
         tier="lane",
-        lane_for_spec=_lanes.twolevel_lane_for_spec,
+        lane_of=_lanes.twolevel_lane_of,
         detailed=_lanes.twolevel_detailed,
     )
     for scheme in ("gag", "gas", "gap", "gselect", "pag", "pas", "pap")
@@ -149,7 +163,7 @@ PORTED: Dict[str, KernelEntry] = {
     "gshare": KernelEntry(
         "gshare",
         "lane",
-        _gshare.lane_for_spec,
+        _gshare.gshare_lane_of,
         _gshare.gshare_detailed,
         rates=_gshare.gshare_rate,
         family=_gshare.gshare_family_rates,
@@ -158,47 +172,47 @@ PORTED: Dict[str, KernelEntry] = {
     "bimode": KernelEntry(
         "bimode",
         "cloop",
-        _bimode.bimode_lane_for_spec,
+        _bimode.bimode_lane_of,
         _bimode.bimode_detailed,
         family=_bimode.bimode_family_rates,
         substreams=_bimode.bimode_substreams,
     ),
     "bimodal": KernelEntry(
-        "bimodal", "lane", _lanes.bimodal_lane_for_spec, _lanes.bimodal_detailed
+        "bimodal", "lane", _lanes.bimodal_lane_of, _lanes.bimodal_detailed
     ),
     **_TWOLEVEL,
     "agree": KernelEntry(
         "agree",
         "cloop",
-        _lanes.agree_lane_for_spec,
+        _lanes.agree_lane_of,
         _lanes.agree_detailed,
         family=_lanes.agree_family_rates,
     ),
     "gskew": KernelEntry(
         "gskew",
         "cloop",
-        _lanes.gskew_lane_for_spec,
+        _lanes.gskew_lane_of,
         _lanes.gskew_detailed,
         family=_lanes.gskew_family_rates,
     ),
     "tournament": KernelEntry(
         "tournament",
         "cloop",
-        _lanes.tournament_lane_for_spec,
+        _lanes.tournament_lane_of,
         _lanes.tournament_detailed,
         family=_lanes.tournament_family_rates,
     ),
     "trimode": KernelEntry(
         "trimode",
         "cloop",
-        _lanes.trimode_lane_for_spec,
+        _lanes.trimode_lane_of,
         _lanes.trimode_detailed,
         family=_lanes.trimode_family_rates,
     ),
     "yags": KernelEntry(
         "yags",
         "cloop",
-        _lanes.yags_lane_for_spec,
+        _lanes.yags_lane_of,
         _lanes.yags_detailed,
         family=_lanes.yags_family_rates,
     ),
@@ -206,14 +220,14 @@ PORTED: Dict[str, KernelEntry] = {
     "perceptron": KernelEntry(
         "perceptron",
         "cloop",
-        _lanes.perceptron_lane_for_spec,
+        _lanes.perceptron_lane_of,
         _lanes.perceptron_detailed,
         family=_lanes.perceptron_family_rates,
     ),
     "biasfilter": KernelEntry(
         "biasfilter",
         "cloop",
-        _lanes.biasfilter_lane_for_spec,
+        _lanes.biasfilter_lane_of,
         _lanes.biasfilter_detailed,
         family=_lanes.biasfilter_family_rates,
     ),
@@ -221,7 +235,7 @@ PORTED: Dict[str, KernelEntry] = {
         scheme: KernelEntry(
             scheme=scheme,
             tier="lane",
-            lane_for_spec=_lanes.static_lane_for_spec,
+            lane_of=_lanes.static_lane_of,
             detailed=_lanes.static_detailed,
         )
         for scheme in ("always-taken", "always-not-taken", "btfnt")
@@ -234,139 +248,34 @@ def family_order() -> Tuple[str, ...]:
     return (*PORTED, "scalar")
 
 
+def lane_of(predictor: BranchPredictor) -> Tuple[str, Optional[object]]:
+    """``(kind, lane)`` of a built predictor; ``("scalar", None)`` when
+    no lane kernel runs its configuration."""
+    entry = PORTED.get(predictor.scheme)
+    lane = None if entry is None else entry.lane_of(predictor)
+    return ("scalar", None) if lane is None else (entry.scheme, lane)
+
+
+@lru_cache(maxsize=None)
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     """Resolve a spec to ``(kind, lane)``; ``("scalar", None)`` when no
     lane kernel covers it.
 
+    The spec is read once, by :func:`repro.core.registry.make_predictor`,
+    and the lane off the predictor it builds.  A spec the constructor
+    refuses falls to scalar, whose run raises the constructor's error.
     Resolution is structural only: the engine that runs a family is
     picked later, by :func:`family_rates` / :func:`family_detailed`.
-    A spec whose knobs a lane parser rejects (out-of-range geometry,
-    unknown options) falls to scalar so the scalar constructor can
-    raise its original, descriptive error.
+    Memoized: the answer is a pure function of the string, and lanes
+    are frozen.
     """
-    scheme = spec.split(":", 1)[0].strip()
-    entry = PORTED.get(scheme)
-    if entry is not None:
-        lane = entry.lane_for_spec(spec)
-        if lane is not None:
-            return scheme, lane
-    return "scalar", None
+    from repro.core.registry import make_predictor
 
-
-def spec_for_predictor(predictor: object) -> Optional[str]:
-    """Reconstruct the canonical spec of a live predictor instance, or
-    ``None`` when its configuration has no spec form.
-
-    ``engine.run_detailed`` receives a *predictor object*, not a spec,
-    and predictor ``name``
-    strings are display labels, not parseable specs (the bias filter
-    brackets its sub-predictor; agree renames its knobs).  Rebuilding
-    the spec from the instance's attributes and round-tripping it
-    through the lane parsers reuses their geometry validation, so a
-    hand-constructed predictor outside a lane's supported range safely
-    resolves to the scalar family.
-    """
-    from repro.core.bimode import BiModePredictor
-    from repro.predictors.agree import AgreePredictor
-    from repro.predictors.bimodal import BimodalPredictor
-    from repro.predictors.filtered import BiasFilterPredictor
-    from repro.predictors.gshare import GSharePredictor
-    from repro.predictors.gskew import GSkewPredictor
-    from repro.predictors.perceptron import PerceptronPredictor
-    from repro.predictors.static_ import (
-        AlwaysNotTakenPredictor,
-        AlwaysTakenPredictor,
-        BTFNTPredictor,
-    )
-    from repro.predictors.tournament import TournamentPredictor
-    from repro.predictors.trimode import TriModePredictor
-    from repro.predictors.twolevel import TwoLevelPredictor
-    from repro.predictors.yags import YagsPredictor
-
-    p = predictor
-    if isinstance(p, GSharePredictor):
-        return f"gshare:index={p.index_bits},hist={p.history_bits}"
-    if isinstance(p, BiModePredictor):
-        spec = (
-            f"bimode:dir={p.direction_index_bits},hist={p.history_bits},"
-            f"choice={p.choice_index_bits}"
-        )
-        if p.full_update:
-            spec += ",full_update=1"
-        if p.choice_uses_history:
-            spec += ",choice_hist=1"
-        return spec
-    if isinstance(p, BimodalPredictor):
-        return f"bimodal:index={p.index_bits},bits={p.table.bits}"
-    if isinstance(p, TwoLevelPredictor):
-        scheme = type(p).scheme
-        knobs = [f"hist={p.history_bits}"]
-        if scheme in ("gas", "pas"):
-            knobs.append(f"select={p.pht_select_bits}")
-        elif scheme in ("gselect", "gap", "pap"):
-            knobs.append(f"addr={p.pht_select_bits}")
-        if p.per_address:
-            knobs.append(f"bht={p.bht.index_bits}")
-        return f"{scheme}:" + ",".join(knobs)
-    if isinstance(p, AgreePredictor):
-        return (
-            f"agree:index={p.index_bits},hist={p.history_bits},"
-            f"bias={p.bias_index_bits}"
-        )
-    if isinstance(p, GSkewPredictor):
-        return (
-            f"gskew:bank={p.bank_index_bits},hist={p.history_bits},"
-            f"update={p.update_policy}"
-        )
-    if isinstance(p, TournamentPredictor):
-        a, b = p.component_a, p.component_b
-        # the lane models the registry pairing: bimodal + same-geometry
-        # gshare at one shared index width
-        if (
-            isinstance(a, BimodalPredictor)
-            and isinstance(b, GSharePredictor)
-            and a.table.bits == 2
-            and a.index_bits == b.index_bits == b.history_bits
-        ):
-            return f"tournament:index={a.index_bits},meta={p.meta_index_bits}"
-        return None
-    if isinstance(p, TriModePredictor):
-        return (
-            f"trimode:dir={p.direction_index_bits},hist={p.history_bits},"
-            f"choice={p.choice_index_bits}"
-        )
-    if isinstance(p, YagsPredictor):
-        return (
-            f"yags:choice={p.choice_index_bits},cache={p.cache_index_bits},"
-            f"hist={p.history_bits},tag={p.tag_bits}"
-        )
-    if isinstance(p, PerceptronPredictor):
-        return (
-            f"perceptron:index={p.index_bits},hist={p.history_bits},"
-            f"w={p.weight_bits}"
-        )
-    if isinstance(p, BiasFilterPredictor):
-        sub = p.sub_predictor
-        head = f"biasfilter:table={p.filter_index_bits},run={p.run_bits}"
-        if isinstance(sub, GSharePredictor):
-            return (
-                f"{head},sub=gshare,sub_index={sub.index_bits},"
-                f"sub_hist={sub.history_bits}"
-            )
-        if isinstance(sub, BimodalPredictor) and sub.table.bits == 2:
-            return f"{head},sub=bimodal,sub_index={sub.index_bits}"
-        return None
-    if isinstance(p, (AlwaysTakenPredictor, AlwaysNotTakenPredictor)):
-        return type(p).scheme
-    if isinstance(p, BTFNTPredictor):
-        from repro.predictors.static_ import _default_backward_classifier
-
-        # the lane hard-codes the workload convention; a custom
-        # backward-classifier has no spec form
-        if p._backward is _default_backward_classifier:
-            return "btfnt"
-        return None
-    return None
+    try:
+        predictor = make_predictor(spec)
+    except ValueError:
+        return "scalar", None
+    return lane_of(predictor)
 
 
 def registered_schemes() -> Dict[str, str]:
@@ -401,7 +310,7 @@ def default_engine(tier: str) -> str:
 
 
 def _dispatch(
-    kind: str, specs: Sequence[str], lanes: Sequence[object], mode: str
+    kind: str, specs: Sequence[object], lanes: Sequence[object], mode: str
 ) -> Tuple[KernelEntry, str, str]:
     """Resolve one family's engine, health-report it under
     ``"<kind>-kernel"``, and return ``(entry, engine, fallback_reason)``.
@@ -441,9 +350,22 @@ def _dispatch(
     return entry, engine, reason
 
 
+def _power_on(cell: Union[str, BranchPredictor]) -> BranchPredictor:
+    """A power-on predictor for one detailed cell: built from its spec,
+    or a reset copy of a caller's predictor, whose own state is left as
+    it was."""
+    from repro.core.registry import make_predictor
+
+    if isinstance(cell, str):
+        return make_predictor(cell)
+    twin = copy.deepcopy(cell)
+    twin.reset()
+    return twin
+
+
 def family_detailed(
     kind: str,
-    specs: Sequence[str],
+    cells: Sequence[Union[str, BranchPredictor]],
     lanes: Sequence[object],
     trace: BranchTrace,
     mode: str = "auto",
@@ -451,7 +373,10 @@ def family_detailed(
 ) -> list:
     """Section-4 attribution of every lane of one family.
 
-    Returns one :class:`~repro.core.interfaces.DetailedSimulation` per
+    Each cell is a spec string or, from
+    :func:`repro.sim.engine.run_detailed`, a built predictor; the row
+    carries the spec or the predictor's display name.  Returns one
+    :class:`~repro.core.interfaces.DetailedSimulation` per
     lane, bit-for-bit what the scalar ``simulate_detailed`` loop would
     emit from power-on state.  Given the trace's ``pc_codes``
     (:func:`repro.analysis.bias.pc_code_stream`), a lane whose entry has
@@ -468,28 +393,27 @@ def family_detailed(
     per-access predictions and counter ids.
     """
     from repro import health
-    from repro.core.registry import make_predictor
 
-    entry, engine, reason = _dispatch(kind, specs, lanes, mode)
+    entry, engine, reason = _dispatch(kind, cells, lanes, mode)
     health.engine_used(
         "detailed-kernel",
         "scalar" if engine == "scalar" else "batch",
         expected="scalar" if mode == "scalar" else "batch",
-        cells=len(specs),
+        cells=len(cells),
         reason=reason,
     )
     out: list = []
-    for spec, lane in zip(specs, lanes):
+    for cell, lane in zip(cells, lanes):
         if engine == "c" and pc_codes is not None and entry.substreams is not None:
             out.append(entry.substreams(lane, trace, pc_codes))
             continue
         if engine == "scalar":
-            detailed = make_predictor(spec).simulate_detailed(trace)
+            detailed = _power_on(cell).simulate_detailed(trace)
         else:
             preds, cids = entry.detailed(lane, trace, engine, None)
             detailed = DetailedSimulation(
                 result=SimulationResult(
-                    predictor_name=spec,
+                    predictor_name=cell if isinstance(cell, str) else cell.name,
                     trace_name=trace.name,
                     predictions=preds,
                     outcomes=trace.outcomes,

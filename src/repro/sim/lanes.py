@@ -9,7 +9,11 @@ gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
 ``<scheme>_detailed(lane, trace, engine, hist_cache) -> (predictions,
 counter_ids)``: it serves Section-4 attribution, and the registry
 counts a lane's misses from its predictions wherever no faster rate
-path applies.
+path applies.  Each scheme also has one reader,
+``<scheme>_lane_of(predictor)``, which reads the lane off a built
+predictor: the constructors hold every default and range check, and a
+reader keeps only the kernel's own limits (C integer widths, the
+configurations a loop models).
 
 * **compiled comparator loops** — agree, gskew (both update policies),
   the bimodal+gshare tournament, tri-mode, YAGS, the perceptron and
@@ -62,11 +66,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.counters import MAX_INDEX_BITS, WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
+from repro.core.counters import WEAKLY_NOT_TAKEN, WEAKLY_TAKEN
 from repro.core.grouping import stable_group_order
 from repro.core.history import global_history_stream
 from repro.core.indexing import concat_index_stream, mask
-from repro.core.registry import parse_spec
+from repro.core.interfaces import BranchPredictor
+from repro.predictors.agree import AgreePredictor
+from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.filtered import BiasFilterPredictor
+from repro.predictors.gshare import GSharePredictor
+from repro.predictors.gskew import GSkewPredictor
+from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.static_ import BTFNTPredictor, _default_backward_classifier
+from repro.predictors.tournament import TournamentPredictor
+from repro.predictors.trimode import TriModePredictor
+from repro.predictors.twolevel import TwoLevelPredictor
+from repro.predictors.yags import YagsPredictor
 from repro.sim import _cstep
 from repro.sim.batch import GShareLane, _observed_states, _train_deltas
 from repro.traces.record import BranchTrace
@@ -82,16 +97,16 @@ __all__ = [
     "PerceptronLane",
     "BiasFilterLane",
     "StaticLane",
-    "bimodal_lane_for_spec",
-    "twolevel_lane_for_spec",
-    "agree_lane_for_spec",
-    "gskew_lane_for_spec",
-    "tournament_lane_for_spec",
-    "trimode_lane_for_spec",
-    "yags_lane_for_spec",
-    "perceptron_lane_for_spec",
-    "biasfilter_lane_for_spec",
-    "static_lane_for_spec",
+    "bimodal_lane_of",
+    "twolevel_lane_of",
+    "agree_lane_of",
+    "gskew_lane_of",
+    "tournament_lane_of",
+    "trimode_lane_of",
+    "yags_lane_of",
+    "perceptron_lane_of",
+    "biasfilter_lane_of",
+    "static_lane_of",
     "per_address_histories",
     "bimodal_detailed",
     "twolevel_detailed",
@@ -105,12 +120,6 @@ __all__ = [
     "static_detailed",
     "detailed_num_counters",
 ]
-
-#: GlobalHistoryRegister's width ceiling: the lane parsers reject wider
-#: histories, as they reject tables wider than ``MAX_INDEX_BITS``, so the
-#: spec falls to the scalar family and raises the constructor's error.
-_MAX_HIST_BITS = 62
-
 
 # -- lane descriptions ------------------------------------------------------------
 
@@ -218,243 +227,121 @@ class StaticLane:
     scheme: str  # "always-taken" | "always-not-taken" | "btfnt"
 
 
-# -- spec parsing -----------------------------------------------------------------
+# -- reading a built predictor ----------------------------------------------------
+#
+# ``<scheme>_lane_of(predictor)`` reads a lane off a predictor that
+# ``make_predictor`` (or a caller) built, so the constructors alone hold
+# each scheme's defaults and range checks.  A reader returns ``None``
+# only where the kernel cannot run a valid configuration (a C integer
+# width, or a pairing the loop does not model); that predictor runs on
+# the scalar family.
 
 
-def _parse_int_spec(
-    spec: str, scheme: str, allowed: frozenset, required: frozenset
-) -> Optional[Dict[str, int]]:
-    """Parse an all-integer spec, or ``None`` if it is not a ``scheme``
-    configuration with exactly the allowed knobs."""
-    try:
-        name, kwargs = parse_spec(spec)
-    except ValueError:
+def bimodal_lane_of(p: BimodalPredictor) -> Optional[BimodalLane]:
+    # counter states live in int8 in the compiled loop
+    if p.table.bits > 7:
         return None
-    if name != scheme or not set(kwargs) <= allowed or not required <= set(kwargs):
-        return None
-    out: Dict[str, int] = {}
-    for key, value in kwargs.items():
-        try:
-            out[key] = int(value)
-        except ValueError:
-            return None
-    return out
+    return BimodalLane(index_bits=p.index_bits, counter_bits=p.table.bits)
 
 
-def bimodal_lane_for_spec(spec: str) -> Optional[BimodalLane]:
-    kw = _parse_int_spec(spec, "bimodal", frozenset({"index", "bits"}), frozenset({"index"}))
-    if kw is None:
-        return None
-    index, bits = kw["index"], kw.get("bits", 2)
-    if not 0 <= index <= MAX_INDEX_BITS or not 1 <= bits <= 7:
-        return None
-    return BimodalLane(index_bits=index, counter_bits=bits)
-
-
-#: Spec-knob layout of the two-level family: required keys, plus how the
-#: select width is spelled (``None`` = fixed 0) and whether a BHT exists.
-_TWOLEVEL_FORMS = {
-    "gag": (frozenset({"hist"}), None, False),
-    "gas": (frozenset({"hist", "select"}), "select", False),
-    "gselect": (frozenset({"hist", "addr"}), "addr", False),
-    "gap": (frozenset({"hist"}), "addr", False),
-    "pag": (frozenset({"hist", "bht"}), None, True),
-    "pas": (frozenset({"hist", "select", "bht"}), "select", True),
-    "pap": (frozenset({"hist", "addr", "bht"}), "addr", True),
-}
-
-
-def twolevel_lane_for_spec(spec: str) -> Optional[TwoLevelLane]:
-    scheme = spec.split(":", 1)[0].strip()
-    form = _TWOLEVEL_FORMS.get(scheme)
-    if form is None:
-        return None
-    required, select_key, per_address = form
-    allowed = set(required)
-    if select_key:
-        allowed.add(select_key)
-    kw = _parse_int_spec(spec, scheme, frozenset(allowed), required)
-    if kw is None:
-        return None
-    hist = kw["hist"]
-    if select_key is None:
-        select = 0
-    elif scheme == "gap":
-        select = kw.get("addr", 8)
-    else:
-        select = kw[select_key]
-    bht = kw["bht"] if per_address else None
-    if hist < 0 or select < 0 or hist + select > MAX_INDEX_BITS:
-        return None
-    if scheme in ("gas", "gselect", "pas", "pap") and select < 1:
-        return None
-    if per_address and not 0 <= bht <= MAX_INDEX_BITS:
-        return None
-    return TwoLevelLane(scheme=scheme, hist_bits=hist, select_bits=select, bht_bits=bht)
-
-
-def agree_lane_for_spec(spec: str) -> Optional[AgreeLane]:
-    kw = _parse_int_spec(
-        spec, "agree", frozenset({"index", "hist", "bias"}), frozenset({"index"})
+def twolevel_lane_of(p: TwoLevelPredictor) -> TwoLevelLane:
+    return TwoLevelLane(
+        scheme=p.scheme,
+        hist_bits=p.history_bits,
+        select_bits=p.pht_select_bits,
+        bht_bits=p.bht.index_bits if p.per_address else None,
     )
-    if kw is None:
-        return None
-    index = kw["index"]
-    hist = kw.get("hist", index)
-    bias = kw.get("bias", index)
-    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= hist <= index:
-        return None
-    if not 0 <= bias <= MAX_INDEX_BITS:
-        return None
-    return AgreeLane(index_bits=index, hist_bits=hist, bias_bits=bias)
 
 
-def gskew_lane_for_spec(spec: str) -> Optional[GSkewLane]:
-    try:
-        name, kwargs = parse_spec(spec)
-    except ValueError:
-        return None
-    if name != "gskew" or not set(kwargs) <= {"bank", "hist", "update"}:
-        return None
-    if "bank" not in kwargs:
-        return None
-    policy = kwargs.get("update", "enhanced")
-    if policy not in ("enhanced", "total"):
-        return None
-    try:
-        bank = int(kwargs["bank"])
-        hist = int(kwargs.get("hist", bank))
-    except ValueError:
-        return None
-    if not 0 <= bank <= MAX_INDEX_BITS or not 0 <= hist <= _MAX_HIST_BITS:
-        return None
-    return GSkewLane(bank_bits=bank, hist_bits=hist, enhanced=policy == "enhanced")
-
-
-def tournament_lane_for_spec(spec: str) -> Optional[TournamentLane]:
-    kw = _parse_int_spec(
-        spec, "tournament", frozenset({"index", "meta"}), frozenset({"index"})
+def agree_lane_of(p: AgreePredictor) -> AgreeLane:
+    return AgreeLane(
+        index_bits=p.index_bits, hist_bits=p.history_bits, bias_bits=p.bias_index_bits
     )
-    if kw is None:
-        return None
-    index = kw["index"]
-    meta = kw.get("meta", index)
-    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= meta <= MAX_INDEX_BITS:
-        return None
-    return TournamentLane(index_bits=index, meta_bits=meta)
 
 
-def trimode_lane_for_spec(spec: str) -> Optional[TriModeLane]:
-    kw = _parse_int_spec(
-        spec, "trimode", frozenset({"dir", "hist", "choice"}), frozenset({"dir"})
+def gskew_lane_of(p: GSkewPredictor) -> GSkewLane:
+    return GSkewLane(
+        bank_bits=p.bank_index_bits,
+        hist_bits=p.history_bits,
+        enhanced=p.update_policy == "enhanced",
     )
-    if kw is None:
-        return None
-    dir_bits = kw["dir"]
-    hist = kw.get("hist", dir_bits)
-    choice = kw.get("choice", dir_bits)
-    if not 0 <= dir_bits <= MAX_INDEX_BITS or not 0 <= hist <= dir_bits:
-        return None
-    if not 0 <= choice <= MAX_INDEX_BITS:
-        return None
-    return TriModeLane(dir_bits=dir_bits, hist_bits=hist, choice_bits=choice)
 
 
-def yags_lane_for_spec(spec: str) -> Optional[YagsLane]:
-    kw = _parse_int_spec(
-        spec,
-        "yags",
-        frozenset({"choice", "cache", "hist", "tag"}),
-        frozenset({"choice", "cache"}),
+def tournament_lane_of(p: TournamentPredictor) -> Optional[TournamentLane]:
+    # the loop models the registry pairing: a 2-bit bimodal and a
+    # same-geometry gshare at one shared index width
+    a, b = p.component_a, p.component_b
+    if not (
+        isinstance(a, BimodalPredictor)
+        and isinstance(b, GSharePredictor)
+        and a.table.bits == 2
+        and a.index_bits == b.index_bits == b.history_bits
+    ):
+        return None
+    return TournamentLane(index_bits=a.index_bits, meta_bits=p.meta_index_bits)
+
+
+def trimode_lane_of(p: TriModePredictor) -> TriModeLane:
+    return TriModeLane(
+        dir_bits=p.direction_index_bits,
+        hist_bits=p.history_bits,
+        choice_bits=p.choice_index_bits,
     )
-    if kw is None:
-        return None
-    choice, cache = kw["choice"], kw["cache"]
-    hist = kw.get("hist", cache)
-    tag = kw.get("tag", 6)
-    if not 0 <= choice <= MAX_INDEX_BITS or not 0 <= cache <= MAX_INDEX_BITS:
-        return None
-    if not 0 <= hist <= cache or not 1 <= tag <= 30:
-        return None
-    return YagsLane(choice_bits=choice, cache_bits=cache, hist_bits=hist, tag_bits=tag)
 
 
-def perceptron_lane_for_spec(spec: str) -> Optional[PerceptronLane]:
-    kw = _parse_int_spec(
-        spec, "perceptron", frozenset({"index", "hist", "w"}), frozenset({"index"})
+def yags_lane_of(p: YagsPredictor) -> Optional[YagsLane]:
+    # tags live in int32 in the compiled loop
+    if p.tag_bits > 30:
+        return None
+    return YagsLane(
+        choice_bits=p.choice_index_bits,
+        cache_bits=p.cache_index_bits,
+        hist_bits=p.history_bits,
+        tag_bits=p.tag_bits,
     )
-    if kw is None:
+
+
+def perceptron_lane_of(p: PerceptronPredictor) -> Optional[PerceptronLane]:
+    # weights saturate in int32 in the compiled loop (the int64 dot
+    # product then never overflows)
+    if p.weight_bits > 30:
         return None
-    index = kw["index"]
-    hist = kw.get("hist", 12)
-    w = kw.get("w", 8)
-    if not 0 <= index <= MAX_INDEX_BITS or not 0 <= hist <= _MAX_HIST_BITS:
-        return None
-    # w caps at int32-safe saturation (the int64 dot product then never
-    # overflows).
-    if not 2 <= w <= 30:
-        return None
-    return PerceptronLane(index_bits=index, hist_bits=hist, weight_bits=w)
+    return PerceptronLane(
+        index_bits=p.index_bits, hist_bits=p.history_bits, weight_bits=p.weight_bits
+    )
 
 
 #: Sub-predictor schemes the bias-filter kernel executes in-lane; any
-#: other ``sub=`` value runs through the scalar family with an explicit
+#: other sub-predictor runs through the scalar family with an explicit
 #: planner veto (see :func:`repro.sim.kernels.planner_vetoes`).
 BIASFILTER_SUBS = ("gshare", "bimodal")
 
 
-def biasfilter_lane_for_spec(spec: str) -> Optional[BiasFilterLane]:
-    try:
-        name, kwargs = parse_spec(spec)
-    except ValueError:
+def biasfilter_lane_of(p: BiasFilterPredictor) -> Optional[BiasFilterLane]:
+    # run counters live in int8 in the compiled loop
+    if p.run_bits > 7:
         return None
-    if name != "biasfilter" or not set(kwargs) <= {
-        "table",
-        "run",
-        "sub",
-        "sub_index",
-        "sub_hist",
-    }:
-        return None
-    if "sub_index" not in kwargs:
-        return None
-    sub = kwargs.get("sub", "gshare")
-    if sub not in BIASFILTER_SUBS:
-        return None
-    if sub == "bimodal" and "sub_hist" in kwargs:
-        return None
-    try:
-        table = int(kwargs.get("table", 12))
-        run = int(kwargs.get("run", 3))
-        sub_index = int(kwargs["sub_index"])
-        sub_hist = int(kwargs.get("sub_hist", sub_index)) if sub == "gshare" else 0
-    except ValueError:
-        return None
-    # run counters live in int8 in the compiled loop: run_bits <= 7
-    if not 0 <= table <= MAX_INDEX_BITS or not 1 <= run <= 7:
-        return None
-    if not 0 <= sub_index <= MAX_INDEX_BITS or not 0 <= sub_hist <= sub_index:
+    sub = p.sub_predictor
+    if isinstance(sub, GSharePredictor):
+        sub_hist = sub.history_bits
+    elif isinstance(sub, BimodalPredictor) and sub.table.bits == 2:
+        sub_hist = 0
+    else:
         return None
     return BiasFilterLane(
-        filter_bits=table,
-        run_bits=run,
-        sub_scheme=sub,
-        sub_index_bits=sub_index,
+        filter_bits=p.filter_index_bits,
+        run_bits=p.run_bits,
+        sub_scheme=sub.scheme,
+        sub_index_bits=sub.index_bits,
         sub_hist_bits=sub_hist,
     )
 
 
-_STATIC_SCHEMES = frozenset({"always-taken", "always-not-taken", "btfnt"})
-
-
-def static_lane_for_spec(spec: str) -> Optional[StaticLane]:
-    try:
-        name, kwargs = parse_spec(spec)
-    except ValueError:
+def static_lane_of(p: BranchPredictor) -> Optional[StaticLane]:
+    # the btfnt lane hard-codes the workload's backward convention
+    if isinstance(p, BTFNTPredictor) and p._backward is not _default_backward_classifier:
         return None
-    if name not in _STATIC_SCHEMES or kwargs:
-        return None
-    return StaticLane(scheme=name)
+    return StaticLane(scheme=p.scheme)
 
 
 # -- shared stream helpers --------------------------------------------------------

@@ -32,6 +32,7 @@ Layers:
 
 from __future__ import annotations
 
+import re
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -266,7 +267,7 @@ class TestRegistryCompleteness:
             sizes = [s for s in PORTED_GRID if s.split(":", 1)[0] == scheme]
             # the knob-less statics admit exactly one spec spelling;
             # everything else needs >= 2 geometries
-            want = 1 if entry.lane_for_spec(scheme) is not None else 2
+            want = 1 if kernels.kernel_for_spec(scheme)[1] is not None else 2
             assert len(sizes) >= want, (
                 f"PORTED_GRID needs >= {want} size(s) of {scheme!r}"
             )
@@ -296,6 +297,7 @@ class TestKernelForSpec:
             "gshare:index=25,hist=4",  # wider than a counter table
             "bimode:dir=25,hist=4,choice=4",
             "bimode:dir=4,hist=4,choice=25",
+            "gap:hist=4,addr=0",  # GAs-family schemes need a select bit
             "not a spec",
         ],
     )
@@ -308,15 +310,19 @@ class TestKernelForSpec:
             "gshare:index=25,hist=4",
             "bimode:dir=25,hist=4,choice=4",
             "bimode:dir=4,hist=4,choice=25",
+            "gap:hist=4,addr=0",
         ],
     )
     def test_oversized_tables_raise_in_sweeps(self, spec):
-        """A table wider than a counter table may be raises the scalar
-        constructor's error under the default dispatch too, instead of
-        running a lane that the scalar engine would refuse."""
+        """A spec the constructor refuses (a table wider than a counter
+        table may be, a GAs-family scheme without a select bit) raises
+        that constructor's own error under the default dispatch too,
+        instead of running a lane that the scalar engine would refuse."""
         from repro.sim.runner import evaluate_specs
 
-        with pytest.raises(ValueError, match="index_bits=25"):
+        with pytest.raises(ValueError) as refused:
+            make_predictor(spec)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
             evaluate_specs([spec], _trace("toy"))
 
     def test_lane_parsers_mirror_scalar_defaults(self):
@@ -726,16 +732,16 @@ class TestDetailedEquivalence:
         ],
     )
     def test_bimode_ablation_predictors_stay_batched(self, knobs):
-        """Hand-built bi-mode ablation predictors round-trip through
-        ``spec_for_predictor`` and keep ``run_detailed`` on the batch
-        path, bit-identical to their scalar loop."""
+        """Hand-built bi-mode ablation predictors read as bi-mode lanes
+        and keep ``run_detailed`` on the batch path, bit-identical to
+        their scalar loop."""
         from repro.core.bimode import BiModePredictor
         from repro.sim.engine import run_detailed
 
         trace = _trace("aliasing")
         predictor = BiModePredictor(6, 4, 5, **knobs)
-        spec = kernels.spec_for_predictor(predictor)
-        assert kernels.kernel_for_spec(spec)[0] == "bimode", spec
+        kind, lane = kernels.lane_of(predictor)
+        assert kind == "bimode", lane
         got = run_detailed(predictor, trace)
         (event,) = health.events(component="detailed-kernel")
         # batched wherever bi-mode's compiled loop can run

@@ -3,7 +3,8 @@ predictor invariants, plus differential fuzzing of every registered
 predictor against the dict-based oracle (:mod:`repro.verify`)."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.counters import CounterTable, SaturatingCounter
@@ -12,9 +13,11 @@ from repro.core.indexing import gshare_index, mask
 from repro.core.interfaces import SimulationResult
 from repro.core.registry import available_schemes, make_predictor, parse_spec
 from repro.sim.engine import run, run_steps
+from repro.sim.runner import evaluate_specs
 from repro.traces.record import BranchTrace
 from repro.verify import diff_spec
-from tests.conftest import FUZZ_BUDGET
+from repro.verify.oracle import oracle_rate
+from tests.conftest import FUZZ_BUDGET, make_toy_trace
 
 outcome_lists = st.lists(st.booleans(), min_size=0, max_size=300)
 
@@ -233,6 +236,87 @@ class TestDifferentialFuzzing:
         for spec in ("bimode:dir=3,hist=2,choice=2", "yags:choice=4,cache=3"):
             report = diff_spec(spec, trace)
             assert report.agree, report.summary()
+
+
+#: Every registered scheme's spec knobs: ``None`` marks an integer
+#: knob, a tuple the spellings drawn for an enumerated one (an unknown
+#: spelling included).
+SPEC_KNOBS = {
+    "gshare": {"index": None, "hist": None},
+    "bimode": {
+        "dir": None,
+        "hist": None,
+        "choice": None,
+        "full_update": None,
+        "choice_hist": None,
+    },
+    "bimodal": {"index": None, "bits": None},
+    "gag": {"hist": None},
+    "gas": {"hist": None, "select": None},
+    "gap": {"hist": None, "addr": None},
+    "gselect": {"hist": None, "addr": None},
+    "pag": {"hist": None, "bht": None},
+    "pas": {"hist": None, "select": None, "bht": None},
+    "pap": {"hist": None, "addr": None, "bht": None},
+    "perceptron": {"index": None, "hist": None, "w": None},
+    "agree": {"index": None, "hist": None, "bias": None},
+    "gskew": {"bank": None, "hist": None, "update": ("enhanced", "total", "sideways")},
+    "yags": {"choice": None, "cache": None, "hist": None, "tag": None},
+    "tournament": {"index": None, "meta": None},
+    "trimode": {"dir": None, "hist": None, "choice": None},
+    "biasfilter": {
+        "table": None,
+        "run": None,
+        "sub": ("gshare", "bimodal", "bimode", "perceptron"),
+        "sub_index": None,
+        "sub_hist": None,
+    },
+    "always-taken": {},
+    "always-not-taken": {},
+    "btfnt": {},
+}
+
+#: Integer knob values: small geometries, plus values past a
+#: constructor's or a kernel's limits (negative; wider than a counter
+#: table, an int32 C field or the 62-bit history register).
+KNOB_VALUES = st.one_of(st.integers(0, 8), st.sampled_from([-1, 25, 31, 63]))
+
+
+@st.composite
+def spec_strings(draw):
+    """A spec of one registered scheme: each knob present three times in
+    four, and now and then a knob no scheme takes."""
+    scheme = draw(st.sampled_from(sorted(SPEC_KNOBS)))
+    knobs = []
+    for key, spellings in SPEC_KNOBS[scheme].items():
+        if draw(st.integers(0, 3)):
+            value = draw(KNOB_VALUES if spellings is None else st.sampled_from(spellings))
+            knobs.append(f"{key}={value}")
+    if draw(st.integers(0, 9)) == 0:
+        knobs.append("bogus=1")
+    return f"{scheme}:{','.join(knobs)}" if knobs else scheme
+
+
+class TestSpecAgreement:
+    """A sweep reads a spec exactly as ``make_predictor`` does: the
+    kernel planner refuses no spec the constructor accepts and runs
+    none it refuses (``gap:...,addr=0`` once ran a lane), and the rate
+    it returns is the oracle's."""
+
+    def test_every_registered_scheme_is_drawn(self):
+        assert set(SPEC_KNOBS) == set(available_schemes())
+
+    @given(spec=spec_strings(), trace=traces())
+    @example(spec="gap:hist=4,addr=0", trace=make_toy_trace(length=200))
+    @settings(deadline=None)
+    def test_sweeps_refuse_exactly_what_the_constructor_refuses(self, spec, trace):
+        try:
+            make_predictor(spec)
+        except ValueError:
+            with pytest.raises(ValueError):
+                evaluate_specs([spec], trace)
+            return
+        assert evaluate_specs([spec], trace)[spec] == oracle_rate(spec, trace), spec
 
 
 class TestSimulationResultProperties:

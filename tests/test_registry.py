@@ -104,6 +104,12 @@ class TestSpecErrorMessages:
             "gshare:index=8,flavor=mild",  # unknown option
             "gshare:index=ten",  # non-numeric value
             "bimodal:index=30",  # absurd size (allocation guard)
+            # the same guard on tables that are not counter tables
+            "agree:index=8,bias=25",
+            "biasfilter:table=25,sub_index=8",
+            "perceptron:index=25",
+            "yags:choice=8,cache=25,hist=4",
+            "pag:hist=4,bht=25",
         ],
     )
     def test_bad_spec_raises_valueerror_naming_spec(self, spec):

@@ -11,8 +11,9 @@ import pytest
 
 from repro.core.grouping import stable_group_order
 from repro.predictors.gshare import GSharePredictor
-from repro.sim.batch import GShareLane, gshare_detailed, gshare_rate, lane_for_spec
+from repro.sim.batch import GShareLane, gshare_detailed, gshare_lane_of, gshare_rate
 from repro.sim.engine import run_steps
+from repro.sim.kernels import kernel_for_spec
 from repro.traces.record import BranchTrace
 from tests.conftest import make_toy_trace, make_trace
 
@@ -39,9 +40,10 @@ def reference(lane: GShareLane, trace: BranchTrace):
 
 class TestGShareLane:
     def test_spec_round_trip(self):
+        """A spec and the predictor it names read as the same lane."""
         lane = GShareLane(index_bits=10, history_bits=4)
-        assert lane.spec == "gshare:index=10,hist=4"
-        assert lane_for_spec(lane.spec) == lane
+        assert kernel_for_spec("gshare:index=10,hist=4") == ("gshare", lane)
+        assert gshare_lane_of(GSharePredictor(10, 4)) == lane
 
     def test_table_size(self):
         assert GShareLane(index_bits=5, history_bits=0).table_size == 32
@@ -57,10 +59,10 @@ class TestGShareLane:
 
 class TestLaneForSpec:
     def test_plain_gshare(self):
-        assert lane_for_spec("gshare:index=8,hist=3") == GShareLane(8, 3)
+        assert kernel_for_spec("gshare:index=8,hist=3") == ("gshare", GShareLane(8, 3))
 
     def test_hist_defaults_to_index(self):
-        assert lane_for_spec("gshare:index=8") == GShareLane(8, 8)
+        assert kernel_for_spec("gshare:index=8") == ("gshare", GShareLane(8, 8))
 
     @pytest.mark.parametrize(
         "spec",
@@ -75,7 +77,7 @@ class TestLaneForSpec:
         ],
     )
     def test_rejects_non_batchable(self, spec):
-        assert lane_for_spec(spec) is None
+        assert kernel_for_spec(spec)[0] != "gshare"
 
 
 class TestPredictionEquivalence:
@@ -91,8 +93,8 @@ class TestPredictionEquivalence:
         rates = lane_rates(lanes, toy_trace)
         for k, lane in enumerate(lanes):
             ref = reference(lane, toy_trace)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=str(lane))
+            assert rates[k] == ref.misprediction_rate, lane
 
     def test_workload_trace(self, small_workload):
         lanes = [GShareLane(10, h) for h in (0, 3, 7, 10)]
@@ -100,8 +102,8 @@ class TestPredictionEquivalence:
         rates = lane_rates(lanes, small_workload)
         for k, lane in enumerate(lanes):
             ref = reference(lane, small_workload)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=str(lane))
+            assert rates[k] == ref.misprediction_rate, lane
 
     def test_zero_history(self, toy_trace):
         """history_bits=0 degenerates to per-PC bimodal."""
@@ -138,8 +140,8 @@ class TestPredictionEquivalence:
         rates = lane_rates(lanes, trace)
         for k, lane in enumerate(lanes):
             ref = reference(lane, trace)
-            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=lane.spec)
-            assert rates[k] == ref.misprediction_rate, lane.spec
+            np.testing.assert_array_equal(batch[k], ref.predictions, err_msg=str(lane))
+            assert rates[k] == ref.misprediction_rate, lane
 
 
 class TestEdgeCases:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.core.bimode import BiModePredictor
 from repro.core.registry import make_predictor
 from repro.sim import _cstep, kernels
 from repro.sim import batch_bimode as bb
@@ -55,9 +56,9 @@ def _use(monkeypatch, engine: str) -> None:
 
 
 def _lanes(specs):
-    lanes = [bb.bimode_lane_for_spec(s) for s in specs]
-    assert all(lane is not None for lane in lanes)
-    return lanes
+    resolved = [kernels.kernel_for_spec(s) for s in specs]
+    assert all(kind == "bimode" for kind, _ in resolved)
+    return [lane for _, lane in resolved]
 
 
 def _rates(specs, trace, mode="auto"):
@@ -131,13 +132,21 @@ class TestBitExactness:
 
 class TestLaneParsing:
     def test_round_trip_spec(self):
+        """A spec, and a predictor built by hand from its lane's
+        fields, read as the same lane."""
         for spec in SPECS + DEGENERATE_SPECS:
-            lane = bb.bimode_lane_for_spec(spec)
-            assert lane is not None
-            assert bb.bimode_lane_for_spec(lane.spec) == lane
+            (lane,) = _lanes([spec])
+            predictor = BiModePredictor(
+                lane.dir_bits,
+                lane.hist_bits,
+                lane.choice_bits,
+                full_update=lane.full_update,
+                choice_uses_history=lane.choice_uses_history,
+            )
+            assert bb.bimode_lane_of(predictor) == lane
 
     def test_defaults_follow_dir_bits(self):
-        lane = bb.bimode_lane_for_spec("bimode:dir=9")
+        (lane,) = _lanes(["bimode:dir=9"])
         assert lane == bb.BiModeLane(dir_bits=9, hist_bits=9, choice_bits=9)
 
     @pytest.mark.parametrize(
@@ -154,7 +163,7 @@ class TestLaneParsing:
         ],
     )
     def test_rejects_non_kernel_specs(self, spec):
-        assert bb.bimode_lane_for_spec(spec) is None
+        assert kernels.kernel_for_spec(spec)[0] != "bimode"
 
     def test_lane_validation(self):
         with pytest.raises(ValueError):

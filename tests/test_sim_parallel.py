@@ -112,14 +112,6 @@ class TestParallelMatrix:
         )
         assert parallel == serial
 
-    def test_evaluate_matrix_dispatches_on_jobs(self, workload_pair, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        via_entry = evaluate_matrix(
-            SPECS, workload_pair, cache=ResultCache(tmp_path / "c"), jobs=2
-        )
-        serial = evaluate_matrix(SPECS, workload_pair, jobs=1)
-        assert via_entry == serial
-
     def test_recipeless_traces_run_locally(self, tmp_path):
         toys = {"t1": make_toy_trace(length=500, seed=1), "t2": make_toy_trace(length=500, seed=2)}
         toys["t1"].name, toys["t2"].name = "t1", "t2"
