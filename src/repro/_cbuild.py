@@ -1,11 +1,11 @@
 """Build and load the optional compiled C drivers.
 
 :mod:`repro.sim._cstep` (the predictor loops) and
-:mod:`repro.workloads._cgen` (the trace-generation event pass) each
-hand their C source and ctypes binding to one :class:`CLibrary`, which
-compiles it with the *system* C compiler on first use — no build
-system, no installed extension, no new dependency — and loads it
-through :mod:`ctypes`:
+:mod:`repro.workloads._cgen` (the trace-generation event and assembly
+passes) each hand their C source and ctypes binding to one
+:class:`CLibrary`, which compiles it with the *system* C compiler on
+first use — no build system, no installed extension, no new
+dependency — and loads it through :mod:`ctypes`:
 
 * the shared object lives under ``<cache dir>/ckernel``, named by a
   digest of its source, so an edit rebuilds automatically;

@@ -18,16 +18,26 @@ either way, so everything downstream stays bit-identical.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["stable_group_order", "dense_ranks"]
 
-try:  # scipy ships a C counting sort (COO->CSR); optional, numpy fallback below
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
 
-    _COO_TOCSR = getattr(_scipy_sparsetools, "coo_tocsr", None)
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _COO_TOCSR = None
+@lru_cache(maxsize=None)
+def _coo_tocsr():
+    """scipy's C counting sort (COO->CSR), or ``None`` without scipy.
+
+    Imported on first use, not at module import: the compiled sweeps
+    never group through here, and ``scipy.sparse`` takes about 0.2 s to
+    import.
+    """
+    try:
+        from scipy.sparse import _sparsetools
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return getattr(_sparsetools, "coo_tocsr", None)
 
 
 def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
@@ -47,8 +57,9 @@ def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
             f"group keys must lie in [0, {num_buckets}), got "
             f"[{keys.min()}, {keys.max()}]"
         )
+    coo_tocsr = _coo_tocsr()
     if (
-        _COO_TOCSR is None
+        coo_tocsr is None
         or n >= np.iinfo(np.int32).max
         or num_buckets >= np.iinfo(np.int32).max
     ):
@@ -58,7 +69,7 @@ def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     indptr = np.empty(num_buckets + 1, dtype=np.int32)
     cols = np.empty(n, dtype=np.int32)
     order = np.empty(n, dtype=np.int32)
-    _COO_TOCSR(num_buckets, n, n, keys, times, times, indptr, cols, order)
+    coo_tocsr(num_buckets, n, n, keys, times, times, indptr, cols, order)
     return order
 
 

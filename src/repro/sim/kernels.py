@@ -98,6 +98,7 @@ __all__ = [
     "KernelEntry",
     "default_engine",
     "kernel_for_spec",
+    "spec_refusal",
     "lane_of",
     "registered_schemes",
     "family_order",
@@ -257,6 +258,19 @@ def lane_of(predictor: BranchPredictor) -> Tuple[str, Optional[object]]:
 
 
 @lru_cache(maxsize=None)
+def _resolve(spec: str):
+    """``((kind, lane), refusal)`` of a spec: the lane read off the
+    predictor ``make_predictor`` builds, or ``("scalar", None)`` and the
+    constructor's ``ValueError`` when it refuses the spec."""
+    from repro.core.registry import make_predictor
+
+    try:
+        predictor = make_predictor(spec)
+    except ValueError as exc:
+        return ("scalar", None), exc.with_traceback(None)
+    return lane_of(predictor), None
+
+
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     """Resolve a spec to ``(kind, lane)``; ``("scalar", None)`` when no
     lane kernel covers it.
@@ -269,13 +283,13 @@ def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
     Memoized: the answer is a pure function of the string, and lanes
     are frozen.
     """
-    from repro.core.registry import make_predictor
+    return _resolve(spec)[0]
 
-    try:
-        predictor = make_predictor(spec)
-    except ValueError:
-        return "scalar", None
-    return lane_of(predictor)
+
+def spec_refusal(spec: str) -> Optional[ValueError]:
+    """The constructor's error for a spec it refuses, else ``None``
+    (memoized with :func:`kernel_for_spec`)."""
+    return _resolve(spec)[1]
 
 
 def registered_schemes() -> Dict[str, str]:

@@ -624,8 +624,12 @@ def _sweep_matrix(
     A task that raises in the parent, or in the pool on every retry and
     then once more in the parent, is quarantined on
     ``SweepResult.failures``, and its cells are left out of the matrix.
+    A spec its constructor refuses is never planned: each trace key
+    quarantines that one cell with the constructor's error, and the
+    other specs of the key still run.
     """
     from repro.sim.fused import plan_families
+    from repro.sim.kernels import spec_refusal
     from repro.sim.runner import trace_key
     from repro.workloads.suite import trace_store
 
@@ -639,6 +643,8 @@ def _sweep_matrix(
         benches_of.setdefault(tkey, []).append(bench)
     per_bench: Dict[str, Dict[str, object]] = {bench: {} for bench in traces}
     failures: List[FailedCell] = []
+    refused = {spec: exc for spec in specs if (exc := spec_refusal(spec)) is not None}
+    wanted = [spec for spec in specs if spec not in refused]
 
     def land(tkey: str, values: Dict[str, object]) -> None:
         for bench in benches_of[tkey]:
@@ -665,12 +671,16 @@ def _sweep_matrix(
     pooled: List[_Task] = []
     local: List[_Task] = []
     for tkey, benches in benches_of.items():
-        known = lookup(tkey, specs)
+        rep = benches[0]
+        for spec, exc in refused.items():
+            task = _Task(rep, None, [spec])
+            task.attempts = 1
+            failures.append(_quarantine(task, exc))
+        known = lookup(tkey, wanted)
         land(tkey, known)
-        missing = [spec for spec in specs if spec not in known]
+        missing = [spec for spec in wanted if spec not in known]
         if not missing:
             continue
-        rep = benches[0]
         value = traces[rep]
         recipe = value if _is_recipe(value) else recipe_of(value)
         if jobs <= 1 or recipe is None:

@@ -1,13 +1,21 @@
-"""Optional compiled driver for the trace-generation event pass.
+"""Optional compiled drivers for trace generation.
 
 :mod:`repro.workloads.fastgen` reduces trace generation to a sparse
-event replay (phase-boundary draws, loop draws, jump checks) plus numpy
-assembly.  The replay is inherently sequential — every draw comes from
-one shared Mersenne-Twister stream — so its cost is pure Python
-interpreter overhead, ~1 µs per event.  This module holds that loop's
-C source; :mod:`repro._cbuild` compiles it with the system C compiler
-and loads it via ctypes, as it does the predictor loops of
-:mod:`repro.sim._cstep`.
+event replay (phase-boundary draws, loop draws, jump checks) plus an
+assembly pass that expands the replay's records into a trace.  The
+replay is inherently sequential — every draw comes from one shared
+Mersenne-Twister stream — so its cost is pure Python interpreter
+overhead, ~1 µs per event.  This module holds the C source of both
+passes; :mod:`repro._cbuild` compiles it with the system C compiler and
+loads it via ctypes, as it does the predictor loops of
+:mod:`repro.sim._cstep`:
+
+* ``fastgen_events`` (:func:`events`) replays the draws into packed
+  ``(visits, runs)`` records;
+* ``fastgen_assemble`` (:func:`assemble`) turns those records into
+  ``pcs``/``outcomes`` in one pass in trace order, checking every
+  index it derives from them and returning an error code — raised by
+  the wrapper — instead of reading or writing out of bounds.
 
 Bit-identity with the Python replay (and therefore with
 ``Program.run``) rests on three pillars:
@@ -25,14 +33,15 @@ Bit-identity with the Python replay (and therefore with
   mismatch, so a platform where the replication does not hold silently
   degrades to the pure-Python replay instead of corrupting traces.
 
-``REPRO_NO_CC=1`` disables the driver (tests use it to pin the Python
-path); any build, load or self-test failure is remembered and surfaced
-through :func:`unavailable_reason` for the health report.
+``REPRO_NO_CC=1`` disables both loops (tests use it to pin the Python
+and numpy paths); any build, load or self-test failure is remembered
+and surfaced through :func:`unavailable_reason` for the health report.
 """
 
 from __future__ import annotations
 
 import ctypes
+from functools import partial
 from random import Random
 from typing import Optional, Tuple
 
@@ -45,12 +54,13 @@ __all__ = [
     "available",
     "unavailable_reason",
     "events",
-    "corr_sweep",
+    "assemble",
 ]
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* ---- CPython-compatible Mersenne Twister -------------------------- */
@@ -283,25 +293,120 @@ int64_t fastgen_events(
     return 0;
 }
 
-/* ---- correlated-site chain sweep ----------------------------------- */
+/* ---- assembly pass ------------------------------------------------- */
 
-/* Resolve correlated elements in trace order.  part[] already folds
- * the resolved-source history bits and the table base; edges
- * (ej, ek, ew) list the corr->corr dependencies, grouped by target j
- * in ascending order with ek[e] < j. */
-void corr_sweep(const int64_t *part, const uint8_t *flip,
-                const int64_t *ej, const int64_t *ek, const int64_t *ew,
-                int64_t ne, const uint8_t *table, uint8_t *vals, int64_t m)
+enum {
+    AS_PLAN = -1,   /* a region, site or correlation table entry is malformed */
+    AS_VISIT = -2,  /* a visit names a region outside [0, R) or a negative prior */
+    AS_RUN = -3,    /* a run names a site outside [0, S) */
+    AS_FLIP = -4,   /* a correlated flip reads past the run pool */
+    AS_TABLE = -5,  /* a correlated table index falls outside the table pool */
+    AS_NOMEM = -6
+};
+
+/* Expand the visit and run records into the first `length` branches,
+ * in trace order.  Each site's phase runs are laid end to end in one
+ * pool (a counting sort by site, stable in record order); a run site
+ * reads its pool at its execution index, clipped to the pool's end; a
+ * pattern site reads pattern_pool[pat_base + q % pat_len] at
+ * within-visit iteration q; a correlated site reads its history bits
+ * straight from out[t-1-pos], which is already final in trace order,
+ * flipped by its pool value when it has noise.  Returns the number of
+ * branches written (at most `length`) or a negative AS_ code; every
+ * index is checked before it is used. */
+int64_t fastgen_assemble(
+    const int64_t *visits, int64_t nv,
+    const int64_t *runs, int64_t nr,
+    int64_t R, const int64_t *width, const int64_t *gbase,
+    int64_t S, const int64_t *templ, const uint8_t *kind,
+    const int64_t *pat_base, const int64_t *pat_len,
+    const uint8_t *pattern_pool, int64_t npat,
+    const int64_t *corr_row, const uint8_t *corr_flip,
+    int64_t C, int64_t P, const int64_t *posmat, const int64_t *tab_base,
+    const uint8_t *table_pool, int64_t ntab,
+    int64_t length, int64_t *pcs, uint8_t *out)
 {
-    int64_t e = 0;
-    for (int64_t j = 0; j < m; j++) {
-        int64_t acc = part[j];
-        while (e < ne && ej[e] == j) {
-            if (vals[ek[e]]) acc += ew[e];
-            e++;
-        }
-        vals[j] = table[acc] ^ flip[j];
+    if (P < 0 || P > 62) return AS_PLAN;
+    for (int64_t r = 0; r < R; r++)
+        if (width[r] < 0 || gbase[r] < 0 || gbase[r] > S - width[r]) return AS_PLAN;
+    for (int64_t c = 0; c < C; c++) {
+        if (tab_base[c] < 0 || tab_base[c] > ntab) return AS_PLAN;
+        for (int64_t b = 0; b < P; b++)
+            if (posmat[c * P + b] < 0) return AS_PLAN;
     }
+    for (int64_t g = 0; g < S; g++) {
+        if (kind[g] == 1) {
+            if (pat_len[g] < 1 || pat_base[g] < 0 || pat_base[g] > npat - pat_len[g])
+                return AS_PLAN;
+        } else if (kind[g] == 2) {
+            if (corr_row[g] < 0 || corr_row[g] >= C) return AS_PLAN;
+        } else if (kind[g] != 0) return AS_PLAN;
+    }
+
+    /* per-site pool bases: counts, then an exclusive prefix sum */
+    int64_t *base = calloc(S + 1, sizeof(int64_t));
+    int64_t *cur = malloc((S + 1) * sizeof(int64_t));
+    uint8_t *pool = 0;
+    int64_t rc = AS_NOMEM;
+    if (!base || !cur) goto done;
+    for (int64_t i = 0; i < nr; i++) {
+        int64_t site = runs[i] >> 14;
+        if (site < 0 || site >= S) { rc = AS_RUN; goto done; }
+        base[site + 1] += (runs[i] >> 1) & 8191;
+    }
+    for (int64_t g = 0; g < S; g++) base[g + 1] += base[g];
+    /* an empty pool reads as one not-taken value, as the numpy form's */
+    int64_t pn = base[S] ? base[S] : 1;
+    pool = malloc(pn);
+    if (!pool) goto done;
+    pool[0] = 0;
+    memcpy(cur, base, (S + 1) * sizeof(int64_t));
+    for (int64_t i = 0; i < nr; i++) {
+        int64_t site = runs[i] >> 14, len = (runs[i] >> 1) & 8191;
+        memset(pool + cur[site], (int)(runs[i] & 1), len);
+        cur[site] += len;
+    }
+
+    int64_t t = 0;
+    for (int64_t i = 0; i < nv && t < length; i++) {
+        int64_t v = visits[i];
+        int64_t its = v & 8191, reg = (v >> 13) & 8191, prior = v >> 26;
+        if (reg >= R || prior < 0) { rc = AS_VISIT; goto done; }
+        int64_t w = width[reg], gb = gbase[reg];
+        for (int64_t q = 0; q < its && t < length; q++) {
+            int64_t ex = prior + q;
+            for (int64_t g = gb; g < gb + w && t < length; g++, t++) {
+                pcs[t] = templ[g];
+                uint8_t o;
+                if (kind[g] == 0) {
+                    int64_t k = base[g] + ex;
+                    o = pool[k < pn ? k : pn - 1];
+                } else if (kind[g] == 1) {
+                    o = pattern_pool[pat_base[g] + q % pat_len[g]];
+                } else {
+                    int64_t row = corr_row[g], acc = 0;
+                    const int64_t *pm = posmat + row * P;
+                    for (int64_t b = 0; b < P; b++)
+                        if (pm[b] < t) acc |= (int64_t)out[t - 1 - pm[b]] << b;
+                    int64_t idx = tab_base[row] + acc;
+                    if (idx >= ntab) { rc = AS_TABLE; goto done; }
+                    o = table_pool[idx];
+                    if (corr_flip[g]) {
+                        int64_t k = base[g] + ex;
+                        if (k >= pn) { rc = AS_FLIP; goto done; }
+                        o ^= pool[k];
+                    }
+                }
+                out[t] = o;
+            }
+        }
+    }
+    rc = t;
+done:
+    free(base);
+    free(cur);
+    free(pool);
+    return rc;
 }
 """
 
@@ -342,9 +447,21 @@ def _selftest(lib: ctypes.CDLL) -> Optional[str]:
 
 
 def _bind(lib: ctypes.CDLL) -> Optional[str]:
-    """Declare the return types, then run the self-test."""
+    """Declare the entry points' types, then run the self-test."""
     lib.fastgen_events.restype = ctypes.c_int64
-    lib.corr_sweep.restype = None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.fastgen_assemble.argtypes = [
+        ptr, i64,  # visits
+        ptr, i64,  # runs
+        i64, ptr, ptr,  # regions: count, width, gbase
+        i64, ptr, ptr, ptr, ptr,  # sites: count, template, kind, pat_base, pat_len
+        ptr, i64,  # pattern pool
+        ptr, ptr,  # corr_row, corr_flip
+        i64, i64, ptr, ptr,  # correlation rows: count, positions, posmat, tab_base
+        ptr, i64,  # table pool
+        i64, ptr, ptr,  # length, pcs out, outcomes out
+    ]
+    lib.fastgen_assemble.restype = i64
     lib.mt_selftest.restype = None
     return _selftest(lib)
 
@@ -441,37 +558,77 @@ def events(
     return None  # pragma: no cover - caps kept overflowing
 
 
-def corr_sweep(
-    part: np.ndarray,
-    flips: np.ndarray,
-    ej: np.ndarray,
-    ek: np.ndarray,
-    ew: np.ndarray,
-    table: np.ndarray,
-    m: int,
-) -> Optional[np.ndarray]:
-    """Resolve ``m`` correlated elements in C; uint8 values or ``None``."""
-    lib = _LIB.load()
-    if lib is None:
-        return None
-    # The C loop walks raw pointers with unit stride; np.nonzero on a 2-D
-    # mask hands back strided views, so force contiguity before crossing.
-    part = np.ascontiguousarray(part, dtype=np.int64)
-    flips = np.ascontiguousarray(flips, dtype=np.uint8)
-    ej = np.ascontiguousarray(ej, dtype=np.int64)
-    ek = np.ascontiguousarray(ek, dtype=np.int64)
-    ew = np.ascontiguousarray(ew, dtype=np.int64)
-    table = np.ascontiguousarray(table, dtype=np.uint8)
-    vals = np.empty(m, dtype=np.uint8)
-    lib.corr_sweep(
-        _ptr(part),
-        _ptr(flips),
-        _ptr(ej),
-        _ptr(ek),
-        _ptr(ew),
-        ctypes.c_int64(len(ej)),
-        _ptr(table),
-        _ptr(vals),
-        ctypes.c_int64(m),
+#: What each negative return code of ``fastgen_assemble`` found.
+_ASSEMBLE_ERRORS = {
+    -1: "a region, site or correlation table entry is malformed",
+    -2: "a visit names a region outside the plan or a negative prior",
+    -3: "a run names a site outside the plan",
+    -4: "a correlated flip reads past the end of the run pool",
+    -5: "a correlated table index falls outside the table pool",
+}
+
+
+def assemble(plan, visits: np.ndarray, runs: np.ndarray, length: int):
+    """Run the assembly pass in C: ``(pcs, outcomes)`` of the trace.
+
+    ``plan`` is the ``fastgen._Plan`` of the program and ``(visits,
+    runs)`` the packed records of its event pass; the result equals
+    ``fastgen._assemble`` on the same records, at most ``length``
+    branches.  A record or plan entry that would index out of range
+    raises ``ValueError``; the loop checks each index before it reads
+    or writes through it.  Call only when :func:`available`.
+    """
+    lib = _LIB.require()
+    i64 = partial(np.ascontiguousarray, dtype=np.int64)
+    u8 = partial(np.ascontiguousarray, dtype=np.uint8)
+    visits, runs = i64(visits), i64(runs)
+    width, gbase = i64(plan.widths), i64(plan.gbase)
+    template, kind = i64(plan.template), u8(plan.kind)
+    pat_base, pat_len = i64(plan.pat_base), i64(plan.pat_len)
+    corr_row, corr_flip = i64(plan.corr_row), u8(plan.corr_flip)
+    posmat, tab_base = i64(plan.posmat), i64(plan.tab_base)
+    pattern_pool, table_pool = u8(plan.pattern_pool), u8(plan.table_pool)
+    rows, positions = posmat.shape
+    if (
+        width.size != gbase.size
+        or tab_base.size != rows
+        or any(
+            a.size != template.size
+            for a in (kind, pat_base, pat_len, corr_row, corr_flip)
+        )
+    ):
+        raise ValueError("fastgen plan tables disagree in size")
+    pcs = np.empty(length, dtype=np.int64)
+    outcomes = np.empty(length, dtype=bool)
+    n = lib.fastgen_assemble(
+        _ptr(visits),
+        visits.size,
+        _ptr(runs),
+        runs.size,
+        width.size,
+        _ptr(width),
+        _ptr(gbase),
+        template.size,
+        _ptr(template),
+        _ptr(kind),
+        _ptr(pat_base),
+        _ptr(pat_len),
+        _ptr(pattern_pool),
+        pattern_pool.size,
+        _ptr(corr_row),
+        _ptr(corr_flip),
+        rows,
+        positions,
+        _ptr(posmat),
+        _ptr(tab_base),
+        _ptr(table_pool),
+        table_pool.size,
+        length,
+        _ptr(pcs),
+        _ptr(outcomes),
     )
-    return vals
+    if n < 0:
+        if n not in _ASSEMBLE_ERRORS:  # pragma: no cover - malloc failure
+            raise MemoryError("fastgen assembly pool")
+        raise ValueError(f"malformed trace-generation records: {_ASSEMBLE_ERRORS[n]}")
+    return pcs[:n], outcomes[:n]

@@ -23,19 +23,30 @@ This module regenerates the *same* trace in two passes:
    iteration — so cost is O(draws log sites + visits), typically an
    order of magnitude fewer steps than branches.
 
-2. **Assembly pass** (numpy): expand the visit schedule into the
-   ``pcs`` array with gathers, expand the per-site phase runs into
-   outcomes with one ``np.repeat``, compute pattern sites from the
-   within-visit iteration index, and resolve correlated sites — the
-   only history-*dependent* population — with vectorized waves over the
-   dependency DAG.  A correlated element is ready when no *unresolved*
-   element sits in its history window; since unresolved elements are a
-   sorted index set, readiness is one vectorized gap test per wave
-   (an element is ready iff its nearest unresolved predecessor falls
-   outside its window), so each wave costs O(pending), not O(trace).
-   Pathologically deep chains that survive the wave budget are finished
-   by a scalar sweep in index order, which always makes progress
-   because the earliest unresolved element is ready by construction.
+2. **Assembly pass** (C; numpy without a compiler): expand the visit
+   and run records into ``pcs``/``outcomes``.  The compiled loop
+   (``_cgen.assemble``) walks the trace in order: it lays each site's
+   phase runs end to end in one pool (a counting sort by site), writes
+   ``pcs`` from the site template, reads run sites from the pool and
+   pattern sites from the within-visit iteration index, and resolves
+   each correlated site straight from the outcomes a few positions
+   back, which are already final in trace order.  Every index it
+   derives from the records is checked, so malformed records raise
+   instead of reaching memory they do not own.
+
+   The numpy form (:func:`_assemble`), used only without a compiler as
+   :func:`_events_py` is for the event pass, builds the same arrays
+   with gathers and one ``np.repeat``, and resolves correlated sites —
+   the only history-*dependent* population — with vectorized waves over
+   the dependency DAG.  A correlated element is ready when no
+   *unresolved* element sits in its history window; since unresolved
+   elements are a sorted index set, readiness is one vectorized gap
+   test per wave (an element is ready iff its nearest unresolved
+   predecessor falls outside its window), so each wave costs
+   O(pending), not O(trace).  Pathologically deep chains that survive
+   the wave budget are finished by a scalar sweep in index order, which
+   always makes progress because the earliest unresolved element is
+   ready by construction.
 
 Bit-identity with ``Program.run`` holds because the event pass consumes
 the Mersenne-Twister stream through the same ``random.Random`` API in
@@ -162,7 +173,6 @@ class _Plan:
         "corr_row",
         "corr_flip",
         "posmat",
-        "maxpos",
         "tab_base",
         "table_pool",
         "cl",
@@ -192,7 +202,6 @@ def _prepare(program: Program) -> _Plan:
     corr_row: List[int] = []
     corr_flip: List[bool] = []
     posmat: List[List[int]] = []
-    maxpos: List[int] = []
     tab_base: List[int] = []
     table_pool: List[bool] = []
 
@@ -249,7 +258,6 @@ def _prepare(program: Program) -> _Plan:
                 posmat.append(
                     list(beh.positions) + [_PAD] * (_PMAX - len(beh.positions))
                 )
-                maxpos.append(beh.positions[-1])
                 tab_base.append(len(table_pool))
                 table_pool.extend(beh.table)
                 if beh.noise:
@@ -297,7 +305,6 @@ def _prepare(program: Program) -> _Plan:
         if posmat
         else np.zeros((1, _PMAX), dtype=np.int64)
     )
-    plan.maxpos = np.asarray(maxpos or [0], dtype=np.int64)
     plan.tab_base = np.asarray(tab_base or [0], dtype=np.int64)
     plan.table_pool = (
         np.asarray(table_pool, dtype=bool) if table_pool else np.zeros(1, dtype=bool)
@@ -389,21 +396,31 @@ def fast_run(program: Program, length: int, seed: int = 0) -> BranchTrace:
         raise UnsupportedProgram(f"length {length} overflows the packed visit layout")
     plan = _plan_of(program)
     program.reset()  # mirror Program.run's behaviour-state side effect
+    records = _event_pass(plan, program, length, seed)
+    # pass 2: the compiled assembly loop, else its numpy form
+    if _cgen.available():
+        pcs, outcomes = _cgen.assemble(plan, *records, length)
+    else:
+        pcs, outcomes = _assemble(plan, *records, length)
+    return BranchTrace(
+        pcs=pcs, outcomes=outcomes, name=program.name, metadata=dict(program.metadata)
+    )
 
+
+def _event_pass(plan, program, length, seed):
+    """Pass 1: the packed ``(visits, runs)`` records of a run (compiled
+    driver, else pure Python)."""
     rng = Random(seed)
     chooser = np.random.default_rng(seed ^ 0x5EED)
     jump_arr = chooser.choice(
         len(program.regions), size=max(64, length // 16 + 16), p=program.weights
     )
-
-    # -- pass 1: event replay (compiled driver, else pure Python) --------------
-    res = None
+    records = None
     if length and _cgen.available():
-        res = _cgen.events(plan.cl, rng, jump_arr, program.jump_prob, length)
-    if res is None:
-        res = _events_py(plan, program, rng, jump_arr.tolist(), length)
-    venc, renc = res
-    return _assemble(plan, program, venc, renc, length)
+        records = _cgen.events(plan.cl, rng, jump_arr, program.jump_prob, length)
+    if records is None:
+        records = _events_py(plan, program, rng, jump_arr.tolist(), length)
+    return records
 
 
 def engine_name() -> str:
@@ -559,15 +576,11 @@ def _events_py(plan, program, rng, jump_targets, length):
     )
 
 
-def _assemble(plan, program, venc, renc, length):
-    """Pass 2: expand the visit/run event records into a trace (numpy)."""
+def _assemble(plan, venc, renc, length):
+    """Pass 2 in numpy, the no-compiler form of ``_cgen.assemble``:
+    expand the visit/run event records into ``(pcs, outcomes)``."""
     if not venc.size:
-        return BranchTrace(
-            pcs=np.empty(0, dtype=np.int64),
-            outcomes=np.empty(0, dtype=bool),
-            name=program.name,
-            metadata=dict(program.metadata),
-        )
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
 
     its_v = venc & _RUN_MAX
     regs_v = (venc >> _RUN_BITS) & ((1 << _REGION_BITS) - 1)
@@ -621,12 +634,7 @@ def _assemble(plan, program, venc, renc, length):
         out[ci] = False  # clipped-gather garbage must not leak into history
         _resolve_correlated(plan, out, ci, gi[ci], exec_i[ci], pool, pool_base)
 
-    return BranchTrace(
-        pcs=pcs,
-        outcomes=out,
-        name=program.name,
-        metadata=dict(program.metadata),
-    )
+    return pcs, out
 
 
 def _resolve_correlated(plan, out, ci, g_c, exec_c, pool, pool_base):
@@ -655,31 +663,6 @@ def _resolve_correlated(plan, out, ci, g_c, exec_c, pool, pool_base):
     flips = np.where(has_flip, pool[fidx], False)
     bitw = 1 << np.arange(_PMAX, dtype=np.int64)
     table = plan.table_pool
-
-    if _cgen.available():
-        # Compiled chain sweep: fold every resolved source into a
-        # partial table index, list the corr->corr edges, and let C
-        # walk the elements in trace order — no waves needed.
-        corr_mask = np.zeros(out.size, dtype=bool)
-        corr_mask[ci] = True
-        unres = corr_mask[srcc] & valid
-        bits = out[srcc] & valid & ~unres
-        part = (bits * bitw).sum(axis=1) + tb
-        ej, eb = np.nonzero(unres)
-        ek = np.searchsorted(ci, src[ej, eb])
-        ew = np.left_shift(1, eb)
-        vals = _cgen.corr_sweep(
-            part,
-            np.ascontiguousarray(flips).view(np.uint8),
-            ej,
-            ek,
-            ew,
-            table.view(np.uint8),
-            ci.size,
-        )
-        if vals is not None:  # pragma: no branch - available() implies success
-            out[ci] = vals.view(bool)
-            return
 
     # O(1) unresolved-source test: a trace-length mask updated per wave
     unres_mask = np.zeros(out.size, dtype=bool)

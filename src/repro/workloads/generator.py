@@ -4,7 +4,8 @@
 into a concrete :class:`~repro.workloads.cfg.Program` — deterministically
 in ``(profile, seed)`` — and :func:`generate_trace` runs it through the
 vectorized generator of :mod:`repro.workloads.fastgen` (its compiled
-event pass unless ``REPRO_NO_CC=1``), bit-identical to the reference
+event and assembly passes unless ``REPRO_NO_CC=1``), bit-identical to
+the reference
 ``Program.run``.
 
 Construction sketch:

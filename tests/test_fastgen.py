@@ -3,10 +3,11 @@
 The contract under test is *bit-identity*: for every registered profile
 and multiple (length, seed) points, :func:`repro.workloads.fastgen.fast_run`
 must reproduce ``Program.run`` exactly — same pcs, same outcomes, same
-metadata-bearing name — on both the compiled event-pass driver and the
-pure-Python fallback.  Plus ``generate_trace``'s dispatch: engine
-selection, health bookkeeping, and the scalar fallback for programs the
-fast path refuses.
+metadata-bearing name — on both the compiled passes and their
+pure-Python / numpy fallbacks.  Plus the compiled assembly loop against
+its numpy form on the same records, malformed records included, and
+``generate_trace``'s dispatch: engine selection, health bookkeeping,
+and the scalar fallback for programs the fast path refuses.
 """
 
 import numpy as np
@@ -74,6 +75,78 @@ class TestDifferential:
         first = fastgen.fast_run(program, 20_000, seed=1)
         second = fastgen.fast_run(program, 20_000, seed=1)
         assert_bit_identical(second, first)
+
+
+needs_cc = pytest.mark.skipif(not _cgen.available(), reason="no C compiler")
+
+
+def event_records(name: str, length: int, run_seed: int = 1):
+    """``(plan, visits, runs)`` of one event pass over a profile."""
+    program = build_program(get_profile(name), seed=run_seed)
+    plan = fastgen._plan_of(program)
+    return (plan, *fastgen._event_pass(plan, program, length, run_seed))
+
+
+@needs_cc
+class TestAssembly:
+    """``_cgen.assemble`` == the numpy ``_assemble`` on the same records;
+    malformed records raise instead of indexing out of bounds."""
+
+    @staticmethod
+    def visit_starts(plan, visits):
+        """``(starts, widths, iterations)`` of each visit; ``starts``
+        ends with the records' total branch count."""
+        its = visits & fastgen._RUN_MAX
+        regions = (visits >> fastgen._RUN_BITS) & ((1 << fastgen._REGION_BITS) - 1)
+        widths = plan.widths[regions]
+        return np.concatenate(([0], np.cumsum(widths * its))), widths, its
+
+    @pytest.mark.parametrize(
+        "records,length",
+        [(0, 0), (1, 1), (20_000, "mid-iteration"), (20_000, 30_000)],
+        ids=["empty", "one", "mid-iteration", "past-the-records"],
+    )
+    def test_compiled_equals_numpy(self, records, length):
+        plan, visits, runs = event_records("gcc", records)
+        assert set(np.unique(plan.kind)) == {
+            fastgen._K_RUN,
+            fastgen._K_PATTERN,
+            fastgen._K_CORR,
+        }
+        starts, widths, its = self.visit_starts(plan, visits)
+        if length == "mid-iteration":  # one branch into a visit's second iteration
+            v = int(np.flatnonzero((widths >= 2) & (its >= 2))[0])
+            length = int(starts[v] + widths[v] + 1)
+        pcs, outcomes = _cgen.assemble(plan, visits, runs, length)
+        ref_pcs, ref_outcomes = fastgen._assemble(plan, visits, runs, length)
+        assert len(pcs) == min(length, starts[-1])
+        assert pcs.dtype == ref_pcs.dtype and outcomes.dtype == ref_outcomes.dtype
+        assert np.array_equal(pcs, ref_pcs)
+        assert np.array_equal(outcomes, ref_outcomes)
+
+    def test_run_site_outside_the_plan_raises(self):
+        plan, visits, runs = event_records("gcc", 5_000)
+        bad = runs.copy()
+        bad[len(bad) // 2] = (plan.num_sites << 14) | (1 << 1) | 1
+        with pytest.raises(ValueError, match="run names a site"):
+            _cgen.assemble(plan, visits, bad, 5_000)
+
+    def test_visit_region_outside_the_plan_raises(self):
+        plan, visits, runs = event_records("gcc", 5_000)
+        bad = visits.copy()
+        bad[-1] = (bad[-1] & ~(((1 << 13) - 1) << 13)) | (len(plan.regions) << 13)
+        with pytest.raises(ValueError, match="visit names a region"):
+            _cgen.assemble(plan, bad, runs, 5_000)
+
+    def test_correlated_flip_past_the_pool_raises(self):
+        # drop the runs of the first noisy correlated site and every site
+        # after it: its flips now start at the end of the pool
+        plan, visits, runs = event_records("gcc", 5_000)
+        pcs, _ = _cgen.assemble(plan, visits, runs, 5_000)
+        noisy = np.flatnonzero((plan.kind == fastgen._K_CORR) & plan.corr_flip)
+        site = int(noisy[np.isin(plan.template[noisy], pcs)][0])
+        with pytest.raises(ValueError, match="correlated flip reads past"):
+            _cgen.assemble(plan, visits, runs[(runs >> 14) < site], 5_000)
 
 
 class TestEngineSelection:

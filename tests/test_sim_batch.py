@@ -6,10 +6,17 @@ bit-for-bit — predictions and rates — including degenerate histories
 and traces.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.grouping import stable_group_order
+from repro.sim import _cstep
 from repro.predictors.gshare import GSharePredictor
 from repro.sim.batch import GShareLane, gshare_detailed, gshare_lane_of, gshare_rate
 from repro.sim.engine import run_steps
@@ -195,6 +202,40 @@ class TestStableGroupOrder:
         order = stable_group_order(keys, 3)
         assert np.array_equal(order, np.argsort(keys, kind="stable"))
         assert len(stable_group_order(np.empty(0, dtype=np.int64), 0)) == 0
+
+    def test_no_compiler_matches_stable_argsort(self):
+        keys = np.random.default_rng(3).integers(0, 37, size=5_000)
+        with faults.deny_compiler():
+            order = stable_group_order(keys, 37)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.skipif(not _cstep.available(), reason="no C compiler")
+    def test_compiled_rates_sweep_never_imports_scipy(self, tmp_path):
+        """scipy loads on the first grouping call, not with ``repro``,
+        and the compiled rates sweep never groups through it."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import repro
+            from repro.analysis.sweep import paper_sweep
+            from repro.workloads.generator import generate_trace
+            from repro.workloads.profiles import get_profile
+
+            trace = generate_trace(get_profile("gcc"), length=20_000, seed=0)
+            paper_sweep({"gcc": trace}, kb_points=(0.25, 1.0), jobs=1)
+            print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+            """
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+            "REPRO_CACHE_DIR": str(tmp_path),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
         "keys, num_buckets",

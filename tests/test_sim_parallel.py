@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from repro.core.registry import make_predictor
 from repro.sim.parallel import (
+    FailedCell,
     TaskPolicy,
     TraceRecipe,
     effective_jobs,
@@ -121,6 +123,21 @@ class TestParallelMatrix:
             for spec in SPECS
         }
         assert parallel == serial
+
+    def test_refused_spec_quarantines_only_its_cell(self):
+        """A spec the constructor refuses fails as its own cell; the
+        valid spec sharing its trace still gets its rate."""
+        toy = make_toy_trace(length=2_000)
+        good, bad = "gshare:index=6", "gap:hist=4,addr=0"
+        with pytest.raises(ValueError) as refused:
+            make_predictor(bad)
+        matrix = evaluate_matrix([good, bad], {"a": toy}, jobs=1)
+        assert matrix[good] == {"a": evaluate_specs([good], toy)[good]}
+        assert matrix[bad] == {}
+        (cell,) = matrix.failures
+        assert isinstance(cell, FailedCell)
+        assert (cell.bench, cell.specs, cell.error_type) == ("a", (bad,), "ValueError")
+        assert cell.message == str(refused.value)
 
     def test_merges_into_cache(self, workload_pair, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
