@@ -38,7 +38,6 @@ from repro.core import (
     GlobalHistoryRegister,
     HardwareBudget,
     PAPER_SIZE_POINTS_KB,
-    SaturatingCounter,
     SimulationResult,
     available_schemes,
     bimode_at_kb,
@@ -75,7 +74,6 @@ __all__ = [
     "GlobalHistoryRegister",
     "HardwareBudget",
     "PAPER_SIZE_POINTS_KB",
-    "SaturatingCounter",
     "SimulationResult",
     "TournamentPredictor",
     "YagsPredictor",

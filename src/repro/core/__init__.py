@@ -1,19 +1,12 @@
 """Core predictor framework and the bi-mode predictor itself."""
 
 from repro.core.bimode import BiModePredictor
-from repro.core.checkpoint import (
-    load_checkpoint,
-    predictor_state,
-    restore_state,
-    save_checkpoint,
-)
 from repro.core.counters import (
     STRONGLY_NOT_TAKEN,
     STRONGLY_TAKEN,
     WEAKLY_NOT_TAKEN,
     WEAKLY_TAKEN,
     CounterTable,
-    SaturatingCounter,
 )
 from repro.core.hardware import PAPER_SIZE_POINTS_KB, HardwareBudget
 from repro.core.history import (
@@ -43,7 +36,6 @@ __all__ = [
     "HardwareBudget",
     "PAPER_SIZE_POINTS_KB",
     "PerAddressHistoryTable",
-    "SaturatingCounter",
     "SimulationResult",
     "STRONGLY_NOT_TAKEN",
     "STRONGLY_TAKEN",
@@ -51,10 +43,6 @@ __all__ = [
     "WEAKLY_TAKEN",
     "available_schemes",
     "bimode_at_kb",
-    "load_checkpoint",
-    "predictor_state",
-    "restore_state",
-    "save_checkpoint",
     "global_history_stream",
     "gshare_at_kb",
     "make_predictor",

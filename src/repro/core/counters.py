@@ -16,15 +16,11 @@ A *taken* outcome increments the state (saturating at 3), a *not-taken*
 outcome decrements it (saturating at 0).  The prediction is the counter's
 sign bit, i.e. ``state >= 2``.
 
-Two classes are provided:
-
-* :class:`SaturatingCounter` — a single counter, convenient for unit
-  tests and for explaining the automaton.
-* :class:`CounterTable` — an array of counters backed by a Python list
-  of small ints, the storage used by every table-based predictor.  The
-  list representation (rather than a numpy array) is deliberate: the
-  per-branch simulation loops index it with Python ints, where list
-  access is several times faster than numpy scalar access.
+:class:`CounterTable` is an array of counters backed by a Python list
+of small ints, the storage used by every table-based predictor.  The
+list representation (rather than a numpy array) is deliberate: the
+per-branch simulation loops index it with Python ints, where list
+access is several times faster than numpy scalar access.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "STRONGLY_TAKEN",
     "MAX_INDEX_BITS",
     "check_index_bits",
-    "SaturatingCounter",
     "CounterTable",
 ]
 
@@ -63,77 +58,6 @@ def check_index_bits(index_bits: int, name: str = "index_bits") -> None:
             f"{name}={index_bits} would allocate {1 << index_bits} entries; "
             "refusing (likely a mis-parsed size)"
         )
-
-_STATE_NAMES = {
-    STRONGLY_NOT_TAKEN: "strongly-not-taken",
-    WEAKLY_NOT_TAKEN: "weakly-not-taken",
-    WEAKLY_TAKEN: "weakly-taken",
-    STRONGLY_TAKEN: "strongly-taken",
-}
-
-
-class SaturatingCounter:
-    """A single n-bit saturating up-down counter.
-
-    Parameters
-    ----------
-    bits:
-        Width of the counter.  The paper uses 2-bit counters throughout;
-        other widths are supported for ablation studies.
-    init:
-        Initial state, in ``[0, 2**bits - 1]``.
-
-    Examples
-    --------
-    >>> c = SaturatingCounter(init=WEAKLY_TAKEN)
-    >>> c.prediction
-    True
-    >>> c.update(False); c.update(False)
-    >>> c.state, c.prediction
-    (0, False)
-    >>> c.update(False)           # saturates at 0
-    >>> c.state
-    0
-    """
-
-    __slots__ = ("bits", "_max", "_threshold", "state")
-
-    def __init__(self, bits: int = 2, init: int = WEAKLY_TAKEN):
-        if bits < 1:
-            raise ValueError(f"counter width must be >= 1 bit, got {bits}")
-        self.bits = bits
-        self._max = (1 << bits) - 1
-        self._threshold = 1 << (bits - 1)
-        if not 0 <= init <= self._max:
-            raise ValueError(f"initial state {init} out of range [0, {self._max}]")
-        self.state = init
-
-    @property
-    def prediction(self) -> bool:
-        """Predicted direction: ``True`` means taken."""
-        return self.state >= self._threshold
-
-    def update(self, taken: bool) -> None:
-        """Train the counter with the resolved branch outcome."""
-        if taken:
-            if self.state < self._max:
-                self.state += 1
-        elif self.state > 0:
-            self.state -= 1
-
-    def predict_and_update(self, taken: bool) -> bool:
-        """Return the prediction for this access, then train."""
-        prediction = self.prediction
-        self.update(taken)
-        return prediction
-
-    @property
-    def is_saturated(self) -> bool:
-        return self.state in (0, self._max)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = _STATE_NAMES.get(self.state, str(self.state)) if self.bits == 2 else str(self.state)
-        return f"SaturatingCounter(bits={self.bits}, state={name})"
 
 
 class CounterTable:
@@ -208,7 +132,7 @@ class CounterTable:
         self.states = [self.init] * self.size
 
     def fill(self, states: Iterable[int]) -> None:
-        """Overwrite the table with explicit states (for tests and checkpoints)."""
+        """Overwrite the table with explicit states (for tests)."""
         new = [int(s) for s in states]
         if len(new) != self.size:
             raise ValueError(f"expected {self.size} states, got {len(new)}")

@@ -130,7 +130,7 @@ def global_history_stream(
     ``t``, i.e. built from ``outcomes[:t]`` shifted into a register that
     starts at ``initial``.  This matches driving a
     :class:`GlobalHistoryRegister` (pre-loaded with ``initial``, e.g.
-    from a checkpoint) with ``push(outcomes[t])`` *after* predicting
+    by an earlier trace chunk) with ``push(outcomes[t])`` *after* predicting
     branch ``t``.
 
     Parameters

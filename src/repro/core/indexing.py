@@ -26,10 +26,8 @@ import numpy as np
 __all__ = [
     "mask",
     "concat_index",
-    "gselect_index",
     "gshare_index",
     "gshare_index_stream",
-    "gselect_index_stream",
     "concat_index_stream",
     "num_phts",
 ]
@@ -50,11 +48,6 @@ def concat_index(history: int, history_bits: int, pc: int, pc_bits: int) -> int:
     ``history_bits + pc_bits``.
     """
     return ((pc & mask(pc_bits)) << history_bits) | (history & mask(history_bits))
-
-
-def gselect_index(history: int, history_bits: int, pc: int, pc_bits: int) -> int:
-    """McFarling's gselect: concatenation, alias of :func:`concat_index`."""
-    return concat_index(history, history_bits, pc, pc_bits)
 
 
 def gshare_index(pc: int, history: int, index_bits: int, history_bits: int) -> int:
@@ -107,10 +100,3 @@ def concat_index_stream(
     pcs = np.asarray(pcs, dtype=np.int64)
     histories = np.asarray(histories, dtype=np.int64)
     return ((pcs & mask(pc_bits)) << history_bits) | (histories & mask(history_bits))
-
-
-def gselect_index_stream(
-    histories: np.ndarray, history_bits: int, pcs: np.ndarray, pc_bits: int
-) -> np.ndarray:
-    """Vectorized :func:`gselect_index`."""
-    return concat_index_stream(histories, history_bits, pcs, pc_bits)

@@ -17,13 +17,16 @@ variants) advances the whole family in one pass over the raw
 (gshare's block by block, each lane running the whole block so its
 table stays in cache).
 
-Specs whose knobs no lane parser accepts (out-of-range geometry,
-unknown options, a bias-filter sub-predictor without a kernel lane)
+Specs whose built predictor no kernel lane covers (a configuration
+past a kernel's own limits, such as a bias filter whose sub-predictor
+has no kernel lane or whose run counters are wider than the loop's)
 form the **scalar** family.  These run per-cell through the scalar
 engine; falling off the batched path is reported as a health
 degradation so the CLI's coalesced summary shows exactly which schemes
-did not batch, and bias-filter sub-predictor vetoes are named
-explicitly (:func:`repro.sim.kernels.planner_vetoes`).  Every engine
+did not batch, and bias-filter vetoes are named explicitly
+(:func:`repro.sim.kernels.planner_vetoes`).  A spec its constructor
+refuses is never planned by a sweep: it fails as its own
+:class:`repro.sim.parallel.FailedCell`.  Every engine
 choice happens inside the registry, from each kind's tier and whether a
 compiler is available (``REPRO_NO_CC=1`` vetoes it).
 

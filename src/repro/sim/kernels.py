@@ -259,16 +259,19 @@ def lane_of(predictor: BranchPredictor) -> Tuple[str, Optional[object]]:
 
 @lru_cache(maxsize=None)
 def _resolve(spec: str):
-    """``((kind, lane), refusal)`` of a spec: the lane read off the
+    """``((kind, lane), refusal, veto)`` of a spec: the lane read off the
     predictor ``make_predictor`` builds, or ``("scalar", None)`` and the
-    constructor's ``ValueError`` when it refuses the spec."""
+    constructor's ``ValueError`` when it refuses the spec.  ``veto``
+    names why a bias filter the constructor accepts has no kernel lane
+    (:func:`planner_vetoes`), else ``None``."""
     from repro.core.registry import make_predictor
 
     try:
         predictor = make_predictor(spec)
     except ValueError as exc:
-        return ("scalar", None), exc.with_traceback(None)
-    return lane_of(predictor), None
+        return ("scalar", None), exc.with_traceback(None), None
+    veto = _lanes.biasfilter_veto(predictor) if predictor.scheme == "biasfilter" else None
+    return lane_of(predictor), None, veto
 
 
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
@@ -486,30 +489,18 @@ def planner_vetoes(specs: Sequence[str]) -> None:
     ``specs``.
 
     The generic "unfusable scheme(s)" degradation names schemes the
-    registry has never heard of; a bias filter over an unsupported
-    sub-predictor is different — the scheme *is* ported, but the
-    requested ``sub=`` has no kernel lane — so the veto is reported by
-    name under ``biasfilter-kernel``.
+    registry has never heard of; a bias filter the kernel cannot run is
+    different — the scheme *is* ported, but its sub-predictor has no
+    kernel lane or its run counters are wider than the loop's — so the
+    veto is reported by name under ``biasfilter-kernel``.  The reason is
+    read off the predictor :func:`kernel_for_spec` built; a spec the
+    constructor refuses has none.
     """
     from repro import health
-    from repro.core.registry import parse_spec
 
     for spec in specs:
-        if spec.split(":", 1)[0].strip() != "biasfilter":
-            continue
-        try:
-            _, kwargs = parse_spec(spec)
-        except ValueError:
-            continue
-        sub = kwargs.get("sub", "gshare")
-        if sub not in BIASFILTER_SUBS:
+        reason = _resolve(spec)[2]
+        if reason is not None:
             health.engine_used(
-                "biasfilter-kernel",
-                "scalar",
-                expected="c",
-                cells=1,
-                reason=(
-                    f"sub-predictor {sub!r} has no kernel lane "
-                    f"(supported: {', '.join(BIASFILTER_SUBS)})"
-                ),
+                "biasfilter-kernel", "scalar", expected="c", cells=1, reason=reason
             )

@@ -105,6 +105,7 @@ __all__ = [
     "trimode_lane_of",
     "yags_lane_of",
     "perceptron_lane_of",
+    "biasfilter_veto",
     "biasfilter_lane_of",
     "static_lane_of",
     "per_address_histories",
@@ -317,23 +318,36 @@ def perceptron_lane_of(p: PerceptronPredictor) -> Optional[PerceptronLane]:
 BIASFILTER_SUBS = ("gshare", "bimodal")
 
 
-def biasfilter_lane_of(p: BiasFilterPredictor) -> Optional[BiasFilterLane]:
+def biasfilter_veto(p: BiasFilterPredictor) -> Optional[str]:
+    """Why the compiled bias-filter loop cannot run ``p``, else ``None``."""
     # run counters live in int8 in the compiled loop
     if p.run_bits > 7:
-        return None
+        return f"run={p.run_bits} exceeds the kernel's int8 run counters (run <= 7)"
     sub = p.sub_predictor
     if isinstance(sub, GSharePredictor):
-        sub_hist = sub.history_bits
-    elif isinstance(sub, BimodalPredictor) and sub.table.bits == 2:
-        sub_hist = 0
-    else:
         return None
+    if isinstance(sub, BimodalPredictor):
+        if sub.table.bits == 2:
+            return None
+        what = f"'bimodal' with {sub.table.bits}-bit counters"
+    else:
+        what = repr(sub.scheme)
+    return (
+        f"sub-predictor {what} has no kernel lane "
+        f"(supported: {', '.join(BIASFILTER_SUBS)})"
+    )
+
+
+def biasfilter_lane_of(p: BiasFilterPredictor) -> Optional[BiasFilterLane]:
+    if biasfilter_veto(p) is not None:
+        return None
+    sub = p.sub_predictor
     return BiasFilterLane(
         filter_bits=p.filter_index_bits,
         run_bits=p.run_bits,
         sub_scheme=sub.scheme,
         sub_index_bits=sub.index_bits,
-        sub_hist_bits=sub_hist,
+        sub_hist_bits=sub.history_bits if isinstance(sub, GSharePredictor) else 0,
     )
 
 

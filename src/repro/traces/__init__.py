@@ -1,35 +1,17 @@
-"""Branch-trace substrate: containers, persistence, statistics, filters."""
+"""Branch-trace substrate: containers, persistence, statistics, interleaving."""
 
-from repro.traces.filters import (
-    filter_branches,
-    interleave,
-    skip_warmup,
-    split_address_space,
-    take_prefix,
-)
-from repro.traces.io import load_npz, load_text, save_npz, save_text
+from repro.traces.filters import interleave
+from repro.traces.io import load_npz, save_npz
 from repro.traces.record import BranchRecord, BranchTrace
-from repro.traces.stats import (
-    TraceStats,
-    bias_distribution,
-    compute_stats,
-    per_branch_bias,
-)
+from repro.traces.stats import TraceStats, compute_stats, per_branch_bias
 
 __all__ = [
     "BranchRecord",
     "BranchTrace",
     "TraceStats",
-    "bias_distribution",
     "compute_stats",
-    "filter_branches",
     "interleave",
     "load_npz",
-    "load_text",
     "per_branch_bias",
     "save_npz",
-    "save_text",
-    "skip_warmup",
-    "split_address_space",
-    "take_prefix",
 ]

@@ -1,68 +1,13 @@
-"""Trace transformations.
-
-Utilities for slicing and reshaping traces before simulation:
-warm-up skipping, sampling, per-branch filtering, and the kernel/user
-split that the IBS traces motivate (the workload generator tags kernel
-activity in ``metadata`` via an address-space convention).
-"""
+"""Trace transformations: chunk interleaving, the context-switch model
+behind the context-switch bench and the integration tests."""
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from repro.traces.record import BranchTrace
 
-__all__ = [
-    "skip_warmup",
-    "take_prefix",
-    "filter_branches",
-    "split_address_space",
-    "interleave",
-]
-
-
-def skip_warmup(trace: BranchTrace, count: int) -> BranchTrace:
-    """Drop the first ``count`` dynamic branches (cold-start region)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return trace[count:]
-
-
-def take_prefix(trace: BranchTrace, count: int) -> BranchTrace:
-    """Keep only the first ``count`` dynamic branches."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return trace[:count]
-
-
-def filter_branches(
-    trace: BranchTrace, keep: Callable[[int], bool], name: str | None = None
-) -> BranchTrace:
-    """Keep only records whose PC satisfies ``keep`` (order preserved)."""
-    mask = np.fromiter(
-        (keep(pc) for pc in trace.pcs.tolist()), dtype=bool, count=len(trace)
-    )
-    return BranchTrace(
-        pcs=trace.pcs[mask],
-        outcomes=trace.outcomes[mask],
-        name=trace.name if name is None else name,
-        metadata=dict(trace.metadata),
-    )
-
-
-def split_address_space(trace: BranchTrace, boundary: int):
-    """Split into (below, at-or-above ``boundary``) sub-traces.
-
-    The workload generator places kernel regions at or above
-    ``metadata["kernel_base"]``, so
-    ``split_address_space(t, t.metadata["kernel_base"])`` recovers the
-    user/kernel decomposition of an IBS-style trace.
-    """
-    below = filter_branches(trace, lambda pc: pc < boundary, name=f"{trace.name}.user")
-    above = filter_branches(trace, lambda pc: pc >= boundary, name=f"{trace.name}.kernel")
-    return below, above
+__all__ = ["interleave"]
 
 
 def interleave(a: BranchTrace, b: BranchTrace, period: int, name: str = "") -> BranchTrace:

@@ -1,12 +1,7 @@
 """Trace persistence.
 
-Traces serialize to two formats:
-
-* **``.npz``** (binary, compact) — portable interchange; round-trips
-  arrays, name and metadata.
-* **text** — one ``pc taken`` pair per line (pc in hex), matching the
-  classic trace-file shape of academic branch-prediction tools, so
-  externally produced traces can be imported.
+Traces serialize to compressed ``.npz`` — portable interchange that
+round-trips arrays, name and metadata.
 
 Generated benchmark traces no longer live as ``.npz`` in the cache:
 :class:`repro.traces.store.TraceStore` keeps them as uncompressed,
@@ -23,7 +18,7 @@ import numpy as np
 
 from repro.traces.record import BranchTrace
 
-__all__ = ["save_npz", "load_npz", "save_text", "load_text"]
+__all__ = ["save_npz", "load_npz"]
 
 
 def save_npz(trace: BranchTrace, path) -> Path:
@@ -55,71 +50,3 @@ def load_npz(path) -> BranchTrace:
             metadata=metadata,
         )
 
-
-def save_text(trace: BranchTrace, path) -> Path:
-    """Write ``pc taken`` lines; pc in hex, taken as ``T``/``N``.
-
-    The header carries the trace name and (when present) its metadata
-    as a ``# meta:`` JSON comment, so round-tripping through the text
-    format preserves cache identity (``profile_seed``) and provenance.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        if trace.name:
-            fh.write(f"# trace: {trace.name}\n")
-        if trace.metadata:
-            fh.write(f"# meta: {json.dumps(trace.metadata)}\n")
-        for pc, taken in zip(trace.pcs.tolist(), trace.outcomes.tolist()):
-            fh.write(f"{pc:#x} {'T' if taken else 'N'}\n")
-    return path
-
-
-def load_text(path, name: str = "") -> BranchTrace:
-    """Load ``pc taken`` lines.
-
-    Accepts hex (``0x..``) or decimal PCs and ``T/N``, ``1/0`` or
-    ``taken/not-taken`` outcome tokens; ``#`` starts a comment.  A
-    ``# meta:`` header comment (written by :func:`save_text`) restores
-    the trace metadata; a malformed one is ignored like any comment.
-    """
-    pcs = []
-    outcomes = []
-    trace_name = name
-    metadata: dict = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("# trace:") and not trace_name:
-                    trace_name = line[len("# trace:"):].strip()
-                elif line.startswith("# meta:") and not metadata:
-                    try:
-                        parsed = json.loads(line[len("# meta:"):].strip())
-                        if isinstance(parsed, dict):
-                            metadata = parsed
-                    except json.JSONDecodeError:
-                        pass
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'pc outcome', got {line!r}")
-            pc_text, outcome_text = parts
-            pc = int(pc_text, 16) if pc_text.lower().startswith("0x") else int(pc_text)
-            token = outcome_text.lower()
-            if token in ("t", "1", "taken"):
-                taken = True
-            elif token in ("n", "0", "not-taken", "nt"):
-                taken = False
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown outcome token {outcome_text!r}")
-            pcs.append(pc)
-            outcomes.append(taken)
-    return BranchTrace(
-        pcs=np.asarray(pcs, dtype=np.int64),
-        outcomes=np.asarray(outcomes, dtype=bool),
-        name=trace_name,
-        metadata=metadata,
-    )

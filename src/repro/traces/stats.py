@@ -4,7 +4,7 @@ per-branch bias distribution behind its Section-4 analysis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -14,7 +14,6 @@ __all__ = [
     "TraceStats",
     "compute_stats",
     "per_branch_bias",
-    "bias_distribution",
 ]
 
 
@@ -89,22 +88,3 @@ def compute_stats(trace: BranchTrace, bias_threshold: float = 0.9) -> TraceStats
         strongly_not_taken_fraction=strongly_not_taken_dyn / n,
     )
 
-
-def bias_distribution(trace: BranchTrace, num_bins: int = 10) -> List[float]:
-    """Dynamic-weighted histogram of per-static-branch taken rates.
-
-    ``result[i]`` is the fraction of *dynamic* branches whose static
-    branch has a taken rate in ``[i/num_bins, (i+1)/num_bins)`` (last
-    bin closed) — the measurement style of [Chang94].
-    """
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    n = len(trace)
-    bins = [0] * num_bins
-    if n == 0:
-        return [0.0] * num_bins
-    for count, taken in per_branch_bias(trace).values():
-        rate = taken / count
-        slot = min(int(rate * num_bins), num_bins - 1)
-        bins[slot] += count
-    return [b / n for b in bins]

@@ -1,6 +1,5 @@
 """Synthetic workload substrate standing in for the paper's IBS/SPEC traces."""
 
-from repro.workloads.capture import branch_populations, estimate_profile
 from repro.workloads.cfg import BranchSite, Program, Region, zipf_weights
 from repro.workloads.components import (
     BiasedBehavior,
@@ -42,9 +41,7 @@ __all__ = [
     "PatternBehavior",
     "Program",
     "Region",
-    "branch_populations",
     "build_program",
-    "estimate_profile",
     "cint95_suite",
     "default_cache_dir",
     "generate_trace",

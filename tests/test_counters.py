@@ -9,82 +9,83 @@ from repro.core.counters import (
     WEAKLY_NOT_TAKEN,
     WEAKLY_TAKEN,
     CounterTable,
-    SaturatingCounter,
 )
 
 
-class TestSaturatingCounter:
+def counter(bits=2, init=WEAKLY_TAKEN):
+    """One saturating counter: a single-entry counter table."""
+    return CounterTable(0, bits=bits, init=init)
+
+
+class TestCounterAutomaton:
+    """The up-down automaton of one counter (entry 0 of a one-entry table)."""
+
     def test_initial_state_weakly_taken_by_default(self):
-        assert SaturatingCounter().state == WEAKLY_TAKEN
+        assert counter().states[0] == WEAKLY_TAKEN
 
     def test_prediction_threshold(self):
-        assert not SaturatingCounter(init=0).prediction
-        assert not SaturatingCounter(init=1).prediction
-        assert SaturatingCounter(init=2).prediction
-        assert SaturatingCounter(init=3).prediction
+        assert not counter(init=0).predict(0)
+        assert not counter(init=1).predict(0)
+        assert counter(init=2).predict(0)
+        assert counter(init=3).predict(0)
 
     def test_taken_increments(self):
-        c = SaturatingCounter(init=WEAKLY_TAKEN)
-        c.update(True)
-        assert c.state == STRONGLY_TAKEN
+        c = counter(init=WEAKLY_TAKEN)
+        c.update(0, True)
+        assert c.states[0] == STRONGLY_TAKEN
 
     def test_not_taken_decrements(self):
-        c = SaturatingCounter(init=WEAKLY_TAKEN)
-        c.update(False)
-        assert c.state == WEAKLY_NOT_TAKEN
+        c = counter(init=WEAKLY_TAKEN)
+        c.update(0, False)
+        assert c.states[0] == WEAKLY_NOT_TAKEN
 
     def test_saturates_high(self):
-        c = SaturatingCounter(init=STRONGLY_TAKEN)
-        c.update(True)
-        assert c.state == STRONGLY_TAKEN
+        c = counter(init=STRONGLY_TAKEN)
+        c.update(0, True)
+        assert c.states[0] == STRONGLY_TAKEN
 
     def test_saturates_low(self):
-        c = SaturatingCounter(init=STRONGLY_NOT_TAKEN)
-        c.update(False)
-        assert c.state == STRONGLY_NOT_TAKEN
+        c = counter(init=STRONGLY_NOT_TAKEN)
+        c.update(0, False)
+        assert c.states[0] == STRONGLY_NOT_TAKEN
 
     def test_hysteresis_single_anomaly_does_not_flip_prediction(self):
         # the defining property of 2-bit counters vs 1-bit
-        c = SaturatingCounter(init=STRONGLY_TAKEN)
-        c.update(False)
-        assert c.prediction  # still taken after one not-taken
+        c = counter(init=STRONGLY_TAKEN)
+        c.update(0, False)
+        assert c.predict(0)  # still taken after one not-taken
 
     def test_two_anomalies_flip_prediction(self):
-        c = SaturatingCounter(init=STRONGLY_TAKEN)
-        c.update(False)
-        c.update(False)
-        assert not c.prediction
+        c = counter(init=STRONGLY_TAKEN)
+        c.update(0, False)
+        c.update(0, False)
+        assert not c.predict(0)
 
     def test_predict_and_update_returns_pre_update_prediction(self):
-        c = SaturatingCounter(init=WEAKLY_NOT_TAKEN)
-        assert c.predict_and_update(True) is False
-        assert c.state == WEAKLY_TAKEN
+        c = counter(init=WEAKLY_NOT_TAKEN)
+        assert c.predict_and_update(0, True) is False
+        assert c.states[0] == WEAKLY_TAKEN
 
     def test_wider_counter(self):
-        c = SaturatingCounter(bits=3, init=4)
-        assert c.prediction
+        c = counter(bits=3, init=4)
+        assert c.predict(0)
         for _ in range(10):
-            c.update(True)
-        assert c.state == 7
+            c.update(0, True)
+        assert c.states[0] == 7
 
     def test_three_bit_threshold(self):
-        assert not SaturatingCounter(bits=3, init=3).prediction
-        assert SaturatingCounter(bits=3, init=4).prediction
-
-    def test_is_saturated(self):
-        assert SaturatingCounter(init=0).is_saturated
-        assert SaturatingCounter(init=3).is_saturated
-        assert not SaturatingCounter(init=1).is_saturated
+        assert not counter(bits=3, init=3).predict(0)
+        assert counter(bits=3, init=4).predict(0)
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
+            counter(bits=0)
 
     def test_rejects_out_of_range_init(self):
         with pytest.raises(ValueError):
-            SaturatingCounter(init=4)
+            counter(init=4)
         with pytest.raises(ValueError):
-            SaturatingCounter(init=-1)
+            counter(init=-1)
 
 
 class TestCounterTable:

@@ -38,23 +38,6 @@ class TestRun:
         assert result.predictor_name == "gshare:index=8,hist=8"
         assert result.num_branches == len(trace)
 
-    def test_warmup_excluded_from_result(self, trace):
-        result = run(make_predictor("gshare:index=8"), trace, warmup=500)
-        assert result.num_branches == len(trace) - 500
-
-    def test_warmup_still_trains(self, trace):
-        """Post-warm-up predictions must match the corresponding tail of
-        a full run (warm-up only changes what's reported)."""
-        full = run(make_predictor("gshare:index=8"), trace)
-        warm = run(make_predictor("gshare:index=8"), trace, warmup=500)
-        assert np.array_equal(full.predictions[500:], warm.predictions)
-
-    def test_warmup_validation(self, trace):
-        with pytest.raises(ValueError):
-            run(make_predictor("bimodal:index=4"), trace, warmup=-1)
-        with pytest.raises(ValueError):
-            run(make_predictor("bimodal:index=4"), trace, warmup=len(trace) + 1)
-
     def test_no_reset_continues_state(self, trace):
         p = make_predictor("bimodal:index=8")
         run(p, trace)
@@ -78,30 +61,6 @@ class TestRunDetailed:
         Section-4 pipeline (gskew was the canonical refusal before)."""
         detailed = run_detailed(make_predictor("gskew:bank=6"), trace)
         assert detailed.num_counters == 3 * (1 << 6)
-
-    def test_warmup_slices_attribution(self, trace):
-        """Warm-up must drop the same prefix from the result AND the
-        per-access attribution arrays, leaving them aligned."""
-        full = run_detailed(make_predictor("gshare:index=8"), trace)
-        warm = run_detailed(make_predictor("gshare:index=8"), trace, warmup=500)
-        assert warm.result.num_branches == len(trace) - 500
-        assert np.array_equal(warm.result.predictions, full.result.predictions[500:])
-        assert np.array_equal(warm.counter_ids, full.counter_ids[500:])
-        assert np.array_equal(warm.pcs, full.pcs[500:])
-        assert warm.num_counters == full.num_counters
-
-    def test_warmup_matches_plain_run(self, trace):
-        plain = run(make_predictor("bimode:dir=7,hist=7,choice=7"), trace, warmup=300)
-        detailed = run_detailed(
-            make_predictor("bimode:dir=7,hist=7,choice=7"), trace, warmup=300
-        )
-        assert np.array_equal(plain.predictions, detailed.result.predictions)
-
-    def test_warmup_validation(self, trace):
-        with pytest.raises(ValueError):
-            run_detailed(make_predictor("gshare:index=8"), trace, warmup=-1)
-        with pytest.raises(ValueError):
-            run_detailed(make_predictor("gshare:index=8"), trace, warmup=len(trace) + 1)
 
 
 class TestDetailedKernelDispatch:
@@ -144,17 +103,6 @@ class TestDetailedKernelDispatch:
         scalar = make_predictor(spec).simulate_detailed(trace)
         assert np.array_equal(scalar.result.predictions, auto.result.predictions)
         assert np.array_equal(scalar.counter_ids, auto.counter_ids)
-
-    def test_no_reset_uses_scalar_path(self, trace):
-        """reset=False continues live predictor state, which the batch
-        kernels (fresh lane tables) cannot honour."""
-        p = make_predictor("gshare:index=8")
-        run_detailed(p, trace)
-        second = run_detailed(p, trace, reset=False)
-        cold = run_detailed(make_predictor("gshare:index=8"), trace)
-        assert (
-            second.result.misprediction_rate <= cold.result.misprediction_rate
-        )
 
     @pytest.mark.parametrize("pin", ["auto", "scalar"])
     def test_keeps_display_name_and_predictor_state(self, pin, trace, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from repro.core.indexing import (
     concat_index,
     concat_index_stream,
-    gselect_index,
     gshare_index,
     gshare_index_stream,
     mask,
@@ -78,9 +77,6 @@ class TestConcatIndex:
     def test_layout(self):
         # pc bits above history bits
         assert concat_index(0b101, 3, 0b11, 2) == 0b11_101
-
-    def test_gselect_alias(self):
-        assert gselect_index(0b1010, 4, 0xF, 2) == concat_index(0b1010, 4, 0xF, 2)
 
     def test_zero_pc_bits(self):
         assert concat_index(0b1011, 4, 0xFF, 0) == 0b1011

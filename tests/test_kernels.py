@@ -814,20 +814,36 @@ class TestDispatch:
         assert rates == [_scalar_rate(spec, "toy")]
 
     def test_unsupported_biasfilter_sub_is_vetoed_by_name(self):
-        """A bias-filter spec whose sub-predictor has no kernel lane
-        routes scalar, and the planner names the veto in a health event
-        rather than hiding it behind the generic unfusable reason."""
+        """A bias-filter spec the kernel cannot run — its sub-predictor
+        has no kernel lane, or its run counters are wider than the
+        loop's int8 — routes scalar, and the planner names the veto in a
+        health event rather than hiding it behind the generic unfusable
+        reason.  A spec the constructor refuses gets no veto: its run
+        raises the constructor's error."""
         from repro.sim.fused import family_rates as fused_rates
 
-        spec = "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3"
-        (family,) = plan_families([spec])
+        vetoed = {
+            "biasfilter:table=5,run=2,sub=bimode,sub_index=5,sub_hist=3": ("'bimode'", "gshare"),
+            "biasfilter:table=6,run=8,sub_index=6,sub_hist=4": ("run=8",),
+        }
+        for spec, named in vetoed.items():
+            health.clear()
+            (family,) = plan_families([spec])
+            assert family.kind == "scalar"
+            rates = fused_rates(family, _trace("toy"))
+            (event,) = health.events(component="biasfilter-kernel")
+            assert event.actual == "scalar"
+            assert event.severity == "degraded"
+            assert all(word in event.reason for word in named), spec
+            assert rates == {spec: _scalar_rate(spec, "toy")}
+
+        health.clear()
+        refused = "biasfilter:table=6,sub=foo,sub_index=6"
+        (family,) = plan_families([refused])
         assert family.kind == "scalar"
-        rates = fused_rates(family, _trace("toy"))
-        (event,) = health.events(component="biasfilter-kernel")
-        assert event.actual == "scalar"
-        assert event.severity == "degraded"
-        assert "'bimode'" in event.reason and "gshare" in event.reason
-        assert rates == {spec: _scalar_rate(spec, "toy")}
+        with pytest.raises(ValueError, match="'foo'"):
+            fused_rates(family, _trace("toy"))
+        assert health.events(component="biasfilter-kernel") == []
 
     @pytest.mark.parametrize("spec", ["always-taken", "always-not-taken", "btfnt"])
     def test_static_direct_rates_match_prediction_path(self, spec):

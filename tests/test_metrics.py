@@ -1,16 +1,10 @@
-"""Unit tests for prediction metrics."""
+"""Unit tests for the prediction metrics a :class:`SimulationResult`
+carries."""
 
 import numpy as np
 import pytest
 
 from repro.core.interfaces import SimulationResult
-from repro.sim.metrics import (
-    branch_penalty_cpi,
-    misprediction_rate,
-    per_branch_rates,
-    steady_state_rate,
-    wilson_interval,
-)
 
 
 def result(predictions, outcomes):
@@ -36,78 +30,3 @@ class TestSimulationResult:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             result([True], [True, False])
-
-    def test_misprediction_rate_helper(self):
-        r = result([True], [False])
-        assert misprediction_rate(r) == 1.0
-
-
-class TestSteadyState:
-    def test_excludes_warmup(self):
-        # all misses in the first 10%, none after
-        predictions = [False] * 10 + [True] * 90
-        outcomes = [True] * 100
-        r = result(predictions, outcomes)
-        assert r.misprediction_rate == pytest.approx(0.1)
-        assert steady_state_rate(r, skip_fraction=0.1) == 0.0
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            steady_state_rate(result([True], [True]), skip_fraction=1.0)
-
-    def test_empty_tail(self):
-        assert steady_state_rate(result([], []), skip_fraction=0.5) == 0.0
-
-
-class TestPerBranchRates:
-    def test_rates(self):
-        r = result([True, True, False, True], [True, False, False, False])
-        rates = per_branch_rates(r, np.array([4, 4, 8, 8]))
-        assert rates[4] == 0.5
-        assert rates[8] == 0.5
-
-    def test_perfect_branch(self):
-        r = result([True, True], [True, True])
-        assert per_branch_rates(r, np.array([4, 4]))[4] == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            per_branch_rates(result([True], [True]), np.array([1, 2]))
-
-
-class TestWilsonInterval:
-    def test_contains_point_estimate(self):
-        lo, hi = wilson_interval(10, 100)
-        assert lo < 0.1 < hi
-
-    def test_zero_total(self):
-        assert wilson_interval(0, 0) == (0.0, 0.0)
-
-    def test_narrower_with_more_data(self):
-        lo1, hi1 = wilson_interval(10, 100)
-        lo2, hi2 = wilson_interval(100, 1000)
-        assert (hi2 - lo2) < (hi1 - lo1)
-
-    def test_bounds_clamped(self):
-        lo, hi = wilson_interval(0, 5)
-        assert lo == 0.0
-        lo, hi = wilson_interval(5, 5)
-        assert hi == 1.0
-
-    def test_invalid_counts(self):
-        with pytest.raises(ValueError):
-            wilson_interval(5, 4)
-
-
-class TestBranchPenaltyCpi:
-    def test_scales_with_rate(self):
-        r10 = result([True] * 90 + [False] * 10, [True] * 100)
-        cpi = branch_penalty_cpi(r10, branch_fraction=0.2, misprediction_penalty=7)
-        assert cpi == pytest.approx(0.1 * 0.2 * 7)
-
-    def test_validation(self):
-        r = result([True], [True])
-        with pytest.raises(ValueError):
-            branch_penalty_cpi(r, branch_fraction=0.0)
-        with pytest.raises(ValueError):
-            branch_penalty_cpi(r, misprediction_penalty=-1)

@@ -1,15 +1,9 @@
-"""Unit tests for trace filters."""
+"""Unit tests for trace interleaving."""
 
 import numpy as np
 import pytest
 
-from repro.traces.filters import (
-    filter_branches,
-    interleave,
-    skip_warmup,
-    split_address_space,
-    take_prefix,
-)
+from repro.traces.filters import interleave
 from repro.traces.record import BranchTrace
 
 
@@ -18,56 +12,6 @@ def build(pcs, outcomes=None, name="t"):
     if outcomes is None:
         outcomes = np.ones(len(pcs), dtype=bool)
     return BranchTrace(pcs=pcs, outcomes=np.array(outcomes), name=name)
-
-
-class TestSkipTake:
-    def test_skip_warmup(self):
-        t = skip_warmup(build([1, 2, 3, 4]), 2)
-        assert t.pcs.tolist() == [3, 4]
-
-    def test_take_prefix(self):
-        t = take_prefix(build([1, 2, 3, 4]), 3)
-        assert t.pcs.tolist() == [1, 2, 3]
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            skip_warmup(build([1]), -1)
-        with pytest.raises(ValueError):
-            take_prefix(build([1]), -1)
-
-
-class TestFilterBranches:
-    def test_keeps_matching(self):
-        t = filter_branches(build([2, 5, 8, 5]), lambda pc: pc == 5)
-        assert t.pcs.tolist() == [5, 5]
-
-    def test_order_preserved(self):
-        t = filter_branches(build([9, 2, 9, 1]), lambda pc: pc != 2)
-        assert t.pcs.tolist() == [9, 9, 1]
-
-    def test_rename(self):
-        t = filter_branches(build([1]), lambda pc: True, name="new")
-        assert t.name == "new"
-
-
-class TestSplitAddressSpace:
-    def test_split(self):
-        t = build([10, 200, 20, 300], name="x")
-        below, above = split_address_space(t, boundary=100)
-        assert below.pcs.tolist() == [10, 20]
-        assert above.pcs.tolist() == [200, 300]
-        assert below.name == "x.user"
-        assert above.name == "x.kernel"
-
-    def test_on_generated_ibs_workload(self):
-        from repro.workloads.generator import KERNEL_BASE, generate_trace
-        from repro.workloads.profiles import get_profile
-
-        trace = generate_trace(get_profile("sdet"), length=20_000, seed=1)
-        user, kernel = split_address_space(trace, trace.metadata["kernel_base"])
-        assert len(user) + len(kernel) == len(trace)
-        assert len(kernel) > 0  # sdet is kernel-heavy
-        assert kernel.pcs.min() >= KERNEL_BASE
 
 
 class TestInterleave:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.traces.io import load_npz, load_text, save_npz, save_text
+from repro.traces.io import load_npz, save_npz
 from repro.traces.record import BranchTrace
 
 
@@ -32,63 +32,6 @@ class TestNpz:
     def test_creates_parent_dirs(self, trace, tmp_path):
         path = save_npz(trace, tmp_path / "a" / "b" / "t.npz")
         assert path.exists()
-
-
-class TestText:
-    def test_roundtrip(self, trace, tmp_path):
-        path = save_text(trace, tmp_path / "t.txt")
-        loaded = load_text(path)
-        assert loaded == BranchTrace(
-            pcs=trace.pcs, outcomes=trace.outcomes, name="demo"
-        )
-
-    def test_metadata_header_roundtrip(self, trace, tmp_path):
-        path = save_text(trace, tmp_path / "t.txt")
-        assert "# meta:" in path.read_text()
-        loaded = load_text(path)
-        assert loaded.metadata == trace.metadata  # cache identity survives
-
-    def test_no_metadata_no_header(self, trace, tmp_path):
-        bare = BranchTrace(pcs=trace.pcs, outcomes=trace.outcomes, name="demo")
-        path = save_text(bare, tmp_path / "t.txt")
-        assert "# meta:" not in path.read_text()
-        assert load_text(path).metadata == {}
-
-    def test_malformed_meta_ignored(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("# meta: {not json\n# meta: [1, 2]\n100 T\n")
-        loaded = load_text(path)  # both bad headers skipped like comments
-        assert loaded.metadata == {}
-        assert loaded.pcs.tolist() == [100]
-
-    def test_accepts_decimal_and_tokens(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("# comment\n100 T\n0x10 0\n12 taken\n13 nt\n")
-        t = load_text(path)
-        assert t.pcs.tolist() == [100, 16, 12, 13]
-        assert t.outcomes.tolist() == [True, False, True, False]
-
-    def test_rejects_bad_outcome(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("100 X\n")
-        with pytest.raises(ValueError):
-            load_text(path)
-
-    def test_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("100 T extra\n")
-        with pytest.raises(ValueError):
-            load_text(path)
-
-    def test_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("\n100 T\n\n")
-        assert len(load_text(path)) == 1
-
-    def test_name_override(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("100 T\n")
-        assert load_text(path, name="zz").name == "zz"
 
 
 class TestStoreInterchange:

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces.record import BranchTrace
-from repro.traces.stats import (
-    bias_distribution,
-    compute_stats,
-    per_branch_bias,
-)
+from repro.traces.stats import compute_stats, per_branch_bias
 
 
 def build(pcs, outcomes, name="t"):
@@ -67,32 +63,6 @@ class TestComputeStats:
 
     def test_name_carried(self):
         assert compute_stats(build([1], [True], name="gcc")).name == "gcc"
-
-
-class TestBiasDistribution:
-    def test_sums_to_one(self):
-        pcs = [1] * 10 + [2] * 30
-        outcomes = [True] * 10 + [False] * 30
-        dist = bias_distribution(build(pcs, outcomes))
-        assert sum(dist) == pytest.approx(1.0)
-
-    def test_bins_are_dynamic_weighted(self):
-        pcs = [1] * 10 + [2] * 30
-        outcomes = [True] * 10 + [False] * 30
-        dist = bias_distribution(build(pcs, outcomes), num_bins=10)
-        assert dist[9] == pytest.approx(0.25)  # branch 1: rate 1.0
-        assert dist[0] == pytest.approx(0.75)  # branch 2: rate 0.0
-
-    def test_rate_one_lands_in_last_bin(self):
-        dist = bias_distribution(build([1, 1], [True, True]), num_bins=4)
-        assert dist[3] == 1.0
-
-    def test_empty(self):
-        assert bias_distribution(BranchTrace.empty(), num_bins=5) == [0.0] * 5
-
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            bias_distribution(BranchTrace.empty(), num_bins=0)
 
 
 class TestOnGeneratedWorkload:
