@@ -20,19 +20,46 @@ dependency — and loads it through :mod:`ctypes`:
   results;
 * ``REPRO_NO_CC=1`` vetoes every compiled driver (tests pin the
   no-compiler paths with it, and it is the escape hatch on platforms
-  where invoking the compiler is unwanted).
+  where invoking the compiler is unwanted); a vetoed process starts no
+  compiler and no thread.
+
+Overlapping builds.  Each driver declares its *siblings*, the modules
+of the other compiled drivers (``_cgen`` names ``repro.sim._cstep`` and
+``_cstep`` names ``repro.workloads._cgen``).  When a library's first
+load finds its object unpublished, it starts every sibling whose
+object is unpublished too on a background thread, then builds its own.
+A cold run therefore compiles the predictor loops alongside the
+trace-generation passes, and then alongside trace materialization: the
+first use of the predictor loops waits on that library's lock only for
+the compile time that is left.  A background build runs the one build
+path above unchanged, and its result (or failure) is reported at use,
+by the thread that first loads the library, never raised on the
+background thread.  Two rules keep the threads safe:
+
+* *exit* — build threads are not daemons, so the interpreter waits for
+  them at exit and no compiler outlives the process that started it;
+* *fork* — ``os.register_at_fork`` joins every pending build before a
+  fork (the fork-start worker pool of :mod:`repro.sim.parallel`), so no
+  child inherits a lock that a build thread holds.
+
+Every cold build is timed; the thread that first uses the library
+records it as one ``info`` event under the ``c-build`` component of
+:mod:`repro.health` (``REPRO_HEALTH_JSON=1`` streams it).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib
 import os
 import shutil
 import subprocess
 import tempfile
+import threading
+import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +69,20 @@ __all__ = ["NO_CC_ENV", "vetoed", "ptr", "CLibrary"]
 NO_CC_ENV = "REPRO_NO_CC"
 
 _COMPILERS = ("cc", "gcc", "clang")
+
+#: Background builds started in this process and not yet joined.
+_builds: List[threading.Thread] = []
+
+
+def _join_builds() -> None:
+    """Wait for every background build (run before each fork)."""
+    while _builds:
+        thread = _builds.pop()
+        if thread is not threading.current_thread():
+            thread.join()
+
+
+os.register_at_fork(before=_join_builds)
 
 
 def vetoed() -> bool:
@@ -65,7 +106,8 @@ class CLibrary:
     ``bind`` declares the entry points' ctypes types on every load (a
     missing symbol refuses the object) and may return a reason to
     refuse it anyway, such as a failed self-test; ``flags`` follow the
-    source on the compiler command line.
+    source on the compiler command line.  ``siblings`` name the modules
+    whose ``_LIB`` builds alongside this one on a cold cache.
     """
 
     def __init__(
@@ -74,14 +116,20 @@ class CLibrary:
         source: str,
         bind: Callable[[ctypes.CDLL], Optional[str]],
         flags: Sequence[str] = (),
+        siblings: Sequence[str] = (),
     ):
         self.name = name
         self.source = source
         self.bind = bind
         self.flags = tuple(flags)
+        self.siblings = tuple(siblings)
         self._lib: Optional[ctypes.CDLL] = None
         self._attempted = False
         self._failure: Optional[str] = None
+        #: Held while the library is being opened, on whichever thread.
+        self._lock = threading.Lock()
+        #: Seconds of a cold build not yet reported to repro.health.
+        self._build_s: Optional[float] = None
 
     @property
     def path(self) -> Path:
@@ -96,11 +144,15 @@ class CLibrary:
         if vetoed():
             return None
         if not self._attempted:
-            self._attempted = True
-            try:
-                self._lib = self._open(self.path)
-            except _Unavailable as exc:
-                self._failure = str(exc)
+            with self._lock:  # waits out a background build
+                if not self._attempted:
+                    path = self.path
+                    if not path.exists():
+                        for module in self.siblings:
+                            importlib.import_module(module)._LIB._build_in_background()
+                    self._attempt(path)
+        if self._build_s is not None:
+            self._report_build()
         return self._lib
 
     def require(self) -> ctypes.CDLL:
@@ -126,6 +178,62 @@ class CLibrary:
         if self.load() is not None:
             return None
         return self._failure or "compiled driver unavailable"
+
+    def _attempt(self, path: Path) -> None:
+        """Open ``path`` once, remembering the library or the failure
+        and, when it had to be built, the build's wall seconds."""
+        cold = not path.exists()
+        start = time.perf_counter()
+        try:
+            self._lib = self._open(path)
+        except _Unavailable as exc:
+            self._failure = str(exc)
+        if cold:
+            self._build_s = time.perf_counter() - start
+        self._attempted = True
+
+    def _build_in_background(self) -> None:
+        """Start this library's cold build on a thread, unless it is
+        published, opened or being opened already."""
+        if not self._lock.acquire(blocking=False):
+            return
+        path = self.path
+        if not self._attempted and not path.exists():
+            thread = threading.Thread(
+                target=self._build_and_release, args=(path,), name=f"cbuild-{self.name}"
+            )
+            try:
+                thread.start()
+                _builds.append(thread)
+                return
+            except RuntimeError:  # no thread to spare: the first use builds it
+                pass
+        self._lock.release()
+
+    def _build_and_release(self, path: Path) -> None:
+        try:
+            self._attempt(path)
+        finally:
+            self._lock.release()
+
+    def _report_build(self) -> None:
+        """Record the cold build as one ``c-build`` health event."""
+        from repro import health
+
+        with self._lock:  # one event, however many threads use it first
+            seconds, self._build_s = self._build_s, None
+        if seconds is None:
+            return
+        outcome = "built" if self._lib is not None else f"failed ({self._failure})"
+        health.emit(
+            "c-build",
+            "c",
+            "c" if self._lib is not None else "unavailable",
+            reason=f"{self.name} {outcome} in {seconds:.2f} s",
+            severity="info",
+            library=self.name,
+            seconds=round(seconds, 3),
+        )
 
     def _load_bound(self, path: Path) -> ctypes.CDLL:
         """Load ``path`` and bind it, or say why it cannot be used."""

@@ -1000,7 +1000,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     lib.class_changes.restype = ctypes.c_int
 
 
-_LIB = _cbuild.CLibrary("step", _C_SOURCE, _bind)
+_LIB = _cbuild.CLibrary("step", _C_SOURCE, _bind, siblings=("repro.workloads._cgen",))
 
 
 available = _LIB.available

@@ -47,7 +47,8 @@ def run_detailed(predictor: BranchPredictor, trace: BranchTrace) -> DetailedSimu
 
     A predictor with a kernel lane runs through the kernel registry, on
     fresh tables: its own state is left as it was.  Any other predictor
-    is reset and runs its per-branch loop, health-reported.  Results
+    is reset and runs its per-branch loop, health-reported (a ported
+    scheme's kernel veto by name, under ``<scheme>-kernel``).  Results
     are bit-identical either way.
     """
     from repro import health
@@ -57,6 +58,7 @@ def run_detailed(predictor: BranchPredictor, trace: BranchTrace) -> DetailedSimu
     if kind != "scalar":
         (detailed,) = kernels.family_detailed(kind, [predictor], [lane], trace)
         return detailed
+    kernels.report_veto(predictor)
     health.engine_used(
         "detailed-kernel",
         "scalar",

@@ -18,12 +18,12 @@ variants) advances the whole family in one pass over the raw
 table stays in cache).
 
 Specs whose built predictor no kernel lane covers (a configuration
-past a kernel's own limits, such as a bias filter whose sub-predictor
-has no kernel lane or whose run counters are wider than the loop's)
+past a kernel's own limits, such as perceptron weights wider than the
+loop's int32 or a bias filter whose sub-predictor has no kernel lane)
 form the **scalar** family.  These run per-cell through the scalar
 engine; falling off the batched path is reported as a health
 degradation so the CLI's coalesced summary shows exactly which schemes
-did not batch, and bias-filter vetoes are named explicitly
+did not batch, and each kernel veto is named under ``<scheme>-kernel``
 (:func:`repro.sim.kernels.planner_vetoes`).  A spec its constructor
 refuses is never planned by a sweep: it fails as its own
 :class:`repro.sim.parallel.FailedCell`.  Every engine
@@ -99,11 +99,22 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
 
 
 def _scalar_reason(specs: Sequence[str]) -> str:
-    """Why a family runs scalar: the unfusable schemes (with any
-    bias-filter sub-predictor veto reported by name)."""
-    kernels.planner_vetoes(specs)
-    schemes = sorted({spec.split(":", 1)[0] for spec in specs})
-    return "unfusable scheme(s): " + ", ".join(schemes)
+    """Why a family runs scalar: the schemes the registry has never
+    heard of ("unfusable"), the ported schemes whose kernel vetoes a
+    configuration (each veto reported by name under ``<scheme>-kernel``)
+    and those whose constructor refuses the spec."""
+    vetoed = set(kernels.planner_vetoes(specs))
+    groups: Dict[str, set] = {}
+    for spec in specs:
+        scheme = spec.split(":", 1)[0]
+        if scheme not in kernels.PORTED:
+            label = "unfusable scheme(s)"
+        elif spec in vetoed:
+            label = "kernel veto"
+        else:
+            label = "refused spec(s)"
+        groups.setdefault(label, set()).add(scheme)
+    return "; ".join(f"{label}: {', '.join(sorted(s))}" for label, s in groups.items())
 
 
 def family_rates(family: SpecFamily, trace: BranchTrace) -> Dict[str, float]:

@@ -105,6 +105,7 @@ __all__ = [
     "family_rates",
     "family_detailed",
     "planner_vetoes",
+    "report_veto",
 ]
 
 #: Schemes deliberately left on the scalar engine: empty since the
@@ -125,9 +126,10 @@ class KernelEntry:
 
     scheme: str
     tier: str  # "lane" (c, numpy fallback) | "cloop" (c, scalar fallback)
-    #: ``predictor -> lane``, or ``None`` when the kernel cannot run that
-    #: (valid) configuration; the constructor already checked the rest.
-    lane_of: Callable[[BranchPredictor], Optional[object]]
+    #: ``predictor -> lane``, or a veto string naming why the kernel
+    #: cannot run that (valid) configuration; the constructor already
+    #: checked the rest.
+    lane_of: Callable[[BranchPredictor], object]
     #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
     #: (predictions, counter_ids)``, bit-identical to the predictor's
     #: step-driven ``simulate_detailed`` loop.  It serves Section-4
@@ -249,29 +251,56 @@ def family_order() -> Tuple[str, ...]:
     return (*PORTED, "scalar")
 
 
+def _read_lane(predictor: BranchPredictor) -> Tuple[str, Optional[object], Optional[str]]:
+    """``(kind, lane, veto)`` of a built predictor: ``("scalar", None,
+    reason)`` when its scheme is ported but the kernel cannot run this
+    configuration, ``("scalar", None, None)`` when the scheme is not
+    ported at all."""
+    entry = PORTED.get(predictor.scheme)
+    if entry is None:
+        return "scalar", None, None
+    lane = entry.lane_of(predictor)
+    if isinstance(lane, str):
+        return "scalar", None, lane
+    return entry.scheme, lane, None
+
+
 def lane_of(predictor: BranchPredictor) -> Tuple[str, Optional[object]]:
     """``(kind, lane)`` of a built predictor; ``("scalar", None)`` when
     no lane kernel runs its configuration."""
-    entry = PORTED.get(predictor.scheme)
-    lane = None if entry is None else entry.lane_of(predictor)
-    return ("scalar", None) if lane is None else (entry.scheme, lane)
+    return _read_lane(predictor)[:2]
+
+
+def _report_veto(scheme: str, reason: str) -> None:
+    from repro import health
+
+    health.engine_used(f"{scheme}-kernel", "scalar", expected="c", cells=1, reason=reason)
+
+
+def report_veto(predictor: BranchPredictor) -> None:
+    """Health-report under ``<scheme>-kernel`` why the kernel of a
+    ported scheme cannot run ``predictor``, if it cannot."""
+    veto = _read_lane(predictor)[2]
+    if veto is not None:
+        _report_veto(predictor.scheme, veto)
 
 
 @lru_cache(maxsize=None)
 def _resolve(spec: str):
     """``((kind, lane), refusal, veto)`` of a spec: the lane read off the
     predictor ``make_predictor`` builds, or ``("scalar", None)`` and the
-    constructor's ``ValueError`` when it refuses the spec.  ``veto``
-    names why a bias filter the constructor accepts has no kernel lane
-    (:func:`planner_vetoes`), else ``None``."""
+    constructor's ``ValueError`` when it refuses the spec.  ``veto`` is
+    ``(scheme, reason)`` when the scheme is ported but its kernel
+    cannot run the configuration (:func:`planner_vetoes`), else
+    ``None``."""
     from repro.core.registry import make_predictor
 
     try:
         predictor = make_predictor(spec)
     except ValueError as exc:
         return ("scalar", None), exc.with_traceback(None), None
-    veto = _lanes.biasfilter_veto(predictor) if predictor.scheme == "biasfilter" else None
-    return lane_of(predictor), None, veto
+    kind, lane, veto = _read_lane(predictor)
+    return (kind, lane), None, None if veto is None else (predictor.scheme, veto)
 
 
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
@@ -484,23 +513,24 @@ def family_rates(
     return out
 
 
-def planner_vetoes(specs: Sequence[str]) -> None:
-    """Health-report the explicit kernel vetoes among scalar-routed
-    ``specs``.
+def planner_vetoes(specs: Sequence[str]) -> Tuple[str, ...]:
+    """Health-report the kernel vetoes among scalar-routed ``specs``;
+    the vetoed specs.
 
     The generic "unfusable scheme(s)" degradation names schemes the
-    registry has never heard of; a bias filter the kernel cannot run is
-    different — the scheme *is* ported, but its sub-predictor has no
-    kernel lane or its run counters are wider than the loop's — so the
-    veto is reported by name under ``biasfilter-kernel``.  The reason is
-    read off the predictor :func:`kernel_for_spec` built; a spec the
-    constructor refuses has none.
+    registry has never heard of.  A veto is different — the scheme *is*
+    ported, but its kernel cannot run this configuration (a C integer
+    width such as the perceptron's 30-bit weights or YAGS's 30-bit
+    tags, the bimodal's 7-bit counters, or a bias filter whose
+    sub-predictor has no kernel lane) — so each one is reported by name
+    under ``<scheme>-kernel``.  The reason is read off the predictor
+    :func:`kernel_for_spec` built; a spec the constructor refuses has
+    none.
     """
-    from repro import health
-
+    vetoed = []
     for spec in specs:
-        reason = _resolve(spec)[2]
-        if reason is not None:
-            health.engine_used(
-                "biasfilter-kernel", "scalar", expected="c", cells=1, reason=reason
-            )
+        veto = _resolve(spec)[2]
+        if veto is not None:
+            _report_veto(*veto)
+            vetoed.append(spec)
+    return tuple(vetoed)

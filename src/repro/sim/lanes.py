@@ -52,7 +52,7 @@ its group* — fully vectorized, one pass per history bit.
 
 **Bias filter.**  The compiled loop inlines the sub-predictor: gshare
 or bimodal (the configurations the benches sweep); any other sub falls
-to the scalar family with an explicit planner veto.
+to the scalar family with a named veto.
 
 Every kernel is asserted bit-identical to its scalar predictor and the
 dict-based oracle by the registry-driven verification suite
@@ -62,7 +62,7 @@ dict-based oracle by the registry-driven verification suite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,7 +105,7 @@ __all__ = [
     "trimode_lane_of",
     "yags_lane_of",
     "perceptron_lane_of",
-    "biasfilter_veto",
+    "Veto",
     "biasfilter_lane_of",
     "static_lane_of",
     "per_address_histories",
@@ -232,16 +232,20 @@ class StaticLane:
 #
 # ``<scheme>_lane_of(predictor)`` reads a lane off a predictor that
 # ``make_predictor`` (or a caller) built, so the constructors alone hold
-# each scheme's defaults and range checks.  A reader returns ``None``
-# only where the kernel cannot run a valid configuration (a C integer
-# width, or a pairing the loop does not model); that predictor runs on
-# the scalar family.
+# each scheme's defaults and range checks.  Where the kernel cannot run
+# a valid configuration (a C integer width, or a pairing the loop does
+# not model), a reader returns a :data:`Veto` instead of a lane: the
+# reason, which :mod:`repro.sim.kernels` reports under
+# ``<scheme>-kernel`` as that predictor runs on the scalar family.
+
+#: A reader's refusal: why the kernel cannot run a valid configuration.
+Veto = str
 
 
-def bimodal_lane_of(p: BimodalPredictor) -> Optional[BimodalLane]:
+def bimodal_lane_of(p: BimodalPredictor) -> Union[BimodalLane, Veto]:
     # counter states live in int8 in the compiled loop
     if p.table.bits > 7:
-        return None
+        return f"bits={p.table.bits} exceeds the kernel's int8 counters (bits <= 7)"
     return BimodalLane(index_bits=p.index_bits, counter_bits=p.table.bits)
 
 
@@ -268,7 +272,7 @@ def gskew_lane_of(p: GSkewPredictor) -> GSkewLane:
     )
 
 
-def tournament_lane_of(p: TournamentPredictor) -> Optional[TournamentLane]:
+def tournament_lane_of(p: TournamentPredictor) -> Union[TournamentLane, Veto]:
     # the loop models the registry pairing: a 2-bit bimodal and a
     # same-geometry gshare at one shared index width
     a, b = p.component_a, p.component_b
@@ -278,7 +282,10 @@ def tournament_lane_of(p: TournamentPredictor) -> Optional[TournamentLane]:
         and a.table.bits == 2
         and a.index_bits == b.index_bits == b.history_bits
     ):
-        return None
+        return (
+            f"components {a.name} + {b.name} are not the modelled pairing "
+            "(a 2-bit bimodal and a gshare at one shared index width)"
+        )
     return TournamentLane(index_bits=a.index_bits, meta_bits=p.meta_index_bits)
 
 
@@ -290,10 +297,10 @@ def trimode_lane_of(p: TriModePredictor) -> TriModeLane:
     )
 
 
-def yags_lane_of(p: YagsPredictor) -> Optional[YagsLane]:
+def yags_lane_of(p: YagsPredictor) -> Union[YagsLane, Veto]:
     # tags live in int32 in the compiled loop
     if p.tag_bits > 30:
-        return None
+        return f"tag={p.tag_bits} exceeds the kernel's int32 tags (tag <= 30)"
     return YagsLane(
         choice_bits=p.choice_index_bits,
         cache_bits=p.cache_index_bits,
@@ -302,46 +309,38 @@ def yags_lane_of(p: YagsPredictor) -> Optional[YagsLane]:
     )
 
 
-def perceptron_lane_of(p: PerceptronPredictor) -> Optional[PerceptronLane]:
+def perceptron_lane_of(p: PerceptronPredictor) -> Union[PerceptronLane, Veto]:
     # weights saturate in int32 in the compiled loop (the int64 dot
     # product then never overflows)
     if p.weight_bits > 30:
-        return None
+        return f"w={p.weight_bits} exceeds the kernel's int32 weights (w <= 30)"
     return PerceptronLane(
         index_bits=p.index_bits, hist_bits=p.history_bits, weight_bits=p.weight_bits
     )
 
 
 #: Sub-predictor schemes the bias-filter kernel executes in-lane; any
-#: other sub-predictor runs through the scalar family with an explicit
-#: planner veto (see :func:`repro.sim.kernels.planner_vetoes`).
+#: other sub-predictor runs through the scalar family with a veto.
 BIASFILTER_SUBS = ("gshare", "bimodal")
 
 
-def biasfilter_veto(p: BiasFilterPredictor) -> Optional[str]:
-    """Why the compiled bias-filter loop cannot run ``p``, else ``None``."""
+def biasfilter_lane_of(p: BiasFilterPredictor) -> Union[BiasFilterLane, Veto]:
     # run counters live in int8 in the compiled loop
     if p.run_bits > 7:
         return f"run={p.run_bits} exceeds the kernel's int8 run counters (run <= 7)"
     sub = p.sub_predictor
-    if isinstance(sub, GSharePredictor):
-        return None
-    if isinstance(sub, BimodalPredictor):
-        if sub.table.bits == 2:
-            return None
-        what = f"'bimodal' with {sub.table.bits}-bit counters"
-    else:
-        what = repr(sub.scheme)
-    return (
-        f"sub-predictor {what} has no kernel lane "
-        f"(supported: {', '.join(BIASFILTER_SUBS)})"
-    )
-
-
-def biasfilter_lane_of(p: BiasFilterPredictor) -> Optional[BiasFilterLane]:
-    if biasfilter_veto(p) is not None:
-        return None
-    sub = p.sub_predictor
+    if not isinstance(sub, GSharePredictor) and not (
+        isinstance(sub, BimodalPredictor) and sub.table.bits == 2
+    ):
+        what = (
+            f"'bimodal' with {sub.table.bits}-bit counters"
+            if isinstance(sub, BimodalPredictor)
+            else repr(sub.scheme)
+        )
+        return (
+            f"sub-predictor {what} has no kernel lane "
+            f"(supported: {', '.join(BIASFILTER_SUBS)})"
+        )
     return BiasFilterLane(
         filter_bits=p.filter_index_bits,
         run_bits=p.run_bits,
@@ -351,10 +350,10 @@ def biasfilter_lane_of(p: BiasFilterPredictor) -> Optional[BiasFilterLane]:
     )
 
 
-def static_lane_of(p: BranchPredictor) -> Optional[StaticLane]:
+def static_lane_of(p: BranchPredictor) -> Union[StaticLane, Veto]:
     # the btfnt lane hard-codes the workload's backward convention
     if isinstance(p, BTFNTPredictor) and p._backward is not _default_backward_classifier:
-        return None
+        return "a custom backward classifier has no kernel lane"
     return StaticLane(scheme=p.scheme)
 
 

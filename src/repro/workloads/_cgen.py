@@ -466,7 +466,9 @@ def _bind(lib: ctypes.CDLL) -> Optional[str]:
     return _selftest(lib)
 
 
-_LIB = _cbuild.CLibrary("fastgen", _C_SOURCE, _bind, flags=("-lm",))
+_LIB = _cbuild.CLibrary(
+    "fastgen", _C_SOURCE, _bind, flags=("-lm",), siblings=("repro.sim._cstep",)
+)
 
 
 available = _LIB.available

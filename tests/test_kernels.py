@@ -845,6 +845,84 @@ class TestDispatch:
             fused_rates(family, _trace("toy"))
         assert health.events(component="biasfilter-kernel") == []
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("perceptron:index=5,hist=6,w=31", "w=31"),
+            ("yags:choice=8,cache=6,hist=6,tag=31", "tag=31"),
+            ("bimodal:index=6,bits=8", "bits=8"),
+        ],
+    )
+    def test_kernel_limit_is_vetoed_by_name(self, spec, named):
+        """A configuration its constructor accepts but a kernel's integer
+        width cannot hold routes scalar with its limit named under
+        ``<scheme>-kernel``; the planner's own event says "kernel veto",
+        keeping "unfusable" for schemes the registry has never heard of."""
+        from repro.sim.fused import family_rates as fused_rates
+
+        (family,) = plan_families([spec])
+        assert family.kind == "scalar"
+        rates = fused_rates(family, _trace("toy"))
+        (event,) = health.events(component=f"{spec.split(':')[0]}-kernel")
+        assert (event.actual, event.severity) == ("scalar", "degraded")
+        assert named in event.reason
+        (planner,) = health.events(component="sweep-planner")
+        assert planner.reason == f"kernel veto: {spec.split(':')[0]}"
+        assert rates == {spec: _scalar_rate(spec, "toy")}
+
+    def test_vetoes_of_one_family_are_each_named(self):
+        from repro.sim.fused import family_rates as fused_rates
+
+        specs = ["perceptron:index=5,hist=6,w=31", "yags:choice=8,cache=6,hist=6,tag=31"]
+        (family,) = plan_families(specs)
+        fused_rates(family, _trace("toy"))
+        assert [e.component for e in health.events() if e.component.endswith("-kernel")] == [
+            "perceptron-kernel",
+            "yags-kernel",
+        ]
+        (planner,) = health.events(component="sweep-planner")
+        assert planner.reason == "kernel veto: perceptron, yags"
+
+    def test_live_predictor_vetoes_are_named(self):
+        """The vetoes only a built predictor can carry — an unpaired
+        tournament, a custom BTFNT classifier — are named by
+        ``run_detailed`` as it falls back to the per-branch loop."""
+        from repro.predictors.bimodal import BimodalPredictor
+        from repro.predictors.gshare import GSharePredictor
+        from repro.predictors.static_ import BTFNTPredictor
+        from repro.predictors.tournament import TournamentPredictor
+        from repro.sim.engine import run_detailed
+
+        trace = _trace("toy")
+        unpaired = TournamentPredictor(
+            component_a=GSharePredictor(index_bits=6),
+            component_b=BimodalPredictor(index_bits=6),
+            meta_index_bits=6,
+        )
+        for predictor, component, named in [
+            (unpaired, "tournament-kernel", "pairing"),
+            (BTFNTPredictor(backward=lambda pc: True), "btfnt-kernel", "classifier"),
+        ]:
+            health.clear()
+            assert kernels.lane_of(predictor) == ("scalar", None)
+            detailed = run_detailed(predictor, trace)
+            (event,) = health.events(component=component)
+            assert (event.actual, event.severity) == ("scalar", "degraded")
+            assert named in event.reason
+            predictor.reset()
+            expected = predictor.simulate_detailed(trace)
+            assert np.array_equal(detailed.result.predictions, expected.result.predictions)
+
+    def test_unknown_scheme_stays_unfusable(self):
+        from repro.sim.fused import SpecFamily, family_rates as fused_rates
+
+        family = SpecFamily(kind="scalar", specs=("nosuch:index=4",), lanes=(None,))
+        with pytest.raises(ValueError, match="unknown predictor scheme"):
+            fused_rates(family, _trace("toy"))
+        (planner,) = health.events(component="sweep-planner")
+        assert planner.reason == "unfusable scheme(s): nosuch"
+        assert [e for e in health.events() if e.component.endswith("-kernel")] == []
+
     @pytest.mark.parametrize("spec", ["always-taken", "always-not-taken", "btfnt"])
     def test_static_direct_rates_match_prediction_path(self, spec):
         """The statics rate through their one vectorized ``detailed``
