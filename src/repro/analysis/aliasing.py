@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.bias import SNT, ST, SubstreamAnalysis
+from repro.analysis.bias import SubstreamAnalysis
 
 __all__ = ["AliasingStats", "SharingDecomposition", "aliasing_stats", "sharing_decomposition"]
 
@@ -67,8 +67,7 @@ def aliasing_stats(
     """
     if not 0.0 <= min_minority <= 0.5:
         raise ValueError(f"min_minority must be in [0, 0.5], got {min_minority}")
-    num_counters = analysis.num_counters
-    streams_per_counter = np.bincount(analysis.stream_counter, minlength=num_counters)
+    streams_per_counter = analysis.counter_streams
 
     # distinct static branches per counter: streams ARE the distinct
     # (counter, pc) pairs, so each counter's streams carry pairwise
@@ -77,31 +76,13 @@ def aliasing_stats(
     # equivalence suite)
     branches_per_counter = streams_per_counter
 
-    accesses_per_counter = np.bincount(
-        analysis.stream_counter,
-        weights=analysis.stream_total.astype(np.float64),
-        minlength=num_counters,
-    )
+    accesses_per_counter = analysis.counter_total
     total_accesses = accesses_per_counter.sum()
 
     used = branches_per_counter > 0
     aliased = branches_per_counter > 1
 
-    st_weight = np.bincount(
-        analysis.stream_counter,
-        weights=np.where(analysis.stream_class == ST, analysis.stream_total, 0).astype(
-            np.float64
-        ),
-        minlength=num_counters,
-    )
-    snt_weight = np.bincount(
-        analysis.stream_counter,
-        weights=np.where(analysis.stream_class == SNT, analysis.stream_total, 0).astype(
-            np.float64
-        ),
-        minlength=num_counters,
-    )
-    minority = np.minimum(st_weight, snt_weight)
+    minority = np.minimum(analysis.counter_st, analysis.counter_snt)
     with np.errstate(invalid="ignore", divide="ignore"):
         minority_share = np.where(
             accesses_per_counter > 0, minority / np.maximum(accesses_per_counter, 1), 0.0
@@ -145,12 +126,8 @@ class SharingDecomposition:
 def sharing_decomposition(analysis: SubstreamAnalysis) -> SharingDecomposition:
     """Split stream sharing into capacity and conflict components."""
     num_counters = analysis.num_counters
-    streams_per_counter = np.bincount(analysis.stream_counter, minlength=num_counters)
-    accesses_per_counter = np.bincount(
-        analysis.stream_counter,
-        weights=analysis.stream_total.astype(np.float64),
-        minlength=num_counters,
-    )
+    streams_per_counter = analysis.counter_streams
+    accesses_per_counter = analysis.counter_total
     total = accesses_per_counter.sum()
     if total == 0:
         return SharingDecomposition(0, num_counters, 0.0, 0.0)

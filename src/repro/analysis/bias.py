@@ -76,7 +76,11 @@ class SubstreamAnalysis:
     substream grouping a compiled detailed loop emitted).
 
     Streams are the distinct ``(static branch, counter)`` pairs observed;
-    arrays below are parallel, one entry per stream.
+    arrays below are parallel, one entry per stream.  How the streams
+    are numbered depends on the producer (:func:`analyze_substreams`
+    ascends by (counter, pc); the sweep's summaries keep a compiled
+    loop's first-seen order); every Section-4 reduction is a count or
+    an exact integer sum over streams or counters, so none depends on it.
 
     Attributes
     ----------
@@ -91,12 +95,17 @@ class SubstreamAnalysis:
     access_stream:
         For every dynamic branch, the int32 index of its stream (maps
         per-access data onto stream attributes).
-    counter_dominant:
-        Per counter id, the dominant strong class (``ST`` or ``SNT``);
-        ``-1`` for counters never accessed.  Ties break toward the class
-        with more streams, then toward ST.
     num_counters:
         Size of the counter id space.
+    counter_dominant:
+        Per counter id, the dominant strong class (``ST`` or ``SNT``);
+        ``-1`` for counters never accessed.  Ties break toward ST.
+        Derived from the tallies below when not given.
+    counter_streams / counter_total / counter_st / counter_snt:
+        Per counter id, computed once at construction (as is
+        :meth:`stream_role`): its number of streams, and the dynamic
+        accesses of all its streams, of its ST streams and of its SNT
+        streams (float64, integer-valued).
     """
 
     stream_counter: np.ndarray
@@ -106,8 +115,29 @@ class SubstreamAnalysis:
     stream_mispredicted: np.ndarray
     stream_class: np.ndarray
     access_stream: np.ndarray
-    counter_dominant: np.ndarray
     num_counters: int
+    counter_dominant: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        counter, size = self.stream_counter, self.num_counters
+        total = self.stream_total.astype(np.float64)
+        self.counter_streams = np.bincount(counter, minlength=size)
+        self.counter_total = np.bincount(counter, weights=total, minlength=size)
+        self.counter_st = np.bincount(
+            counter, weights=np.where(self.stream_class == ST, total, 0.0), minlength=size
+        )
+        self.counter_snt = np.bincount(
+            counter, weights=np.where(self.stream_class == SNT, total, 0.0), minlength=size
+        )
+        if self.counter_dominant is None:
+            dominant = np.where(self.counter_st >= self.counter_snt, ST, SNT)
+            self.counter_dominant = np.where(
+                self.counter_streams > 0, dominant, -1
+            ).astype(np.int8)
+        cls = self.stream_class
+        self._role = np.where(
+            cls == WB, 2, np.where(cls == self.counter_dominant[counter], 0, 1)
+        ).astype(np.int8)
 
     @property
     def num_streams(self) -> int:
@@ -115,12 +145,7 @@ class SubstreamAnalysis:
 
     def stream_role(self) -> np.ndarray:
         """Per stream: 0=dominant, 1=non-dominant, 2=WB (w.r.t. its counter)."""
-        role = np.full(self.num_streams, 2, dtype=np.int8)
-        strong = self.stream_class != WB
-        dominant_of_counter = self.counter_dominant[self.stream_counter]
-        role[strong & (self.stream_class == dominant_of_counter)] = 0
-        role[strong & (self.stream_class != dominant_of_counter)] = 1
-        return role
+        return self._role
 
     def access_class(self) -> np.ndarray:
         """Bias class of every dynamic branch's substream."""
@@ -161,7 +186,8 @@ def analyze_substreams(
     """Decompose a detailed simulation into classified substreams.
 
     Substreams are numbered in ascending (counter, pc) order — the
-    ordering ``np.unique`` over composite keys yields.  A
+    ordering ``np.unique`` over composite keys yields, so stream ``i``
+    of two analyses of one simulation is the same stream.  A
     :class:`~repro.core.interfaces.SubstreamGrouping` (what the gshare
     and bi-mode loops emit in sweeps) already holds every stream's
     counts under first-seen ids, so only its distinct keys are sorted
@@ -173,14 +199,32 @@ def analyze_substreams(
     (:mod:`repro.analysis.reference`) by the equivalence suite.
     ``pc_codes`` (from :func:`pc_code_stream`) skips the per-trace PC
     dictionary pass when the caller sweeps one trace.
+
+    The sweep's summaries (:func:`repro.analysis.summary.
+    summarize_detailed`) skip that sort: they reduce the same streams
+    in the grouping's first-seen order.
     """
+    return _analyze(detailed, threshold, pc_codes, sort=True)
+
+
+def _analyze(
+    detailed: Union[DetailedSimulation, SubstreamGrouping],
+    threshold: float,
+    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]],
+    sort: bool,
+) -> SubstreamAnalysis:
+    """The one analysis builder: group ``detailed`` into substreams and
+    classify them.  ``sort`` numbers the streams in ascending (counter,
+    pc) order; otherwise a first-seen grouping keeps its own ids (the
+    no-compiler radix grouping is sorted either way)."""
     if not 0.5 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0.5, 1.0], got {threshold}")
     from repro.sim import _cstep
 
     num_counters = detailed.num_counters
+    streams_of = _sorted_streams if sort else _first_seen_streams
     if isinstance(detailed, SubstreamGrouping):
-        streams = _sorted_streams(detailed)
+        streams = streams_of(detailed)
     else:
         if detailed.pcs is None:
             raise ValueError("detailed simulation lacks per-access PCs")
@@ -197,7 +241,7 @@ def analyze_substreams(
                 np.ascontiguousarray(mispredicted, dtype=bool),
                 num_counters,
             )
-            streams = _sorted_streams(grouping)
+            streams = streams_of(grouping)
         else:
             streams = _radix_streams(
                 detailed.counter_ids, pc_dense, unique_pcs, outcomes, mispredicted,
@@ -216,24 +260,6 @@ def analyze_substreams(
     stream_class = np.full(len(stream_counter), WB, dtype=np.int8)
     stream_class[rates >= threshold - THRESHOLD_EPS] = ST
     stream_class[rates <= (1.0 - threshold) + THRESHOLD_EPS] = SNT
-
-    # dominant strong class per counter, by summed dynamic counts
-    st_weight = np.bincount(
-        stream_counter,
-        weights=np.where(stream_class == ST, stream_total, 0).astype(np.float64),
-        minlength=num_counters,
-    )
-    snt_weight = np.bincount(
-        stream_counter,
-        weights=np.where(stream_class == SNT, stream_total, 0).astype(np.float64),
-        minlength=num_counters,
-    )
-    accessed = np.bincount(stream_counter, minlength=num_counters) > 0
-    counter_dominant = np.full(num_counters, -1, dtype=np.int8)
-    counter_dominant[accessed] = np.where(
-        st_weight[accessed] >= snt_weight[accessed], ST, SNT
-    )
-
     return SubstreamAnalysis(
         stream_counter=stream_counter,
         stream_pc=stream_pc,
@@ -242,8 +268,20 @@ def analyze_substreams(
         stream_mispredicted=stream_mispredicted,
         stream_class=stream_class,
         access_stream=access_stream,
-        counter_dominant=counter_dominant,
         num_counters=num_counters,
+    )
+
+
+def _first_seen_streams(grouping: SubstreamGrouping) -> tuple:
+    """A grouping's streams as the loop numbered them."""
+    records = grouping.streams
+    return (
+        grouping.access_stream,
+        grouping.stream_counter,
+        grouping.unique_pcs[grouping.stream_pc_code],
+        records["total"],
+        records["taken"],
+        records["miss"],
     )
 
 
@@ -356,20 +394,15 @@ def counter_bias_table(analysis: SubstreamAnalysis, sort_by_wb: bool = True) -> 
     default) by ascending WB share — the x-axis ordering of the paper's
     figures.
     """
-    role = analysis.stream_role()
-    num_counters = analysis.num_counters
-    weights = analysis.stream_total.astype(np.float64)
-    columns = []
-    for r in (0, 1, 2):
-        columns.append(
-            np.bincount(
-                analysis.stream_counter,
-                weights=np.where(role == r, weights, 0.0),
-                minlength=num_counters,
-            )
-        )
+    st, snt = analysis.counter_st, analysis.counter_snt
+    dominant_is_st = analysis.counter_dominant == ST
+    columns = [
+        np.where(dominant_is_st, st, snt),
+        np.where(dominant_is_st, snt, st),
+        analysis.counter_total - st - snt,
+    ]
     table = np.stack(columns, axis=1)
-    totals = table.sum(axis=1)
+    totals = analysis.counter_total
     accessed = totals > 0
     table = table[accessed] / totals[accessed, None]
     if sort_by_wb:

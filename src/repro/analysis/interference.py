@@ -58,7 +58,9 @@ def count_class_changes(
     ``analysis`` must come from the same ``detailed`` simulation (or
     substream grouping).  Each access's counter is its stream's
     (``stream_counter[access_stream]``), so no per-access counter array
-    is read.
+    is read, and the stream ids may come in any numbering: a compiled
+    loop's first-seen ids are read as they are, against the per-stream
+    counter and role tables in that same order.
     """
     n = detailed.num_branches
     if n != len(analysis.access_stream):

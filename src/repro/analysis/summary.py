@@ -22,10 +22,14 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.analysis.aliasing import AliasingStats, SharingDecomposition, aliasing_stats, sharing_decomposition
+# ``analyze_substreams`` is not called here (summaries keep first-seen
+# order), but perfbench/tracing.py wraps every analysis layer in this
+# namespace by name, this one included.
 from repro.analysis.bias import (
     BIAS_THRESHOLD,
     WB,
     SubstreamAnalysis,
+    _analyze,
     analyze_substreams,
     counter_bias_table,
 )
@@ -132,9 +136,15 @@ def summarize_detailed(
     prediction or counter array is needed.  ``pc_codes`` (from
     :func:`repro.analysis.bias.pc_code_stream`) lets sweeps over one
     trace amortize the PC dictionary across cells.
+
+    Unlike :func:`~repro.analysis.bias.analyze_substreams`, the
+    analysis built here keeps a grouping's first-seen stream ids: no
+    key sort, no per-access renumbering.  Every aggregate is a count or
+    an exact sum of integer counts over streams or counters, so the
+    payload is byte-identical whichever way the streams are numbered.
     """
     if analysis is None:
-        analysis = analyze_substreams(detailed, threshold=threshold, pc_codes=pc_codes)
+        analysis = _analyze(detailed, threshold, pc_codes, sort=False)
     return build_summary(
         detailed,
         analysis,

@@ -215,8 +215,6 @@ class BiModePredictor(BranchPredictor):
         handles only the sequential counter state.
         """
         n = len(trace)
-        predictions = np.empty(n, dtype=bool)
-
         histories = global_history_stream(
             trace.outcomes, self.history_bits, initial=self.ghr.value
         )
@@ -238,32 +236,38 @@ class BiModePredictor(BranchPredictor):
         taken_states = self.taken_bank.states
         not_taken_states = self.not_taken_bank.states
         full_update = self.full_update
-        pred_list = predictions  # numpy bool array supports int indexing assignment
+        predictions = bytearray()
+        predict = predictions.append
 
-        for i in range(n):
-            ci = choice_idx[i]
-            di = direction_idx[i]
-            taken = outcomes[i]
+        for ci, di, taken in zip(choice_idx, direction_idx, outcomes):
             choice_state = choice_states[ci]
             choice_taken = choice_state >= 2
-
             if choice_taken:
                 dir_state = taken_states[di]
             else:
                 dir_state = not_taken_states[di]
             final = dir_state >= 2
-            pred_list[i] = final
+            predict(final)
 
-            # train the selected direction counter
+            # train the selected direction counter, then the choice
+            # predictor unless it chose wrongly but the selected counter
+            # still predicted right (the partial-update exception)
             if taken:
                 if dir_state < 3:
-                    dir_state += 1
-            elif dir_state > 0:
-                dir_state -= 1
-            if choice_taken:
-                taken_states[di] = dir_state
+                    if choice_taken:
+                        taken_states[di] = dir_state + 1
+                    else:
+                        not_taken_states[di] = dir_state + 1
+                if choice_state < 3 and (choice_taken or not final):
+                    choice_states[ci] = choice_state + 1
             else:
-                not_taken_states[di] = dir_state
+                if dir_state > 0:
+                    if choice_taken:
+                        taken_states[di] = dir_state - 1
+                    else:
+                        not_taken_states[di] = dir_state - 1
+                if choice_state > 0 and (final or not choice_taken):
+                    choice_states[ci] = choice_state - 1
 
             if full_update:
                 if choice_taken:
@@ -280,16 +284,8 @@ class BiModePredictor(BranchPredictor):
                 else:
                     taken_states[di] = other_state
 
-            # train the choice predictor (partial-update exception)
-            if not (choice_taken != taken and final == taken):
-                if taken:
-                    if choice_state < 3:
-                        choice_states[ci] = choice_state + 1
-                elif choice_state > 0:
-                    choice_states[ci] = choice_state - 1
-
         # bring the scalar GHR up to date so step/batch interleaving stays consistent
         if n and self.history_bits:
             for taken in outcomes[-self.history_bits:]:
                 self.ghr.push(taken)
-        return predictions
+        return np.frombuffer(predictions, dtype=bool)

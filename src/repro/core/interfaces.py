@@ -140,6 +140,15 @@ class SubstreamGrouping:
         The trace's sorted distinct PCs; a pc code indexes them.
     num_counters:
         Total number of distinct direction-counter ids.
+
+    The sweep's Section-4 summaries
+    (:func:`repro.analysis.summary.summarize_detailed`) reduce the
+    streams in this first-seen order as they are: each aggregate is a
+    count or an exact integer sum over streams or counters, so none
+    depends on the numbering.  Only
+    :func:`repro.analysis.bias.analyze_substreams`, whose callers index
+    streams, sorts the keys into ascending (counter, pc) order and
+    renumbers the accesses.
     """
 
     access_stream: np.ndarray

@@ -347,10 +347,13 @@ def gshare_rate(
     lane: GShareLane,
     trace: BranchTrace,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
+    deltas: Optional[np.ndarray] = None,
 ) -> float:
     """Misprediction rate of one lane, counter-major, without
     materializing per-access state: a run's mispredictions have a
-    closed form in its start state.
+    closed form in its start state.  Family sweeps pass the trace's
+    ``deltas`` (its outcomes as counter steps) and ``hist_cache`` once
+    for all lanes.
 
     Rates are mispredictions / branches with the same integer counts as
     :attr:`SimulationResult.misprediction_rate`, so they agree
@@ -359,9 +362,11 @@ def gshare_rate(
     n = len(trace)
     if n == 0:
         return 0.0
+    if deltas is None:
+        deltas = _train_deltas(trace.outcomes)
     _, _, run_len, run_delta, run_s0 = _counter_runs(
         _lane_keys(lane, trace, hist_cache),
-        _train_deltas(trace.outcomes),
+        deltas,
         lane.table_size,
         WEAKLY_TAKEN,
         3,

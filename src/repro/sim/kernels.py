@@ -135,10 +135,12 @@ class KernelEntry:
     #: step-driven ``simulate_detailed`` loop.  It serves Section-4
     #: attribution, and rates wherever no faster hook below applies.
     detailed: Callable[..., Tuple[np.ndarray, np.ndarray]]
-    #: Optional direct rate computation ``(lane, trace, hist_cache) ->
-    #: float`` for schemes whose misprediction count reduces without
-    #: materializing predictions (gshare's closed-form run counts); the
-    #: numpy engine's rate path when present.
+    #: Optional direct rate computation ``(lane, trace, hist_cache,
+    #: deltas) -> float`` for schemes whose misprediction count reduces
+    #: without materializing predictions (gshare's closed-form run
+    #: counts); the numpy engine's rate path when present.  ``deltas``
+    #: is the trace's outcomes as int8 counter steps, built once per
+    #: family.
     rates: Optional[Callable[..., float]] = None
     #: Optional compiled ``(lanes, trace) -> rates`` computing every
     #: lane's rate without a per-branch stream (a fused family loop, or
@@ -500,12 +502,13 @@ def family_rates(
         return entry.family(list(lanes), trace)
     outcomes = trace.outcomes
     hist_cache: Dict[int, np.ndarray] = {}
+    deltas = _gshare._train_deltas(outcomes) if entry.rates is not None else None
     out: List[float] = []
     for spec, lane in zip(specs, lanes):
         if engine == "scalar":
             preds = run(make_predictor(spec), trace).predictions
         elif entry.rates is not None:
-            out.append(entry.rates(lane, trace, hist_cache))
+            out.append(entry.rates(lane, trace, hist_cache, deltas))
             continue
         else:
             preds = entry.detailed(lane, trace, engine, hist_cache)[0]

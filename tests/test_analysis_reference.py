@@ -13,11 +13,14 @@ ends of the 64-bit range.  The drivers' preconditions raise
 ``ValueError`` instead of reading or writing out of bounds.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import bias
 from repro.analysis.bias import (
     SNT,
     ST,
@@ -309,6 +312,87 @@ class TestHashGroupingEdgeCases:
         )
         with pytest.MonkeyPatch.context() as monkeypatch:
             assert_all_paths_agree(detailed, monkeypatch)
+
+
+def first_seen_grouping(detailed):
+    """The substream grouping a compiled loop would emit for
+    ``detailed``, built in numpy: stream ids count up in first-seen
+    order."""
+    unique_pcs, pc_dense = np.unique(detailed.pcs, return_inverse=True)
+    keys = detailed.counter_ids.astype(np.int64) * len(unique_pcs) + pc_dense
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    access_stream = rank[inverse.ravel()].astype(np.int32)
+    records = np.zeros(len(seen), dtype=_cstep._STREAM_RECORD)
+    records["key"] = distinct[seen]
+    records["total"] = np.bincount(access_stream, minlength=len(seen))
+    for field, flags in (
+        ("taken", detailed.result.outcomes),
+        ("miss", detailed.result.mispredicted),
+    ):
+        records[field] = np.bincount(access_stream[flags], minlength=len(seen))
+    return SubstreamGrouping(access_stream, records, unique_pcs, detailed.num_counters)
+
+
+def _no_key_sort(*args, **kwargs):
+    raise AssertionError("dense_ranks called on the summary path")
+
+
+class TestFirstSeenSummaries:
+    """Summaries reduce a grouping in its own first-seen stream order:
+    no key sort, and the payload of the sorted analysis."""
+
+    def descending_detailed(self, seed):
+        # streams first seen in descending (counter, pc) order
+        pairs = [(c, p) for c in range(5, -1, -1) for p in range(4, -1, -1)]
+        rng = np.random.default_rng(seed)
+        order = list(range(len(pairs))) + rng.integers(0, len(pairs), 500).tolist()
+        return detailed_from(
+            pcs=[0x400 + 4 * pairs[i][1] for i in order],
+            counter_ids=[pairs[i][0] for i in order],
+            outcomes=rng.random(len(order)) < rng.random(len(order)),
+            mispredicted=rng.random(len(order)) < 0.3,
+            num_counters=7,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grouping_summary_equals_sorted_without_key_sort(self, seed, monkeypatch):
+        detailed = self.descending_detailed(seed)
+        grouping = first_seen_grouping(detailed)
+        assert np.array_equal(grouping.counter_ids, detailed.counter_ids)
+        keys = grouping.streams["key"].astype(np.int64)
+        assert (np.diff(keys) < 0).all()  # the order really differs
+        want = summarize_detailed(
+            grouping, include_bias_table=True, analysis=analyze_substreams(grouping)
+        )
+        assert want == summarize_detailed_reference(detailed, include_bias_table=True)
+        monkeypatch.setattr(bias, "dense_ranks", _no_key_sort)
+        for compiled in (True, False):
+            with monkeypatch.context() as m:
+                if not compiled:
+                    m.setattr(_cstep, "available", lambda: False)
+                got = summarize_detailed(grouping, include_bias_table=True)
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        with pytest.raises(AssertionError, match="dense_ranks"):
+            analyze_substreams(grouping)
+
+    @pytest.mark.skipif(not _cstep.available(), reason="compiled driver unavailable")
+    @pytest.mark.parametrize(
+        "spec", ["gshare:index=8,hist=8", "bimode:dir=7,hist=7,choice=6"]
+    )
+    def test_sweep_rows_summarize_without_key_sort(self, spec, trace, monkeypatch):
+        scalar = make_predictor(spec).simulate_detailed(trace)
+        want = summarize_detailed_reference(scalar, include_bias_table=True)
+        pc_codes = pc_code_stream(trace.pcs)
+        (family,) = plan_families([spec])
+        row = family_detailed(family, trace, pc_codes=pc_codes)[spec]
+        assert isinstance(row, SubstreamGrouping)
+        monkeypatch.setattr(bias, "dense_ranks", _no_key_sort)
+        for detailed in (row, scalar):
+            got = summarize_detailed(detailed, include_bias_table=True, pc_codes=pc_codes)
+            assert got == want
 
 
 def _section4_specs():

@@ -2,6 +2,9 @@
 predictor invariants, plus differential fuzzing of every registered
 predictor against the dict-based oracle (:mod:`repro.verify`)."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -366,3 +369,65 @@ class TestWarmStartProperties:
             a = run(p, trace[:point]).predictions
             b = run(p, trace[point:], reset=False).predictions
             assert np.array_equal(np.concatenate([a, b]), full), spec
+
+
+def _summary_of(detailed, analysis) -> str:
+    """The JSON text of ``analysis``'s Section-4 summary."""
+    from repro.analysis.aliasing import aliasing_stats, sharing_decomposition
+    from repro.analysis.bias import counter_bias_table
+    from repro.analysis.interference import count_class_changes
+    from repro.analysis.summary import build_summary
+
+    summary = build_summary(
+        detailed,
+        analysis,
+        table=counter_bias_table(analysis),
+        alias=aliasing_stats(analysis),
+        sharing=sharing_decomposition(analysis),
+        changes=count_class_changes(detailed, analysis),
+        include_bias_table=True,
+    )
+    return json.dumps(summary, sort_keys=True)
+
+
+class TestSummaryMetamorphic:
+    """Every Section-4 aggregate is a count or an exact integer sum over
+    streams or counters, so renumbering the streams (and every access's
+    stream id with them) leaves the summary byte-identical, on the
+    compiled and the numpy class-change pass alike."""
+
+    @given(
+        trace=traces(min_size=2),
+        spec=st.sampled_from(
+            ["gshare:index=4,hist=3", "bimode:dir=3,hist=3,choice=3", "bimodal:index=3"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stream_renumbering_leaves_summary_unchanged(self, trace, spec, seed):
+        from repro.analysis.bias import analyze_substreams
+        from repro.sim import _cstep
+
+        detailed = make_predictor(spec).simulate_detailed(trace)
+        analysis = analyze_substreams(detailed)
+        perm = np.random.default_rng(seed).permutation(analysis.num_streams)
+        new_id = np.empty_like(perm)
+        new_id[perm] = np.arange(len(perm))
+        renumbered = dataclasses.replace(
+            analysis,
+            stream_counter=analysis.stream_counter[perm],
+            stream_pc=analysis.stream_pc[perm],
+            stream_total=analysis.stream_total[perm],
+            stream_taken=analysis.stream_taken[perm],
+            stream_mispredicted=analysis.stream_mispredicted[perm],
+            stream_class=analysis.stream_class[perm],
+            access_stream=new_id[analysis.access_stream].astype(np.int32),
+        )
+        assert np.array_equal(
+            renumbered.stream_counter[renumbered.access_stream], detailed.counter_ids
+        )
+        want = _summary_of(detailed, analysis)
+        assert _summary_of(detailed, renumbered) == want
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_cstep, "available", lambda: False)
+            assert _summary_of(detailed, renumbered) == want
