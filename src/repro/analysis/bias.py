@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.grouping import dense_ranks, stable_group_order
+from repro.core.grouping import stable_group_order
 from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = [
@@ -77,10 +77,10 @@ class SubstreamAnalysis:
 
     Streams are the distinct ``(static branch, counter)`` pairs observed;
     arrays below are parallel, one entry per stream.  How the streams
-    are numbered depends on the producer (:func:`analyze_substreams`
-    ascends by (counter, pc); the sweep's summaries keep a compiled
-    loop's first-seen order); every Section-4 reduction is a count or
-    an exact integer sum over streams or counters, so none depends on it.
+    are numbered depends on the producer (a compiled loop's first-seen
+    order, or ascending (counter, pc) from the no-compiler radix
+    grouping); every Section-4 reduction is a count or an exact integer
+    sum over streams or counters, so none depends on it.
 
     Attributes
     ----------
@@ -185,46 +185,28 @@ def analyze_substreams(
 ) -> SubstreamAnalysis:
     """Decompose a detailed simulation into classified substreams.
 
-    Substreams are numbered in ascending (counter, pc) order — the
-    ordering ``np.unique`` over composite keys yields, so stream ``i``
-    of two analyses of one simulation is the same stream.  A
+    Streams are numbered in their producer's order.  A
     :class:`~repro.core.interfaces.SubstreamGrouping` (what the gshare
     and bi-mode loops emit in sweeps) already holds every stream's
-    counts under first-seen ids, so only its distinct keys are sorted
-    and each access renumbered by its key's rank.  A
+    counts, and its first-seen ids are kept as they are.  A
     :class:`DetailedSimulation` is grouped the same way by the compiled
     first-seen pass over its counter ids; without a compiler a stable
-    radix grouping by (counter, pc) is the bit-identical fallback.  All
-    paths are asserted bit-identical to the sort-based reference
-    (:mod:`repro.analysis.reference`) by the equivalence suite.
-    ``pc_codes`` (from :func:`pc_code_stream`) skips the per-trace PC
-    dictionary pass when the caller sweeps one trace.
-
-    The sweep's summaries (:func:`repro.analysis.summary.
-    summarize_detailed`) skip that sort: they reduce the same streams
-    in the grouping's first-seen order.
+    radix grouping numbers the streams in ascending (counter, pc)
+    order.  Every aggregate the Section-4 analysis reads is a count or
+    an exact sum of integer counts over streams or counters, so it does
+    not depend on the numbering; the equivalence suite compares each
+    path with the sort-based reference (:mod:`repro.analysis.reference`)
+    after renumbering both by key.  ``pc_codes`` (from
+    :func:`pc_code_stream`) skips the per-trace PC dictionary pass when
+    the caller sweeps one trace.
     """
-    return _analyze(detailed, threshold, pc_codes, sort=True)
-
-
-def _analyze(
-    detailed: Union[DetailedSimulation, SubstreamGrouping],
-    threshold: float,
-    pc_codes: Optional[Tuple[np.ndarray, np.ndarray]],
-    sort: bool,
-) -> SubstreamAnalysis:
-    """The one analysis builder: group ``detailed`` into substreams and
-    classify them.  ``sort`` numbers the streams in ascending (counter,
-    pc) order; otherwise a first-seen grouping keeps its own ids (the
-    no-compiler radix grouping is sorted either way)."""
     if not 0.5 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0.5, 1.0], got {threshold}")
     from repro.sim import _cstep
 
     num_counters = detailed.num_counters
-    streams_of = _sorted_streams if sort else _first_seen_streams
     if isinstance(detailed, SubstreamGrouping):
-        streams = streams_of(detailed)
+        streams = _first_seen_streams(detailed)
     else:
         if detailed.pcs is None:
             raise ValueError("detailed simulation lacks per-access PCs")
@@ -241,7 +223,7 @@ def _analyze(
                 np.ascontiguousarray(mispredicted, dtype=bool),
                 num_counters,
             )
-            streams = streams_of(grouping)
+            streams = _first_seen_streams(grouping)
         else:
             streams = _radix_streams(
                 detailed.counter_ids, pc_dense, unique_pcs, outcomes, mispredicted,
@@ -285,21 +267,6 @@ def _first_seen_streams(grouping: SubstreamGrouping) -> tuple:
     )
 
 
-def _sorted_streams(grouping: SubstreamGrouping) -> tuple:
-    """A first-seen grouping's streams in ascending (counter, pc) order:
-    sort the distinct keys, renumber every access by its key's rank."""
-    records = grouping.streams
-    order, rank = dense_ranks(records["key"])
-    return (
-        np.take(rank, grouping.access_stream),
-        grouping.stream_counter[order],
-        grouping.unique_pcs[grouping.stream_pc_code[order]],
-        records["total"][order],
-        records["taken"][order],
-        records["miss"][order],
-    )
-
-
 def _radix_streams(
     counter_ids: np.ndarray,
     pc_dense: np.ndarray,
@@ -308,9 +275,10 @@ def _radix_streams(
     mispredicted: np.ndarray,
     num_counters: int,
 ) -> tuple:
-    """The streams of :func:`_sorted_streams` by stable radix grouping
-    of the accesses, minor key (pc) first; segment boundaries of the
-    grouped order delimit the substreams.  The no-compiler fallback."""
+    """The streams in ascending (counter, pc) order, by stable radix
+    grouping of the accesses, minor key (pc) first; segment boundaries
+    of the grouped order delimit the substreams.  The no-compiler
+    fallback."""
     from repro.sim import _cstep
 
     n = len(counter_ids)

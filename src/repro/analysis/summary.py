@@ -22,14 +22,10 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.analysis.aliasing import AliasingStats, SharingDecomposition, aliasing_stats, sharing_decomposition
-# ``analyze_substreams`` is not called here (summaries keep first-seen
-# order), but perfbench/tracing.py wraps every analysis layer in this
-# namespace by name, this one included.
 from repro.analysis.bias import (
     BIAS_THRESHOLD,
     WB,
     SubstreamAnalysis,
-    _analyze,
     analyze_substreams,
     counter_bias_table,
 )
@@ -137,14 +133,14 @@ def summarize_detailed(
     :func:`repro.analysis.bias.pc_code_stream`) lets sweeps over one
     trace amortize the PC dictionary across cells.
 
-    Unlike :func:`~repro.analysis.bias.analyze_substreams`, the
-    analysis built here keeps a grouping's first-seen stream ids: no
-    key sort, no per-access renumbering.  Every aggregate is a count or
-    an exact sum of integer counts over streams or counters, so the
-    payload is byte-identical whichever way the streams are numbered.
+    The analysis (:func:`~repro.analysis.bias.analyze_substreams`)
+    keeps a grouping's first-seen stream ids.  Every aggregate is a
+    count or an exact sum of integer counts over streams or counters,
+    so the payload is byte-identical whichever way the streams are
+    numbered.
     """
     if analysis is None:
-        analysis = _analyze(detailed, threshold, pc_codes, sort=False)
+        analysis = analyze_substreams(detailed, threshold, pc_codes)
     return build_summary(
         detailed,
         analysis,

@@ -163,9 +163,10 @@ def _cmd_list(args) -> int:
 def _cmd_kernels(args) -> int:
     """The kernel registry, resolved against this process: every
     scheme's tier (without a compiler, ``lane`` schemes run their numpy
-    form and ``cloop`` schemes their scalar ``step()`` reference), the
-    engine the dispatch picks, and the form a family's rates and
-    Section-4 attribution actually run in."""
+    form and ``cloop`` schemes their scalar ``step()`` reference; the
+    ``vectorized`` statics have one form), the engine
+    :func:`repro.sim.kernels.default_engine` picks for it, and the form
+    a family's rates and Section-4 attribution actually run in."""
     from repro.sim import _cstep, kernels, lanes
 
     compiled = _cstep.available()
@@ -184,10 +185,8 @@ def _cmd_kernels(args) -> int:
 
     rows = []
     for scheme, tier in sorted(kernels.registered_schemes().items()):
-        entry = kernels.PORTED[scheme]
-        static = entry.detailed is lanes.static_detailed
-        engine = "vectorized" if static else kernels.default_engine(tier)
-        rows.append([scheme, tier, engine, *forms(entry, engine)])
+        engine = kernels.default_engine(tier)
+        rows.append([scheme, tier, engine, *forms(kernels.PORTED[scheme], engine)])
     print(
         ascii_table(
             ["scheme", "tier", "engine", "family rates", "detailed"],

@@ -141,14 +141,10 @@ class SubstreamGrouping:
     num_counters:
         Total number of distinct direction-counter ids.
 
-    The sweep's Section-4 summaries
-    (:func:`repro.analysis.summary.summarize_detailed`) reduce the
-    streams in this first-seen order as they are: each aggregate is a
-    count or an exact integer sum over streams or counters, so none
-    depends on the numbering.  Only
-    :func:`repro.analysis.bias.analyze_substreams`, whose callers index
-    streams, sorts the keys into ascending (counter, pc) order and
-    renumbers the accesses.
+    The Section-4 analysis (:func:`repro.analysis.bias.
+    analyze_substreams`) keeps this first-seen order as it is: each
+    aggregate is a count or an exact integer sum over streams or
+    counters, so none depends on the numbering.
     """
 
     access_stream: np.ndarray

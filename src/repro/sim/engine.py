@@ -14,7 +14,8 @@ dispatch: the lane read off the predictor
 :func:`repro.sim.kernels.family_detailed`, with the engine chosen
 exactly as for sweeps — by the scheme's tier and whether a compiler is
 available (``REPRO_NO_CC=1`` vetoes it).  Every fallback to the scalar
-loop is reported through :mod:`repro.health`.
+loop is reported through :mod:`repro.health`, and no path mutates the
+caller's predictor.
 """
 
 from __future__ import annotations
@@ -45,28 +46,18 @@ def run_detailed(predictor: BranchPredictor, trace: BranchTrace) -> DetailedSimu
     """Simulate from power-on state with per-access counter attribution
     (Section-4 analysis).
 
-    A predictor with a kernel lane runs through the kernel registry, on
-    fresh tables: its own state is left as it was.  Any other predictor
-    is reset and runs its per-branch loop, health-reported (a ported
-    scheme's kernel veto by name, under ``<scheme>-kernel``).  Results
-    are bit-identical either way.
+    The lane read off the predictor runs through the kernel registry;
+    a predictor no lane kernel covers runs its per-branch loop there,
+    health-reported (a ported scheme's kernel veto by name, under
+    ``<scheme>-kernel``).  Either way the run starts from fresh tables
+    and the predictor's own state is left as it was; results are
+    bit-identical on every path.
     """
-    from repro import health
     from repro.sim import kernels
 
     kind, lane = kernels.lane_of(predictor)
-    if kind != "scalar":
-        (detailed,) = kernels.family_detailed(kind, [predictor], [lane], trace)
-        return detailed
-    kernels.report_veto(predictor)
-    health.engine_used(
-        "detailed-kernel",
-        "scalar",
-        expected="batch",
-        reason=f"no batch attribution kernel for {predictor.name}",
-    )
-    predictor.reset()
-    return predictor.simulate_detailed(trace)
+    (detailed,) = kernels.family_detailed(kind, [predictor], [lane], trace)
+    return detailed
 
 
 def run_steps(

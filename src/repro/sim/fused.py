@@ -20,11 +20,11 @@ table stays in cache).
 Specs whose built predictor no kernel lane covers (a configuration
 past a kernel's own limits, such as perceptron weights wider than the
 loop's int32 or a bias filter whose sub-predictor has no kernel lane)
-form the **scalar** family.  These run per-cell through the scalar
-engine; falling off the batched path is reported as a health
-degradation so the CLI's coalesced summary shows exactly which schemes
-did not batch, and each kernel veto is named under ``<scheme>-kernel``
-(:func:`repro.sim.kernels.planner_vetoes`).  A spec its constructor
+form the **scalar** family.  The registry runs it per-cell on each
+spec's ``step()`` reference; falling off the batched path is reported
+as a health degradation so the CLI's coalesced summary shows exactly
+which schemes did not batch, and each kernel veto is named under
+``<scheme>-kernel``.  A spec its constructor
 refuses is never planned by a sweep: it fails as its own
 :class:`repro.sim.parallel.FailedCell`.  Every engine
 choice happens inside the registry, from each kind's tier and whether a
@@ -98,51 +98,12 @@ def plan_families(specs: Sequence[str]) -> List[SpecFamily]:
     ]
 
 
-def _scalar_reason(specs: Sequence[str]) -> str:
-    """Why a family runs scalar: the schemes the registry has never
-    heard of ("unfusable"), the ported schemes whose kernel vetoes a
-    configuration (each veto reported by name under ``<scheme>-kernel``)
-    and those whose constructor refuses the spec."""
-    vetoed = set(kernels.planner_vetoes(specs))
-    groups: Dict[str, set] = {}
-    for spec in specs:
-        scheme = spec.split(":", 1)[0]
-        if scheme not in kernels.PORTED:
-            label = "unfusable scheme(s)"
-        elif spec in vetoed:
-            label = "kernel veto"
-        else:
-            label = "refused spec(s)"
-        groups.setdefault(label, set()).add(scheme)
-    return "; ".join(f"{label}: {', '.join(sorted(s))}" for label, s in groups.items())
-
-
 def family_rates(family: SpecFamily, trace: BranchTrace) -> Dict[str, float]:
-    """Misprediction rate of every spec in one family on one trace.
-
-    Registry families dispatch through :func:`repro.sim.kernels.
-    family_rates`; the scalar family runs per-cell and reports the
-    degradation.
-    """
-    if family.kind != "scalar":
-        rates = kernels.family_rates(family.kind, family.specs, family.lanes, trace)
-        return dict(zip(family.specs, rates))
-    from repro import health
-    from repro.core.registry import make_predictor
-    from repro.sim.engine import run
-
-    health.emit(
-        "sweep-planner",
-        "fused",
-        "scalar",
-        reason=_scalar_reason(family.specs),
-        severity="degraded",
-        cells=len(family),
-    )
-    return {
-        spec: run(make_predictor(spec), trace).misprediction_rate
-        for spec in family.specs
-    }
+    """Misprediction rate of every spec in one family on one trace,
+    through :func:`repro.sim.kernels.family_rates` (the scalar family
+    included, with its degradation health-reported)."""
+    rates = kernels.family_rates(family.kind, family.specs, family.lanes, trace)
+    return dict(zip(family.specs, rates))
 
 
 def family_detailed(
@@ -156,24 +117,10 @@ def family_detailed(
     family_detailed`: a detailed simulation, bit-for-bit the scalar
     ``simulate_detailed`` loop's output from power-on state, or — given
     the trace's ``pc_codes`` and a compiled gshare or bi-mode lane — the
-    substream grouping its loop emits.  Registry families dispatch through the kernel
-    registry, and the scalar family runs per-cell with the degradation
-    health-reported — mirroring :func:`repro.sim.engine.run_detailed`
-    exactly.
+    substream grouping its loop emits.  Every family, the scalar one
+    included, dispatches as :func:`repro.sim.engine.run_detailed` does.
     """
-    if family.kind != "scalar":
-        rows = kernels.family_detailed(
-            family.kind, family.specs, family.lanes, trace, pc_codes=pc_codes
-        )
-        return dict(zip(family.specs, rows))
-    from repro import health
-    from repro.core.registry import make_predictor
-
-    health.engine_used(
-        "detailed-kernel",
-        "scalar",
-        expected="batch",
-        cells=len(family),
-        reason=_scalar_reason(family.specs),
+    rows = kernels.family_detailed(
+        family.kind, family.specs, family.lanes, trace, pc_codes=pc_codes
     )
-    return {spec: make_predictor(spec).simulate_detailed(trace) for spec in family.specs}
+    return dict(zip(family.specs, rows))

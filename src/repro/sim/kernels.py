@@ -37,21 +37,23 @@ process has a compiler (``REPRO_NO_CC=1`` vetoes it), for rates and
 Section-4 attribution alike; no environment variable pins it.
 
 * ``"lane"`` — compiled loop, or its numpy form without a compiler
-  (counter-major scans): gshare, bimodal and the two-level family; the
-  statics' one vectorized form ignores the engine and is reported as
-  ``"vectorized"`` (only ``mode="scalar"`` runs their ``step()``);
+  (counter-major scans): gshare, bimodal and the two-level family;
 * ``"cloop"`` — compiled per-access loop, or the scalar ``step()``
   reference without a compiler: bi-mode and the comparators agree,
   gskew, tournament, tri-mode, YAGS, perceptron and the bias filter;
-* ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty.
+* ``"vectorized"`` — the statics' one vectorized form, whatever the
+  process;
+* ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty, and the
+  ``"scalar"`` family kind: each cell's ``step()`` reference.
 
-Running anything but the compiled loop is a health-reported
-degradation.  The ``no-cc`` benchmark workload runs gshare's numpy lane
-and bi-mode's scalar engine; no workload rates a comparator without a
-compiler, so each comparator keeps only its C loop.  In-process callers
-may ask for one engine by ``mode=`` (``"c"``, ``"numpy"`` or
-``"scalar"``): the differential layer replays the engines that way, and
-the tests reach the scalar reference through it.
+:func:`default_engine` is the one place the engine is chosen; the
+dispatch and ``repro-bimode kernels`` read it.  Running anything but
+the compiled loop is a health-reported degradation.  The ``no-cc``
+benchmark workload runs gshare's numpy lane and bi-mode's scalar
+engine; no workload rates a comparator without a compiler, so each
+comparator keeps only its C loop.  No caller pins an engine: the
+differential layer and the tests replay the dispatch as a process runs
+it and under :func:`repro.faults.deny_compiler`.
 
 Every entry has one per-lane kernel, ``detailed(lane, trace, engine,
 hist_cache) -> (predictions, counter_ids)``; rates count the misses of
@@ -104,8 +106,6 @@ __all__ = [
     "family_order",
     "family_rates",
     "family_detailed",
-    "planner_vetoes",
-    "report_veto",
 ]
 
 #: Schemes deliberately left on the scalar engine: empty since the
@@ -116,7 +116,7 @@ SCALAR_ONLY = frozenset()
 
 #: Sub-predictor schemes the bias-filter kernel executes in-lane; a
 #: ``biasfilter:...,sub=<other>`` spec runs scalar with an explicit
-#: planner veto (:func:`planner_vetoes`).
+#: kernel veto (:func:`_scalar_reason`).
 BIASFILTER_SUBS = _lanes.BIASFILTER_SUBS
 
 
@@ -125,7 +125,9 @@ class KernelEntry:
     """One registered scheme: how to read its lanes and run them."""
 
     scheme: str
-    tier: str  # "lane" (c, numpy fallback) | "cloop" (c, scalar fallback)
+    #: "lane" (c, numpy fallback) | "cloop" (c, scalar fallback) |
+    #: "vectorized" (one form on every engine); :func:`default_engine`
+    tier: str
     #: ``predictor -> lane``, or a veto string naming why the kernel
     #: cannot run that (valid) configuration; the constructor already
     #: checked the rest.
@@ -239,7 +241,7 @@ PORTED: Dict[str, KernelEntry] = {
     **{
         scheme: KernelEntry(
             scheme=scheme,
-            tier="lane",
+            tier="vectorized",
             lane_of=_lanes.static_lane_of,
             detailed=_lanes.static_detailed,
         )
@@ -273,28 +275,13 @@ def lane_of(predictor: BranchPredictor) -> Tuple[str, Optional[object]]:
     return _read_lane(predictor)[:2]
 
 
-def _report_veto(scheme: str, reason: str) -> None:
-    from repro import health
-
-    health.engine_used(f"{scheme}-kernel", "scalar", expected="c", cells=1, reason=reason)
-
-
-def report_veto(predictor: BranchPredictor) -> None:
-    """Health-report under ``<scheme>-kernel`` why the kernel of a
-    ported scheme cannot run ``predictor``, if it cannot."""
-    veto = _read_lane(predictor)[2]
-    if veto is not None:
-        _report_veto(predictor.scheme, veto)
-
-
 @lru_cache(maxsize=None)
 def _resolve(spec: str):
     """``((kind, lane), refusal, veto)`` of a spec: the lane read off the
     predictor ``make_predictor`` builds, or ``("scalar", None)`` and the
     constructor's ``ValueError`` when it refuses the spec.  ``veto`` is
-    ``(scheme, reason)`` when the scheme is ported but its kernel
-    cannot run the configuration (:func:`planner_vetoes`), else
-    ``None``."""
+    the reason a ported scheme's kernel cannot run the configuration
+    (:func:`_scalar_reason`), else ``None``."""
     from repro.core.registry import make_predictor
 
     try:
@@ -302,7 +289,7 @@ def _resolve(spec: str):
     except ValueError as exc:
         return ("scalar", None), exc.with_traceback(None), None
     kind, lane, veto = _read_lane(predictor)
-    return (kind, lane), None, None if veto is None else (predictor.scheme, veto)
+    return (kind, lane), None, veto
 
 
 def kernel_for_spec(spec: str) -> Tuple[str, Optional[object]]:
@@ -343,65 +330,87 @@ def registered_schemes() -> Dict[str, str]:
 # -- family evaluation --------------------------------------------------------------
 
 
-#: The engines an in-process caller may ask for; ``auto`` is the default
-#: dispatch.
-_MODES = ("auto", "c", "numpy", "scalar")
-
-
 def default_engine(tier: str) -> str:
-    """The engine the default dispatch runs a ``tier`` on in this
-    process: ``c`` when a compiler is available, else the ``lane`` tier's
-    numpy form or the ``cloop`` tier's scalar ``step()`` reference."""
+    """The engine a family of ``tier`` runs on in this process: the
+    ``vectorized`` and ``scalar`` tiers' one form; otherwise ``c`` when
+    a compiler is available, else the ``lane`` tier's numpy form or the
+    ``cloop`` tier's scalar ``step()`` reference."""
+    if tier in ("vectorized", "scalar"):
+        return tier
     if _cstep.available():
         return "c"
     return "numpy" if tier == "lane" else "scalar"
 
 
-def _dispatch(
-    kind: str, specs: Sequence[object], lanes: Sequence[object], mode: str
-) -> Tuple[KernelEntry, str, str]:
-    """Resolve one family's engine, health-report it under
-    ``"<kind>-kernel"``, and return ``(entry, engine, fallback_reason)``.
+def _scalar_reason(cells: Sequence[Union[str, BranchPredictor]]) -> str:
+    """Why the scalar family runs scalar: the schemes the registry has
+    never heard of ("unfusable"), the ported schemes whose kernel
+    vetoes a configuration (a C integer width, a bias-filter
+    sub-predictor without a lane, and on a built predictor only an
+    unpaired tournament or a custom BTFNT classifier) and the specs
+    their constructor refuses.  Each veto is health-reported by name
+    under ``<scheme>-kernel``, read off the spec's predictor
+    (:func:`_resolve`) or the built one (:func:`_read_lane`)."""
+    from repro import health
 
-    Under ``auto`` the expected engine is the compiled loop, so running
-    anything slower surfaces as a degradation with the compiler's
-    absence (or the scheme's missing numpy form) as the reason.  An
-    explicit ``"numpy"`` picks what a vetoed compiler picks under
-    ``auto``; ``"c"`` and ``"scalar"`` run that engine.  The statics
-    run their one vectorized form on every engine but ``"scalar"``, and
-    report it as ``"vectorized"``, at info severity, whatever the mode.
+    groups: Dict[str, set] = {}
+    for cell in cells:
+        if isinstance(cell, str):
+            scheme, veto = cell.split(":", 1)[0], _resolve(cell)[2]
+        else:
+            scheme, veto = cell.scheme, _read_lane(cell)[2]
+        if scheme not in PORTED:
+            label = "unfusable scheme(s)"
+        elif veto is not None:
+            health.engine_used(f"{scheme}-kernel", "scalar", expected="c", reason=veto)
+            label = "kernel veto"
+        else:
+            label = "refused spec(s)"
+        groups.setdefault(label, set()).add(scheme)
+    return "; ".join(f"{label}: {', '.join(sorted(s))}" for label, s in groups.items())
+
+
+def _dispatch(
+    kind: str, cells: Sequence[object], lanes: Sequence[object]
+) -> Tuple[Optional[KernelEntry], str, str]:
+    """Resolve one family's engine by :func:`default_engine`; return
+    ``(entry, engine, reason)``, where ``reason`` says why the engine is
+    not the compiled loop.
+
+    The scalar family has no entry, and its reason is
+    :func:`_scalar_reason`.  Any other family is health-reported under
+    ``"<kind>-kernel"``: the expected engine is the compiled loop, so
+    running anything slower surfaces as a degradation with the
+    compiler's absence (or the scheme's missing numpy form) as the
+    reason; the statics' one vectorized form is what they expect.
     """
     from repro import health
 
-    if len(specs) != len(lanes):
+    if len(cells) != len(lanes):
         raise ValueError("specs and lanes must be parallel")
-    if mode not in _MODES:
-        raise ValueError(f"kernel mode must be one of {_MODES}, got {mode!r}")
+    if kind == "scalar":
+        return None, "scalar", _scalar_reason(cells)
     entry = PORTED[kind]
-    expected = "c" if mode == "auto" else mode
-    if entry.detailed is _lanes.static_detailed and mode != "scalar":
-        engine = expected = "vectorized"
-    elif mode == "auto":
-        engine = default_engine(entry.tier)
-    elif mode == "numpy" and entry.tier != "lane":
-        engine = "scalar"
-    else:
-        engine = mode
+    engine = default_engine(entry.tier)
     reason = ""
-    if engine == "scalar" and mode != "scalar":
+    if engine == "scalar":
         reason = f"no numpy kernel for {entry.scheme} (compiled loop only)"
-    elif engine == "numpy" and mode == "auto":
+    elif engine == "numpy":
         reason = _cstep.unavailable_reason() or ""
     health.engine_used(
-        f"{kind}-kernel", engine, expected=expected, cells=len(specs), reason=reason
+        f"{kind}-kernel",
+        engine,
+        expected="vectorized" if engine == "vectorized" else "c",
+        cells=len(cells),
+        reason=reason,
     )
     return entry, engine, reason
 
 
 def _power_on(cell: Union[str, BranchPredictor]) -> BranchPredictor:
-    """A power-on predictor for one detailed cell: built from its spec,
-    or a reset copy of a caller's predictor, whose own state is left as
-    it was."""
+    """A power-on predictor for one cell: built from its spec (a spec
+    the constructor refuses raises its error here), or a reset copy of a
+    caller's predictor, whose own state is left as it was."""
     from repro.core.registry import make_predictor
 
     if isinstance(cell, str):
@@ -416,7 +425,6 @@ def family_detailed(
     cells: Sequence[Union[str, BranchPredictor]],
     lanes: Sequence[object],
     trace: BranchTrace,
-    mode: str = "auto",
     pc_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> list:
     """Section-4 attribution of every lane of one family.
@@ -435,6 +443,8 @@ def family_detailed(
     The engine follows the dispatch of :func:`family_rates`; it is
     health-reported under ``"<kind>-kernel"``, and whether the lanes
     ran batched or on the scalar loop under ``"detailed-kernel"``.
+    The scalar engine runs each cell's ``simulate_detailed`` on a
+    power-on predictor, so a caller's predictor is never mutated.
     Each lane runs its own pass and the family returns every lane's row
     at once; in a sweep a gshare or bi-mode row holds 4 bytes per
     branch (its stream ids) plus one record per substream, not
@@ -442,35 +452,35 @@ def family_detailed(
     """
     from repro import health
 
-    entry, engine, reason = _dispatch(kind, cells, lanes, mode)
+    entry, engine, reason = _dispatch(kind, cells, lanes)
     health.engine_used(
         "detailed-kernel",
         "scalar" if engine == "scalar" else "batch",
-        expected="scalar" if mode == "scalar" else "batch",
+        expected="batch",
         cells=len(cells),
         reason=reason,
     )
     out: list = []
     for cell, lane in zip(cells, lanes):
-        if engine == "c" and pc_codes is not None and entry.substreams is not None:
-            out.append(entry.substreams(lane, trace, pc_codes))
-            continue
         if engine == "scalar":
-            detailed = _power_on(cell).simulate_detailed(trace)
+            out.append(_power_on(cell).simulate_detailed(trace))
+        elif engine == "c" and pc_codes is not None and entry.substreams is not None:
+            out.append(entry.substreams(lane, trace, pc_codes))
         else:
             preds, cids = entry.detailed(lane, trace, engine, None)
-            detailed = DetailedSimulation(
-                result=SimulationResult(
-                    predictor_name=cell if isinstance(cell, str) else cell.name,
-                    trace_name=trace.name,
-                    predictions=preds,
-                    outcomes=trace.outcomes,
-                ),
-                counter_ids=cids,
-                num_counters=_lanes.detailed_num_counters(lane),
-                pcs=trace.pcs,
+            out.append(
+                DetailedSimulation(
+                    result=SimulationResult(
+                        predictor_name=cell if isinstance(cell, str) else cell.name,
+                        trace_name=trace.name,
+                        predictions=preds,
+                        outcomes=trace.outcomes,
+                    ),
+                    counter_ids=cids,
+                    num_counters=_lanes.detailed_num_counters(lane),
+                    pcs=trace.pcs,
+                )
             )
-        out.append(detailed)
     return out
 
 
@@ -479,7 +489,6 @@ def family_rates(
     specs: Sequence[str],
     lanes: Sequence[object],
     trace: BranchTrace,
-    mode: str = "auto",
 ) -> List[float]:
     """Misprediction rate of every lane of one family.
 
@@ -489,12 +498,23 @@ def family_rates(
     them writing a per-branch stream.  Otherwise each lane goes through
     its direct ``rates`` hook, or counts the misses of its ``detailed``
     predictions; the scalar engine runs each spec's ``step()``
-    reference.
+    reference.  The scalar family's degradation is reported under
+    ``"sweep-planner"``.
     """
-    from repro.core.registry import make_predictor
-    from repro.sim.engine import run
+    from repro import health
 
-    entry, engine, _ = _dispatch(kind, specs, lanes, mode)
+    entry, engine, reason = _dispatch(kind, specs, lanes)
+    if entry is None:
+        health.emit(
+            "sweep-planner",
+            "fused",
+            "scalar",
+            reason=reason,
+            severity="degraded",
+            cells=len(specs),
+        )
+    if engine == "scalar":
+        return [_power_on(spec).simulate(trace).misprediction_rate for spec in specs]
     n = len(trace)
     if n == 0:
         return [0.0 for _ in specs]
@@ -504,36 +524,10 @@ def family_rates(
     hist_cache: Dict[int, np.ndarray] = {}
     deltas = _gshare._train_deltas(outcomes) if entry.rates is not None else None
     out: List[float] = []
-    for spec, lane in zip(specs, lanes):
-        if engine == "scalar":
-            preds = run(make_predictor(spec), trace).predictions
-        elif entry.rates is not None:
+    for lane in lanes:
+        if entry.rates is not None:
             out.append(entry.rates(lane, trace, hist_cache, deltas))
-            continue
         else:
             preds = entry.detailed(lane, trace, engine, hist_cache)[0]
-        out.append(int(np.count_nonzero(preds != outcomes)) / n)
+            out.append(int(np.count_nonzero(preds != outcomes)) / n)
     return out
-
-
-def planner_vetoes(specs: Sequence[str]) -> Tuple[str, ...]:
-    """Health-report the kernel vetoes among scalar-routed ``specs``;
-    the vetoed specs.
-
-    The generic "unfusable scheme(s)" degradation names schemes the
-    registry has never heard of.  A veto is different — the scheme *is*
-    ported, but its kernel cannot run this configuration (a C integer
-    width such as the perceptron's 30-bit weights or YAGS's 30-bit
-    tags, the bimodal's 7-bit counters, or a bias filter whose
-    sub-predictor has no kernel lane) — so each one is reported by name
-    under ``<scheme>-kernel``.  The reason is read off the predictor
-    :func:`kernel_for_spec` built; a spec the constructor refuses has
-    none.
-    """
-    vetoed = []
-    for spec in specs:
-        veto = _resolve(spec)[2]
-        if veto is not None:
-            _report_veto(*veto)
-            vetoed.append(spec)
-    return tuple(vetoed)

@@ -206,15 +206,12 @@ class TraceStore:
         length: int,
         seed: int,
         generate=None,
-        legacy_npz: Optional[os.PathLike] = None,
     ) -> BranchTrace:
         """Open the trace, generating and publishing it first if cold.
 
         ``generate`` defaults to the profile generator
         (:func:`repro.workloads.generator.generate_trace`); tests may
-        substitute their own ``() -> BranchTrace``.  ``legacy_npz``
-        (optional) names a pre-store compressed trace to import instead
-        of regenerating, migrating old caches in place.
+        substitute their own ``() -> BranchTrace``.
 
         Exactly one process generates a cold trace: concurrent callers
         block on the single-flight lock and map the published bytes.
@@ -232,10 +229,7 @@ class TraceStore:
                     trace = self.open(name, length, seed)
                     if trace is not None:
                         return trace
-                    trace = self._generate(
-                        name, length, seed, generate, legacy_npz
-                    )
-                    return self.put(trace, seed)
+                    return self.put(self._generate(name, length, seed, generate), seed)
                 finally:
                     lock.unlink(missing_ok=True)
             # Another process holds the lock; wait for its publish.
@@ -299,32 +293,7 @@ class TraceStore:
             return None
         return None
 
-    @classmethod
-    def _holder_dead(cls, lock: Path) -> bool:
-        """Whether the lock's holder is dead (see :meth:`_dead_holder`)."""
-        return cls._dead_holder(lock) is not None
-
-    def _generate(
-        self, name: str, length: int, seed: int, generate, legacy_npz
-    ) -> BranchTrace:
-        if legacy_npz is not None and Path(legacy_npz).exists():
-            from repro.traces.io import load_npz
-
-            try:
-                trace = load_npz(legacy_npz)
-            except (OSError, ValueError, KeyError) as exc:
-                from repro import health
-
-                health.emit(
-                    "trace-store",
-                    "import-npz",
-                    "regenerated",
-                    reason=f"{Path(legacy_npz).name}: {exc}",
-                    severity="degraded",
-                )
-            else:
-                if len(trace) == length and trace.name == name:
-                    return trace
+    def _generate(self, name: str, length: int, seed: int, generate) -> BranchTrace:
         # The fault point sits in the lock-winner's generation path
         # only, so cross-process trace counts measure how many times a
         # trace was *actually* generated — waiters never hit it.

@@ -9,10 +9,11 @@ implementation —
   attributes accesses, so the run carries its counter ids),
 * :func:`repro.sim.engine.run`, which differs from the step loop only
   for bi-mode, the one scheme that keeps a hand-tuned ``simulate``,
-* the spec's registry kernel (:mod:`repro.sim.kernels`) on the ``c``
-  engine (when a compiler is available) and the ``numpy`` engine (which
-  runs the scalar reference for schemes without a numpy form); the
-  ``scalar`` engine is :func:`run` —
+* the spec's registry kernel (:mod:`repro.sim.kernels`) through the
+  default dispatch — the compiled loop when a compiler is available —
+  and, when one is, again under :func:`repro.faults.deny_compiler`
+  (the numpy form, or the scalar reference for schemes without one);
+  the scalar reference itself is the step run and :func:`run` —
 
 and reports whether all predictions agree, and if not, the index of
 the first diverging branch together with each engine's prediction
@@ -27,13 +28,15 @@ test-suite fuzzers shrink their failing traces before producing it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
+from repro import faults
 from repro.core.registry import make_predictor
-from repro.sim import _cstep, kernels
+from repro.sim import kernels
 from repro.sim.engine import run, run_steps
 from repro.traces.record import BranchTrace
 from repro.verify.oracle import (
@@ -121,18 +124,21 @@ def diff_spec(
     if include_kernels:
         kind, lane = kernels.kernel_for_spec(spec)
         if kind in kernels.PORTED:
-            modes = ["c", "numpy"] if _cstep.available() else ["numpy"]
-            for mode in modes:
-                # the registry dispatch on each engine (a scheme without
-                # a numpy form runs its scalar reference); runs carry
-                # counter ids too, so an attribution regression diverges
-                # here even when predictions agree
-                (detailed,) = kernels.family_detailed(
-                    kind, [spec], [lane], trace, mode=mode
-                )
+            # the registry dispatch as this process runs it, then with
+            # the compiler vetoed (a scheme without a numpy form runs
+            # its scalar reference); runs carry counter ids too, so an
+            # attribution regression diverges here even when
+            # predictions agree
+            tier = kernels.PORTED[kind].tier
+            engines = {kernels.default_engine(tier): nullcontext}
+            with faults.deny_compiler():
+                engines.setdefault(kernels.default_engine(tier), faults.deny_compiler)
+            for engine, context in engines.items():
+                with context():
+                    (detailed,) = kernels.family_detailed(kind, [spec], [lane], trace)
                 report.runs.append(
                     EngineRun(
-                        f"lane:{kind}[{mode}]",
+                        f"lane:{kind}[{engine}]",
                         detailed.result.predictions,
                         detailed.counter_ids,
                     )

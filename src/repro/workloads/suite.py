@@ -9,10 +9,7 @@ decompression, no copy, shared page cache across worker processes.
 
 The store's atomic publish and single-flight lock make concurrent
 ``load_benchmark`` calls safe: exactly one process generates a cold
-trace, everyone else maps the published bytes.  (The pre-store layout —
-compressed ``.npz`` written non-atomically — could tear under
-concurrent writers; those legacy files are still read, once, and
-migrated into the store.)
+trace, everyone else maps the published bytes.
 
 ``load_suite(jobs=...)`` fans cold materialization out over the
 supervised worker pool of :mod:`repro.sim.parallel`, so generating a
@@ -61,11 +58,6 @@ def trace_store(cache_dir: Optional[Path] = None) -> TraceStore:
     return TraceStore(root / "store")
 
 
-def _legacy_npz(cache_dir: Path, name: str, length: int, seed: int) -> Path:
-    """Pre-store compressed cache location, still honoured for migration."""
-    return cache_dir / "traces" / f"{name}-n{length}-s{seed}.npz"
-
-
 def load_benchmark(
     name: str,
     length: int | None = None,
@@ -85,15 +77,9 @@ def load_benchmark(
         length = profile.default_length
     if not use_cache:
         return generate_trace(profile, length=length, seed=seed)
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     if store is None:
         store = trace_store(cache_dir)
-    return store.materialize(
-        name,
-        length,
-        seed,
-        legacy_npz=_legacy_npz(cache_dir, name, length, seed),
-    )
+    return store.materialize(name, length, seed)
 
 
 def load_suite(

@@ -8,6 +8,7 @@ the dedicated CI fuzzing job).  Select with ``HYPOTHESIS_PROFILE=ci``.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,15 @@ settings.register_profile(
 )
 settings.register_profile("dev", settings.default)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+def dispatch_as(mode: str):
+    """The kernel dispatch a test replays: ``auto`` as this process runs
+    it, ``numpy`` with the compiler vetoed (``REPRO_NO_CC=1``: the numpy
+    lanes, and each cloop scheme's scalar reference)."""
+    from repro import faults
+
+    return faults.deny_compiler() if mode == "numpy" else nullcontext()
 
 
 #: Every registered predictor spec exercised by the equivalence and

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import bias
 from repro.analysis.bias import (
     SNT,
     ST,
@@ -59,14 +58,42 @@ def trace():
     return make_toy_trace(length=4000, seed=11)
 
 
+def key_order(analysis):
+    """Stream ids in ascending (counter, pc) key order."""
+    return np.lexsort((analysis.stream_pc, analysis.stream_counter))
+
+
+def renumbered(analysis):
+    """Every access's stream id after renumbering the streams by key."""
+    order = key_order(analysis)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[analysis.access_stream]
+
+
+STREAM_FIELDS = (
+    "stream_counter",
+    "stream_pc",
+    "stream_total",
+    "stream_taken",
+    "stream_mispredicted",
+    "stream_class",
+)
+
+
 def assert_analysis_equal(a, b):
-    assert np.array_equal(a.stream_counter, b.stream_counter)
-    assert np.array_equal(a.stream_pc, b.stream_pc)
-    assert np.array_equal(a.stream_total, b.stream_total)
-    assert np.array_equal(a.stream_taken, b.stream_taken)
-    assert np.array_equal(a.stream_mispredicted, b.stream_mispredicted)
-    assert np.array_equal(a.stream_class, b.stream_class)
-    assert np.array_equal(a.access_stream, b.access_stream)
+    """``a`` and ``b`` are one analysis whatever their producers'
+    stream numbering: every per-stream array is equal once both sides
+    are renumbered by (counter, pc) key, so are the renumbered access
+    ids, and every access carries the same key."""
+    order_a, order_b = key_order(a), key_order(b)
+    for name in STREAM_FIELDS:
+        assert np.array_equal(getattr(a, name)[order_a], getattr(b, name)[order_b]), name
+    assert np.array_equal(renumbered(a), renumbered(b))
+    for name in ("stream_counter", "stream_pc"):
+        assert np.array_equal(
+            getattr(a, name)[a.access_stream], getattr(b, name)[b.access_stream]
+        ), name
     assert np.array_equal(a.counter_dominant, b.counter_dominant)
     assert a.num_counters == b.num_counters
 
@@ -232,11 +259,11 @@ class TestHashGroupingEdgeCases:
         analysis = assert_all_paths_agree(detailed, monkeypatch)
         assert len(np.unique(detailed.pcs)) > 4096
         assert (num_counters - 1) * len(np.unique(detailed.pcs)) >= 2**32
-        assert analysis.stream_counter[-1] == num_counters - 1
+        assert analysis.stream_counter[key_order(analysis)][-1] == num_counters - 1
 
     def test_streams_first_seen_in_descending_order(self, monkeypatch):
-        # first-seen ids run opposite to the (counter, pc) order, so
-        # every access is renumbered through the rank table
+        # first-seen ids run opposite to the (counter, pc) order: the
+        # compiled grouping keeps them, the radix fallback ascends by key
         pairs = [(c, p) for c in range(7, -1, -1) for p in range(5, -1, -1)]
         rng = np.random.default_rng(3)
         tail = rng.integers(0, len(pairs), 400)
@@ -250,8 +277,10 @@ class TestHashGroupingEdgeCases:
         )
         analysis = assert_all_paths_agree(detailed, monkeypatch)
         assert analysis.num_streams == len(pairs)
-        assert analysis.access_stream[0] == len(pairs) - 1
-        assert analysis.access_stream[len(pairs) - 1] == 0
+        assert renumbered(analysis)[0] == len(pairs) - 1
+        assert renumbered(analysis)[len(pairs) - 1] == 0
+        if _cstep.available():
+            assert analysis.access_stream[: len(pairs)].tolist() == list(range(len(pairs)))
 
     def test_single_access(self, monkeypatch):
         detailed = detailed_from(
@@ -336,13 +365,10 @@ def first_seen_grouping(detailed):
     return SubstreamGrouping(access_stream, records, unique_pcs, detailed.num_counters)
 
 
-def _no_key_sort(*args, **kwargs):
-    raise AssertionError("dense_ranks called on the summary path")
-
-
 class TestFirstSeenSummaries:
-    """Summaries reduce a grouping in its own first-seen stream order:
-    no key sort, and the payload of the sorted analysis."""
+    """The analysis keeps a grouping's own first-seen stream ids (no
+    key sort, no renumbering), and its summary is the sorted
+    reference's payload."""
 
     def descending_detailed(self, seed):
         # streams first seen in descending (counter, pc) order
@@ -364,32 +390,30 @@ class TestFirstSeenSummaries:
         assert np.array_equal(grouping.counter_ids, detailed.counter_ids)
         keys = grouping.streams["key"].astype(np.int64)
         assert (np.diff(keys) < 0).all()  # the order really differs
-        want = summarize_detailed(
-            grouping, include_bias_table=True, analysis=analyze_substreams(grouping)
-        )
-        assert want == summarize_detailed_reference(detailed, include_bias_table=True)
-        monkeypatch.setattr(bias, "dense_ranks", _no_key_sort)
+        analysis = analyze_substreams(grouping)
+        assert np.array_equal(analysis.access_stream, grouping.access_stream)
+        assert_analysis_equal(analysis, analyze_substreams_reference(detailed))
+        want = summarize_detailed_reference(detailed, include_bias_table=True)
         for compiled in (True, False):
             with monkeypatch.context() as m:
                 if not compiled:
                     m.setattr(_cstep, "available", lambda: False)
                 got = summarize_detailed(grouping, include_bias_table=True)
                 assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        with pytest.raises(AssertionError, match="dense_ranks"):
-            analyze_substreams(grouping)
 
     @pytest.mark.skipif(not _cstep.available(), reason="compiled driver unavailable")
     @pytest.mark.parametrize(
         "spec", ["gshare:index=8,hist=8", "bimode:dir=7,hist=7,choice=6"]
     )
-    def test_sweep_rows_summarize_without_key_sort(self, spec, trace, monkeypatch):
+    def test_sweep_rows_summarize_without_key_sort(self, spec, trace):
         scalar = make_predictor(spec).simulate_detailed(trace)
         want = summarize_detailed_reference(scalar, include_bias_table=True)
         pc_codes = pc_code_stream(trace.pcs)
         (family,) = plan_families([spec])
         row = family_detailed(family, trace, pc_codes=pc_codes)[spec]
         assert isinstance(row, SubstreamGrouping)
-        monkeypatch.setattr(bias, "dense_ranks", _no_key_sort)
+        analysis = analyze_substreams(row, pc_codes=pc_codes)
+        assert np.array_equal(analysis.access_stream, row.access_stream)
         for detailed in (row, scalar):
             got = summarize_detailed(detailed, include_bias_table=True, pc_codes=pc_codes)
             assert got == want

@@ -80,13 +80,14 @@ class TestDetailedKernelDispatch:
         "spec", ["gshare:index=8,hist=5", "bimode:dir=7,hist=7,choice=6"]
     )
     def test_c_pin_without_compiler_raises(self, spec, trace):
-        """The detailed dispatch ``run_detailed`` shares, asked for the
-        ``c`` engine under a vetoed compiler, must raise, never silently
-        run the numpy form or the scalar loop."""
+        """No caller pins an engine; the per-lane kernel the dispatch
+        hands one to, given ``c`` under a vetoed compiler, raises rather
+        than silently running the numpy form or the scalar loop."""
         kind, lane = kernels.kernel_for_spec(spec)
         with faults.deny_compiler():
+            assert kernels.default_engine(kernels.PORTED[kind].tier) != "c"
             with pytest.raises(RuntimeError, match="not available"):
-                kernels.family_detailed(kind, [spec], [lane], trace, mode="c")
+                kernels.PORTED[kind].detailed(lane, trace, "c", None)
 
     def test_auto_falls_back_without_kernel(self, trace):
         """A kernel-less scheme keeps the health-reported scalar
@@ -120,13 +121,36 @@ class TestDetailedKernelDispatch:
         assert np.array_equal(run(p, trace, reset=False).predictions, cold)
 
     def test_invalid_mode_rejected(self, trace):
-        """The detailed dispatch ``run_detailed`` shares refuses an
-        unknown engine."""
+        """The dispatch ``run_detailed`` shares takes no engine pin, and
+        the per-lane kernel it calls refuses an unknown engine."""
         kind, lane = kernels.kernel_for_spec("gshare:index=8")
-        with pytest.raises(ValueError, match="turbo"):
+        with pytest.raises(TypeError, match="mode"):
             kernels.family_detailed(
                 kind, ["gshare:index=8"], [lane], trace, mode="turbo"
             )
+        with pytest.raises(ValueError, match="turbo"):
+            kernels.PORTED[kind].detailed(lane, trace, "turbo", None)
+
+    def test_scalar_path_leaves_predictor_state(self, trace):
+        """A predictor no lane kernel runs (a kernel veto) takes the
+        scalar loop on a power-on copy: the caller's half-trained
+        predictor is left as it was, and the row equals the reference
+        from power-on state."""
+        spec = "perceptron:index=5,hist=6,w=31"
+        assert kernels.kernel_for_spec(spec) == ("scalar", None)
+
+        def half_trained():
+            p = make_predictor(spec)
+            run(p, trace[:700])
+            return p
+
+        want_next = run(half_trained(), trace[700:], reset=False).predictions
+        p = half_trained()
+        detailed = run_detailed(p, trace)
+        assert np.array_equal(run(p, trace[700:], reset=False).predictions, want_next)
+        want = make_predictor(spec).simulate_detailed(trace)
+        assert np.array_equal(detailed.result.predictions, want.result.predictions)
+        assert np.array_equal(detailed.counter_ids, want.counter_ids)
 
 
 class TestEmptyTrace:

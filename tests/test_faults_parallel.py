@@ -254,9 +254,7 @@ class TestCompilerDenied:
         baseline = kernels.family_rates(kind, [spec], [lane], traces["gcc"])
         health.clear()
         with faults.deny_compiler():
-            denied = kernels.family_rates(
-                kind, [spec], [lane], traces["gcc"], mode="auto"
-            )
+            denied = kernels.family_rates(kind, [spec], [lane], traces["gcc"])
             (event,) = health.events(component="bimode-kernel")
             assert event.expected == "c"
             assert event.actual == "scalar"

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import faults, health
 from repro.core.registry import make_predictor
 from repro.sim import _cstep, kernels
-from repro.sim.engine import run
+from repro.sim.engine import run, run_steps
 from repro.sim.fused import SpecFamily, family_rates, plan_families
 from repro.sim.journal import SweepJournal
 from repro.sim.runner import evaluate_specs, trace_key
@@ -123,7 +123,7 @@ class TestDispatch:
 class TestFamilyDetailed:
     """The per-family Section-4 path (what ``detailed_matrix`` workers
     run): bit-identity against the per-predictor scalar loop, scalar
-    family degradations, and explicit engines at family granularity."""
+    family degradations, and the vetoed compiler at family granularity."""
 
     MIXED_GRID = [
         "gshare:index=7,hist=5",
@@ -173,33 +173,35 @@ class TestFamilyDetailed:
         assert event.severity == "degraded"
 
     def test_c_pin_refuses_sequential_scheme_without_compiler(self, trace):
-        """A cloop-tier family (no numpy kernel) asked for the ``c``
-        engine must refuse when the compiler is denied rather than
-        quietly run the scalar loop."""
+        """No caller pins an engine: a cloop-tier family (no numpy
+        kernel) under a denied compiler dispatches to the scalar loop,
+        and its per-lane kernel, handed ``c``, refuses rather than
+        quietly running that loop."""
         (family,) = plan_families(["perceptron:index=5,hist=6"])
+        entry = kernels.PORTED[family.kind]
         with faults.deny_compiler():
+            assert kernels.default_engine(entry.tier) == "scalar"
             with pytest.raises(RuntimeError, match="not available"):
-                kernels.family_detailed(
-                    family.kind, family.specs, family.lanes, trace, mode="c"
-                )
+                entry.detailed(family.lanes[0], trace, "c", None)
 
     def test_scalar_pin_is_bit_identical(self, trace):
-        """Every family of the grid on the scalar engine gives the rows
-        of the default dispatch."""
+        """Every family of the grid gives the same rows with the
+        compiler vetoed as under the default dispatch, and each row is
+        the predictor's own ``simulate_detailed`` reference."""
         from repro.sim.fused import family_detailed
 
-        baseline, pinned = {}, {}
+        baseline, denied = {}, {}
         for family in plan_families(self.MIXED_GRID):
             baseline.update(family_detailed(family, trace))
-            rows = kernels.family_detailed(
-                family.kind, family.specs, family.lanes, trace, mode="scalar"
-            )
-            pinned.update(zip(family.specs, rows))
+            with faults.deny_compiler():
+                denied.update(family_detailed(family, trace))
         for spec in self.MIXED_GRID:
-            base, pin = baseline[spec], pinned[spec]
-            assert np.array_equal(base.result.predictions, pin.result.predictions), spec
-            assert np.array_equal(base.counter_ids, pin.counter_ids), spec
-            assert base.num_counters == pin.num_counters, spec
+            want = make_predictor(spec).simulate_detailed(trace)
+            for rows in (baseline, denied):
+                got = rows[spec]
+                assert np.array_equal(got.result.predictions, want.result.predictions), spec
+                assert np.array_equal(got.counter_ids, want.counter_ids), spec
+                assert got.num_counters == want.num_counters, spec
 
 
 class TestFigureGridEquivalence:
@@ -225,9 +227,12 @@ class TestFigureGridEquivalence:
     def test_modes_are_bit_identical(
         self, grid, reference, small_workload, monkeypatch, mode
     ):
-        """Every engine: the default sweep dispatch, ``numpy`` — the
-        lanes a vetoed compiler leaves (``REPRO_NO_CC=1``) — and the
-        registry's explicit ``c`` and ``scalar`` engines."""
+        """Every engine lands on the reference: ``auto``, the default
+        sweep dispatch; ``c``, the registry's family dispatch in a
+        process with a compiler; ``numpy``, the sweep dispatch with the
+        compiler vetoed (``REPRO_NO_CC=1``: the numpy lanes, and each
+        cloop scheme's scalar reference); ``scalar``, each predictor's
+        generic ``step()`` loop, which equals the registry's rates."""
         if mode == "c" and not _cstep.available():
             pytest.skip("no C compiler available")
         if mode in ("auto", "numpy"):
@@ -235,20 +240,29 @@ class TestFigureGridEquivalence:
                 monkeypatch.setenv("REPRO_NO_CC", "1")
             assert evaluate_specs(grid, small_workload) == reference
             return
+        if mode == "scalar":
+            steps = {
+                spec: run_steps(make_predictor(spec), small_workload).misprediction_rate
+                for spec in grid
+            }
+            assert steps == reference
+            return
         rates = {}
         for family in plan_families(grid):
             rows = kernels.family_rates(
-                family.kind, family.specs, family.lanes, small_workload, mode=mode
+                family.kind, family.specs, family.lanes, small_workload
             )
             rates.update(zip(family.specs, rows))
         assert rates == reference
+        engines = {e.actual for e in health.events() if e.component.endswith("-kernel")}
+        assert "c" in engines <= {"c", "vectorized"}
 
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
     def test_compiler_denied_is_bit_identical(
         self, grid, reference, small_workload, mode
     ):
-        """With the compiler denied, the sweep dispatch and the registry's
-        explicit ``mode="numpy"`` engine both land on the reference."""
+        """With the compiler denied, the sweep dispatch and the
+        registry's family dispatch both land on the reference."""
         with faults.deny_compiler():
             if mode == "auto":
                 assert evaluate_specs(grid, small_workload) == reference
@@ -256,7 +270,7 @@ class TestFigureGridEquivalence:
             rates = {}
             for family in plan_families(grid):
                 rows = kernels.family_rates(
-                    family.kind, family.specs, family.lanes, small_workload, mode=mode
+                    family.kind, family.specs, family.lanes, small_workload
                 )
                 rates.update(zip(family.specs, rows))
             assert rates == reference

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import health
+from repro import faults, health
 from repro.health import DegradationEvent
 
 
@@ -194,10 +194,11 @@ class TestProductionHooks:
 
         spec = "gshare:index=4,hist=4"
         kind, lane = kernels.kernel_for_spec(spec)
-        kernels.family_rates(
-            kind, [spec], [lane], make_toy_trace(length=200), mode="numpy"
-        )
+        with faults.deny_compiler():
+            kernels.family_rates(kind, [spec], [lane], make_toy_trace(length=200))
         events = health.events(component="gshare-kernel")
         assert len(events) == 1
         assert events[0].actual == "numpy"
-        assert events[0].severity == "info"
+        assert events[0].expected == "c"
+        assert events[0].severity == "degraded"
+        assert "REPRO_NO_CC" in events[0].reason

@@ -14,15 +14,16 @@ Layers:
 * **resolution** — ``kernel_for_spec`` routing, including rejection of
   malformed knobs back to the scalar family;
 * **equivalence** — every ported spec, on two trace shapes, under the
-  ``auto`` dispatch and the explicit ``numpy`` engine, against the
-  scalar engine, the step interface and the dict-based oracle;
+  default dispatch and with the compiler vetoed, against the scalar
+  engine, the step interface and the dict-based oracle;
 * **boundaries** — empty, one-branch, history-wrapping and wide-pc
   traces and 0-bit tables, under the compiled engine, the vetoed
-  compiler and the scalar reference, against the oracle;
+  compiler and the predictor's own reference, against the oracle;
 * **identities** — degenerate configurations of different schemes that
   are the same predictor by definition, equal on every engine;
-* **dispatch** — the engine the tier and the compiler pick, explicit
-  ``mode=`` requests and the numpy degradations, all health-reported;
+* **dispatch** — the engine the tier and the compiler pick and the
+  no-compiler degradations, all health-reported; no caller pins an
+  engine, and a per-lane kernel refuses one it cannot run;
 * **fuzz** — hypothesis differential replay of random traces through
   :func:`repro.verify.differential.diff_spec`, which runs every
   engine the spec qualifies for;
@@ -33,7 +34,6 @@ Layers:
 from __future__ import annotations
 
 import re
-from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -57,6 +57,7 @@ from repro.verify.oracle import (
 from tests.conftest import (
     ALL_SPECS,
     PORTED_GRID,
+    dispatch_as,
     make_toy_trace,
     scalar_predictions,
 )
@@ -199,7 +200,7 @@ class TestRegistryCompleteness:
 
     def test_tiers_are_known_values(self):
         for scheme, tier in kernels.registered_schemes().items():
-            assert tier in ("lane", "cloop", "scalar"), (scheme, tier)
+            assert tier in ("lane", "cloop", "vectorized", "scalar"), (scheme, tier)
 
     def test_at_least_seven_newly_ported_schemes(self):
         """ISSUE acceptance: >= 7 schemes beyond gshare/bimode run
@@ -351,9 +352,9 @@ class TestKernelForSpec:
 
 
 class TestEquivalence:
-    """Every ported spec x {auto, numpy} x two trace shapes, against
-    the scalar engine and the dict-based oracle — the PR's bit-exactness
-    acceptance criterion."""
+    """Every ported spec x {default dispatch, compiler vetoed} x two
+    trace shapes, against the scalar engine and the dict-based oracle —
+    the bit-exactness acceptance criterion."""
 
     @pytest.mark.parametrize("trace_kind", ["toy", "aliasing"])
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
@@ -362,9 +363,10 @@ class TestEquivalence:
         drifted = []
         for family in plan_families(PORTED_GRID):
             assert family.kind != "scalar", family.specs
-            rates = kernels.family_rates(
-                family.kind, family.specs, family.lanes, trace, mode=mode
-            )
+            with dispatch_as(mode):
+                rates = kernels.family_rates(
+                    family.kind, family.specs, family.lanes, trace
+                )
             for spec, rate in zip(family.specs, rates):
                 want = _scalar_rate(spec, trace_kind)
                 if rate != want or rate != oracle_rate(spec, trace):
@@ -484,25 +486,33 @@ SCHEME_BOUNDARY_SPECS = [
 BOUNDARY_TRACES = ["empty", "one-branch", "history-wrap", "wide-pcs"]
 
 
-def _assert_engines_match_oracle(spec, trace):
-    """``family_rates`` and the ``family_detailed`` predictions and
-    counter ids of one spec, under the compiled engine (when a compiler
-    exists), the vetoed compiler (``REPRO_NO_CC=1``) and the scalar
-    reference, all equal the oracle's — and the rate is the miss share
-    of those predictions."""
+def _engine_runs(spec, trace):
+    """``(engine, rate, row)`` of one spec through the registry's default
+    dispatch (the compiled engine when a compiler exists), again with
+    the compiler vetoed (``REPRO_NO_CC=1``), and through the predictor's
+    own ``simulate`` / ``simulate_detailed`` reference."""
     kind, lane = kernels.kernel_for_spec(spec)
     assert kind == spec.split(":")[0], spec
+    for mode in ("auto", "numpy"):
+        with dispatch_as(mode):
+            engine = kernels.default_engine(kernels.PORTED[kind].tier)
+            (rate,) = kernels.family_rates(kind, [spec], [lane], trace)
+            (row,) = kernels.family_detailed(kind, [spec], [lane], trace)
+        yield engine, rate, row
+    rate = make_predictor(spec).simulate(trace).misprediction_rate
+    yield "reference", rate, make_predictor(spec).simulate_detailed(trace)
+
+
+def _assert_engines_match_oracle(spec, trace):
+    """``family_rates`` and the ``family_detailed`` predictions and
+    counter ids of one spec, under every engine of :func:`_engine_runs`,
+    all equal the oracle's — and the rate is the miss share of those
+    predictions."""
     want_preds, want_ids = oracle_detailed(spec, trace)
     n = len(trace)
     want_rate = int(np.count_nonzero(want_preds != trace.outcomes)) / n if n else 0.0
     assert oracle_rate(spec, trace) == want_rate
-    engines = {"no-cc": "auto", "scalar": "scalar"}
-    if _cstep.available():
-        engines = {"c": "c", **engines}
-    for engine, mode in engines.items():
-        with faults.deny_compiler() if engine == "no-cc" else nullcontext():
-            (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
-            (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+    for engine, rate, row in _engine_runs(spec, trace):
         assert rate == want_rate, engine
         assert np.array_equal(row.result.predictions, want_preds), engine
         assert np.array_equal(row.counter_ids, want_ids), engine
@@ -511,8 +521,8 @@ def _assert_engines_match_oracle(spec, trace):
 class TestComparatorBoundaries:
     """The compiled comparators' ``family`` rate at the boundaries: it
     equals the miss share of the family's predictions and the oracle
-    under ``c``, and the compiler-vetoed and scalar reference paths give
-    the same rates, predictions and counter ids."""
+    under ``c``, and the compiler-vetoed dispatch and the predictor's
+    reference give the same rates, predictions and counter ids."""
 
     @pytest.mark.parametrize("trace_kind", BOUNDARY_TRACES)
     @pytest.mark.parametrize("spec", COMPARATOR_BOUNDARY_SPECS)
@@ -533,12 +543,14 @@ class TestComparatorBoundaries:
             families.setdefault(kind, []).append((spec, lane))
         for kind, members in families.items():
             specs, lanes = zip(*members)
-            together = kernels.family_rates(kind, specs, lanes, trace, mode="c")
+            together = kernels.family_rates(kind, specs, lanes, trace)
             alone = [
-                kernels.family_rates(kind, [spec], [lane], trace, mode="c")[0]
+                kernels.family_rates(kind, [spec], [lane], trace)[0]
                 for spec, lane in members
             ]
             assert together == alone, kind
+        engines = {e.actual for e in health.events() if e.component.endswith("-kernel")}
+        assert engines == {"c"}
 
 
 #: A multi-lane gshare family of mixed index widths and history
@@ -588,14 +600,14 @@ class TestSchemeBoundaries:
         """Every lane of a mixed gshare family rated in one call equals
         the oracle on traces that end inside, at and past a block edge
         of the lane-major fused loop, on the compiled and numpy
-        engines."""
+        engines (the default dispatch, and with the compiler vetoed)."""
         trace = _block_trace(length)
         assert len(trace) == length
         lanes = [kernels.kernel_for_spec(spec)[1] for spec in BLOCK_FAMILY]
         want = [oracle_rate(spec, trace) for spec in BLOCK_FAMILY]
-        modes = ("c", "numpy") if _cstep.available() else ("numpy",)
-        for mode in modes:
-            got = kernels.family_rates("gshare", BLOCK_FAMILY, lanes, trace, mode=mode)
+        for mode in ("auto", "numpy"):
+            with dispatch_as(mode):
+                got = kernels.family_rates("gshare", BLOCK_FAMILY, lanes, trace)
             assert got == want, mode
 
 
@@ -633,9 +645,9 @@ def _identity_trace(kind: str):
 
 class TestCrossSchemeIdentities:
     """Checks that are not another implementation of the same scheme:
-    each pair gives equal rates and equal per-branch predictions on the
-    compiled engine, the numpy engine and the scalar reference, and
-    equals the oracle."""
+    each pair gives equal rates and equal per-branch predictions under
+    the default dispatch, with the compiler vetoed and on the
+    predictors' own reference, and equals the oracle."""
 
     @pytest.mark.parametrize("trace_kind", [*BOUNDARY_TRACES, "gcc-100k"])
     @pytest.mark.parametrize(
@@ -645,18 +657,12 @@ class TestCrossSchemeIdentities:
         trace = _identity_trace(trace_kind)
         want = oracle_rate(left, trace)
         assert oracle_rate(right, trace) == want, reason
-        modes = ("c", "numpy", "scalar") if _cstep.available() else ("numpy", "scalar")
-        for mode in modes:
-            runs = []
-            for spec in (left, right):
-                kind, lane = kernels.kernel_for_spec(spec)
-                assert kind == spec.split(":")[0], spec
-                (rate,) = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
-                (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
-                runs.append((rate, row.result.predictions))
-            (left_rate, left_preds), (right_rate, right_preds) = runs
-            assert left_rate == right_rate == want, (mode, reason)
-            assert np.array_equal(left_preds, right_preds), (mode, reason)
+        pairs = zip(_engine_runs(left, trace), _engine_runs(right, trace))
+        for (engine, left_rate, left_row), (_, right_rate, right_row) in pairs:
+            assert left_rate == right_rate == want, (engine, reason)
+            assert np.array_equal(
+                left_row.result.predictions, right_row.result.predictions
+            ), (engine, reason)
 
 
 @lru_cache(maxsize=None)
@@ -670,8 +676,8 @@ def _scalar_detailed_cell(spec: str, trace_kind: str):
 
 
 class TestDetailedEquivalence:
-    """Every ported spec's Section-4 attribution, under the ``auto``
-    dispatch and the explicit ``numpy`` engine, on two trace shapes,
+    """Every ported spec's Section-4 attribution, under the default
+    dispatch and with the compiler vetoed, on two trace shapes,
     against the scalar ``simulate_detailed`` loop and the dict-based
     oracle — predictions AND per-access counter ids, bit for bit."""
 
@@ -682,9 +688,10 @@ class TestDetailedEquivalence:
         drifted = []
         for family in plan_families(PORTED_GRID):
             assert family.kind != "scalar", family.specs
-            rows = kernels.family_detailed(
-                family.kind, family.specs, family.lanes, trace, mode=mode
-            )
+            with dispatch_as(mode):
+                rows = kernels.family_detailed(
+                    family.kind, family.specs, family.lanes, trace
+                )
             for spec, got in zip(family.specs, rows):
                 want_p, want_c, want_n = _scalar_detailed_cell(spec, trace_kind)
                 if (
@@ -764,21 +771,22 @@ class TestDetailedEquivalence:
 
 class TestDispatch:
     def test_invalid_pin_raises(self):
-        """An in-process caller may only ask for a known engine."""
+        """No in-process caller pins an engine, and the per-lane kernel
+        the dispatch calls refuses an engine it does not know."""
         kind, lane = kernels.kernel_for_spec("agree:index=6")
-        with pytest.raises(ValueError, match="sideways"):
+        with pytest.raises(TypeError, match="mode"):
             kernels.family_rates(
                 kind, ["agree:index=6"], [lane], _trace("toy"), mode="sideways"
             )
+        with pytest.raises(ValueError, match="sideways"):
+            kernels.PORTED[kind].detailed(lane, _trace("toy"), "sideways", None)
 
     def test_forced_c_without_compiler_raises(self):
-        """An explicit ``mode="c"`` never falls back silently."""
+        """A per-lane kernel handed ``c`` never falls back silently."""
         kind, lane = kernels.kernel_for_spec("agree:index=6")
         with faults.deny_compiler():
             with pytest.raises(RuntimeError, match="not available"):
-                kernels.family_rates(
-                    kind, ["agree:index=6"], [lane], _trace("toy"), mode="c"
-                )
+                kernels.PORTED[kind].detailed(lane, _trace("toy"), "c", None)
 
     @pytest.mark.parametrize(
         "spec",
@@ -793,13 +801,14 @@ class TestDispatch:
         ids=lambda spec: spec.split(":", 1)[0],
     )
     def test_numpy_pin_degrades_cloop_schemes_to_scalar(self, spec):
-        """The comparators keep only their C loop (cloop tier), so the
-        numpy engine runs their scalar reference — health-reported,
-        bit-exact."""
+        """The comparators keep only their C loop (cloop tier), so with
+        the compiler vetoed they run their scalar reference —
+        health-reported, bit-exact."""
         kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
+        with faults.deny_compiler():
+            rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
         (event,) = health.events(component=f"{kind}-kernel")
-        assert event.actual == "scalar"
+        assert (event.expected, event.actual) == ("c", "scalar")
         assert event.severity == "degraded"
         assert "no numpy kernel" in event.reason
         assert rates == [_scalar_rate(spec, "toy")]
@@ -807,10 +816,11 @@ class TestDispatch:
     def test_numpy_pin_keeps_counter_major_on_numpy(self):
         spec = "gas:hist=4,select=2"
         kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
+        with faults.deny_compiler():
+            rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
         (event,) = health.events(component="gas-kernel")
-        assert event.actual == "numpy"
-        assert event.severity == "info"
+        assert (event.expected, event.actual) == ("c", "numpy")
+        assert "REPRO_NO_CC" in event.reason
         assert rates == [_scalar_rate(spec, "toy")]
 
     def test_unsupported_biasfilter_sub_is_vetoed_by_name(self):
@@ -925,25 +935,25 @@ class TestDispatch:
 
     @pytest.mark.parametrize("spec", ["always-taken", "always-not-taken", "btfnt"])
     def test_static_direct_rates_match_prediction_path(self, spec):
-        """The statics rate through their one vectorized ``detailed``
-        hook: on every engine ``family_rates`` equals the miss share of
-        the predictions ``family_detailed`` returns, and the health
-        event names that form at info severity, whatever the mode and
-        whether or not a compiler exists."""
+        """The statics (tier ``vectorized``) rate through their one
+        vectorized ``detailed`` hook: ``family_rates`` equals the miss
+        share of the predictions ``family_detailed`` returns, and the
+        health event names that form at info severity, whether or not a
+        compiler exists."""
         trace = _trace("toy")
         kind, lane = kernels.kernel_for_spec(spec)
-        for mode, denied in [
-            ("auto", False), ("auto", True), ("c", True), ("numpy", False)
-        ]:
-            with faults.deny_compiler() if denied else nullcontext():
-                (row,) = kernels.family_detailed(kind, [spec], [lane], trace, mode=mode)
+        assert kernels.PORTED[kind].tier == "vectorized"
+        for mode in ("auto", "numpy"):
+            with dispatch_as(mode):
+                assert kernels.default_engine(kernels.PORTED[kind].tier) == "vectorized"
+                (row,) = kernels.family_detailed(kind, [spec], [lane], trace)
                 misses = np.count_nonzero(row.result.predictions != trace.outcomes)
                 health.clear()
-                rates = kernels.family_rates(kind, [spec], [lane], trace, mode=mode)
+                rates = kernels.family_rates(kind, [spec], [lane], trace)
             assert rates == [misses / len(trace)], mode
             (event,) = health.events(component=f"{kind}-kernel")
-            assert event.actual == event.expected == "vectorized", (mode, denied)
-            assert event.severity == "info" and event.reason == "", (mode, denied)
+            assert event.actual == event.expected == "vectorized", mode
+            assert event.severity == "info" and event.reason == "", mode
 
     def test_auto_without_compiler_degrades_with_reason(self):
         spec = "bimodal:index=6"
@@ -969,12 +979,13 @@ class TestDispatch:
         assert event.severity == "info"
 
     def test_bimode_kernel_inherits_registry_pin(self):
-        """Bi-mode dispatches like every cloop scheme: the numpy engine
-        runs its scalar reference (health-reported), the compiled engine
+        """Bi-mode dispatches like every cloop scheme: with the compiler
+        vetoed it runs its scalar reference (health-reported), with one
         its fused family loop — bit-identical either way."""
         spec = "bimode:dir=6,hist=6,choice=5"
         kind, lane = kernels.kernel_for_spec(spec)
-        rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"), mode="numpy")
+        with faults.deny_compiler():
+            rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
         (event,) = health.events(component="bimode-kernel")
         assert event.actual == "scalar"
         assert event.severity == "degraded"
@@ -982,9 +993,7 @@ class TestDispatch:
         assert rates == [_scalar_rate(spec, "toy")]
         if _cstep.available():
             health.clear()
-            assert kernels.family_rates(
-                kind, [spec], [lane], _trace("toy"), mode="c"
-            ) == rates
+            assert kernels.family_rates(kind, [spec], [lane], _trace("toy")) == rates
             (event,) = health.events(component="bimode-kernel")
             assert event.actual == "c"
 

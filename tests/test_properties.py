@@ -20,7 +20,9 @@ from repro.sim.runner import evaluate_specs
 from repro.traces.record import BranchTrace
 from repro.verify import diff_spec
 from repro.verify.oracle import oracle_rate
-from tests.conftest import FUZZ_BUDGET, make_toy_trace
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import get_profile
+from tests.conftest import FUZZ_BUDGET, dispatch_as, make_toy_trace
 
 outcome_lists = st.lists(st.booleans(), min_size=0, max_size=300)
 
@@ -431,3 +433,132 @@ class TestSummaryMetamorphic:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_cstep, "available", lambda: False)
             assert _summary_of(detailed, renumbered) == want
+
+
+def _through_dispatch(specs, trace):
+    """``{spec: (rate, summary JSON)}`` of ``specs`` on ``trace``
+    through the one dispatch path a Section-4 sweep takes: the planner's
+    families, their rates and their detailed rows, each row summarized
+    under the trace's shared pc codes."""
+    from repro.analysis.bias import pc_code_stream
+    from repro.analysis.summary import summarize_detailed
+    from repro.sim.fused import family_detailed, family_rates, plan_families
+
+    pc_codes = pc_code_stream(trace.pcs)
+    out = {}
+    for family in plan_families(specs):
+        rates = family_rates(family, trace)
+        for spec, row in family_detailed(family, trace, pc_codes=pc_codes).items():
+            summary = summarize_detailed(row, include_bias_table=True, pc_codes=pc_codes)
+            out[spec] = (rates[spec], json.dumps(summary, sort_keys=True))
+    return out
+
+
+def _shifted(trace: BranchTrace, c: int) -> BranchTrace:
+    """``trace`` with ``c * 2**40`` added to every PC."""
+    return BranchTrace(
+        pcs=trace.pcs + np.int64(c) * 2**40, outcomes=trace.outcomes, name=trace.name
+    )
+
+
+@st.composite
+def wide_pc_traces(draw):
+    """A trace over up to 24 sites anywhere below ``2**40``, each with
+    its own taken bias."""
+    sites = draw(st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=24, unique=True))
+    n = draw(st.integers(0, 150))
+    which = draw(st.lists(st.integers(0, len(sites) - 1), min_size=n, max_size=n))
+    bias = draw(st.lists(st.floats(0, 1), min_size=len(sites), max_size=len(sites)))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    pcs = np.array(sites, dtype=np.int64)[which] if n else np.empty(0, np.int64)
+    return BranchTrace(pcs=pcs, outcomes=noise < np.array(bias)[which], name="wide")
+
+
+class TestMetamorphic:
+    """Relations between runs that are not another implementation of a
+    scheme, each checked through the one dispatch path, as this process
+    runs it (``auto``) and with the compiler vetoed (``numpy``).
+
+    * Every registered scheme indexes, hashes and tags with PC bits
+      below 40, so adding ``c * 2**40`` to every PC (PCs staying below
+      ``2**40`` before the shift) leaves every rate and every Section-4
+      summary byte-identical.
+    * Two traces whose PCs differ in the low index bits use disjoint
+      bimodal counters, so any interleaving of them mispredicts exactly
+      the sum of their misses, and no counter is shared across them.
+    """
+
+    @pytest.mark.parametrize("mode", ["auto", "numpy"])
+    @pytest.mark.parametrize("bench, c", [("gcc", 1), ("go", 2**22 - 1)])
+    def test_high_pc_bits_change_no_rate_or_summary(self, bench, c, mode):
+        from tests.test_golden import GOLDEN_SPECS
+
+        trace = generate_trace(get_profile(bench), length=3000, seed=0)
+        assert int(trace.pcs.max()) < 2**40
+        with dispatch_as(mode):
+            want = _through_dispatch(GOLDEN_SPECS, trace)
+            assert _through_dispatch(GOLDEN_SPECS, _shifted(trace, c)) == want
+
+    @pytest.mark.parametrize("mode", ["auto", "numpy"])
+    @given(trace=wide_pc_traces(), c=st.integers(1, 2**22 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_high_pc_bits_change_nothing_on_wide_pcs(self, mode, trace, c):
+        from tests.test_golden import GOLDEN_SPECS
+
+        with dispatch_as(mode):
+            want = _through_dispatch(GOLDEN_SPECS, trace)
+            assert _through_dispatch(GOLDEN_SPECS, _shifted(trace, c)) == want
+
+    @pytest.mark.parametrize("mode", ["auto", "numpy"])
+    @given(
+        words=st.lists(st.integers(0, 2**9 - 1), min_size=2, max_size=200),
+        split=st.data(),
+        distinct=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_disjoint_interleaving_adds_bimodal_misses(self, mode, words, split, distinct):
+        """Trace A's PCs have index bit 0 clear and trace B's set, so
+        under ``bimodal:index=8`` each counter sees one trace's accesses
+        in that trace's order however the two interleave.  Misses add
+        up, so do aliased counters (none when each trace's own sites are
+        distinct in the index bits)."""
+        from repro.analysis.aliasing import aliasing_stats
+        from repro.analysis.bias import analyze_substreams
+        from repro.sim.fused import family_detailed, family_rates, plan_families
+
+        spec = "bimodal:index=8"
+        if distinct:
+            words = list(dict.fromkeys(w & 0x7F for w in words))
+        rng = np.random.default_rng(split.draw(st.integers(0, 2**32 - 1)))
+        k = split.draw(st.integers(1, len(words) - 1)) if len(words) > 1 else 1
+        a_sites = np.array(words[:k], dtype=np.int64) << 1  # index bit 0 clear
+        b_sites = (np.array(words[k:] or [0], dtype=np.int64) << 1) | 1  # set
+        parts = []
+        for sites in (a_sites, b_sites):
+            n = int(rng.integers(1, 300))
+            which = rng.integers(0, len(sites), n)
+            taken = rng.random(n) < rng.random(len(sites))[which]
+            parts.append(BranchTrace(pcs=sites[which], outcomes=taken, name="part"))
+        a, b = parts
+        order = rng.permutation(len(a) + len(b)) < len(a)  # True: next from A
+        pcs = np.empty(len(order), dtype=np.int64)
+        taken = np.empty(len(order), dtype=bool)
+        pcs[order], pcs[~order] = a.pcs, b.pcs
+        taken[order], taken[~order] = a.outcomes, b.outcomes
+        mixed = BranchTrace(pcs=pcs, outcomes=taken, name="mixed")
+
+        def run_one(trace):
+            (family,) = plan_families([spec])
+            rate = family_rates(family, trace)[spec]
+            row = family_detailed(family, trace)[spec]
+            misses = row.result.num_mispredictions
+            assert rate == misses / len(trace)
+            return misses, aliasing_stats(analyze_substreams(row)).aliased_counters
+
+        with dispatch_as(mode):
+            (miss_a, alias_a), (miss_b, alias_b) = run_one(a), run_one(b)
+            miss_mixed, alias_mixed = run_one(mixed)
+        assert miss_mixed == miss_a + miss_b
+        assert alias_mixed == alias_a + alias_b
+        if distinct:
+            assert alias_mixed == 0

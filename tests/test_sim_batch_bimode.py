@@ -61,8 +61,8 @@ def _lanes(specs):
     return [lane for _, lane in resolved]
 
 
-def _rates(specs, trace, mode="auto"):
-    return kernels.family_rates("bimode", specs, _lanes(specs), trace, mode=mode)
+def _rates(specs, trace):
+    return kernels.family_rates("bimode", specs, _lanes(specs), trace)
 
 
 def _predictions(specs, trace):
@@ -173,11 +173,22 @@ class TestLaneParsing:
 
 
 class TestDispatch:
+    """No caller pins bi-mode's engine; the per-lane loop the dispatch
+    calls is the one place an engine is named, and it refuses what it
+    cannot run instead of falling back silently."""
+
     def test_forced_c_without_compiler_raises(self):
+        (lane,) = _lanes(SPECS[:1])
         with faults.deny_compiler():
+            assert kernels.default_engine(kernels.PORTED["bimode"].tier) == "scalar"
             with pytest.raises(RuntimeError, match="not available"):
-                _rates(SPECS[:1], make_toy_trace(length=10), mode="c")
+                bb.bimode_detailed(lane, make_toy_trace(length=10), "c")
 
     def test_unknown_mode_rejected(self):
+        with pytest.raises(TypeError, match="mode"):
+            kernels.family_rates(
+                "bimode", SPECS[:1], _lanes(SPECS[:1]), make_toy_trace(length=10),
+                mode="turbo",
+            )
         with pytest.raises(ValueError, match="turbo"):
-            _rates(SPECS[:1], make_toy_trace(length=10), mode="turbo")
+            bb.bimode_detailed(_lanes(SPECS[:1])[0], make_toy_trace(length=10), "turbo")

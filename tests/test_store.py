@@ -18,7 +18,6 @@ import pytest
 from repro import faults, health
 from repro.sim.parallel import TaskPolicy, TraceRecipe
 from repro.sim.runner import evaluate_matrix
-from repro.traces.io import load_npz, save_npz
 from repro.traces.store import GENERATOR_VERSION, TraceStore
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
@@ -135,30 +134,6 @@ class TestMaterialize:
         assert calls == [1]
         assert np.array_equal(out.pcs, trace.pcs)
 
-    def test_legacy_npz_imported_not_regenerated(self, store, trace, tmp_path):
-        legacy = save_npz(trace, tmp_path / "legacy.npz")
-
-        def never():  # pragma: no cover - the point is it must not run
-            raise AssertionError("regenerated despite a valid legacy npz")
-
-        out = store.materialize(NAME, LENGTH, SEED, generate=never, legacy_npz=legacy)
-        assert np.array_equal(out.outcomes, trace.outcomes)
-        assert store.has(NAME, LENGTH, SEED)
-
-    def test_mismatched_legacy_npz_regenerates(self, store, trace, tmp_path):
-        short = generate_trace(get_profile(NAME), length=500, seed=SEED)
-        legacy = save_npz(short, tmp_path / "stale.npz")
-        out = store.materialize(NAME, LENGTH, SEED, generate=lambda: trace, legacy_npz=legacy)
-        assert len(out) == LENGTH
-
-    def test_garbage_legacy_npz_regenerates_with_event(self, store, trace, tmp_path):
-        legacy = tmp_path / "torn.npz"
-        legacy.write_bytes(b"\x00" * 32)  # the torn-file race this PR fixes
-        out = store.materialize(NAME, LENGTH, SEED, generate=lambda: trace, legacy_npz=legacy)
-        assert np.array_equal(out.outcomes, trace.outcomes)
-        events = [e for e in health.events(component="trace-store") if e.actual == "regenerated"]
-        assert events and events[0].severity == "degraded"
-
 
 class TestSingleFlightLock:
     def test_stale_lock_of_dead_holder_is_stolen(self, store, trace):
@@ -211,9 +186,9 @@ class TestSingleFlightLock:
         store.root.mkdir(parents=True, exist_ok=True)
         lock = store.root / "probe.lock"
         lock.write_text(str(os.getpid()))
-        assert not TraceStore._holder_dead(lock)  # we are alive
+        assert TraceStore._dead_holder(lock) is None  # we are alive
         lock.write_text("not-a-pid")
-        assert not TraceStore._holder_dead(lock)  # conservative on garbage
+        assert TraceStore._dead_holder(lock) is None  # conservative on garbage
 
 
 def _pool_materialize(root, name, length, seed):

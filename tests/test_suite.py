@@ -1,7 +1,5 @@
 """Unit tests for suite loading and the trace cache."""
 
-import numpy as np
-
 from repro.traces.record import BranchTrace
 from repro.workloads.suite import (
     default_cache_dir,
@@ -51,17 +49,6 @@ class TestLoadBenchmark:
         load_benchmark("xlisp", length=1000, seed=2, cache_dir=tmp_path)
         files = list((tmp_path / "store").iterdir())
         assert len(files) == 2
-
-    def test_legacy_npz_migrated_into_store(self, tmp_path):
-        from repro.traces.io import save_npz
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.profiles import get_profile
-
-        legacy = generate_trace(get_profile("xlisp"), length=1200, seed=0)
-        save_npz(legacy, tmp_path / "traces" / "xlisp-n1200-s0.npz")
-        loaded = load_benchmark("xlisp", length=1200, cache_dir=tmp_path)
-        assert loaded == legacy
-        assert trace_store(tmp_path).has("xlisp", 1200, 0)
 
     def test_load_suite(self, tmp_path):
         traces = load_suite(["xlisp", "compress"], length=1000, cache_dir=tmp_path)
