@@ -25,7 +25,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.grouping import stable_group_order
 from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = [
@@ -78,7 +77,7 @@ class SubstreamAnalysis:
     Streams are the distinct ``(static branch, counter)`` pairs observed;
     arrays below are parallel, one entry per stream.  How the streams
     are numbered depends on the producer (a compiled loop's first-seen
-    order, or ascending (counter, pc) from the no-compiler radix
+    order, or ascending (counter, pc) from the no-compiler reference
     grouping); every Section-4 reduction is a count or an exact integer
     sum over streams or counters, so none depends on it.
 
@@ -190,127 +189,52 @@ def analyze_substreams(
     and bi-mode loops emit in sweeps) already holds every stream's
     counts, and its first-seen ids are kept as they are.  A
     :class:`DetailedSimulation` is grouped the same way by the compiled
-    first-seen pass over its counter ids; without a compiler a stable
-    radix grouping numbers the streams in ascending (counter, pc)
-    order.  Every aggregate the Section-4 analysis reads is a count or
-    an exact sum of integer counts over streams or counters, so it does
-    not depend on the numbering; the equivalence suite compares each
-    path with the sort-based reference (:mod:`repro.analysis.reference`)
-    after renumbering both by key.  ``pc_codes`` (from
-    :func:`pc_code_stream`) skips the per-trace PC dictionary pass when
-    the caller sweeps one trace.
+    first-seen pass over its counter ids; without a compiler it goes
+    through the sort-based reference
+    (:func:`repro.analysis.reference.analyze_substreams_reference`),
+    which numbers the streams in ascending (counter, pc) order.  Every
+    aggregate the Section-4 analysis reads is a count or an exact sum
+    of integer counts over streams or counters, so it does not depend
+    on the numbering; the equivalence suite compares the compiled path
+    with the reference after renumbering both by key.  ``pc_codes``
+    (from :func:`pc_code_stream`) skips the per-trace PC dictionary pass
+    when the caller sweeps one trace.
     """
     if not 0.5 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0.5, 1.0], got {threshold}")
     from repro.sim import _cstep
 
-    num_counters = detailed.num_counters
-    if isinstance(detailed, SubstreamGrouping):
-        streams = _first_seen_streams(detailed)
-    else:
+    grouping = detailed
+    if not isinstance(detailed, SubstreamGrouping):
         if detailed.pcs is None:
             raise ValueError("detailed simulation lacks per-access PCs")
-        if pc_codes is None:
-            pc_codes = pc_code_stream(detailed.pcs)
-        unique_pcs, pc_dense = pc_codes
-        outcomes = detailed.result.outcomes
-        mispredicted = detailed.result.mispredicted
-        if _cstep.available():
-            grouping = _cstep.substream_group(
-                np.ascontiguousarray(detailed.counter_ids, dtype=np.int64),
-                pc_codes,
-                np.ascontiguousarray(outcomes, dtype=bool),
-                np.ascontiguousarray(mispredicted, dtype=bool),
-                num_counters,
-            )
-            streams = _first_seen_streams(grouping)
-        else:
-            streams = _radix_streams(
-                detailed.counter_ids, pc_dense, unique_pcs, outcomes, mispredicted,
-                num_counters,
-            )
-    (
-        access_stream,
-        stream_counter,
-        stream_pc,
-        stream_total,
-        stream_taken,
-        stream_mispredicted,
-    ) = streams
+        if not _cstep.available():
+            from repro.analysis.reference import analyze_substreams_reference
 
-    rates = stream_taken / stream_total
+            _cstep._require_ids(detailed.num_branches)  # int32 stream ids here too
+            return analyze_substreams_reference(detailed, threshold)
+        grouping = _cstep.substream_group(
+            np.ascontiguousarray(detailed.counter_ids, dtype=np.int64),
+            pc_codes if pc_codes is not None else pc_code_stream(detailed.pcs),
+            np.ascontiguousarray(detailed.result.outcomes, dtype=bool),
+            np.ascontiguousarray(detailed.result.mispredicted, dtype=bool),
+            detailed.num_counters,
+        )
+    records = grouping.streams
+    stream_counter = grouping.stream_counter
+    rates = records["taken"] / records["total"]
     stream_class = np.full(len(stream_counter), WB, dtype=np.int8)
     stream_class[rates >= threshold - THRESHOLD_EPS] = ST
     stream_class[rates <= (1.0 - threshold) + THRESHOLD_EPS] = SNT
     return SubstreamAnalysis(
         stream_counter=stream_counter,
-        stream_pc=stream_pc,
-        stream_total=stream_total,
-        stream_taken=stream_taken,
-        stream_mispredicted=stream_mispredicted,
+        stream_pc=grouping.unique_pcs[grouping.stream_pc_code],
+        stream_total=records["total"],
+        stream_taken=records["taken"],
+        stream_mispredicted=records["miss"],
         stream_class=stream_class,
-        access_stream=access_stream,
-        num_counters=num_counters,
-    )
-
-
-def _first_seen_streams(grouping: SubstreamGrouping) -> tuple:
-    """A grouping's streams as the loop numbered them."""
-    records = grouping.streams
-    return (
-        grouping.access_stream,
-        grouping.stream_counter,
-        grouping.unique_pcs[grouping.stream_pc_code],
-        records["total"],
-        records["taken"],
-        records["miss"],
-    )
-
-
-def _radix_streams(
-    counter_ids: np.ndarray,
-    pc_dense: np.ndarray,
-    unique_pcs: np.ndarray,
-    outcomes: np.ndarray,
-    mispredicted: np.ndarray,
-    num_counters: int,
-) -> tuple:
-    """The streams in ascending (counter, pc) order, by stable radix
-    grouping of the accesses, minor key (pc) first; segment boundaries
-    of the grouped order delimit the substreams.  The no-compiler
-    fallback."""
-    from repro.sim import _cstep
-
-    n = len(counter_ids)
-    _cstep._require_ids(n)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (np.empty(0, dtype=np.int32), empty, unique_pcs[:0], empty, empty, empty)
-    cid32 = np.ascontiguousarray(counter_ids, dtype=np.int32)
-    by_pc = stable_group_order(pc_dense, len(unique_pcs))
-    order = by_pc[stable_group_order(cid32[by_pc], num_counters)]
-    sorted_counter = cid32[order]
-    sorted_pc = pc_dense[order]
-
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_counter[1:], sorted_counter[:-1], out=first[1:])
-    first[1:] |= sorted_pc[1:] != sorted_pc[:-1]
-    starts = np.flatnonzero(first)
-
-    access_stream = np.empty(n, dtype=np.int32)
-    access_stream[order] = np.cumsum(first) - 1
-
-    stream_total = np.empty(len(starts), dtype=np.int64)
-    stream_total[:-1] = np.diff(starts)
-    stream_total[-1] = n - starts[-1]
-    return (
-        access_stream,
-        sorted_counter[starts].astype(np.int64),
-        unique_pcs[sorted_pc[starts]],
-        stream_total,
-        np.add.reduceat(outcomes[order], starts, dtype=np.int64),
-        np.add.reduceat(mispredicted[order], starts, dtype=np.int64),
+        access_stream=grouping.access_stream,
+        num_counters=grouping.num_counters,
     )
 
 

@@ -23,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from repro.analysis.bias import SubstreamAnalysis
-from repro.core.grouping import stable_group_order
 from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = ["ClassChangeCounts", "count_class_changes"]
@@ -60,7 +59,9 @@ def count_class_changes(
     (``stream_counter[access_stream]``), so no per-access counter array
     is read, and the stream ids may come in any numbering: a compiled
     loop's first-seen ids are read as they are, against the per-stream
-    counter and role tables in that same order.
+    counter and role tables in that same order.  Without a compiler the
+    count goes through the sort-based reference
+    (:func:`repro.analysis.reference.count_class_changes_reference`).
     """
     n = detailed.num_branches
     if n != len(analysis.access_stream):
@@ -70,30 +71,18 @@ def count_class_changes(
 
     from repro.sim import _cstep
 
-    if _cstep.available():
-        # single time-ordered pass with a per-counter last-role array —
-        # no sort at all; attributing each change to the earlier
-        # access's role exactly as the grouped formulation does
-        counts = _cstep.class_changes(
-            np.ascontiguousarray(analysis.access_stream, dtype=np.int32),
-            np.ascontiguousarray(analysis.stream_counter, dtype=np.int64),
-            np.ascontiguousarray(analysis.stream_role(), dtype=np.int8),
-            analysis.num_counters,
-        )
-    else:
-        counter_ids = analysis.stream_counter[analysis.access_stream]
-        roles = analysis.access_role()
-        # group accesses by counter, keeping time order within each
-        # group; the stable counting sort is the same permutation
-        # np.lexsort over (time, counter) produces, at O(n) instead of
-        # O(n log n)
-        order = stable_group_order(counter_ids, analysis.num_counters)
-        sorted_counters = counter_ids[order]
-        sorted_roles = roles[order]
-        same_counter = sorted_counters[1:] == sorted_counters[:-1]
-        role_change = sorted_roles[1:] != sorted_roles[:-1]
-        interrupted = sorted_roles[:-1][same_counter & role_change]
-        counts = np.bincount(interrupted, minlength=3)
+    if not _cstep.available():
+        from repro.analysis.reference import count_class_changes_reference
+
+        return count_class_changes_reference(detailed, analysis)
+    # single time-ordered pass with a per-counter last-role array — no
+    # sort at all; each change is attributed to the earlier access's role
+    counts = _cstep.class_changes(
+        np.ascontiguousarray(analysis.access_stream, dtype=np.int32),
+        np.ascontiguousarray(analysis.stream_counter, dtype=np.int64),
+        np.ascontiguousarray(analysis.stream_role(), dtype=np.int8),
+        analysis.num_counters,
+    )
     return ClassChangeCounts(
         dominant=int(counts[0]), non_dominant=int(counts[1]), wb=int(counts[2])
     )

@@ -1,14 +1,20 @@
 """Reference Section-4 analysis — the naive sort-based implementations.
 
-The production analysis path (:mod:`repro.analysis.bias`,
-:mod:`repro.analysis.interference`, :mod:`repro.analysis.aliasing`)
-groups accesses into substreams with O(n) stable counting sorts
-(:mod:`repro.core.grouping`).  This module keeps the original
-``np.unique`` / ``np.lexsort`` formulations — one obviously-correct
-transcription of the paper's definitions per aggregate — for two jobs:
+The compiled analysis path (:mod:`repro.analysis.bias`,
+:mod:`repro.analysis.interference`) groups accesses into substreams
+with one first-seen hash pass and counts class changes in one
+time-ordered pass.  This module keeps the original ``np.unique`` /
+``np.lexsort`` formulations — one obviously-correct transcription of
+the paper's definitions per aggregate — for three jobs:
 
+* **no-compiler path**: without a compiler (``REPRO_NO_CC=1``),
+  :func:`repro.analysis.bias.analyze_substreams` and
+  :func:`repro.analysis.interference.count_class_changes` run
+  :func:`analyze_substreams_reference` and
+  :func:`count_class_changes_reference`, whose streams ascend by
+  (counter, pc) key;
 * **differential oracle**: the equivalence tests and
-  :mod:`repro.verify` assert the optimized paths reproduce these
+  :mod:`repro.verify` assert the compiled paths reproduce these
   bit-for-bit on every golden trace;
 * **timing baseline**: ``scalar simulation + reference analysis`` is
   exactly what the Section-4 benches executed before the batched
@@ -19,6 +25,8 @@ import it explicitly.
 """
 
 from __future__ import annotations
+
+from typing import Union
 
 import numpy as np
 
@@ -33,7 +41,7 @@ from repro.analysis.bias import (
     counter_bias_table,
 )
 from repro.analysis.interference import ClassChangeCounts
-from repro.core.interfaces import DetailedSimulation
+from repro.core.interfaces import DetailedSimulation, SubstreamGrouping
 
 __all__ = [
     "analyze_substreams_reference",
@@ -117,10 +125,10 @@ def analyze_substreams_reference(
 
 
 def count_class_changes_reference(
-    detailed: DetailedSimulation, analysis: SubstreamAnalysis
+    detailed: Union[DetailedSimulation, SubstreamGrouping], analysis: SubstreamAnalysis
 ) -> ClassChangeCounts:
     """Table-4 interference counting via ``np.lexsort``."""
-    n = detailed.result.num_branches
+    n = detailed.num_branches
     if n != len(analysis.access_stream):
         raise ValueError("analysis does not match the detailed simulation")
     if n < 2:

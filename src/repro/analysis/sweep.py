@@ -21,8 +21,8 @@ groups the whole spec grid into families — every gshare cell of a sweep
 family, every bi-mode cell another — and each family runs through its
 kernel registry entry (:mod:`repro.sim.kernels`): one compiled pass
 over each trace with per-spec in-loop reduction, or, without a compiler
-(``REPRO_NO_CC=1``), gshare's counter-major numpy lanes and bi-mode's
-scalar loop.  The (spec, benchmark) matrix can be split across worker
+(``REPRO_NO_CC=1``), gshare's closed-form counter-major numpy rates
+and bi-mode's scalar loop.  The (spec, benchmark) matrix can be split across worker
 processes with ``jobs`` / ``$REPRO_JOBS`` (:mod:`repro.sim.parallel`).
 All engines return bit-identical rates to the scalar reference engine
 (asserted by the equivalence suites and :mod:`repro.verify`), so cached

@@ -162,9 +162,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_kernels(args) -> int:
     """The kernel registry, resolved against this process: every
-    scheme's tier (without a compiler, ``lane`` schemes run their numpy
-    form and ``cloop`` schemes their scalar ``step()`` reference; the
-    ``vectorized`` statics have one form), the engine
+    scheme's tier (without a compiler, the ``lane`` scheme, gshare, rates
+    in numpy and attributes on its scalar ``step()`` reference, and
+    ``cloop`` schemes run that reference for both; the ``vectorized``
+    statics have one form), the engine
     :func:`repro.sim.kernels.default_engine` picks for it, and the form
     a family's rates and Section-4 attribution actually run in."""
     from repro.sim import _cstep, kernels, lanes
@@ -175,8 +176,8 @@ def _cmd_kernels(args) -> int:
         if engine == "vectorized":
             return ("vectorized (any engine)",) * 2
         if engine != "c":
-            form = "step() per lane" if engine == "scalar" else "numpy per lane"
-            return form, form
+            rates = "numpy per lane" if engine == "numpy" else "step() per lane"
+            return rates, "step() per lane"
         # sim/lanes.py holds the per-lane loops; gshare's and bi-mode's
         # family hooks advance every lane in one pass
         fused = entry.family is not None and entry.family.__module__ != lanes.__name__

@@ -1,15 +1,15 @@
 """Stable O(n) grouping of accesses by small-integer key.
 
-The counter-major kernels (:mod:`repro.sim.batch`) and the Section-4
-substream analysis (:mod:`repro.analysis.bias`,
-:mod:`repro.analysis.interference`) all need the same primitive: a
-permutation that groups a stream of small-integer keys by value while
-preserving time order inside each group — i.e. a *stable counting
-sort*.  ``np.argsort(kind="stable")`` delivers the identical
-permutation, but as a comparison/radix sort over the full word width it
-costs more than everything the callers do with the result; scipy's
-sparse ``coo_tocsr`` kernel is exactly a C counting sort over
-``num_buckets`` bins and runs an order of magnitude faster.
+Gshare's no-compiler counter-major rates (:mod:`repro.sim.batch`) and
+the per-address histories of the two-level kernels
+(:mod:`repro.sim.lanes`) need the same primitive: a permutation that
+groups a stream of small-integer keys by value while preserving time
+order inside each group — i.e. a *stable counting sort*.
+``np.argsort(kind="stable")`` delivers the identical permutation, but
+as a comparison/radix sort over the full word width it costs more than
+everything the callers do with the result; scipy's sparse
+``coo_tocsr`` kernel is exactly a C counting sort over ``num_buckets``
+bins and runs an order of magnitude faster.
 
 :func:`stable_group_order` picks the C kernel when scipy is present and
 falls back to the numpy sort otherwise — the permutation is the same
@@ -29,9 +29,9 @@ __all__ = ["stable_group_order", "dense_ranks"]
 def _coo_tocsr():
     """scipy's C counting sort (COO->CSR), or ``None`` without scipy.
 
-    Imported on first use, not at module import: the compiled sweeps
-    never group through here, and ``scipy.sparse`` takes about 0.2 s to
-    import.
+    Imported on first use, not at module import: compiled gshare and
+    bi-mode sweeps never group through here, and ``scipy.sparse`` takes
+    about 0.2 s to import.
     """
     try:
         from scipy.sparse import _sparsetools

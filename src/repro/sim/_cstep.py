@@ -1210,15 +1210,21 @@ def counter_lane(
 
     ``keys`` is the int64 counter-id stream, ``deltas`` the int8
     per-access movement in ``{-1, 0, +1}``; ``table`` is the int8
-    counter table, updated in place.  Returns the int8 state each access
-    *observed* (before its own delta) — prediction semantics belong to
-    the caller.  Call only when :func:`available`.
+    counter table, updated in place; every key must index it.  Returns
+    the int8 state each access *observed* (before its own delta) —
+    prediction semantics belong to the caller.  Call only when
+    :func:`available`.
     """
     lib = _LIB.require()
     n = len(keys)
     states = np.empty(n, dtype=np.int8)
     _require(((keys, np.int64), (deltas, np.int8)), n)
     _require(((table, np.int8),))
+    if n and (keys.min() < 0 or keys.max() >= len(table)):
+        raise ValueError(
+            f"counter keys must lie in [0, {len(table)}), "
+            f"got [{keys.min()}, {keys.max()}]"
+        )
     lib.counter_lane(
         _ptr(keys),
         _ptr(deltas),

@@ -3,8 +3,8 @@
 The paper's ``gshare.best`` search (Section 3.1) simulates every history
 length ``0..index_bits`` at each predictor size — a dozen-plus full
 trace passes per (size, benchmark) cell through the scalar per-branch
-loop.  This module collapses the whole family into vectorized passes
-with no per-branch Python iteration.
+loop.  This module collapses the whole family into one compiled pass,
+and keeps a vectorized rate path for processes without a compiler.
 
 Lane model
 ----------
@@ -17,9 +17,11 @@ stream is precomputable up front (history streams are shared between
 lanes with equal history length), leaving only the per-counter
 saturating automaton as sequential work.
 
-Counter-major evaluation
-------------------------
-The kernel transposes each lane from time-major to counter-major:
+Counter-major rates
+-------------------
+Without a compiler, :func:`gshare_rate` counts a lane's misses with no
+per-branch Python iteration by transposing it from time-major to
+counter-major:
 
 1. accesses are stably grouped by counter id with an ``O(n)`` counting
    sort (scipy's C ``coo_tocsr`` kernel when available, numpy's radix
@@ -32,25 +34,23 @@ The kernel transposes each lane from time-major to counter-major:
 3. a segmented Hillis–Steele scan composes run maps in ``O(log L)``
    doubling steps (``L`` = most runs on any one counter), yielding each
    run's start state;
-4. inside a run the automaton moves monotonically, so both the
-   per-access states and the run's misprediction *count* have closed
-   forms — rate queries never materialize per-access state.
+4. inside a run the automaton moves monotonically, so the run's
+   misprediction *count* has a closed form in its start state, and no
+   per-access state is ever materialized.
 
-One run decomposition serves both queries: :func:`counter_scan`
-returns the state each access observes (deltas in ``{-1, 0, +1}``, so
-the counter-major lanes of :mod:`repro.sim.lanes` share it), and
-:func:`gshare_rate` counts each run's misses from its start state.
-Results are bit-for-bit identical to the scalar step interface
+Rates are bit-for-bit identical to the scalar step interface
 (:func:`repro.sim.engine.run_steps`); the equivalence suite asserts it
 lane by lane.
 
-Gshare is a ``lane`` entry of the kernel registry
+Gshare is the ``lane`` entry of the kernel registry
 (:mod:`repro.sim.kernels`): under the compiled engine a whole family's
 rates come from one fused pass (:func:`gshare_family_rates`), under
 numpy from the per-lane counter-major :func:`gshare_rate`.  Section-4
-sweeps group each lane's accesses into substreams inside the compiled
-loop (:func:`gshare_substreams`); per-access attribution runs through
-:func:`gshare_detailed` on either engine.
+attribution is compiled only: sweeps group each lane's accesses into
+substreams inside the compiled loop (:func:`gshare_substreams`), and
+:func:`gshare_detailed` reads per-access predictions and counter ids
+off the same loop; without a compiler the registry runs the scalar
+``simulate_detailed`` reference.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "gshare_substreams",
     "gshare_rate",
     "gshare_family_rates",
-    "counter_scan",
 ]
 
 
@@ -131,14 +130,13 @@ def _compose_segmented(
 
 def _counter_runs(
     keys: np.ndarray, deltas: np.ndarray, num_counters: int, init: int, max_state: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counter-major run decomposition of one access stream.
 
-    Returns ``(order, run_first, run_len, run_delta, run_s0)``: the
-    grouping permutation, each run's first position in grouped order,
-    its length, its (constant) delta, and — the sequential part of the
-    problem, resolved by segmented map composition — the counter state
-    at the run's first access.
+    Returns ``(run_len, run_delta, run_s0)``: each run's length, its
+    (constant) delta, and — the sequential part of the problem, resolved
+    by segmented map composition — the counter state at the run's first
+    access.
     """
     n = len(keys)
     keys32 = keys.astype(np.int32, copy=False)
@@ -181,86 +179,11 @@ def _counter_runs(
     interior = np.flatnonzero(~seg_start_runs)
     prev = interior - 1
     run_s0[interior] = np.minimum(hi[prev], np.maximum(lo[prev], init + shift[prev]))
-    return order, run_first, run_len, run_delta, run_s0
-
-
-def counter_scan(
-    keys: np.ndarray,
-    deltas: np.ndarray,
-    num_counters: int,
-    init: int,
-    max_state: int = 3,
-) -> np.ndarray:
-    """Counter-major scan over saturating counters: the state each
-    access *observes* (before its own delta), in time order.
-
-    Parameters
-    ----------
-    keys:
-        Per-access counter ids, time order, in ``[0, num_counters)``.
-    deltas:
-        Per-access counter movement in ``{-1, 0, +1}``, same length as
-        ``keys`` — ``0`` meaning the access reads the counter without
-        training it (a skipped partial update).
-    num_counters:
-        Size of the counter space.
-    init:
-        Every counter's state before the first access.
-    max_state:
-        Saturation ceiling (``3`` for the classic 2-bit counter;
-        ``(1 << bits) - 1`` for the multi-bit bimodal ablations).
-    """
-    n = len(keys)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    order, run_first, _, run_delta, run_s0 = _counter_runs(
-        np.asarray(keys), np.asarray(deltas), num_counters, init, max_state
-    )
-    # Within a run the automaton moves monotonically (or not at all).
-    run_id = np.cumsum(_starts_mask(n, run_first), dtype=np.int64) - 1
-    offset_in_run = np.arange(n, dtype=np.int64) - run_first[run_id]
-    state_grouped = np.clip(
-        run_s0[run_id] + run_delta[run_id] * offset_in_run, 0, max_state
-    ).astype(np.int32)
-    pre_states = np.empty(n, dtype=np.int32)
-    pre_states[order] = state_grouped
-    return pre_states
-
-
-def _starts_mask(n: int, starts: np.ndarray) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[starts] = True
-    return mask
+    return run_len, run_delta, run_s0
 
 
 def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
     return np.where(outcomes, 1, -1).astype(np.int8)
-
-
-def _observed_states(
-    keys: np.ndarray,
-    deltas: np.ndarray,
-    num_counters: int,
-    init: int,
-    max_state: int,
-    engine: str,
-) -> np.ndarray:
-    """The state each access observes, via the compiled loop or the
-    counter-major scan — the shared automaton of every counter-major
-    scheme.  ``deltas`` are int-like in ``{-1, 0, +1}``."""
-    if engine == "c":
-        from repro.sim import _cstep
-
-        table = np.full(num_counters, init, dtype=np.int8)
-        return _cstep.counter_lane(
-            np.ascontiguousarray(keys, dtype=np.int64),
-            np.ascontiguousarray(deltas, dtype=np.int8),
-            table,
-            max_state,
-        )
-    if engine != "numpy":
-        raise ValueError(f"unsupported counter engine {engine!r}")
-    return counter_scan(keys, deltas, num_counters, init, max_state)
 
 
 def _lane_keys(
@@ -318,29 +241,17 @@ def gshare_substreams(
 def gshare_detailed(
     lane: GShareLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
-
-    ``engine="c"`` runs the compiled Section-4 loop and reads each
-    access's counter off its substream (``stream_counter[stream]``);
-    ``"numpy"`` resolves the automaton counter-major, where the
-    accessed PHT slot IS the counter id.  Both are bit-for-bit what
+    """Per-access ``(predictions, counter_ids)`` of one lane (Section 4):
+    the compiled Section-4 loop, each access's counter read off its
+    substream (``stream_counter[stream]``) — bit-for-bit what
     ``GSharePredictor.simulate_detailed`` records from power-on state.
-    """
-    if engine == "c":
-        from repro.analysis.bias import pc_code_stream
+    Call only when the compiled driver is available."""
+    from repro.analysis.bias import pc_code_stream
 
-        preds, grouping = _gshare_c(
-            lane, trace, pc_code_stream(trace.pcs), predictions=True
-        )
-        return preds, grouping.counter_ids
-    keys = _lane_keys(lane, trace, hist_cache).astype(np.int64)
-    pre = _observed_states(
-        keys, _train_deltas(trace.outcomes), lane.table_size, WEAKLY_TAKEN, 3, engine
-    )
-    return pre >= 2, keys
+    preds, grouping = _gshare_c(lane, trace, pc_code_stream(trace.pcs), predictions=True)
+    return preds, grouping.counter_ids
 
 
 def gshare_rate(
@@ -364,7 +275,7 @@ def gshare_rate(
         return 0.0
     if deltas is None:
         deltas = _train_deltas(trace.outcomes)
-    _, _, run_len, run_delta, run_s0 = _counter_runs(
+    run_len, run_delta, run_s0 = _counter_runs(
         _lane_keys(lane, trace, hist_cache),
         deltas,
         lane.table_size,

@@ -105,14 +105,11 @@ def _choice_hist_mask(lane: BiModeLane) -> int:
 def _run_pair(
     lane: BiModeLane,
     trace: BranchTrace,
-    engine: str,
     pc_codes: Tuple[np.ndarray, np.ndarray],
     predictions: bool = True,
 ) -> Tuple[Optional[np.ndarray], SubstreamGrouping]:
     """One lane through the compiled Section-4 loop: ``(predictions,
     grouping)``, the predictions ``None`` unless asked for."""
-    if engine != "c":
-        raise ValueError(f"unsupported bi-mode engine {engine!r}")
     preds, grouping = _cstep.bimode_pair(
         np.ascontiguousarray(trace.pcs, dtype=np.int64),
         np.ascontiguousarray(trace.outcomes).view(np.uint8),
@@ -137,13 +134,12 @@ def bimode_substreams(
     runs (no per-access prediction or counter array).  ``pc_codes`` is
     the trace's :func:`repro.analysis.bias.pc_code_stream`, shared by
     every lane.  Call only when the compiled driver is available."""
-    return _run_pair(lane, trace, "c", pc_codes, predictions=False)[1]
+    return _run_pair(lane, trace, pc_codes, predictions=False)[1]
 
 
 def bimode_detailed(
     lane: BiModeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-access ``(predictions, counter_ids)`` of one lane (Section 4).
@@ -152,11 +148,12 @@ def bimode_detailed(
     ``BiModePredictor.simulate_detailed``: the selected direction
     counter's index, with taken-bank accesses offset by ``bank_size``
     (so the id space has ``2 * bank_size`` counters).  They are read off
-    each access's substream (``stream_counter[stream]``).
+    each access's substream (``stream_counter[stream]``).  Call only
+    when the compiled driver is available.
     """
     from repro.analysis.bias import pc_code_stream
 
-    preds, grouping = _run_pair(lane, trace, engine, pc_code_stream(trace.pcs))
+    preds, grouping = _run_pair(lane, trace, pc_code_stream(trace.pcs))
     return preds, grouping.counter_ids
 
 

@@ -36,11 +36,13 @@ The engine is a function of the scheme's tier and of whether this
 process has a compiler (``REPRO_NO_CC=1`` vetoes it), for rates and
 Section-4 attribution alike; no environment variable pins it.
 
-* ``"lane"`` — compiled loop, or its numpy form without a compiler
-  (counter-major scans): gshare, bimodal and the two-level family;
-* ``"cloop"`` — compiled per-access loop, or the scalar ``step()``
-  reference without a compiler: bi-mode and the comparators agree,
-  gskew, tournament, tri-mode, YAGS, perceptron and the bias filter;
+* ``"lane"`` — gshare: compiled loops, or without a compiler its
+  closed-form counter-major numpy rates and, for Section-4
+  attribution, the scalar ``simulate_detailed`` reference;
+* ``"cloop"`` — compiled loop, or the scalar ``step()`` reference
+  without a compiler: bi-mode, bimodal, the two-level family and the
+  comparators agree, gskew, tournament, tri-mode, YAGS, perceptron and
+  the bias filter;
 * ``"vectorized"`` — the statics' one vectorized form, whatever the
   process;
 * ``"scalar"`` — the :data:`SCALAR_ONLY` allowlist, empty, and the
@@ -48,24 +50,26 @@ Section-4 attribution alike; no environment variable pins it.
 
 :func:`default_engine` is the one place the engine is chosen; the
 dispatch and ``repro-bimode kernels`` read it.  Running anything but
-the compiled loop is a health-reported degradation.  The ``no-cc``
-benchmark workload runs gshare's numpy lane and bi-mode's scalar
-engine; no workload rates a comparator without a compiler, so each
-comparator keeps only its C loop.  No caller pins an engine: the
+the compiled loop is a health-reported degradation.  Without a
+compiler every family runs its scalar reference except the forms the
+``no-cc`` benchmark workload measures: gshare's numpy rates and
+bi-mode's hand-tuned ``simulate()``.  No caller pins an engine: the
 differential layer and the tests replay the dispatch as a process runs
 it and under :func:`repro.faults.deny_compiler`.
 
-Every entry has one per-lane kernel, ``detailed(lane, trace, engine,
-hist_cache) -> (predictions, counter_ids)``; rates count the misses of
-its predictions unless a faster hook applies.  A ``family`` hook is
-what the compiled engine uses for rates: gshare and bi-mode advance
-every lane of a family in one fused C loop, and the seven compiled
-comparators run each lane's C loop over the raw trace with no
-per-branch buffer, counting misses in-loop.  Gshare's ``rates`` hook
-counts a numpy lane's misses in closed form from its counter runs.  A
-``substreams`` hook — a compiled per-lane loop that groups accesses
-into Section-4 substreams as it runs (gshare, bi-mode) — is what
-detailed sweeps use in place of per-access attribution.
+Every entry has one per-lane kernel, ``detailed(lane, trace,
+hist_cache) -> (predictions, counter_ids)``, which takes no engine:
+every one but the statics' is a compiled loop and raises without a
+compiler.  Rates count the misses of its predictions unless a faster
+hook applies.  A ``family`` hook is what the compiled engine uses for
+rates: gshare and bi-mode advance every lane of a family in one fused
+C loop, and the seven compiled comparators run each lane's C loop over
+the raw trace with no per-branch buffer, counting misses in-loop.
+Gshare's ``rates`` hook, the numpy engine's rate path, counts a lane's
+misses in closed form from its counter runs.  A ``substreams`` hook — a
+compiled per-lane loop that groups accesses into Section-4 substreams
+as it runs (gshare, bi-mode) — is what detailed sweeps use in place of
+per-access attribution.
 
 The verification suite (``tests/test_kernels.py``) is generated from
 this mapping, so a scheme that registers in ``core/registry.py``
@@ -125,24 +129,25 @@ class KernelEntry:
     """One registered scheme: how to read its lanes and run them."""
 
     scheme: str
-    #: "lane" (c, numpy fallback) | "cloop" (c, scalar fallback) |
+    #: "lane" (c, numpy rates) | "cloop" (c, scalar fallback) |
     #: "vectorized" (one form on every engine); :func:`default_engine`
     tier: str
     #: ``predictor -> lane``, or a veto string naming why the kernel
     #: cannot run that (valid) configuration; the constructor already
     #: checked the rest.
     lane_of: Callable[[BranchPredictor], object]
-    #: The one per-lane kernel: ``(lane, trace, engine, hist_cache) ->
+    #: The one per-lane kernel: ``(lane, trace, hist_cache) ->
     #: (predictions, counter_ids)``, bit-identical to the predictor's
     #: step-driven ``simulate_detailed`` loop.  It serves Section-4
-    #: attribution, and rates wherever no faster hook below applies.
+    #: attribution, and rates wherever no faster hook below applies;
+    #: compiled only, except the statics' vectorized one-shot.
     detailed: Callable[..., Tuple[np.ndarray, np.ndarray]]
     #: Optional direct rate computation ``(lane, trace, hist_cache,
     #: deltas) -> float`` for schemes whose misprediction count reduces
     #: without materializing predictions (gshare's closed-form run
-    #: counts); the numpy engine's rate path when present.  ``deltas``
-    #: is the trace's outcomes as int8 counter steps, built once per
-    #: family.
+    #: counts); the numpy engine's rate path, which every ``lane``-tier
+    #: entry has.  ``deltas`` is the trace's outcomes as int8 counter
+    #: steps, built once per family.
     rates: Optional[Callable[..., float]] = None
     #: Optional compiled ``(lanes, trace) -> rates`` computing every
     #: lane's rate without a per-branch stream (a fused family loop, or
@@ -158,7 +163,7 @@ class KernelEntry:
 _TWOLEVEL = {
     scheme: KernelEntry(
         scheme=scheme,
-        tier="lane",
+        tier="cloop",
         lane_of=_lanes.twolevel_lane_of,
         detailed=_lanes.twolevel_detailed,
     )
@@ -185,7 +190,7 @@ PORTED: Dict[str, KernelEntry] = {
         substreams=_bimode.bimode_substreams,
     ),
     "bimodal": KernelEntry(
-        "bimodal", "lane", _lanes.bimodal_lane_of, _lanes.bimodal_detailed
+        "bimodal", "cloop", _lanes.bimodal_lane_of, _lanes.bimodal_detailed
     ),
     **_TWOLEVEL,
     "agree": KernelEntry(
@@ -333,8 +338,9 @@ def registered_schemes() -> Dict[str, str]:
 def default_engine(tier: str) -> str:
     """The engine a family of ``tier`` runs on in this process: the
     ``vectorized`` and ``scalar`` tiers' one form; otherwise ``c`` when
-    a compiler is available, else the ``lane`` tier's numpy form or the
-    ``cloop`` tier's scalar ``step()`` reference."""
+    a compiler is available, else the ``lane`` tier's numpy rates (its
+    Section-4 attribution runs the scalar reference) or the ``cloop``
+    tier's scalar ``step()`` reference."""
     if tier in ("vectorized", "scalar"):
         return tier
     if _cstep.available():
@@ -443,7 +449,8 @@ def family_detailed(
     The engine follows the dispatch of :func:`family_rates`; it is
     health-reported under ``"<kind>-kernel"``, and whether the lanes
     ran batched or on the scalar loop under ``"detailed-kernel"``.
-    The scalar engine runs each cell's ``simulate_detailed`` on a
+    The scalar engine, and the ``lane`` tier's numpy engine (whose
+    numpy form rates only), run each cell's ``simulate_detailed`` on a
     power-on predictor, so a caller's predictor is never mutated.
     Each lane runs its own pass and the family returns every lane's row
     at once; in a sweep a gshare or bi-mode row holds 4 bytes per
@@ -453,21 +460,24 @@ def family_detailed(
     from repro import health
 
     entry, engine, reason = _dispatch(kind, cells, lanes)
+    scalar = engine in ("scalar", "numpy")
+    if engine == "numpy":
+        reason = f"no numpy attribution kernel for {kind} (compiled loop only)"
     health.engine_used(
         "detailed-kernel",
-        "scalar" if engine == "scalar" else "batch",
+        "scalar" if scalar else "batch",
         expected="batch",
         cells=len(cells),
         reason=reason,
     )
     out: list = []
     for cell, lane in zip(cells, lanes):
-        if engine == "scalar":
+        if scalar:
             out.append(_power_on(cell).simulate_detailed(trace))
         elif engine == "c" and pc_codes is not None and entry.substreams is not None:
             out.append(entry.substreams(lane, trace, pc_codes))
         else:
-            preds, cids = entry.detailed(lane, trace, engine, None)
+            preds, cids = entry.detailed(lane, trace, None)
             out.append(
                 DetailedSimulation(
                     result=SimulationResult(
@@ -495,11 +505,11 @@ def family_rates(
     Under the compiled engine an entry with a ``family`` hook rates the
     family through it: gshare and bi-mode in one fused pass, the
     compiled comparators one in-loop-counting pass per lane, none of
-    them writing a per-branch stream.  Otherwise each lane goes through
-    its direct ``rates`` hook, or counts the misses of its ``detailed``
-    predictions; the scalar engine runs each spec's ``step()``
-    reference.  The scalar family's degradation is reported under
-    ``"sweep-planner"``.
+    them writing a per-branch stream.  The numpy engine rates each lane
+    through its direct ``rates`` hook (gshare's closed form); otherwise
+    each lane counts the misses of its ``detailed`` predictions, and the
+    scalar engine runs each spec's ``step()`` reference.  The scalar
+    family's degradation is reported under ``"sweep-planner"``.
     """
     from repro import health
 
@@ -522,12 +532,11 @@ def family_rates(
         return entry.family(list(lanes), trace)
     outcomes = trace.outcomes
     hist_cache: Dict[int, np.ndarray] = {}
-    deltas = _gshare._train_deltas(outcomes) if entry.rates is not None else None
+    if engine == "numpy":
+        deltas = _gshare._train_deltas(outcomes)
+        return [entry.rates(lane, trace, hist_cache, deltas) for lane in lanes]
     out: List[float] = []
     for lane in lanes:
-        if entry.rates is not None:
-            out.append(entry.rates(lane, trace, hist_cache, deltas))
-        else:
-            preds = entry.detailed(lane, trace, engine, hist_cache)[0]
-            out.append(int(np.count_nonzero(preds != outcomes)) / n)
+        preds = entry.detailed(lane, trace, hist_cache)[0]
+        out.append(int(np.count_nonzero(preds != outcomes)) / n)
     return out

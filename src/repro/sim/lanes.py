@@ -6,7 +6,7 @@ execution strategy available.  This module supplies the per-scheme
 *kernels* for the first ported wave — everything beyond the original
 gshare/bi-mode fast paths of :mod:`repro.sim.batch` /
 :mod:`repro.sim.batch_bimode`.  Each scheme has one per-lane hook,
-``<scheme>_detailed(lane, trace, engine, hist_cache) -> (predictions,
+``<scheme>_detailed(lane, trace, hist_cache) -> (predictions,
 counter_ids)``: it serves Section-4 attribution, and the registry
 counts a lane's misses from its predictions wherever no faster rate
 path applies.  Each scheme also has one reader,
@@ -17,29 +17,28 @@ configurations a loop models).
 
 * **compiled comparator loops** — agree, gskew (both update policies),
   the bimodal+gshare tournament, tri-mode, YAGS, the perceptron and
-  the bias filter.  Under the compiled engine each lane is one C loop
-  in :mod:`repro.sim._cstep` over the raw ``(pcs, outcomes)`` trace:
-  it derives its indices in-loop from the PC and one 64-bit history
+  the bias filter.  Each lane is one C loop in
+  :mod:`repro.sim._cstep` over the raw ``(pcs, outcomes)`` trace: it
+  derives its indices in-loop from the PC and one 64-bit history
   register, counts its mispredictions in-loop, and writes per-branch
   predictions and counter ids only when a caller asks for them.  The
   ``*_family_rates`` hooks rate a whole family that way, with no
-  per-branch stream at all.  These schemes are compiled-only (the
-  ``cloop`` tier of :mod:`repro.sim.kernels`): without a compiler
-  (``REPRO_NO_CC=1``, the one engine switch) the registry runs their
-  scalar ``step()`` reference.
+  per-branch stream at all.
 * **counter-major schemes** — bimodal (any counter width) and the
   whole two-level family (GAg/GAs/GAp/gselect and PAg/PAs/PAp).  None
   of these feed predictions back into their own index or training
   streams, so every per-access counter id and training delta is
-  precomputable from ``(pcs, outcomes)`` alone and the remaining
-  sequential work is exactly one saturating-counter automaton per
-  table.  That automaton runs through the shared compiled loop
-  (:func:`repro.sim._cstep.counter_lane`) or, without a compiler, the
-  counter-major segmented scan (:func:`repro.sim.batch.counter_scan`)
-  — the same machinery, and the same bit-exactness argument, as the
-  gshare kernel.
+  precomputable from ``(pcs, outcomes)`` alone with numpy, and the
+  remaining sequential work is exactly one saturating-counter automaton
+  per table, run by the shared compiled loop
+  (:func:`repro.sim._cstep.counter_lane`).
 * **statics** — always-taken / always-not-taken / btfnt: pure
   vectorized one-shots that serve every engine.
+
+Every hook but the statics' runs compiled only (the ``cloop`` tier of
+:mod:`repro.sim.kernels`): without a compiler (``REPRO_NO_CC=1``, the
+one engine switch) the registry runs each predictor's scalar ``step()``
+reference instead, and a hook called anyway raises.
 
 Scheme-specific notes
 ---------------------
@@ -83,7 +82,7 @@ from repro.predictors.trimode import TriModePredictor
 from repro.predictors.twolevel import TwoLevelPredictor
 from repro.predictors.yags import YagsPredictor
 from repro.sim import _cstep
-from repro.sim.batch import GShareLane, _observed_states, _train_deltas
+from repro.sim.batch import GShareLane, _train_deltas
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -558,21 +557,32 @@ biasfilter_family_rates = _c_family_rates(_biasfilter_c)
 # -- counter-major kernels --------------------------------------------------------
 
 
+def _observed_states(
+    keys: np.ndarray, outcomes: np.ndarray, num_counters: int, init: int, max_state: int
+) -> np.ndarray:
+    """The state each access observes, through the shared compiled
+    counter loop — the automaton of every counter-major scheme."""
+    return _cstep.counter_lane(
+        np.ascontiguousarray(keys, dtype=np.int64),
+        _train_deltas(outcomes),
+        np.full(num_counters, init, dtype=np.int8),
+        max_state,
+    )
+
+
 def bimodal_detailed(
     lane: BimodalLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed slot IS the id."""
     keys = (trace.pcs & mask(lane.index_bits)).astype(np.int64)
     pre = _observed_states(
         keys,
-        _train_deltas(trace.outcomes),
+        trace.outcomes,
         1 << lane.index_bits,
         lane.threshold,  # power-on init is weakly taken at any width
         lane.max_state,
-        engine,
     )
     return pre >= lane.threshold, keys
 
@@ -580,7 +590,6 @@ def bimodal_detailed(
 def twolevel_detailed(
     lane: TwoLevelLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed PHT slot IS the id."""
@@ -594,12 +603,7 @@ def twolevel_detailed(
         histories, lane.hist_bits, trace.pcs, lane.select_bits
     ).astype(np.int64)
     pre = _observed_states(
-        keys,
-        _train_deltas(trace.outcomes),
-        1 << (lane.hist_bits + lane.select_bits),
-        WEAKLY_TAKEN,
-        3,
-        engine,
+        keys, trace.outcomes, 1 << (lane.hist_bits + lane.select_bits), WEAKLY_TAKEN, 3
     )
     return pre >= 2, keys
 
@@ -607,77 +611,61 @@ def twolevel_detailed(
 # -- compiled-loop kernels ----------------------------------------------------------
 
 
-def _compiled_only(scheme: str, engine: str) -> None:
-    if engine != "c":
-        raise ValueError(f"unsupported {scheme} engine {engine!r}")
-
-
 def agree_detailed(
     lane: AgreeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed agree-PHT slot IS
     the id (the biasing bits are not counters)."""
-    _compiled_only("agree", engine)
     return _c_detailed(_agree_c, lane, trace)
 
 
 def gskew_detailed(
     lane: GSkewLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the prediction is attributed to
     the first (lowest-numbered) bank voting with the majority, bank ``k``
     offset by ``k * bank_size``."""
-    _compiled_only("gskew", engine)
     return _c_detailed(_gskew_c, lane, trace)
 
 
 def tournament_detailed(
     lane: TournamentLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the *selected* component's
     counter, gshare (component b) ids offset by the bimodal's size."""
-    _compiled_only("tournament", engine)
     return _c_detailed(_tournament_c, lane, trace)
 
 
 def trimode_detailed(
     lane: TriModeLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the selected direction counter,
     bank ``b`` (not-taken, taken, weak) offset by ``b * bank_size``."""
-    _compiled_only("tri-mode", engine)
     return _c_detailed(_trimode_c, lane, trace)
 
 
 def yags_detailed(
     lane: YagsLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: choice table, then taken cache,
     then not-taken cache; a hit charges the hitting cache entry, a miss
     the choice counter that supplied the bias."""
-    _compiled_only("YAGS", engine)
     return _c_detailed(_yags_c, lane, trace)
 
 
 def perceptron_detailed(
     lane: PerceptronLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: the accessed weight row is
@@ -685,7 +673,6 @@ def perceptron_detailed(
     the predictions still need the sequential loop (the threshold gate
     reads the trained dot product: training feeds back into training,
     so no counter-major form exists)."""
-    _compiled_only("perceptron", engine)
     preds = np.empty(len(trace), dtype=np.uint8)
     _perceptron_c(lane, trace, preds)
     return preds.view(bool), (trace.pcs & mask(lane.index_bits)).astype(np.int64)
@@ -694,20 +681,17 @@ def perceptron_detailed(
 def biasfilter_detailed(
     lane: BiasFilterLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: a filtered access charges its
     filter slot, any other the sub-predictor's counter offset by the
     filter size."""
-    _compiled_only("bias filter", engine)
     return _c_detailed(_biasfilter_c, lane, trace)
 
 
 def static_detailed(
     lane: StaticLane,
     trace: BranchTrace,
-    engine: str,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(predictions, counter_ids)``: btfnt attributes to its two

@@ -12,7 +12,8 @@ implementation —
 * the spec's registry kernel (:mod:`repro.sim.kernels`) through the
   default dispatch — the compiled loop when a compiler is available —
   and, when one is, again under :func:`repro.faults.deny_compiler`
-  (the numpy form, or the scalar reference for schemes without one);
+  (the scalar reference, for every scheme but the vectorized statics:
+  gshare's numpy form rates only);
   the scalar reference itself is the step run and :func:`run` —
 
 and reports whether all predictions agree, and if not, the index of
@@ -125,10 +126,9 @@ def diff_spec(
         kind, lane = kernels.kernel_for_spec(spec)
         if kind in kernels.PORTED:
             # the registry dispatch as this process runs it, then with
-            # the compiler vetoed (a scheme without a numpy form runs
-            # its scalar reference); runs carry counter ids too, so an
-            # attribution regression diverges here even when
-            # predictions agree
+            # the compiler vetoed (the scalar reference attributes);
+            # runs carry counter ids too, so an attribution regression
+            # diverges here even when predictions agree
             tier = kernels.PORTED[kind].tier
             engines = {kernels.default_engine(tier): nullcontext}
             with faults.deny_compiler():

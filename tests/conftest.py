@@ -31,8 +31,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 def dispatch_as(mode: str):
     """The kernel dispatch a test replays: ``auto`` as this process runs
-    it, ``numpy`` with the compiler vetoed (``REPRO_NO_CC=1``: the numpy
-    lanes, and each cloop scheme's scalar reference)."""
+    it, ``numpy`` with the compiler vetoed (``REPRO_NO_CC=1``: gshare's
+    numpy rates, and every other form's scalar reference)."""
     from repro import faults
 
     return faults.deny_compiler() if mode == "numpy" else nullcontext()
@@ -126,7 +126,7 @@ PORTED_GRID = [
 #: Per-scheme fuzz budget tiers for the differential suites.
 #: ``diff_spec`` replays a spec through every engine it qualifies for,
 #: and the kernel registry multiplied that space: each ported scheme
-#: adds its lane engines (compiled and/or numpy) on top of
+#: adds its lane engines (compiled, and gshare's numpy rates) on top of
 #: oracle/step/batch.  Schemes with real automata get a smaller
 #: example budget so the CI profile's wall-clock stays level; the
 #: stateless static schemes keep the wide budget.  Deadlines stay

@@ -2,10 +2,10 @@
 
 The compiled drivers (``repro.sim._cstep``) group accesses into
 substreams with one first-seen hash pass and sort only the distinct
-(counter, pc) keys; the pure-numpy fallback groups them with stable
-counting sorts (``repro.core.grouping``).  Both must produce
-bit-identical results to the naive sort-based reference implementations
-preserved in :mod:`repro.analysis.reference` — on every predictor family
+(counter, pc) keys; without a compiler the analysis runs the naive
+sort-based reference implementations of :mod:`repro.analysis.reference`
+itself.  The compiled pass must produce bit-identical results to the
+reference — on every predictor family
 with a detailed path, and on the inputs the hash grouping is most likely
 to get wrong: tables that grow mid-trace, keys wider than 32 bits,
 streams first seen in descending order, single accesses and PCs at the
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.analysis.bias import (
     SNT,
     ST,
@@ -121,19 +122,18 @@ class TestFastVsReference:
             detailed, analysis
         )
 
-    def test_numpy_fallback_identical(self, trace, monkeypatch):
-        """With the compiled drivers disabled, the pure-numpy counting
-        sorts must still match both the compiled result and the
-        reference."""
-        spec = "gshare:index=8,hist=6"
-        detailed = run_detailed(make_predictor(spec), trace)
-        with_cc = summarize_detailed(detailed, include_bias_table=True)
-        monkeypatch.setattr(_cstep, "available", lambda: False)
-        without_cc = summarize_detailed(detailed, include_bias_table=True)
-        assert without_cc == with_cc
-        assert without_cc == summarize_detailed_reference(
-            detailed, include_bias_table=True
-        )
+    def test_numpy_fallback_identical(self, trace):
+        """With the compiler vetoed, ``summarize_detailed`` runs the
+        sort-based reference: its payload is byte-identical to
+        ``summarize_detailed_reference`` and equal to the compiled one."""
+        for spec in DETAILED_SPECS:
+            detailed = run_detailed(make_predictor(spec), trace)
+            with_cc = summarize_detailed(detailed, include_bias_table=True)
+            with faults.deny_compiler():
+                without_cc = summarize_detailed(detailed, include_bias_table=True)
+                want = summarize_detailed_reference(detailed, include_bias_table=True)
+            assert json.dumps(without_cc) == json.dumps(want), spec
+            assert without_cc == with_cc, spec
 
     def test_kernel_modes_identical(self, trace):
         """Scalar and batch detailed kernels feed the same analysis."""
@@ -213,7 +213,7 @@ class TestAnalysisEdgeCases:
 
 
 def assert_all_paths_agree(detailed, monkeypatch):
-    """Compiled, numpy-fallback and reference analyses are identical,
+    """Compiled, no-compiler and reference analyses are identical,
     and so are their Table-4 counts; returns the compiled analysis."""
     compiled = analyze_substreams(detailed)
     reference = analyze_substreams_reference(detailed)
@@ -263,7 +263,8 @@ class TestHashGroupingEdgeCases:
 
     def test_streams_first_seen_in_descending_order(self, monkeypatch):
         # first-seen ids run opposite to the (counter, pc) order: the
-        # compiled grouping keeps them, the radix fallback ascends by key
+        # compiled grouping keeps them, the no-compiler reference ascends
+        # by key
         pairs = [(c, p) for c in range(7, -1, -1) for p in range(5, -1, -1)]
         rng = np.random.default_rng(3)
         tail = rng.integers(0, len(pairs), 400)
@@ -678,6 +679,17 @@ class TestDriverPreconditions:
         with pytest.raises(ValueError, match="lengths differ"):
             driver(*args)
 
+    @pytest.mark.parametrize("bad", [-1, 4, -(2**40), 2**40])
+    def test_counter_lane_rejects_out_of_range_key(self, bad):
+        """The shared counter loop indexes its table by key unchecked:
+        a key outside ``[0, len(table))``, at either end, raises before
+        the loop runs instead of reading and writing past the table."""
+        driver, args, _ = self.lane_call("counter_lane")
+        args[0][5] = bad
+        with pytest.raises(ValueError, match="counter keys must lie in"):
+            driver(*args)
+        assert (args[2] == 2).all()  # the table was not touched
+
     @pytest.mark.parametrize(
         "name, index, value",
         [
@@ -885,7 +897,7 @@ class TestDriverPreconditions:
             _cstep.pc_codes(np.zeros(8, dtype=np.int64))
         cid, pc, taken, miss = self.group_args(n=7)
         _cstep.substream_group(cid, pc, taken, miss, 4)
-        # the numpy fallback refuses where the compiled pass does
+        # the no-compiler reference path refuses where the compiled pass does
         monkeypatch.setattr(_cstep, "available", lambda: False)
         detailed = detailed_from(
             pcs=[0x400] * 8, counter_ids=[0] * 8, outcomes=[True] * 8,

@@ -111,17 +111,17 @@ class TestKernelsVerb:
             "lane", "c", "fused C loop", "grouping C loop per lane"
         ]
         assert rows["agree"] == ["cloop", "c", "C loop per lane", "C loop per lane"]
-        assert rows["biasfilter"] == rows["agree"]
+        assert rows["biasfilter"] == rows["bimodal"] == rows["pas"] == rows["agree"]
         assert rows["btfnt"] == ["vectorized", "vectorized", *["vectorized (any engine)"] * 2]
 
     def test_rows_without_compiler(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CC", "1")
         rows = self._rows(capsys)
-        assert rows["gshare"] == ["lane", "numpy", "numpy per lane", "numpy per lane"]
+        assert rows["gshare"] == ["lane", "numpy", "numpy per lane", "step() per lane"]
         assert rows["agree"] == [
             "cloop", "scalar", "step() per lane", "step() per lane"
         ]
-        assert rows["biasfilter"] == rows["agree"]
+        assert rows["biasfilter"] == rows["bimodal"] == rows["pas"] == rows["agree"]
         assert rows["btfnt"] == ["vectorized", "vectorized", *["vectorized (any engine)"] * 2]
 
 

@@ -80,14 +80,14 @@ class TestDetailedKernelDispatch:
         "spec", ["gshare:index=8,hist=5", "bimode:dir=7,hist=7,choice=6"]
     )
     def test_c_pin_without_compiler_raises(self, spec, trace):
-        """No caller pins an engine; the per-lane kernel the dispatch
-        hands one to, given ``c`` under a vetoed compiler, raises rather
-        than silently running the numpy form or the scalar loop."""
+        """No caller pins an engine; the per-lane kernel, compiled only,
+        raises under a vetoed compiler rather than silently running the
+        scalar loop."""
         kind, lane = kernels.kernel_for_spec(spec)
         with faults.deny_compiler():
             assert kernels.default_engine(kernels.PORTED[kind].tier) != "c"
             with pytest.raises(RuntimeError, match="not available"):
-                kernels.PORTED[kind].detailed(lane, trace, "c", None)
+                kernels.PORTED[kind].detailed(lane, trace, None)
 
     def test_auto_falls_back_without_kernel(self, trace):
         """A kernel-less scheme keeps the health-reported scalar
@@ -122,13 +122,13 @@ class TestDetailedKernelDispatch:
 
     def test_invalid_mode_rejected(self, trace):
         """The dispatch ``run_detailed`` shares takes no engine pin, and
-        the per-lane kernel it calls refuses an unknown engine."""
+        neither does the per-lane kernel it calls."""
         kind, lane = kernels.kernel_for_spec("gshare:index=8")
         with pytest.raises(TypeError, match="mode"):
             kernels.family_detailed(
                 kind, ["gshare:index=8"], [lane], trace, mode="turbo"
             )
-        with pytest.raises(ValueError, match="turbo"):
+        with pytest.raises(TypeError, match="positional"):
             kernels.PORTED[kind].detailed(lane, trace, "turbo", None)
 
     def test_scalar_path_leaves_predictor_state(self, trace):

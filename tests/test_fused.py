@@ -175,14 +175,14 @@ class TestFamilyDetailed:
     def test_c_pin_refuses_sequential_scheme_without_compiler(self, trace):
         """No caller pins an engine: a cloop-tier family (no numpy
         kernel) under a denied compiler dispatches to the scalar loop,
-        and its per-lane kernel, handed ``c``, refuses rather than
+        and its per-lane kernel, compiled only, refuses rather than
         quietly running that loop."""
         (family,) = plan_families(["perceptron:index=5,hist=6"])
         entry = kernels.PORTED[family.kind]
         with faults.deny_compiler():
             assert kernels.default_engine(entry.tier) == "scalar"
             with pytest.raises(RuntimeError, match="not available"):
-                entry.detailed(family.lanes[0], trace, "c", None)
+                entry.detailed(family.lanes[0], trace, None)
 
     def test_scalar_pin_is_bit_identical(self, trace):
         """Every family of the grid gives the same rows with the
@@ -230,8 +230,8 @@ class TestFigureGridEquivalence:
         """Every engine lands on the reference: ``auto``, the default
         sweep dispatch; ``c``, the registry's family dispatch in a
         process with a compiler; ``numpy``, the sweep dispatch with the
-        compiler vetoed (``REPRO_NO_CC=1``: the numpy lanes, and each
-        cloop scheme's scalar reference); ``scalar``, each predictor's
+        compiler vetoed (``REPRO_NO_CC=1``: gshare's numpy rates, and
+        each cloop scheme's scalar reference); ``scalar``, each predictor's
         generic ``step()`` loop, which equals the registry's rates."""
         if mode == "c" and not _cstep.available():
             pytest.skip("no C compiler available")

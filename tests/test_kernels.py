@@ -33,6 +33,7 @@ Layers:
 
 from __future__ import annotations
 
+import inspect
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -771,22 +772,25 @@ class TestDetailedEquivalence:
 
 class TestDispatch:
     def test_invalid_pin_raises(self):
-        """No in-process caller pins an engine, and the per-lane kernel
-        the dispatch calls refuses an engine it does not know."""
+        """No in-process caller pins an engine, and no per-lane kernel
+        takes one."""
         kind, lane = kernels.kernel_for_spec("agree:index=6")
         with pytest.raises(TypeError, match="mode"):
             kernels.family_rates(
                 kind, ["agree:index=6"], [lane], _trace("toy"), mode="sideways"
             )
-        with pytest.raises(ValueError, match="sideways"):
+        for entry in kernels.PORTED.values():
+            assert "engine" not in inspect.signature(entry.detailed).parameters
+        with pytest.raises(TypeError, match="positional"):
             kernels.PORTED[kind].detailed(lane, _trace("toy"), "sideways", None)
 
     def test_forced_c_without_compiler_raises(self):
-        """A per-lane kernel handed ``c`` never falls back silently."""
-        kind, lane = kernels.kernel_for_spec("agree:index=6")
-        with faults.deny_compiler():
-            with pytest.raises(RuntimeError, match="not available"):
-                kernels.PORTED[kind].detailed(lane, _trace("toy"), "c", None)
+        """A compiled-only per-lane kernel never falls back silently."""
+        for spec in ("agree:index=6", "bimodal:index=6", "pas:hist=4,select=2,bht=4"):
+            kind, lane = kernels.kernel_for_spec(spec)
+            with faults.deny_compiler():
+                with pytest.raises(RuntimeError, match="not available"):
+                    kernels.PORTED[kind].detailed(lane, _trace("toy"), None)
 
     @pytest.mark.parametrize(
         "spec",
@@ -797,13 +801,16 @@ class TestDispatch:
             "gskew:bank=5,hist=5,update=total",
             "tournament:index=6,meta=5",
             "biasfilter:table=6,run=2,sub_index=6,sub_hist=4",
+            "bimodal:index=6,bits=3",
+            "gas:hist=4,select=2",
+            "pap:hist=3,addr=3,bht=4",
         ],
         ids=lambda spec: spec.split(":", 1)[0],
     )
     def test_numpy_pin_degrades_cloop_schemes_to_scalar(self, spec):
-        """The comparators keep only their C loop (cloop tier), so with
-        the compiler vetoed they run their scalar reference —
-        health-reported, bit-exact."""
+        """The comparators, bimodal and the two-level family keep only
+        their C loop (cloop tier), so with the compiler vetoed they run
+        their scalar reference — health-reported, bit-exact."""
         kind, lane = kernels.kernel_for_spec(spec)
         with faults.deny_compiler():
             rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
@@ -814,14 +821,26 @@ class TestDispatch:
         assert rates == [_scalar_rate(spec, "toy")]
 
     def test_numpy_pin_keeps_counter_major_on_numpy(self):
-        spec = "gas:hist=4,select=2"
+        """With the compiler vetoed gshare, the one ``lane`` scheme,
+        rates through its counter-major numpy form, and its Section-4
+        attribution runs the scalar reference, each health-reported."""
+        spec = "gshare:index=6,hist=4"
         kind, lane = kernels.kernel_for_spec(spec)
+        assert [s for s, e in kernels.PORTED.items() if e.tier == "lane"] == ["gshare"]
         with faults.deny_compiler():
             rates = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
-        (event,) = health.events(component="gas-kernel")
-        assert (event.expected, event.actual) == ("c", "numpy")
-        assert "REPRO_NO_CC" in event.reason
+            (event,) = health.events(component="gshare-kernel")
+            assert (event.expected, event.actual) == ("c", "numpy")
+            assert "REPRO_NO_CC" in event.reason
+            health.clear()
+            (row,) = kernels.family_detailed(kind, [spec], [lane], _trace("toy"))
+        (event,) = health.events(component="detailed-kernel")
+        assert (event.actual, event.severity) == ("scalar", "degraded")
+        assert "no numpy attribution kernel for gshare" in event.reason
         assert rates == [_scalar_rate(spec, "toy")]
+        want = make_predictor(spec).simulate_detailed(_trace("toy"))
+        assert np.array_equal(row.result.predictions, want.result.predictions)
+        assert np.array_equal(row.counter_ids, want.counter_ids)
 
     def test_unsupported_biasfilter_sub_is_vetoed_by_name(self):
         """A bias-filter spec the kernel cannot run — its sub-predictor
@@ -956,13 +975,13 @@ class TestDispatch:
             assert event.severity == "info" and event.reason == "", mode
 
     def test_auto_without_compiler_degrades_with_reason(self):
-        spec = "bimodal:index=6"
+        spec = "gshare:index=6,hist=6"
         kind, lane = kernels.kernel_for_spec(spec)
         baseline = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
         health.clear()
         with faults.deny_compiler():
             denied = kernels.family_rates(kind, [spec], [lane], _trace("toy"))
-            (event,) = health.events(component="bimodal-kernel")
+            (event,) = health.events(component="gshare-kernel")
             assert event.expected == "c"
             assert event.actual == "numpy"
             assert event.severity == "degraded"
@@ -999,8 +1018,8 @@ class TestDispatch:
 
     def test_registry_numpy_pin_is_end_to_end_identical(self, monkeypatch):
         """The whole ALL_SPECS grid lands on the same numbers with the
-        compiler vetoed (``REPRO_NO_CC=1``: the numpy lanes, and the
-        scalar reference where a scheme has none) as under the default
+        compiler vetoed (``REPRO_NO_CC=1``: gshare's numpy rates, and
+        every other scheme's scalar reference) as under the default
         dispatch."""
         from repro.sim.fused import family_rates as fused_rates
 

@@ -4,12 +4,14 @@ predictor against the dict-based oracle (:mod:`repro.verify`)."""
 
 import dataclasses
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.core.counters import CounterTable
 from repro.core.history import GlobalHistoryRegister, global_history_stream
 from repro.core.indexing import gshare_index, mask
@@ -22,7 +24,8 @@ from repro.verify import diff_spec
 from repro.verify.oracle import oracle_rate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import get_profile
-from tests.conftest import FUZZ_BUDGET, dispatch_as, make_toy_trace
+from tests.conftest import ALL_SPECS, FUZZ_BUDGET, dispatch_as, make_toy_trace
+from tests.test_golden import GOLDEN_SPECS
 
 outcome_lists = st.lists(st.booleans(), min_size=0, max_size=300)
 
@@ -364,13 +367,31 @@ class TestWarmStartProperties:
     @given(trace=traces(min_size=2), split=st.floats(0.1, 0.9))
     @settings(max_examples=20, deadline=None)
     def test_split_simulation_equals_full(self, trace, split):
+        """For every spec of ``ALL_SPECS``, by default and with the
+        compiler vetoed: the second chunk run on without a reset
+        continues one run's predictions, and after a reset each chunk
+        mispredicts exactly its power-on rate through the sweep dispatch
+        (``fused.family_rates``)."""
+        from repro.sim.fused import family_rates, plan_families
+
         point = max(1, min(len(trace) - 1, int(len(trace) * split)))
-        for spec in ("gshare:index=6,hist=6", "bimode:dir=5,hist=5,choice=5"):
-            full = run(make_predictor(spec), trace).predictions
-            p = make_predictor(spec)
-            a = run(p, trace[:point]).predictions
-            b = run(p, trace[point:], reset=False).predictions
-            assert np.array_equal(np.concatenate([a, b]), full), spec
+        chunks = (trace[:point], trace[point:])
+        for context in (nullcontext, faults.deny_compiler):
+            with context():
+                power_on = [{}, {}]
+                for family in plan_families(ALL_SPECS):
+                    for rates, chunk in zip(power_on, chunks):
+                        rates.update(family_rates(family, chunk))
+                for spec in ALL_SPECS:
+                    full = run(make_predictor(spec), trace).predictions
+                    p = make_predictor(spec)
+                    a = run(p, chunks[0]).predictions
+                    b = run(p, chunks[1], reset=False).predictions
+                    assert np.array_equal(np.concatenate([a, b]), full), spec
+                    b = run(p, chunks[1]).predictions
+                    for preds, chunk, rates in zip((a, b), chunks, power_on):
+                        misses = np.count_nonzero(preds != chunk.outcomes)
+                        assert misses / len(chunk) == rates[spec], (spec, context)
 
 
 def _summary_of(detailed, analysis) -> str:
@@ -396,7 +417,7 @@ class TestSummaryMetamorphic:
     """Every Section-4 aggregate is a count or an exact integer sum over
     streams or counters, so renumbering the streams (and every access's
     stream id with them) leaves the summary byte-identical, on the
-    compiled and the numpy class-change pass alike."""
+    compiled class-change pass and the no-compiler reference alike."""
 
     @given(
         trace=traces(min_size=2),
@@ -463,15 +484,18 @@ def _shifted(trace: BranchTrace, c: int) -> BranchTrace:
 
 @st.composite
 def wide_pc_traces(draw):
-    """A trace over up to 24 sites anywhere below ``2**40``, each with
-    its own taken bias."""
-    sites = draw(st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=24, unique=True))
+    """A trace over up to 16 sites of one block of code anywhere below
+    ``2**40`` (a base plus offsets below 16, so the sites share their
+    high bits and small tables alias them), each site with its own
+    taken bias in eighths; the branch order is a seeded random draw."""
+    base = draw(st.integers(0, 2**40 - 16))
+    offsets = draw(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
+    sites = base + np.array(offsets, dtype=np.int64)
+    bias = np.array(draw(st.lists(st.integers(0, 8), min_size=len(sites), max_size=len(sites))))
     n = draw(st.integers(0, 150))
-    which = draw(st.lists(st.integers(0, len(sites) - 1), min_size=n, max_size=n))
-    bias = draw(st.lists(st.floats(0, 1), min_size=len(sites), max_size=len(sites)))
-    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
-    pcs = np.array(sites, dtype=np.int64)[which] if n else np.empty(0, np.int64)
-    return BranchTrace(pcs=pcs, outcomes=noise < np.array(bias)[which], name="wide")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    which = rng.integers(0, len(sites), n)
+    return BranchTrace(pcs=sites[which], outcomes=rng.random(n) < bias[which] / 8, name="wide")
 
 
 class TestMetamorphic:
@@ -491,8 +515,6 @@ class TestMetamorphic:
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
     @pytest.mark.parametrize("bench, c", [("gcc", 1), ("go", 2**22 - 1)])
     def test_high_pc_bits_change_no_rate_or_summary(self, bench, c, mode):
-        from tests.test_golden import GOLDEN_SPECS
-
         trace = generate_trace(get_profile(bench), length=3000, seed=0)
         assert int(trace.pcs.max()) < 2**40
         with dispatch_as(mode):
@@ -500,14 +522,21 @@ class TestMetamorphic:
             assert _through_dispatch(GOLDEN_SPECS, _shifted(trace, c)) == want
 
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
-    @given(trace=wide_pc_traces(), c=st.integers(1, 2**22 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_high_pc_bits_change_nothing_on_wide_pcs(self, mode, trace, c):
-        from tests.test_golden import GOLDEN_SPECS
-
+    @given(
+        trace=wide_pc_traces(),
+        c=st.integers(1, 2**22 - 2),
+        specs=st.lists(st.sampled_from(GOLDEN_SPECS), min_size=1, max_size=4, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_high_pc_bits_change_nothing_on_wide_pcs(self, mode, trace, c, specs):
+        """A few golden specs per example (the gcc/go variant above
+        replays all of them), so a failing example shrinks in seconds.
+        The shift by ``c`` and the shift by its 22-bit complement
+        between them set every PC bit from 40 to 61."""
         with dispatch_as(mode):
-            want = _through_dispatch(GOLDEN_SPECS, trace)
-            assert _through_dispatch(GOLDEN_SPECS, _shifted(trace, c)) == want
+            want = _through_dispatch(specs, trace)
+            for shift in (c, (2**22 - 1) ^ c):
+                assert _through_dispatch(specs, _shifted(trace, shift)) == want, shift
 
     @pytest.mark.parametrize("mode", ["auto", "numpy"])
     @given(

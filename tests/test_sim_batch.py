@@ -3,7 +3,9 @@
 The scalar step interface (:func:`repro.sim.engine.run_steps`) is the
 semantic reference; every lane the batch kernel produces must match it
 bit-for-bit — predictions and rates — including degenerate histories
-and traces.
+and traces.  Rates come from the closed-form counter-major
+:func:`gshare_rate` (the no-compiler rate path), predictions from the
+registry's attribution (:func:`gshare_detailed` when compiled).
 """
 
 import os
@@ -18,18 +20,20 @@ from repro import faults
 from repro.core.grouping import stable_group_order
 from repro.sim import _cstep
 from repro.predictors.gshare import GSharePredictor
-from repro.sim.batch import GShareLane, gshare_detailed, gshare_lane_of, gshare_rate
+from repro.sim.batch import GShareLane, gshare_lane_of, gshare_rate
 from repro.sim.engine import run_steps
-from repro.sim.kernels import kernel_for_spec
+from repro.sim.kernels import family_detailed, kernel_for_spec
 from repro.traces.record import BranchTrace
 from tests.conftest import make_toy_trace, make_trace
 
 
 def lane_predictions(lanes, trace):
-    """Each lane's numpy-engine predictions (the ``detailed`` kernel),
-    sharing one history stream per history length."""
-    hist_cache = {}
-    return [gshare_detailed(lane, trace, "numpy", hist_cache)[0] for lane in lanes]
+    """Each lane's predictions through the registry's gshare
+    attribution: the compiled Section-4 loop (:func:`gshare_detailed`),
+    or without a compiler the scalar ``simulate_detailed`` reference."""
+    specs = [f"gshare:index={lane.index_bits},hist={lane.history_bits}" for lane in lanes]
+    rows = family_detailed("gshare", specs, lanes, trace)
+    return [row.result.predictions for row in rows]
 
 
 def lane_rates(lanes, trace):

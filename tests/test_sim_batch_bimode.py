@@ -173,16 +173,16 @@ class TestLaneParsing:
 
 
 class TestDispatch:
-    """No caller pins bi-mode's engine; the per-lane loop the dispatch
-    calls is the one place an engine is named, and it refuses what it
-    cannot run instead of falling back silently."""
+    """No caller pins bi-mode's engine, and the per-lane loop the
+    dispatch calls takes none: it is compiled only, and refuses to run
+    without a compiler instead of falling back silently."""
 
     def test_forced_c_without_compiler_raises(self):
         (lane,) = _lanes(SPECS[:1])
         with faults.deny_compiler():
             assert kernels.default_engine(kernels.PORTED["bimode"].tier) == "scalar"
             with pytest.raises(RuntimeError, match="not available"):
-                bb.bimode_detailed(lane, make_toy_trace(length=10), "c")
+                bb.bimode_detailed(lane, make_toy_trace(length=10))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(TypeError, match="mode"):
@@ -190,5 +190,7 @@ class TestDispatch:
                 "bimode", SPECS[:1], _lanes(SPECS[:1]), make_toy_trace(length=10),
                 mode="turbo",
             )
-        with pytest.raises(ValueError, match="turbo"):
-            bb.bimode_detailed(_lanes(SPECS[:1])[0], make_toy_trace(length=10), "turbo")
+        with pytest.raises(TypeError, match="positional"):
+            bb.bimode_detailed(
+                _lanes(SPECS[:1])[0], make_toy_trace(length=10), "turbo", None
+            )
