@@ -3,9 +3,9 @@
 Not a paper artifact: measures the simulator's branches/second for one
 cell of the main predictors, the batched multi-lane gshare kernel (a
 13-lane family that fits in cache, and the whole 116-lane Figure-2/3/4
-family whose tables do not), and the sweep matrix driver, which
-together bound how long the figure benches take.  These use multiple
-rounds (real statistics) since each round is cheap.
+family whose tables do not, also without a compiler), and the sweep
+matrix driver, which together bound how long the figure benches take.
+These use multiple rounds (real statistics) since each round is cheap.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import load_bench_trace
+from repro import faults
 from repro.analysis.sweep import gshare_spec
 from repro.core.hardware import PAPER_SIZE_POINTS_KB, HardwareBudget
 from repro.core.registry import make_predictor
 from repro.sim import kernels
 from repro.sim.engine import run
 from repro.sim.runner import evaluate, evaluate_matrix
+from repro.workloads.profiles import get_profile
+from repro.workloads.suite import load_benchmark
 
 TRACE_NAME = "xlisp"
 SPECS = [
@@ -44,6 +47,10 @@ PAPER_FAMILY = [
 
 #: The largest-footprint CINT95 trace, at full bench length.
 PAPER_FAMILY_TRACE = "gcc"
+
+#: Trace scale of the no-compiler family twin: the scale the ``no-cc``
+#: benchmark workload rates the paper grid at.
+NO_CC_SCALE = 0.1
 
 
 def mean_seconds(benchmark):
@@ -121,6 +128,35 @@ def test_paper_family_throughput(benchmark):
         f"{lane_branches_per_second / 1e6:.2f} M lane-branches/s"
     )
     assert lane_branches_per_second > 1_000_000
+
+
+@pytest.mark.benchmark(group="throughput-batched")
+def test_paper_family_throughput_without_compiler(benchmark):
+    """The same 116-lane family with the compiler vetoed: each lane's
+    counter-major scan of packed counter maps, on a scale-0.1 trace,
+    bit-identical to the default dispatch (the fused C loop when a
+    compiler exists)."""
+    name = PAPER_FAMILY_TRACE
+    length = max(20_000, int(get_profile(name).default_length * NO_CC_SCALE))
+    trace = load_benchmark(name, length=length)
+    lanes = [kernels.kernel_for_spec(spec)[1] for spec in PAPER_FAMILY]
+    want = kernels.family_rates("gshare", PAPER_FAMILY, lanes, trace)
+    with faults.deny_compiler():
+        rates = benchmark.pedantic(
+            kernels.family_rates,
+            args=("gshare", PAPER_FAMILY, lanes, trace),
+            rounds=3,
+            iterations=1,
+        )
+    assert rates == want
+    mean = mean_seconds(benchmark)
+    if mean is None:
+        return
+    lane_branches_per_second = len(lanes) * len(trace) / mean
+    print(
+        f"\npaper family x{len(lanes)} without a compiler on {name} "
+        f"({len(trace)} branches): {lane_branches_per_second / 1e6:.2f} M lane-branches/s"
+    )
 
 
 @pytest.mark.benchmark(group="throughput-batched")

@@ -2,18 +2,20 @@
 
 Gshare's no-compiler counter-major rates (:mod:`repro.sim.batch`) and
 the per-address histories of the two-level kernels
-(:mod:`repro.sim.lanes`) need the same primitive: a permutation that
-groups a stream of small-integer keys by value while preserving time
-order inside each group — i.e. a *stable counting sort*.
+(:mod:`repro.sim.lanes`) need the same primitive: a stream of
+small-integer keys grouped by value with time order preserved inside
+each group — i.e. a *stable counting sort*.  The histories need the
+permutation (:func:`stable_group_order`); the rates only the grouped
+values (:func:`stable_group`).
 ``np.argsort(kind="stable")`` delivers the identical permutation, but
 as a comparison/radix sort over the full word width it costs more than
 everything the callers do with the result; scipy's sparse
 ``coo_tocsr`` kernel is exactly a C counting sort over ``num_buckets``
 bins and runs an order of magnitude faster.
 
-:func:`stable_group_order` picks the C kernel when scipy is present and
-falls back to the numpy sort otherwise — the permutation is the same
-either way, so everything downstream stays bit-identical.
+Both pick the C kernel when scipy is present and fall back to the
+numpy sort otherwise — the permutation is the same either way, so
+everything downstream stays bit-identical.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["stable_group_order", "dense_ranks"]
+__all__ = ["stable_group_order", "stable_group", "dense_ranks"]
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +51,18 @@ def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     ``np.argsort(keys, kind="stable")`` but O(n + num_buckets) via
     scipy's C counting sort when available.
     """
+    return _counting_sort(keys, num_buckets, None)
+
+
+def stable_group(keys: np.ndarray, num_buckets: int, values: np.ndarray) -> np.ndarray:
+    """``values[stable_group_order(keys, num_buckets)]``: the int32
+    ``values`` grouped by their ``keys``, stable in time.  scipy's
+    kernel moves each value with its key, so no permutation is built
+    or gathered; the keys are checked as above."""
+    return _counting_sort(keys, num_buckets, values)
+
+
+def _counting_sort(keys, num_buckets, values):
     keys = np.asarray(keys)
     n = len(keys)
     # checked in the keys' own dtype, before the int32 cast could wrap
@@ -63,14 +77,17 @@ def stable_group_order(keys: np.ndarray, num_buckets: int) -> np.ndarray:
         or n >= np.iinfo(np.int32).max
         or num_buckets >= np.iinfo(np.int32).max
     ):
-        return np.argsort(keys, kind="stable")
+        order = np.argsort(keys, kind="stable")
+        return order if values is None else np.asarray(values)[order]
     keys = np.ascontiguousarray(keys, dtype=np.int32)
-    times = np.arange(n, dtype=np.int32)
+    if values is None:
+        values = np.arange(n, dtype=np.int32)  # the payload is the order
+    values = np.ascontiguousarray(values, dtype=np.int32)
     indptr = np.empty(num_buckets + 1, dtype=np.int32)
     cols = np.empty(n, dtype=np.int32)
-    order = np.empty(n, dtype=np.int32)
-    coo_tocsr(num_buckets, n, n, keys, times, times, indptr, cols, order)
-    return order
+    grouped = np.empty(n, dtype=np.int32)
+    coo_tocsr(num_buckets, n, n, keys, values, values, indptr, cols, grouped)
+    return grouped
 
 
 def dense_ranks(keys: np.ndarray):

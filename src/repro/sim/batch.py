@@ -23,20 +23,29 @@ Without a compiler, :func:`gshare_rate` counts a lane's misses with no
 per-branch Python iteration by transposing it from time-major to
 counter-major:
 
-1. accesses are stably grouped by counter id with an ``O(n)`` counting
-   sort (scipy's C ``coo_tocsr`` kernel when available, numpy's radix
-   ``argsort`` otherwise), preserving time order inside each group;
-2. consecutive same-outcome accesses of a counter collapse into *runs*.
-   A run of ``r`` takens acts on the 2-bit counter as the saturating
-   map ``s -> min(3, s + r)`` — and every composition of such maps
-   stays of the closed form ``s -> min(hi, max(lo, s + c))``, so a run
-   is three small integers;
-3. a segmented Hillis–Steele scan composes run maps in ``O(log L)``
-   doubling steps (``L`` = most runs on any one counter), yielding each
-   run's start state;
+1. each access, packed as ``(counter << 1) | outcome``, is stably
+   grouped by counter with an ``O(n)`` counting sort (scipy's C
+   ``coo_tocsr`` kernel when available, numpy's radix ``argsort``
+   otherwise), preserving time order inside each group;
+2. maximal stretches of equal packed values are *runs* of one
+   outcome on one counter.  A 2-bit counter is a 4-state automaton,
+   so a run of ``r`` takens is the map ``s -> min(3, s + r)`` on
+   ``{0, 1, 2, 3}`` (``max(0, s - r)`` for not-takens, ``r`` capped
+   at 3), one of the 256 maps packed as four 2-bit next states in a
+   byte, and composing two maps is one lookup in a 256x256 table.  A
+   counter's first run starts at ``WEAKLY_TAKEN``, so its map is
+   pinned to the constant of its end state;
+3. a Hillis–Steele scan composes each run's map with the ``2^k`` runs
+   before it in ``O(log L)`` doubling steps (``L`` = most runs on any
+   one counter).  A constant map absorbs everything before it, and
+   every composition turns constant once it reaches its counter's
+   pinned first run (or earlier, once it saturates), so the scan
+   retires a run as soon as its map is constant and needs no segment
+   bounds: the map's value is the counter state after the run;
 4. inside a run the automaton moves monotonically, so the run's
-   misprediction *count* has a closed form in its start state, and no
-   per-access state is ever materialized.
+   misprediction *count* has a closed form in its start state (the
+   previous run's end state), and no per-access state is ever
+   materialized.
 
 Rates are bit-for-bit identical to the scalar step interface
 (:func:`repro.sim.engine.run_steps`); the equivalence suite asserts it
@@ -61,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.counters import WEAKLY_TAKEN
-from repro.core.grouping import stable_group_order
+from repro.core.grouping import stable_group
 from repro.core.history import global_history_stream
 from repro.core.interfaces import SubstreamGrouping
 from repro.core.indexing import gshare_index_stream
@@ -103,87 +112,53 @@ def gshare_lane_of(p: GSharePredictor) -> GShareLane:
     return GShareLane(index_bits=p.index_bits, history_bits=p.history_bits)
 
 
-def _compose_segmented(
-    shift: np.ndarray, lo: np.ndarray, hi: np.ndarray, pos: np.ndarray
-) -> None:
-    """Segmented inclusive prefix composition (Hillis–Steele doubling).
-
-    ``(shift, lo, hi)`` hold one saturating map
-    ``s -> min(hi, max(lo, s + shift))`` per run and are updated in place
-    to the composition of every map from the segment head through that
-    run; ``pos`` is each run's offset within its segment.
-    """
-    if len(pos) == 0:
-        return
-    longest = int(pos.max()) + 1
-    dist = 1
-    while dist < longest:
-        rows = np.flatnonzero(pos >= dist)
-        prev = rows - dist
-        shift_f, lo_f, hi_f = shift[prev], lo[prev], hi[prev]
-        shift_g, lo_g, hi_g = shift[rows], lo[rows], hi[rows]
-        lo[rows] = np.minimum(hi_g, np.maximum(lo_g, lo_f + shift_g))
-        hi[rows] = np.minimum(hi_g, np.maximum(lo_g, hi_f + shift_g))
-        shift[rows] = shift_f + shift_g
-        dist <<= 1
+# Maps on the 2-bit counter states {0, 1, 2, 3}, each packed into one
+# byte: f(s) in bits 2s..2s+1.
+_STATES = np.arange(4, dtype=np.uint8)
+_MAP_STATES = (np.arange(256, dtype=np.uint8)[:, None] >> (2 * _STATES)) & 3
 
 
-def _counter_runs(
-    keys: np.ndarray, deltas: np.ndarray, num_counters: int, init: int, max_state: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counter-major run decomposition of one access stream.
-
-    Returns ``(run_len, run_delta, run_s0)``: each run's length, its
-    (constant) delta, and — the sequential part of the problem, resolved
-    by segmented map composition — the counter state at the run's first
-    access.
-    """
-    n = len(keys)
-    keys32 = keys.astype(np.int32, copy=False)
-    order = stable_group_order(keys32, num_counters)
-    grouped_keys = keys32[order]
-    grouped_deltas = deltas[order]
-
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(grouped_keys[1:], grouped_keys[:-1], out=seg_start[1:])
-    run_start = seg_start.copy()
-    run_start[1:] |= grouped_deltas[1:] != grouped_deltas[:-1]
-
-    run_first = np.flatnonzero(run_start)
-    num_runs = len(run_first)
-    run_len = np.empty(num_runs, dtype=np.int32)
-    run_len[:-1] = np.diff(run_first)
-    run_len[-1] = n - run_first[-1]
-    run_delta = grouped_deltas[run_first].astype(np.int32)
-
-    # Elementary maps: a +1 run of length r is (c=r, lo=min(r,M), hi=M),
-    # a -1 run is (c=-r, lo=0, hi=max(M-r,0)), a 0 run is the identity.
-    shift = run_delta * run_len
-    lo = np.where(run_delta > 0, np.minimum(run_len, max_state), 0).astype(np.int32)
-    hi = np.where(
-        run_delta < 0, np.maximum(max_state - run_len, 0), max_state
-    ).astype(np.int32)
-
-    # Position of each run within its counter's segment.
-    seg_start_runs = seg_start[run_first]
-    seg_first_run = np.flatnonzero(seg_start_runs)
-    seg_id = np.cumsum(seg_start_runs, dtype=np.int64) - 1
-    pos = np.arange(num_runs, dtype=np.int64) - seg_first_run[seg_id]
-
-    _compose_segmented(shift, lo, hi, pos)
-
-    # State before each run's first access: init at segment heads,
-    # otherwise the previous run's inclusive composition applied to init.
-    run_s0 = np.full(num_runs, init, dtype=np.int32)
-    interior = np.flatnonzero(~seg_start_runs)
-    prev = interior - 1
-    run_s0[interior] = np.minimum(hi[prev], np.maximum(lo[prev], init + shift[prev]))
-    return run_len, run_delta, run_s0
+def _pack(states: np.ndarray) -> np.ndarray:
+    """Byte of each map given as its four next states (last axis)."""
+    packed = np.asarray(states, dtype=np.uint8) << (2 * _STATES)
+    return packed.sum(-1).astype(np.uint8)
 
 
-def _train_deltas(outcomes: np.ndarray) -> np.ndarray:
-    return np.where(outcomes, 1, -1).astype(np.int8)
+def _composition_table() -> np.ndarray:
+    """``table[(f << 8) | g]`` is the byte of ``g`` after ``f``."""
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for s in range(4):
+        table |= _MAP_STATES.T[_MAP_STATES[:, s]] << (2 * s)
+    return table.ravel()
+
+
+def _run_maps() -> np.ndarray:
+    """Map of a run by its code ``(first << 3) | (taken << 2) | min(r, 3)``:
+    ``min(3, s + r)`` or ``max(0, s - r)``, or, for a counter's first run,
+    the constant map at that run's end state from ``WEAKLY_TAKEN``."""
+    r = np.arange(4)[:, None]
+    moves = np.stack(
+        [np.maximum(_STATES.astype(int) - r, 0), np.minimum(_STATES + r, 3)]
+    )
+    pinned = np.repeat(moves[..., WEAKLY_TAKEN : WEAKLY_TAKEN + 1], 4, axis=-1)
+    return _pack(np.stack([moves, pinned])).ravel()
+
+
+def _miss_caps() -> np.ndarray:
+    """Misses of an unbounded run by ``(first << 3) | (taken << 2) | s0``:
+    a taken run misses while below 2, a not-taken one while at or above
+    2; a counter's first run starts at ``WEAKLY_TAKEN`` whatever ``s0``."""
+    s = _STATES.astype(int)
+    caps = np.stack([np.maximum(s - 1, 0), np.maximum(2 - s, 0)])
+    first = np.repeat(caps[:, WEAKLY_TAKEN : WEAKLY_TAKEN + 1], 4, axis=-1)
+    return np.stack([caps, first]).ravel()
+
+
+_COMPOSE = _composition_table()
+_RUN_MAP = _run_maps()
+_MISS_CAP = _miss_caps()
+#: Maps that are not constant: the runs the scan still composes.
+_OPEN = _MAP_STATES.min(axis=1) != _MAP_STATES.max(axis=1)
 
 
 def _lane_keys(
@@ -258,13 +233,11 @@ def gshare_rate(
     lane: GShareLane,
     trace: BranchTrace,
     hist_cache: Optional[Dict[int, np.ndarray]] = None,
-    deltas: Optional[np.ndarray] = None,
 ) -> float:
     """Misprediction rate of one lane, counter-major, without
     materializing per-access state: a run's mispredictions have a
-    closed form in its start state.  Family sweeps pass the trace's
-    ``deltas`` (its outcomes as counter steps) and ``hist_cache`` once
-    for all lanes.
+    closed form in its start state.  Family sweeps pass one
+    ``hist_cache`` for all lanes.
 
     Rates are mispredictions / branches with the same integer counts as
     :attr:`SimulationResult.misprediction_rate`, so they agree
@@ -273,23 +246,30 @@ def gshare_rate(
     n = len(trace)
     if n == 0:
         return 0.0
-    if deltas is None:
-        deltas = _train_deltas(trace.outcomes)
-    run_len, run_delta, run_s0 = _counter_runs(
-        _lane_keys(lane, trace, hist_cache),
-        deltas,
-        lane.table_size,
-        WEAKLY_TAKEN,
-        3,
-    )
-    # Taken run: accesses j with min(3, s0+j) < 2 mispredict, i.e.
-    # clip(2-s0, 0, r) of them; not-taken run: clip(s0-1, 0, r).
-    missed = np.where(
-        run_delta > 0,
-        np.clip(2 - run_s0, 0, run_len),
-        np.clip(run_s0 - 1, 0, run_len),
-    )
-    return int(missed.sum()) / n
+    keys = _lane_keys(lane, trace, hist_cache)
+    grouped = stable_group(keys, lane.table_size, (keys << 1) | trace.outcomes)
+    run_first = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    run = grouped[run_first]
+    first = np.empty(len(run), dtype=bool)
+    first[0] = True
+    np.greater(run[1:] ^ run[:-1], 1, out=first[1:])  # the counter changed
+    code = (first.view(np.uint8) << 3) | ((run & 1) << 2)
+    run_len = np.diff(run_first, append=n)
+    maps = _RUN_MAP[code | np.minimum(run_len, 3)]
+
+    # numpy reads every maps[rows - dist] before it writes maps[rows], so
+    # each step composes the previous step's maps.
+    rows = np.flatnonzero(_OPEN[maps])
+    dist = 1
+    while len(rows):
+        composed = _COMPOSE[(maps[rows - dist].astype(np.intp) << 8) | maps[rows]]
+        maps[rows] = composed
+        rows = rows[_OPEN[composed]]
+        dist <<= 1
+
+    s0 = np.zeros(len(run), dtype=np.uint8)
+    s0[1:] = maps[:-1] & 3  # the previous run's (constant) end state
+    return int(np.minimum(run_len, _MISS_CAP[code | s0]).sum()) / n
 
 
 def gshare_family_rates(

@@ -66,7 +66,8 @@ rates: gshare and bi-mode advance every lane of a family in one fused
 C loop, and the seven compiled comparators run each lane's C loop over
 the raw trace with no per-branch buffer, counting misses in-loop.
 Gshare's ``rates`` hook, the numpy engine's rate path, counts a lane's
-misses in closed form from its counter runs.  A ``substreams`` hook — a
+misses in closed form from its counter runs, whose start states a scan
+of packed 4-state counter maps resolves.  A ``substreams`` hook — a
 compiled per-lane loop that groups accesses into Section-4 substreams
 as it runs (gshare, bi-mode) — is what detailed sweeps use in place of
 per-access attribution.
@@ -142,12 +143,10 @@ class KernelEntry:
     #: attribution, and rates wherever no faster hook below applies;
     #: compiled only, except the statics' vectorized one-shot.
     detailed: Callable[..., Tuple[np.ndarray, np.ndarray]]
-    #: Optional direct rate computation ``(lane, trace, hist_cache,
-    #: deltas) -> float`` for schemes whose misprediction count reduces
-    #: without materializing predictions (gshare's closed-form run
-    #: counts); the numpy engine's rate path, which every ``lane``-tier
-    #: entry has.  ``deltas`` is the trace's outcomes as int8 counter
-    #: steps, built once per family.
+    #: Optional direct rate computation ``(lane, trace, hist_cache) ->
+    #: float`` for schemes whose misprediction count reduces without
+    #: materializing predictions (gshare's scan of packed counter maps);
+    #: the numpy engine's rate path, which every ``lane``-tier entry has.
     rates: Optional[Callable[..., float]] = None
     #: Optional compiled ``(lanes, trace) -> rates`` computing every
     #: lane's rate without a per-branch stream (a fused family loop, or
@@ -377,11 +376,15 @@ def _scalar_reason(cells: Sequence[Union[str, BranchPredictor]]) -> str:
 
 
 def _dispatch(
-    kind: str, cells: Sequence[object], lanes: Sequence[object]
+    kind: str,
+    cells: Sequence[object],
+    lanes: Sequence[object],
+    attribution: bool = False,
 ) -> Tuple[Optional[KernelEntry], str, str]:
     """Resolve one family's engine by :func:`default_engine`; return
     ``(entry, engine, reason)``, where ``reason`` says why the engine is
-    not the compiled loop.
+    not the compiled loop.  The ``lane`` tier's numpy form rates only,
+    so its Section-4 ``attribution`` runs the scalar reference there.
 
     The scalar family has no entry, and its reason is
     :func:`_scalar_reason`.  Any other family is health-reported under
@@ -399,7 +402,10 @@ def _dispatch(
     entry = PORTED[kind]
     engine = default_engine(entry.tier)
     reason = ""
-    if engine == "scalar":
+    if engine == "numpy" and attribution:
+        engine = "scalar"
+        reason = f"no numpy attribution kernel for {entry.scheme} (compiled loop only)"
+    elif engine == "scalar":
         reason = f"no numpy kernel for {entry.scheme} (compiled loop only)"
     elif engine == "numpy":
         reason = _cstep.unavailable_reason() or ""
@@ -446,11 +452,12 @@ def family_detailed(
     :class:`~repro.core.interfaces.SubstreamGrouping` that loop emits
     instead (no per-access array but the int32 stream ids); the
     Section-4 analysis reads either.
-    The engine follows the dispatch of :func:`family_rates`; it is
+    The engine follows the dispatch of :func:`family_rates`, except
+    that the ``lane`` tier's numpy form rates only, so without a
+    compiler gshare's attribution runs scalar; the engine that ran is
     health-reported under ``"<kind>-kernel"``, and whether the lanes
     ran batched or on the scalar loop under ``"detailed-kernel"``.
-    The scalar engine, and the ``lane`` tier's numpy engine (whose
-    numpy form rates only), run each cell's ``simulate_detailed`` on a
+    The scalar engine runs each cell's ``simulate_detailed`` on a
     power-on predictor, so a caller's predictor is never mutated.
     Each lane runs its own pass and the family returns every lane's row
     at once; in a sweep a gshare or bi-mode row holds 4 bytes per
@@ -459,10 +466,8 @@ def family_detailed(
     """
     from repro import health
 
-    entry, engine, reason = _dispatch(kind, cells, lanes)
-    scalar = engine in ("scalar", "numpy")
-    if engine == "numpy":
-        reason = f"no numpy attribution kernel for {kind} (compiled loop only)"
+    entry, engine, reason = _dispatch(kind, cells, lanes, attribution=True)
+    scalar = engine == "scalar"
     health.engine_used(
         "detailed-kernel",
         "scalar" if scalar else "batch",
@@ -533,8 +538,7 @@ def family_rates(
     outcomes = trace.outcomes
     hist_cache: Dict[int, np.ndarray] = {}
     if engine == "numpy":
-        deltas = _gshare._train_deltas(outcomes)
-        return [entry.rates(lane, trace, hist_cache, deltas) for lane in lanes]
+        return [entry.rates(lane, trace, hist_cache) for lane in lanes]
     out: List[float] = []
     for lane in lanes:
         preds = entry.detailed(lane, trace, hist_cache)[0]

@@ -82,7 +82,7 @@ from repro.predictors.trimode import TriModePredictor
 from repro.predictors.twolevel import TwoLevelPredictor
 from repro.predictors.yags import YagsPredictor
 from repro.sim import _cstep
-from repro.sim.batch import GShareLane, _train_deltas
+from repro.sim.batch import GShareLane
 from repro.traces.record import BranchTrace
 
 __all__ = [
@@ -564,7 +564,7 @@ def _observed_states(
     counter loop — the automaton of every counter-major scheme."""
     return _cstep.counter_lane(
         np.ascontiguousarray(keys, dtype=np.int64),
-        _train_deltas(outcomes),
+        np.where(outcomes, 1, -1).astype(np.int8),
         np.full(num_counters, init, dtype=np.int8),
         max_state,
     )

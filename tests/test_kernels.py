@@ -823,7 +823,8 @@ class TestDispatch:
     def test_numpy_pin_keeps_counter_major_on_numpy(self):
         """With the compiler vetoed gshare, the one ``lane`` scheme,
         rates through its counter-major numpy form, and its Section-4
-        attribution runs the scalar reference, each health-reported."""
+        attribution runs the scalar reference, each health-reported
+        under the engine that ran."""
         spec = "gshare:index=6,hist=4"
         kind, lane = kernels.kernel_for_spec(spec)
         assert [s for s, e in kernels.PORTED.items() if e.tier == "lane"] == ["gshare"]
@@ -836,6 +837,10 @@ class TestDispatch:
             (row,) = kernels.family_detailed(kind, [spec], [lane], _trace("toy"))
         (event,) = health.events(component="detailed-kernel")
         assert (event.actual, event.severity) == ("scalar", "degraded")
+        assert "no numpy attribution kernel for gshare" in event.reason
+        (event,) = health.events(component="gshare-kernel")
+        assert (event.expected, event.actual) == ("c", "scalar")
+        assert event.severity == "degraded"
         assert "no numpy attribution kernel for gshare" in event.reason
         assert rates == [_scalar_rate(spec, "toy")]
         want = make_predictor(spec).simulate_detailed(_trace("toy"))

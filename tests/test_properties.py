@@ -17,6 +17,7 @@ from repro.core.history import GlobalHistoryRegister, global_history_stream
 from repro.core.indexing import gshare_index, mask
 from repro.core.interfaces import SimulationResult
 from repro.core.registry import available_schemes, make_predictor, parse_spec
+from repro.sim.batch import GShareLane, gshare_rate
 from repro.sim.engine import run, run_steps
 from repro.sim.runner import evaluate_specs
 from repro.traces.record import BranchTrace
@@ -330,6 +331,38 @@ class TestSpecAgreement:
                 evaluate_specs([spec], trace)
             return
         assert evaluate_specs([spec], trace)[spec] == oracle_rate(spec, trace), spec
+
+
+@st.composite
+def bursty_or_alternating(draw):
+    """Outcome streams that stress a 2-bit counter's runs: bursts of
+    1..6 equal outcomes, or strict alternation (runs that never
+    saturate)."""
+    if draw(st.booleans()):
+        burst = st.tuples(st.booleans(), st.integers(1, 6))
+        bursts = draw(st.lists(burst, max_size=40))
+        return [taken for taken, r in bursts for _ in range(r)]
+    lead = draw(st.booleans())
+    return [(i % 2 == 0) == lead for i in range(draw(st.integers(0, 150)))]
+
+
+class TestCounterMapScanProperties:
+    """Gshare's no-compiler rate, a scan of packed counter maps, is the
+    oracle's on small tables, where each counter sees long run chains."""
+
+    @given(outcomes=bursty_or_alternating(), index=st.integers(0, 4), data=st.data())
+    @settings(deadline=None)
+    def test_gshare_rate_matches_oracle(self, outcomes, index, data):
+        hist = data.draw(st.integers(0, index))
+        n = len(outcomes)
+        pcs = data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        trace = BranchTrace(
+            pcs=np.array(pcs, dtype=np.int64),
+            outcomes=np.array(outcomes, dtype=bool),
+            name="hyp",
+        )
+        spec = f"gshare:index={index},hist={hist}"
+        assert gshare_rate(GShareLane(index, hist), trace) == oracle_rate(spec, trace)
 
 
 class TestSimulationResultProperties:

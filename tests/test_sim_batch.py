@@ -17,13 +17,16 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.core.grouping import stable_group_order
-from repro.sim import _cstep
+from repro.core import grouping
+from repro.core.counters import WEAKLY_TAKEN
+from repro.core.grouping import stable_group, stable_group_order
+from repro.sim import _cstep, batch
 from repro.predictors.gshare import GSharePredictor
 from repro.sim.batch import GShareLane, gshare_lane_of, gshare_rate
 from repro.sim.engine import run_steps
 from repro.sim.kernels import family_detailed, kernel_for_spec
 from repro.traces.record import BranchTrace
+from repro.verify.oracle import oracle_rate
 from tests.conftest import make_toy_trace, make_trace
 
 
@@ -196,6 +199,83 @@ class TestEdgeCases:
             assert rates[k] == expected
 
 
+def sat2(state, taken):
+    """One 2-bit saturating counter update, written out directly."""
+    return min(state + 1, 3) if taken else max(state - 1, 0)
+
+
+def unpack(f):
+    """The four next states of a packed counter map."""
+    return [(f >> (2 * s)) & 3 for s in range(4)]
+
+
+class TestCounterMapScan:
+    """The packed 4-state maps behind :func:`gshare_rate`: a byte holds
+    a map's four 2-bit next states, a run of ``r`` equal outcomes is
+    the ``r``-fold counter update, and two maps compose by one lookup."""
+
+    def test_composition_table_applies_first_then_second(self):
+        maps = [unpack(f) for f in range(256)]
+        want = np.array(
+            [
+                sum(maps[g][maps[f][s]] << (2 * s) for s in range(4))
+                for f in range(256)
+                for g in range(256)
+            ],
+            dtype=np.uint8,
+        )
+        assert batch._COMPOSE.dtype == np.uint8
+        assert np.array_equal(batch._COMPOSE, want)
+
+    @pytest.mark.parametrize("taken", [False, True])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_run_map_is_r_fold_update(self, taken, r):
+        """A run's map is ``r`` updates of every state, and a counter's
+        first run is pinned to the state ``r`` updates leave
+        ``WEAKLY_TAKEN`` in."""
+        code = (taken << 2) | min(r, 3)
+        want = []
+        for s in range(4):
+            for _ in range(r):
+                s = sat2(s, taken)
+            want.append(s)
+        assert unpack(batch._RUN_MAP[code]) == want
+        assert unpack(batch._RUN_MAP[8 | code]) == [want[WEAKLY_TAKEN]] * 4
+
+    @pytest.mark.parametrize("taken", [False, True])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_run_misses_are_capped_closed_form(self, taken, r):
+        """``min(r, cap)`` counts the run's mispredictions from each
+        start state (a first run's from ``WEAKLY_TAKEN``)."""
+        code = taken << 2
+        for s0 in range(4):
+            s, misses = s0, 0
+            for _ in range(r):
+                misses += (s >= 2) != taken
+                s = sat2(s, taken)
+            assert min(r, batch._MISS_CAP[code | s0]) == misses, s0
+            first = min(r, batch._MISS_CAP[8 | code | s0])
+            assert first == min(r, batch._MISS_CAP[code | WEAKLY_TAKEN])
+
+    def test_only_constant_maps_are_closed(self):
+        constant = {f for f in range(256) if len(set(unpack(f))) == 1}
+        assert constant == {0x00, 0x55, 0xAA, 0xFF}
+        assert set(np.flatnonzero(~batch._OPEN)) == constant
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_scan_depth_boundaries(self, k):
+        """One counter (``index=0``) on alternating outcomes: runs of one
+        never saturate, so every composition chain reaches the counter's
+        first run, over 2^k - 1, 2^k and 2^k + 1 runs."""
+        lane = GShareLane(index_bits=0, history_bits=0)
+        for runs in (2**k - 1, 2**k, 2**k + 1):
+            for lead in (True, False):
+                outcomes = [(i % 2 == 0) == lead for i in range(runs)]
+                trace = make_trace([4 * (i % 5) for i in range(runs)], outcomes)
+                want = oracle_rate("gshare:index=0,hist=0", trace)
+                assert gshare_rate(lane, trace) == want, (runs, lead)
+
+
 class TestStableGroupOrder:
     """Keys outside ``[0, num_buckets)`` raise instead of reaching
     scipy's unchecked counting sort (where a negative key silently broke
@@ -240,6 +320,21 @@ class TestStableGroupOrder:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_stable_group_matches_gathered_values(self, monkeypatch):
+        """The grouped values are the values gathered in group order,
+        through scipy's kernel and through the numpy fallback."""
+        rng = np.random.default_rng(5)
+        keys = rng.integers(0, 37, size=5_000)
+        values = rng.integers(0, 2**31 - 1, size=5_000).astype(np.int32)
+        want = values[np.argsort(keys, kind="stable")]
+        assert np.array_equal(stable_group(keys, 37, values), want)
+        monkeypatch.setattr(grouping, "_coo_tocsr", lambda: None)
+        assert np.array_equal(stable_group(keys, 37, values), want)
+        order = stable_group_order(keys, 37)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        with pytest.raises(ValueError, match="group keys"):
+            stable_group(np.array([0, 3]), 3, np.array([1, 2], dtype=np.int32))
 
     @pytest.mark.parametrize(
         "keys, num_buckets",
